@@ -3,9 +3,14 @@
 differential-geometry oracle for verification, and mesh/figure export.
 """
 
+import logging
+
 from . import cli, checks, diffgeo, euclidean, gluing, numerics, spherical
 
 __version__ = "0.1.0"
+
+# silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "numerics",

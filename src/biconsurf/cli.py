@@ -160,6 +160,8 @@ def _grid_positions(args):
     """Evaluate the requested family on its grid; returns (points, nu, nv,
     wrap_v, is_spherical)."""
     nu, nv = args.grid
+    if min(nu, nv) < 2:
+        raise UsageError(f"grid {nu} x {nv} too small: need NU, NV >= 2")
     family = args.family
     if family == "r3":
         if args.C <= 0.0:
@@ -191,14 +193,12 @@ def _grid_positions(args):
     if family == "revolution":
         v0, v1 = args.v_range if args.v_range else (0.0, 2.0 * math.pi * at.Cstar)
         vs = np.linspace(v0, v1, nv, endpoint=False) if args.wrap_v else np.linspace(v0, v1, nv)
-        pts = np.array([at.immersion_psi(float(h), float(t))
-                        for h in np.linspace(u0, u1, nu) for t in vs])
+        pts = np.concatenate([at.immersion_psi(float(h), vs) for h in np.linspace(u0, u1, nu)])
         return pts, nu, nv, args.wrap_v, False
     if family == "s3-complete":
         v0, v1 = args.v_range if args.v_range else (0.0, 2.0 * math.pi / math.sqrt(args.C))
-        pts = np.array([at.immersion_phi(float(h), float(t))
-                        for h in np.linspace(u0, u1, nu)
-                        for t in np.linspace(v0, v1, nv)])
+        vs = np.linspace(v0, v1, nv)
+        pts = np.concatenate([at.immersion_phi(float(h), vs) for h in np.linspace(u0, u1, nu)])
         return pts, nu, nv, False, True
     raise UsageError(f"unknown family {family!r}")
 
@@ -221,14 +221,17 @@ def _obj_lines(vertices: np.ndarray, nu: int, nv: int, wrap_v: bool) -> list[str
 
 
 def cmd_mesh(args) -> int:
+    try:
+        pole = np.array([float(x) for x in args.pole.split(",")])
+    except ValueError:
+        pole = np.zeros(0)
+    if pole.shape != (4,) or not np.isfinite(pole).all() or not pole.any():
+        raise UsageError("pole must be four finite comma-separated components, not all zero")
     pts, nu, nv, wrap_v, is_spherical = _grid_positions(args)
     out = Path(args.out)
     if is_spherical:
         raw = out.with_suffix(".raw.csv")
         _write_csv(raw, ["x1", "x2", "x3", "x4"], pts)
-        pole = np.array([float(x) for x in args.pole.split(",")])
-        if pole.shape != (4,):
-            raise UsageError("pole must be four comma-separated components")
         verts = _stereographic(pts, pole)
     else:
         verts = pts

@@ -18,12 +18,12 @@ of the plane with the periodic-profile metric into the unit 3-sphere.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import diffgeo
 from .numerics import CumulativeQuadrature, OutOfDomain, one_sided_derivative
@@ -51,6 +51,11 @@ TWO_PI = 2.0 * math.pi
 
 # slack used when reducing phases mod 2*pi and when snapping junction hits
 PHASE_SLACK = 1e-12
+
+# Newton steps allowed per inversion; a Hermite-seeded one takes about two
+NEWTON_CAP = 8
+
+_log = logging.getLogger(__name__)
 
 
 class InvalidC(Exception):
@@ -158,13 +163,12 @@ class GluingAtlas:
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
         self.zeta_limits = self.family.zeta_limits
 
-        # monotone inverse data: strictly increasing table h0(node) -> node
-        hs = self._h_cum.table - self._h_base
-        self._inverse_seed = PchipInterpolator(hs, self._h_cum.nodes)
-        self._h_nodes = hs
+        # inverse table: h0 and dxi/dh at the nodes; the slope vanishes at the roots
+        self._h_nodes = self._h_cum.table - self._h_base
+        self._xi_slopes = np.zeros_like(self._h_nodes)
+        self._xi_slopes[1:-1] = 1.0 / h_integrand(self._h_cum.nodes[1:-1])
 
         self.grid = {k: self.h_grid_point(k) for k in range(-self.k_max, self.k_max + 1) if k != 0}
-        self.phases = {k: self.phase(k) for k in range(-self.k_max - 1, self.k_max + 2)}
 
     # -- height function and its inverse ------------------------------------
 
@@ -182,16 +186,27 @@ class GluingAtlas:
         return math.sqrt(num / (xi ** 4 * t))
 
     def h0_inverse(self, y: float) -> float:
-        """Monotone inverse of h0 on [h_{0,-1}, h_{0,1}] to ~1e-13.
+        """Inverse of h0 on [h_{0,-1}, h_{0,1}].
 
-        Seeds from the monotone interpolant of the clustered table, then
-        polishes with bracketed Newton steps.  Near the ends the iteration
-        runs in the distance coordinate w = sqrt(|xi - root|), where the
-        height map has a smooth, nonvanishing derivative (Newton in xi
-        would degenerate with h0' -> infinity there).  Within ~1e-8 of the
-        endpoint heights the residual saturates at the representation
-        limit: a one-ulp move of xi off a root already changes the height
-        by ~sqrt(eps).
+        The table of h0 at the quadrature nodes, together with the slopes
+        dxi/dh = 1/h0'(xi) there (zero at the roots, where xi(h) is even in
+        the distance to the end height), gives a piecewise cubic Hermite
+        seed in the cell holding y.  Bracketed Newton steps on h0 then run
+        until a step moves xi by at most 1e-14 of the strip width, or the
+        residual is within two ulps of the height span, below which the
+        step is rounding.  In the three cells at each end the steps are
+        taken in w = sqrt(|xi - root|), where the height map has a smooth,
+        nonvanishing derivative.
+
+        Measured max |h0(h0_inverse(y)) - y| / span at C = C* = 1, by the
+        distance of y to the nearer end height: 3e-15 beyond 1e-2 of the
+        span, 3e-13 within 1e-2, 3e-11 within 1e-4 and 9e-9 within 1e-6
+        (up to 4e-14, 3e-12, 3e-10 and 3e-8 at C = 1.001 C_MIN).  The
+        three end bands are the representation floor h0'(xi) ulp(xi) of
+        the returned xi; at a root a one-ulp move of xi already changes
+        the height by ~sqrt(eps).  A Newton loop that reaches NEWTON_CAP
+        steps logs y and its last step at DEBUG level on the
+        "biconsurf.gluing" logger.
         """
         lo, hi = self.h_limits
         span = hi - lo
@@ -203,66 +218,44 @@ class GluingAtlas:
             if y > hi + 1e-9 * span:
                 raise OutOfDomain(f"height {y} above {hi}")
             return self.roots.xi02
-        i = int(np.searchsorted(self._h_nodes, y))
-        i = max(1, min(i, len(self._h_nodes) - 1))
-        tol = 1e-13 * max(1.0, span)
-        n = len(self._h_nodes)
-        if i <= 2:
-            return self._invert_near_end(y, lower_end=True, tol=tol)
-        if i >= n - 2:
-            return self._invert_near_end(y, lower_end=False, tol=tol)
-        b_lo = float(self._h_cum.nodes[i - 1])
-        b_hi = float(self._h_cum.nodes[i])
-        xi = float(self._inverse_seed(y))
-        xi = min(max(xi, b_lo), b_hi)
-        for _ in range(10):
-            r = self.h0(xi) - y
-            if abs(r) <= tol:
-                break
-            if r > 0.0:
-                b_hi = xi
-            else:
-                b_lo = xi
-            try:
-                nxt = xi - r / self.h0_deriv(xi)
-            except (OutOfDomain, ZeroDivisionError):
-                nxt = 0.5 * (b_lo + b_hi)
-            if not (b_lo < nxt < b_hi):
-                nxt = 0.5 * (b_lo + b_hi)
-            xi = nxt
-        return xi
-
-    def _invert_near_end(self, y: float, lower_end: bool, tol: float) -> float:
-        if lower_end:
-            root = self.roots.xi01
-            deriv = self._h_left_sub            # d h0(root + w^2) / dw
-            height = lambda w: self.h0(root + w * w)
-            w_max = math.sqrt(float(self._h_cum.nodes[3]) - root)
-            seed = max(float(self._inverse_seed(y)) - root, 0.0)
+        hs, xs, ms = self._h_nodes, self._h_cum.nodes, self._xi_slopes
+        i = min(max(int(np.searchsorted(hs, y)) - 1, 0), len(hs) - 2)
+        d = hs[i + 1] - hs[i]
+        t = (y - hs[i]) / d
+        xi = float((1.0 + 2.0 * t) * (1.0 - t) ** 2 * xs[i] + t * (1.0 - t) ** 2 * d * ms[i]
+                   + t * t * (3.0 - 2.0 * t) * xs[i + 1] - t * t * (1.0 - t) * d * ms[i + 1])
+        if 3 <= i < len(hs) - 4:
+            to_u = to_xi = lambda v: v
+            slope = self.h0_deriv
         else:
-            root = self.roots.xi02
-            deriv = self._h_right_sub           # -d h0(root - w^2) / dw
-            height = lambda w: self.h0(root - w * w)
-            w_max = math.sqrt(root - float(self._h_cum.nodes[-4]))
-            seed = max(root - float(self._inverse_seed(y)), 0.0)
-        w = min(math.sqrt(seed), w_max)
-        b_lo, b_hi = 0.0, w_max
-        for _ in range(60):
-            r = height(w) - y
-            if abs(r) <= tol:
-                break
-            increasing = lower_end  # height rises with w at the lower end only
-            if (r > 0.0) == increasing:
-                b_hi = w
+            # u = +-w rises with xi at both ends: xi = root + s u^2
+            root, s, sub = ((self.roots.xi01, 1.0, self._h_left_sub) if i < 3
+                            else (self.roots.xi02, -1.0, self._h_right_sub))
+            to_u = lambda v: s * math.sqrt(s * (v - root))
+            to_xi = lambda u: root + s * u * u
+            slope = lambda u: float(sub(np.array([s * u]))[0])
+        u_lo, u_hi = to_u(float(xs[i])), to_u(float(xs[i + 1]))
+        xi = min(max(xi, float(xs[i])), float(xs[i + 1]))
+        tol = 1e-14 * (self.roots.xi02 - self.roots.xi01)
+        h_res = 2.0 * math.ulp(span)  # spacing of the tabulated heights
+        for _ in range(NEWTON_CAP):
+            u = to_u(xi)
+            r = self.h0(xi) - y
+            if r > 0.0:
+                u_hi = u
             else:
-                b_lo = w
-            slope = float(deriv(np.array([w]))[0])
-            slope = slope if lower_end else -slope
-            nxt = w - r / slope if slope != 0.0 else 0.5 * (b_lo + b_hi)
-            if not (b_lo < nxt < b_hi):
-                nxt = 0.5 * (b_lo + b_hi)
-            w = nxt
-        return root + w * w if lower_end else root - w * w
+                u_lo = u
+            nxt = u - r / slope(u)
+            if not (u_lo <= nxt <= u_hi):
+                nxt = 0.5 * (u_lo + u_hi)
+            nxt = to_xi(nxt)
+            step, xi = nxt - xi, nxt
+            # below h_res the residual is rounding, and so is the step it gives
+            if abs(step) <= tol or abs(r) <= h_res:
+                return xi
+        _log.debug("h0_inverse: no convergence in %d Newton steps at y=%r, last step %r",
+                   NEWTON_CAP, y, step)
+        return xi
 
     # -- grid, strips and phases ---------------------------------------------
 
@@ -331,17 +324,25 @@ class GluingAtlas:
 
     # -- periodic profile ------------------------------------------------------
 
+    def _strip_point(self, h: float) -> tuple[int, float]:
+        """Strip k owning h and the profile value F(h), from one inversion.
+
+        A junction belongs to the strip on its right and maps exactly onto
+        its root.
+        """
+        j = self._junction_index(h)
+        if j is not None:
+            return j, self.roots.xi01 if j % 2 == 0 else self.roots.xi02
+        k = self.strip_of(h)
+        return k, self.h0_inverse(self._strip_height(h, k))
+
     def F(self, h: float) -> float:
         """Periodic reflected profile: strip-wise inverse of the height map.
 
         Exact root values at the junctions; inside a strip the inverse of
         h0 composed with the strip's reflection.
         """
-        j = self._junction_index(h)
-        if j is not None:
-            return self.roots.xi01 if j % 2 == 0 else self.roots.xi02
-        k = self.strip_of(h)
-        return self.h0_inverse(self._strip_height(h, k))
+        return self._strip_point(h)[1]
 
     def _strip_height(self, h: float, k: int) -> float:
         """Map h to the base-strip height whose inverse gives F(h)."""
@@ -352,8 +353,9 @@ class GluingAtlas:
 
     def F_deriv(self, h: float) -> float:
         """dF/dh on strip interiors: +-1/h0'(F); zero in the junction limit."""
-        k = self.strip_of(h)
-        xi = self.F(h)
+        return self._F_deriv_at(*self._strip_point(h))
+
+    def _F_deriv_at(self, k: int, xi: float) -> float:
         if not self.roots.contains(xi):
             return 0.0
         sign = 1.0 if k % 2 == 0 else -1.0
@@ -364,15 +366,17 @@ class GluingAtlas:
     def radius(self, h: float) -> float:
         return self.Cstar / self.F(h)
 
-    def immersion_psi(self, h: float, theta: float) -> np.ndarray:
+    def immersion_psi(self, h: float, theta) -> np.ndarray:
+        """Point of Psi; a 1-D `theta` gives the (n, 3) row at height h."""
         r = self.radius(h)
-        ang = theta / self.Cstar
-        return np.array([r * math.cos(ang), r * math.sin(ang), h])
+        rows = [[r * math.cos(t / self.Cstar), r * math.sin(t / self.Cstar), h]
+                for t in np.atleast_1d(theta)]
+        return np.array(rows) if np.ndim(theta) else np.array(rows[0])
 
     def immersion_psi_partials(self, h: float, theta: float):
-        xi = self.F(h)
+        k, xi = self._strip_point(h)
         r = self.Cstar / xi
-        dr = -self.Cstar * self.F_deriv(h) / (xi * xi)
+        dr = -self.Cstar * self._F_deriv_at(k, xi) / (xi * xi)
         ang = theta / self.Cstar
         ca, sa = math.cos(ang), math.sin(ang)
         d_h = np.array([dr * ca, dr * sa, 1.0])
@@ -429,81 +433,48 @@ class GluingAtlas:
 
     def profile_components(self, h: float) -> tuple[float, float, float]:
         """(Phi1, Phi2, Phi3) at h; Phi4 equals Phi3."""
-        j = self._junction_index(h)
-        if j is not None:
-            xi, zlim = self._junction_data(j)
-            k = 0 if j == 0 else j  # right-hand strip owns the junction
-            ck = self.phases.get(k)
-            ck = self.phase(k) if ck is None else ck
-            ang = zlim + ck
-            R = self.family.radius(xi)
-            sgn = -1.0 if k % 2 else 1.0
-            return R * math.cos(ang), sgn * R * math.sin(ang), 1.0 / (math.sqrt(self.C) * xi)
-        k = self.strip_of(h)
-        ck = self.phases.get(k)
-        ck = self.phase(k) if ck is None else ck
-        xi = self.h0_inverse(self._strip_height(h, k))
+        k, xi = self._strip_point(h)
         R = self.family.radius(xi)
-        ang = self.family.zeta0(xi) + ck
+        ang = self.family.zeta0(xi) + self.phase(k)  # zeta0 is exact at the roots
         sgn = -1.0 if k % 2 else 1.0
         return R * math.cos(ang), sgn * R * math.sin(ang), 1.0 / (math.sqrt(self.C) * xi)
 
-    def immersion_phi(self, h: float, theta: float) -> np.ndarray:
+    def immersion_phi(self, h: float, theta) -> np.ndarray:
+        """Point of Phi; a 1-D `theta` gives the (n, 4) row at height h."""
         p1, p2, p3 = self.profile_components(h)
         sc = math.sqrt(self.C)
-        return np.array([p1, p2, p3 * math.cos(sc * theta), p3 * math.sin(sc * theta)])
+        rows = [[p1, p2, p3 * math.cos(sc * t), p3 * math.sin(sc * t)]
+                for t in np.atleast_1d(theta)]
+        return np.array(rows) if np.ndim(theta) else np.array(rows[0])
 
     def profile_components_deriv(self, h: float) -> tuple[float, float, float]:
         """h-derivatives of (Phi1, Phi2, Phi3); finite at junctions, where
         the blow-up of the turning-angle density cancels the flattening of
         the profile inverse."""
-        j = self._junction_index(h)
+        return self._profile_deriv_at(*self._strip_point(h))
+
+    def _profile_deriv_at(self, k: int, xi: float) -> tuple[float, float, float]:
         sc = math.sqrt(self.C)
-        if j is not None:
-            xi, zlim = self._junction_data(j)
-            k = 0 if j == 0 else j
-            ck = self.phase(k)
-            ang = zlim + ck
-            # zeta0' / h0' stays finite as T -> 0
-            ratio = sc * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (self.C * xi * xi - 1.0))
-            sign = 1.0 if k % 2 == 0 else -1.0
-            R = self.family.radius(xi)
-            dzeta = sign * ratio
-            sgn2 = -1.0 if k % 2 else 1.0
-            return (-R * math.sin(ang) * dzeta,
-                    sgn2 * R * math.cos(ang) * dzeta,
-                    0.0)
-        k = self.strip_of(h)
-        ck = self.phases.get(k)
-        ck = self.phase(k) if ck is None else ck
-        xi = self.h0_inverse(self._strip_height(h, k))
-        if not self.roots.contains(xi):
-            # inverse snapped onto a root: treat as the junction limit
-            zm1, zp1 = self.zeta_limits
-            zlim = zm1 if xi <= self.roots.xi01 else zp1
-            ratio = sc * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (self.C * xi * xi - 1.0))
-            sign = 1.0 if k % 2 == 0 else -1.0
-            R = self.family.radius(xi)
-            ang = zlim + ck
-            sgn2 = -1.0 if k % 2 else 1.0
-            return (-R * math.sin(ang) * sign * ratio,
-                    sgn2 * R * math.cos(ang) * sign * ratio,
-                    0.0)
-        dF = self.F_deriv(h)
-        R = self.family.radius(xi)
-        dR = 1.0 / (self.C * xi ** 3 * R)
-        ang = self.family.zeta0(xi) + ck
-        dz = self.family.zeta0_deriv(xi)
         sgn = -1.0 if k % 2 else 1.0
+        R = self.family.radius(xi)
+        ang = self.family.zeta0(xi) + self.phase(k)
         ca, sa = math.cos(ang), math.sin(ang)
+        if not self.roots.contains(xi):
+            # junction limit (exact or snapped root): zeta0' / h0' stays finite as T -> 0
+            dz = sgn * sc * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (self.C * xi * xi - 1.0))
+            return -R * sa * dz, sgn * R * ca * dz, 0.0
+        dF = self._F_deriv_at(k, xi)
+        dR = 1.0 / (self.C * xi ** 3 * R)
+        dz = self.family.zeta0_deriv(xi)
         return ((dR * ca - R * sa * dz) * dF,
                 sgn * (dR * sa + R * ca * dz) * dF,
                 -dF / (sc * xi * xi))
 
     def immersion_phi_partials(self, h: float, theta: float):
-        d1, d2, d3 = self.profile_components_deriv(h)
-        _, _, p3 = self.profile_components(h)
+        k, xi = self._strip_point(h)
+        d1, d2, d3 = self._profile_deriv_at(k, xi)
         sc = math.sqrt(self.C)
+        p3 = 1.0 / (sc * xi)
         ct, st = math.cos(sc * theta), math.sin(sc * theta)
         d_h = np.array([d1, d2, d3 * ct, d3 * st])
         d_theta = np.array([0.0, 0.0, -sc * p3 * st, sc * p3 * ct])

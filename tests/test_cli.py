@@ -3,6 +3,10 @@ verification reports, determinism, exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,42 @@ class TestMesh:
                     "--pole", "1,0,0", "--out", str(tmp_path / "m.obj")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unparsable_pole_rejected(self, tmp_path, capsys):
+        out = tmp_path / "m.obj"
+        assert run(["mesh", "--family", "s3-local", "--C", "1", "--grid", "4", "4",
+                    "--pole", "a,b", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists() and not out.with_suffix(".raw.csv").exists()
+
+    @pytest.mark.parametrize("grid", [("0", "5"), ("4", "1")])
+    def test_grid_below_two_rejected(self, tmp_path, capsys, grid):
+        out = tmp_path / "r3.obj"
+        assert run(["mesh", "--family", "r3", "--C", "1", "--grid", *grid,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["s3-complete", "revolution"])
+    def test_rows_match_per_point_evaluation(self, tmp_path, family):
+        # each mesh row inverts the profile once; the values stay those of
+        # evaluating every grid point on its own
+        out = tmp_path / "m.csv"
+        assert run(["mesh", "--family", family, "--C", "1", "--cstar", "1",
+                    "--grid", "7", "5", "--format", "csv", "--out", str(out)]) == 0
+        at = gluing.atlas(1.0, 1.0)
+        hs = np.linspace(at.grid[-2], at.grid[2], 7)
+        if family == "s3-complete":
+            _, data = read_csv(out.with_suffix(".raw.csv"))
+            ts = np.linspace(0.0, 2.0 * math.pi, 5)
+            expected = [at.immersion_phi(float(h), float(t)) for h in hs for t in ts]
+        else:
+            _, data = read_csv(out)
+            ts = np.linspace(0.0, 2.0 * math.pi * at.Cstar, 5)
+            expected = [at.immersion_psi(float(h), float(t)) for h in hs for t in ts]
+        assert np.array_equal(data, np.array(expected))
+
 
 class TestVerify:
     def test_r3_passes(self, tmp_path):
@@ -257,3 +297,13 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert run(["params", "--C", "1", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the profile inverse is tabulated in-house; importing scipy.interpolate
+    # would add ~0.05 s to every CLI start
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, biconsurf.cli; print('scipy.interpolate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert res.stdout.strip() == "False"

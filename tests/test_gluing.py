@@ -1,6 +1,7 @@
 """Global construction: admissible range, height quadrature, reflected
 profile, phases, junction smoothness, and the glued immersions."""
 
+import logging
 import math
 
 import numpy as np
@@ -101,6 +102,92 @@ class TestHeightFunction:
         xi_near_top = monotone_inverse(at.h0, r.xi01, r.xi02, y, tol=1e-12)
         assert r.xi02 - xi_near_top < 2e-2    # hugs the upper root
         assert at.h0(xi_near_top) == pytest.approx(y, abs=1e-10)
+
+
+def _cstar_at(C, frac):
+    return frac * gluing.cstar_range(C).upper
+
+
+# (C, C*, bounds on max |h0(F(y)) - y| / span per distance band); the bounds
+# are what the PCHIP-seeded per-call inverse, which the table replaced,
+# reached on these samples
+INVERSE_CASES = [
+    (1.0, 1.0, (9.2e-14, 3.9e-13, 7.2e-11, 1.2e-8)),
+    (20.0, _cstar_at(20.0, 0.01), (9.1e-14, 3.4e-13, 4.4e-11, 9.9e-9)),
+    (20.0, _cstar_at(20.0, 0.99), (9.5e-14, 9.9e-13, 8.3e-11, 1.6e-8)),
+    (1.001 * spherical.C_MIN, _cstar_at(1.001 * spherical.C_MIN, 0.5),
+     (8.9e-14, 5.2e-12, 5.6e-10, 3.6e-8)),
+]
+# distance of y to the nearer end height, as a fraction of the span
+DISTANCE_BANDS = ((1e-2, 0.5), (1e-4, 1e-2), (1e-6, 1e-4), (1e-11, 1e-6))
+
+
+def band_heights(at, n=100):
+    """Heights log-spaced in each distance band, from both ends."""
+    lo, hi = at.h_limits
+    span = hi - lo
+    for a, b in DISTANCE_BANDS:
+        d = span * np.geomspace(a, b, n)
+        yield np.concatenate([lo + d, hi - d])
+
+
+@pytest.fixture(scope="module", params=INVERSE_CASES, ids=["C1", "C20-low", "C20-high", "Cmin"])
+def inverse_case(request):
+    C, Cstar, bounds = request.param
+    return gluing.build_atlas(C, Cstar, k_max=2), bounds
+
+
+class TestTabulatedInverse:
+    def test_round_trip_by_band(self, inverse_case):
+        at, bounds = inverse_case
+        span = at.h_limits[1] - at.h_limits[0]
+        for ys, bound in zip(band_heights(at), bounds):
+            worst = max(abs(at.h0(at.F(float(y))) - y) for y in ys) / span
+            assert worst <= bound
+
+    def test_base_point(self, inverse_case):
+        # at C = 20 one height ulp at h = 0 spans ~5e-11 of xi
+        at, _ = inverse_case
+        assert abs(at.F(0.0) - at.roots.xi00) <= 1e-10
+
+    def test_h0_calls_per_inversion(self, inverse_case, monkeypatch):
+        at, _ = inverse_case
+        lo, hi = at.h_limits
+        ys = np.concatenate([np.linspace(lo, hi, 1000), *band_heights(at)])
+        calls = []
+        h0 = at.h0
+        monkeypatch.setattr(at, "h0", lambda xi: calls.append(xi) or h0(xi))
+        for y in ys:
+            at.h0_inverse(float(y))
+        assert len(calls) / len(ys) <= 3.0
+
+    def test_newton_converges_on_dense_heights(self, at, caplog):
+        lo, hi = at.h_limits
+        with caplog.at_level(logging.DEBUG, logger="biconsurf.gluing"):
+            for y in np.linspace(lo, hi, 4000):
+                at.h0_inverse(float(y))
+        assert caplog.records == []
+
+    def test_newton_cap_is_logged(self, caplog, monkeypatch):
+        a2 = gluing.build_atlas(1.0, 1.0, k_max=2)
+        deriv = a2.h0_deriv
+        monkeypatch.setattr(a2, "h0_deriv", lambda xi: 1e-3 * deriv(xi))  # overshooting steps
+        with caplog.at_level(logging.DEBUG, logger="biconsurf.gluing"):
+            xi = a2.h0_inverse(0.1)
+        assert len(caplog.records) == 1
+        assert "y=0.1" in caplog.records[0].getMessage()
+        assert a2.roots.xi00 < xi < a2.roots.xi02
+
+    def test_one_inversion_per_partials_call(self, monkeypatch):
+        a2 = gluing.build_atlas(1.0, 1.0, k_max=2)
+        calls = []
+        inverse = a2.h0_inverse
+        monkeypatch.setattr(a2, "h0_inverse", lambda y: calls.append(y) or inverse(y))
+        for partials in (a2.immersion_phi_partials, a2.immersion_psi_partials):
+            for h in (-0.7, 0.2, 1.3):
+                calls.clear()
+                partials(h, 0.4)
+                assert len(calls) == 1
 
 
 class TestGridAndPhases:
