@@ -269,6 +269,17 @@ def _strip_interior_samples(at: gluing.GluingAtlas, strips, n, margin=0.02):
     return out
 
 
+def _profile_metric_pullback(at: gluing.GluingAtlas, patch, grid: int) -> float:
+    """Worst relative mismatch of the patch's first form against the
+    periodic-profile metric, on strips -1, 0 and 1 with junction bands excluded."""
+    worst = 0.0
+    for h in _strip_interior_samples(at, (-1, 0, 1), grid):
+        E, F, G = diffgeo.fundamental_forms(patch, h, 0.4)
+        Ec, Gc = at.psi_metric(h)
+        worst = max(worst, _max_rel(E, Ec), abs(F) / Ec, _max_rel(G, Gc))
+    return worst
+
+
 def _junction_continuity(at: gluing.GluingAtlas) -> float:
     """Phase-level value agreement of the glued components at junctions.
 
@@ -339,13 +350,8 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
         th = rng.uniform(0.0, 2.0 * math.pi)
         worst_norm = max(worst_norm, abs(np.linalg.norm(at.immersion_phi(h, th)) - 1.0))
 
-    # metric of the glued immersion across three strips, junction bands excluded
-    worst_metric = 0.0
     hpatch = at.phi_patch((m1 - delta, at.grid[2]), (0.0, 1.0))
-    for h in _strip_interior_samples(at, (-1, 0, 1), grid):
-        E, F, G = diffgeo.fundamental_forms(hpatch, h, 0.4)
-        Ec, Gc = at.psi_metric(h)
-        worst_metric = max(worst_metric, _max_rel(E, Ec), abs(F) / Ec, _max_rel(G, Gc))
+    worst_metric = _profile_metric_pullback(at, hpatch, grid)
 
     cont = _junction_continuity(at)
 
@@ -386,13 +392,9 @@ def revolution_checks(C: float, Cstar: float, grid: int = 10, seed: int = 12345,
     admissible = gluing.cstar_range(C).contains(Cstar)
 
     patch = at.psi_patch((m1 - delta, at.grid[2]))
-    worst_metric = 0.0
+    worst_metric = _profile_metric_pullback(at, patch, grid)
     worst_kbound = -math.inf
     worst_kmatch = 0.0
-    for h in _strip_interior_samples(at, (-1, 0, 1), grid):
-        E, F, G = diffgeo.fundamental_forms(patch, h, 0.4)
-        Ec, Gc = at.psi_metric(h)
-        worst_metric = max(worst_metric, _max_rel(E, Ec), abs(F) / Ec, _max_rel(G, Gc))
     for h in _strip_interior_samples(at, (0, 1), 5, margin=0.06):
         d = diffgeo.shape_operator(patch, h, 0.4)
         k_closed = spherical.gauss_curvature_DC(at.F(h))

@@ -25,6 +25,7 @@ from .numerics import DegenerateDomain
 __all__ = ["main"]
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
+MESH_FORMATS = ("obj", "csv")
 
 
 class UsageError(Exception):
@@ -160,8 +161,6 @@ def _grid_positions(args):
     """Evaluate the requested family on its grid; returns (points, nu, nv,
     wrap_v, is_spherical)."""
     nu, nv = args.grid
-    if min(nu, nv) < 2:
-        raise UsageError(f"grid {nu} x {nv} too small: need NU, NV >= 2")
     family = args.family
     if family == "r3":
         if args.C <= 0.0:
@@ -272,16 +271,18 @@ def cmd_verify(args) -> int:
 # Argument plumbing
 # ----------------------------------------------------------------------
 
-def _add_common(p, cstar_default=None):
-    p.add_argument("--C", type=float, default=None, help="family constant")
-    p.add_argument("--cstar", dest="Cstar", type=float, default=cstar_default,
+def _add_common(p):
+    p.add_argument("--C", type=float, help="family constant")
+    p.add_argument("--cstar", dest="Cstar", type=float,
                    help="revolution-radius constant")
-    p.add_argument("--c0", type=float, default=0.0, help="base phase constant")
+    p.add_argument("--c0", type=float, help="base phase constant")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults; explicit flags win")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; options a config file may set default to None
+    here and take their defaults from _ARGUMENTS."""
     ap = argparse.ArgumentParser(
         prog="biconsurf",
         description="Construct, verify and export the complete biconservative "
@@ -294,56 +295,132 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="emit figure data as CSV")
     _add_common(p)
     p.add_argument("--figure", choices=FIGURES, required=True)
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--samples", type=int)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("mesh", help="export a surface mesh (OBJ or CSV)")
     _add_common(p)
     p.add_argument("--family", choices=checks.FAMILIES, required=True)
-    p.add_argument("--grid", type=int, nargs=2, default=[64, 64],
-                   metavar=("NU", "NV"))
-    p.add_argument("--u-range", type=float, nargs=2, default=None)
-    p.add_argument("--v-range", type=float, nargs=2, default=None)
-    p.add_argument("--wrap-v", action="store_true",
+    p.add_argument("--grid", type=int, nargs=2, metavar=("NU", "NV"))
+    p.add_argument("--u-range", type=float, nargs=2)
+    p.add_argument("--v-range", type=float, nargs=2)
+    p.add_argument("--wrap-v", action="store_true", default=None,
                    help="close the mesh in the angular direction")
-    p.add_argument("--pole", type=str, default="0,0,0,-1",
+    p.add_argument("--pole", type=str,
                    help="stereographic projection pole (4 components)")
-    p.add_argument("--format", choices=("obj", "csv"), default="obj")
+    p.add_argument("--format", choices=MESH_FORMATS)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("verify", help="run the verification suite, emit JSON")
     _add_common(p)
     p.add_argument("--family", choices=checks.FAMILIES, required=True)
-    p.add_argument("--grid-n", type=int, default=10,
+    p.add_argument("--grid-n", type=int,
                    help="per-strip sample count for grid checks")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=str, default=None)
 
     return ap
 
 
-def _apply_config(args) -> None:
-    """Merge config-file defaults under explicit flags (flags win)."""
-    if getattr(args, "config", None) is None:
-        return
+def _real(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(minimum):
+    def check(name, value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise UsageError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        return value
+    return check
+
+
+def _pair(check_one):
+    def check(name, value):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise UsageError(f"{name} must be a list of two values, got {value!r}")
+        return [check_one(name, x) for x in value]
+    return check
+
+
+def _of_type(kind):
+    def check(name, value):
+        if not isinstance(value, kind):
+            raise UsageError(f"{name} must be a {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+def _one_of(choices):
+    def check(name, value):
+        if value not in choices:
+            raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
+
+
+# attribute -> (default, check) for every option a config file may set.
+# Precedence: explicit flag, then config file, then this default; the
+# check runs on the value from whichever source won.
+_ARGUMENTS = {
+    "C": (None, _real),
+    "Cstar": (None, _real),
+    "c0": (0.0, _real),
+    "samples": (400, _integer(1)),
+    "grid": ([64, 64], _pair(_integer(2))),
+    "u_range": (None, _pair(_real)),
+    "v_range": (None, _pair(_real)),
+    "wrap_v": (False, _of_type(bool)),
+    "pole": ("0,0,0,-1", _of_type(str)),
+    "format": ("obj", _one_of(MESH_FORMATS)),
+    "grid_n": (10, _integer(1)),
+    "seed": (12345, _integer(0)),
+    "out": (None, _of_type(str)),
+}
+
+
+def _read_config(path: str) -> dict:
     try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise UsageError(f"config file unreadable: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    for key, value in cfg.items():
-        attr = {"cstar": "Cstar"}.get(key, key)
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+    return {{"cstar": "Cstar"}.get(key, key): value for key, value in cfg.items()}
+
+
+def _resolve_args(args) -> None:
+    """Give every option its value from the flag, the config file or its
+    default, in that order, and check it; then check the output path, so
+    that a bad argument stops the run before any file is written."""
+    cfg = _read_config(args.config) if args.config is not None else {}
+    for attr, (default, check) in _ARGUMENTS.items():
+        if not hasattr(args, attr):
+            continue
+        value = getattr(args, attr)
+        if value is None:
+            value = cfg.get(attr)
+        if value is None:
+            value = default
+        if value is not None:
+            value = check("--" + {"Cstar": "cstar"}.get(attr, attr).replace("_", "-"), value)
+        setattr(args, attr, value)
+    out = getattr(args, "out", None)
+    if out is not None:
+        if not Path(out).parent.is_dir():
+            raise UsageError(f"cannot write {out}: directory {Path(out).parent} does not exist")
+        if Path(out).is_dir():
+            raise UsageError(f"cannot write {out}: it is a directory")
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args)
-        if getattr(args, "C", None) is None:
+        _resolve_args(args)
+        if args.C is None:
             raise UsageError("--C is required (flag or config file)")
         handler = {
             "params": cmd_params,
@@ -360,6 +437,9 @@ def main(argv=None) -> int:
         return 2
     except gluing.InvalidC as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

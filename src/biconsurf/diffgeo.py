@@ -200,15 +200,20 @@ def _normal(patch: ImmersionPatch, u: float, v: float, xu, xv):
     return n / nn
 
 
-def fundamental_forms(patch: ImmersionPatch, u: float, v: float):
-    """First fundamental form coefficients (E, F, G) at an interior point."""
+def _first_form(patch: ImmersionPatch, u: float, v: float):
+    """Tangents (X_u, X_v) and the first form (E, F, G), checked nondegenerate."""
     xu, xv = _position_partials(patch, u, v)
     E = float(xu @ xu)
     F = float(xu @ xv)
     G = float(xv @ xv)
     if E * G - F * F <= 0.0:
         raise DegenerateMetric(f"EG - F^2 = {E * G - F * F} <= 0 at ({u}, {v})")
-    return E, F, G
+    return xu, xv, E, F, G
+
+
+def fundamental_forms(patch: ImmersionPatch, u: float, v: float):
+    """First fundamental form coefficients (E, F, G) at an interior point."""
+    return _first_form(patch, u, v)[2:]
 
 
 def shape_operator(patch: ImmersionPatch, u: float, v: float) -> SurfaceData:
@@ -219,13 +224,8 @@ def shape_operator(patch: ImmersionPatch, u: float, v: float) -> SurfaceData:
     is orthogonal to the position, so the same formula computes the form
     with respect to the spherical connection.
     """
-    xu, xv = _position_partials(patch, u, v)
-    E = float(xu @ xu)
-    F = float(xu @ xv)
-    G = float(xv @ xv)
+    xu, xv, E, F, G = _first_form(patch, u, v)
     det_g = E * G - F * F
-    if det_g <= 0.0:
-        raise DegenerateMetric(f"EG - F^2 = {det_g} <= 0 at ({u}, {v})")
     n = _normal(patch, u, v, xu, xv)
     xuu, xuv, xvv = _second_partials(patch, u, v)
     h11 = float(xuu @ n)

@@ -26,16 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffgeo
-from .numerics import CumulativeQuadrature, OutOfDomain, one_sided_derivative
-from .spherical import (
-    C_MIN,
-    SphereFamily,
-    T,
-    T_near_roots,
-    T_over_distance,
-    T_stable,
-    family,
-)
+from .numerics import OutOfDomain, one_sided_derivative
+from .spherical import C_MIN, SphereFamily, T, T_stable, family, strip_quadrature
 
 __all__ = [
     "InvalidC",
@@ -128,36 +120,10 @@ class GluingAtlas:
         self.roots = self.family.roots
         cs2 = self.Cstar * self.Cstar
 
-        roots = self.roots
-        C_ = self.C
-
-        def h_integrand(tau):
-            tau = np.atleast_1d(np.asarray(tau, dtype=float))
-            tv = np.maximum(T_near_roots(C_, tau, roots), 1e-300)
-            num = 3.0 * tau * tau - cs2 * tv
-            return np.sqrt(np.maximum(num, 0.0) / (tau ** 4 * tv))
-
-        def h_left(s):
-            d = s * s
-            tau = roots.xi01 + d
-            tv = d * T_over_distance(C_, roots.xi01, d)
-            num = np.maximum(3.0 * tau * tau - cs2 * tv, 0.0)
-            return 2.0 * np.sqrt(num) / (tau * tau * np.sqrt(T_over_distance(C_, roots.xi01, d)))
-
-        def h_right(s):
-            d = s * s
-            tau = roots.xi02 - d
-            tv = -d * T_over_distance(C_, roots.xi02, -d)
-            num = np.maximum(3.0 * tau * tau - cs2 * tv, 0.0)
-            return 2.0 * np.sqrt(num) / (tau * tau * np.sqrt(-T_over_distance(C_, roots.xi02, -d)))
-
-        self._h_cum = CumulativeQuadrature(
-            h_integrand, self.roots.xi01, self.roots.xi02,
-            singular_lower=True, singular_upper=True, n_cells=n_cells,
-            left_sub=h_left, right_sub=h_right,
-        )
-        self._h_left_sub = h_left
-        self._h_right_sub = h_right
+        self._h_cum = strip_quadrature(
+            self.C, self.roots,
+            lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau),
+            n_cells=n_cells)
         self._h_base = self._h_cum.value(self.roots.xi00)
         self.h_limits = (-self._h_base, self._h_cum.total - self._h_base)
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
@@ -166,7 +132,7 @@ class GluingAtlas:
         # inverse table: h0 and dxi/dh at the nodes; the slope vanishes at the roots
         self._h_nodes = self._h_cum.table - self._h_base
         self._xi_slopes = np.zeros_like(self._h_nodes)
-        self._xi_slopes[1:-1] = 1.0 / h_integrand(self._h_cum.nodes[1:-1])
+        self._xi_slopes[1:-1] = 1.0 / self._h_cum.f(self._h_cum.nodes[1:-1])
 
         self.grid = {k: self.h_grid_point(k) for k in range(-self.k_max, self.k_max + 1) if k != 0}
 
@@ -229,8 +195,8 @@ class GluingAtlas:
             slope = self.h0_deriv
         else:
             # u = +-w rises with xi at both ends: xi = root + s u^2
-            root, s, sub = ((self.roots.xi01, 1.0, self._h_left_sub) if i < 3
-                            else (self.roots.xi02, -1.0, self._h_right_sub))
+            root, s, sub = ((self.roots.xi01, 1.0, self._h_cum.left_sub) if i < 3
+                            else (self.roots.xi02, -1.0, self._h_cum.right_sub))
             to_u = lambda v: s * math.sqrt(s * (v - root))
             to_xi = lambda u: root + s * u * u
             slope = lambda u: float(sub(np.array([s * u]))[0])
@@ -497,8 +463,8 @@ class GluingAtlas:
         strip width from the junction root; FD steps must resolve it."""
         span = self.roots.xi02 - self.roots.xi01
         root, _ = self._junction_data(self._junction_index(self.grid[k]))
-        slope = self._h_left_sub(np.array([0.0]))[0] if root == self.roots.xi01 \
-            else self._h_right_sub(np.array([0.0]))[0]
+        sub = self._h_cum.left_sub if root == self.roots.xi01 else self._h_cum.right_sub
+        slope = sub(np.array([0.0]))[0]
         return float(slope) * math.sqrt(0.05 * span)
 
     def junction_smoothness(self, k: int, orders=(1, 2, 3), functions=("F", "phi1", "phi2")) -> dict:

@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 __all__ = [
     "NumericsError",
     "NoSignChange",
     "MaxIterations",
-    "NonIntegrable",
     "InvalidSpec",
     "StepUnderflow",
     "DomainTooSmall",
@@ -29,12 +27,10 @@ __all__ = [
     "OutOfDomain",
     "DegenerateDomain",
     "Bracket",
-    "QuadratureSpec",
     "OdeState",
     "OdeSolution",
     "find_root",
     "expand_bracket",
-    "integrate",
     "solve_ode",
     "fd_derivative",
     "one_sided_derivative",
@@ -44,8 +40,6 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-12
-QUAD_REL_TOL = 1e-10
-QUAD_ABS_TOL = 1e-12
 ODE_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
@@ -61,10 +55,6 @@ class NoSignChange(NumericsError):
 
 class MaxIterations(NumericsError):
     """An iteration failed to converge within its budget."""
-
-
-class NonIntegrable(NumericsError):
-    """Quadrature refinement stalled before reaching the tolerance."""
 
 
 class InvalidSpec(NumericsError):
@@ -194,124 +184,6 @@ def find_root(
 # Quadrature
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Definite-integral request over (lower, upper).
-
-    Endpoints flagged singular may carry an integrable divergence up to
-    (distance)^{-1/2}; those ends are removed by the substitution
-    x = end +/- s**2 before the adaptive rule sees the integrand.
-    """
-
-    lower: float
-    upper: float
-    singular_lower: bool = False
-    singular_upper: bool = False
-    rel_tol: float = QUAD_REL_TOL
-    abs_tol: float = QUAD_ABS_TOL
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise InvalidSpec("integration limits must be finite")
-        if not self.lower < self.upper:
-            raise InvalidSpec(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise InvalidSpec("tolerances must be positive")
-
-
-def _smooth_pieces(f, spec: QuadratureSpec):
-    """Split/substitute so every piece is free of endpoint divergence."""
-    a, b = spec.lower, spec.upper
-    pieces = []
-    if spec.singular_lower and spec.singular_upper:
-        mid = 0.5 * (a + b)
-        pieces.append((lambda s: 2.0 * s * f(a + s * s), 0.0, math.sqrt(mid - a)))
-        pieces.append((lambda s: 2.0 * s * f(b - s * s), 0.0, math.sqrt(b - mid)))
-    elif spec.singular_lower:
-        pieces.append((lambda s: 2.0 * s * f(a + s * s), 0.0, math.sqrt(b - a)))
-    elif spec.singular_upper:
-        pieces.append((lambda s: 2.0 * s * f(b - s * s), 0.0, math.sqrt(b - a)))
-    else:
-        pieces.append((f, a, b))
-    return pieces
-
-
-def _tanh_sinh(g, a, b, rel_tol, abs_tol, max_level=14):
-    """Double-exponential rule on (a, b); open, never samples the endpoints.
-
-    Level-doubling trapezoid in the transformed variable; returns
-    (value, error_estimate).  Fallback for integrands the adaptive
-    Gauss-Kronrod rule mishandles.
-    """
-    c = 0.5 * (a + b)
-    d = 0.5 * (b - a)
-    t_max = 3.8
-
-    def term(t):
-        u = 0.5 * math.pi * math.sinh(t)
-        x = c + d * math.tanh(u)
-        w = d * 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2
-        if w <= 0.0 or not (a < x < b):
-            return 0.0
-        return w * g(x)
-
-    h = 1.0
-    s = term(0.0)
-    n_side = int(t_max / h)
-    for i in range(1, n_side + 1):
-        s += term(i * h) + term(-i * h)
-    estimate = h * s
-    prev = math.inf
-    for level in range(1, max_level + 1):
-        h *= 0.5
-        add = 0.0
-        t = h
-        while t <= t_max:
-            add += term(t) + term(-t)
-            t += 2.0 * h
-        s += add
-        estimate = h * s
-        err = abs(estimate - prev)
-        if level >= 3 and err <= max(abs_tol, rel_tol * abs(estimate)):
-            return estimate, err
-        prev = estimate
-    return estimate, abs(estimate - prev)
-
-
-def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> tuple[float, float]:
-    """Integrate f over spec's interval; returns (value, error_estimate).
-
-    Flagged singular ends are substituted away, then each smooth piece goes
-    through adaptive Gauss-Kronrod (QUADPACK); a double-exponential rule is
-    the fallback when the adaptive rule stalls.  Raises NonIntegrable when
-    neither route reaches the requested tolerance.
-    """
-    total = 0.0
-    total_err = 0.0
-    pieces = _smooth_pieces(f, spec)
-    for g, a, b in pieces:
-        out = _scipy_integrate.quad(
-            g, a, b,
-            epsabs=spec.abs_tol / len(pieces),
-            epsrel=spec.rel_tol,
-            limit=200,
-            full_output=1,
-        )
-        val, err = out[0], out[1]
-        ok = len(out) < 4 and np.isfinite(val)
-        tol_here = max(spec.abs_tol, spec.rel_tol * abs(val))
-        if not ok or err > 10.0 * tol_here:
-            val, err = _tanh_sinh(g, a, b, spec.rel_tol, spec.abs_tol)
-            tol_here = max(spec.abs_tol, spec.rel_tol * abs(val))
-            if not np.isfinite(val) or err > 100.0 * tol_here:
-                raise NonIntegrable(
-                    f"refinement stalled on ({a}, {b}): err={err}, tol={tol_here}"
-                )
-        total += val
-        total_err += err
-    return total, total_err
-
-
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.
 _GK_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -363,13 +235,17 @@ def _gk_adaptive(f_vec, a, b, tol_abs, rel=1e-13, depth=0, max_depth=8):
 class CumulativeQuadrature:
     """Cumulative integral of a vectorized integrand over (lower, upper).
 
-    The endpoints may carry inverse-square-root singularities; the first
-    and last cells are evaluated through the x = end +/- s**2 substitution,
-    so the table holds finite values all the way to the closed endpoints.
-    Nodes cluster near the ends (cosine spacing), matching where the
-    integrand steepens.  `value(x)` adds one Gauss-Kronrod panel from the
-    nearest node, which keeps repeated evaluation cheap and consistent with
-    the table.
+    The endpoints may carry inverse-square-root singularities, so the first
+    and last cells are integrated in s, with x = lower + s**2 and
+    x = upper - s**2.  `left_sub` and `right_sub` are those end-cell
+    integrands, 2 s f(end +/- s**2), written by the caller so that the
+    distance to the endpoint enters as s**2 exactly: computing (x - end)
+    from a rounded x would cancel, and the exact distance is what keeps
+    the table accurate to ~1e-13 relative all the way to the closed
+    endpoints.  Nodes cluster near the ends (cosine spacing), matching
+    where the integrand steepens.  `value(x)` adds one adaptive
+    Gauss-Kronrod integral from the nearest node, which keeps repeated
+    evaluation cheap and consistent with the table.
     """
 
     def __init__(
@@ -377,58 +253,36 @@ class CumulativeQuadrature:
         f_vec: Callable[[np.ndarray], np.ndarray],
         lower: float,
         upper: float,
-        singular_lower: bool = False,
-        singular_upper: bool = False,
+        left_sub: Callable[[np.ndarray], np.ndarray],
+        right_sub: Callable[[np.ndarray], np.ndarray],
         n_cells: int = 512,
-        tol: float = 1e-14,
-        left_sub: Callable[[np.ndarray], np.ndarray] | None = None,
-        right_sub: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        """left_sub/right_sub, when given, are the substituted end-cell
-        integrands g(s) = 2 s f(end +/- s^2) written so the distance to the
-        endpoint enters as s^2 exactly; this sidesteps the cancellation of
-        computing (x - end) from a rounded x and is what keeps the table
-        accurate to ~1e-13 relative.  Without them a generic substitution
-        of f is used, whose accuracy floor near a singular end is set by
-        eps * |end| / distance.
-        """
         if not lower < upper:
             raise InvalidSpec("need lower < upper")
         self.f = f_vec
         self.lower = float(lower)
         self.upper = float(upper)
-        self.singular_lower = singular_lower
-        self.singular_upper = singular_upper
-        self._left = left_sub if left_sub is not None else self._generic_left()
-        self._right = right_sub if right_sub is not None else self._generic_right()
+        self.left_sub = left_sub
+        self.right_sub = right_sub
         j = np.arange(n_cells + 1)
         self.nodes = lower + (upper - lower) * 0.5 * (1.0 - np.cos(np.pi * j / n_cells))
         self.nodes[0] = lower
         self.nodes[-1] = upper
         # absolute floor per cell; panels also accept at ~1e-13 relative
-        cell_tol = tol * max(1.0, upper - lower)
+        self._cell_tol = 1e-14 * max(1.0, upper - lower)
         cum = np.empty(n_cells + 1)
         cum[0] = 0.0
         for i in range(n_cells):
             a, b = self.nodes[i], self.nodes[i + 1]
-            if i == 0 and singular_lower:
-                v, _ = _gk_adaptive(self._left, 0.0, math.sqrt(b - a), cell_tol)
-            elif i == n_cells - 1 and singular_upper:
-                v, _ = _gk_adaptive(self._right, 0.0, math.sqrt(b - a), cell_tol)
+            if i == 0:
+                v, _ = _gk_adaptive(left_sub, 0.0, math.sqrt(b - a), self._cell_tol)
+            elif i == n_cells - 1:
                 # substitution runs from the far (upper) end backwards
+                v, _ = _gk_adaptive(right_sub, 0.0, math.sqrt(b - a), self._cell_tol)
             else:
-                v, _ = _gk_adaptive(self.f, a, b, cell_tol)
+                v, _ = _gk_adaptive(f_vec, a, b, self._cell_tol)
             cum[i + 1] = cum[i] + v
         self.table = cum
-        self._cell_tol = cell_tol
-
-    def _generic_left(self):
-        f, end = self.f, self.lower
-        return lambda s: 2.0 * s * f(end + s * s)
-
-    def _generic_right(self):
-        f, end = self.f, self.upper
-        return lambda s: 2.0 * s * f(end - s * s)
 
     @property
     def total(self) -> float:
@@ -449,11 +303,11 @@ class CumulativeQuadrature:
         a = float(self.nodes[i])
         if x == a:
             return float(self.table[i])
-        if i == 0 and self.singular_lower:
-            v, _ = _gk_adaptive(self._left, 0.0, math.sqrt(x - self.lower), self._cell_tol)
+        if i == 0:
+            v, _ = _gk_adaptive(self.left_sub, 0.0, math.sqrt(x - self.lower), self._cell_tol)
             return v
-        if i == len(self.nodes) - 2 and self.singular_upper:
-            v, _ = _gk_adaptive(self._right, 0.0, math.sqrt(self.upper - x), self._cell_tol)
+        if i == len(self.nodes) - 2:
+            v, _ = _gk_adaptive(self.right_sub, 0.0, math.sqrt(self.upper - x), self._cell_tol)
             return self.total - v
         v, _ = _gk_adaptive(self.f, a, x, self._cell_tol)
         return float(self.table[i]) + v

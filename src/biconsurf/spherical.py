@@ -37,8 +37,6 @@ from .numerics import (
     OutOfDomain,
     expand_bracket,
     find_root,
-    integrate,
-    QuadratureSpec,
     solve_ode,
 )
 
@@ -49,6 +47,7 @@ __all__ = [
     "T",
     "T_deriv",
     "L",
+    "strip_quadrature",
     "domain_roots",
     "metric_gC",
     "gauss_curvature_DC",
@@ -57,7 +56,6 @@ __all__ = [
     "family",
     "zeta0",
     "immersion_PhiC",
-    "phic_patch",
     "curvature_ode_k",
     "phi_coordinate_bridge",
     "c0_ode_residual",
@@ -172,6 +170,34 @@ def L(C1: float, k):
     return -16.0 / 9.0 - 16.0 * np.square(k) + C1 * np.power(k, 1.5)
 
 
+def strip_quadrature(C: float, roots: "DomainRoots", g, n_cells: int = 512) -> CumulativeQuadrature:
+    """Cumulative quadrature of g(tau, T(tau)) / sqrt(T(tau)) over the strip.
+
+    `g` takes arrays of tau and of T(tau) and must stay finite at the
+    roots.  The end cells substitute tau = root +/- s^2 and take T from
+    s^2 T_over_distance, so the distance to the root enters exactly; the
+    inverse square root of T then cancels against the substitution's
+    factor 2 s, and the end integrands, kept as `left_sub` and `right_sub`
+    on the result, are up to sign the derivatives of the integral with
+    respect to s = sqrt(|tau - root|).
+    """
+
+    def f(tau):
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        tv = np.maximum(T_near_roots(C, tau, roots), 1e-300)
+        return g(tau, tv) / np.sqrt(tv)
+
+    def end(root, side):
+        def sub(s):
+            d = s * s
+            t_over_d = side * T_over_distance(C, root, side * d)
+            return 2.0 * g(root + side * d, d * t_over_d) / np.sqrt(t_over_d)
+        return sub
+
+    return CumulativeQuadrature(f, roots.xi01, roots.xi02,
+                                end(roots.xi01, 1.0), end(roots.xi02, -1.0), n_cells=n_cells)
+
+
 def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
     """Bracketed roots xi01 < xi00 < xi02 of T for an admissible C.
 
@@ -227,32 +253,10 @@ class SphereFamily:
         self.roots = domain_roots(C)
         sc = math.sqrt(self.C)
 
-        roots = self.roots
-        C_ = self.C
-
-        def zeta_integrand(tau):
-            tau = np.atleast_1d(np.asarray(tau, dtype=float))
-            tv = np.maximum(T_near_roots(C_, tau, roots), 1e-300)
-            return sc * np.power(tau, 4.0 / 3.0) / ((C_ * tau * tau - 1.0) * np.sqrt(tv))
-
-        def zeta_smooth(tau):
-            # the integrand with the 1/sqrt(T) factor stripped
-            return sc * np.power(tau, 4.0 / 3.0) / (C_ * tau * tau - 1.0)
-
-        def zeta_left(s):
-            # 2 s f(xi01 + s^2) with sqrt(T) = s sqrt(T/d), d = s^2 exact
-            d = s * s
-            return 2.0 * zeta_smooth(roots.xi01 + d) / np.sqrt(T_over_distance(C_, roots.xi01, d))
-
-        def zeta_right(s):
-            d = s * s
-            return 2.0 * zeta_smooth(roots.xi02 - d) / np.sqrt(-T_over_distance(C_, roots.xi02, -d))
-
-        self._zeta_cum = CumulativeQuadrature(
-            zeta_integrand, self.roots.xi01, self.roots.xi02,
-            singular_lower=True, singular_upper=True, n_cells=n_cells,
-            left_sub=zeta_left, right_sub=zeta_right,
-        )
+        self._zeta_cum = strip_quadrature(
+            self.C, self.roots,
+            lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (self.C * tau * tau - 1.0),
+            n_cells=n_cells)
         self._zeta_base = self._zeta_cum.value(self.roots.xi00)
 
     # -- scalar quantities -------------------------------------------------
@@ -377,10 +381,6 @@ def immersion_PhiC(params: FamilyParamsS3 | float, xi: float, theta: float) -> n
     return fam.immersion(xi, theta)
 
 
-def phic_patch(C: float, xi_margin: float = 1e-3, theta_range=(0.0, 1.0)):
-    return family(C).patch(xi_margin=xi_margin, theta_range=theta_range)
-
-
 # -- curvature ODE route ------------------------------------------------------
 
 def curvature_ode_k(
@@ -448,13 +448,22 @@ def _bridge_radicand(a: float, b: float, phi):
     return b / 3.0 * np.exp(-2.0 * np.asarray(phi) / 3.0) - np.exp(2.0 * np.asarray(phi)) + a
 
 
+@lru_cache(maxsize=32)
+def _isothermal_quadrature(C: float) -> CumulativeQuadrature:
+    """Strip quadrature of sqrt(3/T), the isothermal coordinate density."""
+    return strip_quadrature(C, domain_roots(C), lambda tau, t: np.full_like(tau, math.sqrt(3.0)))
+
+
 def phi_coordinate_bridge(a: float, b: float, phi: float) -> tuple[float, float]:
     """Isothermal coordinate u(phi) of the conformal-exponent route, plus C.
 
     Requires a > 0, b < 0 and a positive radicand at phi.  The base point
     of the quadrature maps to xi00 under xi = (-b)^{3/8} e^{-phi}, which
     keeps the convention aligned with the strip quadratures.  The induced
-    strip constant is C = a (-b)^{-3/4}.
+    strip constant is C = a (-b)^{-3/4}.  Under that map the radicand is
+    (-b)^{3/4} T(xi) / (3 xi^2), so du = dphi / sqrt(radicand) turns into
+    u = -(-b)^{-3/8} times the integral of sqrt(3/T) from xi00 to xi, a
+    strip quadrature that stays accurate up to the band edges.
     """
     if a <= 0.0 or b >= 0.0:
         raise OutOfDomain("need a > 0 and b < 0")
@@ -464,21 +473,12 @@ def phi_coordinate_bridge(a: float, b: float, phi: float) -> tuple[float, float]
     rad = float(_bridge_radicand(a, b, phi))
     if rad <= 0.0:
         raise OutOfDomain(f"radicand {rad} <= 0 at phi = {phi}")
-    roots = domain_roots(C)
+    xi00 = domain_roots(C).xi00
     scale38 = (-b) ** 0.375
-    phi0 = math.log(scale38 / roots.xi00)
-    lo, hi = sorted((phi0, phi))
-    if lo == hi:
+    if phi == math.log(scale38 / xi00):
         return 0.0, C
-    spec = QuadratureSpec(lower=lo, upper=hi)
-    val, _ = integrate(lambda p: 1.0 / math.sqrt(float(_bridge_radicand(a, b, p))), spec)
-    return math.copysign(val, phi - phi0), C
-
-
-def bridge_to_strip(a: float, b: float, phi: float, v: float) -> tuple[float, float]:
-    """The change of variables (phi, v) -> (xi, theta)."""
-    scale38 = (-b) ** 0.375
-    return scale38 * math.exp(-phi), scale38 * v
+    quad = _isothermal_quadrature(C)
+    return -(quad.value(scale38 * math.exp(-phi)) - quad.value(xi00)) / scale38, C
 
 
 def bridge_metric_match(a: float, b: float, phi_values) -> dict:
@@ -494,7 +494,7 @@ def bridge_metric_match(a: float, b: float, phi_values) -> dict:
         rad = float(_bridge_radicand(a, b, phi))
         if rad <= 0.0:
             raise OutOfDomain(f"phi = {phi} outside the admissible band")
-        xi, _ = bridge_to_strip(a, b, phi, 0.0)
+        xi = (-b) ** 0.375 * math.exp(-phi)
         e2phi = math.exp(2.0 * phi)
         # dxi = -xi dphi and theta = (-b)^{3/8} v
         E_transformed = (e2phi / rad) / (xi * xi)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import numerics as nm
-from conftest import refined_singular_integral
 
 
 def T1(x):
@@ -58,72 +57,23 @@ class TestFindRoot:
 
 
 # ----------------------------------------------------------------------
-# integrate
+# CumulativeQuadrature
 # ----------------------------------------------------------------------
-
-class TestIntegrate:
-    def test_inverse_sqrt(self):
-        spec = nm.QuadratureSpec(0.0, 1.0, singular_lower=True)
-        val, err = nm.integrate(lambda s: s ** -0.5, spec)
-        assert val == pytest.approx(2.0, abs=1e-10)
-
-    def test_arcsine_kernel(self):
-        spec = nm.QuadratureSpec(0.0, 1.0, singular_lower=True, singular_upper=True)
-        val, err = nm.integrate(lambda s: (s * (1.0 - s)) ** -0.5, spec)
-        assert val == pytest.approx(math.pi, abs=1e-9)
-
-    def test_smooth(self):
-        spec = nm.QuadratureSpec(0.0, math.pi)
-        val, _ = nm.integrate(math.sin, spec)
-        assert val == pytest.approx(2.0, abs=1e-12)
-
-    def test_upper_half_height_integrand_finite(self, oracle_roots_C1):
-        # base point to the upper root of the strip, C = C* = 1
-        xi01, xi02 = oracle_roots_C1
-
-        def g(t):
-            return math.sqrt((3 * t * t - T1(t)) / (t ** 4 * T1(t)))
-
-        spec = nm.QuadratureSpec(3.375, xi02, singular_upper=True)
-        val, err = nm.integrate(g, spec)
-        oracle, oerr = refined_singular_integral(g, 3.375, xi02, False, True)
-        assert math.isfinite(val)
-        assert val == pytest.approx(oracle, abs=1e-8 + 10 * oerr)
-        assert val == pytest.approx(0.38162416784530295, abs=1e-7)
-
-    def test_tolerance_halving_within_error_estimate(self):
-        for f, lo, hi, sl in [
-            (lambda s: s ** -0.5, 0.0, 1.0, True),
-            (lambda s: math.exp(s) * s ** -0.5, 0.0, 2.0, True),
-            (math.cos, 0.0, 1.5, False),
-        ]:
-            loose = nm.QuadratureSpec(lo, hi, singular_lower=sl,
-                                      rel_tol=1e-8, abs_tol=1e-10)
-            tight = nm.QuadratureSpec(lo, hi, singular_lower=sl,
-                                      rel_tol=5e-9, abs_tol=5e-11)
-            v1, e1 = nm.integrate(f, loose)
-            v2, _ = nm.integrate(f, tight)
-            assert abs(v1 - v2) <= max(e1, 1e-14)
-
-    def test_invalid_spec(self):
-        with pytest.raises(nm.InvalidSpec):
-            nm.QuadratureSpec(1.0, 0.0)
-        with pytest.raises(nm.InvalidSpec):
-            nm.QuadratureSpec(0.0, 1.0, rel_tol=-1.0)
-
 
 class TestCumulativeQuadrature:
     def test_single_singular_end(self):
+        # 1/sqrt(x): 2 s f(s^2) = 2 at the singular end, smooth at the other
         cq = nm.CumulativeQuadrature(
             lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 1.0,
-            singular_lower=True)
+            left_sub=lambda s: np.full_like(s, 2.0),
+            right_sub=lambda s: 2.0 * s / np.sqrt(1.0 - s * s))
         assert cq.total == pytest.approx(2.0, abs=1e-12)
         assert cq.value(0.25) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_singular_with_stable_subs(self):
         f = lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300))
         cq = nm.CumulativeQuadrature(
-            f, 0.0, 1.0, singular_lower=True, singular_upper=True,
+            f, 0.0, 1.0,
             left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
             right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
         assert cq.total == pytest.approx(math.pi, abs=1e-12)
@@ -131,9 +81,14 @@ class TestCumulativeQuadrature:
             assert cq.value(x) == pytest.approx(2.0 * math.asin(math.sqrt(x)), abs=1e-11)
 
     def test_out_of_domain(self):
-        cq = nm.CumulativeQuadrature(lambda x: x, 0.0, 1.0)
+        cq = nm.CumulativeQuadrature(lambda x: x, 0.0, 1.0,
+                                     left_sub=lambda s: 2.0 * s ** 3,
+                                     right_sub=lambda s: 2.0 * s * (1.0 - s * s))
+        assert cq.total == pytest.approx(0.5, abs=1e-13)
         with pytest.raises(nm.OutOfDomain):
             cq.value(1.5)
+        with pytest.raises(nm.InvalidSpec):
+            nm.CumulativeQuadrature(lambda x: x, 1.0, 0.0, cq.left_sub, cq.right_sub)
 
 
 # ----------------------------------------------------------------------

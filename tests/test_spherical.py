@@ -265,6 +265,44 @@ class TestCoordinateBridge:
         assert rep["C"] == pytest.approx(2.0, rel=1e-14)
         assert rep["max_rel_mismatch"] < 1e-6
 
+    # u at fractions of the admissible phi band, frozen from an adaptive
+    # quadrature of 1/sqrt(radicand) in phi (QUADPACK); mpmath agrees with
+    # the (20, -1) value at 0.99 to all 17 digits
+    FROZEN = [
+        ((2.0, -1.0), 0.5, 1.1406767663751811),
+        ((2.0, -1.0), 0.0001, -1.1368171667451035),
+        ((2.0, -1.0), 1e-06, -1.1637440938291277),
+        ((2.0, -1.0), 0.99, 2.7095806766950856),
+        ((2.0, -1.0), 0.9999, 2.8820322555849884),
+        ((2.0, -1.0), 0.999999, 2.899177281376118),
+        ((1.0, -1.0), 0.5, 0.6722766991782682),
+        ((1.0, -1.0), 0.0001, -1.6559365086060625),
+        ((1.0, -1.0), 1e-06, -1.6838508418010856),
+        ((1.0, -1.0), 0.99, 2.4259587893920695),
+        ((1.0, -1.0), 0.9999, 2.639937024290036),
+        ((1.0, -1.0), 0.999999, 2.661263346379086),
+        ((20.0, -1.0), 0.5, 0.9367287811843421),
+        ((20.0, -1.0), 0.0001, -0.3533494779531377),
+        ((20.0, -1.0), 1e-06, -0.36697224054820493),
+        ((20.0, -1.0), 0.99, 1.8700971269753948),
+        ((20.0, -1.0), 0.9999, 1.9501920613696275),
+        ((20.0, -1.0), 0.999999, 1.9580903711789432),
+        ((3.0, -2.0), 0.5, 0.8477793174142063),
+        ((3.0, -2.0), 0.0001, -0.929889725078223),
+        ((3.0, -2.0), 1e-06, -0.9510019074588137),
+        ((3.0, -2.0), 0.99, 2.080103183085783),
+        ((3.0, -2.0), 0.9999, 2.2176707717806763),
+        ((3.0, -2.0), 0.999999, 2.2313530863436557),
+    ]
+
+    @pytest.mark.parametrize("ab, frac, expected", FROZEN)
+    def test_band_fractions_match_frozen_values(self, ab, frac, expected):
+        a, b = ab
+        r = spherical.domain_roots(a * (-b) ** -0.75)
+        lo, hi = (math.log((-b) ** 0.375 / x) for x in (r.xi02, r.xi01))
+        u, _ = spherical.phi_coordinate_bridge(a, b, lo + frac * (hi - lo))
+        assert u == pytest.approx(expected, rel=1e-9)
+
     def test_sign_convention(self):
         # u increases as phi moves up from the base point (plus branch)
         r = spherical.domain_roots(2.0)
