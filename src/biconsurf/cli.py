@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, euclidean, gluing, spherical
-from .numerics import DegenerateDomain
+from .numerics import DegenerateDomain, OutOfDomain
 
 __all__ = ["main"]
 
@@ -32,15 +32,48 @@ class UsageError(Exception):
     pass
 
 
+# rows per write: one block's text is a few hundred kB, where the whole
+# 256 x 256 r3 mesh as one string would add ~10 MB to the peak memory
+BLOCK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array through `fmt`, a block of rows at a time."""
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+
+
+def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(header)) + "\n", rows)
+
+
+def _write_obj(path: Path, vertices: np.ndarray, nu: int, nv: int, wrap_v: bool) -> None:
+    """Vertices of a row-major nu x nv grid and two triangles per cell; the
+    faces are made a band of grid rows at a time, like the text."""
+    cols = nv if wrap_v else nv - 1
+    j = np.arange(cols) + 1
+    jn = j % nv + 1
+    # 1-based corners of the two triangles of each cell in the first grid row
+    row0 = np.stack([j, jn, jn + nv, j, jn + nv, j + nv], axis=-1).reshape(-1, 3)
+    band = max(1, BLOCK_ROWS // len(row0))
+    with path.open("w") as fh:
+        fh.write(f"# biconsurf mesh: {nu} x {nv} row-major grid\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", vertices)
+        for i in range(0, nu - 1, band):
+            shift = nv * np.arange(i, min(i + band, nu - 1))[:, None, None]
+            _write_rows(fh, "f %d %d %d\n", (row0 + shift).reshape(-1, 3))
+
+
+def _require_r3_C(C: float) -> None:
+    if C <= 0.0:
+        raise UsageError("C must be positive for the r3 family")
 
 
 def _require_sphere_C(C: float) -> None:
@@ -98,13 +131,11 @@ def cmd_curves(args) -> int:
     n = args.samples
     fig = args.figure
     if fig == "fig1":
+        _require_r3_C(args.C)
         par = euclidean.FamilyParamsR3.from_C(args.C)
         us = np.linspace(-2.2, 2.2, n)
-        rows = []
-        for u in us:
-            p = euclidean.immersion_XC(par, float(u), 0.0)
-            rows.append((u, p[0], p[2]))
-        _write_csv(out, ["u", "x", "z"], rows)
+        pts = np.array([euclidean.immersion_XC(par, float(u), 0.0) for u in us])
+        _write_csv(out, ["u", "x", "z"], np.column_stack([us, pts[:, 0], pts[:, 2]]))
         return 0
     _require_sphere_C(args.C)
     if args.Cstar is None:
@@ -116,15 +147,15 @@ def cmd_curves(args) -> int:
         xis = _clustered_strip_samples(at.roots, n)
         h0 = np.array([at.h0(float(x)) for x in xis])
         if fig == "fig2":
-            _write_csv(out, ["xi", "h0"], zip(xis, h0))
+            _write_csv(out, ["xi", "h0"], np.column_stack([xis, h0]))
         elif fig == "fig3":
             _write_csv(out, ["xi", "h0", "h1", "hm1"],
-                       zip(xis, h0, 2.0 * p1 - h0, 2.0 * m1 - h0))
+                       np.column_stack([xis, h0, 2.0 * p1 - h0, 2.0 * m1 - h0]))
         elif fig == "fig4":
-            _write_csv(out, ["f", "h0"], zip(at.Cstar / xis, h0))
+            _write_csv(out, ["f", "h0"], np.column_stack([at.Cstar / xis, h0]))
         else:
             _write_csv(out, ["f", "h0", "h1", "hm1"],
-                       zip(at.Cstar / xis, h0, 2.0 * p1 - h0, 2.0 * m1 - h0))
+                       np.column_stack([at.Cstar / xis, h0, 2.0 * p1 - h0, 2.0 * m1 - h0]))
         return 0
     if fig == "fig6":
         if at.k_max < 11:
@@ -132,11 +163,8 @@ def cmd_curves(args) -> int:
         lo = at.grid[-11]
         hi = at.grid[11]
         hs = np.sort(np.append(np.linspace(lo, hi, n), 0.0))  # base point always present
-        rows = []
-        for h in hs:
-            p1c, p2c, _ = at.profile_components(float(h))
-            rows.append((h, p1c, p2c))
-        _write_csv(out, ["h", "x1", "x2"], rows)
+        rows = [(h, *at.profile_components(float(h))[:2]) for h in hs]
+        _write_csv(out, ["h", "x1", "x2"], np.array(rows))
         return 0
     raise UsageError(f"unknown figure {fig!r}")
 
@@ -158,65 +186,51 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
 
 
 def _grid_positions(args):
-    """Evaluate the requested family on its grid; returns (points, nu, nv,
-    wrap_v, is_spherical)."""
+    """Evaluate the requested family on its grid, one row of v values per
+    u value; returns (points, nu, nv, wrap_v, is_spherical)."""
     nu, nv = args.grid
     family = args.family
+    wrap_v = args.wrap_v and family in ("r3", "revolution")
     if family == "r3":
-        if args.C <= 0.0:
-            raise UsageError("C must be positive for the r3 family")
+        _require_r3_C(args.C)
         par = euclidean.FamilyParamsR3.from_C(args.C)
-        u0, u1 = args.u_range if args.u_range else (-1.5, 1.5)
-        v0, v1 = args.v_range if args.v_range else (0.0, 2.0 * math.pi / 3.0)
-        us = np.linspace(u0, u1, nu)
-        vs = np.linspace(v0, v1, nv, endpoint=False) if args.wrap_v else np.linspace(v0, v1, nv)
-        pts = np.array([euclidean.immersion_XC(par, float(u), float(v))
-                        for u in us for v in vs])
-        return pts, nu, nv, args.wrap_v, False
-    _require_sphere_C(args.C)
-    if family == "s3-local":
+        row = lambda u, vs: euclidean.immersion_XC(par, u, vs)
+        u_default, v_default = (-1.5, 1.5), (0.0, 2.0 * math.pi / 3.0)
+    elif family == "s3-local":
+        _require_sphere_C(args.C)
         fam = spherical.family(args.C)
         r = fam.roots
         margin = 1e-3 * (r.xi02 - r.xi01)
-        u0, u1 = args.u_range if args.u_range else (r.xi01 + margin, r.xi02 - margin)
-        v0, v1 = args.v_range if args.v_range else (0.0, 2.0 * math.pi / math.sqrt(args.C))
-        pts = np.array([fam.immersion(float(x), float(t))
-                        for x in np.linspace(u0, u1, nu)
-                        for t in np.linspace(v0, v1, nv)])
-        return pts, nu, nv, False, True
-    if args.Cstar is None:
-        raise UsageError(f"family {family!r} requires --cstar")
-    _require_cstar(args.C, args.Cstar)
-    at = gluing.atlas(args.C, args.Cstar, c0=args.c0)
-    u0, u1 = args.u_range if args.u_range else (at.grid[-2], at.grid[2])
-    if family == "revolution":
-        v0, v1 = args.v_range if args.v_range else (0.0, 2.0 * math.pi * at.Cstar)
-        vs = np.linspace(v0, v1, nv, endpoint=False) if args.wrap_v else np.linspace(v0, v1, nv)
-        pts = np.concatenate([at.immersion_psi(float(h), vs) for h in np.linspace(u0, u1, nu)])
-        return pts, nu, nv, args.wrap_v, False
-    if family == "s3-complete":
-        v0, v1 = args.v_range if args.v_range else (0.0, 2.0 * math.pi / math.sqrt(args.C))
-        vs = np.linspace(v0, v1, nv)
-        pts = np.concatenate([at.immersion_phi(float(h), vs) for h in np.linspace(u0, u1, nu)])
-        return pts, nu, nv, False, True
-    raise UsageError(f"unknown family {family!r}")
-
-
-def _obj_lines(vertices: np.ndarray, nu: int, nv: int, wrap_v: bool) -> list[str]:
-    lines = [f"# biconsurf mesh: {nu} x {nv} row-major grid"]
-    for p in vertices:
-        lines.append("v " + " ".join(_fmt(x) for x in p))
-    cols = nv if wrap_v else nv - 1
-    for i in range(nu - 1):
-        for j in range(cols):
-            jn = (j + 1) % nv
-            a = i * nv + j + 1
-            b = i * nv + jn + 1
-            c = (i + 1) * nv + jn + 1
-            d = (i + 1) * nv + j + 1
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return lines
+        row = fam.immersion
+        u_default = (r.xi01 + margin, r.xi02 - margin)
+        v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
+        if args.u_range and not all(r.contains(u) for u in args.u_range):
+            raise UsageError(f"u-range must lie inside the open strip "
+                             f"({_fmt(r.xi01)}, {_fmt(r.xi02)}) for the s3-local family")
+    else:
+        _require_sphere_C(args.C)
+        if args.Cstar is None:
+            raise UsageError(f"family {family!r} requires --cstar")
+        _require_cstar(args.C, args.Cstar)
+        at = gluing.atlas(args.C, args.Cstar, c0=args.c0)
+        u_default = (at.grid[-2], at.grid[2])
+        if family == "revolution":
+            row = at.immersion_psi
+            v_default = (0.0, 2.0 * math.pi * at.Cstar)
+        else:
+            row = at.immersion_phi
+            v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
+    u0, u1 = args.u_range or u_default
+    v0, v1 = args.v_range or v_default
+    vs = np.linspace(v0, v1, nv, endpoint=not wrap_v)
+    try:
+        pts = np.concatenate([row(float(u), vs) for u in np.linspace(u0, u1, nu)])
+    except (OverflowError, OutOfDomain) as exc:
+        raise UsageError(f"the {family} grid leaves the surface's domain: {exc}") from exc
+    if not np.isfinite(pts).all():
+        raise UsageError(f"the {family} grid has non-finite positions; "
+                         f"narrow --u-range or change --C")
+    return pts, nu, nv, wrap_v, family in ("s3-local", "s3-complete")
 
 
 def cmd_mesh(args) -> int:
@@ -228,16 +242,15 @@ def cmd_mesh(args) -> int:
         raise UsageError("pole must be four finite comma-separated components, not all zero")
     pts, nu, nv, wrap_v, is_spherical = _grid_positions(args)
     out = Path(args.out)
+    verts = pts
     if is_spherical:
-        raw = out.with_suffix(".raw.csv")
-        _write_csv(raw, ["x1", "x2", "x3", "x4"], pts)
+        # project first: a pole on the surface must stop the run before any file is written
         verts = _stereographic(pts, pole)
-    else:
-        verts = pts
+        _write_csv(out.with_suffix(".raw.csv"), ["x1", "x2", "x3", "x4"], pts)
     if args.format == "csv":
         _write_csv(out, ["x", "y", "z"], verts)
-        return 0
-    out.write_text("\n".join(_obj_lines(verts, nu, nv, wrap_v)) + "\n")
+    else:
+        _write_obj(out, verts, nu, nv, wrap_v)
     return 0
 
 
@@ -245,8 +258,7 @@ def cmd_verify(args) -> int:
     if args.family not in checks.FAMILIES:
         raise UsageError(f"unknown family {args.family!r}")
     if args.family == "r3":
-        if args.C <= 0.0:
-            raise UsageError("C must be positive for the r3 family")
+        _require_r3_C(args.C)
     else:
         _require_sphere_C(args.C)
         if args.family in ("s3-complete", "revolution"):
@@ -388,7 +400,11 @@ def _read_config(path: str) -> dict:
         raise UsageError(f"config file unreadable: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    return {{"cstar": "Cstar"}.get(key, key): value for key, value in cfg.items()}
+    cfg = {{"cstar": "Cstar"}.get(key, key): value for key, value in cfg.items()}
+    unknown = sorted(set(cfg) - set(_ARGUMENTS))
+    if unknown:
+        raise UsageError(f"unknown config key {', '.join(map(repr, unknown))}")
+    return cfg
 
 
 def _resolve_args(args) -> None:

@@ -143,14 +143,15 @@ def profile_seam_smoothness(C1: float, orders=(1, 2, 3), step: float = 2e-2) -> 
     return out
 
 
-def immersion_XC(params: FamilyParamsR3, u: float, v: float) -> np.ndarray:
+def immersion_XC(params: FamilyParamsR3, u: float, v) -> np.ndarray:
+    """Point of X_C; a 1-D `v` gives the (n, 3) row at one u."""
     s = math.sqrt(params.C)
     ch = math.cosh(u)
-    return np.array([
-        s / 3.0 * ch ** 3 * math.cos(3.0 * v),
-        s / 3.0 * ch ** 3 * math.sin(3.0 * v),
-        s / 2.0 * (0.5 * math.sinh(2.0 * u) + u),
-    ])
+    r = s / 3.0 * ch ** 3
+    z = s / 2.0 * (0.5 * math.sinh(2.0 * u) + u)
+    v = np.asarray(v, dtype=float)
+    rows = [[r * math.cos(3.0 * t), r * math.sin(3.0 * t), z] for t in v.ravel().tolist()]
+    return np.array(rows) if v.ndim else np.array(rows[0])
 
 
 def immersion_XC_partials(params: FamilyParamsR3, u: float, v: float):

@@ -289,18 +289,18 @@ class SphereFamily:
             raise OutOfDomain(f"C xi^2 <= 1 at xi = {xi}")
         return math.sqrt(w)
 
-    def immersion(self, xi: float, theta: float) -> np.ndarray:
+    def immersion(self, xi: float, theta) -> np.ndarray:
+        """Point of Phi_C; a 1-D `theta` gives the (n, 4) row at one xi."""
         if not self.roots.contains(xi):
             raise OutOfDomain(f"xi = {xi} outside the open strip")
         R = self.radius(xi)
         z = self.zeta(xi)
         sc = math.sqrt(self.C)
-        return np.array([
-            R * math.cos(z),
-            R * math.sin(z),
-            math.cos(sc * theta) / (sc * xi),
-            math.sin(sc * theta) / (sc * xi),
-        ])
+        p1, p2, d = R * math.cos(z), R * math.sin(z), sc * xi
+        theta = np.asarray(theta, dtype=float)
+        rows = [[p1, p2, math.cos(sc * t) / d, math.sin(sc * t) / d]
+                for t in theta.ravel().tolist()]
+        return np.array(rows) if theta.ndim else np.array(rows[0])
 
     def immersion_partials(self, xi: float, theta: float):
         R = self.radius(xi)

@@ -13,6 +13,7 @@ import pytest
 
 from biconsurf import cli, gluing, spherical
 from biconsurf.euclidean import FamilyParamsR3, immersion_XC
+from biconsurf.numerics import OutOfDomain
 
 
 def run(argv):
@@ -112,6 +113,13 @@ class TestCurves:
                     "--out", str(tmp_path / "x.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("C", ["0", "-1"])
+    def test_fig1_needs_positive_C(self, capsys, tmp_path, C):
+        out = tmp_path / "fig1.csv"
+        assert run(["curves", "--figure", "fig1", "--C=" + C, "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestMesh:
     def test_r3_wrapped_mesh(self, tmp_path):
@@ -206,6 +214,23 @@ class TestMesh:
         assert np.array_equal(data, np.array(expected))
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "s3-local", "--C", "1", "--u-range", "0", "1"],
+        ["--family", "s3-local", "--C", "1", "--u-range", "0.6", "3.0"],
+        ["--family", "r3", "--C", "1", "--u-range", "0", "1000"],
+        ["--family", "r3", "--C", "1e300", "--u-range", "0", "200"],
+        ["--family", "s3-complete", "--C", "1", "--cstar", "1",
+         "--u-range", "0", "1e300"],
+    ])
+    def test_out_of_domain_range_rejected(self, tmp_path, capsys, argv):
+        # outside the strip, past float overflow, non-finite positions, and
+        # heights beyond the atlas: one error line, and no file opened
+        out = tmp_path / "m.obj"
+        assert run(["mesh", *argv, "--grid", "4", "4", "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     def test_r3_passes(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -277,6 +302,7 @@ class TestMeshDeterminism:
                     "--pole=" + pole, "--out", str(tmp_path / "m.obj")])
         assert code == 2
         assert "pole" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # not even the raw CSV
 
 
 class TestConfigFile:
@@ -324,6 +350,23 @@ class TestConfigKeys:
                     "--out", str(out)]) == 0
         header, data = read_csv(out)
         assert header == ["x", "y", "z"] and data.shape == (12, 3)
+
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid-n": 3, "cstr": 0.5}))
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--family", "r3", "--C", "1", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'grid-n'" in err and "'cstr'" in err
+        assert not out.exists()
+
+    def test_keys_of_other_subcommands_allowed(self, tmp_path):
+        # one config file may serve several subcommands
+        rep = self._report(tmp_path, {"grid_n": 3, "grid": [4, 4], "samples": 5,
+                                      "format": "csv", "cstar": 1.0})
+        assert rep["grid"] == 3
 
     def test_curves_samples_from_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -400,6 +443,192 @@ class TestEmptyRunsAndOutputs:
     def test_out_is_a_directory(self, tmp_path, capsys):
         assert run(["curves", "--figure", "fig1", "--C", "1", "--out", str(tmp_path)]) == 2
         assert _one_error_line(capsys)
+
+
+# ----------------------------------------------------------------------
+# Byte parity.  The reference below writes one value at a time and
+# evaluates one grid point at a time, as the CLI did before it streamed
+# blocks of rows and evaluated the grids a row at a time; every output
+# must keep the reference's bytes.
+# ----------------------------------------------------------------------
+
+def _ref_fmt(x):
+    return format(float(x), ".17g")
+
+
+def _ref_write_csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_ref_fmt(x) for x in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _ref_obj_lines(vertices, nu, nv, wrap_v):
+    lines = [f"# biconsurf mesh: {nu} x {nv} row-major grid"]
+    for p in vertices:
+        lines.append("v " + " ".join(_ref_fmt(x) for x in p))
+    cols = nv if wrap_v else nv - 1
+    for i in range(nu - 1):
+        for j in range(cols):
+            jn = (j + 1) % nv
+            a = i * nv + j + 1
+            b = i * nv + jn + 1
+            c = (i + 1) * nv + jn + 1
+            d = (i + 1) * nv + j + 1
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return lines
+
+
+def _ref_xc(par, u, v):
+    s = math.sqrt(par.C)
+    ch = math.cosh(u)
+    return np.array([
+        s / 3.0 * ch ** 3 * math.cos(3.0 * v),
+        s / 3.0 * ch ** 3 * math.sin(3.0 * v),
+        s / 2.0 * (0.5 * math.sinh(2.0 * u) + u),
+    ])
+
+
+def _ref_phic(fam, xi, theta):
+    if not fam.roots.contains(xi):
+        raise OutOfDomain(f"xi = {xi} outside the open strip")
+    R = fam.radius(xi)
+    z = fam.zeta(xi)
+    sc = math.sqrt(fam.C)
+    return np.array([
+        R * math.cos(z),
+        R * math.sin(z),
+        math.cos(sc * theta) / (sc * xi),
+        math.sin(sc * theta) / (sc * xi),
+    ])
+
+
+def _ref_grid(family, nu, nv, wrap_v):
+    """Default-range grid at C = C* = 1, one point at a time: (points,
+    wrap_v, is_spherical)."""
+    if family == "r3":
+        par = FamilyParamsR3.from_C(1.0)
+        us = np.linspace(-1.5, 1.5, nu)
+        vs = np.linspace(0.0, 2.0 * math.pi / 3.0, nv, endpoint=not wrap_v)
+        return np.array([_ref_xc(par, float(u), float(v)) for u in us for v in vs]), wrap_v, False
+    if family == "s3-local":
+        fam = spherical.family(1.0)
+        r = fam.roots
+        margin = 1e-3 * (r.xi02 - r.xi01)
+        pts = np.array([_ref_phic(fam, float(x), float(t))
+                        for x in np.linspace(r.xi01 + margin, r.xi02 - margin, nu)
+                        for t in np.linspace(0.0, 2.0 * math.pi, nv)])
+        return pts, False, True
+    at = gluing.atlas(1.0, 1.0)
+    hs = np.linspace(at.grid[-2], at.grid[2], nu)
+    if family == "revolution":
+        ts = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=not wrap_v)
+        return np.array([at.immersion_psi(float(h), float(t)) for h in hs for t in ts]), wrap_v, False
+    ts = np.linspace(0.0, 2.0 * math.pi, nv)
+    return np.array([at.immersion_phi(float(h), float(t)) for h in hs for t in ts]), False, True
+
+
+def _ref_mesh(family, nu, nv, wrap_v, fmt, out):
+    pts, wrap_v, is_spherical = _ref_grid(family, nu, nv, wrap_v)
+    verts = pts
+    if is_spherical:
+        _ref_write_csv(out.with_suffix(".raw.csv"), ["x1", "x2", "x3", "x4"], pts)
+        verts = cli._stereographic(pts, np.array([0.0, 0.0, 0.0, -1.0]))
+    if fmt == "csv":
+        _ref_write_csv(out, ["x", "y", "z"], verts)
+    else:
+        out.write_text("\n".join(_ref_obj_lines(verts, nu, nv, wrap_v)) + "\n")
+
+
+def _ref_curve(fig, n, out):
+    if fig == "fig1":
+        par = FamilyParamsR3.from_C(1.0)
+        rows = []
+        for u in np.linspace(-2.2, 2.2, n):
+            p = _ref_xc(par, float(u), 0.0)
+            rows.append((u, p[0], p[2]))
+        _ref_write_csv(out, ["u", "x", "z"], rows)
+        return
+    at = gluing.atlas(1.0, 1.0)
+    m1, p1 = at.h_limits
+    if fig == "fig6":
+        hs = np.sort(np.append(np.linspace(at.grid[-11], at.grid[11], n), 0.0))
+        rows = [(h, *at.profile_components(float(h))[:2]) for h in hs]
+        _ref_write_csv(out, ["h", "x1", "x2"], rows)
+        return
+    xis = cli._clustered_strip_samples(at.roots, n)
+    h0 = np.array([at.h0(float(x)) for x in xis])
+    first = xis if fig in ("fig2", "fig3") else at.Cstar / xis
+    name = "xi" if fig in ("fig2", "fig3") else "f"
+    if fig in ("fig2", "fig4"):
+        _ref_write_csv(out, [name, "h0"], zip(first, h0))
+    else:
+        _ref_write_csv(out, [name, "h0", "h1", "hm1"],
+                       zip(first, h0, 2.0 * p1 - h0, 2.0 * m1 - h0))
+
+
+def _assert_same_files(got, want):
+    names = sorted(p.name for p in got.iterdir())
+    assert names == sorted(p.name for p in want.iterdir())
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+class TestByteParity:
+    @pytest.mark.parametrize("fmt", ["obj", "csv"])
+    @pytest.mark.parametrize("wrap_v", [False, True])
+    @pytest.mark.parametrize("family", ["r3", "s3-local", "s3-complete", "revolution"])
+    def test_mesh(self, tmp_path, family, wrap_v, fmt):
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        argv = ["mesh", "--family", family, "--C", "1", "--cstar", "1", "--grid", "5", "4",
+                "--format", fmt, "--out", str(got / f"m.{fmt}")]
+        assert run(argv + (["--wrap-v"] if wrap_v else [])) == 0
+        _ref_mesh(family, 5, 4, wrap_v, fmt, want / f"m.{fmt}")
+        _assert_same_files(got, want)
+
+    @pytest.mark.parametrize("family, fmt", [("r3", "obj"), ("s3-local", "csv")])
+    def test_mesh_across_blocks(self, tmp_path, family, fmt):
+        nu, nv = 70, 64
+        assert nu * nv > cli.BLOCK_ROWS
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        assert run(["mesh", "--family", family, "--C", "1", "--grid", str(nu), str(nv),
+                    "--wrap-v", "--format", fmt, "--out", str(got / f"m.{fmt}")]) == 0
+        _ref_mesh(family, nu, nv, True, fmt, want / f"m.{fmt}")
+        _assert_same_files(got, want)
+
+    @pytest.mark.parametrize("fig", cli.FIGURES)
+    def test_curves(self, tmp_path, fig):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert run(["curves", "--figure", fig, "--C", "1", "--cstar", "1",
+                    "--samples", "7", "--out", str(got)]) == 0
+        _ref_curve(fig, 7, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+    def test_xc_rows_equal_points(self, C):
+        par = FamilyParamsR3.from_C(C)
+        vs = np.linspace(-1.0, 7.0, 23)
+        for u in (-2.5, -0.3, 0.0, 1e-9, 1.7):
+            ref = np.array([_ref_xc(par, u, float(v)) for v in vs])
+            assert immersion_XC(par, u, vs).tobytes() == ref.tobytes()
+            assert immersion_XC(par, u, float(vs[3])).tobytes() == ref[3].tobytes()
+
+    @pytest.mark.parametrize("C", [0.8, 1.0, 20.0])
+    def test_strip_rows_equal_points(self, C):
+        fam = spherical.family(C)
+        r = fam.roots
+        ts = np.linspace(-1.0, 7.0, 23)
+        for xi in np.linspace(r.xi01, r.xi02, 9)[1:-1]:
+            ref = np.array([_ref_phic(fam, float(xi), float(t)) for t in ts])
+            assert fam.immersion(float(xi), ts).tobytes() == ref.tobytes()
+            assert fam.immersion(float(xi), float(ts[3])).tobytes() == ref[3].tobytes()
+        with pytest.raises(OutOfDomain):
+            fam.immersion(r.xi01, ts)
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
