@@ -259,10 +259,10 @@ def _strip_interior_samples(at: gluing.GluingAtlas, strips, n, margin=0.02):
         if k == 0:
             lo, hi = m1, p1
         elif k >= 1:
-            lo = at.grid[k] if k in at.grid else p1 + (k - 1) * delta
+            lo = at.grid[k]
             hi = lo + delta
         else:
-            hi = at.grid[k] if k in at.grid else m1 + (k + 1) * delta
+            hi = at.grid[k]
             lo = hi - delta
         pad = margin * (hi - lo)
         out.extend(float(x) for x in np.linspace(lo + pad, hi - pad, n))
@@ -290,20 +290,17 @@ def _junction_continuity(at: gluing.GluingAtlas) -> float:
     floor, which scales with the root size.)
     """
     worst = 0.0
-    zm1, zp1 = at.zeta_limits
     for j in (-2, -1, 0, 1, 2, 3):
-        h = at.h_limits[0] + j * (at.h_limits[1] - at.h_limits[0])
         xi, zlim = at._junction_data(j)
         k_right = 0 if j == 0 else j       # strip just above the junction
         k_left = 0 if j == 1 else j - 1    # strip just below
         R = at.family.radius(xi)
-        for k_a, k_b in ((k_left, k_right),):
-            ca, cb = at.phase(k_a), at.phase(k_b)
-            p1a = R * math.cos(zlim + ca)
-            p1b = R * math.cos(zlim + cb)
-            p2a = (-1.0 if k_a % 2 else 1.0) * R * math.sin(zlim + ca)
-            p2b = (-1.0 if k_b % 2 else 1.0) * R * math.sin(zlim + cb)
-            worst = max(worst, abs(p1a - p1b), abs(p2a - p2b))
+        ca, cb = at.phase(k_left), at.phase(k_right)
+        p1a = R * math.cos(zlim + ca)
+        p1b = R * math.cos(zlim + cb)
+        p2a = (-1.0 if k_left % 2 else 1.0) * R * math.sin(zlim + ca)
+        p2b = (-1.0 if k_right % 2 else 1.0) * R * math.sin(zlim + cb)
+        worst = max(worst, abs(p1a - p1b), abs(p2a - p2b))
     return worst
 
 
@@ -340,7 +337,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
         for fn in rep.values():
             for order in fn.values():
                 worst_junction = max(worst_junction, order["relative_mismatch"])
-    bad = gluing.build_atlas(C, Cstar, c0=c0, k_max=3, rejected_phases=True)
+    bad = gluing.GluingAtlas(C, Cstar, c0=c0, k_max=3, rejected_phases=True)
     neg = bad.junction_smoothness(1, orders=(1,), functions=("phi1",))
     neg_mismatch = neg["phi1"][1]["relative_mismatch"]
 

@@ -20,11 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, euclidean, gluing, spherical
-from .numerics import DegenerateDomain, OutOfDomain
+from .diffgeo import DegenerateMetric
+from .numerics import DegenerateDomain, NumericsError, OutOfDomain
 
 __all__ = ["main"]
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
+# each figure and the family whose parameters it needs
+FIGURE_FAMILIES = {"fig1": "r3", "fig2": "revolution", "fig3": "revolution",
+                   "fig4": "revolution", "fig5": "revolution", "fig6": "s3-complete"}
+FIGURES = tuple(FIGURE_FAMILIES)
 MESH_FORMATS = ("obj", "csv")
 
 
@@ -71,22 +75,28 @@ def _write_obj(path: Path, vertices: np.ndarray, nu: int, nv: int, wrap_v: bool)
             _write_rows(fh, "f %d %d %d\n", (row0 + shift).reshape(-1, 3))
 
 
-def _require_r3_C(C: float) -> None:
-    if C <= 0.0:
-        raise UsageError("C must be positive for the r3 family")
-
-
-def _require_sphere_C(C: float) -> None:
+def _require_admissible(family: str, C: float, cstar: float | None) -> None:
+    """Check C, and C* where `family` needs it, before anything is built:
+    r3 needs C > 0 with C1 = (9/C)^(1/3) finite, the sphere families need
+    C > 4/3^(3/2), and s3-complete and revolution need 0 < C* <
+    (C - 4/3^(3/2))^(-1/2)."""
+    if family == "r3":
+        if C <= 0.0:
+            raise UsageError("C must be positive for the r3 family")
+        if not math.isfinite(9.0 / C):
+            raise UsageError(f"C={_fmt(C)} inadmissible: C1 = (9/C)^(1/3) overflows "
+                             f"for the r3 family")
+        return
     if C <= spherical.C_MIN:
         raise UsageError(
             f"C={_fmt(C)} inadmissible: need C > 4/3^(3/2) = {_fmt(spherical.C_MIN)}")
-
-
-def _require_cstar(C: float, cstar: float) -> None:
-    rng = gluing.cstar_range(C)
-    if not rng.contains(cstar):
-        raise UsageError(
-            f"C*={_fmt(cstar)} inadmissible: need 0 < C* < {_fmt(rng.upper)}")
+    if family in ("s3-complete", "revolution"):
+        if cstar is None:
+            raise UsageError(f"family {family!r} requires --cstar")
+        rng = gluing.cstar_range(C)
+        if not rng.contains(cstar):
+            raise UsageError(
+                f"C*={_fmt(cstar)} inadmissible: need 0 < C* < {_fmt(rng.upper)}")
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +105,7 @@ def _require_cstar(C: float, cstar: float) -> None:
 
 def cmd_params(args) -> int:
     C = args.C
-    _require_sphere_C(C)
+    _require_admissible("s3-local" if args.Cstar is None else "revolution", C, args.Cstar)
     fam = spherical.family(C)
     r = fam.roots
     zm, zp = fam.zeta_limits
@@ -111,7 +121,6 @@ def cmd_params(args) -> int:
     print(f"                           zeta+1 = {_fmt(zp)}")
     print(f"admissible C* interval     (0, {_fmt(rng.upper)})")
     if args.Cstar is not None:
-        _require_cstar(C, args.Cstar)
         at = gluing.atlas(C, args.Cstar)
         m1, p1 = at.h_limits
         print(f"height limits              h-1  = {_fmt(m1)}")
@@ -130,17 +139,13 @@ def cmd_curves(args) -> int:
     out = Path(args.out)
     n = args.samples
     fig = args.figure
+    _require_admissible(FIGURE_FAMILIES[fig], args.C, args.Cstar)
     if fig == "fig1":
-        _require_r3_C(args.C)
         par = euclidean.FamilyParamsR3.from_C(args.C)
         us = np.linspace(-2.2, 2.2, n)
         pts = np.array([euclidean.immersion_XC(par, float(u), 0.0) for u in us])
         _write_csv(out, ["u", "x", "z"], np.column_stack([us, pts[:, 0], pts[:, 2]]))
         return 0
-    _require_sphere_C(args.C)
-    if args.Cstar is None:
-        raise UsageError("this figure requires --cstar")
-    _require_cstar(args.C, args.Cstar)
     at = gluing.atlas(args.C, args.Cstar, c0=args.c0)
     m1, p1 = at.h_limits
     if fig in ("fig2", "fig3", "fig4", "fig5"):
@@ -157,16 +162,11 @@ def cmd_curves(args) -> int:
             _write_csv(out, ["f", "h0", "h1", "hm1"],
                        np.column_stack([at.Cstar / xis, h0, 2.0 * p1 - h0, 2.0 * m1 - h0]))
         return 0
-    if fig == "fig6":
-        if at.k_max < 11:
-            raise UsageError("fig6 needs an atlas with k_max >= 11")
-        lo = at.grid[-11]
-        hi = at.grid[11]
-        hs = np.sort(np.append(np.linspace(lo, hi, n), 0.0))  # base point always present
-        rows = [(h, *at.profile_components(float(h))[:2]) for h in hs]
-        _write_csv(out, ["h", "x1", "x2"], np.array(rows))
-        return 0
-    raise UsageError(f"unknown figure {fig!r}")
+    # fig6: the glued profile from h_{0,-11} to h_{0,11}, base point always present
+    hs = np.sort(np.append(np.linspace(at.grid[-11], at.grid[11], n), 0.0))
+    rows = [(h, *at.profile_components(float(h))[:2]) for h in hs]
+    _write_csv(out, ["h", "x1", "x2"], np.array(rows))
+    return 0
 
 
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
@@ -191,13 +191,12 @@ def _grid_positions(args):
     nu, nv = args.grid
     family = args.family
     wrap_v = args.wrap_v and family in ("r3", "revolution")
+    _require_admissible(family, args.C, args.Cstar)
     if family == "r3":
-        _require_r3_C(args.C)
         par = euclidean.FamilyParamsR3.from_C(args.C)
         row = lambda u, vs: euclidean.immersion_XC(par, u, vs)
         u_default, v_default = (-1.5, 1.5), (0.0, 2.0 * math.pi / 3.0)
     elif family == "s3-local":
-        _require_sphere_C(args.C)
         fam = spherical.family(args.C)
         r = fam.roots
         margin = 1e-3 * (r.xi02 - r.xi01)
@@ -208,10 +207,6 @@ def _grid_positions(args):
             raise UsageError(f"u-range must lie inside the open strip "
                              f"({_fmt(r.xi01)}, {_fmt(r.xi02)}) for the s3-local family")
     else:
-        _require_sphere_C(args.C)
-        if args.Cstar is None:
-            raise UsageError(f"family {family!r} requires --cstar")
-        _require_cstar(args.C, args.Cstar)
         at = gluing.atlas(args.C, args.Cstar, c0=args.c0)
         u_default = (at.grid[-2], at.grid[2])
         if family == "revolution":
@@ -257,16 +252,16 @@ def cmd_mesh(args) -> int:
 def cmd_verify(args) -> int:
     if args.family not in checks.FAMILIES:
         raise UsageError(f"unknown family {args.family!r}")
-    if args.family == "r3":
-        _require_r3_C(args.C)
-    else:
-        _require_sphere_C(args.C)
-        if args.family in ("s3-complete", "revolution"):
-            if args.Cstar is None:
-                raise UsageError(f"family {args.family!r} requires --cstar")
-            _require_cstar(args.C, args.Cstar)
-    report = checks.build_report(args.family, args.C, Cstar=args.Cstar,
-                                 c0=args.c0, grid=args.grid_n, seed=args.seed)
+    _require_admissible(args.family, args.C, args.Cstar)
+    try:
+        # numpy stays quiet: a run that leaves the float range ends in a FAIL
+        # or in the one error line below (r3 at C = 1e-300, 1e100 or 1e308)
+        with np.errstate(all="ignore"):
+            report = checks.build_report(args.family, args.C, Cstar=args.Cstar,
+                                         c0=args.c0, grid=args.grid_n, seed=args.seed)
+    except (NumericsError, DegenerateMetric, OverflowError) as exc:
+        raise UsageError(f"the {args.family} checks cannot be evaluated at C={_fmt(args.C)}: "
+                         f"{type(exc).__name__}: {exc}") from exc
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -35,7 +35,6 @@ __all__ = [
     "cstar_range",
     "phase_distance",
     "GluingAtlas",
-    "build_atlas",
     "atlas",
 ]
 
@@ -103,7 +102,6 @@ class GluingAtlas:
         Cstar: float,
         c0: float = 0.0,
         k_max: int = 11,
-        n_cells: int = 512,
         rejected_phases: bool = False,
     ):
         rng = cstar_range(C)  # raises InvalidC for inadmissible C
@@ -122,8 +120,7 @@ class GluingAtlas:
 
         self._h_cum = strip_quadrature(
             self.C, self.roots,
-            lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau),
-            n_cells=n_cells)
+            lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau))
         self._h_base = self._h_cum.value(self.roots.xi00)
         self.h_limits = (-self._h_base, self._h_cum.total - self._h_base)
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
@@ -317,11 +314,8 @@ class GluingAtlas:
             return h - k * (p1 - m1)
         return (k + 1) * p1 - (k - 1) * m1 - h
 
-    def F_deriv(self, h: float) -> float:
-        """dF/dh on strip interiors: +-1/h0'(F); zero in the junction limit."""
-        return self._F_deriv_at(*self._strip_point(h))
-
     def _F_deriv_at(self, k: int, xi: float) -> float:
+        """dF/dh on strip k at F = xi: +-1/h0'(xi); zero in the junction limit."""
         if not self.roots.contains(xi):
             return 0.0
         sign = 1.0 if k % 2 == 0 else -1.0
@@ -413,13 +407,10 @@ class GluingAtlas:
                 for t in np.atleast_1d(theta)]
         return np.array(rows) if np.ndim(theta) else np.array(rows[0])
 
-    def profile_components_deriv(self, h: float) -> tuple[float, float, float]:
-        """h-derivatives of (Phi1, Phi2, Phi3); finite at junctions, where
-        the blow-up of the turning-angle density cancels the flattening of
-        the profile inverse."""
-        return self._profile_deriv_at(*self._strip_point(h))
-
     def _profile_deriv_at(self, k: int, xi: float) -> tuple[float, float, float]:
+        """h-derivatives of (Phi1, Phi2, Phi3) on strip k at F = xi; finite
+        at junctions, where the blow-up of the turning-angle density cancels
+        the flattening of the profile inverse."""
         sc = math.sqrt(self.C)
         sgn = -1.0 if k % 2 else 1.0
         R = self.family.radius(xi)
@@ -527,7 +518,7 @@ class GluingAtlas:
 
     # -- periodicity probe -------------------------------------------------------
 
-    def periodicity_probe(self, tol: float = 1e-8, n_samples: int = 17) -> dict:
+    def periodicity_probe(self) -> dict:
         """Evidence on whether the glued immersion repeats with the profile.
 
         The profile and the last two components are periodic by
@@ -537,8 +528,9 @@ class GluingAtlas:
         """
         zm1, zp1 = self.zeta_limits
         defect = phase_distance(2.0 * (zp1 - zm1), 0.0)
+        tol = 1e-8  # defect below which the immersion counts as periodic
         m1, p1 = self.h_limits
-        hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), n_samples)
+        hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
         worst = 0.0
         worst34 = 0.0
         for h in hs:
@@ -555,17 +547,7 @@ class GluingAtlas:
         }
 
 
-def build_atlas(
-    C: float,
-    Cstar: float,
-    c0: float = 0.0,
-    k_max: int = 11,
-    rejected_phases: bool = False,
-) -> GluingAtlas:
-    return GluingAtlas(C, Cstar, c0=c0, k_max=k_max, rejected_phases=rejected_phases)
-
-
 @lru_cache(maxsize=16)
-def atlas(C: float, Cstar: float, c0: float = 0.0, k_max: int = 11) -> GluingAtlas:
+def atlas(C: float, Cstar: float, c0: float = 0.0) -> GluingAtlas:
     """Cached atlas for repeat use in checks and the CLI."""
-    return GluingAtlas(C, Cstar, c0=c0, k_max=k_max)
+    return GluingAtlas(C, Cstar, c0=c0)

@@ -2,7 +2,7 @@
 
 Bracketed root finding, quadrature that tolerates inverse-square-root
 endpoint singularities, an embedded adaptive Runge-Kutta integrator with
-event detection, finite-difference derivatives, and monotone-function
+event detection, one-sided Richardson derivatives, and monotone-function
 inversion.  Everything is pure with respect to its inputs; the cumulative
 quadrature tables built here are immutable after construction and safe to
 share between threads.
@@ -22,7 +22,6 @@ __all__ = [
     "MaxIterations",
     "InvalidSpec",
     "StepUnderflow",
-    "DomainTooSmall",
     "OutOfImage",
     "OutOfDomain",
     "DegenerateDomain",
@@ -32,7 +31,6 @@ __all__ = [
     "find_root",
     "expand_bracket",
     "solve_ode",
-    "fd_derivative",
     "one_sided_derivative",
     "monotone_inverse",
     "gauss_kronrod_panel",
@@ -41,6 +39,14 @@ __all__ = [
 
 ROOT_TOL = 1e-12
 ODE_TOL = 1e-10
+
+# iteration budgets: bracket doublings, root-finder steps, ODE steps
+BRACKET_EXPANSIONS = 200
+ROOT_MAX_ITER = 200
+ODE_MAX_STEPS = 1_000_000
+
+# cells of a cumulative quadrature table
+QUAD_CELLS = 512
 
 _EPS = float(np.finfo(float).eps)
 
@@ -63,10 +69,6 @@ class InvalidSpec(NumericsError):
 
 class StepUnderflow(NumericsError):
     """The ODE step size collapsed below machine resolution."""
-
-
-class DomainTooSmall(NumericsError):
-    """A finite-difference stencil does not fit inside the domain."""
 
 
 class OutOfImage(NumericsError):
@@ -116,20 +118,14 @@ class Bracket:
         return cls(lo, hi, f(lo), f(hi))
 
 
-def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grow: float = 2.0,
-    max_expansions: int = 200,
-) -> Bracket:
-    """Grow `hi` geometrically away from `lo` until f changes sign."""
+def expand_bracket(f: Callable[[float], float], lo: float, hi: float) -> Bracket:
+    """Double the distance of `hi` from `lo` until f changes sign."""
     f_lo = f(lo)
     f_hi = f(hi)
-    for _ in range(max_expansions):
+    for _ in range(BRACKET_EXPANSIONS):
         if _opposite_signs(f_lo, f_hi):
             return Bracket(lo, hi, f_lo, f_hi)
-        hi = lo + (hi - lo) * grow
+        hi = lo + (hi - lo) * 2.0
         f_hi = f(hi)
     raise NoSignChange(f"no sign change found expanding from [{lo}, {hi}]")
 
@@ -138,7 +134,6 @@ def find_root(
     f: Callable[[float], float],
     bracket: Bracket,
     tol: float = ROOT_TOL,
-    max_iter: int = 200,
 ) -> float:
     """Safeguarded secant/bisection hybrid on a validated bracket.
 
@@ -157,7 +152,7 @@ def find_root(
         return b
 
     use_secant = True
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         width = b - a
         if width <= tol + 4.0 * _EPS * max(abs(a), abs(b)):
             return a if abs(fa) <= abs(fb) else b
@@ -177,7 +172,7 @@ def find_root(
             b, fb = x, fx
         else:
             a, fa = x, fx
-    raise MaxIterations(f"root not localized to {tol} in {max_iter} iterations")
+    raise MaxIterations(f"root not localized to {tol} in {ROOT_MAX_ITER} iterations")
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +250,6 @@ class CumulativeQuadrature:
         upper: float,
         left_sub: Callable[[np.ndarray], np.ndarray],
         right_sub: Callable[[np.ndarray], np.ndarray],
-        n_cells: int = 512,
     ):
         if not lower < upper:
             raise InvalidSpec("need lower < upper")
@@ -264,19 +258,19 @@ class CumulativeQuadrature:
         self.upper = float(upper)
         self.left_sub = left_sub
         self.right_sub = right_sub
-        j = np.arange(n_cells + 1)
-        self.nodes = lower + (upper - lower) * 0.5 * (1.0 - np.cos(np.pi * j / n_cells))
+        j = np.arange(QUAD_CELLS + 1)
+        self.nodes = lower + (upper - lower) * 0.5 * (1.0 - np.cos(np.pi * j / QUAD_CELLS))
         self.nodes[0] = lower
         self.nodes[-1] = upper
         # absolute floor per cell; panels also accept at ~1e-13 relative
         self._cell_tol = 1e-14 * max(1.0, upper - lower)
-        cum = np.empty(n_cells + 1)
+        cum = np.empty(QUAD_CELLS + 1)
         cum[0] = 0.0
-        for i in range(n_cells):
+        for i in range(QUAD_CELLS):
             a, b = self.nodes[i], self.nodes[i + 1]
             if i == 0:
                 v, _ = _gk_adaptive(left_sub, 0.0, math.sqrt(b - a), self._cell_tol)
-            elif i == n_cells - 1:
+            elif i == QUAD_CELLS - 1:
                 # substitution runs from the far (upper) end backwards
                 v, _ = _gk_adaptive(right_sub, 0.0, math.sqrt(b - a), self._cell_tol)
             else:
@@ -377,7 +371,6 @@ def solve_ode(
     tol: float = ODE_TOL,
     event: Callable[[float, np.ndarray], float] | None = None,
     max_events: int | None = None,
-    max_steps: int = 1_000_000,
 ) -> OdeSolution:
     """Adaptive Dormand-Prince 5(4) trajectory from y0.t to t_end.
 
@@ -400,7 +393,7 @@ def solve_ode(
     k1 = np.asarray(rhs(t, y), dtype=float)
     e_prev = event(t, y) if event is not None else None
 
-    for _ in range(max_steps):
+    for _ in range(ODE_MAX_STEPS):
         if direction * (t - t_end) >= 0.0:
             break
         if direction * (t + h - t_end) > 0.0:
@@ -462,23 +455,6 @@ def solve_ode(
 # Finite differences
 # ----------------------------------------------------------------------
 
-_CENTRAL_STENCILS = {
-    # order -> (offsets, coefficients, h_power), 4th-order accurate
-    1: ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12], 1),
-    2: ([-2, -1, 0, 1, 2], [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12], 2),
-    3: ([-3, -2, -1, 1, 2, 3], [1 / 8, -1.0, 13 / 8, -13 / 8, 1.0, -1 / 8], 3),
-}
-_FORWARD_STENCILS = {
-    # 2nd-order accurate one-sided stencils; mirror for the backward side
-    1: ([0, 1, 2], [-3 / 2, 2.0, -1 / 2], 1),
-    2: ([0, 1, 2, 3], [2.0, -5.0, 4.0, -1.0], 2),
-    3: ([0, 1, 2, 3, 4], [-5 / 2, 9.0, -12.0, 7.0, -3 / 2], 3),
-}
-# step exponents ~ eps^(1/(order + accuracy))
-_CENTRAL_H = {1: 1e-3, 2: 2e-3, 3: 5e-3}
-_ONESIDED_H = {1: 2e-6, 2: 2e-4, 3: 2e-3}
-
-
 def one_sided_derivative(f, x: float, order: int, step: float, forward: bool) -> float:
     """One-sided derivative of order 1..3, Richardson-extrapolated twice.
 
@@ -506,59 +482,6 @@ def one_sided_derivative(f, x: float, order: int, step: float, forward: bool) ->
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d4 - d2) / 3.0
     return (8.0 * r2 - r1) / 7.0
-
-
-def fd_derivative(
-    f: Callable[[float], float],
-    x: float,
-    order: int,
-    scale: float = 1.0,
-    side: str = "central",
-    step: float | None = None,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> float:
-    """Finite-difference derivative of the given order (1, 2 or 3).
-
-    `side` is "central", "forward" or "backward"; `scale` sets the length
-    scale the default step is proportional to.  If domain bounds are given
-    and even the smallest sensible stencil does not fit, DomainTooSmall is
-    raised.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if side == "central":
-        offsets, coeffs, hpow = _CENTRAL_STENCILS[order]
-        h = step if step is not None else _CENTRAL_H[order] * scale
-    elif side in ("forward", "backward"):
-        offsets, coeffs, hpow = _FORWARD_STENCILS[order]
-        h = step if step is not None else _ONESIDED_H[order] * scale
-        if side == "backward":
-            offsets = [-o for o in offsets]
-            coeffs = [c * (-1) ** order for c in coeffs]
-    else:
-        raise ValueError(f"unknown side {side!r}")
-
-    if lo is not None or hi is not None:
-        span_lo = min(offsets) * h
-        span_hi = max(offsets) * h
-        room_lo = x - lo if lo is not None else math.inf
-        room_hi = hi - x if hi is not None else math.inf
-        shrink = 1.0
-        if span_lo < 0 and -span_lo > room_lo:
-            shrink = min(shrink, room_lo / -span_lo)
-        if span_hi > 0 and span_hi > room_hi:
-            shrink = min(shrink, room_hi / span_hi)
-        h *= shrink
-        if h < 1e4 * _EPS * max(1.0, abs(x)):
-            raise DomainTooSmall(f"stencil of order {order} does not fit at x={x}")
-
-    acc = 0.0
-    for o, c in zip(offsets, coeffs):
-        acc += c * f(x + o * h)
-    return acc / h ** hpow
 
 
 # ----------------------------------------------------------------------

@@ -67,20 +67,20 @@ C_MIN = 4.0 / 3.0 ** 1.5  # threshold where the two roots of T coalesce
 
 ROOT_TOL = 1e-13
 
+# the curvature ODE cross-check stops at this many turning points or time
+ODE_TURNING_POINTS = 7
+ODE_T_END = 100.0
+
 
 @dataclass(frozen=True)
 class FamilyParamsS3:
     """Sphere-family parameters: C above the double-root threshold."""
 
     C: float
-    sign: int = +1
-    c_base: float = 0.0
 
     def __post_init__(self):
         if self.C <= C_MIN:
             raise DegenerateDomain(f"C = {self.C} <= {C_MIN}")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
 
     @property
     def C1(self) -> float:
@@ -140,22 +140,23 @@ def T_over_distance(C: float, root: float, d):
     return t1 + d * (t2 / 2.0 + d * (t3 / 6.0 + d * (t4 / 24.0)))
 
 
-def T_near_roots(C: float, tau, roots: "DomainRoots", switch: float | None = None):
+def T_near_roots(C: float, tau, roots: "DomainRoots"):
     """T evaluated stably arbitrarily close to its strip roots.
 
     Direct evaluation of T loses relative accuracy within ~1e-7 of a root
     (catastrophic cancellation against the noise of the root itself);
     inside a small window the value is recovered from the Taylor expansion
-    about the root instead.
+    about the root instead.  The window at each root is the smaller of
+    1e-4 of the strip width and 1e-3 of the root, the range where the
+    quartic Taylor polynomial's truncation stays below rounding; at large
+    C, 1e-4 of the strip width alone would reach a fifth of xi01.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     span = roots.xi02 - roots.xi01
-    if switch is None:
-        switch = 1e-4 * span
     out = T(C, tau)
     for root in (roots.xi01, roots.xi02):
         d = tau - root
-        mask = np.abs(d) <= switch
+        mask = np.abs(d) <= min(1e-4 * span, 1e-3 * root)
         if np.any(mask):
             dm = d[mask]
             out[mask] = dm * T_over_distance(C, root, dm)
@@ -170,7 +171,7 @@ def L(C1: float, k):
     return -16.0 / 9.0 - 16.0 * np.square(k) + C1 * np.power(k, 1.5)
 
 
-def strip_quadrature(C: float, roots: "DomainRoots", g, n_cells: int = 512) -> CumulativeQuadrature:
+def strip_quadrature(C: float, roots: "DomainRoots", g) -> CumulativeQuadrature:
     """Cumulative quadrature of g(tau, T(tau)) / sqrt(T(tau)) over the strip.
 
     `g` takes arrays of tau and of T(tau) and must stay finite at the
@@ -195,7 +196,7 @@ def strip_quadrature(C: float, roots: "DomainRoots", g, n_cells: int = 512) -> C
         return sub
 
     return CumulativeQuadrature(f, roots.xi01, roots.xi02,
-                                end(roots.xi01, 1.0), end(roots.xi02, -1.0), n_cells=n_cells)
+                                end(roots.xi01, 1.0), end(roots.xi02, -1.0))
 
 
 def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
@@ -247,16 +248,15 @@ class SphereFamily:
     practice and safe for concurrent evaluation.
     """
 
-    def __init__(self, C: float, sign: int = +1, c_base: float = 0.0, n_cells: int = 512):
-        self.params = FamilyParamsS3(C=C, sign=sign, c_base=c_base)
+    def __init__(self, C: float):
+        self.params = FamilyParamsS3(C=C)
         self.C = float(C)
         self.roots = domain_roots(C)
         sc = math.sqrt(self.C)
 
         self._zeta_cum = strip_quadrature(
             self.C, self.roots,
-            lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (self.C * tau * tau - 1.0),
-            n_cells=n_cells)
+            lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (self.C * tau * tau - 1.0))
         self._zeta_base = self._zeta_cum.value(self.roots.xi00)
 
     # -- scalar quantities -------------------------------------------------
@@ -278,9 +278,6 @@ class SphereFamily:
         """(limit at xi01, limit at xi02); both finite."""
         return (-self._zeta_base, self._zeta_cum.total - self._zeta_base)
 
-    def zeta(self, xi: float) -> float:
-        return self.params.sign * (self.zeta0(xi) + self.params.c_base)
-
     # -- immersion ----------------------------------------------------------
 
     def radius(self, xi: float) -> float:
@@ -294,7 +291,7 @@ class SphereFamily:
         if not self.roots.contains(xi):
             raise OutOfDomain(f"xi = {xi} outside the open strip")
         R = self.radius(xi)
-        z = self.zeta(xi)
+        z = self.zeta0(xi)
         sc = math.sqrt(self.C)
         p1, p2, d = R * math.cos(z), R * math.sin(z), sc * xi
         theta = np.asarray(theta, dtype=float)
@@ -304,10 +301,10 @@ class SphereFamily:
 
     def immersion_partials(self, xi: float, theta: float):
         R = self.radius(xi)
-        z = self.zeta(xi)
+        z = self.zeta0(xi)
         sc = math.sqrt(self.C)
         dR = 1.0 / (self.C * xi ** 3 * R)
-        dz = self.params.sign * self.zeta0_deriv(xi)
+        dz = self.zeta0_deriv(xi)
         ct, st = math.cos(sc * theta), math.sin(sc * theta)
         cz, sz = math.cos(z), math.sin(z)
         d_xi = np.array([
@@ -373,12 +370,8 @@ def zeta0(C: float, xi: float) -> float:
 
 
 def immersion_PhiC(params: FamilyParamsS3 | float, xi: float, theta: float) -> np.ndarray:
-    if isinstance(params, FamilyParamsS3):
-        fam = SphereFamily(params.C, params.sign, params.c_base) \
-            if (params.sign, params.c_base) != (1, 0.0) else family(params.C)
-    else:
-        fam = family(float(params))
-    return fam.immersion(xi, theta)
+    C = params.C if isinstance(params, FamilyParamsS3) else float(params)
+    return family(C).immersion(xi, theta)
 
 
 # -- curvature ODE route ------------------------------------------------------
@@ -387,8 +380,6 @@ def curvature_ode_k(
     params: FamilyParamsS3,
     k_start: float,
     direction: int = +1,
-    n_turning_points: int = 7,
-    t_end: float = 100.0,
     tol: float = 1e-10,
 ) -> dict:
     """Integrate the profile-curvature oscillation and report invariants.
@@ -421,10 +412,10 @@ def curvature_ode_k(
     sol = solve_ode(
         rhs,
         OdeState(0.0, np.array([k_start, kp0]), 1e-3),
-        t_end,
+        ODE_T_END,
         tol=tol,
         event=lambda t, y: y[1],
-        max_events=n_turning_points,
+        max_events=ODE_TURNING_POINTS,
     )
     ks = np.array([s.y[0] for s in sol.states])
     kps = np.array([s.y[1] for s in sol.states])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,42 @@ class TestBadValues:
         assert not out.exists()
 
 
+class TestR3ExtremeC:
+    """r3 at C where its closed forms or its checks leave the float range:
+    exit 2 with one error line, never a traceback."""
+
+    # C1 = (9/C)^(1/3) overflows; a degenerate first form; brackets that
+    # never change sign at both ends; an overflowing residual
+    @pytest.mark.parametrize("C", ["1e-320", "1e-300", "1e-100", "1e100", "1e308"])
+    def test_verify(self, tmp_path, capsys, C):
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["verify", "--family", "r3", "--C", C, "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert not caught  # a warning would print more lines on stderr
+        assert not out.exists()
+
+    def test_mesh(self, tmp_path, capsys):
+        out = tmp_path / "r3.obj"
+        assert run(["mesh", "--family", "r3", "--C", "1e-320", "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_curves(self, tmp_path, capsys):
+        out = tmp_path / "fig1.csv"
+        assert run(["curves", "--figure", "fig1", "--C", "1e-320", "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_failing_check_still_exits_1(self, tmp_path, capsys):
+        # at C = 1e-4 the checks run and gauss_curvature_identity fails
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--family", "r3", "--C", "1e-4", "--out", str(out)]) == 1
+        assert not json.loads(out.read_text())["checks"]["gauss_curvature_identity"]["pass"]
+        assert "error:" not in capsys.readouterr().err
+
+
 class TestEmptyRunsAndOutputs:
     def test_verify_grid_n_zero(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -494,7 +531,7 @@ def _ref_phic(fam, xi, theta):
     if not fam.roots.contains(xi):
         raise OutOfDomain(f"xi = {xi} outside the open strip")
     R = fam.radius(xi)
-    z = fam.zeta(xi)
+    z = fam.zeta0(xi)
     sc = math.sqrt(fam.C)
     return np.array([
         R * math.cos(z),

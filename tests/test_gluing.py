@@ -39,7 +39,7 @@ class TestCstarRange:
 
     def test_atlas_rejects_inadmissible(self):
         with pytest.raises(gluing.InvalidC):
-            gluing.build_atlas(1.0, 3.0)
+            gluing.GluingAtlas(1.0, 3.0)
 
 
 class TestHeightFunction:
@@ -134,7 +134,7 @@ def band_heights(at, n=100):
 @pytest.fixture(scope="module", params=INVERSE_CASES, ids=["C1", "C20-low", "C20-high", "Cmin"])
 def inverse_case(request):
     C, Cstar, bounds = request.param
-    return gluing.build_atlas(C, Cstar, k_max=2), bounds
+    return gluing.GluingAtlas(C, Cstar, k_max=2), bounds
 
 
 class TestTabulatedInverse:
@@ -169,7 +169,7 @@ class TestTabulatedInverse:
         assert caplog.records == []
 
     def test_newton_cap_is_logged(self, caplog, monkeypatch):
-        a2 = gluing.build_atlas(1.0, 1.0, k_max=2)
+        a2 = gluing.GluingAtlas(1.0, 1.0, k_max=2)
         deriv = a2.h0_deriv
         monkeypatch.setattr(a2, "h0_deriv", lambda xi: 1e-3 * deriv(xi))  # overshooting steps
         with caplog.at_level(logging.DEBUG, logger="biconsurf.gluing"):
@@ -179,7 +179,7 @@ class TestTabulatedInverse:
         assert a2.roots.xi00 < xi < a2.roots.xi02
 
     def test_one_inversion_per_partials_call(self, monkeypatch):
-        a2 = gluing.build_atlas(1.0, 1.0, k_max=2)
+        a2 = gluing.GluingAtlas(1.0, 1.0, k_max=2)
         calls = []
         inverse = a2.h0_inverse
         monkeypatch.setattr(a2, "h0_inverse", lambda y: calls.append(y) or inverse(y))
@@ -215,7 +215,7 @@ class TestGridAndPhases:
             assert gluing.phase_distance(at.phase(k), at.phase_by_recursion(k)) < 1e-12
 
     def test_nonzero_c0_consistency(self):
-        a2 = gluing.build_atlas(1.0, 1.0, c0=0.7, k_max=5)
+        a2 = gluing.GluingAtlas(1.0, 1.0, c0=0.7, k_max=5)
         for k in range(-12, 13):
             assert gluing.phase_distance(a2.phase(k), a2.phase_by_recursion(k)) < 1e-12
 
@@ -267,10 +267,10 @@ class TestJunctionSmoothness:
         assert abs(d["right"]) < 1e-8
 
     def test_rejected_phase_branch_breaks_c1(self):
-        bad = gluing.build_atlas(1.0, 1.0, k_max=3, rejected_phases=True)
+        bad = gluing.GluingAtlas(1.0, 1.0, k_max=3, rejected_phases=True)
         rep = bad.junction_smoothness(1, orders=(1,), functions=("phi1",))
         assert rep["phi1"][1]["relative_mismatch"] > 1e-2
-        good = gluing.build_atlas(1.0, 1.0, k_max=3)
+        good = gluing.GluingAtlas(1.0, 1.0, k_max=3)
         rep2 = good.junction_smoothness(1, orders=(1,), functions=("phi1",))
         assert rep2["phi1"][1]["relative_mismatch"] < 1e-3
 
@@ -319,7 +319,7 @@ class TestRevolutionSurface:
         # along the profile; the oracle (oriented for f >= 0) matches |f|
         C = spherical.C_MIN + 0.02
         Cs = 0.5 * gluing.cstar_range(C).upper
-        a2 = gluing.build_atlas(C, Cs, k_max=2)
+        a2 = gluing.GluingAtlas(C, Cs, k_max=2)
         xi_hi = a2.roots.xi01 + 0.92 * (a2.roots.xi02 - a2.roots.xi01)
         assert a2.mean_curvature_psi(xi_hi) < 0.0
         patch = a2.psi_patch((a2.h_limits[0], a2.grid[2]))
@@ -328,7 +328,7 @@ class TestRevolutionSurface:
 
     def test_mean_curvature_depends_on_cstar(self):
         a1 = gluing.atlas(1.0, 1.0)
-        a2 = gluing.build_atlas(1.0, 0.5)
+        a2 = gluing.GluingAtlas(1.0, 0.5)
         xi = 3.0
         assert abs(a1.mean_curvature_psi(xi) - a2.mean_curvature_psi(xi)) > 1e-3
 

@@ -1,4 +1,4 @@
-"""Numerical kernel: roots, quadrature, ODE, finite differences, inversion."""
+"""Numerical kernel: roots, quadrature, ODE, one-sided derivatives, inversion."""
 
 import math
 
@@ -141,42 +141,32 @@ class TestSolveOde:
 
 
 # ----------------------------------------------------------------------
-# fd_derivative
+# one_sided_derivative
 # ----------------------------------------------------------------------
 
-class TestFdDerivative:
-    def test_sin_prime_at_zero(self):
-        assert nm.fd_derivative(math.sin, 0.0, 1) == pytest.approx(1.0, abs=1e-10)
+_CUBIC = (lambda x: 2.0 * x ** 3 - x * x + 3.0 * x - 1.0,
+          {1: lambda x: 6.0 * x * x - 2.0 * x + 3.0, 2: lambda x: 12.0 * x - 2.0,
+           3: lambda x: 12.0})
 
-    def test_cubic_third_derivative(self):
-        assert nm.fd_derivative(lambda x: x ** 3, 0.37, 3) == pytest.approx(6.0, rel=1e-7)
 
-    def test_cosh_cubed(self):
-        val = nm.fd_derivative(lambda u: math.cosh(u) ** 3, 1.0, 1)
-        assert val == pytest.approx(8.394807090790277, rel=1e-10)
+class TestOneSidedDerivative:
+    # measured at step 1e-2: 2.8e-11, 1.9e-10 and 3.6e-7
+    @pytest.mark.parametrize("order, bound", [(1, 1e-9), (2, 1e-8), (3, 1e-5)])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_exp(self, order, bound, forward):
+        val = nm.one_sided_derivative(math.exp, 0.3, order, 1e-2, forward)
+        assert abs(val - math.exp(0.3)) <= bound
 
-    def test_one_sided_matches_central(self):
-        for side in ("forward", "backward"):
-            val = nm.fd_derivative(math.exp, 0.3, 2, side=side)
-            assert val == pytest.approx(math.exp(0.3), rel=1e-6)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_cubic(self, order, forward):
+        f, derivs = _CUBIC
+        val = nm.one_sided_derivative(f, 0.7, order, 0.1, forward)
+        assert abs(val - derivs[order](0.7)) <= 1e-9
 
-    def test_order_consistency_until_roundoff(self):
-        # central first derivative is 4th-order accurate: quartering the
-        # step should cut the error by ~256 while truncation dominates
-        f = math.sin
-        x = 0.7
-        errs = []
-        for h in (1e-1, 2.5e-2):
-            errs.append(abs(nm.fd_derivative(f, x, 1, step=h) - math.cos(x)))
-        assert errs[1] < errs[0] / 60.0
-
-    def test_domain_too_small(self):
-        with pytest.raises(nm.DomainTooSmall):
-            nm.fd_derivative(math.sin, 0.5, 2, lo=0.5 - 1e-14, hi=0.5 + 1e-14)
-
-    def test_bounded_domain_shrinks_step(self):
-        val = nm.fd_derivative(math.sin, 1e-3, 1, lo=0.0, hi=2.0)
-        assert val == pytest.approx(math.cos(1e-3), rel=1e-6)
+    def test_order_four_rejected(self):
+        with pytest.raises(ValueError):
+            nm.one_sided_derivative(math.exp, 0.3, 4, 1e-2, True)
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,31 @@ class TestRoots:
         assert abs(float(spherical.L(C1, r.k02))) < 1e-10
 
 
+class TestTNearRoots:
+    @pytest.mark.parametrize("C", [0.8, 1.0, 3.0, 20.0, 100.0])
+    def test_against_mpmath(self, C):
+        # distances of 0.1 to 1.5 times 1e-4 of the strip width, on both
+        # sides of both roots (but not below tau = 0): at C = 20 and 100 that
+        # width reaches a fifth of xi01 and beyond, where the Taylor form
+        # about the root erred by up to 5e-8 and 3e-4 relative
+        mpmath = pytest.importorskip("mpmath")
+        r = spherical.domain_roots(C)
+        width = 1e-4 * (r.xi02 - r.xi01)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for root in (r.xi01, r.xi02):
+                for frac in np.linspace(0.1, 1.5, 15):
+                    for side in (1.0, -1.0):
+                        tau = root + side * frac * width
+                        if tau <= 0.0:
+                            continue
+                        x = mpmath.mpf(tau)
+                        exact = -x ** (mpmath.mpf(8) / 3) + 3 * mpmath.mpf(C) * x * x - 3
+                        got = float(spherical.T_near_roots(C, tau, r)[0])
+                        worst = max(worst, float(abs((got - exact) / exact)))
+        assert worst <= 1e-9
+
+
 class TestMetric:
     def test_closed_form_coefficients(self):
         E, G = spherical.metric_gC(1.0, 3.375)
