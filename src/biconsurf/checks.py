@@ -337,8 +337,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
         for fn in rep.values():
             for order in fn.values():
                 worst_junction = max(worst_junction, order["relative_mismatch"])
-    bad = gluing.GluingAtlas(C, Cstar, c0=c0, k_max=3, rejected_phases=True)
-    neg = bad.junction_smoothness(1, orders=(1,), functions=("phi1",))
+    neg = at.with_rejected_phases().junction_smoothness(1, orders=(1,), functions=("phi1",))
     neg_mismatch = neg["phi1"][1]["relative_mismatch"]
 
     worst_norm = 0.0

@@ -18,6 +18,7 @@ of the plane with the periodic-profile metric into the unit 3-sphere.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -159,12 +160,15 @@ class GluingAtlas:
         residual is within two ulps of the height span, below which the
         step is rounding.  In the three cells at each end the steps are
         taken in w = sqrt(|xi - root|), where the height map has a smooth,
-        nonvanishing derivative.
+        nonvanishing derivative, and the slope comes from the height
+        table's `end_slope`.  Each step costs one table lookup: the
+        integrand is not evaluated.
 
         Measured max |h0(h0_inverse(y)) - y| / span at C = C* = 1, by the
-        distance of y to the nearer end height: 3e-15 beyond 1e-2 of the
+        distance of y to the nearer end height: 2e-15 beyond 1e-2 of the
         span, 3e-13 within 1e-2, 3e-11 within 1e-4 and 9e-9 within 1e-6
-        (up to 4e-14, 3e-12, 3e-10 and 3e-8 at C = 1.001 C_MIN).  The
+        (up to 3e-14, 2e-12, 2e-10 and 2e-8 at C = 1.001 C_MIN with C* at
+        half its range).  The
         three end bands are the representation floor h0'(xi) ulp(xi) of
         the returned xi; at a root a one-ulp move of xi already changes
         the height by ~sqrt(eps).  A Newton loop that reaches NEWTON_CAP
@@ -192,11 +196,10 @@ class GluingAtlas:
             slope = self.h0_deriv
         else:
             # u = +-w rises with xi at both ends: xi = root + s u^2
-            root, s, sub = ((self.roots.xi01, 1.0, self._h_cum.left_sub) if i < 3
-                            else (self.roots.xi02, -1.0, self._h_cum.right_sub))
+            root, s = (self.roots.xi01, 1.0) if i < 3 else (self.roots.xi02, -1.0)
             to_u = lambda v: s * math.sqrt(s * (v - root))
             to_xi = lambda u: root + s * u * u
-            slope = lambda u: float(sub(np.array([s * u]))[0])
+            slope = lambda u: self._h_cum.end_slope(s * u, upper=s < 0.0)
         u_lo, u_hi = to_u(float(xs[i])), to_u(float(xs[i + 1]))
         xi = min(max(xi, float(xs[i])), float(xs[i + 1]))
         tol = 1e-14 * (self.roots.xi02 - self.roots.xi01)
@@ -219,6 +222,13 @@ class GluingAtlas:
         _log.debug("h0_inverse: no convergence in %d Newton steps at y=%r, last step %r",
                    NEWTON_CAP, y, step)
         return xi
+
+    def with_rejected_phases(self) -> "GluingAtlas":
+        """This atlas on the continuity-only branch c_k = c0, sharing its
+        tables: the negative control without a second height quadrature."""
+        bad = copy.copy(self)
+        bad.rejected_phases = True
+        return bad
 
     # -- grid, strips and phases ---------------------------------------------
 
@@ -454,9 +464,8 @@ class GluingAtlas:
         strip width from the junction root; FD steps must resolve it."""
         span = self.roots.xi02 - self.roots.xi01
         root, _ = self._junction_data(self._junction_index(self.grid[k]))
-        sub = self._h_cum.left_sub if root == self.roots.xi01 else self._h_cum.right_sub
-        slope = sub(np.array([0.0]))[0]
-        return float(slope) * math.sqrt(0.05 * span)
+        slope = self._h_cum.end_slope(0.0, upper=root != self.roots.xi01)
+        return slope * math.sqrt(0.05 * span)
 
     def junction_smoothness(self, k: int, orders=(1, 2, 3), functions=("F", "phi1", "phi2")) -> dict:
         """One-sided derivative comparison across the junction h_{0,k}.
@@ -548,6 +557,15 @@ class GluingAtlas:
 
 
 @lru_cache(maxsize=16)
-def atlas(C: float, Cstar: float, c0: float = 0.0) -> GluingAtlas:
-    """Cached atlas for repeat use in checks and the CLI."""
+def _cached_atlas(C: float, Cstar: float, c0: float) -> GluingAtlas:
     return GluingAtlas(C, Cstar, c0=c0)
+
+
+def atlas(C: float, Cstar: float, c0: float = 0.0) -> GluingAtlas:
+    """Cached atlas for repeat use in checks and the CLI; one cache entry
+    per (C, C*, c0) however c0 is passed."""
+    return _cached_atlas(float(C), float(Cstar), float(c0))
+
+
+atlas.cache_clear = _cached_atlas.cache_clear
+atlas.cache_info = _cached_atlas.cache_info

@@ -1,11 +1,13 @@
 """Shared numerical kernel.
 
-Bracketed root finding, quadrature that tolerates inverse-square-root
-endpoint singularities, an embedded adaptive Runge-Kutta integrator with
-event detection, one-sided Richardson derivatives, and monotone-function
-inversion.  Everything is pure with respect to its inputs; the cumulative
-quadrature tables built here are immutable after construction and safe to
-share between threads.
+Bracketed root finding, cumulative quadrature that tolerates
+inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
+build time, kept as per-panel Chebyshev antiderivatives that later
+evaluations sum by Clenshaw), an embedded adaptive Runge-Kutta integrator
+with event detection, one-sided Richardson derivatives, and
+monotone-function inversion.  Everything is pure with respect to its
+inputs; the cumulative quadrature tables built here are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -201,11 +203,12 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-def gauss_kronrod_panel(f_vec, a: float, b: float) -> tuple[float, float]:
+def gauss_kronrod_panel(f_vec, a: float, b: float) -> tuple[float, float, np.ndarray]:
     """Single 15-point Kronrod panel of a vectorized integrand.
 
-    Returns (value, error_estimate); the estimate is the Gauss/Kronrod
-    discrepancy.
+    Returns (value, error_estimate, samples); the estimate is the
+    Gauss/Kronrod discrepancy and the samples are the integrand at the 15
+    Kronrod nodes, in ascending order.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -213,18 +216,88 @@ def gauss_kronrod_panel(f_vec, a: float, b: float) -> tuple[float, float]:
     y = np.asarray(f_vec(x), dtype=float)
     k15 = half * float(np.dot(_GK_WEIGHTS, y))
     g7 = half * float(np.dot(_G7_WEIGHTS, y[1::2]))
-    return k15, abs(k15 - g7)
+    return k15, abs(k15 - g7), y
 
 
-def _gk_adaptive(f_vec, a, b, tol_abs, rel=1e-13, depth=0, max_depth=8):
-    val, err = gauss_kronrod_panel(f_vec, a, b)
+class _Leaves:
+    """Accepted panels of a cumulative build in one float64 array, which
+    becomes the table: a row holds the panel's ends, its K15 value and its
+    15 samples, in the columns that `CumulativeQuadrature` later fills
+    with the left end, half-width, base and coefficients.  Rows grow by
+    half; no Python object outlives its panel."""
+
+    def __init__(self, capacity: int):
+        self.n = 0
+        self.rows = np.empty((capacity, _COEF + len(_ANTIDERIVATIVE)))
+
+    def add(self, a: float, b: float, value: float, samples: np.ndarray) -> None:
+        if self.n == len(self.rows):
+            extra = np.empty((len(self.rows) // 2, self.rows.shape[1]))
+            self.rows = np.concatenate([self.rows, extra])
+        row = self.rows[self.n]
+        row[_LO], row[_HI], row[_VALUE] = a, b, value
+        row[_COEF:_COEF + len(samples)] = samples
+        self.n += 1
+
+
+def _gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
+    """Adaptive bisection of GK15 panels; returns (value, error_estimate).
+
+    Every accepted panel is added to `leaves`; the depth-first recursion
+    adds them left to right.
+    """
+    val, err, y = gauss_kronrod_panel(f_vec, a, b)
     converged = err <= tol_abs + rel * abs(val)
     if converged or depth >= max_depth or (b - a) < 64.0 * _EPS * max(1.0, abs(a), abs(b)):
+        leaves.add(a, b, val, y)
         return val, err
     m = 0.5 * (a + b)
-    v1, e1 = _gk_adaptive(f_vec, a, m, 0.5 * tol_abs, rel, depth + 1, max_depth)
-    v2, e2 = _gk_adaptive(f_vec, m, b, 0.5 * tol_abs, rel, depth + 1, max_depth)
+    v1, e1 = _gk_adaptive(f_vec, a, m, 0.5 * tol_abs, leaves, rel, depth + 1, max_depth)
+    v2, e2 = _gk_adaptive(f_vec, m, b, 0.5 * tol_abs, leaves, rel, depth + 1, max_depth)
     return v1 + v2, e1 + e2
+
+
+def _antiderivative_matrix() -> np.ndarray:
+    """16 x 15 map from a panel's samples at the Kronrod nodes to the
+    Chebyshev coefficients, on [-1, 1], of the antiderivative of their
+    degree-14 interpolant that vanishes at -1.
+
+    The interpolant is evaluated at the 16 Chebyshev points of the first
+    kind (none is a Kronrod node) in the barycentric form; a cosine sum
+    gives its Chebyshev coefficients a_k, and the integration recurrence
+    b_k = (a_{k-1} - a_{k+1}) / (2k) those of the antiderivative
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 3
+    and 19).  Built in Python floats: at import, numpy ufuncs that nothing
+    else uses would page in code for a table of 240 numbers.
+    """
+    nodes = _GK_NODES.tolist()
+    n = len(nodes)
+    m = n + 1
+    theta = [math.pi * (p + 0.5) / m for p in range(m)]
+    weights = [1.0 / math.prod(nodes[j] - nodes[k] for k in range(n) if k != j)
+               for j in range(n)]
+    interp = []  # [point][sample]: Lagrange basis at the Chebyshev points
+    for th in theta:
+        q = [w / (math.cos(th) - x) for w, x in zip(weights, nodes)]
+        total = sum(q)
+        interp.append([v / total for v in q])
+    a = [[2.0 / m * sum(math.cos(k * th) * row[j] for th, row in zip(theta, interp))
+          for j in range(n)] for k in range(m)]
+    a[0] = [0.5 * v for v in a[0]]
+    a += [[0.0] * n, [0.0] * n]
+    b = [[a[0][j] - 0.5 * a[2][j] for j in range(n)]]
+    b += [[(a[k - 1][j] - a[k + 1][j]) / (2.0 * k) for j in range(n)] for k in range(2, m)]
+    b.insert(0, [-sum((-1.0) ** k * b[k - 1][j] for k in range(1, m)) for j in range(n)])
+    return np.array(b)
+
+
+_ANTIDERIVATIVE = _antiderivative_matrix()
+
+# columns of a leaf row: panel's left end, half-width, integral up to the
+# left end, then the 16 Chebyshev coefficients; while the table is built,
+# the right end, the K15 value and the 15 samples
+_LO, _HALF, _BASE, _COEF = 0, 1, 2, 3
+_HI, _VALUE = _HALF, _BASE
 
 
 class CumulativeQuadrature:
@@ -238,9 +311,14 @@ class CumulativeQuadrature:
     from a rounded x would cancel, and the exact distance is what keeps
     the table accurate to ~1e-13 relative all the way to the closed
     endpoints.  Nodes cluster near the ends (cosine spacing), matching
-    where the integrand steepens.  `value(x)` adds one adaptive
-    Gauss-Kronrod integral from the nearest node, which keeps repeated
-    evaluation cheap and consistent with the table.
+    where the integrand steepens.
+
+    The build integrates each cell with adaptive Gauss-Kronrod panels;
+    `table` holds the running sums of their K15 values.  Each accepted
+    panel also keeps the Chebyshev coefficients of the antiderivative of
+    its 15-point interpolant, so `value(x)` is a cell lookup plus one
+    Clenshaw sum, and `end_slope(w)` the matching derivative in the end
+    variable: after the build the integrand is never evaluated.
     """
 
     def __init__(
@@ -266,21 +344,96 @@ class CumulativeQuadrature:
         self._cell_tol = 1e-14 * max(1.0, upper - lower)
         cum = np.empty(QUAD_CELLS + 1)
         cum[0] = 0.0
+        leaves = _Leaves(QUAD_CELLS + QUAD_CELLS // 4)
+        first_leaf = np.empty(QUAD_CELLS + 1, dtype=np.intp)
         for i in range(QUAD_CELLS):
+            first_leaf[i] = leaves.n
             a, b = self.nodes[i], self.nodes[i + 1]
             if i == 0:
-                v, _ = _gk_adaptive(left_sub, 0.0, math.sqrt(b - a), self._cell_tol)
+                v, _ = _gk_adaptive(left_sub, 0.0, math.sqrt(b - a), self._cell_tol, leaves)
             elif i == QUAD_CELLS - 1:
                 # substitution runs from the far (upper) end backwards
-                v, _ = _gk_adaptive(right_sub, 0.0, math.sqrt(b - a), self._cell_tol)
+                v, _ = _gk_adaptive(right_sub, 0.0, math.sqrt(b - a), self._cell_tol, leaves)
             else:
-                v, _ = _gk_adaptive(f_vec, a, b, self._cell_tol)
+                v, _ = _gk_adaptive(f_vec, a, b, self._cell_tol, leaves)
             cum[i + 1] = cum[i] + v
+        first_leaf[-1] = leaves.n
         self.table = cum
+        self._first_leaf = first_leaf
+        # the rows become the table in place: right ends turn into
+        # half-widths, K15 values into bases and samples into coefficients
+        rows = leaves.rows[:leaves.n]
+        rows[:, _HALF] = 0.5 * (rows[:, _HI] - rows[:, _LO])
+        # a leaf's base: the integral up to its left end, counted from the
+        # cell's own end in the two end cells and from lower elsewhere
+        for i in range(QUAD_CELLS):
+            base = float(cum[i]) if 0 < i < QUAD_CELLS - 1 else 0.0
+            for j in range(first_leaf[i], first_leaf[i + 1]):
+                value = float(rows[j, _VALUE])
+                rows[j, _BASE] = base
+                base += value
+        coef = np.einsum("kj,lj->lk", _ANTIDERIVATIVE, rows[:, _COEF:_COEF + len(_GK_NODES)])
+        rows[:, _COEF:] = coef * rows[:, _HALF:_HALF + 1]
+        self._leaves = rows
 
     @property
     def total(self) -> float:
         return float(self.table[-1])
+
+    def _cell(self, x: float) -> int:
+        """Index i with nodes[i] <= x < nodes[i + 1], for lower < x < upper,
+        from the inverse of the cosine node spacing."""
+        c = 1.0 - 2.0 * (x - self.lower) / (self.upper - self.lower)
+        i = min(int(QUAD_CELLS / math.pi * math.acos(min(1.0, max(-1.0, c)))), QUAD_CELLS - 1)
+        nodes = self.nodes
+        while x < nodes[i]:
+            i -= 1
+        while x >= nodes[i + 1]:
+            i += 1
+        return i
+
+    def _leaf(self, i: int, v: float) -> tuple[list, float]:
+        """Row of the leaf of cell i that holds v (in the cell's own
+        variable), as Python floats, and v's position t in [-1, 1] on it."""
+        j, last = int(self._first_leaf[i]), int(self._first_leaf[i + 1]) - 1
+        while j < last and v >= self._leaves[j + 1, _LO]:
+            j += 1
+        row = self._leaves[j].tolist()
+        return row, (v - row[_LO]) / row[_HALF] - 1.0
+
+    def _cell_integral(self, i: int, v: float) -> float:
+        """Leaf base plus the leaf's antiderivative at v: Clenshaw's sum."""
+        row, t = self._leaf(i, v)
+        t2 = t + t
+        b1 = b2 = 0.0
+        for c in row[:_COEF:-1]:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return row[_BASE] + (row[_COEF] + t * b1 - b2)
+
+    def _cell_slope(self, i: int, v: float) -> float:
+        """Derivative in v of `_cell_integral`: sum k c_k U_{k-1}(t) / half
+        by Clenshaw's recurrence for the second kind."""
+        row, t = self._leaf(i, v)
+        t2 = t + t
+        b1 = b2 = 0.0
+        k = len(row) - _COEF - 1
+        for c in row[:_COEF:-1]:
+            b1, b2 = k * c + t2 * b1 - b2, b1
+            k -= 1
+        return b1 / row[_HALF]
+
+    def end_slope(self, w: float, upper: bool = False) -> float:
+        """Derivative in w of the integral between the lower (or upper) end
+        and x = lower + w**2 (or upper - w**2): the interpolated `left_sub`
+        (or `right_sub`) at w, for x in the nearer half of the interval."""
+        if not (w >= 0.0 and w * w <= 0.5 * (self.upper - self.lower)):
+            raise OutOfDomain(f"w = {w} outside the nearer half")
+        near = QUAD_CELLS - 1 if upper else 0
+        x = self.upper - w * w if upper else self.lower + w * w
+        cell = self._cell(x) if self.lower < x < self.upper else near
+        if cell == near:
+            return self._cell_slope(near, w)
+        return 2.0 * w * self._cell_slope(cell, x)
 
     def value(self, x: float) -> float:
         """Cumulative integral from `lower` to x (x in the closed interval)."""
@@ -292,19 +445,14 @@ class CumulativeQuadrature:
             if x > self.upper + 1e-12 * (self.upper - self.lower):
                 raise OutOfDomain(f"{x} above {self.upper}")
             return self.total
-        i = int(np.searchsorted(self.nodes, x) - 1)
-        i = max(0, min(i, len(self.nodes) - 2))
-        a = float(self.nodes[i])
-        if x == a:
+        i = self._cell(x)
+        if x == self.nodes[i]:
             return float(self.table[i])
         if i == 0:
-            v, _ = _gk_adaptive(self.left_sub, 0.0, math.sqrt(x - self.lower), self._cell_tol)
-            return v
-        if i == len(self.nodes) - 2:
-            v, _ = _gk_adaptive(self.right_sub, 0.0, math.sqrt(self.upper - x), self._cell_tol)
-            return self.total - v
-        v, _ = _gk_adaptive(self.f, a, x, self._cell_tol)
-        return float(self.table[i]) + v
+            return self._cell_integral(i, math.sqrt(x - self.lower))
+        if i == QUAD_CELLS - 1:
+            return self.total - self._cell_integral(i, math.sqrt(self.upper - x))
+        return self._cell_integral(i, x)
 
 
 # ----------------------------------------------------------------------

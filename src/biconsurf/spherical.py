@@ -140,6 +140,10 @@ def T_over_distance(C: float, root: float, d):
     return t1 + d * (t2 / 2.0 + d * (t3 / 6.0 + d * (t4 / 24.0)))
 
 
+def _taylor_window(roots: "DomainRoots", root: float) -> float:
+    return min(1e-4 * (roots.xi02 - roots.xi01), 1e-3 * root)
+
+
 def T_near_roots(C: float, tau, roots: "DomainRoots"):
     """T evaluated stably arbitrarily close to its strip roots.
 
@@ -149,14 +153,19 @@ def T_near_roots(C: float, tau, roots: "DomainRoots"):
     about the root instead.  The window at each root is the smaller of
     1e-4 of the strip width and 1e-3 of the root, the range where the
     quartic Taylor polynomial's truncation stays below rounding; at large
-    C, 1e-4 of the strip width alone would reach a fifth of xi01.
+    C, 1e-4 of the strip width alone would reach a fifth of xi01.  A root
+    whose window the range of `tau` misses is skipped without a mask.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    span = roots.xi02 - roots.xi01
     out = T(C, tau)
+    lo, hi = float(tau.min()), float(tau.max())
     for root in (roots.xi01, roots.xi02):
+        window = _taylor_window(roots, root)
+        # rounding is monotone, so no tau - root lies within the window either
+        if hi - root < -window or lo - root > window:
+            continue
         d = tau - root
-        mask = np.abs(d) <= min(1e-4 * span, 1e-3 * root)
+        mask = np.abs(d) <= window
         if np.any(mask):
             dm = d[mask]
             out[mask] = dm * T_over_distance(C, root, dm)
@@ -164,7 +173,17 @@ def T_near_roots(C: float, tau, roots: "DomainRoots"):
 
 
 def T_stable(C: float, xi: float, roots: "DomainRoots") -> float:
-    return float(T_near_roots(C, xi, roots)[0])
+    """Scalar `T_near_roots` in Python floats, with the same windows; the
+    two differ by a few ulps where Python's pow and numpy's round apart."""
+    for root in (roots.xi01, roots.xi02):
+        d = xi - root
+        if abs(d) <= _taylor_window(roots, root):
+            t1 = -(8.0 / 3.0) * root ** (5.0 / 3.0) + 6.0 * C * root
+            t2 = -(40.0 / 9.0) * root ** (2.0 / 3.0) + 6.0 * C
+            t3 = -(80.0 / 27.0) * root ** (-1.0 / 3.0)
+            t4 = (80.0 / 81.0) * root ** (-4.0 / 3.0)
+            return d * (t1 + d * (t2 / 2.0 + d * (t3 / 6.0 + d * (t4 / 24.0))))
+    return -xi ** (8.0 / 3.0) + 3.0 * C * (xi * xi) - 3.0
 
 
 def L(C1: float, k):
@@ -254,9 +273,9 @@ class SphereFamily:
         self.roots = domain_roots(C)
         sc = math.sqrt(self.C)
 
+        C = self.C  # not self in the integrand: that cycle would outlive cache eviction
         self._zeta_cum = strip_quadrature(
-            self.C, self.roots,
-            lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (self.C * tau * tau - 1.0))
+            C, self.roots, lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0))
         self._zeta_base = self._zeta_cum.value(self.roots.xi00)
 
     # -- scalar quantities -------------------------------------------------

@@ -42,6 +42,22 @@ class TestCstarRange:
             gluing.GluingAtlas(1.0, 3.0)
 
 
+class TestAtlasCache:
+    def test_one_entry_however_c0_is_passed(self):
+        a = gluing.atlas(1.0, 1.0)
+        assert a is gluing.atlas(1.0, 1.0, c0=0.0)
+        assert a is gluing.atlas(1.0, 1.0, 0.0)
+        assert a is gluing.atlas(1, 1)
+
+    def test_cache_controls(self):
+        gluing.atlas(1.0, 1.0)
+        info = gluing.atlas.cache_info()
+        assert info.currsize >= 1
+        hits = info.hits
+        gluing.atlas(1.0, 1.0, c0=0.0)
+        assert gluing.atlas.cache_info().hits == hits + 1
+
+
 class TestHeightFunction:
     def test_base_point(self, at):
         assert at.h0(at.roots.xi00) == 0.0

@@ -91,6 +91,43 @@ class TestCumulativeQuadrature:
             nm.CumulativeQuadrature(lambda x: x, 1.0, 0.0, cq.left_sub, cq.right_sub)
 
 
+class TestChebyshevTable:
+    def test_matrix_integrates_polynomials_exactly(self):
+        cheb = pytest.importorskip("numpy.polynomial.chebyshev")
+        t = np.linspace(-1.0, 1.0, 21)
+        for k in range(15):
+            coef = nm._ANTIDERIVATIVE @ nm._GK_NODES ** k
+            exact = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(cheb.chebval(t, coef) - exact)) <= 1e-15
+
+    def test_full_panel_is_the_kronrod_sum(self):
+        # the weights are tabulated to 15 digits, the matrix is exact
+        full = np.sum(nm._ANTIDERIVATIVE, axis=0)     # T_k(1) = 1
+        assert np.max(np.abs(full - nm._GK_WEIGHTS)) <= 2e-15
+
+    def test_value_dense_against_closed_form(self):
+        cq = nm.CumulativeQuadrature(
+            lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 1.0,
+            left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
+            right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
+        d = np.geomspace(1e-12, 0.5, 400)
+        for x in np.concatenate([d, 1.0 - d]):
+            x = float(x)
+            exact = 2.0 * math.asin(math.sqrt(x)) if x <= 0.5 else \
+                math.pi - 2.0 * math.asin(math.sqrt(1.0 - x))
+            assert abs(cq.value(x) - exact) <= 1e-13
+
+    def test_end_slope_is_the_end_integrand(self):
+        cq = nm.CumulativeQuadrature(
+            lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 1.0,
+            left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
+            right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
+        for w in (0.0, 1e-6, 1e-3, 0.05, 0.3, 0.7):
+            for upper in (False, True):
+                assert cq.end_slope(w, upper) == pytest.approx(2.0 / math.sqrt(1.0 - w * w),
+                                                               rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # solve_ode
 # ----------------------------------------------------------------------

@@ -1,0 +1,168 @@
+"""The Chebyshev table behind `CumulativeQuadrature.value` on the strip
+quadratures: agreement with the per-call Gauss-Kronrod evaluation it
+replaced, and no integrand evaluation after the build."""
+
+import math
+
+import numpy as np
+import pytest
+
+from biconsurf import checks, gluing, spherical
+from biconsurf import numerics as nm
+
+
+def per_call_gk(cq, x):
+    """The evaluation the table replaced: the table entry at the cell's
+    left node plus one adaptive GK integral from there to x (in s in the
+    end cells)."""
+    if x <= cq.lower:
+        return 0.0
+    if x >= cq.upper:
+        return cq.total
+    i = min(max(int(np.searchsorted(cq.nodes, x)) - 1, 0), nm.QUAD_CELLS - 1)
+    a = float(cq.nodes[i])
+    if x == a:
+        return float(cq.table[i])
+    if i == 0:
+        return nm._gk_adaptive(cq.left_sub, 0.0, math.sqrt(x - cq.lower), cq._cell_tol, nm._Leaves(8))[0]
+    if i == nm.QUAD_CELLS - 1:
+        return cq.total - nm._gk_adaptive(cq.right_sub, 0.0, math.sqrt(cq.upper - x),
+                                          cq._cell_tol, nm._Leaves(8))[0]
+    return float(cq.table[i]) + nm._gk_adaptive(cq.f, a, x, cq._cell_tol, nm._Leaves(8))[0]
+
+
+def _cstar_at(C, frac):
+    return frac * gluing.cstar_range(C).upper
+
+
+C_NEAR_MIN = 1.001 * spherical.C_MIN
+PAIRS = [
+    (1.0, 1.0),
+    (C_NEAR_MIN, _cstar_at(C_NEAR_MIN, 0.01)),
+    (C_NEAR_MIN, _cstar_at(C_NEAR_MIN, 0.99)),
+    (20.0, _cstar_at(20.0, 0.01)),
+    (20.0, _cstar_at(20.0, 0.99)),
+    (3.0, _cstar_at(3.0, 0.5)),
+]
+PAIR_IDS = ["C1", "Cmin-low", "Cmin-high", "C20-low", "C20-high", "C3"]
+
+# distance of x to the nearer end, as a fraction of the width
+DISTANCE_BANDS = ((1e-2, 0.5), (1e-4, 1e-2), (1e-6, 1e-4), (1e-12, 1e-6))
+
+
+def band_points(cq, n=40):
+    width = cq.upper - cq.lower
+    for a, b in DISTANCE_BANDS:
+        d = width * np.geomspace(a, b, n)
+        yield np.concatenate([cq.lower + d, cq.upper - d])
+
+
+def quadratures(C, Cstar):
+    at = gluing.GluingAtlas(C, Cstar, k_max=2)
+    return {"zeta": at.family._zeta_cum, "h": at._h_cum}
+
+
+@pytest.mark.parametrize("C, Cstar", PAIRS, ids=PAIR_IDS)
+def test_table_matches_per_call_gk_by_band(C, Cstar):
+    for name, cq in quadratures(C, Cstar).items():
+        scale = abs(cq.total)
+        for band, xs in zip(DISTANCE_BANDS, band_points(cq)):
+            worst = max(abs(cq.value(float(x)) - per_call_gk(cq, float(x))) for x in xs)
+            assert worst <= 1e-13 * scale, (name, band, worst / scale)
+
+
+def test_value_at_nodes_is_the_table():
+    cq = gluing.atlas(1.0, 1.0)._h_cum
+    for i in (1, 2, 100, 256, nm.QUAD_CELLS - 2, nm.QUAD_CELLS - 1):
+        assert cq.value(float(cq.nodes[i])) == cq.table[i]
+
+
+def test_end_slope_matches_end_integrands():
+    # within the end cells end_slope interpolates left_sub / right_sub
+    cq = gluing.atlas(1.0, 1.0)._h_cum
+    w_end = math.sqrt(float(cq.nodes[1] - cq.nodes[0]))
+    for w in np.linspace(0.0, w_end, 9):
+        assert cq.end_slope(w) == pytest.approx(float(cq.left_sub(np.array([w]))[0]), rel=1e-12)
+        assert cq.end_slope(w, upper=True) == pytest.approx(
+            float(cq.right_sub(np.array([w]))[0]), rel=1e-12)
+    # beyond them it is 2 w times the integrand
+    for w in (2.0 * w_end, 0.1, 0.5):
+        x = cq.lower + w * w
+        assert cq.end_slope(w) == pytest.approx(2.0 * w * float(cq.f(np.array([x]))[0]),
+                                                rel=1e-11)
+    with pytest.raises(nm.OutOfDomain):
+        cq.end_slope(math.sqrt(0.6 * (cq.upper - cq.lower)))
+
+
+def test_no_integrand_evaluation_after_build(monkeypatch):
+    at = gluing.GluingAtlas(1.0, 1.0, k_max=2)
+    fam = at.family
+    calls = {"panel": 0, "T_near_roots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nm, "gauss_kronrod_panel", counted("panel", nm.gauss_kronrod_panel))
+    monkeypatch.setattr(spherical, "T_near_roots", counted("T_near_roots", spherical.T_near_roots))
+    r = at.roots
+    width = r.xi02 - r.xi01
+    offsets = width * np.geomspace(1e-12, 0.5, 60)
+    xis = np.concatenate([r.xi01 + offsets, r.xi02 - offsets])
+    for xi in xis:
+        xi = float(xi)
+        at._h_cum.value(xi)
+        fam._zeta_cum.value(xi)
+        at.h0(xi)
+        fam.zeta0(xi)
+        at.h0_deriv(xi)
+        fam.zeta0_deriv(xi)
+    lo, hi = at.h_limits
+    span = hi - lo
+    for y in np.concatenate([lo + span * np.geomspace(1e-11, 1.0, 80),
+                             hi - span * np.geomspace(1e-11, 1.0, 80)]):
+        at.h0_inverse(float(y))
+    assert calls == {"panel": 0, "T_near_roots": 0}
+
+
+@pytest.fixture(scope="module")
+def cold_report():
+    """A cold s3-complete report, with the quadrature builds it made."""
+    spherical.family.cache_clear()
+    gluing.atlas.cache_clear()
+    builds = []
+    init = nm.CumulativeQuadrature.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    nm.CumulativeQuadrature.__init__ = counted
+    try:
+        report = checks.s3_complete_checks(1.0, 1.0)
+    finally:
+        nm.CumulativeQuadrature.__init__ = init
+    return report, builds
+
+
+def test_cold_s3_complete_report_builds_two_quadratures(cold_report):
+    # the turning angle and the height; the negative control shares the height
+    _, builds = cold_report
+    assert len(builds) == 2
+
+
+def test_negative_control_shares_tables_bit_for_bit(cold_report):
+    report, _ = cold_report
+    bad = gluing.GluingAtlas(1.0, 1.0, k_max=3, rejected_phases=True)
+    neg = bad.junction_smoothness(1, orders=(1,), functions=("phi1",))
+    assert report["junction_negative_control"].value == neg["phi1"][1]["relative_mismatch"]
+
+
+def test_rejected_phases_copy_leaves_atlas_alone():
+    at = gluing.atlas(1.0, 1.0)
+    bad = at.with_rejected_phases()
+    assert not at.rejected_phases and bad.rejected_phases
+    assert bad._h_cum is at._h_cum
+    assert bad.phase(3) == at.c0 != at.phase(3)

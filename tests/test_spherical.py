@@ -83,6 +83,56 @@ class TestTNearRoots:
         assert worst <= 1e-9
 
 
+def masked_T_near_roots(C, tau, roots):
+    """T_near_roots as it was before the range test: the mask at every root."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    span = roots.xi02 - roots.xi01
+    out = spherical.T(C, tau)
+    for root in (roots.xi01, roots.xi02):
+        d = tau - root
+        mask = np.abs(d) <= min(1e-4 * span, 1e-3 * root)
+        if np.any(mask):
+            dm = d[mask]
+            out[mask] = dm * spherical.T_over_distance(C, root, dm)
+    return out
+
+
+def window_probes(r):
+    """Arrays straddling, just inside and just outside each window edge,
+    at the window's scale and at the scale of one ulp."""
+    for root in (r.xi01, r.xi02):
+        w = min(1e-4 * (r.xi02 - r.xi01), 1e-3 * root)
+        for edge in (root - w, root + w):
+            yield np.linspace(edge - 0.1 * w, edge + 0.1 * w, 15)
+            yield edge + math.ulp(edge) * np.arange(-7.0, 8.0)
+            yield np.linspace(edge + 1e-3 * w, edge + 0.2 * w, 15)
+            yield np.linspace(edge - 0.2 * w, edge - 1e-3 * w, 15)
+        yield np.linspace(root - 0.5 * w, root + 0.5 * w, 15)
+    yield np.linspace(r.xi01, r.xi02, 15)
+    yield np.array([r.xi00])
+
+
+class TestTStable:
+    @pytest.mark.parametrize("C", [0.8, 1.0, 3.0, 20.0, 100.0])
+    def test_range_test_keeps_masked_bits(self, C):
+        r = spherical.domain_roots(C)
+        for tau in window_probes(r):
+            assert np.array_equal(spherical.T_near_roots(C, tau, r),
+                                  masked_T_near_roots(C, tau, r))
+
+    @pytest.mark.parametrize("C", [0.8, 1.0, 3.0, 20.0, 100.0])
+    def test_scalar_matches_array(self, C):
+        r = spherical.domain_roots(C)
+        eps = np.finfo(float).eps
+        xis = np.concatenate(list(window_probes(r)))
+        for xi in xis[xis > 0.0]:
+            xi = float(xi)
+            got = spherical.T_stable(C, xi, r)
+            assert isinstance(got, float)
+            ref = float(spherical.T_near_roots(C, xi, r)[0])
+            assert abs(got - ref) <= 4.0 * eps * (xi ** (8.0 / 3.0) + 3.0 * C * xi * xi + 3.0)
+
+
 class TestMetric:
     def test_closed_form_coefficients(self):
         E, G = spherical.metric_gC(1.0, 3.375)
