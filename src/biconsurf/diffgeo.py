@@ -1,13 +1,18 @@
 """Independent differential-geometry oracle for immersed surface patches.
 
-Given nothing but a position evaluator (and optionally analytic first
-partials), computes first and second fundamental forms, the shape
-operator, mean and Gauss curvature, curvature gradients, and the residual
-of the eigenvector condition A(grad f) = -(f/2) grad f that characterizes
-biconservative surfaces in a 3-space-form.  Two ambients are supported:
-Euclidean 3-space, and the unit 3-sphere sitting in 4-space (where the
-surface normal is the unit vector orthogonal to the position and both
-tangents).
+Given nothing but a position evaluator and analytic first partials,
+computes first and second fundamental forms, the shape operator, mean and
+Gauss curvature, curvature gradients, and the residual of the eigenvector
+condition A(grad f) = -(f/2) grad f that characterizes biconservative
+surfaces in a 3-space-form.  Second derivatives are central differences
+of the partials, curvature gradients central differences of the
+curvatures; `validate_patch` checks the partials against differences of
+the positions.  Every step comes from `_step`: a fixed fraction, per
+stencil, of the differenced coordinate's own width, shrunk near a
+singular value of u in proportion to the distance from it.  Two ambients
+are supported: Euclidean 3-space, and the unit 3-sphere sitting in
+4-space (where the surface normal is the unit vector orthogonal to the
+position and both tangents).
 
 All computations are local and pure, so grid evaluation parallelizes
 trivially.
@@ -42,11 +47,16 @@ __all__ = [
 EUCLIDEAN3 = "euclidean3"
 SPHERE3 = "sphere3"
 
-# Second derivatives of analytic partials: central differences at this
-# fraction of the domain scale keep the truncation error near 1e-10.
-PARTIAL_FD_FRACTION = 1e-5
-# Outer step for gradients of scalar curvature fields.
-GRADIENT_FD_FRACTION = 1e-4
+# Step of each stencil as a fraction of the differenced coordinate's
+# length scale (see _step): central differences of analytic partials,
+# fourth-order differences of exact values (positions, metric
+# coefficients), and central differences of curvatures, which carry the
+# partials' differencing noise and so take the longer step.
+FD_FRACTION = {"partials": 1e-5, "values": 1e-4, "curvature": 1e-3}
+# Near a singular value the length scale is this multiple of the distance
+# to it: the partials blow up like its inverse square root, and relative
+# truncation goes like (step / distance)^2.
+SINGULAR_SCALE = 10.0
 
 RESIDUAL_FLOOR = 1e-12
 # below this gradient magnitude the point counts as CMC and the residual
@@ -68,17 +78,17 @@ class ImmersionPatch:
     """A coordinate rectangle with a position evaluator into the ambient.
 
     position(u, v) returns 3 components for the Euclidean ambient and 4
-    (a unit vector) for the spherical one.  first_partials, when given,
-    returns the pair of tangent vectors (X_u, X_v) and is preferred over
-    finite differences everywhere derivatives of the position are needed.
+    (a unit vector) for the spherical one.  first_partials returns the
+    pair of tangent vectors (X_u, X_v); the oracle differences these for
+    second derivatives, and positions only to check them (validate_patch).
+    Each coordinate's steps scale with that coordinate's own width.
     """
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     ambient: str
     position: Callable[[float, float], np.ndarray]
-    first_partials: Callable[[float, float], tuple[np.ndarray, np.ndarray]] | None = None
-    name: str = ""
+    first_partials: Callable[[float, float], tuple[np.ndarray, np.ndarray]]
     # u-values where the chart degenerates (metric blows up); derivative
     # steps shrink in proportion to the distance from these.
     u_singularities: tuple[float, ...] = ()
@@ -88,14 +98,6 @@ class ImmersionPatch:
             raise ValueError(f"unknown ambient {self.ambient!r}")
         if not (self.u_range[0] < self.u_range[1] and self.v_range[0] < self.v_range[1]):
             raise ValueError("degenerate coordinate rectangle")
-
-    @property
-    def scale(self) -> float:
-        return max(self.u_range[1] - self.u_range[0], self.v_range[1] - self.v_range[0])
-
-    def contains(self, u: float, v: float) -> bool:
-        return (self.u_range[0] <= u <= self.u_range[1]
-                and self.v_range[0] <= v <= self.v_range[1])
 
     def grid(self, nu: int, nv: int, margin: float = 1e-3):
         """Interior grid avoiding a relative margin near all four edges."""
@@ -130,55 +132,42 @@ def _fd4(fun, x, h):
     return (fun(x - 2 * h) - 8 * fun(x - h) + 8 * fun(x + h) - fun(x + 2 * h)) / (12 * h)
 
 
+def _step(kind: str, coord_range: tuple[float, float], at: float,
+          singularities: tuple[float, ...]) -> float:
+    """The oracle's one finite-difference step rule.
+
+    The step in a coordinate spanning `coord_range` is FD_FRACTION[kind]
+    of that coordinate's length scale: its width, or SINGULAR_SCALE times
+    the distance from `at` to the nearest of its singular values,
+    whichever is shorter.
+    """
+    scale = coord_range[1] - coord_range[0]
+    if singularities:
+        dist = min(abs(at - s) for s in singularities)
+        if dist > 0.0:
+            scale = min(scale, SINGULAR_SCALE * dist)
+    return FD_FRACTION[kind] * scale
+
+
 def _position_partials(patch: ImmersionPatch, u: float, v: float):
-    if patch.first_partials is not None:
-        xu, xv = patch.first_partials(u, v)
-        return np.asarray(xu, dtype=float), np.asarray(xv, dtype=float)
-    h = PARTIAL_FD_FRACTION * patch.scale * 10.0
-    pos = patch.position
-    xu = _fd4(lambda uu: np.asarray(pos(uu, v), dtype=float), u, h)
-    xv = _fd4(lambda vv: np.asarray(pos(u, vv), dtype=float), v, h)
-    return xu, xv
-
-
-def _u_step(patch: ImmersionPatch, u: float, base: float) -> float:
-    # inverse-sqrt blow-up of the partials: relative truncation of the
-    # second-derivative stencil goes like (step/dist)^2, so keep the ratio
-    # near 1e-4 (roundoff stays ~eps/ratio, far below that).
-    if not patch.u_singularities:
-        return base
-    dist = min(abs(u - s) for s in patch.u_singularities)
-    return min(base, 1e-4 * dist) if dist > 0.0 else base
+    xu, xv = patch.first_partials(u, v)
+    return np.asarray(xu, dtype=float), np.asarray(xv, dtype=float)
 
 
 def _second_partials(patch: ImmersionPatch, u: float, v: float):
-    h = PARTIAL_FD_FRACTION * patch.scale
-    hu = _u_step(patch, u, h)
-    if patch.first_partials is not None:
-        fp = patch.first_partials
+    hu = _step("partials", patch.u_range, u, patch.u_singularities)
+    hv = _step("partials", patch.v_range, v, ())
+    fp = patch.first_partials
 
-        def pu(uu, vv):
-            return np.asarray(fp(uu, vv)[0], dtype=float)
+    def pu(uu, vv):
+        return np.asarray(fp(uu, vv)[0], dtype=float)
 
-        def pv(uu, vv):
-            return np.asarray(fp(uu, vv)[1], dtype=float)
+    def pv(uu, vv):
+        return np.asarray(fp(uu, vv)[1], dtype=float)
 
-        xuu = (pu(u + hu, v) - pu(u - hu, v)) / (2 * hu)
-        xuv = (pu(u, v + h) - pu(u, v - h)) / (2 * h)
-        xvv = (pv(u, v + h) - pv(u, v - h)) / (2 * h)
-        return xuu, xuv, xvv
-    pos = patch.position
-    hh = h * 100.0
-
-    def p(uu, vv):
-        return np.asarray(pos(uu, vv), dtype=float)
-
-    xuu = (-p(u + 2 * hh, v) + 16 * p(u + hh, v) - 30 * p(u, v)
-           + 16 * p(u - hh, v) - p(u - 2 * hh, v)) / (12 * hh * hh)
-    xvv = (-p(u, v + 2 * hh) + 16 * p(u, v + hh) - 30 * p(u, v)
-           + 16 * p(u, v - hh) - p(u, v - 2 * hh)) / (12 * hh * hh)
-    xuv = (p(u + hh, v + hh) - p(u + hh, v - hh)
-           - p(u - hh, v + hh) + p(u - hh, v - hh)) / (4 * hh * hh)
+    xuu = (pu(u + hu, v) - pu(u - hu, v)) / (2 * hu)
+    xuv = (pu(u, v + hv) - pu(u, v - hv)) / (2 * hv)
+    xvv = (pv(u, v + hv) - pv(u, v - hv)) / (2 * hv)
     return xuu, xuv, xvv
 
 
@@ -246,11 +235,19 @@ def shape_operator(patch: ImmersionPatch, u: float, v: float) -> SurfaceData:
                        normal=n, shape=A, f=f, K=K)
 
 
-def _scalar_gradient(patch, u, v, scalar, g_inv, h):
-    du = (scalar(u + h, v) - scalar(u - h, v)) / (2 * h)
-    dv = (scalar(u, v + h) - scalar(u, v - h)) / (2 * h)
-    d = np.array([du, dv])
-    return g_inv @ d, d
+def _curvature_gradients(patch: ImmersionPatch, u: float, v: float, data: SurfaceData):
+    """Metric gradients g^{-1} d(f) and g^{-1} d(K), both from one
+    central-difference stencil of shape operators; `data` is the shape
+    operator at (u, v)."""
+    hu = _step("curvature", patch.u_range, u, patch.u_singularities)
+    hv = _step("curvature", patch.v_range, v, ())
+    up, um = shape_operator(patch, u + hu, v), shape_operator(patch, u - hu, v)
+    vp, vm = shape_operator(patch, u, v + hv), shape_operator(patch, u, v - hv)
+    det_g = data.E * data.G - data.F ** 2
+    g_inv = np.array([[data.G, -data.F], [-data.F, data.E]]) / det_g
+    grad_f = g_inv @ np.array([(up.f - um.f) / (2 * hu), (vp.f - vm.f) / (2 * hv)])
+    grad_k = g_inv @ np.array([(up.K - um.K) / (2 * hu), (vp.K - vm.K) / (2 * hv)])
+    return grad_f, grad_k
 
 
 def curvatures(patch: ImmersionPatch, u: float, v: float):
@@ -260,18 +257,7 @@ def curvatures(patch: ImmersionPatch, u: float, v: float):
     lengths in the induced metric are sqrt(d . g^{-1} . d).
     """
     data = shape_operator(patch, u, v)
-    det_g = data.E * data.G - data.F ** 2
-    g_inv = np.array([[data.G, -data.F], [-data.F, data.E]]) / det_g
-    h = GRADIENT_FD_FRACTION * patch.scale
-
-    def f_at(uu, vv):
-        return shape_operator(patch, uu, vv).f
-
-    def k_at(uu, vv):
-        return shape_operator(patch, uu, vv).K
-
-    grad_f, _ = _scalar_gradient(patch, u, v, f_at, g_inv, h)
-    grad_k, _ = _scalar_gradient(patch, u, v, k_at, g_inv, h)
+    grad_f, grad_k = _curvature_gradients(patch, u, v, data)
     return data.f, data.K, grad_f, grad_k
 
 
@@ -284,15 +270,8 @@ def biconservativity_residual(patch: ImmersionPatch, u: float, v: float) -> floa
     identity vanish there and the quotient would compare noise to noise.
     """
     data = shape_operator(patch, u, v)
-    det_g = data.E * data.G - data.F ** 2
     g = data.metric
-    g_inv = np.array([[data.G, -data.F], [-data.F, data.E]]) / det_g
-    h = GRADIENT_FD_FRACTION * patch.scale
-
-    def f_at(uu, vv):
-        return shape_operator(patch, uu, vv).f
-
-    grad_f, _ = _scalar_gradient(patch, u, v, f_at, g_inv, h)
+    grad_f, _ = _curvature_gradients(patch, u, v, data)
     res_vec = data.shape @ grad_f + 0.5 * data.f * grad_f
     res_norm = math.sqrt(max(0.0, float(res_vec @ g @ res_vec)))
     grad_norm = math.sqrt(max(0.0, float(grad_f @ g @ grad_f)))
@@ -339,10 +318,11 @@ def gauss_curvature_from_metric(
     """Gauss curvature of an orthogonal metric E(x) dx^2 + G(x) dy^2.
 
     Uses K = -(1/(2 sqrt(EG))) d/dx( G'(x) / sqrt(EG) ); the coefficients
-    depend on the first coordinate only.  An analytic dG sharpens the
-    inner derivative, the outer one is a fourth-order difference.
+    depend on the first coordinate only, whose width is `scale`.  An
+    analytic dG sharpens the inner derivative, the outer one is a
+    fourth-order difference.
     """
-    h = 1e-4 * scale
+    h = _step("values", (0.0, scale), x, ())
 
     def gprime(xx):
         if dG is not None:
@@ -359,10 +339,10 @@ def gauss_curvature_from_metric(
 def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
     """Spot-check patch invariants on an n x n interior sample.
 
-    For spherical patches the position must be a unit vector; supplied
-    partials must match finite differences of the position; the normal
-    must be orthogonal to the tangents (and the position).  Returns the
-    worst deviations found.
+    For spherical patches the position must be a unit vector; the
+    partials must match fourth-order differences of the position; the
+    normal must be orthogonal to the tangents (and the position).  Returns
+    the worst deviations found.
     """
     us, vs = patch.grid(n, n, margin=5e-2)
     worst_norm = 0.0
@@ -374,15 +354,15 @@ def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
             if patch.ambient == SPHERE3:
                 worst_norm = max(worst_norm, abs(np.linalg.norm(pos) - 1.0))
             xu, xv = _position_partials(patch, u, v)
-            if patch.first_partials is not None:
-                h = PARTIAL_FD_FRACTION * patch.scale * 10.0
-                fu = _fd4(lambda uu: np.asarray(patch.position(uu, v), dtype=float), u, h)
-                fv = _fd4(lambda vv: np.asarray(patch.position(u, vv), dtype=float), v, h)
-                su = max(1.0, float(np.linalg.norm(xu)))
-                sv = max(1.0, float(np.linalg.norm(xv)))
-                worst_partial = max(worst_partial,
-                                    float(np.linalg.norm(fu - xu)) / su,
-                                    float(np.linalg.norm(fv - xv)) / sv)
+            hu = _step("values", patch.u_range, u, patch.u_singularities)
+            hv = _step("values", patch.v_range, v, ())
+            fu = _fd4(lambda uu: np.asarray(patch.position(uu, v), dtype=float), u, hu)
+            fv = _fd4(lambda vv: np.asarray(patch.position(u, vv), dtype=float), v, hv)
+            su = max(1.0, float(np.linalg.norm(xu)))
+            sv = max(1.0, float(np.linalg.norm(xv)))
+            worst_partial = max(worst_partial,
+                                float(np.linalg.norm(fu - xu)) / su,
+                                float(np.linalg.norm(fv - xv)) / sv)
             nrm = _normal(patch, u, v, xu, xv)
             worst_orth = max(worst_orth, abs(float(nrm @ xu)), abs(float(nrm @ xv)))
             if patch.ambient == SPHERE3:

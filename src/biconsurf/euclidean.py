@@ -173,7 +173,6 @@ def xc_patch(params: FamilyParamsR3,
         ambient=diffgeo.EUCLIDEAN3,
         position=lambda u, v: immersion_XC(params, u, v),
         first_partials=lambda u, v: immersion_XC_partials(params, u, v),
-        name=f"XC(C={params.C})",
     )
 
 

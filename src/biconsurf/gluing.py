@@ -390,7 +390,6 @@ class GluingAtlas:
             ambient=diffgeo.EUCLIDEAN3,
             position=self.immersion_psi,
             first_partials=self.immersion_psi_partials,
-            name=f"Psi(C={self.C}, C*={self.Cstar})",
         )
 
     # -- glued sphere immersion ----------------------------------------------
@@ -454,7 +453,6 @@ class GluingAtlas:
             ambient=diffgeo.SPHERE3,
             position=self.immersion_phi,
             first_partials=self.immersion_phi_partials,
-            name=f"Phi(C={self.C}, C*={self.Cstar})",
         )
 
     # -- junction verification -------------------------------------------------

@@ -346,7 +346,6 @@ class SphereFamily:
             ambient=diffgeo.SPHERE3,
             position=lambda xi, th: self.immersion(xi, th),
             first_partials=lambda xi, th: self.immersion_partials(xi, th),
-            name=f"PhiC(C={self.C})",
             u_singularities=(self.roots.xi01, self.roots.xi02),
         )
 

@@ -13,7 +13,8 @@ from biconsurf.numerics import OutOfDomain
 def plane_patch():
     return diffgeo.ImmersionPatch(
         u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: np.array([u, v, 0.0]))
+        position=lambda u, v: np.array([u, v, 0.0]),
+        first_partials=lambda u, v: (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
 
 
 def round_sphere_patch():
@@ -32,10 +33,16 @@ def round_sphere_patch():
 
 def flat_torus_patch():
     s = 1.0 / math.sqrt(2.0)
+
+    def partials(u, v):
+        return (s * np.array([-math.sin(u), math.cos(u), 0.0, 0.0]),
+                s * np.array([0.0, 0.0, -math.sin(v), math.cos(v)]))
+
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 2 * math.pi), v_range=(0.0, 2 * math.pi), ambient=diffgeo.SPHERE3,
         position=lambda u, v: s * np.array(
-            [math.cos(u), math.sin(u), math.cos(v), math.sin(v)]))
+            [math.cos(u), math.sin(u), math.cos(v), math.sin(v)]),
+        first_partials=partials)
 
 
 def latitude_sphere_patch(r):
@@ -45,9 +52,24 @@ def latitude_sphere_patch(r):
         return np.array([sr * math.cos(u) * math.cos(v), sr * math.sin(u) * math.cos(v),
                          sr * math.sin(v), cr])
 
+    def partials(u, v):
+        xu = sr * np.array([-math.sin(u) * math.cos(v), math.cos(u) * math.cos(v), 0.0, 0.0])
+        xv = sr * np.array([-math.cos(u) * math.sin(v), -math.sin(u) * math.sin(v),
+                            math.cos(v), 0.0])
+        return xu, xv
+
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 2 * math.pi), v_range=(-1.2, 1.2), ambient=diffgeo.SPHERE3,
-        position=pos)
+        position=pos, first_partials=partials)
+
+
+def long_cylinder_patch():
+    """Unit cylinder whose u-width is a thousand times its v-width."""
+    return diffgeo.ImmersionPatch(
+        u_range=(0.0, 1000.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
+        position=lambda u, v: np.array([math.cos(v), math.sin(v), u]),
+        first_partials=lambda u, v: (np.array([0.0, 0.0, 1.0]),
+                                     np.array([-math.sin(v), math.cos(v), 0.0])))
 
 
 class TestFundamentalForms:
@@ -64,7 +86,8 @@ class TestFundamentalForms:
     def test_degenerate_rejected(self):
         bad = diffgeo.ImmersionPatch(
             u_range=(-1, 1), v_range=(-1, 1), ambient=diffgeo.EUCLIDEAN3,
-            position=lambda u, v: np.array([u, u, 0.0]))
+            position=lambda u, v: np.array([u, u, 0.0]),
+            first_partials=lambda u, v: (np.array([1.0, 1.0, 0.0]), np.zeros(3)))
         with pytest.raises(diffgeo.DegenerateMetric):
             diffgeo.fundamental_forms(bad, 0.0, 0.0)
 
@@ -79,9 +102,14 @@ class TestShapeOperator:
     def test_orientation_forces_nonnegative_f(self):
         # reversed chart flips the raw cross product; reported f stays >= 0
         p = round_sphere_patch()
+
+        def partials(u, v):
+            xu, xv = p.first_partials(u, -v)
+            return xu, -xv
+
         flipped = diffgeo.ImmersionPatch(
             u_range=p.u_range, v_range=p.v_range, ambient=p.ambient,
-            position=lambda u, v: p.position(v * 0 + u, -v))
+            position=lambda u, v: p.position(u, -v), first_partials=partials)
         data = diffgeo.shape_operator(flipped, 1.1, -0.5)
         assert data.f >= 0.0
 
@@ -95,6 +123,13 @@ class TestShapeOperator:
         data = diffgeo.shape_operator(latitude_sphere_patch(r), 1.0, 0.3)
         assert data.f == pytest.approx(2.0 / math.tan(r), rel=1e-6)
         assert data.K == pytest.approx(1.0 / math.sin(r) ** 2, rel=1e-6)
+
+    def test_anisotropic_patch_steps_per_coordinate(self):
+        # a v step sized from the u-width (1000) would be 1e-2 and put the
+        # mean curvature off by ~1.7e-5
+        data = diffgeo.shape_operator(long_cylinder_patch(), 500.0, 0.5)
+        assert abs(data.f - 1.0) <= 1e-8
+        assert data.K == pytest.approx(0.0, abs=1e-12)
 
     def test_normal_orthogonality_sphere3(self):
         p = flat_torus_patch()

@@ -1,12 +1,14 @@
-"""Reports against values frozen before the Chebyshev quadrature tables.
+"""Reports against frozen values.
 
 `frozen_reports.json` holds the reports of the four families at
-C = C* = 1, and of s3-complete and revolution at C = 20 with C* at 1% and
-99% of its range, as computed when `CumulativeQuadrature.value` still ran
-one adaptive Gauss-Kronrod integral per call.  The tables change heights
-and turning angles in their last digits, and values near the oracle's
-floor follow, so the reports are compared against a floor tied to each
-check's tolerance rather than bytewise.
+C = C* = 1 and at the verify-sweep's edges: r3 and s3-local at
+C = 1.001 C_MIN and C = 20, revolution at both of those C and
+s3-complete at C = 20, each glued pair with C* at 1% and 99% of its
+range.  They were computed with the oracle's one step rule (see the
+fixture's "about").  A change to the quadrature or the oracle moves
+values near the oracle's floor in their last digits, so the reports are
+compared against a floor tied to each check's tolerance rather than
+bytewise; a change that moves values on purpose refreezes the fixture.
 """
 
 import json
