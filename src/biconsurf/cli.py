@@ -257,8 +257,9 @@ def cmd_verify(args) -> int:
         # numpy stays quiet: a run that leaves the float range ends in a FAIL
         # or in the one error line below (r3 at C = 1e-300, 1e100 or 1e308)
         with np.errstate(all="ignore"):
-            report = checks.build_report(args.family, args.C, Cstar=args.Cstar,
-                                         c0=args.c0, grid=args.grid_n, seed=args.seed)
+            report, results = checks.build_report(
+                args.family, args.C, Cstar=args.Cstar, c0=args.c0, grid=args.grid_n,
+                seed=args.seed)
     except (NumericsError, DegenerateMetric, OverflowError) as exc:
         raise UsageError(f"the {args.family} checks cannot be evaluated at C={_fmt(args.C)}: "
                          f"{type(exc).__name__}: {exc}") from exc
@@ -267,10 +268,10 @@ def cmd_verify(args) -> int:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    for name, res in sorted(report["checks"].items()):
-        status = "PASS" if res["pass"] else "FAIL"
-        print(f"{status} {name}: value={_fmt(res['value'])} tol={_fmt(res['tolerance'])}",
-              file=sys.stderr)
+    for name, res in sorted(results.items()):
+        at = ",".join(_fmt(x) for x in res.worst_at)
+        print(f"{'PASS' if res.passed else 'FAIL'} {name}: value={_fmt(res.value)} "
+              f"tol={_fmt(res.tolerance)} n={res.n_samples} at=({at})", file=sys.stderr)
     return 0 if report["overall_pass"] else 1
 
 

@@ -348,15 +348,13 @@ def theta_chart_point(C1: float, theta: float, v: float) -> np.ndarray:
 
 
 def homothety_check(C1: float, sample_pts) -> dict:
-    """Max deviation of X_{C1} from the C1^{-3/2}-scaled unit-parameter surface."""
+    """Max deviation of X_{C1} from the C1^{-3/2}-scaled unit-parameter
+    surface (NaN if any sample is NaN)."""
     scale = C1 ** -1.5
-    worst = 0.0
-    for theta, v in sample_pts:
-        lhs = theta_chart_point(C1, theta, v)
-        rhs = scale * theta_chart_point(1.0, theta, v)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    gaps = [np.abs(theta_chart_point(C1, theta, v) - scale * theta_chart_point(1.0, theta, v))
+            for theta, v in sample_pts]
     return {
-        "max_mismatch": worst,
+        "max_mismatch": float(np.max(gaps)),
         "boundary_radius_scaled": scale * 1.0,
         "boundary_radius_direct": complete_profile_x(C1, 0.0),
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,6 +124,14 @@ def T_deriv2(C: float, xi):
     return -(40.0 / 9.0) * np.power(xi, 2.0 / 3.0) + 6.0 * C
 
 
+def _taylor_coefficients(C: float, root: float) -> tuple[float, float, float, float]:
+    """T^(n)(root) / n! for n = 1..4, in Python floats."""
+    return (-(8.0 / 3.0) * root ** (5.0 / 3.0) + 6.0 * C * root,
+            (-(40.0 / 9.0) * root ** (2.0 / 3.0) + 6.0 * C) / 2.0,
+            -(80.0 / 27.0) * root ** (-1.0 / 3.0) / 6.0,
+            (80.0 / 81.0) * root ** (-4.0 / 3.0) / 24.0)
+
+
 def T_over_distance(C: float, root: float, d):
     """T(root + d) / d from the Taylor polynomial around the root.
 
@@ -133,11 +141,8 @@ def T_over_distance(C: float, root: float, d):
     scale of root.
     """
     d = np.asarray(d, dtype=float)
-    t1 = float(T_deriv(C, root))
-    t2 = float(T_deriv2(C, root))
-    t3 = -(80.0 / 27.0) * root ** (-1.0 / 3.0)
-    t4 = (80.0 / 81.0) * root ** (-4.0 / 3.0)
-    return t1 + d * (t2 / 2.0 + d * (t3 / 6.0 + d * (t4 / 24.0)))
+    t1, t2, t3, t4 = _taylor_coefficients(C, root)
+    return t1 + d * (t2 + d * (t3 + d * t4))
 
 
 def _taylor_window(roots: "DomainRoots", root: float) -> float:
@@ -178,11 +183,8 @@ def T_stable(C: float, xi: float, roots: "DomainRoots") -> float:
     for root in (roots.xi01, roots.xi02):
         d = xi - root
         if abs(d) <= _taylor_window(roots, root):
-            t1 = -(8.0 / 3.0) * root ** (5.0 / 3.0) + 6.0 * C * root
-            t2 = -(40.0 / 9.0) * root ** (2.0 / 3.0) + 6.0 * C
-            t3 = -(80.0 / 27.0) * root ** (-1.0 / 3.0)
-            t4 = (80.0 / 81.0) * root ** (-4.0 / 3.0)
-            return d * (t1 + d * (t2 / 2.0 + d * (t3 / 6.0 + d * (t4 / 24.0))))
+            t1, t2, t3, t4 = _taylor_coefficients(C, root)
+            return d * (t1 + d * (t2 + d * (t3 + d * t4)))
     return -xi ** (8.0 / 3.0) + 3.0 * C * (xi * xi) - 3.0
 
 
@@ -264,7 +266,8 @@ class SphereFamily:
     """Per-C bundle: roots, zeta quadrature, metric, and the immersion.
 
     Construction is single-threaded; the finished object is immutable in
-    practice and safe for concurrent evaluation.
+    practice and safe for concurrent evaluation.  The isothermal-bridge
+    table is built on first use, so it is freed with the family.
     """
 
     def __init__(self, C: float):
@@ -291,6 +294,12 @@ class SphereFamily:
         if t <= 0.0:
             raise OutOfDomain(f"xi = {xi} at or outside the strip ends")
         return math.sqrt(self.C) * xi ** (4.0 / 3.0) / ((self.C * xi * xi - 1.0) * math.sqrt(t))
+
+    @cached_property
+    def isothermal_quadrature(self) -> CumulativeQuadrature:
+        """Strip quadrature of sqrt(3/T), the isothermal coordinate density."""
+        return strip_quadrature(self.C, self.roots,
+                                lambda tau, t: np.full_like(tau, math.sqrt(3.0)))
 
     @property
     def zeta_limits(self) -> tuple[float, float]:
@@ -422,6 +431,8 @@ def curvature_ode_k(
 
     def rhs(t, y):
         k = y[0]
+        if k < 0.0:  # a trial stage past k = 0, where k^{5/2} is undefined
+            return np.array([y[1], math.nan])
         return np.array([y[1], -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5])
 
     def prime(k, kp):
@@ -457,12 +468,6 @@ def _bridge_radicand(a: float, b: float, phi):
     return b / 3.0 * np.exp(-2.0 * np.asarray(phi) / 3.0) - np.exp(2.0 * np.asarray(phi)) + a
 
 
-@lru_cache(maxsize=32)
-def _isothermal_quadrature(C: float) -> CumulativeQuadrature:
-    """Strip quadrature of sqrt(3/T), the isothermal coordinate density."""
-    return strip_quadrature(C, domain_roots(C), lambda tau, t: np.full_like(tau, math.sqrt(3.0)))
-
-
 def phi_coordinate_bridge(a: float, b: float, phi: float) -> tuple[float, float]:
     """Isothermal coordinate u(phi) of the conformal-exponent route, plus C.
 
@@ -482,11 +487,12 @@ def phi_coordinate_bridge(a: float, b: float, phi: float) -> tuple[float, float]
     rad = float(_bridge_radicand(a, b, phi))
     if rad <= 0.0:
         raise OutOfDomain(f"radicand {rad} <= 0 at phi = {phi}")
-    xi00 = domain_roots(C).xi00
+    fam = family(C)
+    xi00 = fam.roots.xi00
     scale38 = (-b) ** 0.375
     if phi == math.log(scale38 / xi00):
         return 0.0, C
-    quad = _isothermal_quadrature(C)
+    quad = fam.isothermal_quadrature
     return -(quad.value(scale38 * math.exp(-phi)) - quad.value(xi00)) / scale38, C
 
 
@@ -495,10 +501,10 @@ def bridge_metric_match(a: float, b: float, phi_values) -> dict:
 
     The (phi, v) metric e^{2 phi}(dphi^2 / radicand + dv^2) must pull back
     to the closed-form strip coefficients; reports the worst relative
-    mismatch over the given phi samples.
+    mismatch over the given phi samples (NaN if any sample is NaN).
     """
     C = a * (-b) ** -0.75
-    worst = 0.0
+    mismatch = []
     for phi in np.asarray(phi_values, dtype=float):
         rad = float(_bridge_radicand(a, b, phi))
         if rad <= 0.0:
@@ -509,10 +515,9 @@ def bridge_metric_match(a: float, b: float, phi_values) -> dict:
         E_transformed = (e2phi / rad) / (xi * xi)
         G_transformed = e2phi * (-b) ** -0.75
         E_closed, G_closed = metric_gC(C, xi)
-        worst = max(worst,
-                    abs(E_transformed - E_closed) / abs(E_closed),
-                    abs(G_transformed - G_closed) / abs(G_closed))
-    return {"C": C, "max_rel_mismatch": worst}
+        mismatch += [abs(E_transformed - E_closed) / abs(E_closed),
+                     abs(G_transformed - G_closed) / abs(G_closed)]
+    return {"C": C, "max_rel_mismatch": float(np.max(mismatch))}
 
 
 # -- conformal-exponent equation ----------------------------------------------

@@ -1,0 +1,57 @@
+"""The one sampling reduction behind every sampled check."""
+
+import math
+
+import pytest
+
+from biconsurf import checks
+
+
+class TestWorst:
+    def test_picks_the_largest_sample(self):
+        res = checks._worst(lambda x, y: x * y, [(1.0, 2.0), (3.0, -1.0), (2.0, 2.5)], 10.0)
+        assert res.value == 5.0
+        assert res.worst_at == (2.0, 2.5)
+        assert res.n_samples == 3
+        assert res.passed
+
+    def test_nan_sample_fails_the_check(self):
+        # max(0.0, nan) is 0.0: a running max would drop this sample
+        res = checks._worst(lambda x: math.nan if x == 2.0 else x,
+                            [(1.0,), (2.0,), (3.0,)], 10.0)
+        assert math.isnan(res.value)
+        assert res.worst_at == (2.0,)
+        assert not res.passed
+        assert res.as_dict()["pass"] is False
+
+    def test_no_samples_is_an_error(self):
+        with pytest.raises(ValueError):
+            checks._worst(lambda x: 0.0, [], 1.0)
+
+    def test_report_keys_unchanged(self):
+        res = checks._worst(lambda x: x, [(0.5,)], 1.0)
+        assert set(res.as_dict()) == {"value", "tolerance", "comparison", "informational", "pass"}
+
+
+class TestSampleCounts:
+    """Sample counts at C = C* = 1, so that a rewrite cannot drop samples."""
+
+    def test_s3_local(self):
+        res = checks.s3_local_checks(1.0)
+        assert res["sphere_norm"].n_samples == 256
+        assert res["root_identities"].n_samples == 2
+
+    def test_s3_complete(self):
+        res = checks.s3_complete_checks(1.0, 1.0)
+        assert res["sphere_norm"].n_samples == 256
+        assert res["phase_recursion_vs_closed_form"].n_samples == 51
+        assert res["junction_continuity"].n_samples == 6
+        assert res["psi_radius_range"].n_samples == 64
+
+
+@pytest.mark.parametrize("C", [10.0, 50.0])
+def test_s3_local_root_and_curvature_bounds_scale_free(C):
+    # both quantities grow with C; relative to their size they sit near rounding
+    res = checks.s3_local_checks(C)
+    assert res["root_identities"].value < 1e-14
+    assert res["curvature_c_independent"].value < 1e-9

@@ -244,6 +244,13 @@ class TestVerify:
         for name, res in rep["checks"].items():
             assert res["pass"], name
 
+    def test_lines_name_samples_and_worst_point(self, tmp_path, capsys):
+        assert run(["verify", "--family", "r3", "--C", "1", "--grid-n", "6",
+                    "--out", str(tmp_path / "rep.json")]) == 0
+        lines = {ln.split(":")[0]: ln for ln in capsys.readouterr().err.splitlines()}
+        assert " n=16 at=(" in lines["PASS homothety"]
+        assert lines["PASS mirror_gluing"].endswith(" n=1 at=()")
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

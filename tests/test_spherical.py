@@ -309,6 +309,14 @@ class TestCurvatureOde:
             assert abs(ev.y[1]) < 1e-6
             assert min(abs(k - r.k01), abs(k - r.k02)) < 1e-6
 
+    def test_large_C_trial_stage_past_zero_is_quiet(self):
+        # at C = 50 a trial stage reaches k < 0; the suite turns the
+        # RuntimeWarning of k ** 2.5 there into an error
+        par = spherical.FamilyParamsS3(50.0)
+        r = spherical.domain_roots(50.0)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        assert out["max_drift_relative"] < 1e-8
+
     def test_rejects_start_outside(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
@@ -317,6 +325,14 @@ class TestCurvatureOde:
 
 
 class TestCoordinateBridge:
+    def test_isothermal_table_lives_on_the_family(self):
+        spherical.family.cache_clear()
+        u, C = spherical.phi_coordinate_bridge(2.0, -1.0, -0.9)
+        assert "isothermal_quadrature" in vars(spherical.family(C))
+        spherical.family.cache_clear()
+        assert "isothermal_quadrature" not in vars(spherical.family(C))
+        assert spherical.phi_coordinate_bridge(2.0, -1.0, -0.9) == (u, C)
+
     def test_induced_constant(self):
         u, C = spherical.phi_coordinate_bridge(2.0, -1.0, -0.9)
         assert C == pytest.approx(2.0, rel=1e-14)
