@@ -145,6 +145,9 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
         par.C1, 2.0 * par.C1, euclidean.RigidMotion.identity(), n_samples=8)
     expected_f_gap = 2.0 / 3.0 * abs(par.C1 ** 1.5 - (2.0 * par.C1) ** 1.5)
     derivs = euclidean.metric_profile_derivs(par)
+    # the homothety law scales lengths by C1^{-3/2} and curvatures by C1^3;
+    # measured in those units, a bound holds for every C
+    length = par.C1 ** -1.5
 
     return {
         "metric_pullback": _worst(
@@ -152,7 +155,8 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
             [(u, v) for u in us for v in vs[:: max(1, grid // 4)]], tols.metric_rel),
         "gauss_curvature_identity": _worst(
             lambda u: abs(diffgeo.shape_operator(patch, u, 0.4).K
-                          - euclidean.gauss_curvature(par, u)), zip(us), tols.curvature),
+                          - euclidean.gauss_curvature(par, u)) * length ** 2,
+            zip(us), tols.curvature),
         "biconservativity_residual": _worst(
             lambda u, v: diffgeo.biconservativity_residual(patch, u, v),
             [(su * u, v) for u in np.linspace(0.08, 1.45, 8) for su in (-1.0, 1.0)
@@ -162,7 +166,7 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
             lambda u: 1.0 - euclidean.conformal_factor(par, u) / par.C,
             zip(np.linspace(-3.0, 3.0, 101)), 0.0),
         "homothety": _worst(
-            lambda t, v: euclidean.homothety_check(par.C1, [(t, v)])["max_mismatch"],
+            lambda t, v: euclidean.homothety_check(par.C1, [(t, v)])["max_mismatch"] / length,
             zip(rng.uniform(0.05, 4.0, 16).tolist(), rng.uniform(0.0, 2 * math.pi, 16).tolist()),
             tols.homothety),
         "mirror_gluing": CheckResult(mirror_worst, tols.boundary_match),
@@ -172,7 +176,8 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
             lambda u: _level_curve_gap(derivs, 0.0, u),
             zip(np.linspace(0.05, 2.5, 16).tolist()), tols.level_curve),
         "profile_roundtrip": _worst(  # drawn after the homothety samples
-            lambda t: abs(euclidean.profile_t(par.C1, euclidean.complete_profile_x(par.C1, t)) - t),
+            lambda t: abs(euclidean.profile_t(par.C1, euclidean.complete_profile_x(par.C1, t)) - t)
+            / length,
             zip(rng.uniform(0.01, 5.0, 12).tolist()), 1e-10),
     }
 

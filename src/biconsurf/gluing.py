@@ -28,7 +28,7 @@ import numpy as np
 
 from . import diffgeo
 from .numerics import OutOfDomain, one_sided_derivative
-from .spherical import C_MIN, SphereFamily, T, T_stable, family, strip_quadrature
+from .spherical import C_MIN, SphereFamily, T, family, strip_quadrature
 
 __all__ = [
     "InvalidC",
@@ -120,7 +120,7 @@ class GluingAtlas:
         cs2 = self.Cstar * self.Cstar
 
         self._h_cum = strip_quadrature(
-            self.C, self.roots,
+            self.roots,
             lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau))
         self._h_base = self._h_cum.value(self.roots.xi00)
         self.h_limits = (-self._h_base, self._h_cum.total - self._h_base)
@@ -143,9 +143,9 @@ class GluingAtlas:
         return self._h_cum.value(xi) - self._h_base
 
     def h0_deriv(self, xi: float) -> float:
-        t = T_stable(self.C, xi, self.roots)
-        if t <= 0.0:
+        if not self.roots.contains(xi):
             raise OutOfDomain(f"xi = {xi} at or beyond the strip ends")
+        t = self.roots.T(xi)
         num = 3.0 * xi * xi - self.Cstar ** 2 * t
         return math.sqrt(num / (xi ** 4 * t))
 
@@ -247,6 +247,9 @@ class GluingAtlas:
         [h_{0,k}, h_{0,k+1}], k <= -1 for [h_{0,k-1}, h_{0,k}]."""
         m1, p1 = self.h_limits
         delta = p1 - m1
+        # past this, one ulp of h exceeds the height slack of h0_inverse
+        if not math.ulp(h) <= 1e-9 * delta:
+            raise OutOfDomain(f"height {h} too large to reduce onto the base strip")
         j = math.floor((h - m1) / delta)
         return 0 if j == 0 else j
 
@@ -303,10 +306,10 @@ class GluingAtlas:
         A junction belongs to the strip on its right and maps exactly onto
         its root.
         """
+        k = self.strip_of(h)
         j = self._junction_index(h)
         if j is not None:
             return j, self.roots.xi01 if j % 2 == 0 else self.roots.xi02
-        k = self.strip_of(h)
         return k, self.h0_inverse(self._strip_height(h, k))
 
     def F(self, h: float) -> float:

@@ -110,6 +110,33 @@ class DomainRoots:
     def contains(self, xi: float) -> bool:
         return self.xi01 < xi < self.xi02
 
+    @cached_property
+    def _cofactor_constants(self) -> tuple[float, ...]:
+        b1, b2 = self.xi01 ** (1.0 / 3.0), self.xi02 ** (1.0 / 3.0)
+        x1, x2 = b1 * b1, b2 * b2
+        # 3C = x2 + 3 / x2^3 at the root, so 3C - x1 - x2 without cancellation
+        return b1, x1, b2, x2, 3.0 / x2 ** 3 - x1, -3.0 / (x1 * x2)
+
+    def cofactor(self, tau):
+        """k(tau) = T(tau) / ((tau - xi01)(xi02 - tau)) for tau > 0.
+
+        In x = tau^{2/3} = a^2, T is the quartic -x^4 + 3C x^3 - 3 with
+        roots x1, x2, so T = -(x - x1)(x - x2)(x^2 - alpha x - beta), and
+        x - x_i = (tau - xi0i)(a + b_i)/(x + a b_i + x_i) with b_i^2 = x_i.
+        Every factor is smooth and every sum below adds terms of one sign
+        (alpha and beta are negative), so k is accurate to a few ulps on
+        the closed strip.  It needs only the roots; floats and arrays alike.
+        """
+        b1, x1, b2, x2, alpha, beta = self._cofactor_constants
+        a = tau ** (1.0 / 3.0)
+        x = a * a
+        return ((a + b1) / (x + a * b1 + x1) * (a + b2) / (x + a * b2 + x2)
+                * ((x - alpha) * x - beta))
+
+    def T(self, tau):
+        """T on the strip, with the distances to both roots exact factors."""
+        return (tau - self.xi01) * (self.xi02 - tau) * self.cofactor(tau)
+
 
 def T(C: float, xi):
     xi = np.asarray(xi, dtype=float) if not np.isscalar(xi) else xi
@@ -124,100 +151,41 @@ def T_deriv2(C: float, xi):
     return -(40.0 / 9.0) * np.power(xi, 2.0 / 3.0) + 6.0 * C
 
 
-def _taylor_coefficients(C: float, root: float) -> tuple[float, float, float, float]:
-    """T^(n)(root) / n! for n = 1..4, in Python floats."""
-    return (-(8.0 / 3.0) * root ** (5.0 / 3.0) + 6.0 * C * root,
-            (-(40.0 / 9.0) * root ** (2.0 / 3.0) + 6.0 * C) / 2.0,
-            -(80.0 / 27.0) * root ** (-1.0 / 3.0) / 6.0,
-            (80.0 / 81.0) * root ** (-4.0 / 3.0) / 24.0)
-
-
-def T_over_distance(C: float, root: float, d):
-    """T(root + d) / d from the Taylor polynomial around the root.
-
-    Valid for |d| well inside the strip (the d^4 truncation is below
-    machine precision for |d| <= ~1e-3 root); the point is that d enters
-    exactly, so there is no cancellation even for d near the rounding
-    scale of root.
-    """
-    d = np.asarray(d, dtype=float)
-    t1, t2, t3, t4 = _taylor_coefficients(C, root)
-    return t1 + d * (t2 + d * (t3 + d * t4))
-
-
-def _taylor_window(roots: "DomainRoots", root: float) -> float:
-    return min(1e-4 * (roots.xi02 - roots.xi01), 1e-3 * root)
-
-
-def T_near_roots(C: float, tau, roots: "DomainRoots"):
-    """T evaluated stably arbitrarily close to its strip roots.
-
-    Direct evaluation of T loses relative accuracy within ~1e-7 of a root
-    (catastrophic cancellation against the noise of the root itself);
-    inside a small window the value is recovered from the Taylor expansion
-    about the root instead.  The window at each root is the smaller of
-    1e-4 of the strip width and 1e-3 of the root, the range where the
-    quartic Taylor polynomial's truncation stays below rounding; at large
-    C, 1e-4 of the strip width alone would reach a fifth of xi01.  A root
-    whose window the range of `tau` misses is skipped without a mask.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = T(C, tau)
-    lo, hi = float(tau.min()), float(tau.max())
-    for root in (roots.xi01, roots.xi02):
-        window = _taylor_window(roots, root)
-        # rounding is monotone, so no tau - root lies within the window either
-        if hi - root < -window or lo - root > window:
-            continue
-        d = tau - root
-        mask = np.abs(d) <= window
-        if np.any(mask):
-            dm = d[mask]
-            out[mask] = dm * T_over_distance(C, root, dm)
-    return out
-
-
-def T_stable(C: float, xi: float, roots: "DomainRoots") -> float:
-    """Scalar `T_near_roots` in Python floats, with the same windows; the
-    two differ by a few ulps where Python's pow and numpy's round apart."""
-    for root in (roots.xi01, roots.xi02):
-        d = xi - root
-        if abs(d) <= _taylor_window(roots, root):
-            t1, t2, t3, t4 = _taylor_coefficients(C, root)
-            return d * (t1 + d * (t2 + d * (t3 + d * t4)))
-    return -xi ** (8.0 / 3.0) + 3.0 * C * (xi * xi) - 3.0
-
-
 def L(C1: float, k):
     return -16.0 / 9.0 - 16.0 * np.square(k) + C1 * np.power(k, 1.5)
 
 
-def strip_quadrature(C: float, roots: "DomainRoots", g) -> CumulativeQuadrature:
+def strip_quadrature(roots: "DomainRoots", g) -> CumulativeQuadrature:
     """Cumulative quadrature of g(tau, T(tau)) / sqrt(T(tau)) over the strip.
 
     `g` takes arrays of tau and of T(tau) and must stay finite at the
-    roots.  The end cells substitute tau = root +/- s^2 and take T from
-    s^2 T_over_distance, so the distance to the root enters exactly; the
-    inverse square root of T then cancels against the substitution's
-    factor 2 s, and the end integrands, kept as `left_sub` and `right_sub`
-    on the result, are up to sign the derivatives of the integral with
-    respect to s = sqrt(|tau - root|).
+    roots.  T comes from `DomainRoots.T`, the product of both distances to
+    the roots and the smooth cofactor, so it is positive on the open strip
+    and has no window or branch near the ends.  The end cells substitute
+    tau = root +/- s^2, where T / s^2 is the distance to the other root
+    times the cofactor: the distance s^2 enters exactly, the inverse square
+    root of T cancels against the substitution's factor 2 s, and the end
+    integrands, kept as `left_sub` and `right_sub` on the result, are up to
+    sign the derivatives of the integral with respect to s = sqrt(|tau - root|).
     """
 
     def f(tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        tv = np.maximum(T_near_roots(C, tau, roots), 1e-300)
+        tv = roots.T(tau)
         return g(tau, tv) / np.sqrt(tv)
 
-    def end(root, side):
+    def end(root, other):
+        side = math.copysign(1.0, other - root)
+
         def sub(s):
             d = s * s
-            t_over_d = side * T_over_distance(C, root, side * d)
-            return 2.0 * g(root + side * d, d * t_over_d) / np.sqrt(t_over_d)
+            tau = root + side * d
+            t_over_d = side * (other - tau) * roots.cofactor(tau)
+            return 2.0 * g(tau, d * t_over_d) / np.sqrt(t_over_d)
         return sub
 
     return CumulativeQuadrature(f, roots.xi01, roots.xi02,
-                                end(roots.xi01, 1.0), end(roots.xi02, -1.0))
+                                end(roots.xi01, roots.xi02), end(roots.xi02, roots.xi01))
 
 
 def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
@@ -278,7 +246,7 @@ class SphereFamily:
 
         C = self.C  # not self in the integrand: that cycle would outlive cache eviction
         self._zeta_cum = strip_quadrature(
-            C, self.roots, lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0))
+            self.roots, lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0))
         self._zeta_base = self._zeta_cum.value(self.roots.xi00)
 
     # -- scalar quantities -------------------------------------------------
@@ -290,15 +258,15 @@ class SphereFamily:
         return self._zeta_cum.value(xi) - self._zeta_base
 
     def zeta0_deriv(self, xi: float) -> float:
-        t = T_stable(self.C, xi, self.roots)
-        if t <= 0.0:
+        if not self.roots.contains(xi):
             raise OutOfDomain(f"xi = {xi} at or outside the strip ends")
+        t = self.roots.T(xi)
         return math.sqrt(self.C) * xi ** (4.0 / 3.0) / ((self.C * xi * xi - 1.0) * math.sqrt(t))
 
     @cached_property
     def isothermal_quadrature(self) -> CumulativeQuadrature:
         """Strip quadrature of sqrt(3/T), the isothermal coordinate density."""
-        return strip_quadrature(self.C, self.roots,
+        return strip_quadrature(self.roots,
                                 lambda tau, t: np.full_like(tau, math.sqrt(3.0)))
 
     @property

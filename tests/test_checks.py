@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biconsurf import checks
 
@@ -55,3 +56,14 @@ def test_s3_local_root_and_curvature_bounds_scale_free(C):
     res = checks.s3_local_checks(C)
     assert res["root_identities"].value < 1e-14
     assert res["curvature_c_independent"].value < 1e-9
+
+
+@given(log_c=st.floats(-4.0, 7.0))
+@settings(max_examples=25, deadline=None)
+def test_r3_passes_over_the_admissible_range(log_c):
+    # lengths in units of C1^{-3/2} and curvatures in C1^3: no r3 bound
+    # depends on where C sits in [1e-4, 1e7]
+    C = 10.0 ** log_c
+    report, _ = checks.build_report("r3", C, tols=checks.Tolerances())
+    failing = {k: v["value"] for k, v in report["checks"].items() if not v["pass"]}
+    assert report["overall_pass"] and not failing, (C, failing)

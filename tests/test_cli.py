@@ -449,8 +449,10 @@ class TestR3ExtremeC:
         assert _one_error_line(capsys)
         assert not out.exists()
 
-    def test_failing_check_still_exits_1(self, tmp_path, capsys):
-        # at C = 1e-4 the checks run and gauss_curvature_identity fails
+    def test_failing_check_still_exits_1(self, tmp_path, capsys, monkeypatch):
+        # at C = 1e-4 the checks run; a curvature bound below the oracle's
+        # floor makes gauss_curvature_identity fail
+        monkeypatch.setenv("BICONSURF_CURVATURE", "1e-12")
         out = tmp_path / "rep.json"
         assert run(["verify", "--family", "r3", "--C", "1e-4", "--out", str(out)]) == 1
         assert not json.loads(out.read_text())["checks"]["gauss_curvature_identity"]["pass"]

@@ -261,6 +261,15 @@ class TestReflectedProfile:
             for s in (1e-3, 0.05, 0.3):
                 assert at.F(hj + s) == pytest.approx(at.F(hj - s), abs=1e-12)
 
+    def test_unresolvable_height_rejected(self, at):
+        # one ulp of h exceeds the inversion's height slack, so the reduced
+        # height h - k delta would be rounding
+        for h in (1e300, -1e300, 1e12):
+            with pytest.raises(OutOfDomain):
+                at.F(h)
+            with pytest.raises(OutOfDomain):
+                at.strip_of(h)
+
     def test_range_confinement(self, at):
         rng = np.random.default_rng(3)
         for h in rng.uniform(-5.0, 5.0, 100):

@@ -97,7 +97,7 @@ def test_end_slope_matches_end_integrands():
 def test_no_integrand_evaluation_after_build(monkeypatch):
     at = gluing.GluingAtlas(1.0, 1.0, k_max=2)
     fam = at.family
-    calls = {"panel": 0, "T_near_roots": 0}
+    calls = {"panel": 0, "integrand": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -106,7 +106,9 @@ def test_no_integrand_evaluation_after_build(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(nm, "gauss_kronrod_panel", counted("panel", nm.gauss_kronrod_panel))
-    monkeypatch.setattr(spherical, "T_near_roots", counted("T_near_roots", spherical.T_near_roots))
+    for cq in (at._h_cum, fam._zeta_cum):
+        for attr in ("f", "left_sub", "right_sub"):
+            monkeypatch.setattr(cq, attr, counted("integrand", getattr(cq, attr)))
     r = at.roots
     width = r.xi02 - r.xi01
     offsets = width * np.geomspace(1e-12, 0.5, 60)
@@ -124,7 +126,16 @@ def test_no_integrand_evaluation_after_build(monkeypatch):
     for y in np.concatenate([lo + span * np.geomspace(1e-11, 1.0, 80),
                              hi - span * np.geomspace(1e-11, 1.0, 80)]):
         at.h0_inverse(float(y))
-    assert calls == {"panel": 0, "T_near_roots": 0}
+    assert calls == {"panel": 0, "integrand": 0}
+
+
+@pytest.mark.parametrize("C, Cstar", PAIRS[1:3], ids=PAIR_IDS[1:3])
+def test_leaves_near_the_threshold(C, Cstar):
+    # T has one formula across each end cell and its neighbours, so the
+    # adaptive build has no switching seam to split at: near C_MIN each
+    # table takes about as many leaves as at C = 20 (517)
+    for name, cq in quadratures(C, Cstar).items():
+        assert len(cq._leaves) <= 600, name
 
 
 @pytest.fixture(scope="module")

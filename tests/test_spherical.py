@@ -58,13 +58,20 @@ class TestRoots:
         assert abs(float(spherical.L(C1, r.k02))) < 1e-10
 
 
+def exact_T(mpmath, C, tau):
+    x = mpmath.mpf(tau)
+    return -x ** (mpmath.mpf(8) / 3) + 3 * mpmath.mpf(C) * x * x - 3
+
+
 class TestTNearRoots:
+    """`DomainRoots.T`, the factored T that the strip quadratures use."""
+
     @pytest.mark.parametrize("C", [0.8, 1.0, 3.0, 20.0, 100.0])
     def test_against_mpmath(self, C):
         # distances of 0.1 to 1.5 times 1e-4 of the strip width, on both
         # sides of both roots (but not below tau = 0): at C = 20 and 100 that
-        # width reaches a fifth of xi01 and beyond, where the Taylor form
-        # about the root erred by up to 5e-8 and 3e-4 relative
+        # width reaches a fifth of xi01 and beyond, out of the range of any
+        # low-order expansion about the root
         mpmath = pytest.importorskip("mpmath")
         r = spherical.domain_roots(C)
         width = 1e-4 * (r.xi02 - r.xi01)
@@ -76,61 +83,37 @@ class TestTNearRoots:
                         tau = root + side * frac * width
                         if tau <= 0.0:
                             continue
-                        x = mpmath.mpf(tau)
-                        exact = -x ** (mpmath.mpf(8) / 3) + 3 * mpmath.mpf(C) * x * x - 3
-                        got = float(spherical.T_near_roots(C, tau, r)[0])
-                        worst = max(worst, float(abs((got - exact) / exact)))
+                        exact = exact_T(mpmath, C, tau)
+                        worst = max(worst, float(abs((r.T(tau) - exact) / exact)))
         assert worst <= 1e-9
 
-
-def masked_T_near_roots(C, tau, roots):
-    """T_near_roots as it was before the range test: the mask at every root."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    span = roots.xi02 - roots.xi01
-    out = spherical.T(C, tau)
-    for root in (roots.xi01, roots.xi02):
-        d = tau - root
-        mask = np.abs(d) <= min(1e-4 * span, 1e-3 * root)
-        if np.any(mask):
-            dm = d[mask]
-            out[mask] = dm * spherical.T_over_distance(C, root, dm)
-    return out
-
-
-def window_probes(r):
-    """Arrays straddling, just inside and just outside each window edge,
-    at the window's scale and at the scale of one ulp."""
-    for root in (r.xi01, r.xi02):
-        w = min(1e-4 * (r.xi02 - r.xi01), 1e-3 * root)
-        for edge in (root - w, root + w):
-            yield np.linspace(edge - 0.1 * w, edge + 0.1 * w, 15)
-            yield edge + math.ulp(edge) * np.arange(-7.0, 8.0)
-            yield np.linspace(edge + 1e-3 * w, edge + 0.2 * w, 15)
-            yield np.linspace(edge - 0.2 * w, edge - 1e-3 * w, 15)
-        yield np.linspace(root - 0.5 * w, root + 0.5 * w, 15)
-    yield np.linspace(r.xi01, r.xi02, 15)
-    yield np.array([r.xi00])
-
-
-class TestTStable:
     @pytest.mark.parametrize("C", [0.8, 1.0, 3.0, 20.0, 100.0])
-    def test_range_test_keeps_masked_bits(self, C):
+    def test_whole_strip_against_mpmath(self, C):
+        # no window: one formula from end to end of the open strip
+        mpmath = pytest.importorskip("mpmath")
         r = spherical.domain_roots(C)
-        for tau in window_probes(r):
-            assert np.array_equal(spherical.T_near_roots(C, tau, r),
-                                  masked_T_near_roots(C, tau, r))
+        taus = np.linspace(r.xi01, r.xi02, 202)[1:-1]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for tau, got in zip(taus.tolist(), r.T(taus).tolist()):
+                exact = exact_T(mpmath, C, tau)
+                worst = max(worst, float(abs((got - exact) / exact)))
+        assert worst <= 1e-11
 
     @pytest.mark.parametrize("C", [0.8, 1.0, 3.0, 20.0, 100.0])
     def test_scalar_matches_array(self, C):
+        # floats and arrays run the same arithmetic; Python's pow and numpy's
+        # may round tau^{1/3} apart by an ulp, which T carries twice, on top
+        # of a dozen roundings
         r = spherical.domain_roots(C)
-        eps = np.finfo(float).eps
-        xis = np.concatenate(list(window_probes(r)))
-        for xi in xis[xis > 0.0]:
-            xi = float(xi)
-            got = spherical.T_stable(C, xi, r)
+        width = r.xi02 - r.xi01
+        offsets = width * np.geomspace(1e-15, 0.5, 40)
+        taus = np.concatenate([r.xi01 + offsets, r.xi02 - offsets, [r.xi00]])
+        for tau, ref in zip(taus.tolist(), r.T(taus).tolist()):
+            got = r.T(tau)
             assert isinstance(got, float)
-            ref = float(spherical.T_near_roots(C, xi, r)[0])
-            assert abs(got - ref) <= 4.0 * eps * (xi ** (8.0 / 3.0) + 3.0 * C * xi * xi + 3.0)
+            assert got > 0.0
+            assert abs(got - ref) <= 16.0 * np.finfo(float).eps * ref
 
 
 class TestMetric:
@@ -205,6 +188,24 @@ class TestZeta:
         # frozen values from the oracle run
         assert zm == pytest.approx(-1.7268637987530306, abs=1e-7)
         assert zp == pytest.approx(0.3918982982231469, abs=1e-7)
+
+    def test_limits_near_threshold_against_mpmath(self):
+        # at C = 1.001 C_MIN the strip is narrow and both ends steep; the
+        # 50-digit reference integrates between its own 50-digit roots
+        mpmath = pytest.importorskip("mpmath")
+        C = 1.001 * spherical.C_MIN
+        fam = spherical.SphereFamily(C)
+        r = fam.roots
+        with mpmath.workdps(50):
+            c = mpmath.mpf(C)
+            T = lambda x: exact_T(mpmath, C, x)
+            lo, hi = mpmath.findroot(T, r.xi01), mpmath.findroot(T, r.xi02)
+            mid = (9 * c / 4) ** mpmath.mpf(1.5)
+            g = lambda x: mpmath.sqrt(c) * x ** (mpmath.mpf(4) / 3) / ((c * x * x - 1)
+                                                                      * mpmath.sqrt(T(x)))
+            exact = (-mpmath.quad(g, [lo, mid]), mpmath.quad(g, [mid, hi]))
+        for got, ref in zip(fam.zeta_limits, exact):
+            assert abs(got - float(ref)) <= 2e-13
 
     def test_monotone(self):
         fam = spherical.family(1.0)
