@@ -137,17 +137,17 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
     rng = np.random.default_rng(seed)
     us, vs = patch.grid(grid, grid)
 
+    # the homothety law scales lengths by C1^{-3/2} and curvatures by C1^3;
+    # measured in those units, a bound holds for every C
+    length = par.C1 ** -1.5
     mirror = euclidean.gluing_conditions_check(
         par.C1, par.C1, euclidean.RigidMotion.mirror_z(), n_samples=16)
-    mirror_worst = _largest(mirror["position"], mirror["normal_parallelism"],
+    mirror_worst = _largest(mirror["position"] / length, mirror["normal_parallelism"],
                             mirror["mean_curvature"], mirror["grad_mean_curvature"])
     neg = euclidean.gluing_conditions_check(
         par.C1, 2.0 * par.C1, euclidean.RigidMotion.identity(), n_samples=8)
     expected_f_gap = 2.0 / 3.0 * abs(par.C1 ** 1.5 - (2.0 * par.C1) ** 1.5)
     derivs = euclidean.metric_profile_derivs(par)
-    # the homothety law scales lengths by C1^{-3/2} and curvatures by C1^3;
-    # measured in those units, a bound holds for every C
-    length = par.C1 ** -1.5
 
     return {
         "metric_pullback": _worst(
@@ -171,14 +171,14 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
             tols.homothety),
         "mirror_gluing": CheckResult(mirror_worst, tols.boundary_match),
         "gluing_negative_control": CheckResult(
-            abs(neg["mean_curvature"] - expected_f_gap), 1e-12),
+            abs(neg["mean_curvature"] - expected_f_gap) * length, 1e-12),
         "level_curve_circles": _worst(
-            lambda u: _level_curve_gap(derivs, 0.0, u),
+            lambda u: _level_curve_gap(derivs, 0.0, u) * length,
             zip(np.linspace(0.05, 2.5, 16).tolist()), tols.level_curve),
         "profile_roundtrip": _worst(  # drawn after the homothety samples
             lambda t: abs(euclidean.profile_t(par.C1, euclidean.complete_profile_x(par.C1, t)) - t)
             / length,
-            zip(rng.uniform(0.01, 5.0, 12).tolist()), 1e-10),
+            zip((length * rng.uniform(0.01, 5.0, 12)).tolist()), 1e-10),
     }
 
 

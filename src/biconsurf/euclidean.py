@@ -103,16 +103,17 @@ def complete_profile_x(C1: float, t: float) -> float:
     """Radius of the completed (evenly reflected) profile at height t.
 
     x(0) = C1^{-3/2}; for t > 0 the value inverts profile_t by a bracketed
-    solve, and x(-t) = x(t).
+    solve, and x(-t) = x(t).  The waist window and the root tolerance are
+    fractions of r0 = C1^{-3/2}, the length unit of the homothety law.
     """
     t = abs(t)
     r0 = C1 ** -1.5
-    if t < 1e-6:
+    if t < 1e-6 * r0:
         # Near the waist the inverse is quadratic: x ~ r0 (1 + C1^3 t^2 / 6).
         return r0 * (1.0 + C1 ** 3 * t * t / 6.0)
     lo = r0 * (1.0 + 1e-14)
     b = expand_bracket(lambda r: profile_t(C1, r) - t, lo, r0 * 2.0)
-    return find_root(lambda r: profile_t(C1, r) - t, b, tol=1e-14 * max(1.0, r0))
+    return find_root(lambda r: profile_t(C1, r) - t, b, tol=1e-14 * r0)
 
 
 def profile_seam_smoothness(C1: float, orders=(1, 2, 3), step: float = 2e-2) -> dict:

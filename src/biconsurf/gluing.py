@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,10 +128,11 @@ class GluingAtlas:
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
         self.zeta_limits = self.family.zeta_limits
 
-        # inverse table: h0 and dxi/dh at the nodes; the slope vanishes at the roots
-        self._h_nodes = self._h_cum.table - self._h_base
-        self._xi_slopes = np.zeros_like(self._h_nodes)
-        self._xi_slopes[1:-1] = 1.0 / self._h_cum.f(self._h_cum.nodes[1:-1])
+        # inverse table: h0 and dxi/dh at the nodes; the slope vanishes at the
+        # roots.  Lists, so the per-call seed runs on bisect and float arithmetic
+        self._h_nodes = (self._h_cum.table - self._h_base).tolist()
+        self._xi_nodes = self._h_cum.nodes.tolist()
+        self._xi_slopes = [0.0, *(1.0 / self._h_cum.f(self._h_cum.nodes[1:-1])).tolist(), 0.0]
 
         self.grid = {k: self.h_grid_point(k) for k in range(-self.k_max, self.k_max + 1) if k != 0}
 
@@ -185,12 +187,12 @@ class GluingAtlas:
             if y > hi + 1e-9 * span:
                 raise OutOfDomain(f"height {y} above {hi}")
             return self.roots.xi02
-        hs, xs, ms = self._h_nodes, self._h_cum.nodes, self._xi_slopes
-        i = min(max(int(np.searchsorted(hs, y)) - 1, 0), len(hs) - 2)
+        hs, xs, ms = self._h_nodes, self._xi_nodes, self._xi_slopes
+        i = min(max(bisect_left(hs, y) - 1, 0), len(hs) - 2)
         d = hs[i + 1] - hs[i]
         t = (y - hs[i]) / d
-        xi = float((1.0 + 2.0 * t) * (1.0 - t) ** 2 * xs[i] + t * (1.0 - t) ** 2 * d * ms[i]
-                   + t * t * (3.0 - 2.0 * t) * xs[i + 1] - t * t * (1.0 - t) * d * ms[i + 1])
+        xi = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * xs[i] + t * (1.0 - t) ** 2 * d * ms[i]
+              + t * t * (3.0 - 2.0 * t) * xs[i + 1] - t * t * (1.0 - t) * d * ms[i + 1])
         if 3 <= i < len(hs) - 4:
             to_u = to_xi = lambda v: v
             slope = self.h0_deriv
@@ -200,8 +202,8 @@ class GluingAtlas:
             to_u = lambda v: s * math.sqrt(s * (v - root))
             to_xi = lambda u: root + s * u * u
             slope = lambda u: self._h_cum.end_slope(s * u, upper=s < 0.0)
-        u_lo, u_hi = to_u(float(xs[i])), to_u(float(xs[i + 1]))
-        xi = min(max(xi, float(xs[i])), float(xs[i + 1]))
+        u_lo, u_hi = to_u(xs[i]), to_u(xs[i + 1])
+        xi = min(max(xi, xs[i]), xs[i + 1])
         tol = 1e-14 * (self.roots.xi02 - self.roots.xi01)
         h_res = 2.0 * math.ulp(span)  # spacing of the tabulated heights
         for _ in range(NEWTON_CAP):

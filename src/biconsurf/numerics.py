@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -461,17 +462,17 @@ class CumulativeQuadrature:
 
 @dataclass
 class OdeState:
-    """One accepted point of a trajectory: time, state vector, step used."""
+    """One accepted point of a trajectory: time, state as a tuple of floats, step used."""
 
     t: float
-    y: np.ndarray
+    y: tuple[float, ...]
     step: float
 
     def __post_init__(self):
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        self.y = tuple(map(float, self.y))
         if self.step <= 0.0:
             raise ValueError("step must be positive")
-        if not np.all(np.isfinite(self.y)):
+        if not all(map(math.isfinite, self.y)):
             raise ValueError("state vector must be finite")
 
 
@@ -487,18 +488,22 @@ class OdeSolution:
         return len(self.states)
 
 
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _advance(y, h, coeffs, k):
+    """y + h * sum(coeffs[m] * k[m]), one component at a time."""
+    return tuple([yj + h * sum(map(mul, coeffs, kcol)) for yj, kcol in zip(y, zip(*k))])
 
 
 def _hermite(t, t0, y0, f0, t1, y1, f1):
@@ -509,36 +514,37 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+    return tuple(h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
+                 for a, fa, b, fb in zip(y0, f0, y1, f1))
 
 
 def solve_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple], tuple],
     y0: OdeState,
     t_end: float,
     tol: float = ODE_TOL,
-    event: Callable[[float, np.ndarray], float] | None = None,
+    event: Callable[[float, tuple], float] | None = None,
     max_events: int | None = None,
 ) -> OdeSolution:
     """Adaptive Dormand-Prince 5(4) trajectory from y0.t to t_end.
 
-    Local error is controlled to `tol` (used as both absolute and relative
-    weight).  When `event` is supplied, sign changes of event(t, y) across
-    accepted steps are refined on the step's Hermite interpolant and
-    recorded; integration stops early once `max_events` are found.
+    The state is a tuple of floats; `rhs` may return any float sequence.
+    Local error is controlled to `tol` (absolute and relative weight).
+    Sign changes of event(t, y) across accepted steps are refined on the
+    step's Hermite interpolant; integration stops at `max_events` events.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     t = float(y0.t)
-    y = np.atleast_1d(np.asarray(y0.y, dtype=float))
+    y = y0.y
     direction = 1.0 if t_end >= t else -1.0
     h = min(abs(y0.step), abs(t_end - t)) * direction
     if h == 0.0:
         return OdeSolution([OdeState(t, y, max(abs(y0.step), _EPS))])
 
     sol = OdeSolution()
-    sol.states.append(OdeState(t, y.copy(), abs(h)))
-    k1 = np.asarray(rhs(t, y), dtype=float)
+    sol.states.append(OdeState(t, y, abs(h)))
+    k1 = tuple(map(float, rhs(t, y)))
     e_prev = event(t, y) if event is not None else None
 
     for _ in range(ODE_MAX_STEPS):
@@ -550,47 +556,41 @@ def solve_ode(
             raise StepUnderflow(f"step collapsed at t={t}")
 
         k = [k1]
-        failed = False
         for i in range(1, 7):
-            yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-            if not np.all(np.isfinite(yi)):
-                failed = True
+            yi = _advance(y, h, _DP_A[i], k)
+            if not all(map(math.isfinite, yi)):
                 break
-            k.append(np.asarray(rhs(t + _DP_C[i] * h, yi), dtype=float))
-        if failed:
+            k.append(tuple(map(float, rhs(t + _DP_C[i] * h, yi))))
+        if len(k) < 7:  # a non-finite trial stage
             h *= 0.5
             continue
-        karr = np.array(k)
-        y5 = y + h * (_DP_B5 @ karr)
-        y4 = y + h * (_DP_B4 @ karr)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
-
+        y5 = yi  # the last stage point is the 5th-order solution (FSAL)
+        y4 = _advance(y, h, _DP_B4, k)
+        err = math.sqrt(sum(((a - b) / (tol + tol * max(abs(c), abs(a)))) ** 2
+                            for a, b, c in zip(y5, y4, y)) / len(y))
         if err <= 1.0:
             t_new = t + h
-            f_new = k[6]  # FSAL: stage 7 evaluated at (t+h, y5)
+            f_new = k[6]  # stage 7 was evaluated at (t+h, y5)
             if event is not None:
                 e_new = event(t_new, y5)
                 if e_prev is not None and _opposite_signs(e_prev, e_new):
-                    ta, tb = t, t_new
-                    ea, eb = e_prev, e_new
+                    ta, tb, ea = t, t_new, e_prev
                     for _ in range(80):
                         tm = 0.5 * (ta + tb)
-                        ym = _hermite(tm, t, y, k1, t_new, y5, f_new)
-                        em = event(tm, ym)
+                        em = event(tm, _hermite(tm, t, y, k1, t_new, y5, f_new))
                         if _opposite_signs(ea, em) or em == 0.0:
-                            tb, eb = tm, em
+                            tb = tm
                         else:
                             ta, ea = tm, em
                     tm = 0.5 * (ta + tb)
                     ym = _hermite(tm, t, y, k1, t_new, y5, f_new)
                     sol.events.append(OdeState(tm, ym, abs(h)))
                     if max_events is not None and len(sol.events) >= max_events:
-                        sol.states.append(OdeState(t_new, y5.copy(), abs(h)))
+                        sol.states.append(OdeState(t_new, y5, abs(h)))
                         return sol
                 e_prev = e_new
             t, y, k1 = t_new, y5, f_new
-            sol.states.append(OdeState(t, y.copy(), abs(h)))
+            sol.states.append(OdeState(t, y, abs(h)))
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)

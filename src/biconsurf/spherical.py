@@ -400,15 +400,15 @@ def curvature_ode_k(
     def rhs(t, y):
         k = y[0]
         if k < 0.0:  # a trial stage past k = 0, where k^{5/2} is undefined
-            return np.array([y[1], math.nan])
-        return np.array([y[1], -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5])
+            return y[1], math.nan
+        return y[1], -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
 
     def prime(k, kp):
         return kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 - C1 * k ** 3.5
 
     sol = solve_ode(
         rhs,
-        OdeState(0.0, np.array([k_start, kp0]), 1e-3),
+        OdeState(0.0, (k_start, kp0), 1e-3),
         ODE_T_END,
         tol=tol,
         event=lambda t, y: y[1],

@@ -58,11 +58,11 @@ def test_s3_local_root_and_curvature_bounds_scale_free(C):
     assert res["curvature_c_independent"].value < 1e-9
 
 
-@given(log_c=st.floats(-4.0, 7.0))
+@given(log_c=st.floats(-12.0, 15.0))
 @settings(max_examples=25, deadline=None)
 def test_r3_passes_over_the_admissible_range(log_c):
     # lengths in units of C1^{-3/2} and curvatures in C1^3: no r3 bound
-    # depends on where C sits in [1e-4, 1e7]
+    # depends on where C sits in [1e-12, 1e15]
     C = 10.0 ** log_c
     report, _ = checks.build_report("r3", C, tols=checks.Tolerances())
     failing = {k: v["value"] for k, v in report["checks"].items() if not v["pass"]}

@@ -422,12 +422,21 @@ class TestBadValues:
 
 
 class TestR3ExtremeC:
-    """r3 at C where its closed forms or its checks leave the float range:
-    exit 2 with one error line, never a traceback."""
+    """r3 far from C = 1: verify passes while the closed forms stay in the
+    float range; where they or the checks leave it, exit 2 with one error
+    line, never a traceback."""
 
-    # C1 = (9/C)^(1/3) overflows; a degenerate first form; brackets that
-    # never change sign at both ends; an overflowing residual
-    @pytest.mark.parametrize("C", ["1e-320", "1e-300", "1e-100", "1e100", "1e308"])
+    # every r3 check is measured in the units of the homothety law
+    @pytest.mark.parametrize("C", ["1e-100", "1e100"])
+    def test_verify_passes(self, tmp_path, capsys, C):
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--family", "r3", "--C", C, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["overall_pass"]
+        assert "error:" not in capsys.readouterr().err
+
+    # C1 = (9/C)^(1/3) overflows; a degenerate first form; an overflowing
+    # residual at both large C
+    @pytest.mark.parametrize("C", ["1e-320", "1e-300", "1e200", "1e308"])
     def test_verify(self, tmp_path, capsys, C):
         out = tmp_path / "rep.json"
         with warnings.catch_warnings(record=True) as caught:

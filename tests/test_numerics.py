@@ -170,6 +170,37 @@ class TestSolveOde:
             return max(abs(x - e[0]) for x in e)
         assert drift(1e-11) < drift(1e-7)
 
+    def test_six_rhs_calls_per_accepted_step(self):
+        # FSAL: the last stage of a step is the first stage of the next
+        calls = []
+        def rhs(t, y):
+            calls.append(t)
+            return y[1], -y[0]
+        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.01), 10.0, tol=1e-10)
+        assert sol.states[-1].t == 10.0
+        assert len(calls) == 1 + 6 * (len(sol) - 1)
+
+    def test_array_rhs_gives_the_tuple_trajectory(self):
+        as_tuple = lambda t, y: (y[1], -y[0] ** 3)
+        as_array = lambda t, y: np.array([y[1], -y[0] ** 3])
+        runs = [nm.solve_ode(f, nm.OdeState(0.0, [1.0, 0.0], 0.05), 10.0, tol=1e-10,
+                             event=lambda t, y: y[0])
+                for f in (as_tuple, as_array)]
+        assert len(runs[0]) == len(runs[1]) and len(runs[0].events) == len(runs[1].events) == 3
+        for a, b in zip(runs[0].states + runs[0].events, runs[1].states + runs[1].events):
+            assert (a.t, a.y, a.step) == (b.t, b.y, b.step)
+            assert all(type(v) is float for v in b.y)
+
+    def test_nan_trial_stage_halves_the_step(self):
+        calls = []
+        def rhs(t, y):
+            calls.append(t)
+            return (math.nan,) if len(calls) == 2 else (y[0],)
+        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0], 0.02), 1.0, tol=1e-10)
+        assert sol.states[1].step == 0.01
+        assert sol.states[-1].t == 1.0
+        assert sol.states[-1].y[0] == pytest.approx(math.e, abs=1e-10)
+
     def test_invariants_of_state(self):
         with pytest.raises(ValueError):
             nm.OdeState(0.0, [1.0], 0.0)

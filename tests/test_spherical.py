@@ -285,6 +285,16 @@ class TestCurvatureOde:
         out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
         assert out["max_drift_relative"] < 1e-8
 
+    @pytest.mark.parametrize("C, accepted", [(1.001 * spherical.C_MIN, 262), (1.0, 789),
+                                             (20.0, 2355)])
+    def test_step_controller_is_pinned(self, C, accepted):
+        # accepted steps of the report's trajectory: a change to the step
+        # controller or the tableau shows here first
+        par = spherical.FamilyParamsS3(C)
+        r = spherical.domain_roots(C)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        assert len(out["states"]) == accepted
+
     def test_drift_shrinks_with_tolerance(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
