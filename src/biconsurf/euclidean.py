@@ -22,12 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffgeo
-from .numerics import (
-    OutOfDomain,
-    expand_bracket,
-    find_root,
-    one_sided_derivative,
-)
+from .numerics import (OutOfDomain, expand_bracket, find_root, power_derivatives,
+                       series_compose, series_mul, series_revert)
 
 __all__ = [
     "FamilyParamsR3",
@@ -69,10 +65,6 @@ class FamilyParamsR3:
     @classmethod
     def from_C(cls, C: float) -> "FamilyParamsR3":
         return cls(C=C, C1=(9.0 / C) ** (1.0 / 3.0))
-
-    @classmethod
-    def from_C1(cls, C1: float) -> "FamilyParamsR3":
-        return cls(C=9.0 / C1 ** 3, C1=C1)
 
 
 def profile_t(C1: float, rho: float) -> float:
@@ -116,22 +108,31 @@ def complete_profile_x(C1: float, t: float) -> float:
     return find_root(lambda r: profile_t(C1, r) - t, b, tol=1e-14 * r0)
 
 
-def profile_seam_smoothness(C1: float, orders=(1, 2, 3), step: float = 2e-2) -> dict:
-    """One-sided derivatives of the completed profile at the waist t = 0.
+def profile_seam_smoothness(C1: float, orders=(1, 2, 3)) -> dict:
+    """One-sided derivatives of the completed profile at the waist t = 0,
+    from its exact jets in q = sqrt(C1 rho^{2/3} - 1).
 
-    The even reflection makes odd-order one-sided limits opposite, so a
-    smooth seam needs them to vanish; even orders must agree.  The report
-    carries both sides per order, the mismatch, and a relative form
-    (scaled by the analytic waist curvature x''(0) = C1^{3/2} / 3).  Orders
-    above 3 are not checked: the construction is only certified to that
-    order here.
+    The height t(q) = 3/(2 C1^{3/2}) (q sqrt(1 + q^2) + asinh q)
+    = 3/(2 C1^{3/2}) (2 q + q^3/3 + O(q^5)) is odd in q and the radius
+    rho(q) = ((1 + q^2)/C1)^{3/2} is even, so both sides of the seam have
+    |t| = t(q) with q >= 0.  Reverting that series gives q(|t|), and
+    composing rho gives the radius as a series in |t|; the n-th derivative
+    on the left carries the factor (-1)^n.  The even reflection makes
+    odd-order one-sided limits opposite, so a smooth seam needs them to
+    vanish; even orders must agree.  The report carries both sides per
+    order, the mismatch, and a relative form (scaled by the analytic waist
+    curvature x''(0) = C1^{3/2} / 3).  Orders above 3 are not checked:
+    the construction is only certified to that order here.
     """
-    fn = lambda t: complete_profile_x(C1, t)
+    r0 = C1 ** -1.5
+    q = series_revert([0.0, 3.0 * r0, 0.0, 0.5 * r0])
+    q2 = series_mul(q, q)
+    x = [r0 * c for c in series_compose(power_derivatives(1.0, 1.5), [1.0, *q2[1:]])]
     scale2 = C1 ** 1.5 / 3.0
     out = {}
     for order in orders:
-        d_r = one_sided_derivative(fn, 0.0, order, step, forward=True)
-        d_l = one_sided_derivative(fn, 0.0, order, step, forward=False)
+        d_r = math.factorial(order) * x[order]
+        d_l = (-1) ** order * d_r
         mism = abs(d_r - d_l)
         ref = max(abs(d_l), abs(d_r), scale2 * (C1 ** 1.5) ** (order - 2))
         out[order] = {
@@ -262,10 +263,6 @@ class RigidMotion:
     @classmethod
     def mirror_z(cls) -> "RigidMotion":
         return cls(rotation=np.diag([1.0, 1.0, -1.0]))
-
-    @classmethod
-    def translate_z(cls, a3: float) -> "RigidMotion":
-        return cls(translation=np.array([0.0, 0.0, a3]))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.rotation @ p + self.translation

@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffgeo
-from .numerics import OutOfDomain, one_sided_derivative
+from .numerics import (OutOfDomain, power_derivatives, series_compose, series_mul,
+                       series_revert)
 from .spherical import C_MIN, SphereFamily, T, family, strip_quadrature
 
 __all__ = [
@@ -462,68 +463,68 @@ class GluingAtlas:
 
     # -- junction verification -------------------------------------------------
 
-    def _junction_feature_length(self, k: int) -> float:
-        """h-distance over which the profile departs a few percent of the
-        strip width from the junction root; FD steps must resolve it."""
-        span = self.roots.xi02 - self.roots.xi01
-        root, _ = self._junction_data(self._junction_index(self.grid[k]))
-        slope = self._h_cum.end_slope(0.0, upper=root != self.roots.xi01)
-        return slope * math.sqrt(0.05 * span)
-
     def junction_smoothness(self, k: int, orders=(1, 2, 3), functions=("F", "phi1", "phi2")) -> dict:
-        """One-sided derivative comparison across the junction h_{0,k}.
+        """One-sided h-derivatives of F, Phi1 and Phi2 across the junction
+        h_{0,k}, from exact jets in the end variable s = sqrt|xi - root|.
 
-        For each requested function and order, estimates the derivative
-        from both sides with one-sided stencils at two step sizes, keeps
-        the better-converged estimate, and reports the mismatch together
-        with a relative form.  Steps are clamped to the junction's feature
-        length (the profile turns quadratically on a scale that shrinks
-        with the end slope of the height map), and the normalization
-        includes the derivative magnitude just inside the strip, so a tiny
-        jump is never measured against a function whose derivatives are
-        legitimately enormous there.
+        Near the root xi = root +- s^2 exactly, and the height and the
+        turning angle differ from their end values by series in s whose
+        coefficients up to s^3 come from the end-cell Chebyshev leaf of
+        each table; the end integrands are functions of s^2, so both
+        series are odd and their even coefficients are set to exactly 0.
+        Both sides have |h - h_j| = H(s) with the same H: reverting it
+        gives s as a series in d = |h - h_j|, and composing xi(s), R(xi)
+        and cos, sin(zeta + c) gives each component as a series in d.  The
+        sides differ only in their strip's phase constant, the sign of Phi2
+        on odd strips, and the factor (-1)^n that turns the n-th
+        d-derivative into an h-derivative on the left.  No inversion runs
+        and no integrand is evaluated.  Each mismatch is also given
+        relative to the larger one-sided derivative or to
+        amplitude / (strip height)^order, whichever is larger.
         """
         if abs(k) > self.k_max or k == 0:
             raise ValueError(f"junction label {k} outside the atlas grid")
-        h_j = self.grid[k]
+        j = self._junction_index(self.grid[k])
+        root, zlim = self._junction_data(j)
+        upper = j % 2 == 1
+        inward = -1.0 if upper else 1.0  # sign of xi - root, and of zeta - zlim
         delta = self.h_limits[1] - self.h_limits[0]
-        span_xi = self.roots.xi02 - self.roots.xi01
-        feature = self._junction_feature_length(k)
 
-        funcs = {}
-        if "F" in functions:
-            funcs["F"] = (self.F, span_xi)
-        if "phi1" in functions:
-            funcs["phi1"] = (lambda h: self.profile_components(h)[0], 2.0)
-        if "phi2" in functions:
-            funcs["phi2"] = (lambda h: self.profile_components(h)[1], 2.0)
+        odd = lambda a: [0.0, a[1], 0.0, a[3]]
+        s = series_revert(odd(self._h_cum.end_series(upper)))
+        z1, z3 = odd(self.family._zeta_cum.end_series(upper))[1::2]
+        s2 = series_mul(s, s)
+        s3 = series_mul(s2, s)
+        xi = [root, *(inward * c for c in s2[1:])]
+        dz = [inward * (z1 * a + z3 * b) for a, b in zip(s[1:], s3[1:])]
+        w = [-c / self.C for c in series_compose(power_derivatives(root, -2.0), xi)]
+        w[0] += 1.0
+        R = series_compose(power_derivatives(w[0], 0.5), w)  # sqrt(1 - 1/(C xi^2))
 
-        steps = {1: (1e-4 * delta, 5e-5 * delta),
-                 2: (2e-3 * delta, 1e-3 * delta),
-                 3: (8e-3 * delta, 4e-3 * delta)}
+        def jets(k):
+            """F, Phi1 and Phi2 on strip k as series in d."""
+            ang = zlim + self.phase(k)
+            c, sn = math.cos(ang), math.sin(ang)
+            sgn = -1.0 if k % 2 else 1.0
+            phi1 = series_mul(R, series_compose([c, -sn, -c, sn], [ang, *dz]))
+            phi2 = series_mul(R, series_compose([sn, c, -sn, -c], [ang, *dz]))
+            return {"F": xi, "phi1": phi1, "phi2": [sgn * v for v in phi2]}
 
+        amps = {"F": self.roots.xi02 - self.roots.xi01, "phi1": 2.0, "phi2": 2.0}
+        left, right = jets(j - 1), jets(j)
         out = {}
-        for name, (fn, amp) in funcs.items():
+        for name in functions:
             per_order = {}
             for order in orders:
-                best = None
-                for step in steps[order]:
-                    step = min(step, 0.125 * feature)
-                    d_r = one_sided_derivative(fn, h_j, order, step, forward=True)
-                    d_l = one_sided_derivative(fn, h_j, order, step, forward=False)
-                    mism = abs(d_r - d_l)
-                    if best is None or mism < best[0]:
-                        best = (mism, d_l, d_r, step)
-                mism, d_l, d_r, step = best
-                d_nb = one_sided_derivative(fn, h_j + 10.0 * step, order, step,
-                                            forward=True)
-                scale = max(abs(d_l), abs(d_r), abs(d_nb), amp / delta ** order)
+                d_r = math.factorial(order) * right[name][order]
+                d_l = (-1) ** order * math.factorial(order) * left[name][order]
+                mism = abs(d_r - d_l)
+                scale = max(abs(d_l), abs(d_r), amps[name] / delta ** order)
                 per_order[order] = {
                     "left": d_l,
                     "right": d_r,
                     "mismatch": mism,
                     "relative_mismatch": mism / scale,
-                    "step": step,
                 }
             out[name] = per_order
         return out

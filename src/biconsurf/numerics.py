@@ -3,11 +3,11 @@
 Bracketed root finding, cumulative quadrature that tolerates
 inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
 build time, kept as per-panel Chebyshev antiderivatives that later
-evaluations sum by Clenshaw), an embedded adaptive Runge-Kutta integrator
-with event detection, one-sided Richardson derivatives, and
-monotone-function inversion.  Everything is pure with respect to its
-inputs; the cumulative quadrature tables built here are immutable after
-construction and safe to share between threads.
+evaluations sum by Clenshaw, and whose end cells give Taylor series in
+the end variable), an embedded adaptive Runge-Kutta integrator with event
+detection, and truncated power series for one-sided jets.  Everything is
+pure with respect to its inputs; the cumulative quadrature tables built
+here are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 __all__ = [
     "NumericsError",
@@ -25,7 +26,6 @@ __all__ = [
     "MaxIterations",
     "InvalidSpec",
     "StepUnderflow",
-    "OutOfImage",
     "OutOfDomain",
     "DegenerateDomain",
     "Bracket",
@@ -34,8 +34,10 @@ __all__ = [
     "find_root",
     "expand_bracket",
     "solve_ode",
-    "one_sided_derivative",
-    "monotone_inverse",
+    "series_mul",
+    "series_compose",
+    "series_revert",
+    "power_derivatives",
     "gauss_kronrod_panel",
     "CumulativeQuadrature",
 ]
@@ -72,10 +74,6 @@ class InvalidSpec(NumericsError):
 
 class StepUnderflow(NumericsError):
     """The ODE step size collapsed below machine resolution."""
-
-
-class OutOfImage(NumericsError):
-    """Inversion target lies at or beyond the endpoint limits."""
 
 
 class OutOfDomain(NumericsError):
@@ -432,9 +430,21 @@ class CumulativeQuadrature:
         near = QUAD_CELLS - 1 if upper else 0
         x = self.upper - w * w if upper else self.lower + w * w
         cell = self._cell(x) if self.lower < x < self.upper else near
-        if cell == near:
+        # the end cell's leaves span w up to the square root of its width,
+        # also where the rounded x lands on the next cell's node
+        if cell == near or w <= math.sqrt(self.nodes[near + 1] - self.nodes[near]):
             return self._cell_slope(near, w)
         return 2.0 * w * self._cell_slope(cell, x)
+
+    def end_series(self, upper: bool = False) -> list[float]:
+        """Taylor coefficients at w = 0, up to w**3, of the integral
+        between the lower (or upper) end and x = lower + w**2 (or
+        upper - w**2): the derivatives at t = -1 of the Chebyshev
+        antiderivative on the end cell's first leaf, over half**k k!."""
+        row = self._leaves[self._first_leaf[QUAD_CELLS - 1 if upper else 0]]
+        coef, half = row[_COEF:], float(row[_HALF])
+        return [float(chebyshev.chebval(-1.0, chebyshev.chebder(coef, k)))
+                / (half ** k * math.factorial(k)) for k in range(4)]
 
     def value(self, x: float) -> float:
         """Cumulative integral from `lower` to x (x in the closed interval)."""
@@ -600,62 +610,38 @@ def solve_ode(
 
 
 # ----------------------------------------------------------------------
-# Finite differences
+# Truncated power series
 # ----------------------------------------------------------------------
 
-def one_sided_derivative(f, x: float, order: int, step: float, forward: bool) -> float:
-    """One-sided derivative of order 1..3, Richardson-extrapolated twice.
-
-    Uses the 2nd-order stencils at step, step/2 and step/4 and cancels the
-    h^2 and h^3 error terms; meant for comparing one-sided limits at
-    finite-smoothness junction points, where raw truncation would swamp
-    the mismatch being measured.
-    """
-
-    def raw(s_step):
-        s = s_step if forward else -s_step
-        vals = [f(x + i * s) for i in range(5)]
-        if order == 1:
-            return (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * s)
-        if order == 2:
-            return (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / (s * s)
-        if order == 3:
-            return (-5.0 * vals[0] + 18.0 * vals[1] - 24.0 * vals[2]
-                    + 14.0 * vals[3] - 3.0 * vals[4]) / (2.0 * s ** 3)
-        raise ValueError("order must be 1, 2 or 3")
-
-    d1 = raw(step)
-    d2 = raw(0.5 * step)
-    d4 = raw(0.25 * step)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d4 - d2) / 3.0
-    return (8.0 * r2 - r1) / 7.0
+def series_mul(a: list, b: list) -> list:
+    """Product of two power series truncated to the length of `a`."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
-# ----------------------------------------------------------------------
-# Monotone inversion
-# ----------------------------------------------------------------------
+def series_compose(derivs, g: list) -> list:
+    """Series of f(g(x)) from the series g and `derivs`, the derivatives
+    f^(k)(g[0]) for k < len(g): the sum of f^(k)(g[0]) / k! (g - g[0])^k,
+    truncated to the length of g."""
+    step = [0.0, *g[1:]]
+    power = [1.0] + [0.0] * (len(g) - 1)
+    out = [0.0] * len(g)
+    for k, d in enumerate(derivs):
+        out = [o + d / math.factorial(k) * p for o, p in zip(out, power)]
+        power = series_mul(power, step)
+    return out
 
-def monotone_inverse(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    y: float,
-    tol: float = ROOT_TOL,
-) -> float:
-    """Solve f(x) = y for a strictly monotone f on the open interval (lo, hi).
 
-    Raises OutOfImage when y sits at or beyond the sampled endpoint values.
-    """
-    width = hi - lo
-    if width <= 0.0:
-        raise ValueError("need lo < hi")
-    delta = max(1e-13 * width, 4.0 * _EPS * max(abs(lo), abs(hi)))
-    a, b = lo + delta, hi - delta
-    fa, fb = f(a), f(b)
-    increasing = fb > fa
-    f_min, f_max = (fa, fb) if increasing else (fb, fa)
-    if not (f_min < y < f_max):
-        raise OutOfImage(f"target {y} outside sampled image ({f_min}, {f_max})")
-    g = (lambda x: f(x) - y)
-    return find_root(g, Bracket(a, b, fa - y, fb - y), tol=tol)
+def series_revert(a: list) -> list:
+    """Series of x(y), to order 3, from y = a1 x + a2 x^2 + a3 x^3 (a1 != 0;
+    a[0] is ignored, the expansion point maps to 0)."""
+    _, a1, a2, a3 = a
+    return [0.0, 1.0 / a1, -a2 / a1 ** 3, (2.0 * a2 * a2 - a1 * a3) / a1 ** 5]
+
+
+def power_derivatives(x: float, p: float) -> list:
+    """The derivatives of order 0 to 3 of t^p at t = x."""
+    out, c = [], 1.0
+    for k in range(4):
+        out.append(c * x ** (p - k))
+        c *= p - k
+    return out

@@ -189,7 +189,8 @@ def strip_quadrature(roots: "DomainRoots", g) -> CumulativeQuadrature:
 
 
 def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
-    """Bracketed roots xi01 < xi00 < xi02 of T for an admissible C.
+    """Roots xi01 < xi00 < xi02 of T for an admissible C, bracketed and
+    then polished to a few ulps.
 
     The midpoint xi00 = (9C/4)^{3/2} maximizes nothing in particular but
     always separates the two roots; T(xi00) = 2187 C^4 / 256 - 3, so a
@@ -205,7 +206,19 @@ def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
     lo = find_root(f, Bracket.from_function(f, 1e-9, xi00), tol=tol)
     upper = expand_bracket(f, xi00, 2.0 * xi00)
     hi = find_root(f, upper, tol=tol)
-    return DomainRoots(xi01=lo, xi00=xi00, xi02=hi)
+    return DomainRoots(xi01=_polish_root(C, lo), xi00=xi00, xi02=_polish_root(C, hi))
+
+
+def _polish_root(C: float, xi: float) -> float:
+    """Three Newton steps on P(a) = T(a^3) = a^6 (3C - a^2) - 3 in a = xi^{1/3}:
+    a bracket closed to an absolute width leaves up to ~1.5e3 ulps, these
+    a few (away from the double root at C_MIN)."""
+    a = xi ** (1.0 / 3.0)
+    for _ in range(3):
+        a2 = a * a
+        a5 = a2 * a2 * a
+        a -= (a5 * a * (3.0 * C - a2) - 3.0) / (a5 * (18.0 * C - 8.0 * a2))
+    return a ** 3
 
 
 def metric_gC(C: float, xi: float) -> tuple[float, float]:

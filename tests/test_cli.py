@@ -468,6 +468,35 @@ class TestR3ExtremeC:
         assert "error:" not in capsys.readouterr().err
 
 
+class TestHugeC:
+    """Admissible C where double precision cannot evaluate the sphere
+    families: the root bracket starts at 1e-9 > xi01 ~ C^(-1/2) (1e60), T
+    overflows (1e100), or (9C/4)^(3/2) does (1e300).  Every command exits
+    2 with one error line."""
+
+    @pytest.mark.parametrize("C, cstar", [("1e60", "1e-31"), ("1e100", "1e-51"),
+                                          ("1e300", "1e-160")])
+    @pytest.mark.parametrize("command", [
+        ["params"],
+        ["curves", "--figure", "fig3"], ["curves", "--figure", "fig4"],
+        ["curves", "--figure", "fig6"],
+        ["mesh", "--family", "s3-local"], ["mesh", "--family", "s3-complete"],
+        ["verify", "--family", "s3-local"], ["verify", "--family", "revolution"],
+    ], ids=lambda c: "-".join(c[::2]))
+    def test_one_error_line(self, tmp_path, capsys, C, cstar, command):
+        argv = [*command, "--C", C]
+        if command[0] != "params" and command[-1] != "s3-local":
+            argv += ["--cstar", cstar]
+        out = tmp_path / "out.txt"
+        if command[0] != "params":
+            argv += ["--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEmptyRunsAndOutputs:
     def test_verify_grid_n_zero(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -18,7 +18,7 @@ class TestParams:
     def test_relation(self):
         p = euclidean.FamilyParamsR3.from_C(2.5)
         assert p.C1 ** 3 * p.C == pytest.approx(9.0, rel=1e-14)
-        q = euclidean.FamilyParamsR3.from_C1(p.C1)
+        q = euclidean.FamilyParamsR3(C=9.0 / p.C1 ** 3, C1=p.C1)
         assert q.C == pytest.approx(2.5, rel=1e-14)
 
     def test_rejects_inconsistent(self):
@@ -176,7 +176,8 @@ class TestGluing:
 
     def test_axis_translation_position_gap(self):
         rep = euclidean.gluing_conditions_check(
-            1.0, 1.0, euclidean.RigidMotion.translate_z(0.25), n_samples=8)
+            1.0, 1.0, euclidean.RigidMotion(translation=np.array([0.0, 0.0, 0.25])),
+            n_samples=8)
         assert rep["position"] == pytest.approx(0.25, rel=1e-12)
 
     def test_pose_validation(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, gluing, spherical
-from biconsurf.numerics import OutOfDomain
+from biconsurf.numerics import Bracket, OutOfDomain, find_root
 from conftest import refined_singular_integral
 
 
@@ -109,13 +109,18 @@ class TestHeightFunction:
             at.h0_inverse(at.h_limits[1] + 0.1)
 
     def test_generic_monotone_inverse_on_height(self, at):
-        # the generic kernel inverter agrees with the atlas machinery
-        from biconsurf.numerics import monotone_inverse
+        # the kernel's bracketed root finder inverts the monotone height
+        # function to the atlas machinery's answer
         r = at.roots
-        xi_base = monotone_inverse(at.h0, r.xi01, r.xi02, 0.0, tol=1e-12)
+
+        def invert(y):
+            f = lambda xi: at.h0(xi) - y
+            return find_root(f, Bracket.from_function(f, r.xi01, r.xi02), tol=1e-12)
+
+        xi_base = invert(0.0)
         assert xi_base == pytest.approx(r.xi00, abs=1e-9)
         y = at.h_limits[1] - 1e-3
-        xi_near_top = monotone_inverse(at.h0, r.xi01, r.xi02, y, tol=1e-12)
+        xi_near_top = invert(y)
         assert r.xi02 - xi_near_top < 2e-2    # hugs the upper root
         assert at.h0(xi_near_top) == pytest.approx(y, abs=1e-10)
 
@@ -277,6 +282,24 @@ class TestReflectedProfile:
             assert at.roots.xi01 <= xi <= at.roots.xi02
 
 
+def _richardson(f, x, order, step):
+    """One-sided derivative of order 1..3 at x, on the side of the step's
+    sign: second-order stencils at step, step/2 and step/4, extrapolated
+    twice to cancel the h^2 and h^3 error terms."""
+
+    def raw(s):
+        v = [f(x + i * s) for i in range(5)]
+        if order == 1:
+            return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * s)
+        if order == 2:
+            return (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (s * s)
+        return (-5.0 * v[0] + 18.0 * v[1] - 24.0 * v[2] + 14.0 * v[3] - 3.0 * v[4]) / (2.0 * s ** 3)
+
+    d1, d2, d4 = raw(step), raw(0.5 * step), raw(0.25 * step)
+    r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
+    return (8.0 * r2 - r1) / 7.0
+
+
 class TestJunctionSmoothness:
     def test_orders_match(self, at):
         for k in (1, -1):
@@ -298,6 +321,49 @@ class TestJunctionSmoothness:
         good = gluing.GluingAtlas(1.0, 1.0, k_max=3)
         rep2 = good.junction_smoothness(1, orders=(1,), functions=("phi1",))
         assert rep2["phi1"][1]["relative_mismatch"] < 1e-3
+
+    @pytest.mark.parametrize("C", [1.000001 * spherical.C_MIN, 1.001 * spherical.C_MIN,
+                                   1.0, 20.0, 1e3])
+    def test_matches_over_the_admissible_range(self, C):
+        # measured at most 7e-14: both sides share one jet, so only the
+        # phase constants can tell them apart
+        for frac in (1e-3, 0.5, 0.999):
+            at = gluing.GluingAtlas(C, _cstar_at(C, frac), k_max=2)
+            worst = max(d["relative_mismatch"] for k in (1, -1, 2)
+                        for fn in at.junction_smoothness(k).values() for d in fn.values())
+            assert worst <= 1e-10, (C, frac, worst)
+
+    def test_jets_match_stencils_on_the_evaluator(self):
+        # Richardson-extrapolated one-sided stencils on profile_components;
+        # measured at most 3.4e-6 (order 3), 1.5e-7 (order 2), 5e-11 (order 1)
+        at = gluing.GluingAtlas(1.0, 1.0, k_max=3)
+        delta = at.h_limits[1] - at.h_limits[0]
+        for k in (1, -1, 2):
+            rep = at.junction_smoothness(k)
+            for name, i in (("phi1", 0), ("phi2", 1)):
+                f = lambda h: at.profile_components(h)[i]
+                for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
+                    for side, sign in (("right", 1.0), ("left", -1.0)):
+                        fd = _richardson(f, at.grid[k], order, sign * step * delta)
+                        jet = rep[name][order][side]
+                        scale = max(abs(jet), 2.0 / delta ** order)
+                        assert abs(fd - jet) <= 1e-5 * scale, (k, name, order, side, jet, fd)
+
+    def test_no_inversion_and_no_integrand(self, monkeypatch):
+        at = gluing.GluingAtlas(1.0, 1.0, k_max=3)
+        calls = []
+        inverse = at.h0_inverse
+        monkeypatch.setattr(at, "h0_inverse", lambda y: calls.append(y) or inverse(y))
+        for table in (at._h_cum, at.family._zeta_cum):
+            for name in ("f", "left_sub", "right_sub"):
+                fn = getattr(table, name)
+                monkeypatch.setattr(table, name, lambda x, fn=fn: calls.append(x) or fn(x))
+        for k in (1, -1, 2):
+            at.junction_smoothness(k)
+        at.with_rejected_phases().junction_smoothness(1, orders=(1,), functions=("phi1",))
+        assert calls == []
+        at.F(0.3)  # the counter sees an inversion
+        assert len(calls) == 1
 
     def test_out_of_atlas(self, at):
         with pytest.raises(ValueError):

@@ -209,54 +209,35 @@ class TestSolveOde:
 
 
 # ----------------------------------------------------------------------
-# one_sided_derivative
+# truncated power series
 # ----------------------------------------------------------------------
 
-_CUBIC = (lambda x: 2.0 * x ** 3 - x * x + 3.0 * x - 1.0,
-          {1: lambda x: 6.0 * x * x - 2.0 * x + 3.0, 2: lambda x: 12.0 * x - 2.0,
-           3: lambda x: 12.0})
+class TestSeries:
+    def test_product(self):
+        # (1 + x)^2 (1 - x) = 1 + x - x^2 - x^3
+        assert nm.series_mul([1.0, 2.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0]) == [1.0, 1.0, -1.0, -1.0]
 
+    def test_compose_exp_of_sin(self):
+        # exp(sin x) = 1 + x + x^2/2 + 0 x^3 + O(x^4)
+        out = nm.series_compose([1.0] * 4, [0.0, 1.0, 0.0, -1.0 / 6.0])
+        assert out == pytest.approx([1.0, 1.0, 0.5, 0.0], abs=1e-16)
 
-class TestOneSidedDerivative:
-    # measured at step 1e-2: 2.8e-11, 1.9e-10 and 3.6e-7
-    @pytest.mark.parametrize("order, bound", [(1, 1e-9), (2, 1e-8), (3, 1e-5)])
-    @pytest.mark.parametrize("forward", [True, False])
-    def test_exp(self, order, bound, forward):
-        val = nm.one_sided_derivative(math.exp, 0.3, order, 1e-2, forward)
-        assert abs(val - math.exp(0.3)) <= bound
+    def test_compose_about_the_inner_value(self):
+        # sqrt(4 + x) = 2 + x/4 - x^2/64 + x^3/512
+        out = nm.series_compose(nm.power_derivatives(4.0, 0.5), [4.0, 1.0, 0.0, 0.0])
+        assert out == pytest.approx([2.0, 0.25, -1.0 / 64.0, 1.0 / 512.0], rel=1e-15)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    @pytest.mark.parametrize("forward", [True, False])
-    def test_cubic(self, order, forward):
-        f, derivs = _CUBIC
-        val = nm.one_sided_derivative(f, 0.7, order, 0.1, forward)
-        assert abs(val - derivs[order](0.7)) <= 1e-9
+    def test_power_derivatives(self):
+        assert nm.power_derivatives(2.0, -2.0) == [0.25, -0.25, 0.375, -0.75]
 
-    def test_order_four_rejected(self):
-        with pytest.raises(ValueError):
-            nm.one_sided_derivative(math.exp, 0.3, 4, 1e-2, True)
+    def test_revert_sin_gives_asin(self):
+        # asin y = y + y^3/6 + O(y^5)
+        assert nm.series_revert([0.0, 1.0, 0.0, -1.0 / 6.0]) == pytest.approx(
+            [0.0, 1.0, 0.0, 1.0 / 6.0], rel=1e-15)
 
-
-# ----------------------------------------------------------------------
-# monotone_inverse
-# ----------------------------------------------------------------------
-
-class TestMonotoneInverse:
-    def test_cube_root_near_edge(self):
-        x = nm.monotone_inverse(lambda t: t ** 3, -2.0, 2.0, 8.0 - 1e-6)
-        assert x == pytest.approx((8.0 - 1e-6) ** (1.0 / 3.0), abs=1e-10)
-        assert x < 2.0
-
-    def test_decreasing_function(self):
-        x = nm.monotone_inverse(lambda t: -t, 0.0, 4.0, -1.5)
-        assert x == pytest.approx(1.5, abs=1e-10)
-
-    def test_out_of_image(self):
-        with pytest.raises(nm.OutOfImage):
-            nm.monotone_inverse(lambda t: t ** 3, -2.0, 2.0, 9.0)
-
-    @given(y=st.floats(-7.9, 7.9))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, y):
-        x = nm.monotone_inverse(lambda t: t ** 3, -2.0, 2.0, y)
-        assert x ** 3 == pytest.approx(y, abs=1e-9)
+    def test_revert_is_a_right_inverse(self):
+        a = [0.0, 2.0, -0.5, 0.3]
+        b = nm.series_revert(a)
+        # a(b(y)) = y, with a's derivatives at 0 as the outer function
+        out = nm.series_compose([0.0, a[1], 2.0 * a[2], 6.0 * a[3]], b)
+        assert out == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-15)

@@ -94,6 +94,60 @@ def test_end_slope_matches_end_integrands():
         cq.end_slope(math.sqrt(0.6 * (cq.upper - cq.lower)))
 
 
+def _exact_end_series(mpmath, C, Cstar, root, upper, table):
+    """Taylor coefficients, to s^3, of the end integral of `table` ("h" or
+    "zeta") at 50 digits: mpmath.taylor of the end integrand 2 g / sqrt(T/d)
+    at s = 0, integrated term by term.  T/d comes from the exact division
+    of P(a) = T(a^3) = -a^8 + 3C a^6 - 3 by a - a_r at the 50-digit root."""
+    c, cs = mpmath.mpf(C), mpmath.mpf(Cstar)
+    a_r = mpmath.findroot(lambda a: a ** 6 * (3 * c - a * a) - 3, mpmath.cbrt(root))
+    quotient = [mpmath.mpf(-1)]
+    for coef in (0, 3 * c, 0, 0, 0, 0, 0):
+        quotient.append(coef + a_r * quotient[-1])
+    side = -1 if upper else 1
+
+    def integrand(s):
+        tau = a_r ** 3 + side * s * s
+        a = mpmath.cbrt(tau)
+        t_over_d = side * mpmath.polyval(quotient, a) / (a * a + a * a_r + a_r * a_r)
+        if table == "h":
+            g = mpmath.sqrt(3 * tau * tau - cs * cs * s * s * t_over_d) / (tau * tau)
+        else:
+            g = mpmath.sqrt(c) * tau ** (mpmath.mpf(4) / 3) / (c * tau * tau - 1)
+        return 2 * g / mpmath.sqrt(t_over_d)
+
+    d = mpmath.taylor(integrand, 0, 2)
+    return [0.0, float(d[0]), float(d[1] / 2), float(d[2] / 3)]
+
+
+# below C ~ 300 the end cell's first leaf is the whole cell or a quarter
+# of it; at C = 1e3 the lower zeta leaf stops at the depth limit of the
+# adaptive build, wider than the radius of convergence in s (a pole of the
+# integrand at C tau^2 = 1 sits 7e-4 from s = 0), so its interpolant is
+# off by 8e-5 at s = 0
+UNRESOLVED_END = pytest.mark.xfail(strict=True, reason="lower zeta end leaf at the depth limit")
+
+
+@pytest.mark.parametrize("C, upper", [
+    *((C, upper) for C in (1.001 * spherical.C_MIN, 1.0, 20.0) for upper in (False, True)),
+    pytest.param(1e3, False, marks=UNRESOLVED_END), (1e3, True)])
+def test_end_series_against_mpmath(C, upper):
+    # the s coefficient is the leaf's value at s = 0 (measured <= 1.1e-12
+    # relative); the s^3 one its second derivative, where rounding of the
+    # samples is amplified by about n^4 / width^2 (measured <= 3.3e-5)
+    mpmath = pytest.importorskip("mpmath")
+    Cstar = _cstar_at(C, 0.5)
+    at = gluing.GluingAtlas(C, Cstar, k_max=2)
+    root = at.roots.xi02 if upper else at.roots.xi01
+    with mpmath.workdps(50):
+        for table, cq in (("h", at._h_cum), ("zeta", at.family._zeta_cum)):
+            got = cq.end_series(upper)
+            exact = _exact_end_series(mpmath, C, Cstar, root, upper, table)
+            assert got[1] == pytest.approx(exact[1], rel=1e-10), table
+            assert got[3] == pytest.approx(exact[3], rel=1e-4), table
+            assert abs(exact[2]) <= 1e-30 * abs(exact[1])  # the end integrands are even in s
+
+
 def test_no_integrand_evaluation_after_build(monkeypatch):
     at = gluing.GluingAtlas(1.0, 1.0, k_max=2)
     fam = at.family

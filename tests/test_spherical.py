@@ -51,6 +51,21 @@ class TestRoots:
         assert abs(float(spherical.T(C, r.xi02))) < 1e-10 * scale
         assert r.xi01 < r.xi00 < r.xi02
 
+    def test_within_a_few_ulps_of_mpmath(self):
+        # measured at most 3.9 ulps; before the Newton polish the bracket's
+        # absolute width left up to 1,488 ulps (xi01 at C = 2.3e4).  At
+        # C_MIN the roots merge into a double root, which limits accuracy
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for C in np.geomspace(1.001 * spherical.C_MIN, 1e6, 120).tolist():
+                c = mpmath.mpf(C)
+                P = lambda a: a ** 6 * (3 * c - a * a) - 3
+                r = spherical.domain_roots(C)
+                for xi in (r.xi01, r.xi02):
+                    exact = mpmath.findroot(P, mpmath.cbrt(xi)) ** 3
+                    ulps = float(abs(xi - exact)) / math.ulp(float(exact))
+                    assert ulps <= 6.0, (C, xi, ulps)
+
     def test_k_root_correspondence(self):
         r = spherical.domain_roots(1.0)
         C1 = spherical.FamilyParamsS3(1.0).C1
