@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's own quadrature/root
 machinery: plain bisection for roots, Richardson-refined composite
 midpoint for integrals (with the square-root substitution applied at the
-code level, not through the package helpers).  Expected values frozen in
+code level, not through the package helpers), and Richardson-extrapolated
+one-sided stencils for derivatives.  Expected values frozen in
 the tests were produced by these.
 """
 
@@ -63,6 +64,27 @@ def refined_singular_integral(g, a, b, singular_lower, singular_upper, n0=1024):
     else:
         v, e = refined_midpoint(g, m, b, n0)
     return total + v, err + e
+
+
+def one_sided_derivative(f, x, order, step, forward):
+    """One-sided derivative of order 1..3 at x, on the forward or backward
+    side: second-order stencils at step, step/2 and step/4, extrapolated
+    twice to cancel the h^2 and h^3 error terms."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+
+    def raw(s_step):
+        s = s_step if forward else -s_step
+        v = [f(x + i * s) for i in range(5)]
+        if order == 1:
+            return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * s)
+        if order == 2:
+            return (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (s * s)
+        return (-5.0 * v[0] + 18.0 * v[1] - 24.0 * v[2] + 14.0 * v[3] - 3.0 * v[4]) / (2.0 * s ** 3)
+
+    d1, d2, d4 = raw(step), raw(0.5 * step), raw(0.25 * step)
+    r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
+    return (8.0 * r2 - r1) / 7.0
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, gluing, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
-from conftest import refined_singular_integral
+from conftest import one_sided_derivative, refined_singular_integral
 
 
 @pytest.fixture(scope="module")
@@ -282,24 +282,6 @@ class TestReflectedProfile:
             assert at.roots.xi01 <= xi <= at.roots.xi02
 
 
-def _richardson(f, x, order, step):
-    """One-sided derivative of order 1..3 at x, on the side of the step's
-    sign: second-order stencils at step, step/2 and step/4, extrapolated
-    twice to cancel the h^2 and h^3 error terms."""
-
-    def raw(s):
-        v = [f(x + i * s) for i in range(5)]
-        if order == 1:
-            return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * s)
-        if order == 2:
-            return (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (s * s)
-        return (-5.0 * v[0] + 18.0 * v[1] - 24.0 * v[2] + 14.0 * v[3] - 3.0 * v[4]) / (2.0 * s ** 3)
-
-    d1, d2, d4 = raw(step), raw(0.5 * step), raw(0.25 * step)
-    r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
-    return (8.0 * r2 - r1) / 7.0
-
-
 class TestJunctionSmoothness:
     def test_orders_match(self, at):
         for k in (1, -1):
@@ -343,8 +325,8 @@ class TestJunctionSmoothness:
             for name, i in (("phi1", 0), ("phi2", 1)):
                 f = lambda h: at.profile_components(h)[i]
                 for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
-                    for side, sign in (("right", 1.0), ("left", -1.0)):
-                        fd = _richardson(f, at.grid[k], order, sign * step * delta)
+                    for side, forward in (("right", True), ("left", False)):
+                        fd = one_sided_derivative(f, at.grid[k], order, step * delta, forward)
                         jet = rep[name][order][side]
                         scale = max(abs(jet), 2.0 / delta ** order)
                         assert abs(fd - jet) <= 1e-5 * scale, (k, name, order, side, jet, fd)

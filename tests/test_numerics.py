@@ -1,4 +1,5 @@
-"""Numerical kernel: roots, quadrature, ODE, one-sided derivatives, inversion."""
+"""Numerical kernel: roots, quadrature, ODE, truncated series; and the
+one-sided stencil oracle of conftest that the jet tests compare against."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import numerics as nm
+from conftest import one_sided_derivative
 
 
 def T1(x):
@@ -241,3 +243,32 @@ class TestSeries:
         # a(b(y)) = y, with a's derivatives at 0 as the outer function
         out = nm.series_compose([0.0, a[1], 2.0 * a[2], 6.0 * a[3]], b)
         assert out == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-15)
+
+
+# ----------------------------------------------------------------------
+# one-sided stencil oracle (conftest)
+# ----------------------------------------------------------------------
+
+_CUBIC = (lambda x: 2.0 * x ** 3 - x * x + 3.0 * x - 1.0,
+          {1: lambda x: 6.0 * x * x - 2.0 * x + 3.0, 2: lambda x: 12.0 * x - 2.0,
+           3: lambda x: 12.0})
+
+
+class TestOneSidedDerivative:
+    # measured at step 1e-2: 2.8e-11, 1.9e-10 and 3.6e-7
+    @pytest.mark.parametrize("order, bound", [(1, 1e-9), (2, 1e-8), (3, 1e-5)])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_exp(self, order, bound, forward):
+        val = one_sided_derivative(math.exp, 0.3, order, 1e-2, forward)
+        assert abs(val - math.exp(0.3)) <= bound
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_cubic(self, order, forward):
+        f, derivs = _CUBIC
+        val = one_sided_derivative(f, 0.7, order, 0.1, forward)
+        assert abs(val - derivs[order](0.7)) <= 1e-9
+
+    def test_order_four_rejected(self):
+        with pytest.raises(ValueError):
+            one_sided_derivative(math.exp, 0.3, 4, 1e-2, True)
