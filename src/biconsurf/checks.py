@@ -287,27 +287,6 @@ def _profile_metric_pullback(at: gluing.GluingAtlas, patch, grid: int, tol: floa
                   _strip_interior_samples(at, (-1, 0, 1), grid), tol)
 
 
-def _junction_mismatch(at: gluing.GluingAtlas, j: int) -> float:
-    """Phase-level value agreement of the glued components at junction j.
-
-    The one-sided limits are closed-form in the phases, so the exact
-    identity is checked directly: adjacent strips must produce the same
-    first two components at the shared root.  (A numeric probe at small
-    offsets would only re-measure the profile inverse's representation
-    floor, which scales with the root size.)
-    """
-    xi, zlim = at._junction_data(j)
-    k_right = 0 if j == 0 else j       # strip just above the junction
-    k_left = 0 if j == 1 else j - 1    # strip just below
-    R = at.family.radius(xi)
-    ca, cb = at.phase(k_left), at.phase(k_right)
-    p1a = R * math.cos(zlim + ca)
-    p1b = R * math.cos(zlim + cb)
-    p2a = (-1.0 if k_left % 2 else 1.0) * R * math.sin(zlim + ca)
-    p2b = (-1.0 if k_right % 2 else 1.0) * R * math.sin(zlim + cb)
-    return _largest(abs(p1a - p1b), abs(p2a - p2b))
-
-
 def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
                        grid: int = 10, seed: int = 12345,
                        tols: Tolerances | None = None) -> dict[str, CheckResult]:
@@ -317,16 +296,18 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
     m1, p1 = at.h_limits
     delta = p1 - m1
     roots, F, P = at.roots, at.F, at.period
-    neg = at.with_rejected_phases().junction_smoothness(1, orders=(1,), functions=("phi1",))
+    # the continuity-only branch c_k = c0: the base strip's constant on both sides
+    neg = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
+                                 phases=(at.phase(0), at.phase(0)))
     hpatch = at.phi_patch((m1 - delta, at.grid[2]), (0.0, 1.0))
 
     out = {  # the random samples are drawn in the order of the entries
         "grid_formula": _worst(
             lambda k: _largest(abs(at.grid[k] - (k * p1 - (k - 1) * m1)),
                                abs(at.grid[-k] - (k * m1 - (k - 1) * p1))),
-            [(k,) for k in range(1, at.k_max + 1)], tols.phase),
+            [(k,) for k in range(1, gluing.K_MAX + 1)], tols.phase),
         "grid_spacing": _worst(lambda k: abs((at.grid[k + 1] - at.grid[k]) - delta),
-                               [(k,) for k in range(1, at.k_max)], tols.phase),
+                               [(k,) for k in range(1, gluing.K_MAX)], tols.phase),
         "phase_recursion_vs_closed_form": _worst(
             lambda k: gluing.phase_distance(at.phase(k), at.phase_by_recursion(k)),
             [(k,) for k in range(-25, 26)], tols.phase),
@@ -347,8 +328,11 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
             [(rng.uniform(m1 - P, p1 + P), rng.uniform(0.0, 2.0 * math.pi))
              for _ in range(256)], tols.sphere_norm),
         "metric_pullback": _profile_metric_pullback(at, hpatch, grid, tols.metric_glued_rel),
-        "junction_continuity": _worst(lambda j: _junction_mismatch(at, j),
-                                      [(j,) for j in (-2, -1, 0, 1, 2, 3)], 1e-10),
+        # the one-sided values of the same jets
+        "junction_continuity": _worst(
+            lambda k: _largest(*(fn[0]["mismatch"] for fn in at.junction_smoothness(
+                k, orders=(0,), functions=("phi1", "phi2")).values())),
+            [(k,) for k in (-3, -2, -1, 1, 2, 3)], 1e-10),
         "biconservativity_residual": _worst(
             lambda h: diffgeo.biconservativity_residual(hpatch, h, 0.3),
             _strip_interior_samples(at, (0, 1), 5, margin=0.08), tols.residual),

@@ -155,19 +155,14 @@ def _position_partials(patch: ImmersionPatch, u: float, v: float):
 
 
 def _second_partials(patch: ImmersionPatch, u: float, v: float):
+    """Central differences of the partials, one partials call per stencil point."""
     hu = _step("partials", patch.u_range, u, patch.u_singularities)
     hv = _step("partials", patch.v_range, v, ())
-    fp = patch.first_partials
-
-    def pu(uu, vv):
-        return np.asarray(fp(uu, vv)[0], dtype=float)
-
-    def pv(uu, vv):
-        return np.asarray(fp(uu, vv)[1], dtype=float)
-
-    xuu = (pu(u + hu, v) - pu(u - hu, v)) / (2 * hu)
-    xuv = (pu(u, v + hv) - pu(u, v - hv)) / (2 * hv)
-    xvv = (pv(u, v + hv) - pv(u, v - hv)) / (2 * hv)
+    up, um = _position_partials(patch, u + hu, v), _position_partials(patch, u - hu, v)
+    vp, vm = _position_partials(patch, u, v + hv), _position_partials(patch, u, v - hv)
+    xuu = (up[0] - um[0]) / (2 * hu)
+    xuv = (vp[0] - vm[0]) / (2 * hv)
+    xvv = (vp[1] - vm[1]) / (2 * hv)
     return xuu, xuv, xvv
 
 
@@ -342,17 +337,15 @@ def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
     For spherical patches the position must be a unit vector; the
     partials must match fourth-order differences of the position; the
     normal must be orthogonal to the tangents (and the position).  Returns
-    the worst deviations found.
+    the worst deviations found; a NaN deviation is the worst, so it fails.
     """
     us, vs = patch.grid(n, n, margin=5e-2)
-    worst_norm = 0.0
-    worst_partial = 0.0
-    worst_orth = 0.0
+    norm, partial, orth = [0.0], [], []
     for u in us:
         for v in vs:
             pos = np.asarray(patch.position(u, v), dtype=float)
             if patch.ambient == SPHERE3:
-                worst_norm = max(worst_norm, abs(np.linalg.norm(pos) - 1.0))
+                norm.append(abs(np.linalg.norm(pos) - 1.0))
             xu, xv = _position_partials(patch, u, v)
             hu = _step("values", patch.u_range, u, patch.u_singularities)
             hv = _step("values", patch.v_range, v, ())
@@ -360,13 +353,14 @@ def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
             fv = _fd4(lambda vv: np.asarray(patch.position(u, vv), dtype=float), v, hv)
             su = max(1.0, float(np.linalg.norm(xu)))
             sv = max(1.0, float(np.linalg.norm(xv)))
-            worst_partial = max(worst_partial,
-                                float(np.linalg.norm(fu - xu)) / su,
-                                float(np.linalg.norm(fv - xv)) / sv)
+            partial += [float(np.linalg.norm(fu - xu)) / su, float(np.linalg.norm(fv - xv)) / sv]
             nrm = _normal(patch, u, v, xu, xv)
-            worst_orth = max(worst_orth, abs(float(nrm @ xu)), abs(float(nrm @ xv)))
+            orth += [abs(float(nrm @ xu)), abs(float(nrm @ xv))]
             if patch.ambient == SPHERE3:
-                worst_orth = max(worst_orth, abs(float(nrm @ pos)))
+                orth.append(abs(float(nrm @ pos)))
+    # max() drops a NaN that is not its first argument
+    worst_norm, worst_partial, worst_orth = (
+        math.nan if any(map(math.isnan, xs)) else max(xs) for xs in (norm, partial, orth))
     return {
         "position_norm_defect": worst_norm,
         "partials_vs_fd": worst_partial,

@@ -18,7 +18,6 @@ of the plane with the periodic-profile metric into the unit 3-sphere.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from bisect import bisect_left
@@ -48,6 +47,9 @@ PHASE_SLACK = 1e-12
 
 # Newton steps allowed per inversion; a Hermite-seeded one takes about two
 NEWTON_CAP = 8
+
+# junction labels run over +-1 .. +-K_MAX: the h_{0,+-11} range of fig6
+K_MAX = 11
 
 _log = logging.getLogger(__name__)
 
@@ -93,30 +95,16 @@ class GluingAtlas:
     immersions for one parameter pair (C, C*) and base phase c0.
 
     Construction is single-threaded; a built atlas is immutable and safe
-    for concurrent evaluation.  `rejected_phases=True` installs the
-    continuity-only branch c_k = c_0, which keeps the immersion continuous
-    but deliberately breaks first-order matching at the junctions; it
-    exists for negative-control tests.
+    for concurrent evaluation.
     """
 
-    def __init__(
-        self,
-        C: float,
-        Cstar: float,
-        c0: float = 0.0,
-        k_max: int = 11,
-        rejected_phases: bool = False,
-    ):
+    def __init__(self, C: float, Cstar: float, c0: float = 0.0):
         rng = cstar_range(C)  # raises InvalidC for inadmissible C
         if not rng.contains(Cstar):
             raise InvalidC(f"C* = {Cstar} outside (0, {rng.upper})")
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
         self.C = float(C)
         self.Cstar = float(Cstar)
         self.c0 = float(c0)
-        self.k_max = int(k_max)
-        self.rejected_phases = bool(rejected_phases)
         self.family: SphereFamily = family(self.C)
         self.roots = self.family.roots
         cs2 = self.Cstar * self.Cstar
@@ -135,7 +123,7 @@ class GluingAtlas:
         self._xi_nodes = self._h_cum.nodes.tolist()
         self._xi_slopes = [0.0, *(1.0 / self._h_cum.f(self._h_cum.nodes[1:-1])).tolist(), 0.0]
 
-        self.grid = {k: self.h_grid_point(k) for k in range(-self.k_max, self.k_max + 1) if k != 0}
+        self.grid = {k: self.h_grid_point(k) for k in range(-K_MAX, K_MAX + 1) if k != 0}
 
     # -- height function and its inverse ------------------------------------
 
@@ -226,13 +214,6 @@ class GluingAtlas:
                    NEWTON_CAP, y, step)
         return xi
 
-    def with_rejected_phases(self) -> "GluingAtlas":
-        """This atlas on the continuity-only branch c_k = c0, sharing its
-        tables: the negative control without a second height quadrature."""
-        bad = copy.copy(self)
-        bad.rejected_phases = True
-        return bad
-
     # -- grid, strips and phases ---------------------------------------------
 
     def h_grid_point(self, k: int) -> float:
@@ -253,8 +234,7 @@ class GluingAtlas:
         # past this, one ulp of h exceeds the height slack of h0_inverse
         if not math.ulp(h) <= 1e-9 * delta:
             raise OutOfDomain(f"height {h} too large to reduce onto the base strip")
-        j = math.floor((h - m1) / delta)
-        return 0 if j == 0 else j
+        return math.floor((h - m1) / delta)
 
     def _junction_index(self, h: float) -> int | None:
         """Return the grid slot j when h sits on a junction, else None.
@@ -273,11 +253,8 @@ class GluingAtlas:
         """Phase constant of strip k, reduced into (-pi, pi].
 
         Even strips advance by the full turning angle per period; odd
-        strips carry the reflected combination.  The continuity-only
-        negative-control branch returns c0 for every strip.
+        strips carry the reflected combination.
         """
-        if self.rejected_phases:
-            return _mod2pi(self.c0)
         zm1, zp1 = self.zeta_limits
         if k % 2 == 0:
             return _mod2pi(k * (zp1 - zm1) + self.c0)
@@ -286,8 +263,6 @@ class GluingAtlas:
     def phase_by_recursion(self, k: int) -> float:
         """Independent route to the same constants: step from c0 one strip
         at a time, alternating which endpoint angle reflects."""
-        if self.rejected_phases:
-            return _mod2pi(self.c0)
         zm1, zp1 = self.zeta_limits
         c = self.c0
         if k >= 0:
@@ -400,12 +375,6 @@ class GluingAtlas:
 
     # -- glued sphere immersion ----------------------------------------------
 
-    def _junction_data(self, j: int):
-        zm1, zp1 = self.zeta_limits
-        if j % 2 == 0:
-            return self.roots.xi01, zm1
-        return self.roots.xi02, zp1
-
     def profile_components(self, h: float) -> tuple[float, float, float]:
         """(Phi1, Phi2, Phi3) at h; Phi4 equals Phi3."""
         k, xi = self._strip_point(h)
@@ -463,9 +432,11 @@ class GluingAtlas:
 
     # -- junction verification -------------------------------------------------
 
-    def junction_smoothness(self, k: int, orders=(1, 2, 3), functions=("F", "phi1", "phi2")) -> dict:
+    def junction_smoothness(self, k: int, orders=(1, 2, 3), functions=("F", "phi1", "phi2"),
+                            phases=None) -> dict:
         """One-sided h-derivatives of F, Phi1 and Phi2 across the junction
-        h_{0,k}, from exact jets in the end variable s = sqrt|xi - root|.
+        h_{0,k}, from exact jets in the end variable s = sqrt|xi - root|;
+        order 0 gives the one-sided values.
 
         Near the root xi = root +- s^2 exactly, and the height and the
         turning angle differ from their end values by series in s whose
@@ -477,16 +448,19 @@ class GluingAtlas:
         and cos, sin(zeta + c) gives each component as a series in d.  The
         sides differ only in their strip's phase constant, the sign of Phi2
         on odd strips, and the factor (-1)^n that turns the n-th
-        d-derivative into an h-derivative on the left.  No inversion runs
-        and no integrand is evaluated.  Each mismatch is also given
-        relative to the larger one-sided derivative or to
+        d-derivative into an h-derivative on the left.  `phases` replaces
+        the (left, right) phase constants; the same constant on both sides
+        is the continuity-only branch c_k = c0 of a negative control.  No
+        inversion runs and no integrand is evaluated.  Each mismatch is
+        also given relative to the larger one-sided derivative or to
         amplitude / (strip height)^order, whichever is larger.
         """
-        if abs(k) > self.k_max or k == 0:
+        if k not in self.grid:
             raise ValueError(f"junction label {k} outside the atlas grid")
         j = self._junction_index(self.grid[k])
-        root, zlim = self._junction_data(j)
         upper = j % 2 == 1
+        zm1, zp1 = self.zeta_limits
+        root, zlim = (self.roots.xi02, zp1) if upper else (self.roots.xi01, zm1)
         inward = -1.0 if upper else 1.0  # sign of xi - root, and of zeta - zlim
         delta = self.h_limits[1] - self.h_limits[0]
 
@@ -501,9 +475,9 @@ class GluingAtlas:
         w[0] += 1.0
         R = series_compose(power_derivatives(w[0], 0.5), w)  # sqrt(1 - 1/(C xi^2))
 
-        def jets(k):
-            """F, Phi1 and Phi2 on strip k as series in d."""
-            ang = zlim + self.phase(k)
+        def jets(k, phase):
+            """F, Phi1 and Phi2 on strip k, with phase constant `phase`, as series in d."""
+            ang = zlim + phase
             c, sn = math.cos(ang), math.sin(ang)
             sgn = -1.0 if k % 2 else 1.0
             phi1 = series_mul(R, series_compose([c, -sn, -c, sn], [ang, *dz]))
@@ -511,7 +485,8 @@ class GluingAtlas:
             return {"F": xi, "phi1": phi1, "phi2": [sgn * v for v in phi2]}
 
         amps = {"F": self.roots.xi02 - self.roots.xi01, "phi1": 2.0, "phi2": 2.0}
-        left, right = jets(j - 1), jets(j)
+        c_left, c_right = phases if phases is not None else (self.phase(j - 1), self.phase(j))
+        left, right = jets(j - 1, c_left), jets(j, c_right)
         out = {}
         for name in functions:
             per_order = {}

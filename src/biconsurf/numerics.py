@@ -12,13 +12,13 @@ here are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 __all__ = [
     "NumericsError",
@@ -54,6 +54,8 @@ ODE_MAX_STEPS = 1_000_000
 QUAD_CELLS = 512
 
 _EPS = float(np.finfo(float).eps)
+
+_log = logging.getLogger(__name__)
 
 
 class NumericsError(Exception):
@@ -243,11 +245,15 @@ def _gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
     """Adaptive bisection of GK15 panels; returns (value, error_estimate).
 
     Every accepted panel is added to `leaves`; the depth-first recursion
-    adds them left to right.
+    adds them left to right.  A panel accepted unconverged, at the depth
+    limit or the width floor, is logged at DEBUG level on the
+    "biconsurf.numerics" logger.
     """
     val, err, y = gauss_kronrod_panel(f_vec, a, b)
     converged = err <= tol_abs + rel * abs(val)
     if converged or depth >= max_depth or (b - a) < 64.0 * _EPS * max(1.0, abs(a), abs(b)):
+        if not converged:
+            _log.debug("GK panel [%r, %r] unconverged at depth %d, error %r", a, b, depth, err)
         leaves.add(a, b, val, y)
         return val, err
     m = 0.5 * (a + b)
@@ -440,11 +446,14 @@ class CumulativeQuadrature:
         """Taylor coefficients at w = 0, up to w**3, of the integral
         between the lower (or upper) end and x = lower + w**2 (or
         upper - w**2): the derivatives at t = -1 of the Chebyshev
-        antiderivative on the end cell's first leaf, over half**k k!."""
-        row = self._leaves[self._first_leaf[QUAD_CELLS - 1 if upper else 0]]
-        coef, half = row[_COEF:], float(row[_HALF])
-        return [float(chebyshev.chebval(-1.0, chebyshev.chebder(coef, k)))
-                / (half ** k * math.factorial(k)) for k in range(4)]
+        antiderivative on the end cell's first leaf, over half**k k!, from
+        T_n^(k)(-1) = (-1)^(n+k) prod_{j<k} (n^2 - j^2) / (2j + 1)."""
+        row = self._leaves[self._first_leaf[QUAD_CELLS - 1 if upper else 0]].tolist()
+        coef, half = row[_COEF:], row[_HALF]
+        return [sum((-1) ** (n + k) * math.prod(n * n - j * j for j in range(k)) * c
+                    for n, c in enumerate(coef))
+                / (math.prod(range(1, 2 * k, 2)) * half ** k * math.factorial(k))
+                for k in range(4)]
 
     def value(self, x: float) -> float:
         """Cumulative integral from `lower` to x (x in the closed interval)."""

@@ -1,6 +1,7 @@
 """Oracle sanity on surfaces with known geometry, plus the level-curve
 criterion in both ambients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,7 +213,45 @@ class TestMetricCurvature:
         assert K == pytest.approx(1.0, rel=1e-6)
 
 
+class TestPartialsCalls:
+    @staticmethod
+    def counted(patch):
+        calls = []
+        fp = patch.first_partials
+
+        def first_partials(u, v):
+            calls.append((u, v))
+            return fp(u, v)
+        return dataclasses.replace(patch, first_partials=first_partials), calls
+
+    def test_one_call_per_stencil_point(self):
+        # the center and four stencil points: X_uv and X_vv share (u, v +- hv)
+        patch, calls = self.counted(plane_patch())
+        diffgeo.shape_operator(patch, 0.1, 0.2)
+        assert len(calls) == 5
+        assert len(set(calls)) == 5
+
+    def test_residual_calls(self):
+        # five shape operators: the center and the curvature stencil
+        patch, calls = self.counted(plane_patch())
+        diffgeo.biconservativity_residual(patch, 0.1, 0.2)
+        assert len(calls) == 25
+
+
 class TestValidatePatch:
+    def test_nan_partials_fail(self):
+        # NaN partials on one grid row; positions stay finite
+        def partials(u, v):
+            xu, xv = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+            return (xu * math.nan, xv) if 0.4 < u < 0.6 else (xu, xv)
+        patch = diffgeo.ImmersionPatch(
+            u_range=(0.0, 1.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
+            position=lambda u, v: np.array([u, v, 0.0]), first_partials=partials)
+        assert sum(0.4 < u < 0.6 for u in patch.grid(5, 5, margin=5e-2)[0]) == 1
+        rep = diffgeo.validate_patch(patch)
+        assert not rep["ok"]
+        assert math.isnan(rep["partials_vs_fd"])
+
     def test_round_sphere_partials(self):
         rep = diffgeo.validate_patch(round_sphere_patch())
         assert rep["ok"]

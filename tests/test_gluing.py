@@ -155,7 +155,7 @@ def band_heights(at, n=100):
 @pytest.fixture(scope="module", params=INVERSE_CASES, ids=["C1", "C20-low", "C20-high", "Cmin"])
 def inverse_case(request):
     C, Cstar, bounds = request.param
-    return gluing.GluingAtlas(C, Cstar, k_max=2), bounds
+    return gluing.GluingAtlas(C, Cstar), bounds
 
 
 class TestTabulatedInverse:
@@ -190,7 +190,7 @@ class TestTabulatedInverse:
         assert caplog.records == []
 
     def test_newton_cap_is_logged(self, caplog, monkeypatch):
-        a2 = gluing.GluingAtlas(1.0, 1.0, k_max=2)
+        a2 = gluing.GluingAtlas(1.0, 1.0)
         deriv = a2.h0_deriv
         monkeypatch.setattr(a2, "h0_deriv", lambda xi: 1e-3 * deriv(xi))  # overshooting steps
         with caplog.at_level(logging.DEBUG, logger="biconsurf.gluing"):
@@ -200,7 +200,7 @@ class TestTabulatedInverse:
         assert a2.roots.xi00 < xi < a2.roots.xi02
 
     def test_one_inversion_per_partials_call(self, monkeypatch):
-        a2 = gluing.GluingAtlas(1.0, 1.0, k_max=2)
+        a2 = gluing.GluingAtlas(1.0, 1.0)
         calls = []
         inverse = a2.h0_inverse
         monkeypatch.setattr(a2, "h0_inverse", lambda y: calls.append(y) or inverse(y))
@@ -214,14 +214,14 @@ class TestTabulatedInverse:
 class TestGridAndPhases:
     def test_grid_closed_form(self, at):
         m1, p1 = at.h_limits
-        for k in range(1, at.k_max + 1):
+        for k in range(1, gluing.K_MAX + 1):
             assert at.grid[k] == pytest.approx(k * p1 - (k - 1) * m1, abs=1e-12)
-        for k in range(-at.k_max, 0):
+        for k in range(-gluing.K_MAX, 0):
             assert at.grid[k] == pytest.approx(-k * m1 + (k + 1) * p1, abs=1e-12)
 
     def test_uniform_spacing(self, at):
         delta = at.h_limits[1] - at.h_limits[0]
-        for k in range(1, at.k_max):
+        for k in range(1, gluing.K_MAX):
             assert at.grid[k + 1] - at.grid[k] == pytest.approx(delta, abs=1e-12)
 
     def test_phase_base(self, at):
@@ -236,7 +236,7 @@ class TestGridAndPhases:
             assert gluing.phase_distance(at.phase(k), at.phase_by_recursion(k)) < 1e-12
 
     def test_nonzero_c0_consistency(self):
-        a2 = gluing.GluingAtlas(1.0, 1.0, c0=0.7, k_max=5)
+        a2 = gluing.GluingAtlas(1.0, 1.0, c0=0.7)
         for k in range(-12, 13):
             assert gluing.phase_distance(a2.phase(k), a2.phase_by_recursion(k)) < 1e-12
 
@@ -296,12 +296,11 @@ class TestJunctionSmoothness:
         assert abs(d["left"]) < 1e-8
         assert abs(d["right"]) < 1e-8
 
-    def test_rejected_phase_branch_breaks_c1(self):
-        bad = gluing.GluingAtlas(1.0, 1.0, k_max=3, rejected_phases=True)
-        rep = bad.junction_smoothness(1, orders=(1,), functions=("phi1",))
+    def test_rejected_phase_branch_breaks_c1(self, at):
+        rep = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
+                                     phases=(at.phase(0), at.phase(0)))
         assert rep["phi1"][1]["relative_mismatch"] > 1e-2
-        good = gluing.GluingAtlas(1.0, 1.0, k_max=3)
-        rep2 = good.junction_smoothness(1, orders=(1,), functions=("phi1",))
+        rep2 = at.junction_smoothness(1, orders=(1,), functions=("phi1",))
         assert rep2["phi1"][1]["relative_mismatch"] < 1e-3
 
     @pytest.mark.parametrize("C", [1.000001 * spherical.C_MIN, 1.001 * spherical.C_MIN,
@@ -310,7 +309,7 @@ class TestJunctionSmoothness:
         # measured at most 7e-14: both sides share one jet, so only the
         # phase constants can tell them apart
         for frac in (1e-3, 0.5, 0.999):
-            at = gluing.GluingAtlas(C, _cstar_at(C, frac), k_max=2)
+            at = gluing.GluingAtlas(C, _cstar_at(C, frac))
             worst = max(d["relative_mismatch"] for k in (1, -1, 2)
                         for fn in at.junction_smoothness(k).values() for d in fn.values())
             assert worst <= 1e-10, (C, frac, worst)
@@ -318,7 +317,7 @@ class TestJunctionSmoothness:
     def test_jets_match_stencils_on_the_evaluator(self):
         # Richardson-extrapolated one-sided stencils on profile_components;
         # measured at most 3.4e-6 (order 3), 1.5e-7 (order 2), 5e-11 (order 1)
-        at = gluing.GluingAtlas(1.0, 1.0, k_max=3)
+        at = gluing.GluingAtlas(1.0, 1.0)
         delta = at.h_limits[1] - at.h_limits[0]
         for k in (1, -1, 2):
             rep = at.junction_smoothness(k)
@@ -332,7 +331,7 @@ class TestJunctionSmoothness:
                         assert abs(fd - jet) <= 1e-5 * scale, (k, name, order, side, jet, fd)
 
     def test_no_inversion_and_no_integrand(self, monkeypatch):
-        at = gluing.GluingAtlas(1.0, 1.0, k_max=3)
+        at = gluing.GluingAtlas(1.0, 1.0)
         calls = []
         inverse = at.h0_inverse
         monkeypatch.setattr(at, "h0_inverse", lambda y: calls.append(y) or inverse(y))
@@ -342,7 +341,8 @@ class TestJunctionSmoothness:
                 monkeypatch.setattr(table, name, lambda x, fn=fn: calls.append(x) or fn(x))
         for k in (1, -1, 2):
             at.junction_smoothness(k)
-        at.with_rejected_phases().junction_smoothness(1, orders=(1,), functions=("phi1",))
+        at.junction_smoothness(1, orders=(1,), functions=("phi1",),
+                               phases=(at.phase(0), at.phase(0)))
         assert calls == []
         at.F(0.3)  # the counter sees an inversion
         assert len(calls) == 1
@@ -392,7 +392,7 @@ class TestRevolutionSurface:
         # along the profile; the oracle (oriented for f >= 0) matches |f|
         C = spherical.C_MIN + 0.02
         Cs = 0.5 * gluing.cstar_range(C).upper
-        a2 = gluing.GluingAtlas(C, Cs, k_max=2)
+        a2 = gluing.GluingAtlas(C, Cs)
         xi_hi = a2.roots.xi01 + 0.92 * (a2.roots.xi02 - a2.roots.xi01)
         assert a2.mean_curvature_psi(xi_hi) < 0.0
         patch = a2.psi_patch((a2.h_limits[0], a2.grid[2]))

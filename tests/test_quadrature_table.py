@@ -58,7 +58,7 @@ def band_points(cq, n=40):
 
 
 def quadratures(C, Cstar):
-    at = gluing.GluingAtlas(C, Cstar, k_max=2)
+    at = gluing.GluingAtlas(C, Cstar)
     return {"zeta": at.family._zeta_cum, "h": at._h_cum}
 
 
@@ -137,7 +137,7 @@ def test_end_series_against_mpmath(C, upper):
     # samples is amplified by about n^4 / width^2 (measured <= 3.3e-5)
     mpmath = pytest.importorskip("mpmath")
     Cstar = _cstar_at(C, 0.5)
-    at = gluing.GluingAtlas(C, Cstar, k_max=2)
+    at = gluing.GluingAtlas(C, Cstar)
     root = at.roots.xi02 if upper else at.roots.xi01
     with mpmath.workdps(50):
         for table, cq in (("h", at._h_cum), ("zeta", at.family._zeta_cum)):
@@ -149,7 +149,7 @@ def test_end_series_against_mpmath(C, upper):
 
 
 def test_no_integrand_evaluation_after_build(monkeypatch):
-    at = gluing.GluingAtlas(1.0, 1.0, k_max=2)
+    at = gluing.GluingAtlas(1.0, 1.0)
     fam = at.family
     calls = {"panel": 0, "integrand": 0}
 
@@ -220,14 +220,7 @@ def test_cold_s3_complete_report_builds_two_quadratures(cold_report):
 
 def test_negative_control_shares_tables_bit_for_bit(cold_report):
     report, _ = cold_report
-    bad = gluing.GluingAtlas(1.0, 1.0, k_max=3, rejected_phases=True)
-    neg = bad.junction_smoothness(1, orders=(1,), functions=("phi1",))
+    at = gluing.GluingAtlas(1.0, 1.0)
+    neg = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
+                                 phases=(at.phase(0), at.phase(0)))
     assert report["junction_negative_control"].value == neg["phi1"][1]["relative_mismatch"]
-
-
-def test_rejected_phases_copy_leaves_atlas_alone():
-    at = gluing.atlas(1.0, 1.0)
-    bad = at.with_rejected_phases()
-    assert not at.rejected_phases and bad.rejected_phases
-    assert bad._h_cum is at._h_cum
-    assert bad.phase(3) == at.c0 != at.phase(3)

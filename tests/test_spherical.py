@@ -1,6 +1,7 @@
 """Sphere-ambient family: strip roots, metric, turning-angle quadrature,
 immersion, the curvature ODE, and the coordinate bridge."""
 
+import logging
 import math
 
 import numpy as np
@@ -239,6 +240,17 @@ class TestZeta:
         fam = spherical.family(1.0)
         with pytest.raises(OutOfDomain):
             fam.zeta0(fam.roots.xi02 + 0.1)
+
+    @pytest.mark.parametrize("C, logged", [(1.0, False), (1e3, True)])
+    def test_unconverged_panels_are_logged(self, C, logged, caplog):
+        # the lower end cell's integrand has a pole 7.3e-4 from s = 0 at
+        # C = 1e3, and bisection stops at the depth limit there (2 records
+        # measured; none at any C <= 100)
+        with caplog.at_level(logging.DEBUG, logger="biconsurf.numerics"):
+            spherical.SphereFamily(C)
+        records = [r for r in caplog.records if r.name == "biconsurf.numerics"]
+        assert bool(records) == logged
+        assert all("unconverged" in r.getMessage() for r in records)
 
 
 class TestImmersion:
