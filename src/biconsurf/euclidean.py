@@ -264,9 +264,6 @@ class RigidMotion:
     def mirror_z(cls) -> "RigidMotion":
         return cls(rotation=np.diag([1.0, 1.0, -1.0]))
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.rotation @ p + self.translation
-
 
 def _closest_on_circle(p, center, axis, radius):
     """Closest point of a 3D circle to p, and the distance."""

@@ -305,12 +305,19 @@ class GluingAtlas:
             return h - k * (p1 - m1)
         return (k + 1) * p1 - (k - 1) * m1 - h
 
-    def _F_deriv_at(self, k: int, xi: float) -> float:
-        """dF/dh on strip k at F = xi: +-1/h0'(xi); zero in the junction limit."""
-        if not self.roots.contains(xi):
-            return 0.0
-        sign = 1.0 if k % 2 == 0 else -1.0
-        return sign / self.h0_deriv(xi)
+    def _rates(self, k: int, xi: float) -> tuple[float, float]:
+        """(dF/dh, d zeta0(F)/dh) on strip k at F = xi.
+
+        With S = sqrt(3 xi^2 - C*^2 T), 1/h0' = xi^2 sqrt(T) / S, and the
+        sqrt(T) of zeta0' cancels against it; both are finite on the closed
+        strip, and at a junction, where T = 0 exactly, they are the limits 0
+        and sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1)), up to the strip's sign.
+        """
+        s = -1.0 if k % 2 else 1.0
+        t = self.roots.T(xi)
+        S = math.sqrt(3.0 * xi * xi - self.Cstar ** 2 * t)
+        return (s * xi * xi * math.sqrt(t) / S,
+                s * math.sqrt(self.C) * xi ** (10.0 / 3.0) / ((self.C * xi * xi - 1.0) * S))
 
     # -- revolution surface -----------------------------------------------------
 
@@ -327,7 +334,7 @@ class GluingAtlas:
     def immersion_psi_partials(self, h: float, theta: float):
         k, xi = self._strip_point(h)
         r = self.Cstar / xi
-        dr = -self.Cstar * self._F_deriv_at(k, xi) / (xi * xi)
+        dr = -self.Cstar * self._rates(k, xi)[0] / (xi * xi)
         ang = theta / self.Cstar
         ca, sa = math.cos(ang), math.sin(ang)
         d_h = np.array([dr * ca, dr * sa, 1.0])
@@ -375,51 +382,25 @@ class GluingAtlas:
 
     # -- glued sphere immersion ----------------------------------------------
 
+    def _profile_at(self, h: float):
+        """Strip k, F(h) and the (zeta, c, s) arguments of the family's
+        profile at h: zeta0(F), the phase c_k, and Phi2's sign on strip k."""
+        k, xi = self._strip_point(h)
+        return k, xi, (self.family.zeta0(xi), self.phase(k), -1.0 if k % 2 else 1.0)
+
     def profile_components(self, h: float) -> tuple[float, float, float]:
         """(Phi1, Phi2, Phi3) at h; Phi4 equals Phi3."""
-        k, xi = self._strip_point(h)
-        R = self.family.radius(xi)
-        ang = self.family.zeta0(xi) + self.phase(k)  # zeta0 is exact at the roots
-        sgn = -1.0 if k % 2 else 1.0
-        return R * math.cos(ang), sgn * R * math.sin(ang), 1.0 / (math.sqrt(self.C) * xi)
+        _, xi, args = self._profile_at(h)
+        return self.family.profile(xi, *args)
 
     def immersion_phi(self, h: float, theta) -> np.ndarray:
         """Point of Phi; a 1-D `theta` gives the (n, 4) row at height h."""
-        p1, p2, p3 = self.profile_components(h)
-        sc = math.sqrt(self.C)
-        rows = [[p1, p2, p3 * math.cos(sc * t), p3 * math.sin(sc * t)]
-                for t in np.atleast_1d(theta)]
-        return np.array(rows) if np.ndim(theta) else np.array(rows[0])
-
-    def _profile_deriv_at(self, k: int, xi: float) -> tuple[float, float, float]:
-        """h-derivatives of (Phi1, Phi2, Phi3) on strip k at F = xi; finite
-        at junctions, where the blow-up of the turning-angle density cancels
-        the flattening of the profile inverse."""
-        sc = math.sqrt(self.C)
-        sgn = -1.0 if k % 2 else 1.0
-        R = self.family.radius(xi)
-        ang = self.family.zeta0(xi) + self.phase(k)
-        ca, sa = math.cos(ang), math.sin(ang)
-        if not self.roots.contains(xi):
-            # junction limit (exact or snapped root): zeta0' / h0' stays finite as T -> 0
-            dz = sgn * sc * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (self.C * xi * xi - 1.0))
-            return -R * sa * dz, sgn * R * ca * dz, 0.0
-        dF = self._F_deriv_at(k, xi)
-        dR = 1.0 / (self.C * xi ** 3 * R)
-        dz = self.family.zeta0_deriv(xi)
-        return ((dR * ca - R * sa * dz) * dF,
-                sgn * (dR * sa + R * ca * dz) * dF,
-                -dF / (sc * xi * xi))
+        _, xi, args = self._profile_at(h)
+        return self.family.point(xi, theta, *args)
 
     def immersion_phi_partials(self, h: float, theta: float):
-        k, xi = self._strip_point(h)
-        d1, d2, d3 = self._profile_deriv_at(k, xi)
-        sc = math.sqrt(self.C)
-        p3 = 1.0 / (sc * xi)
-        ct, st = math.cos(sc * theta), math.sin(sc * theta)
-        d_h = np.array([d1, d2, d3 * ct, d3 * st])
-        d_theta = np.array([0.0, 0.0, -sc * p3 * st, sc * p3 * ct])
-        return d_h, d_theta
+        k, xi, args = self._profile_at(h)
+        return self.family.tangents(xi, theta, *args, *self._rates(k, xi))
 
     def phi_patch(self, h_range, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:
         return diffgeo.ImmersionPatch(

@@ -54,13 +54,10 @@ __all__ = [
     "grad_K_norm",
     "SphereFamily",
     "family",
-    "zeta0",
-    "immersion_PhiC",
     "curvature_ode_k",
     "phi_coordinate_bridge",
     "c0_ode_residual",
     "master_ode_residual",
-    "metric_profile_derivs",
 ]
 
 C_MIN = 4.0 / 3.0 ** 1.5  # threshold where the two roots of T coalesce
@@ -295,35 +292,49 @@ class SphereFamily:
             raise OutOfDomain(f"C xi^2 <= 1 at xi = {xi}")
         return math.sqrt(w)
 
-    def immersion(self, xi: float, theta) -> np.ndarray:
-        """Point of Phi_C; a 1-D `theta` gives the (n, 4) row at one xi."""
-        if not self.roots.contains(xi):
-            raise OutOfDomain(f"xi = {xi} outside the open strip")
+    def profile(self, xi: float, zeta: float, c: float = 0.0, s: float = 1.0):
+        """(Phi1, Phi2, Phi3) at profile value xi and turning angle zeta + c,
+        with Phi2 taken with sign s; the strip has c = 0 and s = 1."""
         R = self.radius(xi)
-        z = self.zeta0(xi)
+        return R * math.cos(zeta + c), s * R * math.sin(zeta + c), 1.0 / (math.sqrt(self.C) * xi)
+
+    def point(self, xi: float, theta, zeta: float, c: float = 0.0, s: float = 1.0) -> np.ndarray:
+        """The point over `profile(xi, zeta, c, s)` at rotation angle theta;
+        a 1-D `theta` gives the (n, 4) row."""
+        p1, p2, _ = self.profile(xi, zeta, c, s)
         sc = math.sqrt(self.C)
-        p1, p2, d = R * math.cos(z), R * math.sin(z), sc * xi
+        d = sc * xi
         theta = np.asarray(theta, dtype=float)
         rows = [[p1, p2, math.cos(sc * t) / d, math.sin(sc * t) / d]
                 for t in theta.ravel().tolist()]
         return np.array(rows) if theta.ndim else np.array(rows[0])
 
-    def immersion_partials(self, xi: float, theta: float):
+    def tangents(self, xi: float, theta: float, zeta: float, c: float = 0.0, s: float = 1.0,
+                 dxi: float = 1.0, dzeta: float = 0.0):
+        """Partials of `point` along a parameter in which xi and zeta change
+        at the rates dxi and dzeta, and along theta."""
         R = self.radius(xi)
-        z = self.zeta0(xi)
         sc = math.sqrt(self.C)
         dR = 1.0 / (self.C * xi ** 3 * R)
-        dz = self.zeta0_deriv(xi)
         ct, st = math.cos(sc * theta), math.sin(sc * theta)
-        cz, sz = math.cos(z), math.sin(z)
-        d_xi = np.array([
-            dR * cz - R * sz * dz,
-            dR * sz + R * cz * dz,
-            -ct / (sc * xi * xi),
-            -st / (sc * xi * xi),
+        cz, sz = math.cos(zeta + c), math.sin(zeta + c)
+        d_u = np.array([
+            dxi * dR * cz - R * sz * dzeta,
+            s * (dxi * dR * sz + R * cz * dzeta),
+            -dxi * ct / (sc * xi * xi),
+            -dxi * st / (sc * xi * xi),
         ])
         d_theta = np.array([0.0, 0.0, -st / xi, ct / xi])
-        return d_xi, d_theta
+        return d_u, d_theta
+
+    def immersion(self, xi: float, theta) -> np.ndarray:
+        """Point of Phi_C; a 1-D `theta` gives the (n, 4) row at one xi."""
+        if not self.roots.contains(xi):
+            raise OutOfDomain(f"xi = {xi} outside the open strip")
+        return self.point(xi, theta, self.zeta0(xi))
+
+    def immersion_partials(self, xi: float, theta: float):
+        return self.tangents(xi, theta, self.zeta0(xi), dzeta=self.zeta0_deriv(xi))
 
     def patch(self, xi_margin: float = 1e-3, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:
         """Strip patch trimmed by a relative margin at the singular ends."""
@@ -369,17 +380,6 @@ class SphereFamily:
 def family(C: float) -> SphereFamily:
     """Cached per-C family bundle (thread-safe via lru_cache)."""
     return SphereFamily(C)
-
-
-# -- module-level convenience wrappers ---------------------------------------
-
-def zeta0(C: float, xi: float) -> float:
-    return family(C).zeta0(xi)
-
-
-def immersion_PhiC(params: FamilyParamsS3 | float, xi: float, theta: float) -> np.ndarray:
-    C = params.C if isinstance(params, FamilyParamsS3) else float(params)
-    return family(C).immersion(xi, theta)
 
 
 # -- curvature ODE route ------------------------------------------------------
@@ -520,7 +520,3 @@ def c0_ode_residual(u: float) -> float:
     """Flat-case equation 3 phi''' + 2 phi' phi'' = 0 on phi = 3 log cosh(u/3)."""
     _, d1, d2, d3 = _flat_profile_derivs(u)
     return 3.0 * d3 + 2.0 * d1 * d2
-
-
-def metric_profile_derivs(C: float):
-    return family(C).metric_profile_derivs()

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import checks
+from biconsurf import checks, gluing
 
 
 class TestWorst:
@@ -67,3 +67,33 @@ def test_r3_passes_over_the_admissible_range(log_c):
     report, _ = checks.build_report("r3", C, tols=checks.Tolerances())
     failing = {k: v["value"] for k, v in report["checks"].items() if not v["pass"]}
     assert report["overall_pass"] and not failing, (C, failing)
+
+
+class TestControlsCanFail:
+    @pytest.mark.parametrize("C", [1e-6, 1.0, 1e6])
+    def test_r3_negative_control_reads_the_mismatch(self, C):
+        # pieces of C1 and 2 C1: the mean-curvature gap is 2/3 (2^{3/2} - 1) C1^{3/2}
+        res = checks.r3_checks(C)["gluing_negative_control"]
+        assert res.comparison == "ge"
+        assert res.value == pytest.approx(2.0 / 3.0 * (2.0 ** 1.5 - 1.0), rel=1e-12)
+        assert res.passed
+
+    def test_grid_formula_sees_a_moved_junction(self, monkeypatch):
+        at = gluing.GluingAtlas(1.0, 1.0)
+        assert checks.s3_complete_checks(1.0, 1.0)["grid_formula"].value < 1e-13
+        at.grid[5] += 1e-9
+        monkeypatch.setattr(gluing, "atlas", lambda *args, **kwargs: at)
+        res = checks.s3_complete_checks(1.0, 1.0)["grid_formula"]
+        assert res.value == pytest.approx(1e-9, rel=1e-3)
+        assert res.worst_at == (5.0,)
+        assert not res.passed
+
+
+def test_complete_report_shares_its_atlas_with_psi():
+    # Psi does not depend on c0: a cold c0 != 0 report builds one atlas
+    gluing.atlas.cache_clear()
+    complete, _ = checks.build_report("s3-complete", 1.0, 1.0, c0=0.7)
+    assert gluing.atlas.cache_info().misses == 1
+    revolution, _ = checks.build_report("revolution", 1.0, 1.0)
+    for name, res in revolution["checks"].items():
+        assert complete["checks"]["psi_" + name] == res

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biconsurf import cli, gluing, spherical
+from biconsurf import checks, cli, gluing, spherical
 from biconsurf.euclidean import FamilyParamsR3, immersion_XC
 from biconsurf.numerics import OutOfDomain
 
@@ -276,19 +276,6 @@ class TestVerify:
         assert exc.value.code == 2
 
 
-class TestVerifyKnobs:
-    def test_env_override_can_fail_a_check(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BICONSURF_METRIC_REL", "1e-30")
-        out = tmp_path / "rep.json"
-        code = run(["verify", "--family", "s3-local", "--C", "1",
-                    "--grid-n", "5", "--out", str(out)])
-        rep = json.loads(out.read_text())
-        assert code == 1
-        assert rep["overall_pass"] is False
-        assert rep["config"]["tolerances"]["metric_rel"] == 1e-30
-        assert not rep["checks"]["metric_pullback"]["pass"]
-
-
 class TestMeshDeterminism:
     def test_obj_bit_identical(self, tmp_path):
         blobs = []
@@ -459,9 +446,10 @@ class TestR3ExtremeC:
         assert not out.exists()
 
     def test_failing_check_still_exits_1(self, tmp_path, capsys, monkeypatch):
-        # at C = 1e-4 the checks run; a curvature bound below the oracle's
-        # floor makes gauss_curvature_identity fail
-        monkeypatch.setenv("BICONSURF_CURVATURE", "1e-12")
+        # at C = 1e-4 the checks run; a default curvature bound below the
+        # oracle's floor makes gauss_curvature_identity fail
+        defaults = checks.Tolerances
+        monkeypatch.setattr(checks, "Tolerances", lambda: defaults(curvature=1e-12))
         out = tmp_path / "rep.json"
         assert run(["verify", "--family", "r3", "--C", "1e-4", "--out", str(out)]) == 1
         assert not json.loads(out.read_text())["checks"]["gauss_curvature_identity"]["pass"]

@@ -478,6 +478,49 @@ class TestGluedImmersion:
         assert rep["ok"]
 
 
+# (C, C*): C = C* = 1, and the verify-sweep edges with C* at 50% and 1% of its range
+C_EDGE = 1.001 * spherical.C_MIN
+JUNCTION_ATLASES = [(1.0, 1.0), (C_EDGE, 0.5 * gluing.cstar_range(C_EDGE).upper),
+                    (20.0, 0.01 * gluing.cstar_range(20.0).upper)]
+
+
+class TestJunctionPartials:
+    """At a junction F sits on a root of T, and the closed-form h-rates
+    take their T = 0 values: dF/dh = 0 and dzeta/dh = +-D with
+    D = sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1))."""
+
+    @pytest.fixture(scope="class", params=JUNCTION_ATLASES, ids=["C1", "Cmin", "C20"])
+    def jat(self, request):
+        return gluing.atlas(*request.param)
+
+    @pytest.mark.parametrize("k", [-3, -2, -1, 1, 2, 3])
+    def test_phi_tangent_is_the_junction_limit(self, jat, k):
+        h = jat.grid[k]
+        xi = jat.F(h)
+        p1, p2, _ = jat.profile_components(h)
+        d = math.sqrt(jat.C) * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (jat.C * xi * xi - 1.0))
+        d_h, d_theta = jat.immersion_phi_partials(h, 0.3)
+        assert np.all(np.isfinite(d_h)) and np.all(np.isfinite(d_theta))
+        # (R cos, s R sin)' = s D (-R sin, s R cos) = D (-Phi2, Phi1) on either strip
+        limit = d * np.array([-p2, p1, 0.0, 0.0])
+        assert np.linalg.norm(d_h - limit) <= 1e-14 * np.linalg.norm(limit)
+
+    @pytest.mark.parametrize("k", [-3, -2, -1, 1, 2, 3])
+    def test_psi_radius_rate_vanishes(self, jat, k):
+        d_h, _ = jat.immersion_psi_partials(jat.grid[k], 0.3)
+        assert d_h[0] == 0.0 and d_h[1] == 0.0 and d_h[2] == 1.0
+
+    @pytest.mark.parametrize("C, Cstar", JUNCTION_ATLASES[:2], ids=["C1", "Cmin"])
+    def test_partials_validate_across_a_junction(self, C, Cstar):
+        jat = gluing.atlas(C, Cstar)
+        m1, p1 = jat.h_limits
+        pad = 0.2 * (p1 - m1)
+        patch = jat.phi_patch((p1 - pad, p1 + pad), (0.0, 1.0))
+        # the middle row of the 5 x 5 sample sits on h_{0,1}
+        assert jat.F(patch.grid(5, 5, margin=5e-2)[0][2]) == jat.roots.xi02
+        assert diffgeo.validate_patch(patch)["ok"]
+
+
 class TestPeriodicityProbe:
     def test_reports_phase_defect(self, at):
         rep = at.periodicity_probe()

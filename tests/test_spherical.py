@@ -293,12 +293,6 @@ class TestImmersion:
         rep = diffgeo.validate_patch(spherical.family(1.0).patch())
         assert rep["ok"]
 
-    def test_params_wrapper(self):
-        par = spherical.FamilyParamsS3(1.0)
-        p = spherical.immersion_PhiC(par, 3.0, 0.2)
-        q = spherical.immersion_PhiC(1.0, 3.0, 0.2)
-        assert p == pytest.approx(q, abs=0.0)
-
     def test_out_of_domain(self):
         fam = spherical.family(1.0)
         with pytest.raises(OutOfDomain):
