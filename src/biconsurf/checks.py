@@ -2,7 +2,8 @@
 
 Each check reduces a geometric identity to a single number compared
 against a tolerance.  A sampled check is a list of sample points and a
-measure, reduced by `_worst` to the worst sample; a report is a
+measure, reduced by `_worst` to the worst sample (a check that reads the
+oracle measures all of its samples in one oracle call); a report is a
 deterministic JSON-ready dict (fixed seeds, no timestamps) so repeated
 runs with the same configuration are bit-identical.  The CLI `verify`
 subcommand and the test suite both drive these.
@@ -79,7 +80,8 @@ class Tolerances:
 
 def _worst(measure, samples, tolerance: float) -> CheckResult:
     """The largest `measure(*p)` over the sample points `p` (tuples), with
-    the number of samples and the point that gave it.
+    the number of samples and the point that gave it; `measure` may also
+    be the sequence of all the samples' values.
 
     A NaN measure counts as the worst value, so the check fails; a check
     over no samples is an error rather than a pass.
@@ -87,10 +89,18 @@ def _worst(measure, samples, tolerance: float) -> CheckResult:
     samples = list(samples)
     if not samples:
         raise ValueError("a sampled check needs at least one sample")
-    values = [float(measure(*p)) for p in samples]
+    values = [float(x) for x in (
+        (measure(*p) for p in samples) if callable(measure) else measure)]
     i = int(np.argmax(values))  # the first NaN, if there is one
     return CheckResult(values[i], tolerance, n_samples=len(values),
                        worst_at=tuple(float(x) for x in samples[i]))
+
+
+def _batched(measure, samples, tolerance: float) -> CheckResult:
+    """`_worst` of a measure called once with one array per coordinate of
+    all the samples, as the oracle takes them."""
+    samples = list(samples)
+    return _worst(measure(*map(np.array, zip(*samples))) if samples else [], samples, tolerance)
 
 
 def _largest(*terms: float) -> float:
@@ -98,16 +108,19 @@ def _largest(*terms: float) -> float:
     return math.nan if any(map(math.isnan, terms)) else float(max(terms))
 
 
-def _rel_gap(measured: float, closed: float) -> float:
+def _rel_gap(measured, closed):
     """|measured - closed| relative to 1 + |closed|: curvatures grow with C."""
-    return abs(measured - closed) / (1.0 + abs(closed))
+    closed = np.asarray(closed, dtype=float)
+    return np.abs(measured - closed) / (1.0 + np.abs(closed))
 
 
-def _metric_mismatch(patch, u: float, v: float, Ec: float, Gc: float) -> float:
-    """Worst relative mismatch of the patch's first form against the
-    positive closed-form coefficients (Ec, 0, Gc)."""
+def _metric_mismatch(patch, u, v, closed):
+    """Per point, the worst relative mismatch of the patch's first form
+    against the positive closed-form coefficients (Ec, 0, Gc) = closed(u)."""
     E, F, G = diffgeo.fundamental_forms(patch, u, v)
-    return _largest(abs(E - Ec) / Ec, abs(F) / math.sqrt(Ec * Gc), abs(G - Gc) / Gc)
+    Ec, Gc = np.array([closed(x) for x in u.tolist()]).T
+    # np.max propagates a NaN
+    return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
 
 
 def _level_curve_gap(derivs, c: float, x: float) -> float:
@@ -139,14 +152,15 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
     derivs = euclidean.metric_profile_derivs(par)
 
     return {
-        "metric_pullback": _worst(
-            lambda u, v: _metric_mismatch(patch, u, v, *[euclidean.conformal_factor(par, u)] * 2),
+        "metric_pullback": _batched(
+            lambda u, v: _metric_mismatch(patch, u, v,
+                                          lambda x: [euclidean.conformal_factor(par, x)] * 2),
             [(u, v) for u in us for v in vs[:: max(1, grid // 4)]], tols.metric_rel),
-        "gauss_curvature_identity": _worst(
-            lambda u: abs(diffgeo.shape_operator(patch, u, 0.4).K
-                          - euclidean.gauss_curvature(par, u)) * length ** 2,
+        "gauss_curvature_identity": _batched(
+            lambda u: np.abs(diffgeo.shape_operator(patch, u, 0.4).K
+                             - [euclidean.gauss_curvature(par, x) for x in u]) * length ** 2,
             zip(us), tols.curvature),
-        "biconservativity_residual": _worst(
+        "biconservativity_residual": _batched(
             lambda u, v: diffgeo.biconservativity_residual(patch, u, v),
             [(su * u, v) for u in np.linspace(0.08, 1.45, 8) for su in (-1.0, 1.0)
              for v in np.linspace(0.1, 2.0, 3)], tols.residual),
@@ -212,13 +226,14 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345,
             [(roots.xi01,), (roots.xi02,)], tols.roots),
         "root_ordering": CheckResult(0.0 if ordering_ok else 1.0, 0.0),
         "k01_above_radius_bound": CheckResult(k_bound_gap, 0.0, comparison="ge"),
-        "metric_pullback": _worst(
-            lambda xi: _metric_mismatch(patch, xi, 0.4, *spherical.metric_gC(C, xi)),
+        "metric_pullback": _batched(
+            lambda xi: _metric_mismatch(patch, xi, 0.4, lambda x: spherical.metric_gC(C, x)),
             zip(xis), tols.metric_rel),
         # |K| grows like xi^(8/3) with C: compare relative to the closed-form size
-        "gauss_curvature_identity": _worst(
+        "gauss_curvature_identity": _batched(
             lambda xi: _rel_gap(diffgeo.shape_operator(patch, xi, 0.4).K,
-                                spherical.gauss_curvature_DC(xi)), zip(xis), tols.curvature),
+                                [spherical.gauss_curvature_DC(x) for x in xi]),
+            zip(xis), tols.curvature),
         "curvature_c_independent": _worst(
             metric_route_k, [(Cx, rx.xi01 + f * (rx.xi02 - rx.xi01), rx.xi02 - rx.xi01)
                              for Cx, rx in strips for f in (0.25, 0.5, 0.75)], tols.curvature),
@@ -226,7 +241,7 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345,
             lambda xi, th: abs(np.linalg.norm(fam.immersion(xi, th)) - 1.0),
             [(rng.uniform(roots.xi01 * 1.001, roots.xi02 * 0.999),
               rng.uniform(0.0, 2.0 * math.pi)) for _ in range(256)], tols.sphere_norm),
-        "biconservativity_residual": _worst(
+        "biconservativity_residual": _batched(
             lambda xi, th: diffgeo.biconservativity_residual(patch, xi, th),
             [(float(xi), th) for xi in np.linspace(xis[0], xis[-1], 8) for th in (0.2, 0.5)],
             tols.residual),
@@ -274,8 +289,8 @@ def _strip_interior_samples(at: gluing.GluingAtlas, strips, n, margin=0.02):
 def _profile_metric_pullback(at: gluing.GluingAtlas, patch, grid: int, tol: float) -> CheckResult:
     """The patch's first form against the periodic-profile metric, on
     strips -1, 0 and 1 with junction bands excluded."""
-    return _worst(lambda h: _metric_mismatch(patch, h, 0.4, *at.psi_metric(h)),
-                  _strip_interior_samples(at, (-1, 0, 1), grid), tol)
+    return _batched(lambda h: _metric_mismatch(patch, h, 0.4, at.psi_metric),
+                    _strip_interior_samples(at, (-1, 0, 1), grid), tol)
 
 
 def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
@@ -330,7 +345,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
             lambda k: _largest(*(fn[0]["mismatch"] for fn in at.junction_smoothness(
                 k, orders=(0,), functions=("phi1", "phi2")).values())),
             [(k,) for k in (-3, -2, -1, 1, 2, 3)], 1e-10),
-        "biconservativity_residual": _worst(
+        "biconservativity_residual": _batched(
             lambda h: diffgeo.biconservativity_residual(hpatch, h, 0.3),
             _strip_interior_samples(at, (0, 1), 5, margin=0.08), tols.residual),
         "periodicity_phase_defect": CheckResult(
@@ -355,8 +370,8 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
     roots = at.roots
     patch = at.psi_patch((m1 - delta, at.grid[2]))
     k_samples = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
-    # both curvature checks read the oracle once per height
-    shape = {h: diffgeo.shape_operator(patch, h, 0.4) for h, in k_samples}
+    # both curvature checks read one oracle call over the heights
+    shape = diffgeo.shape_operator(patch, np.array(k_samples)[:, 0], 0.4)
 
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
 
@@ -368,13 +383,13 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
         # curvature magnitudes grow like the strip width^(8/3): compare
         # relative to the closed-form size
         prefix + "gauss_curvature_identity": _worst(
-            lambda h: _rel_gap(shape[h].K, spherical.gauss_curvature_DC(at.F(h))),
+            _rel_gap(shape.K, [spherical.gauss_curvature_DC(at.F(h)) for h, in k_samples]),
             k_samples, tols.curvature),
-        prefix + "one_minus_K_positive": _worst(lambda h: shape[h].K - 1.0, k_samples, 0.0),
+        prefix + "one_minus_K_positive": _worst(shape.K - 1.0, k_samples, 0.0),
         # oracle orientation keeps f >= 0 while the closed form is signed
-        prefix + "mean_curvature_closed_form": _worst(
-            lambda xi: _rel_gap(diffgeo.shape_operator(patch, at.h0(xi), 0.4).f,
-                                abs(at.mean_curvature_psi(xi))),
+        prefix + "mean_curvature_closed_form": _batched(
+            lambda xi: _rel_gap(diffgeo.shape_operator(patch, [at.h0(x) for x in xi], 0.4).f,
+                                [abs(at.mean_curvature_psi(x)) for x in xi]),
             [(float(roots.xi01 + f * (roots.xi02 - roots.xi01)),)
              for f in np.linspace(0.08, 0.92, 16)], tols.psi_mean_curvature),
         prefix + "radius_range": _worst(

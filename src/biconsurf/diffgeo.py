@@ -14,14 +14,16 @@ are supported: Euclidean 3-space, and the unit 3-sphere sitting in
 4-space (where the surface normal is the unit vector orthogonal to the
 position and both tangents).
 
-All computations are local and pure, so grid evaluation parallelizes
-trivially.
+The oracle is batched: an entry point takes a sample set of points, calls
+`first_partials` once on all their stencil points (5 per shape operator,
+25 per residual) and does the rest on arrays, point by point.  A scalar
+call is the one-point case and returns scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -35,6 +37,8 @@ __all__ = [
     "CMCPoint",
     "ImmersionPatch",
     "SurfaceData",
+    "per_distinct",
+    "row_positions",
     "fundamental_forms",
     "shape_operator",
     "curvatures",
@@ -77,18 +81,20 @@ class CMCPoint(Exception):
 class ImmersionPatch:
     """A coordinate rectangle with a position evaluator into the ambient.
 
-    position(u, v) returns 3 components for the Euclidean ambient and 4
-    (a unit vector) for the spherical one.  first_partials returns the
-    pair of tangent vectors (X_u, X_v); the oracle differences these for
-    second derivatives, and positions only to check them (validate_patch).
-    Each coordinate's steps scale with that coordinate's own width.
+    position(us, vs) takes equal-length 1-D arrays of points and returns
+    their (n, 3) positions for the Euclidean ambient, (n, 4) unit vectors
+    for the spherical one.  first_partials(us, vs) returns the pair of
+    (n, d) tangent arrays (X_u, X_v); the oracle differences these for
+    second derivatives, and reads positions only for the spherical normal
+    and to check the partials (validate_patch).  Each coordinate's steps
+    scale with that coordinate's own width.
     """
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     ambient: str
-    position: Callable[[float, float], np.ndarray]
-    first_partials: Callable[[float, float], tuple[np.ndarray, np.ndarray]]
+    position: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    first_partials: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     # u-values where the chart degenerates (metric blows up); derivative
     # steps shrink in proportion to the distance from these.
     u_singularities: tuple[float, ...] = ()
@@ -110,7 +116,8 @@ class ImmersionPatch:
 
 @dataclass
 class SurfaceData:
-    """Pointwise geometric data of an immersed patch."""
+    """Geometric data of an immersed patch: per-point arrays over a batch
+    (normal (n, d), shape (n, 2, 2)), or one point's values."""
 
     E: float
     F: float
@@ -123,84 +130,134 @@ class SurfaceData:
     f: float                 # mean curvature, trace of the shape operator
     K: float                 # Gauss curvature of the induced metric
 
-    @property
-    def metric(self) -> np.ndarray:
-        return np.array([[self.E, self.F], [self.F, self.G]])
+    def __getitem__(self, i) -> "SurfaceData":
+        """The data of point i, or of a slice of points, of a batch."""
+        return SurfaceData(*(getattr(self, fl.name)[i] for fl in fields(self)))
+
+
+def per_distinct(fun, u):
+    """`fun` once per distinct value of `u` (a Python float), spread back
+    over `u`: one float array shaped like `u` per value `fun` returns."""
+    uniq, inv = np.unique(u, return_inverse=True)
+    vals = np.array([fun(x) for x in uniq.tolist()], dtype=float)
+    return tuple(vals[inv.reshape(np.shape(u))].T)
+
+
+def row_positions(row):
+    """Patch positions from a row builder `row(u, vs)`, which gives the
+    (m, d) points at one u: one call per distinct u."""
+    def position(us, vs):
+        order = np.argsort(us, kind="stable")
+        uniq, first = np.unique(us[order], return_index=True)
+        rows = [row(u, vs[i]) for u, i in zip(uniq.tolist(), np.split(order, first[1:]))]
+        return np.concatenate(rows)[np.argsort(order)]
+    return position
 
 
 def _fd4(fun, x, h):
     return (fun(x - 2 * h) - 8 * fun(x - h) + 8 * fun(x + h) - fun(x + 2 * h)) / (12 * h)
 
 
-def _step(kind: str, coord_range: tuple[float, float], at: float,
-          singularities: tuple[float, ...]) -> float:
-    """The oracle's one finite-difference step rule.
+def _step(kind: str, coord_range: tuple[float, float], at, singularities: tuple[float, ...]):
+    """The oracle's one finite-difference step rule, one step per point of `at`.
 
     The step in a coordinate spanning `coord_range` is FD_FRACTION[kind]
     of that coordinate's length scale: its width, or SINGULAR_SCALE times
     the distance from `at` to the nearest of its singular values,
     whichever is shorter.
     """
-    scale = coord_range[1] - coord_range[0]
+    scale = np.full(np.shape(at), coord_range[1] - coord_range[0])
     if singularities:
-        dist = min(abs(at - s) for s in singularities)
-        if dist > 0.0:
-            scale = min(scale, SINGULAR_SCALE * dist)
+        dist = np.min(np.abs(np.subtract.outer(at, singularities)), axis=-1)
+        scale = np.where(dist > 0.0, np.minimum(scale, SINGULAR_SCALE * dist), scale)
     return FD_FRACTION[kind] * scale
 
 
-def _position_partials(patch: ImmersionPatch, u: float, v: float):
-    xu, xv = patch.first_partials(u, v)
-    return np.asarray(xu, dtype=float), np.asarray(xv, dtype=float)
+def _points(u, v):
+    """The points (u, v) as equal-length 1-D float arrays; a scalar pair is one point."""
+    us, vs = np.broadcast_arrays(np.atleast_1d(u).astype(float), np.atleast_1d(v).astype(float))
+    if us.ndim != 1 or not us.size:
+        raise ValueError("the oracle takes a nonempty 1-D set of points")
+    return us, vs
 
 
-def _second_partials(patch: ImmersionPatch, u: float, v: float):
-    """Central differences of the partials, one partials call per stencil point."""
-    hu = _step("partials", patch.u_range, u, patch.u_singularities)
-    hv = _step("partials", patch.v_range, v, ())
-    up, um = _position_partials(patch, u + hu, v), _position_partials(patch, u - hu, v)
-    vp, vm = _position_partials(patch, u, v + hv), _position_partials(patch, u, v - hv)
-    xuu = (up[0] - um[0]) / (2 * hu)
-    xuv = (vp[0] - vm[0]) / (2 * hv)
-    xvv = (vp[1] - vm[1]) / (2 * hv)
-    return xuu, xuv, xvv
+def _unbatch(u, v, out):
+    """The result of a scalar call: the one point of each array in `out`."""
+    if np.ndim(u) or np.ndim(v):
+        return out
+    return tuple(x[0] for x in out) if isinstance(out, tuple) else out[0]
 
 
-def _normal(patch: ImmersionPatch, u: float, v: float, xu, xv):
+def _stencil(us, vs, hu, hv):
+    """The points and their four central-difference neighbours, as five blocks."""
+    return (np.concatenate([us, us + hu, us - hu, us, us]),
+            np.concatenate([vs, vs, vs, vs + hv, vs - hv]))
+
+
+def _central(x, hu, hv):
+    """(d/du, d/dv) by central differences of the values x on `_stencil`'s blocks."""
+    x = x.reshape(5, len(hu), *x.shape[1:])
+    hu, hv = (np.reshape(2 * h, (-1,) + (1,) * (x.ndim - 2)) for h in (hu, hv))
+    return (x[1] - x[2]) / hu, (x[3] - x[4]) / hv
+
+
+def _dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _fail_first(bad, exc, message, us, vs, *values):
+    """Raise `exc` naming the first point where `bad` holds; `message` is
+    formatted with that point's entries of `values`."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise exc(message.format(*(x[i] for x in values)) + f" at ({us[i]}, {vs[i]})")
+
+
+def _first_form(us, vs, xu, xv):
+    """(E, F, G) of the tangents at the points, checked nondegenerate; an
+    EG - F^2 past the float range raises OverflowError."""
+    E, F, G = _dot(xu, xu), _dot(xu, xv), _dot(xv, xv)
+    _fail_first(np.isinf(E * G) | np.isinf(F * F), OverflowError, "EG - F^2 overflows", us, vs)
+    det = E * G - F * F
+    _fail_first(det <= 0.0, DegenerateMetric, "EG - F^2 = {} <= 0", us, vs, det)
+    return E, F, G
+
+
+def _inverse_metric(E, F, G):
+    """Entries (g^11, g^12, g^22) of the inverse first form."""
+    det = E * G - F * F
+    return G / det, -F / det, E / det
+
+
+def _normal(patch: ImmersionPatch, us, vs, xu, xv):
+    """Unit normals (n, d): the cross product of the tangents in R^3; in R^4
+    the Hodge dual of p ^ xu ^ xv, orthogonal to the position p and both
+    tangents, by cofactor expansion along p."""
+    a, b = xu.T, xv.T
     if patch.ambient == EUCLIDEAN3:
-        n = np.cross(xu, xv)
+        n = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                      a[0] * b[1] - a[1] * b[0]], -1)
     else:
-        p = np.asarray(patch.position(u, v), dtype=float)
-        # Hodge dual of p ^ xu ^ xv in R^4: orthogonal to all three rows.
-        m = np.vstack([p, xu, xv])
-        n = np.empty(4)
-        cols = np.arange(4)
-        for i in range(4):
-            minor = m[:, cols != i]
-            n[i] = (-1.0) ** i * np.linalg.det(minor)
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
-        raise DegenerateMetric("tangent vectors do not span a plane")
-    return n / nn
+        p = patch.position(us, vs).T
+        m = {(j, k): a[j] * b[k] - a[k] * b[j] for j in range(4) for k in range(j + 1, 4)}
+        n = np.stack([p[1] * m[2, 3] - p[2] * m[1, 3] + p[3] * m[1, 2],
+                      p[2] * m[0, 3] - p[0] * m[2, 3] - p[3] * m[0, 2],
+                      p[0] * m[1, 3] - p[1] * m[0, 3] + p[3] * m[0, 1],
+                      p[1] * m[0, 2] - p[0] * m[1, 2] - p[2] * m[0, 1]], -1)
+    nn = np.sqrt(_dot(n, n))
+    _fail_first(nn == 0.0, DegenerateMetric, "tangent vectors do not span a plane", us, vs)
+    return n / nn[:, None]
 
 
-def _first_form(patch: ImmersionPatch, u: float, v: float):
-    """Tangents (X_u, X_v) and the first form (E, F, G), checked nondegenerate."""
-    xu, xv = _position_partials(patch, u, v)
-    E = float(xu @ xu)
-    F = float(xu @ xv)
-    G = float(xv @ xv)
-    if E * G - F * F <= 0.0:
-        raise DegenerateMetric(f"EG - F^2 = {E * G - F * F} <= 0 at ({u}, {v})")
-    return xu, xv, E, F, G
+@np.errstate(over="ignore", invalid="ignore")
+def fundamental_forms(patch: ImmersionPatch, u, v):
+    """First fundamental form coefficients (E, F, G) at interior points."""
+    us, vs = _points(u, v)
+    return _unbatch(u, v, _first_form(us, vs, *patch.first_partials(us, vs)))
 
 
-def fundamental_forms(patch: ImmersionPatch, u: float, v: float):
-    """First fundamental form coefficients (E, F, G) at an interior point."""
-    return _first_form(patch, u, v)[2:]
-
-
-def shape_operator(patch: ImmersionPatch, u: float, v: float) -> SurfaceData:
+@np.errstate(over="ignore", invalid="ignore")
+def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
     """Shape operator and supporting data, normal oriented so f >= 0.
 
     The second-form coefficients are ambient inner products of the second
@@ -208,72 +265,71 @@ def shape_operator(patch: ImmersionPatch, u: float, v: float) -> SurfaceData:
     is orthogonal to the position, so the same formula computes the form
     with respect to the spherical connection.
     """
-    xu, xv, E, F, G = _first_form(patch, u, v)
-    det_g = E * G - F * F
-    n = _normal(patch, u, v, xu, xv)
-    xuu, xuv, xvv = _second_partials(patch, u, v)
-    h11 = float(xuu @ n)
-    h12 = float(xuv @ n)
-    h22 = float(xvv @ n)
-    g_inv = np.array([[G, -F], [-F, E]]) / det_g
-    H = np.array([[h11, h12], [h12, h22]])
-    A = g_inv @ H
-    f = float(np.trace(A))
-    if f < -ORIENT_TOL:
-        n = -n
-        h11, h12, h22 = -h11, -h12, -h22
-        H = -H
-        A = -A
-        f = -f
-    K = float(np.linalg.det(A)) + (1.0 if patch.ambient == SPHERE3 else 0.0)
-    return SurfaceData(E=E, F=F, G=G, h11=h11, h12=h12, h22=h22,
-                       normal=n, shape=A, f=f, K=K)
+    us, vs = _points(u, v)
+    n = len(us)
+    hu = _step("partials", patch.u_range, us, patch.u_singularities)
+    hv = _step("partials", patch.v_range, vs, ())
+    xu, xv = patch.first_partials(*_stencil(us, vs, hu, hv))
+    E, F, G = _first_form(us, vs, xu[:n], xv[:n])
+    nrm = _normal(patch, us, vs, xu[:n], xv[:n])
+    xuu, xuv = _central(xu, hu, hv)
+    xvv = _central(xv, hu, hv)[1]
+    h11, h12, h22 = (_dot(x, nrm) for x in (xuu, xuv, xvv))
+    g11, g12, g22 = _inverse_metric(E, F, G)
+    A = np.array([[g11 * h11 + g12 * h12, g11 * h12 + g12 * h22],
+                  [g12 * h11 + g22 * h12, g12 * h12 + g22 * h22]])
+    sign = np.where(A[0, 0] + A[1, 1] < -ORIENT_TOL, -1.0, 1.0)
+    A = A * sign
+    K = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] + (1.0 if patch.ambient == SPHERE3 else 0.0)
+    return _unbatch(u, v, SurfaceData(E, F, G, sign * h11, sign * h12, sign * h22,
+                                      sign[:, None] * nrm, np.moveaxis(A, -1, 0),
+                                      A[0, 0] + A[1, 1], K))
 
 
-def _curvature_gradients(patch: ImmersionPatch, u: float, v: float, data: SurfaceData):
-    """Metric gradients g^{-1} d(f) and g^{-1} d(K), both from one
-    central-difference stencil of shape operators; `data` is the shape
-    operator at (u, v)."""
-    hu = _step("curvature", patch.u_range, u, patch.u_singularities)
-    hv = _step("curvature", patch.v_range, v, ())
-    up, um = shape_operator(patch, u + hu, v), shape_operator(patch, u - hu, v)
-    vp, vm = shape_operator(patch, u, v + hv), shape_operator(patch, u, v - hv)
-    det_g = data.E * data.G - data.F ** 2
-    g_inv = np.array([[data.G, -data.F], [-data.F, data.E]]) / det_g
-    grad_f = g_inv @ np.array([(up.f - um.f) / (2 * hu), (vp.f - vm.f) / (2 * hv)])
-    grad_k = g_inv @ np.array([(up.K - um.K) / (2 * hu), (vp.K - vm.K) / (2 * hv)])
-    return grad_f, grad_k
+def _curvature_gradients(patch: ImmersionPatch, us, vs):
+    """Shape operators at the points, and there the metric gradients
+    g^{-1} d(f) and g^{-1} d(K) as (n, 2) arrays: one shape_operator call
+    over the points and their central-difference stencils."""
+    hu = _step("curvature", patch.u_range, us, patch.u_singularities)
+    hv = _step("curvature", patch.v_range, vs, ())
+    stencil = shape_operator(patch, *_stencil(us, vs, hu, hv))
+    data = stencil[:len(us)]
+    g11, g12, g22 = _inverse_metric(data.E, data.F, data.G)
+    grads = (_central(x, hu, hv) for x in (stencil.f, stencil.K))
+    return data, *(np.stack([g11 * du + g12 * dv, g12 * du + g22 * dv], -1) for du, dv in grads)
 
 
-def curvatures(patch: ImmersionPatch, u: float, v: float):
+@np.errstate(over="ignore", invalid="ignore")
+def curvatures(patch: ImmersionPatch, u, v):
     """Mean curvature, Gauss curvature and their metric gradients.
 
     Gradients are coordinate components of grad = g^{-1} d(scalar); their
     lengths in the induced metric are sqrt(d . g^{-1} . d).
     """
-    data = shape_operator(patch, u, v)
-    grad_f, grad_k = _curvature_gradients(patch, u, v, data)
-    return data.f, data.K, grad_f, grad_k
+    us, vs = _points(u, v)
+    data, grad_f, grad_k = _curvature_gradients(patch, us, vs)
+    return _unbatch(u, v, (data.f, data.K, grad_f, grad_k))
 
 
-def biconservativity_residual(patch: ImmersionPatch, u: float, v: float) -> float:
-    """Scale-free defect of A(grad f) = -(f/2) grad f at one point.
+@np.errstate(over="ignore", invalid="ignore")
+def biconservativity_residual(patch: ImmersionPatch, u, v):
+    """Scale-free defect of A(grad f) = -(f/2) grad f at each point.
 
     Returns |A(grad f) + (f/2) grad f|_g normalized by |grad f|_g |f| / 2
     (with an absolute floor).  Where the gradient is below the CMC
     threshold the defect is returned unnormalized: both sides of the
     identity vanish there and the quotient would compare noise to noise.
+    A NaN anywhere in a point's data gives that point a NaN.
     """
-    data = shape_operator(patch, u, v)
-    g = data.metric
-    grad_f, _ = _curvature_gradients(patch, u, v, data)
-    res_vec = data.shape @ grad_f + 0.5 * data.f * grad_f
-    res_norm = math.sqrt(max(0.0, float(res_vec @ g @ res_vec)))
-    grad_norm = math.sqrt(max(0.0, float(grad_f @ g @ grad_f)))
-    if grad_norm <= GRADIENT_THRESHOLD:
-        return res_norm
-    denom = max(grad_norm * abs(data.f) / 2.0, RESIDUAL_FLOOR)
-    return res_norm / denom
+    us, vs = _points(u, v)
+    d, grad_f, _ = _curvature_gradients(patch, us, vs)
+    # lengths in the induced metric of tangent components (n, 2)
+    length = lambda x: np.sqrt(np.maximum(
+        0.0, (x[:, 0] * d.E + x[:, 1] * d.F) * x[:, 0] + (x[:, 0] * d.F + x[:, 1] * d.G) * x[:, 1]))
+    res_norm = length(np.einsum("nij,nj->ni", d.shape, grad_f) + 0.5 * d.f[:, None] * grad_f)
+    grad_norm = length(grad_f)
+    denom = np.maximum(grad_norm * np.abs(d.f) / 2.0, RESIDUAL_FLOOR)
+    return _unbatch(u, v, np.where(grad_norm <= GRADIENT_THRESHOLD, res_norm, res_norm / denom))
 
 
 def level_curve_circle_check(
@@ -331,6 +387,7 @@ def gauss_curvature_from_metric(
     return -d_inner / (2.0 * math.sqrt(E(x) * G(x)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
     """Spot-check patch invariants on an n x n interior sample.
 
@@ -339,28 +396,25 @@ def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
     normal must be orthogonal to the tangents (and the position).  Returns
     the worst deviations found; a NaN deviation is the worst, so it fails.
     """
-    us, vs = patch.grid(n, n, margin=5e-2)
-    norm, partial, orth = [0.0], [], []
-    for u in us:
-        for v in vs:
-            pos = np.asarray(patch.position(u, v), dtype=float)
-            if patch.ambient == SPHERE3:
-                norm.append(abs(np.linalg.norm(pos) - 1.0))
-            xu, xv = _position_partials(patch, u, v)
-            hu = _step("values", patch.u_range, u, patch.u_singularities)
-            hv = _step("values", patch.v_range, v, ())
-            fu = _fd4(lambda uu: np.asarray(patch.position(uu, v), dtype=float), u, hu)
-            fv = _fd4(lambda vv: np.asarray(patch.position(u, vv), dtype=float), v, hv)
-            su = max(1.0, float(np.linalg.norm(xu)))
-            sv = max(1.0, float(np.linalg.norm(xv)))
-            partial += [float(np.linalg.norm(fu - xu)) / su, float(np.linalg.norm(fv - xv)) / sv]
-            nrm = _normal(patch, u, v, xu, xv)
-            orth += [abs(float(nrm @ xu)), abs(float(nrm @ xv))]
-            if patch.ambient == SPHERE3:
-                orth.append(abs(float(nrm @ pos)))
-    # max() drops a NaN that is not its first argument
+    us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
+    pos = patch.position(us, vs)
+    xu, xv = patch.first_partials(us, vs)
+    hu = _step("values", patch.u_range, us, patch.u_singularities)
+    hv = _step("values", patch.v_range, vs, ())
+    fu = _fd4(lambda uu: patch.position(uu, vs).T, us, hu).T
+    fv = _fd4(lambda vv: patch.position(us, vv).T, vs, hv).T
+    length = lambda x: np.linalg.norm(x, axis=1)
+    partial = np.concatenate([length(fu - xu) / np.maximum(1.0, length(xu)),
+                              length(fv - xv) / np.maximum(1.0, length(xv))])
+    nrm = _normal(patch, us, vs, xu, xv)
+    orth = [_dot(nrm, xu), _dot(nrm, xv)]
+    norm = np.zeros(1)
+    if patch.ambient == SPHERE3:
+        norm = np.abs(length(pos) - 1.0)
+        orth.append(_dot(nrm, pos))
+    # np.max propagates a NaN
     worst_norm, worst_partial, worst_orth = (
-        math.nan if any(map(math.isnan, xs)) else max(xs) for xs in (norm, partial, orth))
+        float(np.max(np.abs(xs))) for xs in (norm, partial, np.concatenate(orth)))
     return {
         "position_norm_defect": worst_norm,
         "partials_vs_fd": worst_partial,

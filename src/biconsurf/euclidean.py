@@ -156,14 +156,18 @@ def immersion_XC(params: FamilyParamsR3, u: float, v) -> np.ndarray:
     return np.array(rows) if v.ndim else np.array(rows[0])
 
 
-def immersion_XC_partials(params: FamilyParamsR3, u: float, v: float):
+def immersion_XC_partials(params: FamilyParamsR3, u, v):
+    """(X_u, X_v) at the points (u, v), with cosh and sinh once per distinct u."""
     s = math.sqrt(params.C)
-    ch = math.cosh(u)
-    sh = math.sinh(u)
-    c3, s3 = math.cos(3.0 * v), math.sin(3.0 * v)
-    xu = np.array([s * ch * ch * sh * c3, s * ch * ch * sh * s3, s * ch * ch])
-    xv = np.array([-s * ch ** 3 * s3, s * ch ** 3 * c3, 0.0])
-    return xu, xv
+
+    def at(x):
+        ch, sh = math.cosh(x), math.sinh(x)
+        return s * ch * ch * sh, s * ch * ch, s * ch ** 3
+    a, b, c = diffgeo.per_distinct(at, u)
+    c3, s3 = np.cos(3.0 * np.asarray(v)), np.sin(3.0 * np.asarray(v))
+    zero = np.zeros_like(a * c3)
+    return (np.stack([a * c3, a * s3, b + zero], -1),
+            np.stack([-c * s3, c * c3, zero], -1))
 
 
 def xc_patch(params: FamilyParamsR3,
@@ -173,7 +177,7 @@ def xc_patch(params: FamilyParamsR3,
         u_range=u_range,
         v_range=v_range,
         ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: immersion_XC(params, u, v),
+        position=diffgeo.row_positions(lambda u, vs: immersion_XC(params, u, vs)),
         first_partials=lambda u, v: immersion_XC_partials(params, u, v),
     )
 

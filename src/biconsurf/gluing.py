@@ -314,6 +314,8 @@ class GluingAtlas:
         and sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1)), up to the strip's sign.
         """
         s = -1.0 if k % 2 else 1.0
+        if self.C * xi * xi <= 1.0:
+            raise OutOfDomain(f"C xi^2 <= 1 at xi = {xi}")
         t = self.roots.T(xi)
         S = math.sqrt(3.0 * xi * xi - self.Cstar ** 2 * t)
         return (s * xi * xi * math.sqrt(t) / S,
@@ -331,15 +333,16 @@ class GluingAtlas:
                 for t in np.atleast_1d(theta)]
         return np.array(rows) if np.ndim(theta) else np.array(rows[0])
 
-    def immersion_psi_partials(self, h: float, theta: float):
-        k, xi = self._strip_point(h)
-        r = self.Cstar / xi
-        dr = -self.Cstar * self._rates(k, xi)[0] / (xi * xi)
-        ang = theta / self.Cstar
-        ca, sa = math.cos(ang), math.sin(ang)
-        d_h = np.array([dr * ca, dr * sa, 1.0])
-        d_theta = np.array([-sa / xi, ca / xi, 0.0])
-        return d_h, d_theta
+    def immersion_psi_partials(self, h, theta):
+        """(Psi_h, Psi_theta) at the points, with F and the radius rate once per distinct h."""
+        def at(y):
+            k, xi = self._strip_point(y)
+            return xi, -self.Cstar * self._rates(k, xi)[0] / (xi * xi)
+        xi, dr = diffgeo.per_distinct(at, h)
+        ang = np.asarray(theta) / self.Cstar
+        ca, sa = np.cos(ang), np.sin(ang)
+        zero = np.zeros_like(dr * ca)
+        return np.stack([dr * ca, dr * sa, zero + 1.0], -1), np.stack([-sa / xi, ca / xi, zero], -1)
 
     def psi_metric(self, h: float) -> tuple[float, float]:
         """Closed-form induced metric of the revolution surface."""
@@ -376,7 +379,7 @@ class GluingAtlas:
             u_range=tuple(h_range),
             v_range=tuple(theta_range),
             ambient=diffgeo.EUCLIDEAN3,
-            position=self.immersion_psi,
+            position=diffgeo.row_positions(self.immersion_psi),
             first_partials=self.immersion_psi_partials,
         )
 
@@ -398,16 +401,21 @@ class GluingAtlas:
         _, xi, args = self._profile_at(h)
         return self.family.point(xi, theta, *args)
 
-    def immersion_phi_partials(self, h: float, theta: float):
-        k, xi, args = self._profile_at(h)
-        return self.family.tangents(xi, theta, *args, *self._rates(k, xi))
+    def immersion_phi_partials(self, h, theta):
+        """(Phi_h, Phi_theta) at the points, with the profile and its h-rates
+        once per distinct h."""
+        def at(y):
+            k, xi, args = self._profile_at(y)
+            return (xi, *args, *self._rates(k, xi))
+        xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
+        return self.family.tangents(xi, theta, zeta, c, s, dxi, dzeta)
 
     def phi_patch(self, h_range, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:
         return diffgeo.ImmersionPatch(
             u_range=tuple(h_range),
             v_range=tuple(theta_range),
             ambient=diffgeo.SPHERE3,
-            position=self.immersion_phi,
+            position=diffgeo.row_positions(self.immersion_phi),
             first_partials=self.immersion_phi_partials,
         )
 

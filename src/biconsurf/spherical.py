@@ -192,6 +192,8 @@ def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
     The midpoint xi00 = (9C/4)^{3/2} maximizes nothing in particular but
     always separates the two roots; T(xi00) = 2187 C^4 / 256 - 3, so a
     non-positive value there flags the degenerate (double-root) regime.
+    With r = C^{-1/2}, T(r/2) = -2.25 - (0.25/C)^{4/3} < 0 < T(2r) = 9 - (4/C)^{4/3}
+    for every C > C_MIN: [r/2, 2r] brackets xi01 alone, to `tol` relative to r.
     """
     xi00 = (2.25 * C) ** 1.5
     t00 = float(T(C, xi00))
@@ -200,7 +202,8 @@ def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
             f"C = {C} at or below the double-root threshold {C_MIN}"
         )
     f = lambda x: float(T(C, x))
-    lo = find_root(f, Bracket.from_function(f, 1e-9, xi00), tol=tol)
+    r = C ** -0.5
+    lo = find_root(f, Bracket.from_function(f, 0.5 * r, 2.0 * r), tol=tol * r)
     upper = expand_bracket(f, xi00, 2.0 * xi00)
     hi = find_root(f, upper, tol=tol)
     return DomainRoots(xi01=_polish_root(C, lo), xi00=xi00, xi02=_polish_root(C, hi))
@@ -309,23 +312,22 @@ class SphereFamily:
                 for t in theta.ravel().tolist()]
         return np.array(rows) if theta.ndim else np.array(rows[0])
 
-    def tangents(self, xi: float, theta: float, zeta: float, c: float = 0.0, s: float = 1.0,
-                 dxi: float = 1.0, dzeta: float = 0.0):
-        """Partials of `point` along a parameter in which xi and zeta change
-        at the rates dxi and dzeta, and along theta."""
-        R = self.radius(xi)
+    def tangents(self, xi, theta, zeta, c=0.0, s=1.0, dxi=1.0, dzeta=0.0):
+        """Partials of `point`, one row per point, along a parameter in which
+        xi and zeta change at the rates dxi and dzeta, and along theta."""
+        R = np.sqrt(1.0 - 1.0 / (self.C * xi * xi))
         sc = math.sqrt(self.C)
         dR = 1.0 / (self.C * xi ** 3 * R)
-        ct, st = math.cos(sc * theta), math.sin(sc * theta)
-        cz, sz = math.cos(zeta + c), math.sin(zeta + c)
-        d_u = np.array([
+        ct, st = np.cos(sc * theta), np.sin(sc * theta)
+        cz, sz = np.cos(zeta + c), np.sin(zeta + c)
+        d_u = np.stack([
             dxi * dR * cz - R * sz * dzeta,
             s * (dxi * dR * sz + R * cz * dzeta),
             -dxi * ct / (sc * xi * xi),
             -dxi * st / (sc * xi * xi),
-        ])
-        d_theta = np.array([0.0, 0.0, -st / xi, ct / xi])
-        return d_u, d_theta
+        ], -1)
+        zero = np.zeros_like(d_u[..., 0])
+        return d_u, np.stack([zero, zero, -st / xi, ct / xi], -1)
 
     def immersion(self, xi: float, theta) -> np.ndarray:
         """Point of Phi_C; a 1-D `theta` gives the (n, 4) row at one xi."""
@@ -333,8 +335,10 @@ class SphereFamily:
             raise OutOfDomain(f"xi = {xi} outside the open strip")
         return self.point(xi, theta, self.zeta0(xi))
 
-    def immersion_partials(self, xi: float, theta: float):
-        return self.tangents(xi, theta, self.zeta0(xi), dzeta=self.zeta0_deriv(xi))
+    def immersion_partials(self, xi, theta):
+        """(X_xi, X_theta) at the points, with zeta0 and zeta0' once per distinct xi."""
+        zeta, dzeta = diffgeo.per_distinct(lambda x: (self.zeta0(x), self.zeta0_deriv(x)), xi)
+        return self.tangents(xi, theta, zeta, dzeta=dzeta)
 
     def patch(self, xi_margin: float = 1e-3, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:
         """Strip patch trimmed by a relative margin at the singular ends."""
@@ -345,7 +349,7 @@ class SphereFamily:
             u_range=(lo, hi),
             v_range=theta_range,
             ambient=diffgeo.SPHERE3,
-            position=lambda xi, th: self.immersion(xi, th),
+            position=diffgeo.row_positions(lambda xi, th: self.immersion(xi, th)),
             first_partials=lambda xi, th: self.immersion_partials(xi, th),
             u_singularities=(self.roots.xi01, self.roots.xi02),
         )

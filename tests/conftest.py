@@ -5,11 +5,14 @@ machinery: plain bisection for roots, Richardson-refined composite
 midpoint for integrals (with the square-root substitution applied at the
 code level, not through the package helpers), and Richardson-extrapolated
 one-sided stencils for derivatives.  Expected values frozen in
-the tests were produced by these.
+the tests were produced by these.  `ScalarOracle` is the differential-
+geometry oracle evaluated point by point, the reference for the batched
+one.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 
@@ -94,3 +97,97 @@ def oracle_roots_C1():
     lo = bisect_root(T, 1e-9, 3.375)
     hi = bisect_root(T, 3.375, 10.0)
     return lo, hi
+
+
+class ScalarOracle:
+    """The oracle point by point: the shape operator and the residual of
+    `biconsurf.diffgeo` before it was batched, kept as a reference.
+
+    Each point is its own one-point call of the patch's evaluators, with
+    one partials call per stencil point (5 per shape operator, 25 per
+    residual); the steps, stencils and per-point rules are diffgeo's, and
+    the determinants are numpy's LU ones.
+    """
+
+    def __init__(self, patch):
+        from biconsurf import diffgeo
+        self.dg = diffgeo
+        self.patch = patch
+
+    def _call(self, fun, u, v):
+        return [np.asarray(x, dtype=float)[0] for x in fun(np.array([u]), np.array([v]))]
+
+    def _step(self, kind, coord_range, at, singularities):
+        scale = coord_range[1] - coord_range[0]
+        if singularities:
+            dist = min(abs(at - s) for s in singularities)
+            if dist > 0.0:
+                scale = min(scale, self.dg.SINGULAR_SCALE * dist)
+        return self.dg.FD_FRACTION[kind] * scale
+
+    def _normal(self, u, v, xu, xv):
+        if self.patch.ambient == self.dg.EUCLIDEAN3:
+            n = np.cross(xu, xv)
+        else:
+            p = np.asarray(self.patch.position(np.array([u]), np.array([v])), dtype=float)[0]
+            m = np.vstack([p, xu, xv])
+            cols = np.arange(4)
+            n = np.array([(-1.0) ** i * np.linalg.det(m[:, cols != i]) for i in range(4)])
+        return n / np.linalg.norm(n)
+
+    def shape_operator(self, u, v):
+        """(E, F, G, h11, h12, h22, normal, shape, f, K) at one point."""
+        patch, dg = self.patch, self.dg
+        xu, xv = self._call(patch.first_partials, u, v)
+        E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
+        det_g = E * G - F * F
+        assert det_g > 0.0
+        n = self._normal(u, v, xu, xv)
+        hu = self._step("partials", patch.u_range, u, patch.u_singularities)
+        hv = self._step("partials", patch.v_range, v, ())
+        up, um = self._call(patch.first_partials, u + hu, v), self._call(patch.first_partials, u - hu, v)
+        vp, vm = self._call(patch.first_partials, u, v + hv), self._call(patch.first_partials, u, v - hv)
+        h = np.array([(up[0] - um[0]) / (2 * hu) @ n, (vp[0] - vm[0]) / (2 * hv) @ n,
+                      (vp[1] - vm[1]) / (2 * hv) @ n])
+        H = np.array([[h[0], h[1]], [h[1], h[2]]])
+        A = np.array([[G, -F], [-F, E]]) / det_g @ H
+        if np.trace(A) < -dg.ORIENT_TOL:
+            n, h, A = -n, -h, -A
+        K = float(np.linalg.det(A)) + (1.0 if patch.ambient == dg.SPHERE3 else 0.0)
+        return {"E": E, "F": F, "G": G, "h11": h[0], "h12": h[1], "h22": h[2], "normal": n,
+                "shape": A, "f": float(np.trace(A)), "K": K}
+
+    def biconservativity_residual(self, u, v):
+        patch, dg = self.patch, self.dg
+        d = self.shape_operator(u, v)
+        hu = self._step("curvature", patch.u_range, u, patch.u_singularities)
+        hv = self._step("curvature", patch.v_range, v, ())
+        up, um = self.shape_operator(u + hu, v), self.shape_operator(u - hu, v)
+        vp, vm = self.shape_operator(u, v + hv), self.shape_operator(u, v - hv)
+        g = np.array([[d["E"], d["F"]], [d["F"], d["G"]]])
+        g_inv = np.array([[d["G"], -d["F"]], [-d["F"], d["E"]]]) / (d["E"] * d["G"] - d["F"] ** 2)
+        grad_f = g_inv @ np.array([(up["f"] - um["f"]) / (2 * hu), (vp["f"] - vm["f"]) / (2 * hv)])
+        res_vec = d["shape"] @ grad_f + 0.5 * d["f"] * grad_f
+        res_norm = math.sqrt(max(0.0, float(res_vec @ g @ res_vec)))
+        grad_norm = math.sqrt(max(0.0, float(grad_f @ g @ grad_f)))
+        if grad_norm <= dg.GRADIENT_THRESHOLD:
+            return res_norm
+        return res_norm / max(grad_norm * abs(d["f"]) / 2.0, dg.RESIDUAL_FLOOR)
+
+
+FIELDS = ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K")
+
+
+def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9):
+    """The batched data at the points (us, vs) against the point-by-point
+    oracle: every shape-operator field to `rel` of 1 + its size, and the
+    residual, which is scale-free, to `rel`."""
+    ref = ScalarOracle(patch)
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        want = ref.shape_operator(u, v)
+        for name in FIELDS:
+            got, exp = getattr(data, name)[i], want[name]
+            assert np.all(np.abs(got - exp) <= rel * (1.0 + np.abs(exp))), (name, u, v, got, exp)
+        if residual is not None:
+            exp = ref.biconservativity_residual(u, v)
+            assert abs(residual[i] - exp) <= rel, (u, v, residual[i], exp)

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import checks, gluing
+from biconsurf import checks, diffgeo, gluing, spherical
+from conftest import assert_matches_reference
 
 
 class TestWorst:
@@ -97,3 +99,32 @@ def test_complete_report_shares_its_atlas_with_psi():
     revolution, _ = checks.build_report("revolution", 1.0, 1.0)
     for name, res in revolution["checks"].items():
         assert complete["checks"]["psi_" + name] == res
+
+
+@pytest.mark.parametrize("family", checks.FAMILIES)
+@pytest.mark.parametrize("C", [1.0, 1.001 * spherical.C_MIN, 20.0], ids=["C1", "Cmin", "C20"])
+def test_report_oracle_calls_match_the_scalar_oracle(monkeypatch, family, C):
+    # every oracle call of the report, against the point-by-point oracle
+    calls, depth = [], [0]
+    for name in ("shape_operator", "biconservativity_residual"):
+        def recorded(patch, u, v, fn=getattr(diffgeo, name), name=name):
+            depth[0] += 1
+            try:
+                out = fn(patch, u, v)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:  # not the residual's own stencil call
+                calls.append((name, patch, *np.broadcast_arrays(u, v), out))
+            return out
+        monkeypatch.setattr(diffgeo, name, recorded)
+    cstar = 0.5 * gluing.cstar_range(C).upper if family in ("s3-complete", "revolution") else None
+    checks.build_report(family, C, cstar)
+    monkeypatch.undo()
+    # revolution has no residual check
+    assert {c[0] for c in calls} >= {"shape_operator"} | (
+        set() if family == "revolution" else {"biconservativity_residual"})
+    for name, patch, us, vs, out in calls:
+        if name == "shape_operator":
+            assert_matches_reference(patch, us, vs, out)
+        else:
+            assert_matches_reference(patch, us, vs, diffgeo.shape_operator(patch, us, vs), out)

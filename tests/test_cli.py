@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biconsurf import checks, cli, gluing, spherical
+from biconsurf import checks, cli, diffgeo, gluing, spherical
 from biconsurf.euclidean import FamilyParamsR3, immersion_XC
 from biconsurf.numerics import OutOfDomain
 
@@ -433,6 +433,27 @@ class TestR3ExtremeC:
         assert not caught  # a warning would print more lines on stderr
         assert not out.exists()
 
+    # the outcomes at the edges of the float range: an overflowing residual
+    # fails its check, an underflowing or overflowing first form cannot be
+    # evaluated; the library stays as quiet as the CLI
+    @pytest.mark.parametrize("C, code, name", [
+        ("1e-150", 1, "biconservativity_residual"), ("1e-300", 2, "DegenerateMetric"),
+        ("1e200", 2, "OverflowError")])
+    def test_verify_outcome(self, tmp_path, capsys, C, code, name):
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["verify", "--family", "r3", "--C", C, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert not caught and "Traceback" not in err
+        if code == 1:
+            assert f"FAIL {name}:" in err and "error:" not in err
+            assert not checks.build_report("r3", float(C))[0]["checks"][name]["pass"]
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1 and f" {name}: " in err
+            with pytest.raises(getattr(diffgeo, name, OverflowError)):
+                checks.build_report("r3", float(C))
+
     def test_mesh(self, tmp_path, capsys):
         out = tmp_path / "r3.obj"
         assert run(["mesh", "--family", "r3", "--C", "1e-320", "--out", str(out)]) == 2
@@ -456,33 +477,57 @@ class TestR3ExtremeC:
         assert "error:" not in capsys.readouterr().err
 
 
+HUGE_C = [("1e60", "1e-31"), ("1e80", "1e-41"), ("1e100", "1e-51"), ("1e300", "1e-160")]
+HUGE_C_COMMANDS = [
+    ["params"],
+    ["curves", "--figure", "fig3"], ["curves", "--figure", "fig4"],
+    ["curves", "--figure", "fig6"],
+    ["mesh", "--family", "s3-local"], ["mesh", "--family", "s3-complete"],
+    ["verify", "--family", "s3-local"], ["verify", "--family", "revolution"],
+]
+# what needs no more than the strip's roots and quadratures still runs at C = 1e60
+STRIP_ONLY = (["params"], ["curves", "--figure", "fig3"], ["curves", "--figure", "fig4"],
+              ["mesh", "--family", "s3-local"])
+
+
+def _huge_c_argv(tmp_path, command, C, cstar):
+    argv = [*command, "--C", C]
+    if command[0] != "params" and command[-1] != "s3-local":
+        argv += ["--cstar", cstar]
+    if command[0] != "params":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    return argv
+
+
 class TestHugeC:
     """Admissible C where double precision cannot evaluate the sphere
-    families: the root bracket starts at 1e-9 > xi01 ~ C^(-1/2) (1e60), T
-    overflows (1e100), or (9C/4)^(3/2) does (1e300).  Every command exits
-    2 with one error line."""
+    families: 1 - 1/(C xi01^2) rounds to 0 at the junctions and the
+    curvature ODE overflows (1e60), T overflows (1e80, 1e100), or
+    (9C/4)^(3/2) does (1e300).  Every command exits 2 with one error line."""
 
-    @pytest.mark.parametrize("C, cstar", [("1e60", "1e-31"), ("1e100", "1e-51"),
-                                          ("1e300", "1e-160")])
-    @pytest.mark.parametrize("command", [
-        ["params"],
-        ["curves", "--figure", "fig3"], ["curves", "--figure", "fig4"],
-        ["curves", "--figure", "fig6"],
-        ["mesh", "--family", "s3-local"], ["mesh", "--family", "s3-complete"],
-        ["verify", "--family", "s3-local"], ["verify", "--family", "revolution"],
-    ], ids=lambda c: "-".join(c[::2]))
+    @pytest.mark.parametrize("C, cstar, command", [
+        pytest.param(C, cstar, command, id="-".join([*command[::2], C, cstar]))
+        for C, cstar in HUGE_C for command in HUGE_C_COMMANDS
+        if not (C == "1e60" and command in STRIP_ONLY)])
     def test_one_error_line(self, tmp_path, capsys, C, cstar, command):
-        argv = [*command, "--C", C]
-        if command[0] != "params" and command[-1] != "s3-local":
-            argv += ["--cstar", cstar]
-        out = tmp_path / "out.txt"
-        if command[0] != "params":
-            argv += ["--out", str(out)]
-        assert run(argv) == 2
+        assert run(_huge_c_argv(tmp_path, command, C, cstar)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("C", ["1e19", "1e30"])
+    def test_strip_roots(self, capsys, C):
+        # the lower root is bracketed in units of C^(-1/2), where it sits
+        assert run(["params", "--C", C]) == 0
+        assert "error:" not in capsys.readouterr().err
+        xi01 = spherical.domain_roots(float(C)).xi01
+        assert xi01 == pytest.approx(float(C) ** -0.5, rel=1e-6)
+
+    @pytest.mark.parametrize("command", STRIP_ONLY, ids=lambda c: "-".join(c[::2]))
+    def test_strip_commands_run(self, tmp_path, capsys, command):
+        assert run(_huge_c_argv(tmp_path, command, "1e60", "1e-31")) == 0
+        assert "error:" not in capsys.readouterr().err
 
 
 class TestEmptyRunsAndOutputs:

@@ -9,22 +9,28 @@ import pytest
 
 from biconsurf import diffgeo, spherical
 from biconsurf.numerics import OutOfDomain
+from conftest import assert_matches_reference
+
+
+def vec(*components):
+    """Stack components into vectors: (d,) for scalars, (n, d) for arrays of n points."""
+    return np.stack(np.broadcast_arrays(*components), -1)
 
 
 def plane_patch():
     return diffgeo.ImmersionPatch(
         u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: np.array([u, v, 0.0]),
-        first_partials=lambda u, v: (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
+        position=lambda u, v: vec(u, v, 0.0 * u),
+        first_partials=lambda u, v: (vec(1.0, 0.0, 0.0 * u), vec(0.0, 1.0, 0.0 * u)))
 
 
 def round_sphere_patch():
     def pos(u, v):
-        return np.array([math.sin(u) * math.cos(v), math.sin(u) * math.sin(v), math.cos(u)])
+        return vec(np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u))
 
     def partials(u, v):
-        xu = np.array([math.cos(u) * math.cos(v), math.cos(u) * math.sin(v), -math.sin(u)])
-        xv = np.array([-math.sin(u) * math.sin(v), math.sin(u) * math.cos(v), 0.0])
+        xu = vec(np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u))
+        xv = vec(-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), 0.0 * u)
         return xu, xv
 
     return diffgeo.ImmersionPatch(
@@ -36,13 +42,12 @@ def flat_torus_patch():
     s = 1.0 / math.sqrt(2.0)
 
     def partials(u, v):
-        return (s * np.array([-math.sin(u), math.cos(u), 0.0, 0.0]),
-                s * np.array([0.0, 0.0, -math.sin(v), math.cos(v)]))
+        return (s * vec(-np.sin(u), np.cos(u), 0.0 * u, 0.0 * u),
+                s * vec(0.0 * v, 0.0 * v, -np.sin(v), np.cos(v)))
 
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 2 * math.pi), v_range=(0.0, 2 * math.pi), ambient=diffgeo.SPHERE3,
-        position=lambda u, v: s * np.array(
-            [math.cos(u), math.sin(u), math.cos(v), math.sin(v)]),
+        position=lambda u, v: s * vec(np.cos(u), np.sin(u), np.cos(v), np.sin(v)),
         first_partials=partials)
 
 
@@ -50,13 +55,12 @@ def latitude_sphere_patch(r):
     sr, cr = math.sin(r), math.cos(r)
 
     def pos(u, v):
-        return np.array([sr * math.cos(u) * math.cos(v), sr * math.sin(u) * math.cos(v),
-                         sr * math.sin(v), cr])
+        return vec(sr * np.cos(u) * np.cos(v), sr * np.sin(u) * np.cos(v), sr * np.sin(v),
+                   cr + 0.0 * u)
 
     def partials(u, v):
-        xu = sr * np.array([-math.sin(u) * math.cos(v), math.cos(u) * math.cos(v), 0.0, 0.0])
-        xv = sr * np.array([-math.cos(u) * math.sin(v), -math.sin(u) * math.sin(v),
-                            math.cos(v), 0.0])
+        xu = sr * vec(-np.sin(u) * np.cos(v), np.cos(u) * np.cos(v), 0.0 * u, 0.0 * u)
+        xv = sr * vec(-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v), 0.0 * u)
         return xu, xv
 
     return diffgeo.ImmersionPatch(
@@ -68,9 +72,8 @@ def long_cylinder_patch():
     """Unit cylinder whose u-width is a thousand times its v-width."""
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 1000.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: np.array([math.cos(v), math.sin(v), u]),
-        first_partials=lambda u, v: (np.array([0.0, 0.0, 1.0]),
-                                     np.array([-math.sin(v), math.cos(v), 0.0])))
+        position=lambda u, v: vec(np.cos(v), np.sin(v), u),
+        first_partials=lambda u, v: (vec(0.0 * u, 0.0, 1.0), vec(-np.sin(v), np.cos(v), 0.0 * u)))
 
 
 class TestFundamentalForms:
@@ -87,8 +90,8 @@ class TestFundamentalForms:
     def test_degenerate_rejected(self):
         bad = diffgeo.ImmersionPatch(
             u_range=(-1, 1), v_range=(-1, 1), ambient=diffgeo.EUCLIDEAN3,
-            position=lambda u, v: np.array([u, u, 0.0]),
-            first_partials=lambda u, v: (np.array([1.0, 1.0, 0.0]), np.zeros(3)))
+            position=lambda u, v: vec(u, u, 0.0 * u),
+            first_partials=lambda u, v: (vec(1.0, 1.0, 0.0 * u), vec(0.0, 0.0, 0.0 * u)))
         with pytest.raises(diffgeo.DegenerateMetric):
             diffgeo.fundamental_forms(bad, 0.0, 0.0)
 
@@ -135,7 +138,7 @@ class TestShapeOperator:
     def test_normal_orthogonality_sphere3(self):
         p = flat_torus_patch()
         data = diffgeo.shape_operator(p, 0.7, 1.9)
-        pos = p.position(0.7, 1.9)
+        pos = p.position(np.array([0.7]), np.array([1.9]))[0]
         assert abs(data.normal @ pos) < 1e-10
         assert np.linalg.norm(data.normal) == pytest.approx(1.0, abs=1e-12)
 
@@ -214,39 +217,71 @@ class TestMetricCurvature:
 
 
 class TestPartialsCalls:
+    """The batched oracle calls the patch's partials once per entry point,
+    on every stencil point of the whole sample set."""
+
     @staticmethod
     def counted(patch):
         calls = []
         fp = patch.first_partials
 
         def first_partials(u, v):
-            calls.append((u, v))
+            calls.append(len(u))
             return fp(u, v)
         return dataclasses.replace(patch, first_partials=first_partials), calls
 
-    def test_one_call_per_stencil_point(self):
-        # the center and four stencil points: X_uv and X_vv share (u, v +- hv)
-        patch, calls = self.counted(plane_patch())
-        diffgeo.shape_operator(patch, 0.1, 0.2)
-        assert len(calls) == 5
-        assert len(set(calls)) == 5
+    def test_shape_operator_one_call(self):
+        # the points and their four stencil points: X_uv and X_vv share (u, v +- hv)
+        patch, calls = self.counted(round_sphere_patch())
+        diffgeo.shape_operator(patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2))
+        assert calls == [5 * 7]
 
     def test_residual_calls(self):
-        # five shape operators: the center and the curvature stencil
-        patch, calls = self.counted(plane_patch())
-        diffgeo.biconservativity_residual(patch, 0.1, 0.2)
-        assert len(calls) == 25
+        # five shape operators per point: the point and its curvature stencil
+        patch, calls = self.counted(round_sphere_patch())
+        diffgeo.biconservativity_residual(patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2))
+        assert calls == [25 * 7]
+
+    def test_scalar_call_is_one_point(self):
+        patch, calls = self.counted(round_sphere_patch())
+        data = diffgeo.shape_operator(patch, 1.1, 0.5)
+        diffgeo.biconservativity_residual(patch, 1.1, 0.5)
+        assert calls == [5, 25]
+        batch = diffgeo.shape_operator(patch, np.array([1.1]), np.array([0.5]))
+        assert data.K == batch.K[0] and data.shape.shape == (2, 2)
+        assert diffgeo.biconservativity_residual(patch, 1.1, 0.5) == \
+            diffgeo.biconservativity_residual(patch, np.array([1.1]), np.array([0.5]))[0]
+
+
+REFERENCE_PATCHES = {
+    "plane": (plane_patch, 0.1, 0.2),
+    "round_sphere": (round_sphere_patch, 1.1, 0.5),
+    "flat_torus": (flat_torus_patch, 1.0, 2.0),
+    "latitude_sphere": (lambda: latitude_sphere_patch(0.8), 1.0, 0.3),
+    "long_cylinder": (long_cylinder_patch, 500.0, 0.5),
+}
+
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("name", REFERENCE_PATCHES)
+    def test_known_patches(self, name):
+        make, u, v = REFERENCE_PATCHES[name]
+        patch = make()
+        (u0, u1), (v0, v1) = patch.u_range, patch.v_range
+        us = np.array([u, u0 + 0.3 * (u1 - u0), u0 + 0.7 * (u1 - u0)])
+        vs = np.array([v, v0 + 0.6 * (v1 - v0), v0 + 0.2 * (v1 - v0)])
+        assert_matches_reference(patch, us, vs, diffgeo.shape_operator(patch, us, vs),
+                                 diffgeo.biconservativity_residual(patch, us, vs))
 
 
 class TestValidatePatch:
     def test_nan_partials_fail(self):
         # NaN partials on one grid row; positions stay finite
         def partials(u, v):
-            xu, xv = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-            return (xu * math.nan, xv) if 0.4 < u < 0.6 else (xu, xv)
+            row = np.where((0.4 < u) & (u < 0.6), math.nan, 1.0)
+            return vec(row, 0.0 * u, 0.0 * u), vec(0.0 * u, 1.0, 0.0 * u)
         patch = diffgeo.ImmersionPatch(
             u_range=(0.0, 1.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-            position=lambda u, v: np.array([u, v, 0.0]), first_partials=partials)
+            position=lambda u, v: vec(u, v, 0.0 * u), first_partials=partials)
         assert sum(0.4 < u < 0.6 for u in patch.grid(5, 5, margin=5e-2)[0]) == 1
         rep = diffgeo.validate_patch(patch)
         assert not rep["ok"]

@@ -521,6 +521,25 @@ class TestJunctionPartials:
         assert diffgeo.validate_patch(patch)["ok"]
 
 
+class TestOracleWork:
+    """Deterministic work of the batched oracle on the glued immersion: a
+    residual sample's 25 partials points have 9 distinct heights and its
+    5 normals' positions 3, and each distinct height inverts h0 once."""
+
+    @pytest.mark.parametrize("h", [-0.6, 0.2, 0.9, 1.4])
+    def test_residual_sample_inverts_at_most_12_heights(self, at, monkeypatch, h):
+        heights = []
+        inverse = gluing.GluingAtlas.h0_inverse
+        monkeypatch.setattr(gluing.GluingAtlas, "h0_inverse",
+                            lambda self, y: heights.append(y) or inverse(self, y))
+        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]), (0.0, 1.0))
+        diffgeo.biconservativity_residual(patch, h, 0.3)
+        assert 0 < len(heights) <= 12
+        heights.clear()
+        diffgeo.biconservativity_residual(patch, np.full(3, h) + [0.0, 1e-3, 2e-3], np.full(3, 0.3))
+        assert len(heights) <= 36
+
+
 class TestPeriodicityProbe:
     def test_reports_phase_defect(self, at):
         rep = at.periodicity_probe()
