@@ -61,7 +61,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance knobs; the report echoes them."""
+    """The fixed tolerances of the checks; the report echoes them."""
 
     metric_rel: float = 1e-8
     metric_glued_rel: float = 1e-6
@@ -132,9 +132,8 @@ def _level_curve_gap(derivs, c: float, x: float) -> float:
 # Euclidean family
 # ----------------------------------------------------------------------
 
-def r3_checks(C: float, grid: int = 16, seed: int = 12345,
-              tols: Tolerances | None = None) -> dict[str, CheckResult]:
-    tols = tols or Tolerances()
+def r3_checks(C: float, grid: int = 16, seed: int = 12345) -> dict[str, CheckResult]:
+    tols = Tolerances()
     par = euclidean.FamilyParamsR3.from_C(C)
     patch = euclidean.xc_patch(par)
     rng = np.random.default_rng(seed)
@@ -191,9 +190,8 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345,
 # Sphere family, fundamental strip
 # ----------------------------------------------------------------------
 
-def s3_local_checks(C: float, grid: int = 12, seed: int = 12345,
-                    tols: Tolerances | None = None) -> dict[str, CheckResult]:
-    tols = tols or Tolerances()
+def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, CheckResult]:
+    tols = Tolerances()
     fam = spherical.family(C)
     roots = fam.roots
     rng = np.random.default_rng(seed)
@@ -206,7 +204,7 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345,
     xis, _ = patch.grid(grid, 4)
 
     # intrinsic curvature straight from the metric coefficients, for a few C
-    strips = [(Cx, spherical.domain_roots(Cx)) for Cx in (0.8, C, 2.0)]
+    strips = [(0.8, spherical.domain_roots(0.8)), (C, roots), (2.0, spherical.domain_roots(2.0))]
 
     def metric_route_k(Cx, xi, scale):
         kb = diffgeo.gauss_curvature_from_metric(
@@ -294,9 +292,8 @@ def _profile_metric_pullback(at: gluing.GluingAtlas, patch, grid: int, tol: floa
 
 
 def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
-                       grid: int = 10, seed: int = 12345,
-                       tols: Tolerances | None = None) -> dict[str, CheckResult]:
-    tols = tols or Tolerances()
+                       grid: int = 10, seed: int = 12345) -> dict[str, CheckResult]:
+    tols = Tolerances()
     at = gluing.atlas(C, Cstar, c0=c0)
     rng = np.random.default_rng(seed)
     m1, p1 = at.h_limits
@@ -356,9 +353,9 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
     return out
 
 
-def revolution_checks(C: float, Cstar: float, grid: int = 10, seed: int = 12345,
-                      tols: Tolerances | None = None) -> dict[str, CheckResult]:
-    return _psi_checks(gluing.atlas(C, Cstar), grid, seed, tols or Tolerances())
+def revolution_checks(C: float, Cstar: float, grid: int = 10,
+                      seed: int = 12345) -> dict[str, CheckResult]:
+    return _psi_checks(gluing.atlas(C, Cstar), grid, seed, Tolerances())
 
 
 def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
@@ -403,23 +400,23 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
 # ----------------------------------------------------------------------
 
 def build_report(family: str, C: float, Cstar: float | None = None,
-                 c0: float = 0.0, grid: int = 10, seed: int = 12345,
-                 tols: Tolerances | None = None) -> tuple[dict, dict[str, CheckResult]]:
+                 c0: float = 0.0, grid: int = 10,
+                 seed: int = 12345) -> tuple[dict, dict[str, CheckResult]]:
     """The JSON-ready report and the results it was built from; each
     result's `n_samples` and `worst_at` stay out of the JSON."""
-    tols = tols or Tolerances()
+    tols = Tolerances()
     if family == "r3":
-        checks = r3_checks(C, grid=grid, seed=seed, tols=tols)
+        checks = r3_checks(C, grid=grid, seed=seed)
     elif family == "s3-local":
-        checks = s3_local_checks(C, grid=grid, seed=seed, tols=tols)
+        checks = s3_local_checks(C, grid=grid, seed=seed)
     elif family == "s3-complete":
         if Cstar is None:
             raise ValueError("s3-complete requires C*")
-        checks = s3_complete_checks(C, Cstar, c0=c0, grid=grid, seed=seed, tols=tols)
+        checks = s3_complete_checks(C, Cstar, c0=c0, grid=grid, seed=seed)
     elif family == "revolution":
         if Cstar is None:
             raise ValueError("revolution requires C*")
-        checks = revolution_checks(C, Cstar, grid=grid, seed=seed, tols=tols)
+        checks = revolution_checks(C, Cstar, grid=grid, seed=seed)
     else:
         raise ValueError(f"unknown family {family!r}")
     report = {

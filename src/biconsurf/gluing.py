@@ -18,9 +18,7 @@ of the plane with the periodic-profile metric into the unit 3-sphere.
 
 from __future__ import annotations
 
-import logging
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,13 +43,8 @@ TWO_PI = 2.0 * math.pi
 # slack used when reducing phases mod 2*pi and when snapping junction hits
 PHASE_SLACK = 1e-12
 
-# Newton steps allowed per inversion; a Hermite-seeded one takes about two
-NEWTON_CAP = 8
-
 # junction labels run over +-1 .. +-K_MAX: the h_{0,+-11} range of fig6
 K_MAX = 11
-
-_log = logging.getLogger(__name__)
 
 
 class InvalidC(Exception):
@@ -117,12 +110,6 @@ class GluingAtlas:
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
         self.zeta_limits = self.family.zeta_limits
 
-        # inverse table: h0 and dxi/dh at the nodes; the slope vanishes at the
-        # roots.  Lists, so the per-call seed runs on bisect and float arithmetic
-        self._h_nodes = (self._h_cum.table - self._h_base).tolist()
-        self._xi_nodes = self._h_cum.nodes.tolist()
-        self._xi_slopes = [0.0, *(1.0 / self._h_cum.f(self._h_cum.nodes[1:-1])).tolist(), 0.0]
-
         self.grid = {k: self.h_grid_point(k) for k in range(-K_MAX, K_MAX + 1) if k != 0}
 
     # -- height function and its inverse ------------------------------------
@@ -133,39 +120,10 @@ class GluingAtlas:
             raise OutOfDomain(f"xi = {xi} outside the closed strip")
         return self._h_cum.value(xi) - self._h_base
 
-    def h0_deriv(self, xi: float) -> float:
-        if not self.roots.contains(xi):
-            raise OutOfDomain(f"xi = {xi} at or beyond the strip ends")
-        t = self.roots.T(xi)
-        num = 3.0 * xi * xi - self.Cstar ** 2 * t
-        return math.sqrt(num / (xi ** 4 * t))
-
     def h0_inverse(self, y: float) -> float:
-        """Inverse of h0 on [h_{0,-1}, h_{0,1}].
-
-        The table of h0 at the quadrature nodes, together with the slopes
-        dxi/dh = 1/h0'(xi) there (zero at the roots, where xi(h) is even in
-        the distance to the end height), gives a piecewise cubic Hermite
-        seed in the cell holding y.  Bracketed Newton steps on h0 then run
-        until a step moves xi by at most 1e-14 of the strip width, or the
-        residual is within two ulps of the height span, below which the
-        step is rounding.  In the three cells at each end the steps are
-        taken in w = sqrt(|xi - root|), where the height map has a smooth,
-        nonvanishing derivative, and the slope comes from the height
-        table's `end_slope`.  Each step costs one table lookup: the
-        integrand is not evaluated.
-
-        Measured max |h0(h0_inverse(y)) - y| / span at C = C* = 1, by the
-        distance of y to the nearer end height: 2e-15 beyond 1e-2 of the
-        span, 3e-13 within 1e-2, 3e-11 within 1e-4 and 9e-9 within 1e-6
-        (up to 3e-14, 2e-12, 2e-10 and 2e-8 at C = 1.001 C_MIN with C* at
-        half its range).  The
-        three end bands are the representation floor h0'(xi) ulp(xi) of
-        the returned xi; at a root a one-ulp move of xi already changes
-        the height by ~sqrt(eps).  A Newton loop that reaches NEWTON_CAP
-        steps logs y and its last step at DEBUG level on the
-        "biconsurf.gluing" logger.
-        """
+        """Inverse of h0 on [h_{0,-1}, h_{0,1}]: the height table's own
+        inverse, with heights within PHASE_SLACK of the span of an end
+        height snapped onto its root."""
         lo, hi = self.h_limits
         span = hi - lo
         if y <= lo + PHASE_SLACK * span:
@@ -176,43 +134,7 @@ class GluingAtlas:
             if y > hi + 1e-9 * span:
                 raise OutOfDomain(f"height {y} above {hi}")
             return self.roots.xi02
-        hs, xs, ms = self._h_nodes, self._xi_nodes, self._xi_slopes
-        i = min(max(bisect_left(hs, y) - 1, 0), len(hs) - 2)
-        d = hs[i + 1] - hs[i]
-        t = (y - hs[i]) / d
-        xi = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * xs[i] + t * (1.0 - t) ** 2 * d * ms[i]
-              + t * t * (3.0 - 2.0 * t) * xs[i + 1] - t * t * (1.0 - t) * d * ms[i + 1])
-        if 3 <= i < len(hs) - 4:
-            to_u = to_xi = lambda v: v
-            slope = self.h0_deriv
-        else:
-            # u = +-w rises with xi at both ends: xi = root + s u^2
-            root, s = (self.roots.xi01, 1.0) if i < 3 else (self.roots.xi02, -1.0)
-            to_u = lambda v: s * math.sqrt(s * (v - root))
-            to_xi = lambda u: root + s * u * u
-            slope = lambda u: self._h_cum.end_slope(s * u, upper=s < 0.0)
-        u_lo, u_hi = to_u(xs[i]), to_u(xs[i + 1])
-        xi = min(max(xi, xs[i]), xs[i + 1])
-        tol = 1e-14 * (self.roots.xi02 - self.roots.xi01)
-        h_res = 2.0 * math.ulp(span)  # spacing of the tabulated heights
-        for _ in range(NEWTON_CAP):
-            u = to_u(xi)
-            r = self.h0(xi) - y
-            if r > 0.0:
-                u_hi = u
-            else:
-                u_lo = u
-            nxt = u - r / slope(u)
-            if not (u_lo <= nxt <= u_hi):
-                nxt = 0.5 * (u_lo + u_hi)
-            nxt = to_xi(nxt)
-            step, xi = nxt - xi, nxt
-            # below h_res the residual is rounding, and so is the step it gives
-            if abs(step) <= tol or abs(r) <= h_res:
-                return xi
-        _log.debug("h0_inverse: no convergence in %d Newton steps at y=%r, last step %r",
-                   NEWTON_CAP, y, step)
-        return xi
+        return self._h_cum.inverse(y + self._h_base)
 
     # -- grid, strips and phases ---------------------------------------------
 

@@ -66,7 +66,7 @@ def test_r3_passes_over_the_admissible_range(log_c):
     # lengths in units of C1^{-3/2} and curvatures in C1^3: no r3 bound
     # depends on where C sits in [1e-12, 1e15]
     C = 10.0 ** log_c
-    report, _ = checks.build_report("r3", C, tols=checks.Tolerances())
+    report, _ = checks.build_report("r3", C)
     failing = {k: v["value"] for k, v in report["checks"].items() if not v["pass"]}
     assert report["overall_pass"] and not failing, (C, failing)
 

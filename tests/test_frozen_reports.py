@@ -31,8 +31,7 @@ def _key(report):
 
 @pytest.mark.parametrize("frozen", FROZEN["reports"], ids=_key)
 def test_report_matches_frozen(frozen):
-    rep, _ = checks.build_report(frozen["family"], frozen["C"], frozen["Cstar"],
-                              tols=checks.Tolerances())
+    rep, _ = checks.build_report(frozen["family"], frozen["C"], frozen["Cstar"])
     assert set(rep["checks"]) == set(frozen["checks"])
     for name, old in frozen["checks"].items():
         new = rep["checks"][name]

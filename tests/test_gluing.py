@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import diffgeo, gluing, spherical
+from biconsurf import diffgeo, gluing, numerics, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
 from conftest import one_sided_derivative, refined_singular_integral
 
@@ -85,12 +85,14 @@ class TestHeightFunction:
         assert np.all(np.diff(hs) > 0.0)
 
     def test_derivative_blows_up_at_ends(self, at):
+        # h0' = 1 / (dF/dh): the profile's rate vanishes toward both roots
         r = at.roots
-        interior = at.h0_deriv(r.xi00)
+        rate = lambda xi: at._rates(0, xi)[0]
+        interior = rate(r.xi00)
         for d in (1e-4, 1e-8, 1e-12):
-            assert at.h0_deriv(r.xi01 + d) > at.h0_deriv(r.xi01 + 100 * d)
-            assert at.h0_deriv(r.xi02 - d) > interior
-        assert at.h0_deriv(r.xi01 + 1e-12) > 1e5
+            assert 0.0 < rate(r.xi01 + d) < rate(r.xi01 + 100 * d)
+            assert 0.0 < rate(r.xi02 - d) < interior
+        assert rate(r.xi01 + 1e-12) < 1e-5
 
     def test_inverse_round_trip(self, at):
         m1, p1 = at.h_limits
@@ -138,6 +140,8 @@ INVERSE_CASES = [
     (20.0, _cstar_at(20.0, 0.99), (9.5e-14, 9.9e-13, 8.3e-11, 1.6e-8)),
     (1.001 * spherical.C_MIN, _cstar_at(1.001 * spherical.C_MIN, 0.5),
      (8.9e-14, 5.2e-12, 5.6e-10, 3.6e-8)),
+    # at most twice the measured 9.5e-15, 8.3e-13, 8.5e-11 and 1.4e-8
+    (1e3, _cstar_at(1e3, 0.99), (1.9e-14, 1.6e-12, 1.7e-10, 2.7e-8)),
 ]
 # distance of y to the nearer end height, as a fraction of the span
 DISTANCE_BANDS = ((1e-2, 0.5), (1e-4, 1e-2), (1e-6, 1e-4), (1e-11, 1e-6))
@@ -152,7 +156,8 @@ def band_heights(at, n=100):
         yield np.concatenate([lo + d, hi - d])
 
 
-@pytest.fixture(scope="module", params=INVERSE_CASES, ids=["C1", "C20-low", "C20-high", "Cmin"])
+@pytest.fixture(scope="module", params=INVERSE_CASES,
+                ids=["C1", "C20-low", "C20-high", "Cmin", "C1e3-high"])
 def inverse_case(request):
     C, Cstar, bounds = request.param
     return gluing.GluingAtlas(C, Cstar), bounds
@@ -167,36 +172,43 @@ class TestTabulatedInverse:
             assert worst <= bound
 
     def test_base_point(self, inverse_case):
-        # at C = 20 one height ulp at h = 0 spans ~5e-11 of xi
+        # within one ulp of xi00 plus one height ulp at h = 0 carried into
+        # xi: 5e-11 at C = 20, 5e-5 at C = 1e3
         at, _ = inverse_case
-        assert abs(at.F(0.0) - at.roots.xi00) <= 1e-10
+        xi00 = at.roots.xi00
+        floor = math.ulp(xi00) + math.ulp(at._h_base) * at._rates(0, xi00)[0]
+        assert abs(at.F(0.0) - xi00) <= floor
 
     def test_h0_calls_per_inversion(self, inverse_case, monkeypatch):
+        # the inversion runs on the table's leaves, not through value lookups
         at, _ = inverse_case
         lo, hi = at.h_limits
         ys = np.concatenate([np.linspace(lo, hi, 1000), *band_heights(at)])
         calls = []
-        h0 = at.h0
+        h0, value = at.h0, at._h_cum.value
         monkeypatch.setattr(at, "h0", lambda xi: calls.append(xi) or h0(xi))
+        monkeypatch.setattr(at._h_cum, "value", lambda x: calls.append(x) or value(x))
         for y in ys:
             at.h0_inverse(float(y))
-        assert len(calls) / len(ys) <= 3.0
+        assert calls == []
 
     def test_newton_converges_on_dense_heights(self, at, caplog):
-        lo, hi = at.h_limits
-        with caplog.at_level(logging.DEBUG, logger="biconsurf.gluing"):
-            for y in np.linspace(lo, hi, 4000):
-                at.h0_inverse(float(y))
+        with caplog.at_level(logging.DEBUG, logger="biconsurf.numerics"):
+            for a2 in (at, gluing.atlas(1e3, _cstar_at(1e3, 0.5)),
+                       gluing.atlas(1e3, _cstar_at(1e3, 0.99))):
+                lo, hi = a2.h_limits
+                for y in np.linspace(lo, hi, 4000):
+                    a2.h0_inverse(float(y))
         assert caplog.records == []
 
     def test_newton_cap_is_logged(self, caplog, monkeypatch):
         a2 = gluing.GluingAtlas(1.0, 1.0)
-        deriv = a2.h0_deriv
-        monkeypatch.setattr(a2, "h0_deriv", lambda xi: 1e-3 * deriv(xi))  # overshooting steps
-        with caplog.at_level(logging.DEBUG, logger="biconsurf.gluing"):
+        monkeypatch.setattr(numerics, "NEWTON_CAP", 1)
+        with caplog.at_level(logging.DEBUG, logger="biconsurf.numerics"):
             xi = a2.h0_inverse(0.1)
+        # the record names the height the table inverts
         assert len(caplog.records) == 1
-        assert "y=0.1" in caplog.records[0].getMessage()
+        assert f"y={0.1 + a2._h_base!r}" in caplog.records[0].getMessage()
         assert a2.roots.xi00 < xi < a2.roots.xi02
 
     def test_one_inversion_per_partials_call(self, monkeypatch):

@@ -93,6 +93,15 @@ class TestCumulativeQuadrature:
             nm.CumulativeQuadrature(lambda x: x, 1.0, 0.0, cq.left_sub, cq.right_sub)
 
 
+@pytest.fixture(scope="module")
+def arcsine():
+    """The table of 1/sqrt(x (1 - x)) on (0, 1): value(x) = 2 asin(sqrt(x))."""
+    return nm.CumulativeQuadrature(
+        lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 1.0,
+        left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
+        right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
+
+
 class TestChebyshevTable:
     def test_matrix_integrates_polynomials_exactly(self):
         cheb = pytest.importorskip("numpy.polynomial.chebyshev")
@@ -107,27 +116,35 @@ class TestChebyshevTable:
         full = np.sum(nm._ANTIDERIVATIVE, axis=0)     # T_k(1) = 1
         assert np.max(np.abs(full - nm._GK_WEIGHTS)) <= 2e-15
 
-    def test_value_dense_against_closed_form(self):
-        cq = nm.CumulativeQuadrature(
-            lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 1.0,
-            left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
-            right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
+    def test_value_dense_against_closed_form(self, arcsine):
         d = np.geomspace(1e-12, 0.5, 400)
         for x in np.concatenate([d, 1.0 - d]):
             x = float(x)
             exact = 2.0 * math.asin(math.sqrt(x)) if x <= 0.5 else \
                 math.pi - 2.0 * math.asin(math.sqrt(1.0 - x))
-            assert abs(cq.value(x) - exact) <= 1e-13
+            assert abs(arcsine.value(x) - exact) <= 1e-13
 
-    def test_end_slope_is_the_end_integrand(self):
-        cq = nm.CumulativeQuadrature(
-            lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 1.0,
-            left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
-            right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
-        for w in (0.0, 1e-6, 1e-3, 0.05, 0.3, 0.7):
-            for upper in (False, True):
-                assert cq.end_slope(w, upper) == pytest.approx(2.0 / math.sqrt(1.0 - w * w),
-                                                               rel=1e-12)
+    def test_inverse_dense_against_closed_form(self, arcsine):
+        # inverse(y) = sin^2(y / 2); measured within 2.3e-15
+        d = math.pi * np.geomspace(1e-12, 0.5, 400)
+        for y in np.concatenate([d, math.pi - d]).tolist():
+            assert abs(arcsine.inverse(y) - math.sin(0.5 * y) ** 2) <= 1e-14
+
+    def test_inverse_ends_are_exact(self, arcsine):
+        assert arcsine.inverse(0.0) == arcsine.lower
+        assert arcsine.inverse(arcsine.total) == arcsine.upper
+
+    def test_inverse_is_monotone(self, arcsine):
+        xs = [arcsine.inverse(y) for y in np.linspace(0.0, arcsine.total, 5001).tolist()]
+        assert all(a <= b for a, b in zip(xs, xs[1:]))
+
+    def test_inverse_out_of_domain(self, arcsine):
+        slack = 1e-12 * arcsine.total
+        assert arcsine.inverse(-0.5 * slack) == arcsine.lower
+        assert arcsine.inverse(arcsine.total + 0.5 * slack) == arcsine.upper
+        for y in (-2.0 * slack, arcsine.total + 2.0 * slack):
+            with pytest.raises(nm.OutOfDomain):
+                arcsine.inverse(y)
 
 
 # ----------------------------------------------------------------------

@@ -77,23 +77,6 @@ def test_value_at_nodes_is_the_table():
         assert cq.value(float(cq.nodes[i])) == cq.table[i]
 
 
-def test_end_slope_matches_end_integrands():
-    # within the end cells end_slope interpolates left_sub / right_sub
-    cq = gluing.atlas(1.0, 1.0)._h_cum
-    w_end = math.sqrt(float(cq.nodes[1] - cq.nodes[0]))
-    for w in np.linspace(0.0, w_end, 9):
-        assert cq.end_slope(w) == pytest.approx(float(cq.left_sub(np.array([w]))[0]), rel=1e-12)
-        assert cq.end_slope(w, upper=True) == pytest.approx(
-            float(cq.right_sub(np.array([w]))[0]), rel=1e-12)
-    # beyond them it is 2 w times the integrand
-    for w in (2.0 * w_end, 0.1, 0.5):
-        x = cq.lower + w * w
-        assert cq.end_slope(w) == pytest.approx(2.0 * w * float(cq.f(np.array([x]))[0]),
-                                                rel=1e-11)
-    with pytest.raises(nm.OutOfDomain):
-        cq.end_slope(math.sqrt(0.6 * (cq.upper - cq.lower)))
-
-
 def _exact_end_series(mpmath, C, Cstar, root, upper, table):
     """Taylor coefficients, to s^3, of the end integral of `table` ("h" or
     "zeta") at 50 digits: mpmath.taylor of the end integrand 2 g / sqrt(T/d)
@@ -173,7 +156,6 @@ def test_no_integrand_evaluation_after_build(monkeypatch):
         fam._zeta_cum.value(xi)
         at.h0(xi)
         fam.zeta0(xi)
-        at.h0_deriv(xi)
         fam.zeta0_deriv(xi)
     lo, hi = at.h_limits
     span = hi - lo
