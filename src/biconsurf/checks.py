@@ -123,6 +123,11 @@ def _metric_mismatch(patch, u, v, closed):
     return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
 
 
+def _unit_defect(points):
+    """| |p| - 1 | for each row p of `points`."""
+    return np.abs(np.sqrt(np.vecdot(points, points)) - 1.0)
+
+
 def _level_curve_gap(derivs, c: float, x: float) -> float:
     kg, kf = diffgeo.level_curve_circle_check(derivs, c, x)
     return abs(kg - kf)
@@ -214,7 +219,7 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, Ch
 
     ode = spherical.curvature_ode_k(fam.params, 0.5 * (roots.k01 + roots.k02), +1)
     confinement = _largest(roots.k01 - ode["k_min"], ode["k_max"] - roots.k02, 0.0)
-    z_vals = [fam.zeta0(x) for x in np.linspace(roots.xi01 + 1e-3, roots.xi02 - 1e-3, 24)]
+    z_vals = [fam.zeta0(x) for x in np.linspace(*patch.u_range, 24)]
     derivs = fam.metric_profile_derivs()
 
     return {
@@ -235,9 +240,9 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, Ch
         "curvature_c_independent": _worst(
             metric_route_k, [(Cx, rx.xi01 + f * (rx.xi02 - rx.xi01), rx.xi02 - rx.xi01)
                              for Cx, rx in strips for f in (0.25, 0.5, 0.75)], tols.curvature),
-        "sphere_norm": _worst(
-            lambda xi, th: abs(np.linalg.norm(fam.immersion(xi, th)) - 1.0),
-            [(rng.uniform(roots.xi01 * 1.001, roots.xi02 * 0.999),
+        "sphere_norm": _batched(
+            lambda xi, th: _unit_defect(fam.immersion(xi, th)),
+            [(rng.uniform(*patch.u_range),
               rng.uniform(0.0, 2.0 * math.pi)) for _ in range(256)], tols.sphere_norm),
         "biconservativity_residual": _batched(
             lambda xi, th: diffgeo.biconservativity_residual(patch, xi, th),
@@ -332,8 +337,8 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
             [(1,), (-1,), (2,)], tols.junction_rel),
         "junction_negative_control": CheckResult(
             neg["phi1"][1]["relative_mismatch"], 10.0 * tols.junction_rel, comparison="ge"),
-        "sphere_norm": _worst(
-            lambda h, th: abs(np.linalg.norm(at.immersion_phi(h, th)) - 1.0),
+        "sphere_norm": _batched(
+            lambda h, th: _unit_defect(at.immersion_phi(h, th)),
             [(rng.uniform(m1 - P, p1 + P), rng.uniform(0.0, 2.0 * math.pi))
              for _ in range(256)], tols.sphere_norm),
         "metric_pullback": _profile_metric_pullback(at, hpatch, grid, tols.metric_glued_rel),

@@ -143,7 +143,7 @@ def cmd_curves(args) -> int:
     if fig == "fig1":
         par = euclidean.FamilyParamsR3.from_C(args.C)
         us = np.linspace(-2.2, 2.2, n)
-        pts = np.array([euclidean.immersion_XC(par, float(u), 0.0) for u in us])
+        pts = euclidean.immersion_XC(par, us, 0.0)
         _write_csv(out, ["u", "x", "z"], np.column_stack([us, pts[:, 0], pts[:, 2]]))
         return 0
     at = gluing.atlas(args.C, args.Cstar, c0=args.c0)
@@ -164,8 +164,7 @@ def cmd_curves(args) -> int:
         return 0
     # fig6: the glued profile from h_{0,-11} to h_{0,11}, base point always present
     hs = np.sort(np.append(np.linspace(at.grid[-11], at.grid[11], n), 0.0))
-    rows = [(h, *at.profile_components(float(h))[:2]) for h in hs]
-    _write_csv(out, ["h", "x1", "x2"], np.array(rows))
+    _write_csv(out, ["h", "x1", "x2"], np.column_stack([hs, at.immersion_phi(hs, 0.0)[:, :2]]))
     return 0
 
 

@@ -38,7 +38,7 @@ __all__ = [
     "ImmersionPatch",
     "SurfaceData",
     "per_distinct",
-    "row_positions",
+    "stack_coordinates",
     "fundamental_forms",
     "shape_operator",
     "curvatures",
@@ -143,15 +143,12 @@ def per_distinct(fun, u):
     return tuple(vals[inv.reshape(np.shape(u))].T)
 
 
-def row_positions(row):
-    """Patch positions from a row builder `row(u, vs)`, which gives the
-    (m, d) points at one u: one call per distinct u."""
-    def position(us, vs):
-        order = np.argsort(us, kind="stable")
-        uniq, first = np.unique(us[order], return_index=True)
-        rows = [row(u, vs[i]) for u, i in zip(uniq.tolist(), np.split(order, first[1:]))]
-        return np.concatenate(rows)[np.argsort(order)]
-    return position
+def stack_coordinates(*coords):
+    """Points of shape (..., len(coords)) from the broadcast coordinate arrays."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, coords)) + (len(coords),))
+    for i, x in enumerate(coords):
+        out[..., i] = x
+    return out
 
 
 def _fd4(fun, x, h):

@@ -39,13 +39,11 @@ __all__ = [
     "boundary_normal",
     "boundary_mean_curvature",
     "conformal_factor",
-    "completeness_bound_check",
     "gluing_conditions_check",
     "homothety_check",
     "theta_chart_point",
     "metric_profile_derivs",
     "gauss_curvature",
-    "mean_curvature",
 ]
 
 
@@ -145,15 +143,16 @@ def profile_seam_smoothness(C1: float, orders=(1, 2, 3)) -> dict:
     return out
 
 
-def immersion_XC(params: FamilyParamsR3, u: float, v) -> np.ndarray:
-    """Point of X_C; a 1-D `v` gives the (n, 3) row at one u."""
+def immersion_XC(params: FamilyParamsR3, u, v) -> np.ndarray:
+    """Points of X_C at the broadcast (u, v), shape (..., 3), with cosh and
+    sinh once per distinct u."""
     s = math.sqrt(params.C)
-    ch = math.cosh(u)
-    r = s / 3.0 * ch ** 3
-    z = s / 2.0 * (0.5 * math.sinh(2.0 * u) + u)
-    v = np.asarray(v, dtype=float)
-    rows = [[r * math.cos(3.0 * t), r * math.sin(3.0 * t), z] for t in v.ravel().tolist()]
-    return np.array(rows) if v.ndim else np.array(rows[0])
+
+    def at(x):
+        return s / 3.0 * math.cosh(x) ** 3, s / 2.0 * (0.5 * math.sinh(2.0 * x) + x)
+    r, z = diffgeo.per_distinct(at, u)
+    v = 3.0 * np.asarray(v, dtype=float)
+    return diffgeo.stack_coordinates(r * np.cos(v), r * np.sin(v), z)
 
 
 def immersion_XC_partials(params: FamilyParamsR3, u, v):
@@ -165,9 +164,8 @@ def immersion_XC_partials(params: FamilyParamsR3, u, v):
         return s * ch * ch * sh, s * ch * ch, s * ch ** 3
     a, b, c = diffgeo.per_distinct(at, u)
     c3, s3 = np.cos(3.0 * np.asarray(v)), np.sin(3.0 * np.asarray(v))
-    zero = np.zeros_like(a * c3)
-    return (np.stack([a * c3, a * s3, b + zero], -1),
-            np.stack([-c * s3, c * c3, zero], -1))
+    return (diffgeo.stack_coordinates(a * c3, a * s3, b),
+            diffgeo.stack_coordinates(-c * s3, c * c3, 0.0))
 
 
 def xc_patch(params: FamilyParamsR3,
@@ -177,7 +175,7 @@ def xc_patch(params: FamilyParamsR3,
         u_range=u_range,
         v_range=v_range,
         ambient=diffgeo.EUCLIDEAN3,
-        position=diffgeo.row_positions(lambda u, vs: immersion_XC(params, u, vs)),
+        position=lambda u, v: immersion_XC(params, u, v),
         first_partials=lambda u, v: immersion_XC_partials(params, u, v),
     )
 
@@ -188,10 +186,6 @@ def conformal_factor(params: FamilyParamsR3, u: float) -> float:
 
 def gauss_curvature(params: FamilyParamsR3, u: float) -> float:
     return -3.0 / (params.C * math.cosh(u) ** 8)
-
-
-def mean_curvature(params: FamilyParamsR3, u: float) -> float:
-    return 2.0 / (math.sqrt(params.C) * math.cosh(u) ** 4)
 
 
 def metric_profile_derivs(params: FamilyParamsR3):
@@ -205,26 +199,6 @@ def metric_profile_derivs(params: FamilyParamsR3):
         return phi, 3.0 * th, 3.0 * sech2, -6.0 * sech2 * th
 
     return derivs
-
-
-def completeness_bound_check(params: FamilyParamsR3, u_grid) -> dict:
-    """Conformal factor stays >= C, with equality only on the axis u = 0.
-
-    Bounding the factor below by the flat metric's constant is what makes
-    the induced metric complete, so the report records the worst ratio and
-    where it occurs.
-    """
-    u_grid = np.asarray(u_grid, dtype=float)
-    ratio = np.cosh(u_grid) ** 6
-    i_min = int(np.argmin(ratio))
-    return {
-        "min_ratio": float(ratio[i_min]),
-        "argmin_u": float(u_grid[i_min]),
-        "bound_holds": bool(np.all(ratio >= 1.0)),
-        "min_on_axis_only": bool(
-            np.all((ratio > 1.0) | (np.abs(u_grid) < 1e-12))
-        ),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -248,12 +248,12 @@ class GluingAtlas:
     def radius(self, h: float) -> float:
         return self.Cstar / self.F(h)
 
-    def immersion_psi(self, h: float, theta) -> np.ndarray:
-        """Point of Psi; a 1-D `theta` gives the (n, 3) row at height h."""
-        r = self.radius(h)
-        rows = [[r * math.cos(t / self.Cstar), r * math.sin(t / self.Cstar), h]
-                for t in np.atleast_1d(theta)]
-        return np.array(rows) if np.ndim(theta) else np.array(rows[0])
+    def immersion_psi(self, h, theta) -> np.ndarray:
+        """Points of Psi at the broadcast (h, theta), shape (..., 3), with the
+        radius once per distinct h."""
+        (r,) = diffgeo.per_distinct(lambda y: (self.radius(y),), h)
+        ang = np.asarray(theta, dtype=float) / self.Cstar
+        return diffgeo.stack_coordinates(r * np.cos(ang), r * np.sin(ang), h)
 
     def immersion_psi_partials(self, h, theta):
         """(Psi_h, Psi_theta) at the points, with F and the radius rate once per distinct h."""
@@ -263,8 +263,8 @@ class GluingAtlas:
         xi, dr = diffgeo.per_distinct(at, h)
         ang = np.asarray(theta) / self.Cstar
         ca, sa = np.cos(ang), np.sin(ang)
-        zero = np.zeros_like(dr * ca)
-        return np.stack([dr * ca, dr * sa, zero + 1.0], -1), np.stack([-sa / xi, ca / xi, zero], -1)
+        return (diffgeo.stack_coordinates(dr * ca, dr * sa, 1.0),
+                diffgeo.stack_coordinates(-sa / xi, ca / xi, 0.0))
 
     def psi_metric(self, h: float) -> tuple[float, float]:
         """Closed-form induced metric of the revolution surface."""
@@ -301,34 +301,31 @@ class GluingAtlas:
             u_range=tuple(h_range),
             v_range=tuple(theta_range),
             ambient=diffgeo.EUCLIDEAN3,
-            position=diffgeo.row_positions(self.immersion_psi),
+            position=self.immersion_psi,
             first_partials=self.immersion_psi_partials,
         )
 
     # -- glued sphere immersion ----------------------------------------------
 
     def _profile_at(self, h: float):
-        """Strip k, F(h) and the (zeta, c, s) arguments of the family's
-        profile at h: zeta0(F), the phase c_k, and Phi2's sign on strip k."""
+        """Strip k at h, and the (xi, zeta, c, s) arguments of the family's
+        `point` there: F(h), zeta0(F), the phase c_k, and Phi2's sign on
+        strip k."""
         k, xi = self._strip_point(h)
-        return k, xi, (self.family.zeta0(xi), self.phase(k), -1.0 if k % 2 else 1.0)
+        return k, (xi, self.family.zeta0(xi), self.phase(k), -1.0 if k % 2 else 1.0)
 
-    def profile_components(self, h: float) -> tuple[float, float, float]:
-        """(Phi1, Phi2, Phi3) at h; Phi4 equals Phi3."""
-        _, xi, args = self._profile_at(h)
-        return self.family.profile(xi, *args)
-
-    def immersion_phi(self, h: float, theta) -> np.ndarray:
-        """Point of Phi; a 1-D `theta` gives the (n, 4) row at height h."""
-        _, xi, args = self._profile_at(h)
-        return self.family.point(xi, theta, *args)
+    def immersion_phi(self, h, theta) -> np.ndarray:
+        """Points of Phi at the broadcast (h, theta), shape (..., 4), with the
+        profile once per distinct h."""
+        xi, zeta, c, s = diffgeo.per_distinct(lambda y: self._profile_at(y)[1], h)
+        return self.family.point(xi, theta, zeta, c, s)
 
     def immersion_phi_partials(self, h, theta):
         """(Phi_h, Phi_theta) at the points, with the profile and its h-rates
         once per distinct h."""
         def at(y):
-            k, xi, args = self._profile_at(y)
-            return (xi, *args, *self._rates(k, xi))
+            k, prof = self._profile_at(y)
+            return (*prof, *self._rates(k, prof[0]))
         xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
         return self.family.tangents(xi, theta, zeta, c, s, dxi, dzeta)
 
@@ -337,7 +334,7 @@ class GluingAtlas:
             u_range=tuple(h_range),
             v_range=tuple(theta_range),
             ambient=diffgeo.SPHERE3,
-            position=diffgeo.row_positions(self.immersion_phi),
+            position=self.immersion_phi,
             first_partials=self.immersion_phi_partials,
         )
 
@@ -430,13 +427,8 @@ class GluingAtlas:
         tol = 1e-8  # defect below which the immersion counts as periodic
         m1, p1 = self.h_limits
         hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
-        worst = 0.0
-        worst34 = 0.0
-        for h in hs:
-            a = self.immersion_phi(h, 0.3)
-            b = self.immersion_phi(h + self.period, 0.3)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-            worst34 = max(worst34, float(np.max(np.abs(a[2:] - b[2:]))))
+        gap = np.abs(self.immersion_phi(hs, 0.3) - self.immersion_phi(hs + self.period, 0.3))
+        worst, worst34 = float(np.max(gap)), float(np.max(gap[:, 2:]))
         return {
             "phase_defect": defect,
             "max_component_mismatch": worst,

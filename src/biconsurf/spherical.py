@@ -289,28 +289,19 @@ class SphereFamily:
 
     # -- immersion ----------------------------------------------------------
 
-    def radius(self, xi: float) -> float:
+    def point(self, xi, theta, zeta, c=0.0, s=1.0) -> np.ndarray:
+        """Points (R cos(zeta + c), s R sin(zeta + c), cos(sqrt(C) theta) / (sqrt(C) xi),
+        sin(sqrt(C) theta) / (sqrt(C) xi)), R = sqrt(1 - 1/(C xi^2)), of shape (..., 4)
+        at the broadcast arguments; the strip has c = 0 and s = 1."""
         w = 1.0 - 1.0 / (self.C * xi * xi)
-        if w <= 0.0:
-            raise OutOfDomain(f"C xi^2 <= 1 at xi = {xi}")
-        return math.sqrt(w)
-
-    def profile(self, xi: float, zeta: float, c: float = 0.0, s: float = 1.0):
-        """(Phi1, Phi2, Phi3) at profile value xi and turning angle zeta + c,
-        with Phi2 taken with sign s; the strip has c = 0 and s = 1."""
-        R = self.radius(xi)
-        return R * math.cos(zeta + c), s * R * math.sin(zeta + c), 1.0 / (math.sqrt(self.C) * xi)
-
-    def point(self, xi: float, theta, zeta: float, c: float = 0.0, s: float = 1.0) -> np.ndarray:
-        """The point over `profile(xi, zeta, c, s)` at rotation angle theta;
-        a 1-D `theta` gives the (n, 4) row."""
-        p1, p2, _ = self.profile(xi, zeta, c, s)
+        if np.any(w <= 0.0):
+            raise OutOfDomain(f"C xi^2 <= 1 at xi = {np.min(xi)}")
+        R = np.sqrt(w)
         sc = math.sqrt(self.C)
         d = sc * xi
-        theta = np.asarray(theta, dtype=float)
-        rows = [[p1, p2, math.cos(sc * t) / d, math.sin(sc * t) / d]
-                for t in theta.ravel().tolist()]
-        return np.array(rows) if theta.ndim else np.array(rows[0])
+        theta = sc * np.asarray(theta, dtype=float)
+        return diffgeo.stack_coordinates(R * np.cos(zeta + c), s * R * np.sin(zeta + c),
+                                         np.cos(theta) / d, np.sin(theta) / d)
 
     def tangents(self, xi, theta, zeta, c=0.0, s=1.0, dxi=1.0, dzeta=0.0):
         """Partials of `point`, one row per point, along a parameter in which
@@ -320,20 +311,22 @@ class SphereFamily:
         dR = 1.0 / (self.C * xi ** 3 * R)
         ct, st = np.cos(sc * theta), np.sin(sc * theta)
         cz, sz = np.cos(zeta + c), np.sin(zeta + c)
-        d_u = np.stack([
+        d_u = diffgeo.stack_coordinates(
             dxi * dR * cz - R * sz * dzeta,
             s * (dxi * dR * sz + R * cz * dzeta),
             -dxi * ct / (sc * xi * xi),
             -dxi * st / (sc * xi * xi),
-        ], -1)
-        zero = np.zeros_like(d_u[..., 0])
-        return d_u, np.stack([zero, zero, -st / xi, ct / xi], -1)
+        )
+        return d_u, diffgeo.stack_coordinates(0.0, 0.0, -st / xi, ct / xi)
 
-    def immersion(self, xi: float, theta) -> np.ndarray:
-        """Point of Phi_C; a 1-D `theta` gives the (n, 4) row at one xi."""
-        if not self.roots.contains(xi):
-            raise OutOfDomain(f"xi = {xi} outside the open strip")
-        return self.point(xi, theta, self.zeta0(xi))
+    def immersion(self, xi, theta) -> np.ndarray:
+        """Points of Phi_C at the broadcast (xi, theta), shape (..., 4), with
+        zeta0 once per distinct xi."""
+        def at(x):
+            if not self.roots.contains(x):
+                raise OutOfDomain(f"xi = {x} outside the open strip")
+            return (self.zeta0(x),)
+        return self.point(xi, theta, *diffgeo.per_distinct(at, xi))
 
     def immersion_partials(self, xi, theta):
         """(X_xi, X_theta) at the points, with zeta0 and zeta0' once per distinct xi."""
@@ -349,7 +342,7 @@ class SphereFamily:
             u_range=(lo, hi),
             v_range=theta_range,
             ambient=diffgeo.SPHERE3,
-            position=diffgeo.row_positions(lambda xi, th: self.immersion(xi, th)),
+            position=self.immersion,
             first_partials=lambda xi, th: self.immersion_partials(xi, th),
             u_singularities=(self.roots.xi01, self.roots.xi02),
         )

@@ -52,6 +52,27 @@ class TestSampleCounts:
         assert res["psi_radius_range"].n_samples == 64
 
 
+class TestPositionCalls:
+    """A report evaluates positions a sample set at a time: sphere_norm's
+    256 samples are one call of the family's position evaluator, and no
+    call is a single point."""
+
+    @pytest.mark.parametrize("family, owner, name", [
+        ("s3-local", spherical.SphereFamily, "immersion"),
+        ("s3-complete", gluing.GluingAtlas, "immersion_phi")])
+    def test_sphere_norm_is_one_call(self, monkeypatch, family, owner, name):
+        sizes = []
+        evaluate = getattr(owner, name)
+
+        def counted(self, u, v):
+            sizes.append(np.broadcast(u, v).size)
+            return evaluate(self, u, v)
+        monkeypatch.setattr(owner, name, counted)
+        checks.build_report(family, 1.0, None if family == "s3-local" else 1.0)
+        assert sizes.count(256) == 1, sizes
+        assert min(sizes) > 1, sizes
+
+
 @pytest.mark.parametrize("C", [10.0, 50.0])
 def test_s3_local_root_and_curvature_bounds_scale_free(C):
     # both quantities grow with C; relative to their size they sit near rounding

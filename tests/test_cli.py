@@ -530,6 +530,21 @@ class TestHugeC:
         assert "error:" not in capsys.readouterr().err
 
 
+class TestNearCMin:
+    """s3-local verify where the strip is at most 1.8e-3 wide: its samples
+    keep inside the strip, so the report is complete and any failure is a
+    named check."""
+
+    @pytest.mark.parametrize("factor", [1.0000001, 1.00000001])
+    def test_s3_local_verify_reports(self, tmp_path, capsys, factor):
+        code = run(["verify", "--family", "s3-local", "--C", repr(factor * spherical.C_MIN),
+                    "--out", str(tmp_path / "rep.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        assert "Traceback" not in err and "error:" not in err, err
+        assert len(json.loads((tmp_path / "rep.json").read_text())["checks"]) == 15
+
+
 class TestEmptyRunsAndOutputs:
     def test_verify_grid_n_zero(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -610,7 +625,7 @@ def _ref_xc(par, u, v):
 def _ref_phic(fam, xi, theta):
     if not fam.roots.contains(xi):
         raise OutOfDomain(f"xi = {xi} outside the open strip")
-    R = fam.radius(xi)
+    R = math.sqrt(1.0 - 1.0 / (fam.C * xi * xi))
     z = fam.zeta0(xi)
     sc = math.sqrt(fam.C)
     return np.array([
@@ -619,6 +634,25 @@ def _ref_phic(fam, xi, theta):
         math.cos(sc * theta) / (sc * xi),
         math.sin(sc * theta) / (sc * xi),
     ])
+
+
+def _ref_phi(at, h, theta):
+    k, xi = at._strip_point(h)
+    R = math.sqrt(1.0 - 1.0 / (at.C * xi * xi))
+    ang = at.family.zeta0(xi) + at.phase(k)
+    s = -1.0 if k % 2 else 1.0
+    sc = math.sqrt(at.C)
+    return np.array([
+        R * math.cos(ang),
+        s * R * math.sin(ang),
+        math.cos(sc * theta) / (sc * xi),
+        math.sin(sc * theta) / (sc * xi),
+    ])
+
+
+def _ref_psi(at, h, theta):
+    r = at.Cstar / at.F(h)
+    return np.array([r * math.cos(theta / at.Cstar), r * math.sin(theta / at.Cstar), h])
 
 
 def _ref_grid(family, nu, nv, wrap_v):
@@ -671,7 +705,7 @@ def _ref_curve(fig, n, out):
     m1, p1 = at.h_limits
     if fig == "fig6":
         hs = np.sort(np.append(np.linspace(at.grid[-11], at.grid[11], n), 0.0))
-        rows = [(h, *at.profile_components(float(h))[:2]) for h in hs]
+        rows = [(h, *at.immersion_phi(float(h), 0.0)[:2]) for h in hs]
         _ref_write_csv(out, ["h", "x1", "x2"], rows)
         return
     xis = cli._clustered_strip_samples(at.roots, n)
@@ -730,22 +764,49 @@ class TestByteParity:
     def test_xc_rows_equal_points(self, C):
         par = FamilyParamsR3.from_C(C)
         vs = np.linspace(-1.0, 7.0, 23)
-        for u in (-2.5, -0.3, 0.0, 1e-9, 1.7):
+        us = (-2.5, -0.3, 0.0, 1e-9, 1.7)
+        for u in us:
             ref = np.array([_ref_xc(par, u, float(v)) for v in vs])
             assert immersion_XC(par, u, vs).tobytes() == ref.tobytes()
             assert immersion_XC(par, u, float(vs[3])).tobytes() == ref[3].tobytes()
+        # one call over distinct u, each with its own v
+        ref = np.array([_ref_xc(par, u, float(v)) for u, v in zip(us, vs)])
+        assert immersion_XC(par, np.array(us), vs[:len(us)]).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("C", [0.8, 1.0, 20.0])
     def test_strip_rows_equal_points(self, C):
         fam = spherical.family(C)
         r = fam.roots
         ts = np.linspace(-1.0, 7.0, 23)
-        for xi in np.linspace(r.xi01, r.xi02, 9)[1:-1]:
+        xis = np.linspace(r.xi01, r.xi02, 9)[1:-1]
+        for xi in xis:
             ref = np.array([_ref_phic(fam, float(xi), float(t)) for t in ts])
             assert fam.immersion(float(xi), ts).tobytes() == ref.tobytes()
             assert fam.immersion(float(xi), float(ts[3])).tobytes() == ref[3].tobytes()
+        ref = np.array([_ref_phic(fam, float(xi), float(t)) for xi, t in zip(xis, ts)])
+        assert fam.immersion(xis, ts[:len(xis)]).tobytes() == ref.tobytes()
         with pytest.raises(OutOfDomain):
             fam.immersion(r.xi01, ts)
+        with pytest.raises(OutOfDomain):
+            fam.immersion(np.append(xis, r.xi02), 0.5)
+
+    @pytest.mark.parametrize("C, Cstar", [(1.0, 1.0), (20.0, 0.01 * gluing.cstar_range(20.0).upper)])
+    @pytest.mark.parametrize("name", ["phi", "psi"])
+    def test_glued_rows_equal_points(self, C, Cstar, name):
+        at = gluing.atlas(C, Cstar)
+        evaluate, ref_point = {"phi": (at.immersion_phi, _ref_phi),
+                               "psi": (at.immersion_psi, _ref_psi)}[name]
+        delta = at.h_limits[1] - at.h_limits[0]
+        # the junctions h_{0,-2} .. h_{0,3}, the base point and points inside strips
+        hs = np.array([at.grid[-2], -0.7 * delta, at.grid[-1], 0.0, 0.3 * delta, at.grid[1],
+                       at.grid[1] + 0.45 * delta, at.grid[2], at.grid[3] - 1e-3 * delta, at.grid[3]])
+        ts = np.linspace(-1.0, 7.0, len(hs))
+        for h in hs:
+            ref = np.array([ref_point(at, float(h), float(t)) for t in ts])
+            assert evaluate(float(h), ts).tobytes() == ref.tobytes()
+            assert evaluate(float(h), float(ts[3])).tobytes() == ref[3].tobytes()
+        ref = np.array([ref_point(at, float(h), float(t)) for h, t in zip(hs, ts)])
+        assert evaluate(hs, ts).tobytes() == ref.tobytes()
 
 
 def test_import_leaves_scipy_interpolate_unloaded():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import diffgeo, euclidean
+from biconsurf import checks, diffgeo, euclidean
 from biconsurf.numerics import OutOfDomain
 
 
@@ -145,11 +145,11 @@ class TestImmersion:
 
 class TestCompleteness:
     def test_factor_bounded_below(self):
-        rep = euclidean.completeness_bound_check(PARAMS_1, np.linspace(-3, 3, 101))
-        assert rep["bound_holds"]
-        assert rep["min_ratio"] == pytest.approx(1.0, abs=1e-12)
-        assert rep["argmin_u"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["min_on_axis_only"]
+        # the r3 report's row: the worst of 1 - factor / C over u in [-3, 3]
+        row = checks.r3_checks(1.0)["completeness_bound"]
+        assert row.passed
+        assert row.value == pytest.approx(0.0, abs=1e-12)
+        assert row.worst_at == pytest.approx((0.0,), abs=1e-12)
 
     def test_factor_at_large_u(self):
         par = euclidean.FamilyParamsR3.from_C(2.0)

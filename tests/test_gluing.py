@@ -327,14 +327,14 @@ class TestJunctionSmoothness:
             assert worst <= 1e-10, (C, frac, worst)
 
     def test_jets_match_stencils_on_the_evaluator(self):
-        # Richardson-extrapolated one-sided stencils on profile_components;
+        # Richardson-extrapolated one-sided stencils on immersion_phi at theta = 0;
         # measured at most 3.4e-6 (order 3), 1.5e-7 (order 2), 5e-11 (order 1)
         at = gluing.GluingAtlas(1.0, 1.0)
         delta = at.h_limits[1] - at.h_limits[0]
         for k in (1, -1, 2):
             rep = at.junction_smoothness(k)
             for name, i in (("phi1", 0), ("phi2", 1)):
-                f = lambda h: at.profile_components(h)[i]
+                f = lambda h: at.immersion_phi(h, 0.0)[i]
                 for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
                     for side, forward in (("right", True), ("left", False)):
                         fd = one_sided_derivative(f, at.grid[k], order, step * delta, forward)
@@ -459,7 +459,7 @@ class TestGluedImmersion:
         assert at.immersion_phi(h, th) == pytest.approx(fam.immersion(xi, th), abs=1e-11)
 
     def test_base_point_components(self, at):
-        p1, p2, p3 = at.profile_components(0.0)
+        p1, p2, p3 = at.immersion_phi(0.0, 0.0)[:3]
         xi00 = at.roots.xi00
         assert p1 == pytest.approx(math.sqrt(1.0 - 1.0 / xi00 ** 2), rel=1e-12)
         assert p2 == pytest.approx(0.0, abs=1e-12)
@@ -467,8 +467,8 @@ class TestGluedImmersion:
 
     def test_rotational_components_are_periodic(self, at):
         for h in (-0.9, 0.2, 1.1):
-            a = at.profile_components(h)
-            b = at.profile_components(h + at.period)
+            a = at.immersion_phi(h, 0.0)[:3]
+            b = at.immersion_phi(h + at.period, 0.0)[:3]
             assert a[2] == pytest.approx(b[2], abs=1e-12)
 
     def test_pullback_metric_multi_strip(self, at):
@@ -509,7 +509,7 @@ class TestJunctionPartials:
     def test_phi_tangent_is_the_junction_limit(self, jat, k):
         h = jat.grid[k]
         xi = jat.F(h)
-        p1, p2, _ = jat.profile_components(h)
+        p1, p2, _ = jat.immersion_phi(h, 0.0)[:3]
         d = math.sqrt(jat.C) * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (jat.C * xi * xi - 1.0))
         d_h, d_theta = jat.immersion_phi_partials(h, 0.3)
         assert np.all(np.isfinite(d_h)) and np.all(np.isfinite(d_theta))
