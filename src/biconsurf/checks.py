@@ -116,11 +116,19 @@ def _rel_gap(measured, closed):
 
 def _metric_mismatch(patch, u, v, closed):
     """Per point, the worst relative mismatch of the patch's first form
-    against the positive closed-form coefficients (Ec, 0, Gc) = closed(u)."""
+    against the positive closed-form coefficients (Ec, 0, Gc) = closed(u),
+    which takes the array of all the points' u."""
     E, F, G = diffgeo.fundamental_forms(patch, u, v)
-    Ec, Gc = np.array([closed(x) for x in u.tolist()]).T
+    Ec, Gc = np.asarray(closed(u), dtype=float)
     # np.max propagates a NaN
     return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
+
+
+def _periodicity_gap(F, h, period):
+    """Per height, the larger of |F(h + P) - F(h)| and |F(h - P) - F(h)|,
+    from one call of F."""
+    up, down, base = np.split(F(np.concatenate([h + period, h - period, h])), 3)
+    return np.maximum(np.abs(up - base), np.abs(down - base))
 
 
 def _unit_defect(points):
@@ -154,11 +162,11 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345) -> dict[str, CheckRes
     neg = euclidean.gluing_conditions_check(
         par.C1, 2.0 * par.C1, euclidean.RigidMotion.identity(), n_samples=8)
     derivs = euclidean.metric_profile_derivs(par)
+    factor = lambda us: [euclidean.conformal_factor(par, x) for x in us.tolist()]
 
     return {
         "metric_pullback": _batched(
-            lambda u, v: _metric_mismatch(patch, u, v,
-                                          lambda x: [euclidean.conformal_factor(par, x)] * 2),
+            lambda u, v: _metric_mismatch(patch, u, v, lambda us: [factor(us)] * 2),
             [(u, v) for u in us for v in vs[:: max(1, grid // 4)]], tols.metric_rel),
         "gauss_curvature_identity": _batched(
             lambda u: np.abs(diffgeo.shape_operator(patch, u, 0.4).K
@@ -219,7 +227,7 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, Ch
 
     ode = spherical.curvature_ode_k(fam.params, 0.5 * (roots.k01 + roots.k02), +1)
     confinement = _largest(roots.k01 - ode["k_min"], ode["k_max"] - roots.k02, 0.0)
-    z_vals = [fam.zeta0(x) for x in np.linspace(*patch.u_range, 24)]
+    z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     derivs = fam.metric_profile_derivs()
 
     return {
@@ -325,11 +333,11 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
         "phase_recursion_vs_closed_form": _worst(
             lambda k: gluing.phase_distance(at.phase(k), at.phase_by_recursion(k)),
             [(k,) for k in range(-25, 26)], tols.phase),
-        "profile_periodicity": _worst(
-            lambda h: _largest(abs(F(h + P) - F(h)), abs(F(h - P) - F(h))),
+        "profile_periodicity": _batched(
+            lambda h: _periodicity_gap(F, h, P),
             zip(rng.uniform(m1 + 0.05 * delta, p1 - 0.05 * delta, 12)), tols.phase),
-        "profile_junction_values": _worst(
-            lambda h, xi: abs(F(h) - xi),
+        "profile_junction_values": _batched(
+            lambda h, xi: np.abs(F(h) - xi),
             [(p1, roots.xi02), (m1, roots.xi01), (0.0, roots.xi00)], tols.phase),
         "junction_smoothness": _worst(
             lambda k: _largest(*(order["relative_mismatch"] for fn in
@@ -373,9 +381,14 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
     patch = at.psi_patch((m1 - delta, at.grid[2]))
     k_samples = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
     # both curvature checks read one oracle call over the heights
-    shape = diffgeo.shape_operator(patch, np.array(k_samples)[:, 0], 0.4)
+    heights = np.array(k_samples)[:, 0]
+    shape = diffgeo.shape_operator(patch, heights, 0.4)
 
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
+
+    def outside_radius_range(h):
+        r = at.radius(h)
+        return np.where((lo <= r) & (r <= hi), 0.0, 1.0)
 
     return {
         prefix + "cstar_admissible": CheckResult(
@@ -385,17 +398,17 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
         # curvature magnitudes grow like the strip width^(8/3): compare
         # relative to the closed-form size
         prefix + "gauss_curvature_identity": _worst(
-            _rel_gap(shape.K, [spherical.gauss_curvature_DC(at.F(h)) for h, in k_samples]),
+            _rel_gap(shape.K, [spherical.gauss_curvature_DC(xi) for xi in at.F(heights).tolist()]),
             k_samples, tols.curvature),
         prefix + "one_minus_K_positive": _worst(shape.K - 1.0, k_samples, 0.0),
         # oracle orientation keeps f >= 0 while the closed form is signed
         prefix + "mean_curvature_closed_form": _batched(
-            lambda xi: _rel_gap(diffgeo.shape_operator(patch, [at.h0(x) for x in xi], 0.4).f,
+            lambda xi: _rel_gap(diffgeo.shape_operator(patch, at.h0(xi), 0.4).f,
                                 [abs(at.mean_curvature_psi(x)) for x in xi]),
             [(float(roots.xi01 + f * (roots.xi02 - roots.xi01)),)
              for f in np.linspace(0.08, 0.92, 16)], tols.psi_mean_curvature),
-        prefix + "radius_range": _worst(
-            lambda h: 0.0 if lo <= at.radius(h) <= hi else 1.0,
+        prefix + "radius_range": _batched(
+            outside_radius_range,
             zip(rng.uniform(m1 - at.period, p1 + at.period, 64).tolist()), 0.0),
     }
 

@@ -36,8 +36,9 @@ class UsageError(Exception):
     pass
 
 
-# rows per write: one block's text is a few hundred kB, where the whole
-# 256 x 256 r3 mesh as one string would add ~10 MB to the peak memory
+# rows per write, and grid points per evaluator call: one block's text is a
+# few hundred kB, where the whole 256 x 256 r3 mesh as one string would add
+# ~10 MB to the peak memory
 BLOCK_ROWS = 4096
 
 
@@ -150,7 +151,7 @@ def cmd_curves(args) -> int:
     m1, p1 = at.h_limits
     if fig in ("fig2", "fig3", "fig4", "fig5"):
         xis = _clustered_strip_samples(at.roots, n)
-        h0 = np.array([at.h0(float(x)) for x in xis])
+        h0 = at.h0(xis)
         if fig == "fig2":
             _write_csv(out, ["xi", "h0"], np.column_stack([xis, h0]))
         elif fig == "fig3":
@@ -185,21 +186,22 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
 
 
 def _grid_positions(args):
-    """Evaluate the requested family on its grid, one row of v values per
-    u value; returns (points, nu, nv, wrap_v, is_spherical)."""
+    """Evaluate the requested family on its row-major grid, a block of grid
+    rows of at most BLOCK_ROWS points per evaluator call; returns (points,
+    nu, nv, wrap_v, is_spherical)."""
     nu, nv = args.grid
     family = args.family
     wrap_v = args.wrap_v and family in ("r3", "revolution")
     _require_admissible(family, args.C, args.Cstar)
     if family == "r3":
         par = euclidean.FamilyParamsR3.from_C(args.C)
-        row = lambda u, vs: euclidean.immersion_XC(par, u, vs)
+        evaluate = lambda u, v: euclidean.immersion_XC(par, u, v)
         u_default, v_default = (-1.5, 1.5), (0.0, 2.0 * math.pi / 3.0)
     elif family == "s3-local":
         fam = spherical.family(args.C)
         r = fam.roots
         margin = 1e-3 * (r.xi02 - r.xi01)
-        row = fam.immersion
+        evaluate = fam.immersion
         u_default = (r.xi01 + margin, r.xi02 - margin)
         v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
         if args.u_range and not all(r.contains(u) for u in args.u_range):
@@ -209,16 +211,19 @@ def _grid_positions(args):
         at = gluing.atlas(args.C, args.Cstar, c0=args.c0)
         u_default = (at.grid[-2], at.grid[2])
         if family == "revolution":
-            row = at.immersion_psi
+            evaluate = at.immersion_psi
             v_default = (0.0, 2.0 * math.pi * at.Cstar)
         else:
-            row = at.immersion_phi
+            evaluate = at.immersion_phi
             v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
     u0, u1 = args.u_range or u_default
     v0, v1 = args.v_range or v_default
+    us = np.linspace(u0, u1, nu)[:, None]
     vs = np.linspace(v0, v1, nv, endpoint=not wrap_v)
+    band = max(1, BLOCK_ROWS // nv)
     try:
-        pts = np.concatenate([row(float(u), vs) for u in np.linspace(u0, u1, nu)])
+        pts = np.concatenate([evaluate(us[i:i + band], vs)
+                              for i in range(0, nu, band)]).reshape(nu * nv, -1)
     except (OverflowError, OutOfDomain) as exc:
         raise UsageError(f"the {family} grid leaves the surface's domain: {exc}") from exc
     if not np.isfinite(pts).all():

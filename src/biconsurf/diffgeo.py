@@ -136,11 +136,12 @@ class SurfaceData:
 
 
 def per_distinct(fun, u):
-    """`fun` once per distinct value of `u` (a Python float), spread back
-    over `u`: one float array shaped like `u` per value `fun` returns."""
+    """`fun` once, on the 1-D array of the distinct values of `u`, and each
+    sequence it returns, one value per distinct value, spread back over
+    `u` as a float array shaped like `u`."""
     uniq, inv = np.unique(u, return_inverse=True)
-    vals = np.array([fun(x) for x in uniq.tolist()], dtype=float)
-    return tuple(vals[inv.reshape(np.shape(u))].T)
+    inv = inv.reshape(np.shape(u))
+    return tuple(np.asarray(vals, dtype=float)[inv] for vals in fun(uniq))
 
 
 def stack_coordinates(*coords):

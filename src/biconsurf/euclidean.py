@@ -150,7 +150,7 @@ def immersion_XC(params: FamilyParamsR3, u, v) -> np.ndarray:
 
     def at(x):
         return s / 3.0 * math.cosh(x) ** 3, s / 2.0 * (0.5 * math.sinh(2.0 * x) + x)
-    r, z = diffgeo.per_distinct(at, u)
+    r, z = diffgeo.per_distinct(lambda us: zip(*map(at, us.tolist())), u)
     v = 3.0 * np.asarray(v, dtype=float)
     return diffgeo.stack_coordinates(r * np.cos(v), r * np.sin(v), z)
 
@@ -162,7 +162,7 @@ def immersion_XC_partials(params: FamilyParamsR3, u, v):
     def at(x):
         ch, sh = math.cosh(x), math.sinh(x)
         return s * ch * ch * sh, s * ch * ch, s * ch ** 3
-    a, b, c = diffgeo.per_distinct(at, u)
+    a, b, c = diffgeo.per_distinct(lambda us: zip(*map(at, us.tolist())), u)
     c3, s3 = np.cos(3.0 * np.asarray(v)), np.sin(3.0 * np.asarray(v))
     return (diffgeo.stack_coordinates(a * c3, a * s3, b),
             diffgeo.stack_coordinates(-c * s3, c * c3, 0.0))

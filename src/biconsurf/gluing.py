@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import diffgeo
-from .numerics import (OutOfDomain, power_derivatives, series_compose, series_mul,
-                       series_revert)
+from .numerics import (OutOfDomain, check_range, power_derivatives, series_compose,
+                       series_mul, series_revert)
 from .spherical import C_MIN, SphereFamily, T, family, strip_quadrature
 
 __all__ = [
@@ -114,27 +114,33 @@ class GluingAtlas:
 
     # -- height function and its inverse ------------------------------------
 
-    def h0(self, xi: float) -> float:
-        """Height of the base profile; h0(xi00) = 0, finite at both roots."""
-        if not (self.roots.xi01 <= xi <= self.roots.xi02):
-            raise OutOfDomain(f"xi = {xi} outside the closed strip")
+    def h0(self, xi):
+        """Height of the base profile, floats and arrays alike; h0(xi00) = 0,
+        finite at both roots."""
+        xs = np.asarray(xi, dtype=float)
+        outside = ~((self.roots.xi01 <= xs) & (xs <= self.roots.xi02))
+        if outside.any():
+            raise OutOfDomain(f"xi = {float(xs[outside][0])} outside the closed strip")
         return self._h_cum.value(xi) - self._h_base
 
-    def h0_inverse(self, y: float) -> float:
-        """Inverse of h0 on [h_{0,-1}, h_{0,1}]: the height table's own
-        inverse, with heights within PHASE_SLACK of the span of an end
+    def h0_inverse(self, y):
+        """Inverse of h0 on [h_{0,-1}, h_{0,1}]: a float gives a float, an
+        array an array.  The profile evaluators call `_invert` directly."""
+        xi = self._invert(np.asarray(y, dtype=float))
+        return xi if xi.ndim else float(xi)
+
+    def _invert(self, ys: np.ndarray) -> np.ndarray:
+        """h0_inverse of an array of heights: one call of the height table's
+        own inverse, with heights within PHASE_SLACK of the span of an end
         height snapped onto its root."""
         lo, hi = self.h_limits
         span = hi - lo
-        if y <= lo + PHASE_SLACK * span:
-            if y < lo - 1e-9 * span:
-                raise OutOfDomain(f"height {y} below {lo}")
-            return self.roots.xi01
-        if y >= hi - PHASE_SLACK * span:
-            if y > hi + 1e-9 * span:
-                raise OutOfDomain(f"height {y} above {hi}")
-            return self.roots.xi02
-        return self._h_cum.inverse(y + self._h_base)
+        check_range(ys, lo, hi, 1e-9 * span, "height ")
+        low, high = ys <= lo + PHASE_SLACK * span, ys >= hi - PHASE_SLACK * span
+        xi = np.where(low, self.roots.xi01, self.roots.xi02)
+        inner = ~(low | high)
+        xi[inner] = self._h_cum.inverse(ys[inner] + self._h_base)
+        return xi
 
     # -- grid, strips and phases ---------------------------------------------
 
@@ -148,28 +154,19 @@ class GluingAtlas:
             return k * p1 - (k - 1) * m1
         return -k * m1 + (k + 1) * p1
 
-    def strip_of(self, h: float) -> int:
+    def strip_of(self, h):
         """Strip index: 0 for the base strip [h_{0,-1}, h_{0,1}], k >= 1 for
-        [h_{0,k}, h_{0,k+1}], k <= -1 for [h_{0,k-1}, h_{0,k}]."""
+        [h_{0,k}, h_{0,k+1}], k <= -1 for [h_{0,k-1}, h_{0,k}]; an int, or
+        an int array for an array of heights."""
         m1, p1 = self.h_limits
-        delta = p1 - m1
+        hs = np.asarray(h, dtype=float)
         # past this, one ulp of h exceeds the height slack of h0_inverse
-        if not math.ulp(h) <= 1e-9 * delta:
-            raise OutOfDomain(f"height {h} too large to reduce onto the base strip")
-        return math.floor((h - m1) / delta)
-
-    def _junction_index(self, h: float) -> int | None:
-        """Return the grid slot j when h sits on a junction, else None.
-
-        Slots j enumerate the uniform ladder h_{0,-1} + j (h_{0,1}-h_{0,-1});
-        even slots carry xi01, odd slots xi02.
-        """
-        m1, p1 = self.h_limits
-        delta = p1 - m1
-        j = round((h - m1) / delta)
-        if abs(h - (m1 + j * delta)) <= 1e-12 * max(1.0, delta):
-            return int(j)
-        return None
+        huge = ~(np.spacing(np.abs(hs)) <= 1e-9 * (p1 - m1))
+        if huge.any():
+            raise OutOfDomain(f"height {float(hs[huge][0])} too large to reduce onto the "
+                              f"base strip")
+        k = np.floor((hs - m1) / (p1 - m1)).astype(int)
+        return k if k.ndim else int(k)
 
     def phase(self, k: int) -> float:
         """Phase constant of strip k, reduced into (-pi, pi].
@@ -200,32 +197,36 @@ class GluingAtlas:
 
     # -- periodic profile ------------------------------------------------------
 
-    def _strip_point(self, h: float) -> tuple[int, float]:
-        """Strip k owning h and the profile value F(h), from one inversion.
+    def _strip_points(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Strips k owning the heights h (an array) and the profile values
+        F(h), from one inversion of the heights off the junctions.
 
         A junction belongs to the strip on its right and maps exactly onto
-        its root.
+        its root: the slots j of the uniform ladder h_{0,-1} + j delta
+        carry xi01 when even and xi02 when odd.  Elsewhere F(h) inverts the
+        base-strip height of h under strip k's reflection.
         """
+        m1, p1 = self.h_limits
+        delta = p1 - m1
         k = self.strip_of(h)
-        j = self._junction_index(h)
-        if j is not None:
-            return j, self.roots.xi01 if j % 2 == 0 else self.roots.xi02
-        return k, self.h0_inverse(self._strip_height(h, k))
+        j = np.round((h - m1) / delta)
+        junction = np.abs(h - (m1 + j * delta)) <= 1e-12 * max(1.0, delta)
+        k = np.where(junction, j.astype(int), k)
+        odd = k % 2 == 1
+        y = np.where(odd, (k + 1) * p1 - (k - 1) * m1 - h, h - k * delta)
+        xi = np.where(odd, self.roots.xi02, self.roots.xi01)
+        xi[~junction] = self._invert(y[~junction])
+        return k, xi
 
-    def F(self, h: float) -> float:
-        """Periodic reflected profile: strip-wise inverse of the height map.
+    def F(self, h):
+        """Periodic reflected profile, floats and arrays alike: strip-wise
+        inverse of the height map.
 
         Exact root values at the junctions; inside a strip the inverse of
         h0 composed with the strip's reflection.
         """
-        return self._strip_point(h)[1]
-
-    def _strip_height(self, h: float, k: int) -> float:
-        """Map h to the base-strip height whose inverse gives F(h)."""
-        m1, p1 = self.h_limits
-        if k % 2 == 0:
-            return h - k * (p1 - m1)
-        return (k + 1) * p1 - (k - 1) * m1 - h
+        xi = self._strip_points(np.asarray(h, dtype=float))[1]
+        return xi if xi.ndim else float(xi)
 
     def _rates(self, k: int, xi: float) -> tuple[float, float]:
         """(dF/dh, d zeta0(F)/dh) on strip k at F = xi.
@@ -245,31 +246,34 @@ class GluingAtlas:
 
     # -- revolution surface -----------------------------------------------------
 
-    def radius(self, h: float) -> float:
+    def radius(self, h):
         return self.Cstar / self.F(h)
 
     def immersion_psi(self, h, theta) -> np.ndarray:
         """Points of Psi at the broadcast (h, theta), shape (..., 3), with the
-        radius once per distinct h."""
+        radius once on the distinct h."""
         (r,) = diffgeo.per_distinct(lambda y: (self.radius(y),), h)
         ang = np.asarray(theta, dtype=float) / self.Cstar
         return diffgeo.stack_coordinates(r * np.cos(ang), r * np.sin(ang), h)
 
     def immersion_psi_partials(self, h, theta):
-        """(Psi_h, Psi_theta) at the points, with F and the radius rate once per distinct h."""
+        """(Psi_h, Psi_theta) at the points, with F once on the distinct h and
+        the radius rate once per distinct h."""
         def at(y):
-            k, xi = self._strip_point(y)
-            return xi, -self.Cstar * self._rates(k, xi)[0] / (xi * xi)
+            k, xi = self._strip_points(y)
+            dxi, _ = zip(*map(self._rates, k.tolist(), xi.tolist()))
+            return xi, [-self.Cstar * d / (x * x) for d, x in zip(dxi, xi.tolist())]
         xi, dr = diffgeo.per_distinct(at, h)
         ang = np.asarray(theta) / self.Cstar
         ca, sa = np.cos(ang), np.sin(ang)
         return (diffgeo.stack_coordinates(dr * ca, dr * sa, 1.0),
                 diffgeo.stack_coordinates(-sa / xi, ca / xi, 0.0))
 
-    def psi_metric(self, h: float) -> tuple[float, float]:
-        """Closed-form induced metric of the revolution surface."""
+    def psi_metric(self, h):
+        """Closed-form induced metric (E, G) of the revolution surface, at a
+        height or an array of them."""
         Fh = self.F(h)
-        t = float(T(self.C, Fh))
+        t = T(self.C, Fh)
         E = 3.0 * Fh * Fh / (3.0 * Fh * Fh - self.Cstar ** 2 * t)
         return E, 1.0 / (Fh * Fh)
 
@@ -307,25 +311,26 @@ class GluingAtlas:
 
     # -- glued sphere immersion ----------------------------------------------
 
-    def _profile_at(self, h: float):
-        """Strip k at h, and the (xi, zeta, c, s) arguments of the family's
-        `point` there: F(h), zeta0(F), the phase c_k, and Phi2's sign on
-        strip k."""
-        k, xi = self._strip_point(h)
-        return k, (xi, self.family.zeta0(xi), self.phase(k), -1.0 if k % 2 else 1.0)
+    def _profile_at(self, h: np.ndarray):
+        """Strips k at the heights h (an array), and the (xi, zeta, c, s)
+        arguments of the family's `point` there: F(h), zeta0(F), the phase
+        c_k, and Phi2's sign on strip k."""
+        k, xi = self._strip_points(h)
+        return k, (xi, self.family.zeta0(xi), [self.phase(kk) for kk in k.tolist()],
+                   np.where(k % 2 == 1, -1.0, 1.0))
 
     def immersion_phi(self, h, theta) -> np.ndarray:
         """Points of Phi at the broadcast (h, theta), shape (..., 4), with the
-        profile once per distinct h."""
+        profile once on the distinct h."""
         xi, zeta, c, s = diffgeo.per_distinct(lambda y: self._profile_at(y)[1], h)
         return self.family.point(xi, theta, zeta, c, s)
 
     def immersion_phi_partials(self, h, theta):
-        """(Phi_h, Phi_theta) at the points, with the profile and its h-rates
-        once per distinct h."""
+        """(Phi_h, Phi_theta) at the points, with the profile once on the
+        distinct h and its h-rates once per distinct h."""
         def at(y):
             k, prof = self._profile_at(y)
-            return (*prof, *self._rates(k, prof[0]))
+            return (*prof, *zip(*map(self._rates, k.tolist(), prof[0].tolist())))
         xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
         return self.family.tangents(xi, theta, zeta, c, s, dxi, dzeta)
 
@@ -346,15 +351,10 @@ class GluingAtlas:
         h_{0,k}, from exact jets in the end variable s = sqrt|xi - root|;
         order 0 gives the one-sided values.
 
-        Near the root xi = root +- s^2 exactly, and the height and the
-        turning angle differ from their end values by series in s whose
-        coefficients up to s^3 come from the end-cell Chebyshev leaf of
-        each table; the end integrands are functions of s^2, so both
-        series are odd and their even coefficients are set to exactly 0.
-        Both sides have |h - h_j| = H(s) with the same H: reverting it
-        gives s as a series in d = |h - h_j|, and composing xi(s), R(xi)
-        and cos, sin(zeta + c) gives each component as a series in d.  The
-        sides differ only in their strip's phase constant, the sign of Phi2
+        Both sides have the same series in d = |h - h_j| of F, of the
+        turning angle and of R (`_end_jets`); composing cos, sin(zeta + c)
+        with them gives each component as a series in d.  The sides
+        differ only in their strip's phase constant, the sign of Phi2
         on odd strips, and the factor (-1)^n that turns the n-th
         d-derivative into an h-derivative on the left.  `phases` replaces
         the (left, right) phase constants; the same constant on both sides
@@ -365,23 +365,9 @@ class GluingAtlas:
         """
         if k not in self.grid:
             raise ValueError(f"junction label {k} outside the atlas grid")
-        j = self._junction_index(self.grid[k])
-        upper = j % 2 == 1
-        zm1, zp1 = self.zeta_limits
-        root, zlim = (self.roots.xi02, zp1) if upper else (self.roots.xi01, zm1)
-        inward = -1.0 if upper else 1.0  # sign of xi - root, and of zeta - zlim
+        j = k if k > 0 else k + 1  # the slot of h_{0,k} on the ladder of _strip_points
+        zlim, xi, dz, R = self._end_jets[j % 2]
         delta = self.h_limits[1] - self.h_limits[0]
-
-        odd = lambda a: [0.0, a[1], 0.0, a[3]]
-        s = series_revert(odd(self._h_cum.end_series(upper)))
-        z1, z3 = odd(self.family._zeta_cum.end_series(upper))[1::2]
-        s2 = series_mul(s, s)
-        s3 = series_mul(s2, s)
-        xi = [root, *(inward * c for c in s2[1:])]
-        dz = [inward * (z1 * a + z3 * b) for a, b in zip(s[1:], s3[1:])]
-        w = [-c / self.C for c in series_compose(power_derivatives(root, -2.0), xi)]
-        w[0] += 1.0
-        R = series_compose(power_derivatives(w[0], 0.5), w)  # sqrt(1 - 1/(C xi^2))
 
         def jets(k, phase):
             """F, Phi1 and Phi2 on strip k, with phase constant `phase`, as series in d."""
@@ -411,6 +397,37 @@ class GluingAtlas:
                 }
             out[name] = per_order
         return out
+
+    @cached_property
+    def _end_jets(self) -> tuple:
+        """Per strip end, lower then upper: the turning angle's limit there,
+        and the series to d^3 in d = |h - h_j| of F, of zeta - limit and of
+        R = sqrt(1 - 1/(C xi^2)) on a strip next to a junction h_j at that
+        end.  The tables are immutable, so each end is expanded once.
+
+        Near the root xi = root +- s^2 exactly, and the height and the
+        turning angle differ from their end values by series in s whose
+        coefficients up to s^3 come from the end-cell Chebyshev leaf of
+        each table; the end integrands are functions of s^2, so both
+        series are odd and their even coefficients are set to exactly 0.
+        Reverting |h - h_j| = H(s) gives s as a series in d, and composing
+        xi(s) and R(xi) gives the rest.
+        """
+        odd = lambda a: [0.0, a[1], 0.0, a[3]]
+        out = []
+        for upper, root, zlim in ((False, self.roots.xi01, self.zeta_limits[0]),
+                                  (True, self.roots.xi02, self.zeta_limits[1])):
+            inward = -1.0 if upper else 1.0  # sign of xi - root, and of zeta - zlim
+            s = series_revert(odd(self._h_cum.end_series(upper)))
+            z1, z3 = odd(self.family._zeta_cum.end_series(upper))[1::2]
+            s2 = series_mul(s, s)
+            s3 = series_mul(s2, s)
+            xi = [root, *(inward * c for c in s2[1:])]
+            dz = [inward * (z1 * a + z3 * b) for a, b in zip(s[1:], s3[1:])]
+            w = [-c / self.C for c in series_compose(power_derivatives(root, -2.0), xi)]
+            w[0] += 1.0
+            out.append((zlim, xi, dz, series_compose(power_derivatives(w[0], 0.5), w)))
+        return tuple(out)
 
     # -- periodicity probe -------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "OdeSolution",
     "find_root",
     "expand_bracket",
+    "check_range",
     "solve_ode",
     "series_mul",
     "series_compose",
@@ -307,17 +307,25 @@ _LO, _HALF, _BASE, _COEF = 0, 1, 2, 3
 _HI, _VALUE = _HALF, _BASE
 
 
-def _clenshaw(coef: list, t: float) -> tuple[float, float]:
-    """sum c_k T_k(t) and its derivative sum k c_k U_{k-1}(t), by Clenshaw's
-    recurrences for the first and the second kind."""
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last two terms (b_1, b_2) of Clenshaw's recurrence
+    b_k = c_k + 2 t b_{k+1} - b_{k+2} over the leading axis of `coef`, from
+    its end down to k = 1, one coefficient slice at a time.  For c_k the
+    Chebyshev coefficients, sum c_k T_k(t) = c_0 + t b_1 - b_2; for c_k
+    replaced by k c_k, b_1 is the derivative sum k c_k U_{k-1}(t)."""
     t2 = t + t
-    b1 = b2 = d1 = d2 = 0.0
-    k = len(coef) - 1
+    b1 = b2 = 0.0
     for c in coef[:0:-1]:
         b1, b2 = c + t2 * b1 - b2, b1
-        d1, d2 = k * c + t2 * d1 - d2, d1
-        k -= 1
-    return coef[0] + t * b1 - b2, d1
+    return b1, b2
+
+
+def check_range(xs: np.ndarray, lo: float, hi: float, slack: float, name: str = "") -> None:
+    """Raise OutOfDomain naming the first entry of the array xs below
+    lo - slack or above hi + slack, after `name`."""
+    for bad, where in ((xs < lo - slack, f"below {lo}"), (xs > hi + slack, f"above {hi}")):
+        if bad.any():
+            raise OutOfDomain(f"{name}{float(xs[bad][0])} {where}")
 
 
 class CumulativeQuadrature:
@@ -337,8 +345,9 @@ class CumulativeQuadrature:
     `table` holds the running sums of their K15 values.  Each accepted
     panel also keeps the Chebyshev coefficients of the antiderivative of
     its 15-point interpolant, so `value(x)` is a cell lookup plus one
-    Clenshaw sum, and `inverse(y)` a few Newton steps on one leaf: after
-    the build the integrand is never evaluated.
+    Clenshaw sum, and `inverse(y)` a few Newton steps on one leaf, for
+    all the entries of an array at once: after the build the integrand is
+    never evaluated.
     """
 
     def __init__(
@@ -400,36 +409,17 @@ class CumulativeQuadrature:
     def total(self) -> float:
         return float(self.table[-1])
 
-    def _cell(self, x: float) -> int:
-        """Index i with nodes[i] <= x < nodes[i + 1], for lower < x < upper,
-        from the inverse of the cosine node spacing."""
-        c = 1.0 - 2.0 * (x - self.lower) / (self.upper - self.lower)
-        i = min(int(QUAD_CELLS / math.pi * math.acos(min(1.0, max(-1.0, c)))), QUAD_CELLS - 1)
-        nodes = self.nodes
-        while x < nodes[i]:
-            i -= 1
-        while x >= nodes[i + 1]:
-            i += 1
-        return i
-
-    def _row(self, i: int, v: float, key: int = _LO) -> list:
-        """Row, as Python floats, of the last leaf of cell i whose column
-        `key` (left end or base, in the cell's own variable) is at most v."""
-        j, last = int(self._first_leaf[i]), int(self._first_leaf[i + 1]) - 1
-        while j < last and v >= self._leaves[j + 1, key]:
-            j += 1
-        return self._leaves[j].tolist()
-
-    def _cell_integral(self, i: int, v: float) -> float:
-        """Leaf base plus the leaf's antiderivative at v: Clenshaw's sum, for
-        the value alone (`_clenshaw` would add the slope's recurrence)."""
-        row = self._row(i, v)
-        t = (v - row[_LO]) / row[_HALF] - 1.0
-        t2 = t + t
-        b1 = b2 = 0.0
-        for c in row[:_COEF:-1]:
-            b1, b2 = c + t2 * b1 - b2, b1
-        return row[_BASE] + (row[_COEF] + t * b1 - b2)
+    def _leaf(self, i: np.ndarray, v: np.ndarray, key: int) -> np.ndarray:
+        """Per entry, the last leaf of cell i whose column `key` (left end or
+        base, in the cell's own variable) is at most v, or the cell's first
+        leaf: bisection over each cell's leaves, whose keys increase."""
+        lo, hi = self._first_leaf[i], self._first_leaf[i + 1] - 1
+        col = self._leaves[:, key]
+        while (lo < hi).any():
+            mid = (lo + hi + 1) // 2
+            ok = col[mid] <= v
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
+        return lo
 
     def end_series(self, upper: bool = False) -> list[float]:
         """Taylor coefficients at w = 0, up to w**3, of the integral
@@ -444,38 +434,48 @@ class CumulativeQuadrature:
                 / (math.prod(range(1, 2 * k, 2)) * half ** k * math.factorial(k))
                 for k in range(4)]
 
-    def value(self, x: float) -> float:
-        """Cumulative integral from `lower` to x (x in the closed interval)."""
-        if x <= self.lower:
-            if x < self.lower - 1e-12 * (self.upper - self.lower):
-                raise OutOfDomain(f"{x} below {self.lower}")
-            return 0.0
-        if x >= self.upper:
-            if x > self.upper + 1e-12 * (self.upper - self.lower):
-                raise OutOfDomain(f"{x} above {self.upper}")
-            return self.total
-        i = self._cell(x)
-        if x == self.nodes[i]:
-            return float(self.table[i])
-        if i == 0:
-            return self._cell_integral(i, math.sqrt(x - self.lower))
-        if i == QUAD_CELLS - 1:
-            return self.total - self._cell_integral(i, math.sqrt(self.upper - x))
-        return self._cell_integral(i, x)
+    def value(self, x):
+        """Cumulative integral from `lower` to x, for x in the closed
+        interval: a float gives a float, an array an array.
 
-    def inverse(self, y: float) -> float:
+        The cell comes from the nodes, the leaf from its left ends, and the
+        value is the leaf's base plus Clenshaw's sum of its antiderivative.
+        """
+        xs = np.asarray(x, dtype=float)
+        check_range(xs, self.lower, self.upper, 1e-12 * (self.upper - self.lower))
+        out = np.where(xs <= self.lower, 0.0, self.total)
+        inner = ~((xs <= self.lower) | (xs >= self.upper))
+        xin = xs[inner]
+        i = np.minimum(np.searchsorted(self.nodes, xin, "right") - 1, QUAD_CELLS - 1)
+        first, last = i == 0, i == QUAD_CELLS - 1
+        # the end cells' leaves are in s = sqrt|x - end|
+        v = xin.copy()
+        v[first] = np.sqrt(xin[first] - self.lower)
+        v[last] = np.sqrt(self.upper - xin[last])
+        rows = self._leaves[self._leaf(i, v, _LO)]
+        t = (v - rows[:, _LO]) / rows[:, _HALF] - 1.0
+        coef = rows[:, _COEF:].T
+        b1, b2 = _clenshaw(coef, t)
+        val = rows[:, _BASE] + (coef[0] + t * b1 - b2)
+        val[last] = self.total - val[last]
+        out[inner] = np.where(xin == self.nodes[i], self.table[i], val)
+        return out if xs.ndim else float(out)
+
+    def inverse(self, y):
         """The x in the closed interval with value(x) = y, for a positive
-        integrand and y in [0, total].
+        integrand and y in [0, total]: a float gives a float, an array an
+        array.
 
-        Bisection on `table` finds the cell and the stored bases the leaf
-        that holds y; there, bracketed Newton steps from a linear seed solve
-        for the leaf's own variable t, with the antiderivative and its
-        derivative from one Clenshaw pass over the row.  The end cells'
-        leaves are in s already, so an end needs no substitution of its own.
-        Steps stop when one moves t by at most 1e-14, or the residual is
-        within two ulps of `total`, below which it is rounding.  A loop that
-        reaches NEWTON_CAP steps logs y and its last step at DEBUG level on
-        the "biconsurf.numerics" logger.
+        Bisection on `table` finds each entry's cell and the stored bases
+        the leaf that holds it; there, bracketed Newton steps from a linear
+        seed solve for the leaf's own variable t, all entries at once, with
+        the antiderivative and its derivative from one Clenshaw pass over
+        the rows.  The end cells' leaves are in s already, so an end needs
+        no substitution of its own.  An entry stops when a step moves its t
+        by at most 1e-14, or its residual is within two ulps of `total`,
+        below which it is rounding.  An entry still moving after NEWTON_CAP
+        steps is logged, with its y and last step, at DEBUG level on the
+        "biconsurf.numerics" logger.
 
         Measured max |value(inverse(y)) - y| / total on the strip height
         table at C = C* = 1, by the distance of y to the nearer end: 3e-15
@@ -486,45 +486,48 @@ class CumulativeQuadrature:
         of x moves s = sqrt|x - end| by up to sqrt(ulp(x)), and the integral
         by that times the end integrand.
         """
+        ys = np.asarray(y, dtype=float)
         total = self.total
-        if y <= 0.0:
-            if y < -1e-12 * total:
-                raise OutOfDomain(f"{y} below 0")
-            return self.lower
-        if y >= total:
-            if y > total + 1e-12 * total:
-                raise OutOfDomain(f"{y} above {total}")
-            return self.upper
-        i = int(np.searchsorted(self.table, y, "right")) - 1
+        check_range(ys, 0.0, total, 1e-12 * total)
+        out = np.where(ys <= 0.0, self.lower, self.upper)
+        inner = ~((ys <= 0.0) | (ys >= total))
+        yin = ys[inner]
+        i = np.minimum(np.searchsorted(self.table, yin, "right") - 1, QUAD_CELLS - 1)
+        last = i == QUAD_CELLS - 1
         # the last cell's leaves count the integral from `upper`
-        v = total - y if i == QUAD_CELLS - 1 else y
-        row = self._row(i, v, _BASE)
-        base, coef = row[_BASE], row[_COEF:]
-        lo, hi = -1.0, 1.0
-        t = min(2.0 * (v - base) / sum(coef) - 1.0, hi)  # sum(coef): the leaf's integral
+        v = np.where(last, total - yin, yin)
+        rows = self._leaves[self._leaf(i, v, _BASE)]
+        base, coef = rows[:, _BASE], rows[:, _COEF:].T
+        integral = coef[0]  # of the leaf: its coefficients' sum, in order
+        for c in coef[1:]:
+            integral = integral + c
+        t = np.minimum(2.0 * (v - base) / integral - 1.0, 1.0)
+        # per order k, the coefficients c_k and k c_k: one Clenshaw pass
+        # gives the antiderivative and its derivative
+        both = np.stack([coef, coef * np.arange(len(coef))[:, None]], axis=1)
+        lo, hi, step = np.full_like(t, -1.0), np.full_like(t, 1.0), np.zeros_like(t)
         r_tol = 2.0 * math.ulp(total)
+        active = np.arange(len(t))
         for _ in range(NEWTON_CAP):
-            p, slope = _clenshaw(coef, t)
-            r = base + p - v
-            if r > 0.0:
-                hi = t
-            else:
-                lo = t
-            nxt = t - r / slope
-            if not lo <= nxt <= hi:
-                nxt = 0.5 * (lo + hi)
-            step, t = nxt - t, nxt
-            if abs(step) <= 1e-14 or abs(r) <= r_tol:
+            ta = t[active]
+            (b1, slope), (b2, _) = _clenshaw(both[..., active], ta)
+            r = base[active] + (coef[0, active] + ta * b1 - b2) - v[active]
+            up = r > 0.0
+            la, ha = np.where(up, lo[active], ta), np.where(up, ta, hi[active])
+            nxt = ta - r / slope
+            nxt = np.where((la <= nxt) & (nxt <= ha), nxt, 0.5 * (la + ha))
+            st = nxt - ta
+            lo[active], hi[active], t[active], step[active] = la, ha, nxt, st
+            active = active[~((np.abs(st) <= 1e-14) | (np.abs(r) <= r_tol))]
+            if not active.size:
                 break
         else:
-            _log.debug("inverse: no convergence in %d Newton steps at y=%r, last step %r",
-                       NEWTON_CAP, y, step)
-        x = row[_LO] + row[_HALF] * (t + 1.0)
-        if i == 0:
-            return self.lower + x * x
-        if i == QUAD_CELLS - 1:
-            return self.upper - x * x
-        return x
+            for n in active.tolist():
+                _log.debug("inverse: no convergence in %d Newton steps at y=%r, last step %r",
+                           NEWTON_CAP, float(yin[n]), float(step[n]))
+        x = rows[:, _LO] + rows[:, _HALF] * (t + 1.0)
+        out[inner] = np.where(i == 0, self.lower + x * x, np.where(last, self.upper - x * x, x))
+        return out if ys.ndim else float(out)
 
 
 # ----------------------------------------------------------------------
@@ -559,22 +562,22 @@ class OdeSolution:
         return len(self.states)
 
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Dormand-Prince 5(4) tableau: nodes, stage weights, and the weights of
+# the embedded 4th-order solution; the 5th-order one is the last stage's
+# point (first same as last)
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_B1, _B3, _B4, _B5, _B6, _B7 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200,
+                                187 / 2100, 1 / 40)
 
 
-def _advance(y, h, coeffs, k):
-    """y + h * sum(coeffs[m] * k[m]), one component at a time."""
-    return tuple([yj + h * sum(map(mul, coeffs, kcol)) for yj, kcol in zip(y, zip(*k))])
+class _NonFiniteStage(Exception):
+    """A trial stage point left the floats; the step is halved."""
 
 
 def _hermite(t, t0, y0, f0, t1, y1, f1):
@@ -613,6 +616,12 @@ def solve_ode(
     if h == 0.0:
         return OdeSolution([OdeState(t, y, max(abs(y0.step), _EPS))])
 
+    def stage(c, yc):
+        """rhs at (t + c h, yc), the point of a stage of the current step."""
+        if not all(map(math.isfinite, yc)):
+            raise _NonFiniteStage
+        return tuple(map(float, rhs(t + c * h, yc)))
+
     sol = OdeSolution()
     sol.states.append(OdeState(t, y, abs(h)))
     k1 = tuple(map(float, rhs(t, y)))
@@ -626,41 +635,47 @@ def solve_ode(
         if abs(h) < 32.0 * _EPS * max(1.0, abs(t)):
             raise StepUnderflow(f"step collapsed at t={t}")
 
-        k = [k1]
-        for i in range(1, 7):
-            yi = _advance(y, h, _DP_A[i], k)
-            if not all(map(math.isfinite, yi)):
-                break
-            k.append(tuple(map(float, rhs(t + _DP_C[i] * h, yi))))
-        if len(k) < 7:  # a non-finite trial stage
+        try:
+            k2 = stage(_C2, [a + h * (_A21 * p) for a, p in zip(y, k1)])
+            k3 = stage(_C3, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+            k4 = stage(_C4, [a + h * (_A41 * p + _A42 * q + _A43 * r)
+                             for a, p, q, r in zip(y, k1, k2, k3)])
+            k5 = stage(_C5, [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * w)
+                             for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
+            k6 = stage(1.0, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
+                             for a, p, q, r, w, x in zip(y, k1, k2, k3, k4, k5)])
+            # the last stage's point is the 5th-order solution
+            y5 = tuple([a + h * (_A71 * p + _A73 * r + _A74 * w + _A75 * x + _A76 * z)
+                        for a, p, r, w, x, z in zip(y, k1, k3, k4, k5, k6)])
+            k7 = stage(1.0, y5)
+        except _NonFiniteStage:
             h *= 0.5
             continue
-        y5 = yi  # the last stage point is the 5th-order solution (FSAL)
-        y4 = _advance(y, h, _DP_B4, k)
+        y4 = [a + h * (_B1 * p + _B3 * r + _B4 * w + _B5 * x + _B6 * z + _B7 * f)
+              for a, p, r, w, x, z, f in zip(y, k1, k3, k4, k5, k6, k7)]
         err = math.sqrt(sum(((a - b) / (tol + tol * max(abs(c), abs(a)))) ** 2
                             for a, b, c in zip(y5, y4, y)) / len(y))
         if err <= 1.0:
-            t_new = t + h
-            f_new = k[6]  # stage 7 was evaluated at (t+h, y5)
+            t_new = t + h  # the last stage was evaluated at (t_new, y5)
             if event is not None:
                 e_new = event(t_new, y5)
                 if e_prev is not None and _opposite_signs(e_prev, e_new):
                     ta, tb, ea = t, t_new, e_prev
                     for _ in range(80):
                         tm = 0.5 * (ta + tb)
-                        em = event(tm, _hermite(tm, t, y, k1, t_new, y5, f_new))
+                        em = event(tm, _hermite(tm, t, y, k1, t_new, y5, k7))
                         if _opposite_signs(ea, em) or em == 0.0:
                             tb = tm
                         else:
                             ta, ea = tm, em
                     tm = 0.5 * (ta + tb)
-                    ym = _hermite(tm, t, y, k1, t_new, y5, f_new)
+                    ym = _hermite(tm, t, y, k1, t_new, y5, k7)
                     sol.events.append(OdeState(tm, ym, abs(h)))
                     if max_events is not None and len(sol.events) >= max_events:
                         sol.states.append(OdeState(t_new, y5, abs(h)))
                         return sol
                 e_prev = e_new
-            t, y, k1 = t_new, y5, f_new
+            t, y, k1 = t_new, y5, k7
             sol.states.append(OdeState(t, y, abs(h)))
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:

@@ -221,12 +221,16 @@ def _polish_root(C: float, xi: float) -> float:
     return a ** 3
 
 
-def metric_gC(C: float, xi: float) -> tuple[float, float]:
-    """Closed-form metric coefficients (E, G) on the strip; F = 0."""
-    t = float(T(C, xi))
-    if xi <= 0.0 or t <= 0.0:
-        raise OutOfDomain(f"xi = {xi} outside the strip for C = {C}")
-    return 3.0 / (xi * xi * t), 1.0 / (xi * xi)
+def metric_gC(C: float, xi):
+    """Closed-form metric coefficients (E, G) on the strip, F = 0, at a point
+    xi or an array of them."""
+    xi = np.asarray(xi, dtype=float)
+    t = T(C, xi)
+    outside = (xi <= 0.0) | (t <= 0.0)
+    if outside.any():
+        raise OutOfDomain(f"xi = {float(xi[outside][0])} outside the strip for C = {C}")
+    E, G = 3.0 / (xi * xi * t), 1.0 / (xi * xi)
+    return (E, G) if xi.ndim else (float(E), float(G))
 
 
 def gauss_curvature_DC(xi: float) -> float:
@@ -264,10 +268,14 @@ class SphereFamily:
 
     # -- scalar quantities -------------------------------------------------
 
-    def zeta0(self, xi: float) -> float:
-        """Turning-angle quadrature based at xi00 (zeta0(xi00) = 0)."""
-        if not (self.roots.xi01 <= xi <= self.roots.xi02):
-            raise OutOfDomain(f"xi = {xi} outside [{self.roots.xi01}, {self.roots.xi02}]")
+    def zeta0(self, xi):
+        """Turning-angle quadrature based at xi00 (zeta0(xi00) = 0), floats
+        and arrays alike."""
+        xs = np.asarray(xi, dtype=float)
+        outside = ~((self.roots.xi01 <= xs) & (xs <= self.roots.xi02))
+        if outside.any():
+            raise OutOfDomain(f"xi = {float(xs[outside][0])} outside "
+                              f"[{self.roots.xi01}, {self.roots.xi02}]")
         return self._zeta_cum.value(xi) - self._zeta_base
 
     def zeta0_deriv(self, xi: float) -> float:
@@ -321,16 +329,19 @@ class SphereFamily:
 
     def immersion(self, xi, theta) -> np.ndarray:
         """Points of Phi_C at the broadcast (xi, theta), shape (..., 4), with
-        zeta0 once per distinct xi."""
-        def at(x):
-            if not self.roots.contains(x):
-                raise OutOfDomain(f"xi = {x} outside the open strip")
-            return (self.zeta0(x),)
+        zeta0 once on the distinct xi."""
+        def at(xs):
+            outside = ~((self.roots.xi01 < xs) & (xs < self.roots.xi02))
+            if outside.any():
+                raise OutOfDomain(f"xi = {float(xs[outside][0])} outside the open strip")
+            return (self.zeta0(xs),)
         return self.point(xi, theta, *diffgeo.per_distinct(at, xi))
 
     def immersion_partials(self, xi, theta):
-        """(X_xi, X_theta) at the points, with zeta0 and zeta0' once per distinct xi."""
-        zeta, dzeta = diffgeo.per_distinct(lambda x: (self.zeta0(x), self.zeta0_deriv(x)), xi)
+        """(X_xi, X_theta) at the points, with zeta0 once on the distinct xi
+        and zeta0' once per distinct xi."""
+        zeta, dzeta = diffgeo.per_distinct(
+            lambda xs: (self.zeta0(xs), [self.zeta0_deriv(x) for x in xs.tolist()]), xi)
         return self.tangents(xi, theta, zeta, dzeta=dzeta)
 
     def patch(self, xi_margin: float = 1e-3, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:

@@ -7,7 +7,8 @@ code level, not through the package helpers), and Richardson-extrapolated
 one-sided stencils for derivatives.  Expected values frozen in
 the tests were produced by these.  `ScalarOracle` is the differential-
 geometry oracle evaluated point by point, the reference for the batched
-one.
+one; `scalar_value` and `scalar_inverse` are the height-table lookups
+one float at a time, the references for the array ones.
 """
 
 import math
@@ -88,6 +89,103 @@ def one_sided_derivative(f, x, order, step, forward):
     d1, d2, d4 = raw(step), raw(0.5 * step), raw(0.25 * step)
     r1, r2 = (4.0 * d2 - d1) / 3.0, (4.0 * d4 - d2) / 3.0
     return (8.0 * r2 - r1) / 7.0
+
+
+def _scalar_row(cq, i, v, key):
+    """Row, as Python floats, of the last leaf of cell i whose column `key`
+    (left end or base, in the cell's own variable) is at most v."""
+    j, last = int(cq._first_leaf[i]), int(cq._first_leaf[i + 1]) - 1
+    while j < last and v >= cq._leaves[j + 1, key]:
+        j += 1
+    return cq._leaves[j].tolist()
+
+
+def _scalar_clenshaw(coef, t):
+    """sum c_k T_k(t) and sum k c_k U_{k-1}(t), in Python floats."""
+    t2 = t + t
+    b1 = b2 = d1 = d2 = 0.0
+    k = len(coef) - 1
+    for c in coef[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+        d1, d2 = k * c + t2 * d1 - d2, d1
+        k -= 1
+    return coef[0] + t * b1 - b2, d1
+
+
+def scalar_value(cq, x):
+    """`CumulativeQuadrature.value` at one float x, one Python float
+    operation at a time: the cell from the inverse cosine spacing and a
+    walk over the nodes, the leaf from a walk over its left ends, then
+    Clenshaw's sum."""
+    from biconsurf import numerics as nm
+    if x <= cq.lower:
+        if x < cq.lower - 1e-12 * (cq.upper - cq.lower):
+            raise nm.OutOfDomain(f"{x} below {cq.lower}")
+        return 0.0
+    if x >= cq.upper:
+        if x > cq.upper + 1e-12 * (cq.upper - cq.lower):
+            raise nm.OutOfDomain(f"{x} above {cq.upper}")
+        return cq.total
+    c = 1.0 - 2.0 * (x - cq.lower) / (cq.upper - cq.lower)
+    i = min(int(nm.QUAD_CELLS / math.pi * math.acos(min(1.0, max(-1.0, c)))), nm.QUAD_CELLS - 1)
+    while x < cq.nodes[i]:
+        i -= 1
+    while x >= cq.nodes[i + 1]:
+        i += 1
+    if x == cq.nodes[i]:
+        return float(cq.table[i])
+    end = i in (0, nm.QUAD_CELLS - 1)
+    v = math.sqrt(x - cq.lower if i == 0 else cq.upper - x) if end else x
+    row = _scalar_row(cq, i, v, nm._LO)
+    t = (v - row[nm._LO]) / row[nm._HALF] - 1.0
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in row[:nm._COEF:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    val = row[nm._BASE] + (row[nm._COEF] + t * b1 - b2)
+    return cq.total - val if i == nm.QUAD_CELLS - 1 else val
+
+
+def scalar_inverse(cq, y):
+    """`CumulativeQuadrature.inverse` at one float y, one Python float
+    operation at a time: the leaf by bisection on the table and a walk over
+    its bases, then bracketed Newton steps from the linear seed."""
+    from biconsurf import numerics as nm
+    total = cq.total
+    if y <= 0.0:
+        if y < -1e-12 * total:
+            raise nm.OutOfDomain(f"{y} below 0")
+        return cq.lower
+    if y >= total:
+        if y > total + 1e-12 * total:
+            raise nm.OutOfDomain(f"{y} above {total}")
+        return cq.upper
+    i = int(np.searchsorted(cq.table, y, "right")) - 1
+    v = total - y if i == nm.QUAD_CELLS - 1 else y
+    row = _scalar_row(cq, i, v, nm._BASE)
+    base, coef = row[nm._BASE], row[nm._COEF:]
+    lo, hi = -1.0, 1.0
+    t = min(2.0 * (v - base) / sum(coef) - 1.0, hi)
+    r_tol = 2.0 * math.ulp(total)
+    for _ in range(nm.NEWTON_CAP):
+        p, slope = _scalar_clenshaw(coef, t)
+        r = base + p - v
+        if r > 0.0:
+            hi = t
+        else:
+            lo = t
+        nxt = t - r / slope
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        step, t = nxt - t, nxt
+        if abs(step) <= 1e-14 or abs(r) <= r_tol:
+            break
+    x = row[nm._LO] + row[nm._HALF] * (t + 1.0)
+    if i == 0:
+        return cq.lower + x * x
+    if i == nm.QUAD_CELLS - 1:
+        return cq.upper - x * x
+    return x
 
 
 @pytest.fixture(scope="session")

@@ -62,11 +62,10 @@ def test_criterion_2_metric_pullbacks(atlas11):
     sp = fam.patch(theta_range=(0.0, 1.0))
     xis, ths = sp.grid(32, 32)
     worst_phi = 0.0
-    for xi in xis:
-        for th in ths:
-            E, F, G = diffgeo.fundamental_forms(sp, float(xi), float(th))
-            Ec, Gc = spherical.metric_gC(1.0, float(xi))
-            worst_phi = max(worst_phi, abs(E - Ec) / Ec, abs(F) / Gc, abs(G - Gc) / Gc)
+    for xi in xis:  # one row of theta per call
+        E, F, G = diffgeo.fundamental_forms(sp, np.full(len(ths), xi), ths)
+        Ec, Gc = spherical.metric_gC(1.0, float(xi))
+        worst_phi = max(worst_phi, *np.abs(E - Ec) / Ec, *np.abs(F) / Gc, *np.abs(G - Gc) / Gc)
     ok &= _report("criterion 2b (strip metric pullback)", worst_phi, 1e-8)
 
     at = atlas11
@@ -82,13 +81,12 @@ def test_criterion_2_metric_pullbacks(atlas11):
     pphi = at.phi_patch((m1 - delta, p1 + delta), (0.0, 1.0))
     worst_psi = 0.0
     worst_glued = 0.0
-    for h in hs:
+    for h in hs:  # one row of theta per call
         Ec, Gc = at.psi_metric(float(h))
-        for th in ths:
-            E, F, G = diffgeo.fundamental_forms(ppsi, float(h), float(th))
-            worst_psi = max(worst_psi, abs(E - Ec) / Ec, abs(F) / Ec, abs(G - Gc) / Gc)
-            E, F, G = diffgeo.fundamental_forms(pphi, float(h), float(th))
-            worst_glued = max(worst_glued, abs(E - Ec) / Ec, abs(F) / Ec, abs(G - Gc) / Gc)
+        E, F, G = diffgeo.fundamental_forms(ppsi, np.full(len(ths), h), ths)
+        worst_psi = max(worst_psi, *np.abs(E - Ec) / Ec, *np.abs(F) / Ec, *np.abs(G - Gc) / Gc)
+        E, F, G = diffgeo.fundamental_forms(pphi, np.full(len(ths), h), ths)
+        worst_glued = max(worst_glued, *np.abs(E - Ec) / Ec, *np.abs(F) / Ec, *np.abs(G - Gc) / Gc)
     ok &= _report("criterion 2c (revolution metric pullback)", worst_psi, 1e-6)
     ok &= _report("criterion 2d (glued metric pullback)", worst_glued, 1e-6)
     assert ok
@@ -158,9 +156,8 @@ def test_criterion_4_biconservativity(atlas11):
     sp = spherical.family(1.0).patch(theta_range=(0.0, 1.0))
     xis, ths = sp.grid(16, 16, margin=1e-3)
     worst_p = 0.0
-    for xi in xis:
-        for th in ths:
-            worst_p = max(worst_p, diffgeo.biconservativity_residual(sp, float(xi), float(th)))
+    for xi in xis:  # one row of theta per call
+        worst_p = max(worst_p, *diffgeo.biconservativity_residual(sp, np.full(len(ths), xi), ths))
     ok &= _report("criterion 4b (strip residual)", worst_p, 1e-4)
 
     at = atlas11
@@ -174,9 +171,9 @@ def test_criterion_4_biconservativity(atlas11):
         np.linspace(p1 + band, p1 + delta - band, 5),
     ])
     worst_g = 0.0
-    for h in hs:
-        for th in np.linspace(0.05, 0.95, 16):
-            worst_g = max(worst_g, diffgeo.biconservativity_residual(pphi, float(h), float(th)))
+    ths = np.linspace(0.05, 0.95, 16)
+    for h in hs:  # one row of theta per call
+        worst_g = max(worst_g, *diffgeo.biconservativity_residual(pphi, np.full(len(ths), h), ths))
     ok &= _report("criterion 4c (glued residual)", worst_g, 1e-4)
     assert ok
 
@@ -238,19 +235,16 @@ def test_criterion_7_sphere_constraint(atlas11):
     rng = np.random.default_rng(99)
     fam = spherical.family(1.0)
     r = fam.roots
-    worst_local = 0.0
-    for _ in range(1000):
-        xi = rng.uniform(r.xi01 * (1 + 1e-9), r.xi02 * (1 - 1e-9))
-        th = rng.uniform(-8.0, 8.0)
-        worst_local = max(worst_local, abs(np.linalg.norm(fam.immersion(xi, th)) - 1.0))
+    # the points drawn one pair at a time, evaluated in one call
+    xi, th = np.array([(rng.uniform(r.xi01 * (1 + 1e-9), r.xi02 * (1 - 1e-9)),
+                        rng.uniform(-8.0, 8.0)) for _ in range(1000)]).T
+    worst_local = np.max(np.abs(np.linalg.norm(fam.immersion(xi, th), axis=1) - 1.0))
     ok = _report("criterion 7a (strip immersion on the sphere)", worst_local, 1e-10)
 
     at = atlas11
-    worst_glued = 0.0
-    for _ in range(1000):
-        h = rng.uniform(-2.0 * at.period, 2.0 * at.period)
-        th = rng.uniform(-8.0, 8.0)
-        worst_glued = max(worst_glued, abs(np.linalg.norm(at.immersion_phi(h, th)) - 1.0))
+    h, th = np.array([(rng.uniform(-2.0 * at.period, 2.0 * at.period), rng.uniform(-8.0, 8.0))
+                      for _ in range(1000)]).T
+    worst_glued = np.max(np.abs(np.linalg.norm(at.immersion_phi(h, th), axis=1) - 1.0))
     ok &= _report("criterion 7b (glued immersion on the sphere)", worst_glued, 1e-10)
     assert ok
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import checks, diffgeo, gluing, spherical
+from biconsurf import checks, diffgeo, gluing, numerics, spherical
 from conftest import assert_matches_reference
 
 
@@ -71,6 +71,24 @@ class TestPositionCalls:
         checks.build_report(family, 1.0, None if family == "s3-local" else 1.0)
         assert sizes.count(256) == 1, sizes
         assert min(sizes) > 1, sizes
+
+
+class TestTableCalls:
+    """A report looks its heights up a sample set at a time: each call of
+    the height table's inverse covers all the heights of one evaluator
+    call or one check (15 calls for the 719 heights of a warm s3-complete
+    report at C = C* = 1, 6 for revolution's 212)."""
+
+    @pytest.mark.parametrize("family, most", [("s3-complete", 20), ("revolution", 8)])
+    def test_inversion_calls_per_warm_report(self, monkeypatch, family, most):
+        checks.build_report(family, 1.0, 1.0)
+        sizes = []
+        inverse = numerics.CumulativeQuadrature.inverse
+        monkeypatch.setattr(numerics.CumulativeQuadrature, "inverse",
+                            lambda self, y: sizes.append(np.size(y)) or inverse(self, y))
+        checks.build_report(family, 1.0, 1.0)
+        assert 0 < len(sizes) <= most, sizes
+        assert sum(sizes) > 10 * len(sizes), sizes
 
 
 @pytest.mark.parametrize("C", [10.0, 50.0])

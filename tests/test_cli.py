@@ -622,11 +622,12 @@ def _ref_xc(par, u, v):
     ])
 
 
-def _ref_phic(fam, xi, theta):
+def _ref_phic(fam, xi, theta, z=None):
+    """The strip point at (xi, theta); z, when given, is zeta0(xi)."""
     if not fam.roots.contains(xi):
         raise OutOfDomain(f"xi = {xi} outside the open strip")
     R = math.sqrt(1.0 - 1.0 / (fam.C * xi * xi))
-    z = fam.zeta0(xi)
+    z = fam.zeta0(xi) if z is None else z
     sc = math.sqrt(fam.C)
     return np.array([
         R * math.cos(z),
@@ -637,7 +638,7 @@ def _ref_phic(fam, xi, theta):
 
 
 def _ref_phi(at, h, theta):
-    k, xi = at._strip_point(h)
+    k, xi = (x.item() for x in at._strip_points(np.array(h)))
     R = math.sqrt(1.0 - 1.0 / (at.C * xi * xi))
     ang = at.family.zeta0(xi) + at.phase(k)
     s = -1.0 if k % 2 else 1.0
@@ -667,8 +668,9 @@ def _ref_grid(family, nu, nv, wrap_v):
         fam = spherical.family(1.0)
         r = fam.roots
         margin = 1e-3 * (r.xi02 - r.xi01)
-        pts = np.array([_ref_phic(fam, float(x), float(t))
-                        for x in np.linspace(r.xi01 + margin, r.xi02 - margin, nu)
+        xs = np.linspace(r.xi01 + margin, r.xi02 - margin, nu).tolist()
+        zs = [fam.zeta0(x) for x in xs]  # once per grid row
+        pts = np.array([_ref_phic(fam, x, float(t), z) for x, z in zip(xs, zs)
                         for t in np.linspace(0.0, 2.0 * math.pi, nv)])
         return pts, False, True
     at = gluing.atlas(1.0, 1.0)

@@ -1,6 +1,7 @@
 """Global construction: admissible range, height quadrature, reflected
 profile, phases, junction smoothness, and the glued immersions."""
 
+import functools
 import logging
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, gluing, numerics, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
-from conftest import one_sided_derivative, refined_singular_integral
+from conftest import one_sided_derivative, refined_singular_integral, scalar_inverse, scalar_value
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +169,7 @@ class TestTabulatedInverse:
         at, bounds = inverse_case
         span = at.h_limits[1] - at.h_limits[0]
         for ys, bound in zip(band_heights(at), bounds):
-            worst = max(abs(at.h0(at.F(float(y))) - y) for y in ys) / span
+            worst = np.max(np.abs(at.h0(at.F(ys)) - ys)) / span
             assert worst <= bound
 
     def test_base_point(self, inverse_case):
@@ -188,17 +189,47 @@ class TestTabulatedInverse:
         h0, value = at.h0, at._h_cum.value
         monkeypatch.setattr(at, "h0", lambda xi: calls.append(xi) or h0(xi))
         monkeypatch.setattr(at._h_cum, "value", lambda x: calls.append(x) or value(x))
-        for y in ys:
-            at.h0_inverse(float(y))
+        at.h0_inverse(ys)
         assert calls == []
+
+    def test_array_calls_match_the_scalar_reference(self, inverse_case):
+        # each entry of an array call takes the float operations of the
+        # one-float lookups of conftest, so the bits agree
+        at, _ = inverse_case
+        lo, hi = at.h_limits
+        ys = np.concatenate([np.linspace(lo, hi, 1000), *band_heights(at)]) + at._h_base
+        ys = np.clip(ys, 0.0, at._h_cum.total)
+        xis = at._h_cum.inverse(ys)
+        want = [scalar_inverse(at._h_cum, y) for y in ys.tolist()]
+        assert xis.tobytes() == np.array(want).tobytes()
+        for table in (at._h_cum, at.family._zeta_cum):
+            want = [scalar_value(table, x) for x in xis.tolist()]
+            assert table.value(xis).tobytes() == np.array(want).tobytes()
+
+    def test_a_float_gives_a_float(self, inverse_case):
+        at, _ = inverse_case
+        cq = at._h_cum
+        for got in (cq.inverse(0.3 * cq.total), cq.value(0.5 * (cq.lower + cq.upper)),
+                    cq.inverse(0.0), cq.value(cq.upper), at.h0_inverse(0.0), at.F(0.1),
+                    at.h0(at.roots.xi00), at.family.zeta0(at.roots.xi00)):
+            assert type(got) is float
+
+    def test_an_out_of_range_entry_raises(self, inverse_case):
+        at, _ = inverse_case
+        cq = at._h_cum
+        for call, good, bad in ((cq.inverse, 0.5 * cq.total, 1.01 * cq.total),
+                                (cq.inverse, 0.5 * cq.total, -0.01 * cq.total),
+                                (cq.value, at.roots.xi00, cq.upper + 0.01 * (cq.upper - cq.lower)),
+                                (at.h0_inverse, 0.0, 1.01 * at.h_limits[1] + 0.1)):
+            with pytest.raises(OutOfDomain):
+                call(np.array([good, bad, good]))
 
     def test_newton_converges_on_dense_heights(self, at, caplog):
         with caplog.at_level(logging.DEBUG, logger="biconsurf.numerics"):
             for a2 in (at, gluing.atlas(1e3, _cstar_at(1e3, 0.5)),
                        gluing.atlas(1e3, _cstar_at(1e3, 0.99))):
                 lo, hi = a2.h_limits
-                for y in np.linspace(lo, hi, 4000):
-                    a2.h0_inverse(float(y))
+                a2.h0_inverse(np.linspace(lo, hi, 4000))
         assert caplog.records == []
 
     def test_newton_cap_is_logged(self, caplog, monkeypatch):
@@ -212,15 +243,19 @@ class TestTabulatedInverse:
         assert a2.roots.xi00 < xi < a2.roots.xi02
 
     def test_one_inversion_per_partials_call(self, monkeypatch):
+        # one call of the height table's inverse, on the distinct heights
         a2 = gluing.GluingAtlas(1.0, 1.0)
         calls = []
-        inverse = a2.h0_inverse
-        monkeypatch.setattr(a2, "h0_inverse", lambda y: calls.append(y) or inverse(y))
+        inverse = a2._h_cum.inverse
+        monkeypatch.setattr(a2._h_cum, "inverse", lambda y: calls.append(y) or inverse(y))
         for partials in (a2.immersion_phi_partials, a2.immersion_psi_partials):
             for h in (-0.7, 0.2, 1.3):
                 calls.clear()
                 partials(h, 0.4)
-                assert len(calls) == 1
+                assert [len(y) for y in calls] == [1]
+            calls.clear()
+            partials(np.array([-0.7, 0.2, 1.3, 0.2, a2.grid[1]]), 0.4)
+            assert [len(y) for y in calls] == [3]
 
 
 class TestGridAndPhases:
@@ -331,10 +366,11 @@ class TestJunctionSmoothness:
         # measured at most 3.4e-6 (order 3), 1.5e-7 (order 2), 5e-11 (order 1)
         at = gluing.GluingAtlas(1.0, 1.0)
         delta = at.h_limits[1] - at.h_limits[0]
+        point = functools.lru_cache(maxsize=None)(lambda h: at.immersion_phi(h, 0.0))
         for k in (1, -1, 2):
             rep = at.junction_smoothness(k)
             for name, i in (("phi1", 0), ("phi2", 1)):
-                f = lambda h: at.immersion_phi(h, 0.0)[i]
+                f = lambda h: point(h)[i]
                 for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
                     for side, forward in (("right", True), ("left", False)):
                         fd = one_sided_derivative(f, at.grid[k], order, step * delta, forward)
@@ -345,8 +381,8 @@ class TestJunctionSmoothness:
     def test_no_inversion_and_no_integrand(self, monkeypatch):
         at = gluing.GluingAtlas(1.0, 1.0)
         calls = []
-        inverse = at.h0_inverse
-        monkeypatch.setattr(at, "h0_inverse", lambda y: calls.append(y) or inverse(y))
+        inverse = at._h_cum.inverse
+        monkeypatch.setattr(at._h_cum, "inverse", lambda y: calls.append(y) or inverse(y))
         for table in (at._h_cum, at.family._zeta_cum):
             for name in ("f", "left_sub", "right_sub"):
                 fn = getattr(table, name)
@@ -434,10 +470,9 @@ class TestRevolutionSurface:
 class TestGluedImmersion:
     def test_unit_norm_random(self, at):
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            h = rng.uniform(-4.0, 4.0)
-            th = rng.uniform(0.0, 2 * math.pi)
-            assert abs(np.linalg.norm(at.immersion_phi(h, th)) - 1.0) < 1e-10
+        h, th = np.array([(rng.uniform(-4.0, 4.0), rng.uniform(0.0, 2 * math.pi))
+                          for _ in range(200)]).T
+        assert np.max(np.abs(np.linalg.norm(at.immersion_phi(h, th), axis=1) - 1.0)) < 1e-10
 
     def test_junction_continuity(self, at):
         # offsets this close to a junction sit at the sqrt(eps)
@@ -536,20 +571,21 @@ class TestJunctionPartials:
 class TestOracleWork:
     """Deterministic work of the batched oracle on the glued immersion: a
     residual sample's 25 partials points have 9 distinct heights and its
-    5 normals' positions 3, and each distinct height inverts h0 once."""
+    5 normals' positions 3, and each distinct height inverts h0 once, in
+    one table call for the partials and one for the positions."""
 
     @pytest.mark.parametrize("h", [-0.6, 0.2, 0.9, 1.4])
     def test_residual_sample_inverts_at_most_12_heights(self, at, monkeypatch, h):
-        heights = []
-        inverse = gluing.GluingAtlas.h0_inverse
-        monkeypatch.setattr(gluing.GluingAtlas, "h0_inverse",
-                            lambda self, y: heights.append(y) or inverse(self, y))
+        calls = []
+        inverse = numerics.CumulativeQuadrature.inverse
+        monkeypatch.setattr(numerics.CumulativeQuadrature, "inverse",
+                            lambda self, y: calls.append(len(y)) or inverse(self, y))
         patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]), (0.0, 1.0))
         diffgeo.biconservativity_residual(patch, h, 0.3)
-        assert 0 < len(heights) <= 12
-        heights.clear()
+        assert len(calls) == 2 and 0 < sum(calls) <= 12
+        calls.clear()
         diffgeo.biconservativity_residual(patch, np.full(3, h) + [0.0, 1e-3, 2e-3], np.full(3, 0.3))
-        assert len(heights) <= 36
+        assert len(calls) == 2 and sum(calls) <= 36
 
 
 class TestPeriodicityProbe:
