@@ -2,7 +2,8 @@
 
 Bracketed root finding, cumulative quadrature that tolerates
 inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
-build time, kept as per-panel Chebyshev antiderivatives that later
+build time, one bisection level at a time with one integrand call per
+level, kept as per-panel Chebyshev antiderivatives that later
 evaluations sum by Clenshaw, and whose end cells give Taylor series in
 the end variable), an embedded adaptive Runge-Kutta integrator with event
 detection, and truncated power series for one-sided jets.  Everything is
@@ -52,8 +53,11 @@ ROOT_MAX_ITER = 200
 ODE_MAX_STEPS = 1_000_000
 NEWTON_CAP = 8
 
-# cells of a cumulative quadrature table
+# cells of a cumulative quadrature table; its GK panels accept at 1e-13
+# relative, and a cell halves its panels at most 8 times
 QUAD_CELLS = 512
+_GK_REL = 1e-13
+_GK_MAX_DEPTH = 8
 
 _EPS = float(np.finfo(float).eps)
 
@@ -206,62 +210,23 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-def gauss_kronrod_panel(f_vec, a: float, b: float) -> tuple[float, float, np.ndarray]:
-    """Single 15-point Kronrod panel of a vectorized integrand.
+def gauss_kronrod_panel(f_vec, a: np.ndarray,
+                        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """15-point Kronrod panels [a, b] of a vectorized integrand, one per
+    entry of the arrays of ends, from one call of f_vec.
 
-    Returns (value, error_estimate, samples); the estimate is the
-    Gauss/Kronrod discrepancy and the samples are the integrand at the 15
-    Kronrod nodes, in ascending order.
+    Returns (values, error_estimates, samples); an estimate is the
+    Gauss/Kronrod discrepancy and a row of samples the integrand at its
+    panel's 15 Kronrod nodes, in ascending order.  Each sum is one
+    `np.dot` per row, so a panel's value does not depend on the others in
+    the call: a matrix product rounds differently.
     """
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _GK_NODES
-    y = np.asarray(f_vec(x), dtype=float)
-    k15 = half * float(np.dot(_GK_WEIGHTS, y))
-    g7 = half * float(np.dot(_G7_WEIGHTS, y[1::2]))
-    return k15, abs(k15 - g7), y
-
-
-class _Leaves:
-    """Accepted panels of a cumulative build in one float64 array, which
-    becomes the table: a row holds the panel's ends, its K15 value and its
-    15 samples, in the columns that `CumulativeQuadrature` later fills
-    with the left end, half-width, base and coefficients.  Rows grow by
-    half; no Python object outlives its panel."""
-
-    def __init__(self, capacity: int):
-        self.n = 0
-        self.rows = np.empty((capacity, _COEF + len(_ANTIDERIVATIVE)))
-
-    def add(self, a: float, b: float, value: float, samples: np.ndarray) -> None:
-        if self.n == len(self.rows):
-            extra = np.empty((len(self.rows) // 2, self.rows.shape[1]))
-            self.rows = np.concatenate([self.rows, extra])
-        row = self.rows[self.n]
-        row[_LO], row[_HI], row[_VALUE] = a, b, value
-        row[_COEF:_COEF + len(samples)] = samples
-        self.n += 1
-
-
-def _gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
-    """Adaptive bisection of GK15 panels; returns (value, error_estimate).
-
-    Every accepted panel is added to `leaves`; the depth-first recursion
-    adds them left to right.  A panel accepted unconverged, at the depth
-    limit or the width floor, is logged at DEBUG level on the
-    "biconsurf.numerics" logger.
-    """
-    val, err, y = gauss_kronrod_panel(f_vec, a, b)
-    converged = err <= tol_abs + rel * abs(val)
-    if converged or depth >= max_depth or (b - a) < 64.0 * _EPS * max(1.0, abs(a), abs(b)):
-        if not converged:
-            _log.debug("GK panel [%r, %r] unconverged at depth %d, error %r", a, b, depth, err)
-        leaves.add(a, b, val, y)
-        return val, err
-    m = 0.5 * (a + b)
-    v1, e1 = _gk_adaptive(f_vec, a, m, 0.5 * tol_abs, leaves, rel, depth + 1, max_depth)
-    v2, e2 = _gk_adaptive(f_vec, m, b, 0.5 * tol_abs, leaves, rel, depth + 1, max_depth)
-    return v1 + v2, e1 + e2
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    y = np.asarray(f_vec(x.ravel()), dtype=float).reshape(x.shape)
+    k15 = half * np.fromiter(map(_GK_WEIGHTS.dot, y), float, len(y))
+    g7 = half * np.fromiter(map(_G7_WEIGHTS.dot, y[:, 1::2]), float, len(y))
+    return k15, np.abs(k15 - g7), y
 
 
 def _antiderivative_matrix() -> np.ndarray:
@@ -301,10 +266,9 @@ def _antiderivative_matrix() -> np.ndarray:
 _ANTIDERIVATIVE = _antiderivative_matrix()
 
 # columns of a leaf row: panel's left end, half-width, integral up to the
-# left end, then the 16 Chebyshev coefficients; while the table is built,
-# the right end, the K15 value and the 15 samples
+# left end, then the 16 Chebyshev coefficients (the 15 samples while the
+# table is built)
 _LO, _HALF, _BASE, _COEF = 0, 1, 2, 3
-_HI, _VALUE = _HALF, _BASE
 
 
 def _clenshaw(coef: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,13 +305,18 @@ class CumulativeQuadrature:
     endpoints.  Nodes cluster near the ends (cosine spacing), matching
     where the integrand steepens.
 
-    The build integrates each cell with adaptive Gauss-Kronrod panels;
-    `table` holds the running sums of their K15 values.  Each accepted
-    panel also keeps the Chebyshev coefficients of the antiderivative of
-    its 15-point interpolant, so `value(x)` is a cell lookup plus one
-    Clenshaw sum, and `inverse(y)` a few Newton steps on one leaf, for
-    all the entries of an array at once: after the build the integrand is
-    never evaluated.
+    The build integrates each cell with adaptive Gauss-Kronrod panels,
+    bisected until they converge, to depth 8 at most.  It goes one depth
+    at a time over all cells: a level evaluates every open panel of an
+    integrand in one call, so a build makes at most 9 calls of each of
+    `f_vec`, `left_sub` and `right_sub`.  A cell's value sums each split
+    panel's halves from the deepest level up, as a depth-first recursion
+    would, and `table` holds the running sums of the cell values.  Each
+    accepted panel also keeps the Chebyshev coefficients of the
+    antiderivative of its 15-point interpolant, so `value(x)` is a cell
+    lookup plus one Clenshaw sum, and `inverse(y)` a few Newton steps on
+    one leaf, for all the entries of an array at once: after the build the
+    integrand is never evaluated.
     """
 
     def __init__(
@@ -371,36 +340,64 @@ class CumulativeQuadrature:
         self.nodes[-1] = upper
         # absolute floor per cell; panels also accept at ~1e-13 relative
         self._cell_tol = 1e-14 * max(1.0, upper - lower)
-        cum = np.empty(QUAD_CELLS + 1)
-        cum[0] = 0.0
-        leaves = _Leaves(QUAD_CELLS + QUAD_CELLS // 4)
-        first_leaf = np.empty(QUAD_CELLS + 1, dtype=np.intp)
-        for i in range(QUAD_CELLS):
-            first_leaf[i] = leaves.n
-            a, b = self.nodes[i], self.nodes[i + 1]
-            if i == 0:
-                v, _ = _gk_adaptive(left_sub, 0.0, math.sqrt(b - a), self._cell_tol, leaves)
-            elif i == QUAD_CELLS - 1:
-                # substitution runs from the far (upper) end backwards
-                v, _ = _gk_adaptive(right_sub, 0.0, math.sqrt(b - a), self._cell_tol, leaves)
-            else:
-                v, _ = _gk_adaptive(f_vec, a, b, self._cell_tol, leaves)
-            cum[i + 1] = cum[i] + v
-        first_leaf[-1] = leaves.n
+        # breadth first: a level evaluates the open panels of each integrand
+        # in one call and halves those neither converged nor at the depth
+        # limit or the width floor; a panel's key is its cell, then its
+        # place in the cell in units of the deepest half-width
+        a, b = self.nodes[:-1].copy(), self.nodes[1:].copy()
+        a[[0, -1]] = 0.0  # the end cells are in s, the upper one from `upper` backwards
+        b[[0, -1]] = np.sqrt(np.diff(self.nodes)[[0, -1]])
+        key = np.arange(QUAD_CELLS) << _GK_MAX_DEPTH
+        tol, levels, found = self._cell_tol, [], []
+        for depth in range(_GK_MAX_DEPTH + 1):
+            cell = key >> _GK_MAX_DEPTH
+            part = np.minimum(cell, 1) + (cell == QUAD_CELLS - 1)
+            val, err, y = np.empty_like(a), np.empty_like(a), np.empty((len(a), len(_GK_NODES)))
+            for k, sub in enumerate((left_sub, f_vec, right_sub)):
+                sel = part == k
+                if sel.any():
+                    val[sel], err[sel], y[sel] = gauss_kronrod_panel(sub, a[sel], b[sel])
+            converged = err <= tol + _GK_REL * np.abs(val)
+            done = converged | (depth == _GK_MAX_DEPTH) | (
+                b - a < 64.0 * _EPS * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b)))
+            for n in np.flatnonzero(done & ~converged).tolist():
+                _log.debug("GK panel [%r, %r] unconverged at depth %d, error %r",
+                           float(a[n]), float(b[n]), depth, float(err[n]))
+            levels.append((val, done))
+            found.append((key[done], a[done], b[done], val[done], y[done]))
+            if done.all():
+                break
+            split = ~done
+            a, b = a[split], b[split]
+            m = 0.5 * (a + b)
+            a, b = np.stack([a, m], 1).ravel(), np.stack([m, b], 1).ravel()
+            key = np.repeat(key[split], 2)
+            key[1::2] += 1 << (_GK_MAX_DEPTH - depth - 1)
+            tol = 0.5 * tol
+        # a split panel's value is the sum of its halves', from the deepest level up
+        for (val, done), (halves, _) in zip(levels[-2::-1], levels[:0:-1]):
+            val[~done] = halves[0::2] + halves[1::2]
+        cum = np.cumsum(np.concatenate(([0.0], levels[0][0])))
+        key, lo, hi, value, y = (np.concatenate(col) for col in zip(*found))
+        order = np.argsort(key)
+        first_leaf = np.searchsorted(key[order] >> _GK_MAX_DEPTH, np.arange(QUAD_CELLS + 1))
         self.table = cum
         self._first_leaf = first_leaf
-        # the rows become the table in place: right ends turn into
-        # half-widths, K15 values into bases and samples into coefficients
-        rows = leaves.rows[:leaves.n]
-        rows[:, _HALF] = 0.5 * (rows[:, _HI] - rows[:, _LO])
+        rows = np.empty((len(order), _COEF + len(_ANTIDERIVATIVE)))
+        rows[:, _LO] = lo[order]
+        rows[:, _HALF] = 0.5 * (hi - lo)[order]
+        rows[:, _COEF:_COEF + len(_GK_NODES)] = y[order]
+        value = value[order]
         # a leaf's base: the integral up to its left end, counted from the
-        # cell's own end in the two end cells and from lower elsewhere
-        for i in range(QUAD_CELLS):
-            base = float(cum[i]) if 0 < i < QUAD_CELLS - 1 else 0.0
-            for j in range(first_leaf[i], first_leaf[i + 1]):
-                value = float(rows[j, _VALUE])
-                rows[j, _BASE] = base
-                base += value
+        # cell's own end in the two end cells and from lower elsewhere;
+        # round k adds every cell's k-th leaf
+        base, count = cum[:-1].copy(), np.diff(first_leaf)
+        base[[0, -1]] = 0.0
+        for k in range(count.max()):
+            cells = np.flatnonzero(count > k)
+            j = first_leaf[cells] + k
+            rows[j, _BASE] = base[cells]
+            base[cells] += value[j]
         coef = np.einsum("kj,lj->lk", _ANTIDERIVATIVE, rows[:, _COEF:_COEF + len(_GK_NODES)])
         rows[:, _COEF:] = coef * rows[:, _HALF:_HALF + 1]
         self._leaves = rows

@@ -8,10 +8,14 @@ one-sided stencils for derivatives.  Expected values frozen in
 the tests were produced by these.  `ScalarOracle` is the differential-
 geometry oracle evaluated point by point, the reference for the batched
 one; `scalar_value` and `scalar_inverse` are the height-table lookups
-one float at a time, the references for the array ones.
+one float at a time, the references for the array ones; `reference_build`
+is the cumulative quadrature build one panel at a time, by depth-first
+recursion, the reference for the level-by-level one.
 """
 
+import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,6 +190,100 @@ def scalar_inverse(cq, y):
     if i == nm.QUAD_CELLS - 1:
         return cq.upper - x * x
     return x
+
+
+REFERENCE_LOGGER = "reference.numerics"
+
+
+def gk_panel(f_vec, a, b):
+    """One 15-point Kronrod panel of a vectorized integrand: (value,
+    Gauss/Kronrod discrepancy, the 15 samples in ascending order)."""
+    from biconsurf import numerics as nm
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = mid + half * nm._GK_NODES
+    y = np.asarray(f_vec(x), dtype=float)
+    k15 = half * float(np.dot(nm._GK_WEIGHTS, y))
+    g7 = half * float(np.dot(nm._G7_WEIGHTS, y[1::2]))
+    return k15, abs(k15 - g7), y
+
+
+class Leaves:
+    """Accepted panels in the order they are added, one row each: left end,
+    right end and K15 value in the left-end, half-width and base columns
+    of a leaf row, then the 15 samples in the coefficient columns."""
+
+    def __init__(self, capacity):
+        from biconsurf import numerics as nm
+        self.n = 0
+        self.rows = np.empty((capacity, nm._COEF + len(nm._ANTIDERIVATIVE)))
+
+    def add(self, a, b, value, samples):
+        from biconsurf import numerics as nm
+        if self.n == len(self.rows):
+            extra = np.empty((len(self.rows) // 2, self.rows.shape[1]))
+            self.rows = np.concatenate([self.rows, extra])
+        row = self.rows[self.n]
+        row[nm._LO], row[nm._HALF], row[nm._BASE] = a, b, value
+        row[nm._COEF:nm._COEF + len(samples)] = samples
+        self.n += 1
+
+
+def gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
+    """Adaptive bisection of GK15 panels, depth first; returns (value,
+    error_estimate) and adds the accepted panels to `leaves` left to
+    right.  A panel accepted unconverged, at the depth limit or the width
+    floor, is logged at DEBUG level on REFERENCE_LOGGER."""
+    val, err, y = gk_panel(f_vec, a, b)
+    converged = err <= tol_abs + rel * abs(val)
+    floor = 64.0 * float(np.finfo(float).eps) * max(1.0, abs(a), abs(b))
+    if converged or depth >= max_depth or (b - a) < floor:
+        if not converged:
+            logging.getLogger(REFERENCE_LOGGER).debug(
+                "GK panel [%r, %r] unconverged at depth %d, error %r", a, b, depth, err)
+        leaves.add(a, b, val, y)
+        return val, err
+    m = 0.5 * (a + b)
+    v1, e1 = gk_adaptive(f_vec, a, m, 0.5 * tol_abs, leaves, rel, depth + 1, max_depth)
+    v2, e2 = gk_adaptive(f_vec, m, b, 0.5 * tol_abs, leaves, rel, depth + 1, max_depth)
+    return v1 + v2, e1 + e2
+
+
+def reference_build(cq):
+    """`table`, `first_leaf` and `leaves` of a cumulative quadrature with
+    the nodes, cell tolerance and integrands of `cq`, each cell integrated
+    by `gk_adaptive` in turn and the cell sums and leaf bases accumulated
+    one Python float at a time."""
+    from biconsurf import numerics as nm
+    n = nm.QUAD_CELLS
+    cum = np.empty(n + 1)
+    cum[0] = 0.0
+    leaves = Leaves(n + n // 4)
+    first_leaf = np.empty(n + 1, dtype=np.intp)
+    for i in range(n):
+        first_leaf[i] = leaves.n
+        a, b = cq.nodes[i], cq.nodes[i + 1]
+        if i == 0:
+            v, _ = gk_adaptive(cq.left_sub, 0.0, math.sqrt(b - a), cq._cell_tol, leaves)
+        elif i == n - 1:
+            v, _ = gk_adaptive(cq.right_sub, 0.0, math.sqrt(b - a), cq._cell_tol, leaves)
+        else:
+            v, _ = gk_adaptive(cq.f, a, b, cq._cell_tol, leaves)
+        cum[i + 1] = cum[i] + v
+    first_leaf[-1] = leaves.n
+    rows = leaves.rows[:leaves.n]
+    hi, lo = rows[:, nm._HALF], rows[:, nm._LO]
+    rows[:, nm._HALF] = 0.5 * (hi - lo)
+    for i in range(n):
+        base = float(cum[i]) if 0 < i < n - 1 else 0.0
+        for j in range(first_leaf[i], first_leaf[i + 1]):
+            value = float(rows[j, nm._BASE])
+            rows[j, nm._BASE] = base
+            base += value
+    samples = rows[:, nm._COEF:nm._COEF + len(nm._GK_NODES)]
+    coef = np.einsum("kj,lj->lk", nm._ANTIDERIVATIVE, samples)
+    rows[:, nm._COEF:] = coef * rows[:, nm._HALF:nm._HALF + 1]
+    return SimpleNamespace(table=cum, first_leaf=first_leaf, leaves=rows)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The Chebyshev table behind `CumulativeQuadrature.value` on the strip
 quadratures: agreement with the per-call Gauss-Kronrod evaluation it
-replaced, and no integrand evaluation after the build."""
+replaced, the level-by-level build bit for bit against the panel-by-panel
+one, its integrand calls, and no integrand evaluation after the build."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 from biconsurf import checks, gluing, spherical
 from biconsurf import numerics as nm
+from conftest import Leaves, gk_adaptive, reference_build
 
 
 def per_call_gk(cq, x):
@@ -24,11 +26,11 @@ def per_call_gk(cq, x):
     if x == a:
         return float(cq.table[i])
     if i == 0:
-        return nm._gk_adaptive(cq.left_sub, 0.0, math.sqrt(x - cq.lower), cq._cell_tol, nm._Leaves(8))[0]
+        return gk_adaptive(cq.left_sub, 0.0, math.sqrt(x - cq.lower), cq._cell_tol, Leaves(8))[0]
     if i == nm.QUAD_CELLS - 1:
-        return cq.total - nm._gk_adaptive(cq.right_sub, 0.0, math.sqrt(cq.upper - x),
-                                          cq._cell_tol, nm._Leaves(8))[0]
-    return float(cq.table[i]) + nm._gk_adaptive(cq.f, a, x, cq._cell_tol, nm._Leaves(8))[0]
+        return cq.total - gk_adaptive(cq.right_sub, 0.0, math.sqrt(cq.upper - x),
+                                      cq._cell_tol, Leaves(8))[0]
+    return float(cq.table[i]) + gk_adaptive(cq.f, a, x, cq._cell_tol, Leaves(8))[0]
 
 
 def _cstar_at(C, frac):
@@ -69,6 +71,43 @@ def test_table_matches_per_call_gk_by_band(C, Cstar):
         for band, xs in zip(DISTANCE_BANDS, band_points(cq)):
             worst = np.max(np.abs(cq.value(xs) - [per_call_gk(cq, x) for x in xs.tolist()]))
             assert worst <= 1e-13 * scale, (name, band, worst / scale)
+
+
+# C = 300 and 1e3 have panels that stop at the depth limit
+DEEP = [(100.0, _cstar_at(100.0, 0.5)), (300.0, _cstar_at(300.0, 0.5)), (1e3, _cstar_at(1e3, 0.5))]
+
+
+@pytest.mark.parametrize("C, Cstar", PAIRS + DEEP, ids=PAIR_IDS + ["C100", "C300", "C1e3"])
+def test_build_matches_the_panel_by_panel_reference(C, Cstar):
+    at = gluing.GluingAtlas(C, Cstar)
+    tables = {"zeta": at.family._zeta_cum, "h": at._h_cum,
+              "isothermal": at.family.isothermal_quadrature}
+    for name, cq in tables.items():
+        ref = reference_build(cq)
+        assert np.array_equal(cq.table, ref.table), name
+        assert np.array_equal(cq._first_leaf, ref.first_leaf), name
+        assert cq._leaves.shape == ref.leaves.shape, name
+        for col in range(ref.leaves.shape[1]):
+            assert np.array_equal(cq._leaves[:, col], ref.leaves[:, col]), (name, col)
+
+
+def test_build_calls_each_integrand_once_per_level():
+    # at C = 1e3 the lower zeta end cell halves its panels to the depth
+    # limit, so left_sub takes all 9 levels
+    cq = spherical.SphereFamily(1e3)._zeta_cum
+    calls = {"f": 0, "left_sub": 0, "right_sub": 0}
+
+    def counted(name):
+        fn = getattr(cq, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    nm.CumulativeQuadrature(counted("f"), cq.lower, cq.upper,
+                            counted("left_sub"), counted("right_sub"))
+    assert all(1 <= n <= 9 for n in calls.values()), calls
 
 
 def test_value_at_nodes_is_the_table():

@@ -3,6 +3,7 @@ immersion, the curvature ODE, and the coordinate bridge."""
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, spherical
 from biconsurf.numerics import DegenerateDomain, OutOfDomain
-from conftest import refined_singular_integral
+from conftest import REFERENCE_LOGGER, reference_build, refined_singular_integral
 
 
 class TestRoots:
@@ -241,16 +242,26 @@ class TestZeta:
         with pytest.raises(OutOfDomain):
             fam.zeta0(fam.roots.xi02 + 0.1)
 
-    @pytest.mark.parametrize("C, logged", [(1.0, False), (1e3, True)])
+    @pytest.mark.parametrize("C, logged", [(1.0, False), (300.0, True), (1e3, True)])
     def test_unconverged_panels_are_logged(self, C, logged, caplog):
         # the lower end cell's integrand has a pole 7.3e-4 from s = 0 at
         # C = 1e3, and bisection stops at the depth limit there (2 records
-        # measured; none at any C <= 100)
+        # measured, 1 at C = 300; none at any C <= 100).  The build goes
+        # level by level, so only the order may differ from the
+        # panel-by-panel reference's records
         with caplog.at_level(logging.DEBUG, logger="biconsurf.numerics"):
-            spherical.SphereFamily(C)
+            fam = spherical.SphereFamily(C)
         records = [r for r in caplog.records if r.name == "biconsurf.numerics"]
         assert bool(records) == logged
         assert all("unconverged" in r.getMessage() for r in records)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger=REFERENCE_LOGGER):
+            reference_build(fam._zeta_cum)
+        expected = [r for r in caplog.records if r.name == REFERENCE_LOGGER]
+
+        def panels(recs):
+            return Counter((r.msg, *map(float, r.args)) for r in recs)
+        assert panels(records) == panels(expected)
 
 
 class TestImmersion:
