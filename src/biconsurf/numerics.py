@@ -5,8 +5,9 @@ inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
 build time, one bisection level at a time with one integrand call per
 level, kept as per-panel Chebyshev antiderivatives that later
 evaluations sum by Clenshaw, and whose end cells give Taylor series in
-the end variable), an embedded adaptive Runge-Kutta integrator with event
-detection, and truncated power series for one-sided jets.  Everything is
+the end variable), an embedded adaptive Runge-Kutta integrator of a state
+held as two float locals, with event detection bisected down to float
+resolution, and truncated power series for one-sided jets.  Everything is
 pure with respect to its inputs; the cumulative quadrature tables built
 here are immutable after construction and safe to share between threads.
 """
@@ -585,8 +586,8 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return tuple(h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
-                 for a, fa, b, fb in zip(y0, f0, y1, f1))
+    return (h00 * y0[0] + h10 * h * f0[0] + h01 * y1[0] + h11 * h * f1[0],
+            h00 * y0[1] + h10 * h * f0[1] + h01 * y1[1] + h11 * h * f1[1])
 
 
 def solve_ode(
@@ -599,29 +600,35 @@ def solve_ode(
 ) -> OdeSolution:
     """Adaptive Dormand-Prince 5(4) trajectory from y0.t to t_end.
 
-    The state is a tuple of floats; `rhs` may return any float sequence.
-    Local error is controlled to `tol` (absolute and relative weight).
-    Sign changes of event(t, y) across accepted steps are refined on the
-    step's Hermite interpolant; integration stops at `max_events` events.
+    The state is a pair of floats, held as two locals; `rhs` may return
+    any pair of floats.  Local error is controlled to `tol` (absolute and
+    relative weight).  Sign changes of event(t, y) across accepted steps
+    are refined by bisection on the step's Hermite interpolant, until the
+    midpoint is an end of the bracket; integration stops at `max_events`
+    events.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if len(y0.y) != 2:
+        raise ValueError("the state must be a pair of floats")
     t = float(y0.t)
     y = y0.y
+    ya, yb = y
     direction = 1.0 if t_end >= t else -1.0
     h = min(abs(y0.step), abs(t_end - t)) * direction
     if h == 0.0:
         return OdeSolution([OdeState(t, y, max(abs(y0.step), _EPS))])
 
-    def stage(c, yc):
-        """rhs at (t + c h, yc), the point of a stage of the current step."""
-        if not all(map(math.isfinite, yc)):
+    def stage(c, pa, pb):
+        """rhs at (t + c h, (pa, pb)), the point of a stage of the current step."""
+        if not (math.isfinite(pa) and math.isfinite(pb)):
             raise _NonFiniteStage
-        return tuple(map(float, rhs(t + c * h, yc)))
+        fa, fb = rhs(t + c * h, (pa, pb))
+        return float(fa), float(fb)
 
     sol = OdeSolution()
     sol.states.append(OdeState(t, y, abs(h)))
-    k1 = tuple(map(float, rhs(t, y)))
+    k1a, k1b = map(float, rhs(t, y))
     e_prev = event(t, y) if event is not None else None
 
     for _ in range(ODE_MAX_STEPS):
@@ -633,33 +640,41 @@ def solve_ode(
             raise StepUnderflow(f"step collapsed at t={t}")
 
         try:
-            k2 = stage(_C2, [a + h * (_A21 * p) for a, p in zip(y, k1)])
-            k3 = stage(_C3, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
-            k4 = stage(_C4, [a + h * (_A41 * p + _A42 * q + _A43 * r)
-                             for a, p, q, r in zip(y, k1, k2, k3)])
-            k5 = stage(_C5, [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * w)
-                             for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
-            k6 = stage(1.0, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
-                             for a, p, q, r, w, x in zip(y, k1, k2, k3, k4, k5)])
+            k2a, k2b = stage(_C2, ya + h * (_A21 * k1a), yb + h * (_A21 * k1b))
+            k3a, k3b = stage(_C3, ya + h * (_A31 * k1a + _A32 * k2a),
+                             yb + h * (_A31 * k1b + _A32 * k2b))
+            k4a, k4b = stage(_C4, ya + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
+                             yb + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b))
+            k5a, k5b = stage(_C5, ya + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+                             yb + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b))
+            k6a, k6b = stage(
+                1.0, ya + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+                yb + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b))
             # the last stage's point is the 5th-order solution
-            y5 = tuple([a + h * (_A71 * p + _A73 * r + _A74 * w + _A75 * x + _A76 * z)
-                        for a, p, r, w, x, z in zip(y, k1, k3, k4, k5, k6)])
-            k7 = stage(1.0, y5)
+            y5a = ya + h * (_A71 * k1a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a)
+            y5b = yb + h * (_A71 * k1b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b)
+            k7a, k7b = stage(1.0, y5a, y5b)
         except _NonFiniteStage:
             h *= 0.5
             continue
-        y4 = [a + h * (_B1 * p + _B3 * r + _B4 * w + _B5 * x + _B6 * z + _B7 * f)
-              for a, p, r, w, x, z, f in zip(y, k1, k3, k4, k5, k6, k7)]
-        err = math.sqrt(sum(((a - b) / (tol + tol * max(abs(c), abs(a)))) ** 2
-                            for a, b, c in zip(y5, y4, y)) / len(y))
+        y4a = ya + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a + _B7 * k7a)
+        y4b = yb + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b + _B7 * k7b)
+        # squares by ** 2 summed in component order: an RMS norm's rounding
+        da = (y5a - y4a) / (tol + tol * max(abs(ya), abs(y5a)))
+        db = (y5b - y4b) / (tol + tol * max(abs(yb), abs(y5b)))
+        err = math.sqrt((da ** 2 + db ** 2) / 2)
         if err <= 1.0:
             t_new = t + h  # the last stage was evaluated at (t_new, y5)
+            y5 = (y5a, y5b)
             if event is not None:
                 e_new = event(t_new, y5)
                 if e_prev is not None and _opposite_signs(e_prev, e_new):
+                    k1, k7 = (k1a, k1b), (k7a, k7b)
                     ta, tb, ea = t, t_new, e_prev
                     for _ in range(80):
                         tm = 0.5 * (ta + tb)
+                        if tm == ta or tm == tb:
+                            break  # float resolution: the bracket no longer moves
                         em = event(tm, _hermite(tm, t, y, k1, t_new, y5, k7))
                         if _opposite_signs(ea, em) or em == 0.0:
                             tb = tm
@@ -672,7 +687,7 @@ def solve_ode(
                         sol.states.append(OdeState(t_new, y5, abs(h)))
                         return sol
                 e_prev = e_new
-            t, y, k1 = t_new, y5, k7
+            t, y, ya, yb, k1a, k1b = t_new, y5, y5a, y5b, k7a, k7b
             sol.states.append(OdeState(t, y, abs(h)))
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:

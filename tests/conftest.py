@@ -10,7 +10,9 @@ geometry oracle evaluated point by point, the reference for the batched
 one; `scalar_value` and `scalar_inverse` are the height-table lookups
 one float at a time, the references for the array ones; `reference_build`
 is the cumulative quadrature build one panel at a time, by depth-first
-recursion, the reference for the level-by-level one.
+recursion, the reference for the level-by-level one; `reference_solve_ode`
+is the ODE stepper on a state of any length, the reference for the
+pair-of-floats one.
 """
 
 import logging
@@ -284,6 +286,102 @@ def reference_build(cq):
     coef = np.einsum("kj,lj->lk", nm._ANTIDERIVATIVE, samples)
     rows[:, nm._COEF:] = coef * rows[:, nm._HALF:nm._HALF + 1]
     return SimpleNamespace(table=cum, first_leaf=first_leaf, leaves=rows)
+
+
+def _reference_hermite(t, t0, y0, f0, t1, y1, f1):
+    h = t1 - t0
+    s = (t - t0) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return tuple(h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
+                 for a, fa, b, fb in zip(y0, f0, y1, f1))
+
+
+def reference_solve_ode(rhs, y0, t_end, tol=1e-10, event=None, max_events=None):
+    """The Dormand-Prince 5(4) stepper of `biconsurf.numerics.solve_ode`
+    on a state of any length, component by component, with the tableau
+    and step controller of the package; an event is refined by 80
+    bisections on the step's Hermite interpolant, whatever the float
+    resolution."""
+    from biconsurf import numerics as nm
+    from biconsurf.numerics import (
+        _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
+        _A65, _A71, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7, _C2, _C3, _C4, _C5)
+    t = float(y0.t)
+    y = y0.y
+    direction = 1.0 if t_end >= t else -1.0
+    h = min(abs(y0.step), abs(t_end - t)) * direction
+    if h == 0.0:
+        return nm.OdeSolution([nm.OdeState(t, y, max(abs(y0.step), nm._EPS))])
+
+    class NonFinite(Exception):
+        pass
+
+    def stage(c, yc):
+        if not all(map(math.isfinite, yc)):
+            raise NonFinite
+        return tuple(map(float, rhs(t + c * h, yc)))
+
+    sol = nm.OdeSolution()
+    sol.states.append(nm.OdeState(t, y, abs(h)))
+    k1 = tuple(map(float, rhs(t, y)))
+    e_prev = event(t, y) if event is not None else None
+    for _ in range(nm.ODE_MAX_STEPS):
+        if direction * (t - t_end) >= 0.0:
+            break
+        if direction * (t + h - t_end) > 0.0:
+            h = t_end - t
+        if abs(h) < 32.0 * nm._EPS * max(1.0, abs(t)):
+            raise nm.StepUnderflow(f"step collapsed at t={t}")
+        try:
+            k2 = stage(_C2, [a + h * (_A21 * p) for a, p in zip(y, k1)])
+            k3 = stage(_C3, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+            k4 = stage(_C4, [a + h * (_A41 * p + _A42 * q + _A43 * r)
+                             for a, p, q, r in zip(y, k1, k2, k3)])
+            k5 = stage(_C5, [a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * w)
+                             for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
+            k6 = stage(1.0, [a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
+                             for a, p, q, r, w, x in zip(y, k1, k2, k3, k4, k5)])
+            y5 = tuple([a + h * (_A71 * p + _A73 * r + _A74 * w + _A75 * x + _A76 * z)
+                        for a, p, r, w, x, z in zip(y, k1, k3, k4, k5, k6)])
+            k7 = stage(1.0, y5)
+        except NonFinite:
+            h *= 0.5
+            continue
+        y4 = [a + h * (_B1 * p + _B3 * r + _B4 * w + _B5 * x + _B6 * z + _B7 * f)
+              for a, p, r, w, x, z, f in zip(y, k1, k3, k4, k5, k6, k7)]
+        err = math.sqrt(sum(((a - b) / (tol + tol * max(abs(c), abs(a)))) ** 2
+                            for a, b, c in zip(y5, y4, y)) / len(y))
+        if err <= 1.0:
+            t_new = t + h
+            if event is not None:
+                e_new = event(t_new, y5)
+                if e_prev is not None and nm._opposite_signs(e_prev, e_new):
+                    ta, tb, ea = t, t_new, e_prev
+                    for _ in range(80):
+                        tm = 0.5 * (ta + tb)
+                        em = event(tm, _reference_hermite(tm, t, y, k1, t_new, y5, k7))
+                        if nm._opposite_signs(ea, em) or em == 0.0:
+                            tb = tm
+                        else:
+                            ta, ea = tm, em
+                    tm = 0.5 * (ta + tb)
+                    ym = _reference_hermite(tm, t, y, k1, t_new, y5, k7)
+                    sol.events.append(nm.OdeState(tm, ym, abs(h)))
+                    if max_events is not None and len(sol.events) >= max_events:
+                        sol.states.append(nm.OdeState(t_new, y5, abs(h)))
+                        return sol
+                e_prev = e_new
+            t, y, k1 = t_new, y5, k7
+            sol.states.append(nm.OdeState(t, y, abs(h)))
+            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        else:
+            h *= max(0.2, 0.9 * err ** -0.2)
+    else:
+        raise nm.MaxIterations("step budget exhausted before t_end")
+    return sol
 
 
 @pytest.fixture(scope="session")

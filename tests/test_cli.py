@@ -819,3 +819,15 @@ def test_import_leaves_scipy_interpolate_unloaded():
     res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_python_m_biconsurf_runs_the_cli_quietly():
+    # `python -m biconsurf` goes through __main__: stderr holds the report
+    # lines only, no runpy warning about a module imported by the package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", "biconsurf", "verify", "--family", "r3",
+                          "--C", "1"], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0
+    lines = res.stderr.splitlines()
+    assert lines and all(ln.startswith(("PASS ", "FAIL ")) for ln in lines)

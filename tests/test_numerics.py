@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import numerics as nm
-from conftest import one_sided_derivative
+from conftest import one_sided_derivative, reference_solve_ode
 
 
 def T1(x):
@@ -153,8 +153,9 @@ class TestChebyshevTable:
 
 class TestSolveOde:
     def test_exponential(self):
-        sol = nm.solve_ode(lambda t, y: y, nm.OdeState(0.0, [1.0], 0.1), 1.0)
-        assert sol.states[-1].y[0] == pytest.approx(math.e, abs=1e-10)
+        # two equal components: the error norm (e^2 + e^2) / 2 is e^2 exactly
+        sol = nm.solve_ode(lambda t, y: y, nm.OdeState(0.0, [1.0, 1.0], 0.1), 1.0)
+        assert sol.states[-1].y[0] == sol.states[-1].y[1] == pytest.approx(math.e, abs=1e-10)
 
     def test_harmonic_period_return(self):
         rhs = lambda t, y: np.array([y[1], -y[0]])
@@ -214,11 +215,51 @@ class TestSolveOde:
         calls = []
         def rhs(t, y):
             calls.append(t)
-            return (math.nan,) if len(calls) == 2 else (y[0],)
-        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0], 0.02), 1.0, tol=1e-10)
+            return (math.nan, math.nan) if len(calls) == 2 else (y[0], y[1])
+        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 1.0], 0.02), 1.0, tol=1e-10)
         assert sol.states[1].step == 0.01
         assert sol.states[-1].t == 1.0
-        assert sol.states[-1].y[0] == pytest.approx(math.e, abs=1e-10)
+        assert sol.states[-1].y[0] == sol.states[-1].y[1] == pytest.approx(math.e, abs=1e-10)
+
+    @pytest.mark.parametrize("y", [[1.0], [1.0, 0.0, 0.0]])
+    def test_state_must_be_a_pair(self, y):
+        with pytest.raises(ValueError):
+            nm.solve_ode(lambda t, y: y, nm.OdeState(0.0, y, 0.1), 1.0)
+
+    @pytest.mark.parametrize("rhs, t_end, max_events", [
+        (lambda t, y: (y[1], -y[0]), 10.0, None),
+        (lambda t, y: np.array([y[1], -y[0] ** 3]), 20.0, None),
+        (lambda t, y: (y[1], -y[0] ** 3), 100.0, 5),
+    ], ids=["harmonic", "cubic-array", "cubic-max-events"])
+    def test_matches_the_reference_stepper(self, rhs, t_end, max_events):
+        runs = [solve(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05), t_end, tol=1e-10,
+                      event=lambda t, y: y[0], max_events=max_events)
+                for solve in (nm.solve_ode, reference_solve_ode)]
+        assert len(runs[0].events) >= 3
+        for got, want in ((runs[0].states, runs[1].states), (runs[0].events, runs[1].events)):
+            assert [(s.t, s.y, s.step) for s in got] == [(s.t, s.y, s.step) for s in want]
+
+    def test_event_refinement_stops_at_float_resolution(self):
+        # the bisection ends once its midpoint is an end of the bracket,
+        # well short of the reference's 80 halvings, at the same events
+        rhs = lambda t, y: (y[1], -y[0])
+        def refinements(solve):
+            calls = []
+            def event(t, y):
+                calls.append(t)
+                return y[0]
+            sol = solve(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05), 10.0, tol=1e-10, event=event)
+            state_times, counts = {s.t for s in sol.states}, [0]
+            for t in calls:  # one call per accepted step, the rest refine
+                if t not in state_times:
+                    counts[-1] += 1
+                elif counts[-1]:
+                    counts.append(0)
+            return sol, [n for n in counts if n]
+        (sol, got), (ref, want) = refinements(nm.solve_ode), refinements(reference_solve_ode)
+        assert [(s.t, s.y, s.step) for s in sol.events] == [(s.t, s.y, s.step) for s in ref.events]
+        assert want == [80, 80, 80]
+        assert len(got) == 3 and all(40 <= n < 60 for n in got)
 
     def test_invariants_of_state(self):
         with pytest.raises(ValueError):

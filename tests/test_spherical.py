@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, spherical
 from biconsurf.numerics import DegenerateDomain, OutOfDomain
-from conftest import REFERENCE_LOGGER, reference_build, refined_singular_integral
+from conftest import (REFERENCE_LOGGER, reference_build, reference_solve_ode,
+                      refined_singular_integral)
 
 
 class TestRoots:
@@ -326,6 +327,22 @@ class TestCurvatureOde:
         r = spherical.domain_roots(C)
         out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
         assert len(out["states"]) == accepted
+
+    @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 50.0, 1e3])
+    def test_matches_the_reference_stepper(self, C, monkeypatch):
+        # every state and turning point equals the n-component stepper's;
+        # at C = 50 a trial stage reaches k < 0, where rhs returns NaN
+        par = spherical.FamilyParamsS3(C)
+        r = spherical.domain_roots(C)
+        k0 = 0.5 * (r.k01 + r.k02)
+        got = spherical.curvature_ode_k(par, k0, +1)
+        monkeypatch.setattr(spherical, "solve_ode", reference_solve_ode)
+        want = spherical.curvature_ode_k(par, k0, +1)
+        for key in ("states", "turning_points"):
+            assert [(s.t, s.y, s.step) for s in got[key]] == \
+                [(s.t, s.y, s.step) for s in want[key]]
+        assert {k: v for k, v in got.items() if k not in ("states", "turning_points")} == \
+            {k: v for k, v in want.items() if k not in ("states", "turning_points")}
 
     def test_drift_shrinks_with_tolerance(self):
         par = spherical.FamilyParamsS3(1.0)
