@@ -1,12 +1,14 @@
 """Named verification checks and machine-readable reports.
 
 Each check reduces a geometric identity to a single number compared
-against a tolerance.  A sampled check is a list of sample points and a
-measure, reduced by `_worst` to the worst sample (a check that reads the
-oracle measures all of its samples in one oracle call); a report is a
-deterministic JSON-ready dict (fixed seeds, no timestamps) so repeated
-runs with the same configuration are bit-identical.  The CLI `verify`
-subcommand and the test suite both drive these.
+against a tolerance.  A sampled check is one measure over one set of
+sample columns (one 1-D array per coordinate of the sample points),
+taken in one call, and `_worst` reduces its values to the worst sample;
+only the checks over junction and phase labels and the profile's root
+solves measure one sample at a time.  A report is a deterministic
+JSON-ready dict (fixed seeds, no timestamps) so repeated runs with the
+same configuration are bit-identical.  The CLI `verify` subcommand and
+the test suite both drive these.
 """
 
 from __future__ import annotations
@@ -78,29 +80,28 @@ class Tolerances:
     psi_mean_curvature: float = 1e-5
 
 
-def _worst(measure, samples, tolerance: float) -> CheckResult:
-    """The largest `measure(*p)` over the sample points `p` (tuples), with
-    the number of samples and the point that gave it; `measure` may also
-    be the sequence of all the samples' values.
+def _worst(values, samples, tolerance: float) -> CheckResult:
+    """The largest of `values`, one per sample, with the number of samples
+    and the sample that gave it; `samples` holds one 1-D array per
+    coordinate of the sample points.
 
-    A NaN measure counts as the worst value, so the check fails; a check
-    over no samples is an error rather than a pass.
+    A NaN value counts as the worst, so the check fails; a check over no
+    samples is an error rather than a pass.
     """
-    samples = list(samples)
-    if not samples:
+    values = np.asarray(values, dtype=float)
+    if not values.size:
         raise ValueError("a sampled check needs at least one sample")
-    values = [float(x) for x in (
-        (measure(*p) for p in samples) if callable(measure) else measure)]
+    if any(np.shape(x) != values.shape for x in samples):
+        raise ValueError("one value per sample")
     i = int(np.argmax(values))  # the first NaN, if there is one
-    return CheckResult(values[i], tolerance, n_samples=len(values),
-                       worst_at=tuple(float(x) for x in samples[i]))
+    return CheckResult(float(values[i]), tolerance, n_samples=values.size,
+                       worst_at=tuple(float(x[i]) for x in samples))
 
 
-def _batched(measure, samples, tolerance: float) -> CheckResult:
-    """`_worst` of a measure called once with one array per coordinate of
-    all the samples, as the oracle takes them."""
-    samples = list(samples)
-    return _worst(measure(*map(np.array, zip(*samples))) if samples else [], samples, tolerance)
+def _product(*axes):
+    """The samples of the grid spanned by the axes, one 1-D array per
+    axis, with the last axis varying fastest."""
+    return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
 
 
 def _largest(*terms: float) -> float:
@@ -133,19 +134,19 @@ def _periodicity_gap(F, h, period):
 
 def _unit_defect(points):
     """| |p| - 1 | for each row p of `points`."""
-    return np.abs(np.sqrt(np.vecdot(points, points)) - 1.0)
+    return np.abs(np.sqrt(np.einsum("ij,ij->i", points, points)) - 1.0)
 
 
-def _level_curve_gap(derivs, c: float, x: float) -> float:
+def _level_curve_gap(derivs, c: float, x):
     kg, kf = diffgeo.level_curve_circle_check(derivs, c, x)
-    return abs(kg - kf)
+    return np.abs(kg - kf)
 
 
 # ----------------------------------------------------------------------
 # Euclidean family
 # ----------------------------------------------------------------------
 
-def r3_checks(C: float, grid: int = 16, seed: int = 12345) -> dict[str, CheckResult]:
+def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     tols = Tolerances()
     par = euclidean.FamilyParamsR3.from_C(C)
     patch = euclidean.xc_patch(par)
@@ -161,41 +162,44 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345) -> dict[str, CheckRes
                             mirror["mean_curvature"], mirror["grad_mean_curvature"])
     neg = euclidean.gluing_conditions_check(
         par.C1, 2.0 * par.C1, euclidean.RigidMotion.identity(), n_samples=8)
-    derivs = euclidean.metric_profile_derivs(par)
-    factor = lambda us: [euclidean.conformal_factor(par, x) for x in us.tolist()]
+    factor = lambda u: [euclidean.conformal_factor(par, u)] * 2
+
+    pullback = _product(us, vs[:: max(1, grid // 4)])
+    u_res, sign, v_res = _product(np.linspace(0.08, 1.45, 8), np.array([-1.0, 1.0]),
+                                  np.linspace(0.1, 2.0, 3))
+    u_res = sign * u_res
+    u_bound = np.linspace(-3.0, 3.0, 101)
+    homothety = rng.uniform(0.05, 4.0, 16), rng.uniform(0.0, 2 * math.pi, 16)
+    u_level = np.linspace(0.05, 2.5, 16)
+    t_round = length * rng.uniform(0.01, 5.0, 12)  # drawn after the homothety samples
 
     return {
-        "metric_pullback": _batched(
-            lambda u, v: _metric_mismatch(patch, u, v, lambda us: [factor(us)] * 2),
-            [(u, v) for u in us for v in vs[:: max(1, grid // 4)]], tols.metric_rel),
-        "gauss_curvature_identity": _batched(
-            lambda u: np.abs(diffgeo.shape_operator(patch, u, 0.4).K
-                             - [euclidean.gauss_curvature(par, x) for x in u]) * length ** 2,
-            zip(us), tols.curvature),
-        "biconservativity_residual": _batched(
-            lambda u, v: diffgeo.biconservativity_residual(patch, u, v),
-            [(su * u, v) for u in np.linspace(0.08, 1.45, 8) for su in (-1.0, 1.0)
-             for v in np.linspace(0.1, 2.0, 3)], tols.residual),
+        "metric_pullback": _worst(_metric_mismatch(patch, *pullback, factor),
+                                  pullback, tols.metric_rel),
+        "gauss_curvature_identity": _worst(
+            np.abs(diffgeo.shape_operator(patch, us, 0.4).K
+                   - euclidean.gauss_curvature(par, us)) * length ** 2,
+            [us], tols.curvature),
+        "biconservativity_residual": _worst(
+            diffgeo.biconservativity_residual(patch, u_res, v_res), [u_res, v_res],
+            tols.residual),
         # a conformal factor >= C makes the metric complete
-        "completeness_bound": _worst(
-            lambda u: 1.0 - euclidean.conformal_factor(par, u) / par.C,
-            zip(np.linspace(-3.0, 3.0, 101)), 0.0),
-        "homothety": _worst(
-            lambda t, v: euclidean.homothety_check(par.C1, [(t, v)])["max_mismatch"] / length,
-            zip(rng.uniform(0.05, 4.0, 16).tolist(), rng.uniform(0.0, 2 * math.pi, 16).tolist()),
-            tols.homothety),
+        "completeness_bound": _worst(1.0 - euclidean.conformal_factor(par, u_bound) / par.C,
+                                     [u_bound], 0.0),
+        "homothety": _worst(euclidean.homothety_check(par.C1, *homothety) / length,
+                            homothety, tols.homothety),
         "mirror_gluing": CheckResult(mirror_worst, tols.boundary_match),
         # pieces of C1 and 2 C1 must not glue: gaps of 0.65 and 1.22 in these units
         "gluing_negative_control": CheckResult(
             _largest(neg["position"] / length, neg["mean_curvature"] * length),
             10.0 * tols.boundary_match, comparison="ge"),
         "level_curve_circles": _worst(
-            lambda u: _level_curve_gap(derivs, 0.0, u) * length,
-            zip(np.linspace(0.05, 2.5, 16).tolist()), tols.level_curve),
-        "profile_roundtrip": _worst(  # drawn after the homothety samples
-            lambda t: abs(euclidean.profile_t(par.C1, euclidean.complete_profile_x(par.C1, t)) - t)
-            / length,
-            zip((length * rng.uniform(0.01, 5.0, 12)).tolist()), 1e-10),
+            _level_curve_gap(euclidean.metric_profile_derivs(par), 0.0, u_level) * length,
+            [u_level], tols.level_curve),
+        # a root solve per sample
+        "profile_roundtrip": _worst(
+            [abs(euclidean.profile_t(par.C1, euclidean.complete_profile_x(par.C1, t)) - t)
+             / length for t in t_round.tolist()], [t_round], 1e-10),
     }
 
 
@@ -203,7 +207,7 @@ def r3_checks(C: float, grid: int = 16, seed: int = 12345) -> dict[str, CheckRes
 # Sphere family, fundamental strip
 # ----------------------------------------------------------------------
 
-def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, CheckResult]:
+def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     tols = Tolerances()
     fam = spherical.family(C)
     roots = fam.roots
@@ -215,61 +219,59 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, Ch
 
     patch = fam.patch(theta_range=(0.0, 1.0))
     xis, _ = patch.grid(grid, 4)
+    xi_roots = np.array([roots.xi01, roots.xi02])
 
-    # intrinsic curvature straight from the metric coefficients, for a few C
+    # intrinsic curvature straight from the metric coefficients, for a few C:
+    # (C, xi, strip width) at a quarter, half and three quarters of each strip
     strips = [(0.8, spherical.domain_roots(0.8)), (C, roots), (2.0, spherical.domain_roots(2.0))]
-
-    def metric_route_k(Cx, xi, scale):
-        kb = diffgeo.gauss_curvature_from_metric(
-            lambda x: spherical.metric_gC(Cx, x)[0], lambda x: 1.0 / (x * x),
-            xi, scale=scale, dG=lambda x: -2.0 / x ** 3)
-        return _rel_gap(kb, spherical.gauss_curvature_DC(xi))
+    metric_route = np.array([(Cx, rx.xi01 + f * (rx.xi02 - rx.xi01), rx.xi02 - rx.xi01)
+                             for Cx, rx in strips for f in (0.25, 0.5, 0.75)]).T
+    c_metric, xi_metric, scale = metric_route
+    k_metric = diffgeo.gauss_curvature_from_metric(
+        lambda x: spherical.metric_gC(c_metric, x)[0], lambda x: 1.0 / (x * x),
+        xi_metric, scale=scale, dG=lambda x: -2.0 / x ** 3)
 
     ode = spherical.curvature_ode_k(fam.params, 0.5 * (roots.k01 + roots.k02), +1)
     confinement = _largest(roots.k01 - ode["k_min"], ode["k_max"] - roots.k02, 0.0)
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
-    derivs = fam.metric_profile_derivs()
+    sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
+    residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
+    # with b = -1 the bridge has xi = e^{-phi}; sample the middle of the strip
+    phi_bridge = np.log(1.0 / (roots.xi01 + np.linspace(0.3, 0.7, 7) * width))
+    xi_level = roots.xi01 + np.linspace(0.1, 0.9, 16) * width
 
     return {
         # |T(root)| against the size of T's terms, which grow like C xi^2
         "root_identities": _worst(
-            lambda r: abs(float(spherical.T(C, r))) / (3.0 * C * r * r),
-            [(roots.xi01,), (roots.xi02,)], tols.roots),
+            np.abs(spherical.T(C, xi_roots)) / (3.0 * C * xi_roots * xi_roots),
+            [xi_roots], tols.roots),
         "root_ordering": CheckResult(0.0 if ordering_ok else 1.0, 0.0),
         "k01_above_radius_bound": CheckResult(k_bound_gap, 0.0, comparison="ge"),
-        "metric_pullback": _batched(
-            lambda xi: _metric_mismatch(patch, xi, 0.4, lambda x: spherical.metric_gC(C, x)),
-            zip(xis), tols.metric_rel),
+        "metric_pullback": _worst(
+            _metric_mismatch(patch, xis, 0.4, lambda x: spherical.metric_gC(C, x)),
+            [xis], tols.metric_rel),
         # |K| grows like xi^(8/3) with C: compare relative to the closed-form size
-        "gauss_curvature_identity": _batched(
-            lambda xi: _rel_gap(diffgeo.shape_operator(patch, xi, 0.4).K,
-                                [spherical.gauss_curvature_DC(x) for x in xi]),
-            zip(xis), tols.curvature),
+        "gauss_curvature_identity": _worst(
+            _rel_gap(diffgeo.shape_operator(patch, xis, 0.4).K,
+                     spherical.gauss_curvature_DC(xis)),
+            [xis], tols.curvature),
         "curvature_c_independent": _worst(
-            metric_route_k, [(Cx, rx.xi01 + f * (rx.xi02 - rx.xi01), rx.xi02 - rx.xi01)
-                             for Cx, rx in strips for f in (0.25, 0.5, 0.75)], tols.curvature),
-        "sphere_norm": _batched(
-            lambda xi, th: _unit_defect(fam.immersion(xi, th)),
-            [(rng.uniform(*patch.u_range),
-              rng.uniform(0.0, 2.0 * math.pi)) for _ in range(256)], tols.sphere_norm),
-        "biconservativity_residual": _batched(
-            lambda xi, th: diffgeo.biconservativity_residual(patch, xi, th),
-            [(float(xi), th) for xi in np.linspace(xis[0], xis[-1], 8) for th in (0.2, 0.5)],
-            tols.residual),
+            _rel_gap(k_metric, spherical.gauss_curvature_DC(xi_metric)), metric_route,
+            tols.curvature),
+        "sphere_norm": _worst(_unit_defect(fam.immersion(*sphere)), sphere, tols.sphere_norm),
+        "biconservativity_residual": _worst(
+            diffgeo.biconservativity_residual(patch, *residual), residual, tols.residual),
         "prime_integral_drift": CheckResult(ode["max_drift_relative"], tols.prime_integral),
         "k_confinement": CheckResult(confinement, 1e-6),
         "zeta_monotone": CheckResult(-float(np.min(np.diff(z_vals))), 0.0),
         "zeta_limits_finite": CheckResult(
             0.0 if all(math.isfinite(z) for z in fam.zeta_limits) else 1.0, 0.0),
-        # with b = -1 the bridge has xi = e^{-phi}; sample the middle of the strip
-        "bridge_metric_match": _worst(
-            lambda phi: spherical.bridge_metric_match(C, -1.0, [phi])["max_rel_mismatch"],
-            zip(np.log(1.0 / (roots.xi01 + np.linspace(0.3, 0.7, 7) * width))),
-            tols.metric_glued_rel),
-        "flat_profile_equation": CheckResult(abs(spherical.c0_ode_residual(1.0)), 1e-10),
+        "bridge_metric_match": _worst(spherical.bridge_metric_match(C, -1.0, phi_bridge),
+                                      [phi_bridge], tols.metric_glued_rel),
+        "flat_profile_equation": CheckResult(
+            abs(spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, 1.0)), 1e-10),
         "level_curve_circles": _worst(
-            lambda xi: _level_curve_gap(derivs, 1.0, xi),
-            [(float(roots.xi01 + f * width),) for f in np.linspace(0.1, 0.9, 16)],
+            _level_curve_gap(fam.metric_profile_derivs(), 1.0, xi_level), [xi_level],
             tols.level_curve),
     }
 
@@ -279,7 +281,7 @@ def s3_local_checks(C: float, grid: int = 12, seed: int = 12345) -> dict[str, Ch
 # ----------------------------------------------------------------------
 
 def _strip_interior_samples(at: gluing.GluingAtlas, strips, n, margin=0.02):
-    """(h,) samples on the given strips, junction bands of `margin` excluded."""
+    """Heights on the given strips, junction bands of `margin` excluded."""
     m1, p1 = at.h_limits
     delta = p1 - m1
     out = []
@@ -293,19 +295,19 @@ def _strip_interior_samples(at: gluing.GluingAtlas, strips, n, margin=0.02):
             hi = at.grid[k]
             lo = hi - delta
         pad = margin * (hi - lo)
-        out.extend((float(x),) for x in np.linspace(lo + pad, hi - pad, n))
-    return out
+        out.append(np.linspace(lo + pad, hi - pad, n))
+    return np.concatenate(out)
 
 
 def _profile_metric_pullback(at: gluing.GluingAtlas, patch, grid: int, tol: float) -> CheckResult:
     """The patch's first form against the periodic-profile metric, on
     strips -1, 0 and 1 with junction bands excluded."""
-    return _batched(lambda h: _metric_mismatch(patch, h, 0.4, at.psi_metric),
-                    _strip_interior_samples(at, (-1, 0, 1), grid), tol)
+    h = _strip_interior_samples(at, (-1, 0, 1), grid)
+    return _worst(_metric_mismatch(patch, h, 0.4, at.psi_metric), [h], tol)
 
 
-def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
-                       grid: int = 10, seed: int = 12345) -> dict[str, CheckResult]:
+def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
+                       seed: int) -> dict[str, CheckResult]:
     tols = Tolerances()
     at = gluing.atlas(C, Cstar, c0=c0)
     rng = np.random.default_rng(seed)
@@ -324,40 +326,44 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
             a, b = b, 2.0 * b - a
             reflected[sign * k] = b
 
-    out = {  # the random samples are drawn in the order of the entries
-        "grid_formula": _worst(
+    # the per-label checks measure one junction or phase label at a time
+    def per_label(measure, labels, tolerance):
+        labels = np.array(labels)
+        return _worst([measure(k) for k in labels.tolist()], [labels], tolerance)
+
+    # the random samples are drawn in the order of the checks
+    h_period = rng.uniform(m1 + 0.05 * delta, p1 - 0.05 * delta, 12)
+    sphere = rng.uniform([m1 - P, 0.0], [p1 + P, 2.0 * math.pi], (256, 2)).T
+    junctions = np.array([p1, m1, 0.0]), np.array([roots.xi02, roots.xi01, roots.xi00])
+    h_res = _strip_interior_samples(at, (0, 1), 5, margin=0.08)
+
+    out = {
+        "grid_formula": per_label(
             lambda k: _largest(abs(at.grid[k] - reflected[k]), abs(at.grid[-k] - reflected[-k])),
-            [(k,) for k in range(1, gluing.K_MAX + 1)], tols.phase),
-        "grid_spacing": _worst(lambda k: abs((at.grid[k + 1] - at.grid[k]) - delta),
-                               [(k,) for k in range(1, gluing.K_MAX)], tols.phase),
-        "phase_recursion_vs_closed_form": _worst(
+            range(1, gluing.K_MAX + 1), tols.phase),
+        "grid_spacing": per_label(lambda k: abs((at.grid[k + 1] - at.grid[k]) - delta),
+                                  range(1, gluing.K_MAX), tols.phase),
+        "phase_recursion_vs_closed_form": per_label(
             lambda k: gluing.phase_distance(at.phase(k), at.phase_by_recursion(k)),
-            [(k,) for k in range(-25, 26)], tols.phase),
-        "profile_periodicity": _batched(
-            lambda h: _periodicity_gap(F, h, P),
-            zip(rng.uniform(m1 + 0.05 * delta, p1 - 0.05 * delta, 12)), tols.phase),
-        "profile_junction_values": _batched(
-            lambda h, xi: np.abs(F(h) - xi),
-            [(p1, roots.xi02), (m1, roots.xi01), (0.0, roots.xi00)], tols.phase),
-        "junction_smoothness": _worst(
+            range(-25, 26), tols.phase),
+        "profile_periodicity": _worst(_periodicity_gap(F, h_period, P), [h_period], tols.phase),
+        "profile_junction_values": _worst(np.abs(F(junctions[0]) - junctions[1]), junctions,
+                                          tols.phase),
+        "junction_smoothness": per_label(
             lambda k: _largest(*(order["relative_mismatch"] for fn in
                                  at.junction_smoothness(k).values() for order in fn.values())),
-            [(1,), (-1,), (2,)], tols.junction_rel),
+            [1, -1, 2], tols.junction_rel),
         "junction_negative_control": CheckResult(
             neg["phi1"][1]["relative_mismatch"], 10.0 * tols.junction_rel, comparison="ge"),
-        "sphere_norm": _batched(
-            lambda h, th: _unit_defect(at.immersion_phi(h, th)),
-            [(rng.uniform(m1 - P, p1 + P), rng.uniform(0.0, 2.0 * math.pi))
-             for _ in range(256)], tols.sphere_norm),
+        "sphere_norm": _worst(_unit_defect(at.immersion_phi(*sphere)), sphere, tols.sphere_norm),
         "metric_pullback": _profile_metric_pullback(at, hpatch, grid, tols.metric_glued_rel),
         # the one-sided values of the same jets
-        "junction_continuity": _worst(
+        "junction_continuity": per_label(
             lambda k: _largest(*(fn[0]["mismatch"] for fn in at.junction_smoothness(
                 k, orders=(0,), functions=("phi1", "phi2")).values())),
-            [(k,) for k in (-3, -2, -1, 1, 2, 3)], 1e-10),
-        "biconservativity_residual": _batched(
-            lambda h: diffgeo.biconservativity_residual(hpatch, h, 0.3),
-            _strip_interior_samples(at, (0, 1), 5, margin=0.08), tols.residual),
+            [-3, -2, -1, 1, 2, 3], 1e-10),
+        "biconservativity_residual": _worst(
+            diffgeo.biconservativity_residual(hpatch, h_res, 0.3), [h_res], tols.residual),
         "periodicity_phase_defect": CheckResult(
             at.periodicity_probe()["phase_defect"], math.inf, info=True),
     }
@@ -366,8 +372,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float = 0.0,
     return out
 
 
-def revolution_checks(C: float, Cstar: float, grid: int = 10,
-                      seed: int = 12345) -> dict[str, CheckResult]:
+def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str, CheckResult]:
     return _psi_checks(gluing.atlas(C, Cstar), grid, seed, Tolerances())
 
 
@@ -379,16 +384,13 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
     delta = p1 - m1
     roots = at.roots
     patch = at.psi_patch((m1 - delta, at.grid[2]))
-    k_samples = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
     # both curvature checks read one oracle call over the heights
-    heights = np.array(k_samples)[:, 0]
+    heights = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
     shape = diffgeo.shape_operator(patch, heights, 0.4)
-
+    xi_mean = roots.xi01 + np.linspace(0.08, 0.92, 16) * (roots.xi02 - roots.xi01)
+    h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
+    r = at.radius(h_radius)
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
-
-    def outside_radius_range(h):
-        r = at.radius(h)
-        return np.where((lo <= r) & (r <= hi), 0.0, 1.0)
 
     return {
         prefix + "cstar_admissible": CheckResult(
@@ -398,18 +400,16 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
         # curvature magnitudes grow like the strip width^(8/3): compare
         # relative to the closed-form size
         prefix + "gauss_curvature_identity": _worst(
-            _rel_gap(shape.K, [spherical.gauss_curvature_DC(xi) for xi in at.F(heights).tolist()]),
-            k_samples, tols.curvature),
-        prefix + "one_minus_K_positive": _worst(shape.K - 1.0, k_samples, 0.0),
+            _rel_gap(shape.K, spherical.gauss_curvature_DC(at.F(heights))),
+            [heights], tols.curvature),
+        prefix + "one_minus_K_positive": _worst(shape.K - 1.0, [heights], 0.0),
         # oracle orientation keeps f >= 0 while the closed form is signed
-        prefix + "mean_curvature_closed_form": _batched(
-            lambda xi: _rel_gap(diffgeo.shape_operator(patch, at.h0(xi), 0.4).f,
-                                [abs(at.mean_curvature_psi(x)) for x in xi]),
-            [(float(roots.xi01 + f * (roots.xi02 - roots.xi01)),)
-             for f in np.linspace(0.08, 0.92, 16)], tols.psi_mean_curvature),
-        prefix + "radius_range": _batched(
-            outside_radius_range,
-            zip(rng.uniform(m1 - at.period, p1 + at.period, 64).tolist()), 0.0),
+        prefix + "mean_curvature_closed_form": _worst(
+            _rel_gap(diffgeo.shape_operator(patch, at.h0(xi_mean), 0.4).f,
+                     np.abs(at.mean_curvature_psi(xi_mean))),
+            [xi_mean], tols.psi_mean_curvature),
+        prefix + "radius_range": _worst(np.where((lo <= r) & (r <= hi), 0.0, 1.0),
+                                        [h_radius], 0.0),
     }
 
 

@@ -22,7 +22,6 @@ call is the one-point case and returns scalars.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -203,21 +202,22 @@ def _dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _fail_first(bad, exc, message, us, vs, *values):
-    """Raise `exc` naming the first point where `bad` holds; `message` is
+def _fail_first(bad, exc, message, *values):
+    """Raise `exc` at the first point where `bad` holds; `message` is
     formatted with that point's entries of `values`."""
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise exc(message.format(*(x[i] for x in values)) + f" at ({us[i]}, {vs[i]})")
+        raise exc(message.format(*(np.ravel(x)[i] for x in values)))
 
 
 def _first_form(us, vs, xu, xv):
     """(E, F, G) of the tangents at the points, checked nondegenerate; an
     EG - F^2 past the float range raises OverflowError."""
     E, F, G = _dot(xu, xu), _dot(xu, xv), _dot(xv, xv)
-    _fail_first(np.isinf(E * G) | np.isinf(F * F), OverflowError, "EG - F^2 overflows", us, vs)
+    _fail_first(np.isinf(E * G) | np.isinf(F * F), OverflowError,
+                "EG - F^2 overflows at ({}, {})", us, vs)
     det = E * G - F * F
-    _fail_first(det <= 0.0, DegenerateMetric, "EG - F^2 = {} <= 0", us, vs, det)
+    _fail_first(det <= 0.0, DegenerateMetric, "EG - F^2 = {} <= 0 at ({}, {})", det, us, vs)
     return E, F, G
 
 
@@ -243,7 +243,8 @@ def _normal(patch: ImmersionPatch, us, vs, xu, xv):
                       p[0] * m[1, 3] - p[1] * m[0, 3] + p[3] * m[0, 1],
                       p[1] * m[0, 2] - p[0] * m[1, 2] - p[2] * m[0, 1]], -1)
     nn = np.sqrt(_dot(n, n))
-    _fail_first(nn == 0.0, DegenerateMetric, "tangent vectors do not span a plane", us, vs)
+    _fail_first(nn == 0.0, DegenerateMetric, "tangent vectors do not span a plane at ({}, {})",
+                us, vs)
     return n / nn[:, None]
 
 
@@ -330,59 +331,41 @@ def biconservativity_residual(patch: ImmersionPatch, u, v):
     return _unbatch(u, v, np.where(grad_norm <= GRADIENT_THRESHOLD, res_norm, res_norm / denom))
 
 
-def level_curve_circle_check(
-    derivs: Callable[[float], tuple[float, float, float, float]],
-    c: float,
-    point: float,
-) -> tuple[float, float]:
-    """Compare two routes to the curvature of a constant-u curve.
+def level_curve_circle_check(derivs: Callable, c: float, point):
+    """Compare two routes to the curvature of a constant-u curve, at a
+    point or an array of them.
 
     `derivs(point)` must return the conformal exponent of the metric
     e^{2 phi}(du^2 + dv^2) together with its first three derivatives with
-    respect to the isothermal coordinate, evaluated at the point.  Returns
-    the geodesic curvature e^{-phi}|phi'| of the v-coordinate circle and
-    the intrinsic prediction 3 |grad K| / (8 (c - K)).
+    respect to the isothermal coordinate, evaluated at the points.
+    Returns the geodesic curvature e^{-phi}|phi'| of the v-coordinate
+    circle and the intrinsic prediction 3 |grad K| / (8 (c - K)).
     """
     phi, d1, d2, d3 = derivs(point)
-    e_m = math.exp(-phi)
-    kappa_geo = e_m * abs(d1)
+    e_m = np.exp(-phi)
+    kappa_geo = e_m * np.abs(d1)
     K = -e_m ** 2 * d2
     dK = e_m ** 2 * (2.0 * d1 * d2 - d3)
-    if dK == 0.0:
-        raise CMCPoint(f"K'({point}) = 0; level curve is not a curvature circle")
-    if c - K <= 0.0:
-        raise OutOfDomain(f"c - K = {c - K} <= 0 at {point}")
-    grad_k_norm = e_m * abs(dK)
-    kappa_formula = 3.0 * grad_k_norm / (8.0 * (c - K))
+    _fail_first(dK == 0.0, CMCPoint, "K'({}) = 0; level curve is not a curvature circle", point)
+    _fail_first(c - K <= 0.0, OutOfDomain, "c - K = {} <= 0 at {}", c - K, point)
+    kappa_formula = 3.0 * (e_m * np.abs(dK)) / (8.0 * (c - K))
     return kappa_geo, kappa_formula
 
 
-def gauss_curvature_from_metric(
-    E: Callable[[float], float],
-    G: Callable[[float], float],
-    x: float,
-    scale: float = 1.0,
-    dG: Callable[[float], float] | None = None,
-) -> float:
-    """Gauss curvature of an orthogonal metric E(x) dx^2 + G(x) dy^2.
+def gauss_curvature_from_metric(E: Callable, G: Callable, x, scale=1.0,
+                                dG: Callable | None = None):
+    """Gauss curvature of an orthogonal metric E(x) dx^2 + G(x) dy^2, at a
+    point x or an array of them.
 
     Uses K = -(1/(2 sqrt(EG))) d/dx( G'(x) / sqrt(EG) ); the coefficients
-    depend on the first coordinate only, whose width is `scale`.  An
-    analytic dG sharpens the inner derivative, the outer one is a
-    fourth-order difference.
+    depend on the first coordinate only, whose width is `scale` (one per
+    point, or one for all).  An analytic dG sharpens the inner
+    derivative, the outer one is a fourth-order difference.
     """
     h = _step("values", (0.0, scale), x, ())
-
-    def gprime(xx):
-        if dG is not None:
-            return dG(xx)
-        return _fd4(G, xx, h)
-
-    def inner(xx):
-        return gprime(xx) / math.sqrt(E(xx) * G(xx))
-
-    d_inner = _fd4(inner, x, h)
-    return -d_inner / (2.0 * math.sqrt(E(x) * G(x)))
+    gprime = dG if dG is not None else (lambda xx: _fd4(G, xx, h))
+    inner = lambda xx: gprime(xx) / np.sqrt(E(xx) * G(xx))
+    return -_fd4(inner, x, h) / (2.0 * np.sqrt(E(x) * G(x)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

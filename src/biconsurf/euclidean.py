@@ -180,22 +180,23 @@ def xc_patch(params: FamilyParamsR3,
     )
 
 
-def conformal_factor(params: FamilyParamsR3, u: float) -> float:
-    return params.C * math.cosh(u) ** 6
+def conformal_factor(params: FamilyParamsR3, u):
+    return params.C * np.cosh(u) ** 6
 
 
-def gauss_curvature(params: FamilyParamsR3, u: float) -> float:
-    return -3.0 / (params.C * math.cosh(u) ** 8)
+def gauss_curvature(params: FamilyParamsR3, u):
+    return -3.0 / (params.C * np.cosh(u) ** 8)
 
 
 def metric_profile_derivs(params: FamilyParamsR3):
-    """Conformal exponent of C cosh^6 u and its first three u-derivatives."""
+    """Conformal exponent of C cosh^6 u and its first three u-derivatives,
+    at a point u or an array of them."""
     half_log_c = 0.5 * math.log(params.C)
 
-    def derivs(u: float):
-        th = math.tanh(u)
-        sech2 = 1.0 / math.cosh(u) ** 2
-        phi = half_log_c + 3.0 * math.log(math.cosh(u))
+    def derivs(u):
+        th = np.tanh(u)
+        sech2 = 1.0 / np.cosh(u) ** 2
+        phi = half_log_c + 3.0 * np.log(np.cosh(u))
         return phi, 3.0 * th, 3.0 * sech2, -6.0 * sech2 * th
 
     return derivs
@@ -205,15 +206,15 @@ def metric_profile_derivs(params: FamilyParamsR3):
 # Boundary-circle data (closed forms; the chart degenerates there)
 # ----------------------------------------------------------------------
 
-def boundary_circle_point(C1: float, v: float) -> np.ndarray:
+def boundary_circle_point(C1: float, v) -> np.ndarray:
     r = C1 ** -1.5
-    return np.array([r * math.cos(v), r * math.sin(v), 0.0])
+    return diffgeo.stack_coordinates(r * np.cos(v), r * np.sin(v), 0.0)
 
 
-def boundary_normal(C1: float, v: float) -> np.ndarray:
+def boundary_normal(C1: float, v) -> np.ndarray:
     # Limit of the outward-tilted unit normal as rho drops to the boundary:
     # the tangent plane turns parallel to the rotation axis.
-    return np.array([-math.cos(v), -math.sin(v), 0.0])
+    return diffgeo.stack_coordinates(-np.cos(v), -np.sin(v), 0.0)
 
 
 def boundary_mean_curvature(C1: float) -> float:
@@ -244,18 +245,16 @@ class RigidMotion:
 
 
 def _closest_on_circle(p, center, axis, radius):
-    """Closest point of a 3D circle to p, and the distance."""
+    """Closest points of a 3D circle to the rows of p, and their distances."""
     d = p - center
-    axial = float(d @ axis)
-    radial = d - axial * axis
-    rn = float(np.linalg.norm(radial))
-    if rn < 1e-300:
-        # Equidistant from the whole circle; pick an arbitrary representative.
-        e = np.array([1.0, 0.0, 0.0])
-        e = e - float(e @ axis) * axis
-        radial, rn = e, float(np.linalg.norm(e))
-    q = center + radius * radial / rn
-    return q, float(np.linalg.norm(p - q))
+    radial = d - np.outer(d @ axis, axis)
+    rn = np.linalg.norm(radial, axis=1)
+    # a point on the axis is equidistant from the whole circle: pick a representative
+    on_axis = rn < 1e-300
+    e = np.array([1.0, 0.0, 0.0]) - axis[0] * axis
+    radial[on_axis], rn[on_axis] = e, np.linalg.norm(e)
+    q = center + radius * radial / rn[:, None]
+    return q, np.linalg.norm(p - q, axis=1)
 
 
 def gluing_conditions_check(
@@ -275,29 +274,17 @@ def gluing_conditions_check(
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
     R, a = pose.rotation, pose.translation
-    r_p = C1p ** -1.5
-    center = a.copy()
     axis = R @ np.array([0.0, 0.0, 1.0])
-
-    max_pos = 0.0
-    max_normal = 0.0
-    for i in range(n_samples):
-        v = 2.0 * math.pi * i / n_samples
-        p = boundary_circle_point(C1, v)
-        q, dist = _closest_on_circle(p, center, axis, r_p)
-        max_pos = max(max_pos, dist)
-        # parameter of q on the posed circle, then the posed normal there
-        local = R.T @ (q - a)
-        vq = math.atan2(local[1], local[0])
-        eta = boundary_normal(C1, v)
-        eta_p = R @ boundary_normal(C1p, vq)
-        max_normal = max(max_normal, float(np.linalg.norm(np.cross(eta, eta_p))))
-
-    f_mismatch = abs(boundary_mean_curvature(C1) - boundary_mean_curvature(C1p))
+    v = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    q, dist = _closest_on_circle(boundary_circle_point(C1, v), a, axis, C1p ** -1.5)
+    # parameters of the q on the posed circle, then the posed normals there
+    local = (q - a) @ R
+    eta_p = boundary_normal(C1p, np.arctan2(local[:, 1], local[:, 0])) @ R.T
+    parallelism = np.linalg.norm(np.cross(boundary_normal(C1, v), eta_p), axis=1)
     return {
-        "position": max_pos,
-        "normal_parallelism": max_normal,
-        "mean_curvature": f_mismatch,
+        "position": float(np.max(dist)),
+        "normal_parallelism": float(np.max(parallelism)),
+        "mean_curvature": abs(boundary_mean_curvature(C1) - boundary_mean_curvature(C1p)),
         "grad_mean_curvature": 0.0,
         "n_samples": n_samples,
     }
@@ -307,27 +294,23 @@ def gluing_conditions_check(
 # Homothety law
 # ----------------------------------------------------------------------
 
-def theta_chart_point(C1: float, theta: float, v: float) -> np.ndarray:
-    """Rotation-surface point in the theta chart, theta = C1 rho^{2/3} - 1.
+def theta_chart_point(C1: float, theta, v) -> np.ndarray:
+    """Rotation-surface points in the theta chart, theta = C1 rho^{2/3} - 1,
+    of shape (..., 3) at the broadcast (theta, v).
 
     Evaluates radius and height through the rho-chart profile, so the
     homothety comparison genuinely exercises the profile formula.
     """
-    if theta <= 0.0:
+    theta, v = np.broadcast_arrays(np.asarray(theta, dtype=float), v)
+    if np.any(theta <= 0.0):
         raise OutOfDomain("theta must be positive")
     rho = C1 ** -1.5 * (theta + 1.0) ** 1.5
-    t = profile_t(C1, rho)
-    return np.array([rho * math.cos(v), rho * math.sin(v), t])
+    t = np.reshape([profile_t(C1, r) for r in rho.ravel().tolist()], rho.shape)
+    return diffgeo.stack_coordinates(rho * np.cos(v), rho * np.sin(v), t)
 
 
-def homothety_check(C1: float, sample_pts) -> dict:
-    """Max deviation of X_{C1} from the C1^{-3/2}-scaled unit-parameter
-    surface (NaN if any sample is NaN)."""
-    scale = C1 ** -1.5
-    gaps = [np.abs(theta_chart_point(C1, theta, v) - scale * theta_chart_point(1.0, theta, v))
-            for theta, v in sample_pts]
-    return {
-        "max_mismatch": float(np.max(gaps)),
-        "boundary_radius_scaled": scale * 1.0,
-        "boundary_radius_direct": complete_profile_x(C1, 0.0),
-    }
+def homothety_check(C1: float, theta, v):
+    """Per point (theta, v), the largest coordinate deviation of X_{C1} from
+    the C1^{-3/2}-scaled unit-parameter surface (NaN if the point is NaN)."""
+    gap = theta_chart_point(C1, theta, v) - C1 ** -1.5 * theta_chart_point(1.0, theta, v)
+    return np.max(np.abs(gap), axis=-1)

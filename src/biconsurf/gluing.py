@@ -97,7 +97,9 @@ class GluingAtlas:
             raise InvalidC(f"C* = {Cstar} outside (0, {rng.upper})")
         self.C = float(C)
         self.Cstar = float(Cstar)
-        self.c0 = float(c0)
+        # reduced once: sums of turning angles added to a raw c0 of large
+        # magnitude would lose their low digits before their own reduction
+        self.c0 = _mod2pi(float(c0))
         self.family: SphereFamily = family(self.C)
         self.roots = self.family.roots
         cs2 = self.Cstar * self.Cstar
@@ -277,9 +279,10 @@ class GluingAtlas:
         E = 3.0 * Fh * Fh / (3.0 * Fh * Fh - self.Cstar ** 2 * t)
         return E, 1.0 / (Fh * Fh)
 
-    def mean_curvature_psi(self, xi: float) -> float:
+    def mean_curvature_psi(self, xi):
         """Closed-form mean curvature (trace convention) of the revolution
-        surface at profile value xi; depends on both C and C*.
+        surface at profile value xi, a point or an array of them; depends
+        on both C and C*.
 
         The quotient below is the average of the two principal curvatures,
         hence the factor 2 to match the trace-of-shape-operator convention
@@ -289,14 +292,17 @@ class GluingAtlas:
         orients its normal pointwise for nonnegative trace, so comparisons
         should be made in absolute value.
         """
-        if not (self.roots.xi01 <= xi <= self.roots.xi02):
-            raise OutOfDomain(f"xi = {xi} outside the closed strip")
+        xi = np.asarray(xi, dtype=float)
+        outside = ~((self.roots.xi01 <= xi) & (xi <= self.roots.xi02))
+        if outside.any():
+            raise OutOfDomain(f"xi = {xi[outside].flat[0]} outside the closed strip")
         cs = self.Cstar
         num = 9.0 * xi * xi - cs * cs * (-2.0 * xi ** (8.0 / 3.0) + 9.0 * self.C * xi * xi - 18.0)
-        rad = 9.0 * xi * xi - 3.0 * cs * cs * float(T(self.C, xi))
-        if rad <= 0.0:
+        rad = 9.0 * xi * xi - 3.0 * cs * cs * T(self.C, xi)
+        if np.any(rad <= 0.0):
             raise OutOfDomain("height-derivative radicand not positive")
-        return 2.0 * num / (6.0 * cs * math.sqrt(rad))
+        H = 2.0 * num / (6.0 * cs * np.sqrt(rad))
+        return H if H.ndim else float(H)
 
     def psi_patch(self, h_range, theta_range=None) -> diffgeo.ImmersionPatch:
         if theta_range is None:

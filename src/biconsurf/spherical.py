@@ -56,8 +56,8 @@ __all__ = [
     "family",
     "curvature_ode_k",
     "phi_coordinate_bridge",
-    "c0_ode_residual",
     "master_ode_residual",
+    "flat_profile_derivs",
 ]
 
 C_MIN = 4.0 / 3.0 ** 1.5  # threshold where the two roots of T coalesce
@@ -360,7 +360,7 @@ class SphereFamily:
 
     def metric_profile_derivs(self):
         """Conformal exponent derivatives (w.r.t. the isothermal coordinate)
-        of the strip metric, indexed by xi.
+        of the strip metric, indexed by xi: a point or an array of them.
 
         With du = sqrt(3/T) dxi the metric reads e^{-2 log xi}(du^2 + dtheta^2);
         the chain rule turns the T-closed-forms into u-derivatives of the
@@ -368,14 +368,13 @@ class SphereFamily:
         """
         C = self.C
 
-        def derivs(xi: float):
-            t = float(T(C, xi))
-            if t <= 0.0:
-                raise OutOfDomain(f"xi = {xi} outside the strip")
-            tp = float(T_deriv(C, xi))
-            tpp = float(T_deriv2(C, xi))
-            root = math.sqrt(t / 3.0)
-            phi = -math.log(xi)
+        def derivs(xi):
+            t = T(C, xi)
+            if np.any(t <= 0.0):
+                raise OutOfDomain(f"xi = {np.asarray(xi)[t <= 0.0].flat[0]} outside the strip")
+            tp, tpp = T_deriv(C, xi), T_deriv2(C, xi)
+            root = np.sqrt(t / 3.0)
+            phi = -np.log(xi)
             d1 = -root / xi
             d2 = -tp / (6.0 * xi) + t / (3.0 * xi * xi)
             d3 = root * (-tpp / (6.0 * xi) + tp / (2.0 * xi * xi) - 2.0 * t / (3.0 * xi ** 3))
@@ -485,28 +484,24 @@ def phi_coordinate_bridge(a: float, b: float, phi: float) -> tuple[float, float]
     return -(quad.value(scale38 * math.exp(-phi)) - quad.value(xi00)) / scale38, C
 
 
-def bridge_metric_match(a: float, b: float, phi_values) -> dict:
+def bridge_metric_match(a: float, b: float, phi):
     """Transform the conformal metric through the bridge and compare to g_C.
 
     The (phi, v) metric e^{2 phi}(dphi^2 / radicand + dv^2) must pull back
-    to the closed-form strip coefficients; reports the worst relative
-    mismatch over the given phi samples (NaN if any sample is NaN).
+    to the closed-form strip coefficients of C = a (-b)^{-3/4}; returns,
+    per sample of phi, the larger relative mismatch of the two (NaN if
+    the sample is NaN).
     """
-    C = a * (-b) ** -0.75
-    mismatch = []
-    for phi in np.asarray(phi_values, dtype=float):
-        rad = float(_bridge_radicand(a, b, phi))
-        if rad <= 0.0:
-            raise OutOfDomain(f"phi = {phi} outside the admissible band")
-        xi = (-b) ** 0.375 * math.exp(-phi)
-        e2phi = math.exp(2.0 * phi)
-        # dxi = -xi dphi and theta = (-b)^{3/8} v
-        E_transformed = (e2phi / rad) / (xi * xi)
-        G_transformed = e2phi * (-b) ** -0.75
-        E_closed, G_closed = metric_gC(C, xi)
-        mismatch += [abs(E_transformed - E_closed) / abs(E_closed),
-                     abs(G_transformed - G_closed) / abs(G_closed)]
-    return {"C": C, "max_rel_mismatch": float(np.max(mismatch))}
+    phi = np.asarray(phi, dtype=float)
+    rad = _bridge_radicand(a, b, phi)
+    if np.any(rad <= 0.0):
+        raise OutOfDomain(f"phi = {float(phi[rad <= 0.0].flat[0])} outside the admissible band")
+    xi = (-b) ** 0.375 * np.exp(-phi)
+    e2phi = np.exp(2.0 * phi)
+    E_closed, G_closed = metric_gC(a * (-b) ** -0.75, xi)
+    # dxi = -xi dphi and theta = (-b)^{3/8} v
+    return np.maximum(np.abs((e2phi / rad) / (xi * xi) - E_closed) / np.abs(E_closed),
+                      np.abs(e2phi * (-b) ** -0.75 - G_closed) / np.abs(G_closed))
 
 
 # -- conformal-exponent equation ----------------------------------------------
@@ -517,14 +512,10 @@ def master_ode_residual(c: float, derivs, u: float) -> float:
     return 8.0 * c * math.exp(2.0 * phi) * d1 + 2.0 * d1 * d2 + 3.0 * d3
 
 
-def _flat_profile_derivs(u: float):
+def flat_profile_derivs(u: float):
+    """phi = 3 log cosh(u/3), which solves the flat case c = 0 of the
+    conformal-exponent equation, and its first three derivatives."""
     th = math.tanh(u / 3.0)
     sech2 = 1.0 / math.cosh(u / 3.0) ** 2
     phi = 3.0 * math.log(math.cosh(u / 3.0))
     return phi, th, sech2 / 3.0, -2.0 / 9.0 * sech2 * th
-
-
-def c0_ode_residual(u: float) -> float:
-    """Flat-case equation 3 phi''' + 2 phi' phi'' = 0 on phi = 3 log cosh(u/3)."""
-    _, d1, d2, d3 = _flat_profile_derivs(u)
-    return 3.0 * d3 + 2.0 * d1 * d2

@@ -272,10 +272,8 @@ def test_criterion_8_level_curve_circles():
 
 def test_criterion_9_homothety_and_boundary():
     rng = np.random.default_rng(5)
-    pts = [(float(t), float(v)) for t, v in zip(rng.uniform(0.05, 4.0, 64),
-                                                rng.uniform(0.0, 2 * math.pi, 64))]
-    worst_h = max(euclidean.homothety_check(c1, pts)["max_mismatch"]
-                  for c1 in (4.0, 2.3))
+    pts = rng.uniform(0.05, 4.0, 64), rng.uniform(0.0, 2 * math.pi, 64)
+    worst_h = max(np.max(euclidean.homothety_check(c1, *pts)) for c1 in (4.0, 2.3))
     ok = _report("criterion 9a (homothety law)", worst_h, 1e-12)
 
     rep = euclidean.gluing_conditions_check(

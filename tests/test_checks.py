@@ -1,4 +1,5 @@
-"""The one sampling reduction behind every sampled check."""
+"""The one sampling reduction behind every sampled check, and the samples
+the checks draw."""
 
 import math
 
@@ -10,18 +11,23 @@ from biconsurf import checks, diffgeo, gluing, numerics, spherical
 from conftest import assert_matches_reference
 
 
+# the report's grid and seed, passed to the family functions called directly
+GRID, SEED = 10, 12345
+
+
 class TestWorst:
     def test_picks_the_largest_sample(self):
-        res = checks._worst(lambda x, y: x * y, [(1.0, 2.0), (3.0, -1.0), (2.0, 2.5)], 10.0)
+        x, y = np.array([1.0, 3.0, 2.0]), np.array([2.0, -1.0, 2.5])
+        res = checks._worst(x * y, [x, y], 10.0)
         assert res.value == 5.0
         assert res.worst_at == (2.0, 2.5)
         assert res.n_samples == 3
         assert res.passed
 
     def test_nan_sample_fails_the_check(self):
-        # max(0.0, nan) is 0.0: a running max would drop this sample
-        res = checks._worst(lambda x: math.nan if x == 2.0 else x,
-                            [(1.0,), (2.0,), (3.0,)], 10.0)
+        # the first NaN wins, ahead of larger values and of later NaNs
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        res = checks._worst([1.0, math.nan, 3.0, math.nan], [x], 10.0)
         assert math.isnan(res.value)
         assert res.worst_at == (2.0,)
         assert not res.passed
@@ -29,27 +35,120 @@ class TestWorst:
 
     def test_no_samples_is_an_error(self):
         with pytest.raises(ValueError):
-            checks._worst(lambda x: 0.0, [], 1.0)
+            checks._worst([], [np.array([])], 1.0)
+
+    def test_one_value_per_sample(self):
+        with pytest.raises(ValueError):
+            checks._worst([0.0, 1.0], [np.array([0.5])], 1.0)
 
     def test_report_keys_unchanged(self):
-        res = checks._worst(lambda x: x, [(0.5,)], 1.0)
+        res = checks._worst([0.5], [np.array([0.5])], 1.0)
         assert set(res.as_dict()) == {"value", "tolerance", "comparison", "informational", "pass"}
 
 
 class TestSampleCounts:
-    """Sample counts at C = C* = 1, so that a rewrite cannot drop samples."""
+    """Every check's sample count in the reports at C = C* = 1, so that a
+    rewrite cannot drop samples."""
+
+    PSI = {"cstar_admissible": 1, "gauss_curvature_identity": 10,
+           "mean_curvature_closed_form": 16, "metric_pullback": 30,
+           "one_minus_K_positive": 10, "radius_range": 64}
+    COUNTS = {
+        "r3": {"biconservativity_residual": 48, "completeness_bound": 101,
+               "gauss_curvature_identity": 10, "gluing_negative_control": 1, "homothety": 16,
+               "level_curve_circles": 16, "metric_pullback": 50, "mirror_gluing": 1,
+               "profile_roundtrip": 12},
+        "s3-local": {"biconservativity_residual": 16, "bridge_metric_match": 7,
+                     "curvature_c_independent": 9, "flat_profile_equation": 1,
+                     "gauss_curvature_identity": 10, "k01_above_radius_bound": 1,
+                     "k_confinement": 1, "level_curve_circles": 16, "metric_pullback": 10,
+                     "prime_integral_drift": 1, "root_identities": 2, "root_ordering": 1,
+                     "sphere_norm": 256, "zeta_limits_finite": 1, "zeta_monotone": 1},
+        "s3-complete": {"biconservativity_residual": 10, "grid_formula": 11,
+                        "grid_spacing": 10, "junction_continuity": 6,
+                        "junction_negative_control": 1, "junction_smoothness": 3,
+                        "metric_pullback": 30, "periodicity_phase_defect": 1,
+                        "phase_recursion_vs_closed_form": 51, "profile_junction_values": 3,
+                        "profile_periodicity": 12, "sphere_norm": 256,
+                        **{"psi_" + name: n for name, n in PSI.items()}},
+        "revolution": PSI,
+    }
+
+    def counts(self, family):
+        _, res = checks.build_report(family, 1.0, None if family in ("r3", "s3-local") else 1.0)
+        return {name: r.n_samples for name, r in res.items()}
+
+    def test_r3(self):
+        assert self.counts("r3") == self.COUNTS["r3"]
 
     def test_s3_local(self):
-        res = checks.s3_local_checks(1.0)
-        assert res["sphere_norm"].n_samples == 256
-        assert res["root_identities"].n_samples == 2
+        assert self.counts("s3-local") == self.COUNTS["s3-local"]
 
     def test_s3_complete(self):
-        res = checks.s3_complete_checks(1.0, 1.0)
-        assert res["sphere_norm"].n_samples == 256
-        assert res["phase_recursion_vs_closed_form"].n_samples == 51
-        assert res["junction_continuity"].n_samples == 6
-        assert res["psi_radius_range"].n_samples == 64
+        assert self.counts("s3-complete") == self.COUNTS["s3-complete"]
+
+    def test_revolution(self):
+        assert self.counts("revolution") == self.COUNTS["revolution"]
+
+    def test_curvature_c_independent_names_c_xi_and_width(self):
+        res = checks.s3_local_checks(1.0, GRID, SEED)["curvature_c_independent"]
+        C, xi, width = res.worst_at
+        r = spherical.domain_roots(C)
+        assert C in (0.8, 1.0, 2.0)
+        assert width == r.xi02 - r.xi01 and r.contains(xi)
+
+
+class TestSphereNormDraws:
+    """sphere_norm draws its 256 points as one (256, 2) array: the same
+    numbers, in the same order, as one scalar draw per coordinate."""
+
+    @staticmethod
+    def drawn(monkeypatch, owner, name, family, seed):
+        seen = []
+        evaluate = getattr(owner, name)
+
+        def recorded(self, u, v):
+            if np.size(u) == 256:
+                seen.append((np.array(u), np.array(v)))
+            return evaluate(self, u, v)
+        monkeypatch.setattr(owner, name, recorded)
+        checks.build_report(family, 1.0, None if family == "s3-local" else 1.0, seed=seed)
+        (points,) = seen
+        return points
+
+    def test_s3_local(self, monkeypatch):
+        lo, hi = spherical.family(1.0).patch(theta_range=(0.0, 1.0)).u_range
+        rng = np.random.default_rng(7)
+        expected = np.array([(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
+                             for _ in range(256)]).T
+        u, v = self.drawn(monkeypatch, spherical.SphereFamily, "immersion", "s3-local", 7)
+        assert np.array_equal(u, expected[0]) and np.array_equal(v, expected[1])
+
+    def test_s3_complete(self, monkeypatch):
+        at = gluing.atlas(1.0, 1.0)
+        m1, p1 = at.h_limits
+        delta, P = p1 - m1, at.period
+        rng = np.random.default_rng(7)
+        rng.uniform(m1 + 0.05 * delta, p1 - 0.05 * delta, 12)  # profile_periodicity's
+        expected = np.array([(rng.uniform(m1 - P, p1 + P), rng.uniform(0.0, 2.0 * math.pi))
+                             for _ in range(256)]).T
+        u, v = self.drawn(monkeypatch, gluing.GluingAtlas, "immersion_phi", "s3-complete", 7)
+        assert np.array_equal(u, expected[0]) and np.array_equal(v, expected[1])
+
+    def test_later_draws_follow_on(self):
+        array_rng, scalar_rng = np.random.default_rng(7), np.random.default_rng(7)
+        array_rng.uniform([0.5, 0.0], [1.5, 2.0], (256, 2))
+        for _ in range(256):
+            scalar_rng.uniform(0.5, 1.5), scalar_rng.uniform(0.0, 2.0)
+        assert np.array_equal(array_rng.uniform(0.0, 1.0, 12), scalar_rng.uniform(0.0, 1.0, 12))
+
+
+@pytest.mark.parametrize("family", ["s3-local", "s3-complete"])
+def test_sphere_reports_need_no_numpy_2_call(monkeypatch, family):
+    # pyproject.toml allows numpy 1.x, which has no np.vecdot
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    report, _ = checks.build_report(family, 1.0, None if family == "s3-local" else 1.0)
+    assert report["checks"]["sphere_norm"]["pass"]
 
 
 class TestPositionCalls:
@@ -94,7 +193,7 @@ class TestTableCalls:
 @pytest.mark.parametrize("C", [10.0, 50.0])
 def test_s3_local_root_and_curvature_bounds_scale_free(C):
     # both quantities grow with C; relative to their size they sit near rounding
-    res = checks.s3_local_checks(C)
+    res = checks.s3_local_checks(C, GRID, SEED)
     assert res["root_identities"].value < 1e-14
     assert res["curvature_c_independent"].value < 1e-9
 
@@ -114,17 +213,17 @@ class TestControlsCanFail:
     @pytest.mark.parametrize("C", [1e-6, 1.0, 1e6])
     def test_r3_negative_control_reads_the_mismatch(self, C):
         # pieces of C1 and 2 C1: the mean-curvature gap is 2/3 (2^{3/2} - 1) C1^{3/2}
-        res = checks.r3_checks(C)["gluing_negative_control"]
+        res = checks.r3_checks(C, GRID, SEED)["gluing_negative_control"]
         assert res.comparison == "ge"
         assert res.value == pytest.approx(2.0 / 3.0 * (2.0 ** 1.5 - 1.0), rel=1e-12)
         assert res.passed
 
     def test_grid_formula_sees_a_moved_junction(self, monkeypatch):
         at = gluing.GluingAtlas(1.0, 1.0)
-        assert checks.s3_complete_checks(1.0, 1.0)["grid_formula"].value < 1e-13
+        assert checks.s3_complete_checks(1.0, 1.0, 0.0, GRID, SEED)["grid_formula"].value < 1e-13
         at.grid[5] += 1e-9
         monkeypatch.setattr(gluing, "atlas", lambda *args, **kwargs: at)
-        res = checks.s3_complete_checks(1.0, 1.0)["grid_formula"]
+        res = checks.s3_complete_checks(1.0, 1.0, 0.0, GRID, SEED)["grid_formula"]
         assert res.value == pytest.approx(1e-9, rel=1e-3)
         assert res.worst_at == (5.0,)
         assert not res.passed

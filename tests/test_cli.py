@@ -259,6 +259,19 @@ class TestVerify:
                         "--grid-n", "5", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("c0", ["1e4", "1e8"])
+    def test_large_c0_keeps_the_phases(self, tmp_path, capsys, c0):
+        # the atlas reduces c0 mod 2 pi once: added raw to the sums of
+        # turning angles, its last digit would swamp theirs
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--family", "s3-complete", "--C", "1", "--cstar", "1",
+                    "--c0", c0, "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        rep = json.loads(out.read_text())
+        assert rep["config"]["c0"] == float(c0)
+        assert rep["checks"]["phase_recursion_vs_closed_form"]["pass"]
+        assert rep["checks"]["junction_continuity"]["pass"]
+
     def test_inadmissible_parameters_exit_2(self, tmp_path, capsys):
         assert run(["verify", "--family", "s3-complete", "--C", "1",
                     "--cstar", "9", "--out", str(tmp_path / "x.json")]) == 2

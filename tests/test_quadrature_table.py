@@ -225,7 +225,7 @@ def cold_report():
 
     nm.CumulativeQuadrature.__init__ = counted
     try:
-        report = checks.s3_complete_checks(1.0, 1.0)
+        report = checks.s3_complete_checks(1.0, 1.0, c0=0.0, grid=10, seed=12345)
     finally:
         nm.CumulativeQuadrature.__init__ = init
     return report, builds

@@ -412,9 +412,9 @@ class TestCoordinateBridge:
     def test_metric_match(self):
         r = spherical.domain_roots(2.0)
         phis = np.log(1.0 / np.linspace(r.xi00 * 0.75, r.xi00 * 1.25, 9))
-        rep = spherical.bridge_metric_match(2.0, -1.0, phis)
-        assert rep["C"] == pytest.approx(2.0, rel=1e-14)
-        assert rep["max_rel_mismatch"] < 1e-6
+        mismatch = spherical.bridge_metric_match(2.0, -1.0, phis)
+        assert mismatch.shape == phis.shape
+        assert np.max(mismatch) < 1e-6
 
     # u at fractions of the admissible phi band, frozen from an adaptive
     # quadrature of 1/sqrt(radicand) in phi (QUADPACK); mpmath agrees with
@@ -465,16 +465,18 @@ class TestCoordinateBridge:
 
 class TestProfileEquation:
     def test_residual_at_origin(self):
-        assert spherical.c0_ode_residual(0.0) == 0.0
+        assert spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, 0.0) == 0.0
 
     def test_residual_small_everywhere(self):
         for u in (-2.0, 0.5, 1.0, 3.0):
-            assert abs(spherical.c0_ode_residual(u)) < 1e-10
+            assert abs(spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, u)) < 1e-10
 
     def test_master_equation_reduces_at_c_zero(self):
-        for u in (0.3, 1.0):
-            full = spherical.master_ode_residual(0.0, spherical._flat_profile_derivs, u)
-            assert full == pytest.approx(spherical.c0_ode_residual(u), abs=1e-15)
+        # at c = 0 the equation is the flat one, 3 phi''' + 2 phi' phi'' = 0
+        for u in (0.3, 1.0, 2.7, -1.1):
+            _, d1, d2, d3 = spherical.flat_profile_derivs(u)
+            full = spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, u)
+            assert full == 3.0 * d3 + 2.0 * d1 * d2
 
     def test_strip_profile_solves_master_equation(self):
         fam = spherical.family(1.0)
