@@ -217,7 +217,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     ordering_ok = roots.xi01 < roots.xi00 < roots.xi02 and roots.xi01 > C ** -0.5
     k_bound_gap = roots.k01 - (16.0 / (9.0 * fam.params.C1)) ** (2.0 / 3.0)
 
-    patch = fam.patch(theta_range=(0.0, 1.0))
+    patch = fam.patch()
     xis, _ = patch.grid(grid, 4)
     xi_roots = np.array([roots.xi01, roots.xi02])
 
@@ -231,7 +231,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         lambda x: spherical.metric_gC(c_metric, x)[0], lambda x: 1.0 / (x * x),
         xi_metric, scale=scale, dG=lambda x: -2.0 / x ** 3)
 
-    ode = spherical.curvature_ode_k(fam.params, 0.5 * (roots.k01 + roots.k02), +1)
+    ode = spherical.curvature_ode_k(fam.params, 0.5 * (roots.k01 + roots.k02))
     confinement = _largest(roots.k01 - ode["k_min"], ode["k_max"] - roots.k02, 0.0)
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
@@ -317,7 +317,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     # the continuity-only branch c_k = c0: the base strip's constant on both sides
     neg = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
                                  phases=(at.phase(0), at.phase(0)))
-    hpatch = at.phi_patch((m1 - delta, at.grid[2]), (0.0, 1.0))
+    hpatch = at.phi_patch((m1 - delta, at.grid[2]))
     # the junctions by iterated reflection h_{0,k+1} = 2 h_{0,k} - h_{0,k-1},
     # up from (h_{0,-1}, h_{0,1}) and down from (h_{0,1}, h_{0,-1})
     reflected = {-1: m1, 1: p1}

@@ -194,15 +194,13 @@ def _grid_positions(args):
     wrap_v = args.wrap_v and family in ("r3", "revolution")
     _require_admissible(family, args.C, args.Cstar)
     if family == "r3":
-        par = euclidean.FamilyParamsR3.from_C(args.C)
-        evaluate = lambda u, v: euclidean.immersion_XC(par, u, v)
-        u_default, v_default = (-1.5, 1.5), (0.0, 2.0 * math.pi / 3.0)
+        patch = euclidean.xc_patch(euclidean.FamilyParamsR3.from_C(args.C))
+        evaluate, u_default, v_default = patch.position, patch.u_range, patch.v_range
     elif family == "s3-local":
         fam = spherical.family(args.C)
         r = fam.roots
-        margin = 1e-3 * (r.xi02 - r.xi01)
         evaluate = fam.immersion
-        u_default = (r.xi01 + margin, r.xi02 - margin)
+        u_default = fam.patch().u_range
         v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
         if args.u_range and not all(r.contains(u) for u in args.u_range):
             raise UsageError(f"u-range must lie inside the open strip "
@@ -254,8 +252,6 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.family not in checks.FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}")
     _require_admissible(args.family, args.C, args.Cstar)
     report, results = checks.build_report(
         args.family, args.C, Cstar=args.Cstar, c0=args.c0, grid=args.grid_n, seed=args.seed)

@@ -6,8 +6,7 @@ Gauss curvature, curvature gradients, and the residual of the eigenvector
 condition A(grad f) = -(f/2) grad f that characterizes biconservative
 surfaces in a 3-space-form.  Second derivatives are central differences
 of the partials, curvature gradients central differences of the
-curvatures; `validate_patch` checks the partials against differences of
-the positions.  Every step comes from `_step`: a fixed fraction, per
+curvatures.  Every step comes from `_step`: a fixed fraction, per
 stencil, of the differenced coordinate's own width, shrunk near a
 singular value of u in proportion to the distance from it.  Two ambients
 are supported: Euclidean 3-space, and the unit 3-sphere sitting in
@@ -40,11 +39,9 @@ __all__ = [
     "stack_coordinates",
     "fundamental_forms",
     "shape_operator",
-    "curvatures",
     "biconservativity_residual",
     "level_curve_circle_check",
     "gauss_curvature_from_metric",
-    "validate_patch",
 ]
 
 EUCLIDEAN3 = "euclidean3"
@@ -84,9 +81,9 @@ class ImmersionPatch:
     their (n, 3) positions for the Euclidean ambient, (n, 4) unit vectors
     for the spherical one.  first_partials(us, vs) returns the pair of
     (n, d) tangent arrays (X_u, X_v); the oracle differences these for
-    second derivatives, and reads positions only for the spherical normal
-    and to check the partials (validate_patch).  Each coordinate's steps
-    scale with that coordinate's own width.
+    second derivatives, and reads positions only for the spherical
+    normal.  Each coordinate's steps scale with that coordinate's own
+    width.
     """
 
     u_range: tuple[float, float]
@@ -299,18 +296,6 @@ def _curvature_gradients(patch: ImmersionPatch, us, vs):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def curvatures(patch: ImmersionPatch, u, v):
-    """Mean curvature, Gauss curvature and their metric gradients.
-
-    Gradients are coordinate components of grad = g^{-1} d(scalar); their
-    lengths in the induced metric are sqrt(d . g^{-1} . d).
-    """
-    us, vs = _points(u, v)
-    data, grad_f, grad_k = _curvature_gradients(patch, us, vs)
-    return _unbatch(u, v, (data.f, data.K, grad_f, grad_k))
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def biconservativity_residual(patch: ImmersionPatch, u, v):
     """Scale-free defect of A(grad f) = -(f/2) grad f at each point.
 
@@ -366,39 +351,3 @@ def gauss_curvature_from_metric(E: Callable, G: Callable, x, scale=1.0,
     gprime = dG if dG is not None else (lambda xx: _fd4(G, xx, h))
     inner = lambda xx: gprime(xx) / np.sqrt(E(xx) * G(xx))
     return -_fd4(inner, x, h) / (2.0 * np.sqrt(E(x) * G(x)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def validate_patch(patch: ImmersionPatch, n: int = 5, rel_tol: float = 1e-6):
-    """Spot-check patch invariants on an n x n interior sample.
-
-    For spherical patches the position must be a unit vector; the
-    partials must match fourth-order differences of the position; the
-    normal must be orthogonal to the tangents (and the position).  Returns
-    the worst deviations found; a NaN deviation is the worst, so it fails.
-    """
-    us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
-    pos = patch.position(us, vs)
-    xu, xv = patch.first_partials(us, vs)
-    hu = _step("values", patch.u_range, us, patch.u_singularities)
-    hv = _step("values", patch.v_range, vs, ())
-    fu = _fd4(lambda uu: patch.position(uu, vs).T, us, hu).T
-    fv = _fd4(lambda vv: patch.position(us, vv).T, vs, hv).T
-    length = lambda x: np.linalg.norm(x, axis=1)
-    partial = np.concatenate([length(fu - xu) / np.maximum(1.0, length(xu)),
-                              length(fv - xv) / np.maximum(1.0, length(xv))])
-    nrm = _normal(patch, us, vs, xu, xv)
-    orth = [_dot(nrm, xu), _dot(nrm, xv)]
-    norm = np.zeros(1)
-    if patch.ambient == SPHERE3:
-        norm = np.abs(length(pos) - 1.0)
-        orth.append(_dot(nrm, pos))
-    # np.max propagates a NaN
-    worst_norm, worst_partial, worst_orth = (
-        float(np.max(np.abs(xs))) for xs in (norm, partial, np.concatenate(orth)))
-    return {
-        "position_norm_defect": worst_norm,
-        "partials_vs_fd": worst_partial,
-        "normal_orthogonality": worst_orth,
-        "ok": worst_partial <= rel_tol and worst_norm <= 1e-10 and worst_orth <= 1e-8,
-    }

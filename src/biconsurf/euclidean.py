@@ -22,16 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffgeo
-from .numerics import (OutOfDomain, expand_bracket, find_root, power_derivatives,
-                       series_compose, series_mul, series_revert)
+from .numerics import OutOfDomain, expand_bracket, find_root
 
 __all__ = [
     "FamilyParamsR3",
     "RigidMotion",
     "profile_t",
-    "profile_t_deriv",
     "complete_profile_x",
-    "profile_seam_smoothness",
     "immersion_XC",
     "immersion_XC_partials",
     "xc_patch",
@@ -82,13 +79,6 @@ def profile_t(C1: float, rho: float) -> float:
                        + math.log(math.sqrt(C1) * rho ** (1.0 / 3.0) + sw) / math.sqrt(C1))
 
 
-def profile_t_deriv(C1: float, rho: float) -> float:
-    w = C1 * rho ** (2.0 / 3.0) - 1.0
-    if w <= 0.0:
-        raise OutOfDomain(f"rho = {rho} at or below the boundary radius")
-    return 1.0 / math.sqrt(w)
-
-
 def complete_profile_x(C1: float, t: float) -> float:
     """Radius of the completed (evenly reflected) profile at height t.
 
@@ -104,43 +94,6 @@ def complete_profile_x(C1: float, t: float) -> float:
     lo = r0 * (1.0 + 1e-14)
     b = expand_bracket(lambda r: profile_t(C1, r) - t, lo, r0 * 2.0)
     return find_root(lambda r: profile_t(C1, r) - t, b, tol=1e-14 * r0)
-
-
-def profile_seam_smoothness(C1: float, orders=(1, 2, 3)) -> dict:
-    """One-sided derivatives of the completed profile at the waist t = 0,
-    from its exact jets in q = sqrt(C1 rho^{2/3} - 1).
-
-    The height t(q) = 3/(2 C1^{3/2}) (q sqrt(1 + q^2) + asinh q)
-    = 3/(2 C1^{3/2}) (2 q + q^3/3 + O(q^5)) is odd in q and the radius
-    rho(q) = ((1 + q^2)/C1)^{3/2} is even, so both sides of the seam have
-    |t| = t(q) with q >= 0.  Reverting that series gives q(|t|), and
-    composing rho gives the radius as a series in |t|; the n-th derivative
-    on the left carries the factor (-1)^n.  The even reflection makes
-    odd-order one-sided limits opposite, so a smooth seam needs them to
-    vanish; even orders must agree.  The report carries both sides per
-    order, the mismatch, and a relative form (scaled by the analytic waist
-    curvature x''(0) = C1^{3/2} / 3).  Orders above 3 are not checked:
-    the construction is only certified to that order here.
-    """
-    r0 = C1 ** -1.5
-    q = series_revert([0.0, 3.0 * r0, 0.0, 0.5 * r0])
-    q2 = series_mul(q, q)
-    x = [r0 * c for c in series_compose(power_derivatives(1.0, 1.5), [1.0, *q2[1:]])]
-    scale2 = C1 ** 1.5 / 3.0
-    out = {}
-    for order in orders:
-        d_r = math.factorial(order) * x[order]
-        d_l = (-1) ** order * d_r
-        mism = abs(d_r - d_l)
-        ref = max(abs(d_l), abs(d_r), scale2 * (C1 ** 1.5) ** (order - 2))
-        out[order] = {
-            "left": d_l,
-            "right": d_r,
-            "mismatch": mism,
-            "relative_mismatch": mism / ref,
-        }
-    out["waist_curvature_expected"] = scale2
-    return out
 
 
 def immersion_XC(params: FamilyParamsR3, u, v) -> np.ndarray:
@@ -168,12 +121,11 @@ def immersion_XC_partials(params: FamilyParamsR3, u, v):
             diffgeo.stack_coordinates(-c * s3, c * c3, 0.0))
 
 
-def xc_patch(params: FamilyParamsR3,
-             u_range=(-1.5, 1.5),
-             v_range=(0.0, 2.0 * math.pi / 3.0)) -> diffgeo.ImmersionPatch:
+def xc_patch(params: FamilyParamsR3) -> diffgeo.ImmersionPatch:
+    """X_C over u in [-1.5, 1.5] and one period 2 pi / 3 of v."""
     return diffgeo.ImmersionPatch(
-        u_range=u_range,
-        v_range=v_range,
+        u_range=(-1.5, 1.5),
+        v_range=(0.0, 2.0 * math.pi / 3.0),
         ambient=diffgeo.EUCLIDEAN3,
         position=lambda u, v: immersion_XC(params, u, v),
         first_partials=lambda u, v: immersion_XC_partials(params, u, v),

@@ -119,10 +119,7 @@ class GluingAtlas:
     def h0(self, xi):
         """Height of the base profile, floats and arrays alike; h0(xi00) = 0,
         finite at both roots."""
-        xs = np.asarray(xi, dtype=float)
-        outside = ~((self.roots.xi01 <= xs) & (xs <= self.roots.xi02))
-        if outside.any():
-            raise OutOfDomain(f"xi = {float(xs[outside][0])} outside the closed strip")
+        self.roots.check_closed(xi)
         return self._h_cum.value(xi) - self._h_base
 
     def h0_inverse(self, y):
@@ -293,9 +290,7 @@ class GluingAtlas:
         should be made in absolute value.
         """
         xi = np.asarray(xi, dtype=float)
-        outside = ~((self.roots.xi01 <= xi) & (xi <= self.roots.xi02))
-        if outside.any():
-            raise OutOfDomain(f"xi = {xi[outside].flat[0]} outside the closed strip")
+        self.roots.check_closed(xi)
         cs = self.Cstar
         num = 9.0 * xi * xi - cs * cs * (-2.0 * xi ** (8.0 / 3.0) + 9.0 * self.C * xi * xi - 18.0)
         rad = 9.0 * xi * xi - 3.0 * cs * cs * T(self.C, xi)
@@ -304,12 +299,11 @@ class GluingAtlas:
         H = 2.0 * num / (6.0 * cs * np.sqrt(rad))
         return H if H.ndim else float(H)
 
-    def psi_patch(self, h_range, theta_range=None) -> diffgeo.ImmersionPatch:
-        if theta_range is None:
-            theta_range = (0.0, TWO_PI * self.Cstar)
+    def psi_patch(self, h_range) -> diffgeo.ImmersionPatch:
+        """Psi over the heights h_range and one turn, theta in [0, 2 pi C*]."""
         return diffgeo.ImmersionPatch(
             u_range=tuple(h_range),
-            v_range=tuple(theta_range),
+            v_range=(0.0, TWO_PI * self.Cstar),
             ambient=diffgeo.EUCLIDEAN3,
             position=self.immersion_psi,
             first_partials=self.immersion_psi_partials,
@@ -340,10 +334,11 @@ class GluingAtlas:
         xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
         return self.family.tangents(xi, theta, zeta, c, s, dxi, dzeta)
 
-    def phi_patch(self, h_range, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:
+    def phi_patch(self, h_range) -> diffgeo.ImmersionPatch:
+        """Phi over the heights h_range and theta in [0, 1]."""
         return diffgeo.ImmersionPatch(
             u_range=tuple(h_range),
-            v_range=tuple(theta_range),
+            v_range=(0.0, 1.0),
             ambient=diffgeo.SPHERE3,
             position=self.immersion_phi,
             first_partials=self.immersion_phi_partials,

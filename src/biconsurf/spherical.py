@@ -51,11 +51,9 @@ __all__ = [
     "domain_roots",
     "metric_gC",
     "gauss_curvature_DC",
-    "grad_K_norm",
     "SphereFamily",
     "family",
     "curvature_ode_k",
-    "phi_coordinate_bridge",
     "master_ode_residual",
     "flat_profile_derivs",
 ]
@@ -106,6 +104,15 @@ class DomainRoots:
 
     def contains(self, xi: float) -> bool:
         return self.xi01 < xi < self.xi02
+
+    def check_closed(self, xi) -> None:
+        """Raise OutOfDomain unless every xi, a float or an array, lies on
+        the closed strip [xi01, xi02]; a NaN does not."""
+        xs = np.asarray(xi, dtype=float)
+        outside = ~((self.xi01 <= xs) & (xs <= self.xi02))
+        if outside.any():
+            raise OutOfDomain(f"xi = {float(xs[outside][0])} outside the closed strip "
+                              f"[{self.xi01}, {self.xi02}]")
 
     @cached_property
     def _cofactor_constants(self) -> tuple[float, ...]:
@@ -185,7 +192,7 @@ def strip_quadrature(roots: "DomainRoots", g) -> CumulativeQuadrature:
                                 end(roots.xi01, roots.xi02), end(roots.xi02, roots.xi01))
 
 
-def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
+def domain_roots(C: float) -> DomainRoots:
     """Roots xi01 < xi00 < xi02 of T for an admissible C, bracketed and
     then polished to a few ulps.
 
@@ -193,7 +200,7 @@ def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
     always separates the two roots; T(xi00) = 2187 C^4 / 256 - 3, so a
     non-positive value there flags the degenerate (double-root) regime.
     With r = C^{-1/2}, T(r/2) = -2.25 - (0.25/C)^{4/3} < 0 < T(2r) = 9 - (4/C)^{4/3}
-    for every C > C_MIN: [r/2, 2r] brackets xi01 alone, to `tol` relative to r.
+    for every C > C_MIN: [r/2, 2r] brackets xi01 alone, to ROOT_TOL relative to r.
     """
     xi00 = (2.25 * C) ** 1.5
     t00 = float(T(C, xi00))
@@ -203,9 +210,9 @@ def domain_roots(C: float, tol: float = ROOT_TOL) -> DomainRoots:
         )
     f = lambda x: float(T(C, x))
     r = C ** -0.5
-    lo = find_root(f, Bracket.from_function(f, 0.5 * r, 2.0 * r), tol=tol * r)
+    lo = find_root(f, Bracket.from_function(f, 0.5 * r, 2.0 * r), tol=ROOT_TOL * r)
     upper = expand_bracket(f, xi00, 2.0 * xi00)
-    hi = find_root(f, upper, tol=tol)
+    hi = find_root(f, upper, tol=ROOT_TOL)
     return DomainRoots(xi01=_polish_root(C, lo), xi00=xi00, xi02=_polish_root(C, hi))
 
 
@@ -238,21 +245,11 @@ def gauss_curvature_DC(xi: float) -> float:
     return 1.0 - xi ** (8.0 / 3.0) / 9.0
 
 
-def grad_K_norm(C: float, xi: float) -> float:
-    """Metric norm of the curvature gradient on the strip: vanishes at both ends."""
-    t = float(T(C, xi))
-    if t < 0.0:
-        raise OutOfDomain(f"xi = {xi} outside the strip")
-    # |grad K| = sqrt(E^{-1}) |K'| with K' = -(8/27) xi^{5/3}
-    return math.sqrt(xi * xi * t / 3.0) * (8.0 / 27.0) * xi ** (5.0 / 3.0)
-
-
 class SphereFamily:
     """Per-C bundle: roots, zeta quadrature, metric, and the immersion.
 
     Construction is single-threaded; the finished object is immutable in
-    practice and safe for concurrent evaluation.  The isothermal-bridge
-    table is built on first use, so it is freed with the family.
+    practice and safe for concurrent evaluation.
     """
 
     def __init__(self, C: float):
@@ -271,11 +268,7 @@ class SphereFamily:
     def zeta0(self, xi):
         """Turning-angle quadrature based at xi00 (zeta0(xi00) = 0), floats
         and arrays alike."""
-        xs = np.asarray(xi, dtype=float)
-        outside = ~((self.roots.xi01 <= xs) & (xs <= self.roots.xi02))
-        if outside.any():
-            raise OutOfDomain(f"xi = {float(xs[outside][0])} outside "
-                              f"[{self.roots.xi01}, {self.roots.xi02}]")
+        self.roots.check_closed(xi)
         return self._zeta_cum.value(xi) - self._zeta_base
 
     def zeta0_deriv(self, xi: float) -> float:
@@ -283,12 +276,6 @@ class SphereFamily:
             raise OutOfDomain(f"xi = {xi} at or outside the strip ends")
         t = self.roots.T(xi)
         return math.sqrt(self.C) * xi ** (4.0 / 3.0) / ((self.C * xi * xi - 1.0) * math.sqrt(t))
-
-    @cached_property
-    def isothermal_quadrature(self) -> CumulativeQuadrature:
-        """Strip quadrature of sqrt(3/T), the isothermal coordinate density."""
-        return strip_quadrature(self.roots,
-                                lambda tau, t: np.full_like(tau, math.sqrt(3.0)))
 
     @property
     def zeta_limits(self) -> tuple[float, float]:
@@ -344,14 +331,15 @@ class SphereFamily:
             lambda xs: (self.zeta0(xs), [self.zeta0_deriv(x) for x in xs.tolist()]), xi)
         return self.tangents(xi, theta, zeta, dzeta=dzeta)
 
-    def patch(self, xi_margin: float = 1e-3, theta_range=(0.0, 1.0)) -> diffgeo.ImmersionPatch:
-        """Strip patch trimmed by a relative margin at the singular ends."""
+    def patch(self) -> diffgeo.ImmersionPatch:
+        """Strip patch over theta in [0, 1], trimmed by 1e-3 of the strip
+        width at the singular ends."""
         width = self.roots.xi02 - self.roots.xi01
-        lo = self.roots.xi01 + xi_margin * width
-        hi = self.roots.xi02 - xi_margin * width
+        lo = self.roots.xi01 + 1e-3 * width
+        hi = self.roots.xi02 - 1e-3 * width
         return diffgeo.ImmersionPatch(
             u_range=(lo, hi),
-            v_range=theta_range,
+            v_range=(0.0, 1.0),
             ambient=diffgeo.SPHERE3,
             position=self.immersion,
             first_partials=lambda xi, th: self.immersion_partials(xi, th),
@@ -391,16 +379,11 @@ def family(C: float) -> SphereFamily:
 
 # -- curvature ODE route ------------------------------------------------------
 
-def curvature_ode_k(
-    params: FamilyParamsS3,
-    k_start: float,
-    direction: int = +1,
-    tol: float = 1e-10,
-) -> dict:
+def curvature_ode_k(params: FamilyParamsS3, k_start: float, tol: float = 1e-10) -> dict:
     """Integrate the profile-curvature oscillation and report invariants.
 
     Starts on the zero level set of the conserved quantity
-    P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2}, with k' taken from P = 0,
+    P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2}, with k' >= 0 taken from P = 0,
     and integrates k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2}.  Turning
     points (k' = 0) are located by event detection; the equation itself is
     regular there, so the trajectory passes through them and oscillates
@@ -415,7 +398,7 @@ def curvature_ode_k(
     lk = float(L(C1, k_start))
     if lk <= 0.0:
         raise OutOfDomain(f"L(k_start) = {lk} <= 0")
-    kp0 = direction * k_start * math.sqrt(lk)
+    kp0 = k_start * math.sqrt(lk)
 
     def rhs(t, y):
         k = y[0]
@@ -450,38 +433,10 @@ def curvature_ode_k(
     }
 
 
-# -- isothermal-coordinate bridge ---------------------------------------------
+# -- bridge from the conformal-exponent route ----------------------------------
 
 def _bridge_radicand(a: float, b: float, phi):
     return b / 3.0 * np.exp(-2.0 * np.asarray(phi) / 3.0) - np.exp(2.0 * np.asarray(phi)) + a
-
-
-def phi_coordinate_bridge(a: float, b: float, phi: float) -> tuple[float, float]:
-    """Isothermal coordinate u(phi) of the conformal-exponent route, plus C.
-
-    Requires a > 0, b < 0 and a positive radicand at phi.  The base point
-    of the quadrature maps to xi00 under xi = (-b)^{3/8} e^{-phi}, which
-    keeps the convention aligned with the strip quadratures.  The induced
-    strip constant is C = a (-b)^{-3/4}.  Under that map the radicand is
-    (-b)^{3/4} T(xi) / (3 xi^2), so du = dphi / sqrt(radicand) turns into
-    u = -(-b)^{-3/8} times the integral of sqrt(3/T) from xi00 to xi, a
-    strip quadrature that stays accurate up to the band edges.
-    """
-    if a <= 0.0 or b >= 0.0:
-        raise OutOfDomain("need a > 0 and b < 0")
-    C = a * (-b) ** -0.75
-    if C <= C_MIN:
-        raise DegenerateDomain(f"induced C = {C} <= {C_MIN}")
-    rad = float(_bridge_radicand(a, b, phi))
-    if rad <= 0.0:
-        raise OutOfDomain(f"radicand {rad} <= 0 at phi = {phi}")
-    fam = family(C)
-    xi00 = fam.roots.xi00
-    scale38 = (-b) ** 0.375
-    if phi == math.log(scale38 / xi00):
-        return 0.0, C
-    quad = fam.isothermal_quadrature
-    return -(quad.value(scale38 * math.exp(-phi)) - quad.value(xi00)) / scale38, C
 
 
 def bridge_metric_match(a: float, b: float, phi):

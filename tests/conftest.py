@@ -12,7 +12,11 @@ one float at a time, the references for the array ones; `reference_build`
 is the cumulative quadrature build one panel at a time, by depth-first
 recursion, the reference for the level-by-level one; `reference_solve_ode`
 is the ODE stepper on a state of any length, the reference for the
-pair-of-floats one.
+pair-of-floats one.  `curvatures` reads the oracle's curvature gradients
+at one point; `validate_patch` checks a patch's analytic partials against
+differences of its positions; `phi_coordinate_bridge` is the isothermal
+coordinate of the conformal-exponent route, from `isothermal_quadrature`,
+which is the package's own strip quadrature.
 """
 
 import logging
@@ -485,3 +489,93 @@ def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9):
         if residual is not None:
             exp = ref.biconservativity_residual(u, v)
             assert abs(residual[i] - exp) <= rel, (u, v, residual[i], exp)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def curvatures(patch, u, v):
+    """Mean curvature, Gauss curvature and their metric gradients at one
+    point, from the oracle's shape operators on its curvature stencil.
+
+    Gradients are coordinate components of grad = g^{-1} d(scalar); their
+    lengths in the induced metric are sqrt(d . g^{-1} . d).
+    """
+    from biconsurf import diffgeo
+    data, grad_f, grad_k = diffgeo._curvature_gradients(
+        patch, np.array([u], dtype=float), np.array([v], dtype=float))
+    return data.f[0], data.K[0], grad_f[0], grad_k[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def validate_patch(patch, n=5, rel_tol=1e-6):
+    """Spot-check patch invariants on an n x n interior sample.
+
+    For spherical patches the position must be a unit vector; the
+    partials must match fourth-order differences of the position, with
+    the oracle's "values" steps; the normal must be orthogonal to the
+    tangents (and the position).  Returns the worst deviations found; a
+    NaN deviation is the worst, so it fails.
+    """
+    from biconsurf import diffgeo as dg
+    us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
+    pos = patch.position(us, vs)
+    xu, xv = patch.first_partials(us, vs)
+    hu = dg._step("values", patch.u_range, us, patch.u_singularities)
+    hv = dg._step("values", patch.v_range, vs, ())
+    fu = dg._fd4(lambda uu: patch.position(uu, vs).T, us, hu).T
+    fv = dg._fd4(lambda vv: patch.position(us, vv).T, vs, hv).T
+    length = lambda x: np.linalg.norm(x, axis=1)
+    partial = np.concatenate([length(fu - xu) / np.maximum(1.0, length(xu)),
+                              length(fv - xv) / np.maximum(1.0, length(xv))])
+    nrm = dg._normal(patch, us, vs, xu, xv)
+    orth = [dg._dot(nrm, xu), dg._dot(nrm, xv)]
+    norm = np.zeros(1)
+    if patch.ambient == dg.SPHERE3:
+        norm = np.abs(length(pos) - 1.0)
+        orth.append(dg._dot(nrm, pos))
+    # np.max propagates a NaN
+    worst_norm, worst_partial, worst_orth = (
+        float(np.max(np.abs(xs))) for xs in (norm, partial, np.concatenate(orth)))
+    return {
+        "position_norm_defect": worst_norm,
+        "partials_vs_fd": worst_partial,
+        "normal_orthogonality": worst_orth,
+        "ok": worst_partial <= rel_tol and worst_norm <= 1e-10 and worst_orth <= 1e-8,
+    }
+
+
+def isothermal_quadrature(fam):
+    """Strip quadrature of sqrt(3/T), the isothermal coordinate density of
+    a sphere family's strip."""
+    from biconsurf import spherical
+    return spherical.strip_quadrature(fam.roots,
+                                      lambda tau, t: np.full_like(tau, math.sqrt(3.0)))
+
+
+def phi_coordinate_bridge(a, b, phi):
+    """Isothermal coordinate u(phi) of the conformal-exponent route, plus C.
+
+    Requires a > 0, b < 0 and a positive radicand at phi.  The base point
+    of the quadrature maps to xi00 under xi = (-b)^{3/8} e^{-phi}, which
+    keeps the convention aligned with the strip quadratures.  The induced
+    strip constant is C = a (-b)^{-3/4}.  Under that map the radicand is
+    (-b)^{3/4} T(xi) / (3 xi^2), so du = dphi / sqrt(radicand) turns into
+    u = -(-b)^{-3/8} times the integral of sqrt(3/T) from xi00 to xi, a
+    strip quadrature that stays accurate up to the band edges.
+    """
+    from biconsurf import spherical
+    from biconsurf.numerics import DegenerateDomain, OutOfDomain
+    if a <= 0.0 or b >= 0.0:
+        raise OutOfDomain("need a > 0 and b < 0")
+    C = a * (-b) ** -0.75
+    if C <= spherical.C_MIN:
+        raise DegenerateDomain(f"induced C = {C} <= {spherical.C_MIN}")
+    rad = float(spherical._bridge_radicand(a, b, phi))
+    if rad <= 0.0:
+        raise OutOfDomain(f"radicand {rad} <= 0 at phi = {phi}")
+    fam = spherical.family(C)
+    xi00 = fam.roots.xi00
+    scale38 = (-b) ** 0.375
+    if phi == math.log(scale38 / xi00):
+        return 0.0, C
+    quad = isothermal_quadrature(fam)
+    return -(quad.value(scale38 * math.exp(-phi)) - quad.value(xi00)) / scale38, C

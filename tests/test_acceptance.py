@@ -59,7 +59,7 @@ def test_criterion_2_metric_pullbacks(atlas11):
     ok = _report("criterion 2a (X metric pullback)", worst_closed, 1e-8)
 
     fam = spherical.family(1.0)
-    sp = fam.patch(theta_range=(0.0, 1.0))
+    sp = fam.patch()
     xis, ths = sp.grid(32, 32)
     worst_phi = 0.0
     for xi in xis:  # one row of theta per call
@@ -78,7 +78,7 @@ def test_criterion_2_metric_pullbacks(atlas11):
     ])
     ths = np.linspace(0.05, 0.95, 32)
     ppsi = at.psi_patch((m1 - delta, p1 + delta))
-    pphi = at.phi_patch((m1 - delta, p1 + delta), (0.0, 1.0))
+    pphi = at.phi_patch((m1 - delta, p1 + delta))
     worst_psi = 0.0
     worst_glued = 0.0
     for h in hs:  # one row of theta per call
@@ -153,7 +153,7 @@ def test_criterion_4_biconservativity(atlas11):
                 worst = max(worst, diffgeo.biconservativity_residual(patch, float(u), float(v)))
     ok = _report("criterion 4a (X residual)", worst, 1e-4)
 
-    sp = spherical.family(1.0).patch(theta_range=(0.0, 1.0))
+    sp = spherical.family(1.0).patch()
     xis, ths = sp.grid(16, 16, margin=1e-3)
     worst_p = 0.0
     for xi in xis:  # one row of theta per call
@@ -163,7 +163,7 @@ def test_criterion_4_biconservativity(atlas11):
     at = atlas11
     m1, p1 = at.h_limits
     delta = p1 - m1
-    pphi = at.phi_patch((m1 - delta, p1 + delta), (0.0, 1.0))
+    pphi = at.phi_patch((m1 - delta, p1 + delta))
     band = max(1e-3 * delta, 0.02 * delta)
     hs = np.concatenate([
         np.linspace(m1 - delta + band, m1 - band, 5),
@@ -183,7 +183,7 @@ def test_criterion_4_biconservativity(atlas11):
 def test_criterion_5_prime_integral():
     par = spherical.FamilyParamsS3(1.0)
     r = spherical.domain_roots(1.0)
-    out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+    out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
     ok = _report("criterion 5 (conserved quantity drift)",
                  out["max_drift_relative"], 1e-8)
     confinement = max(r.k01 - out["k_min"], out["k_max"] - r.k02)

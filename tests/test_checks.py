@@ -117,7 +117,7 @@ class TestSphereNormDraws:
         return points
 
     def test_s3_local(self, monkeypatch):
-        lo, hi = spherical.family(1.0).patch(theta_range=(0.0, 1.0)).u_range
+        lo, hi = spherical.family(1.0).patch().u_range
         rng = np.random.default_rng(7)
         expected = np.array([(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
                              for _ in range(256)]).T

@@ -1,11 +1,12 @@
-"""Every function and class defined in the package is used somewhere.
+"""Every function and class defined in the package is used by the package.
 
 A definition counts as used when its name appears as an identifier or an
-attribute in `src/`, `tests/` or `perfbench/`, other than in its own
-`def` or `class` line and in an `__all__` list.  Names are matched
-without their owner, so a method is kept alive by any attribute of the
-same name.  String constants do not count: a dictionary key that
-happens to share a function's name is not a call of it.
+attribute in `src/`, other than in its own `def` or `class` line and in
+an `__all__` list: a definition that only `tests/` or `perfbench/` reach
+belongs with them.  Names are matched without their owner, so a method
+is kept alive by any attribute of the same name.  String constants do
+not count: a dictionary key that happens to share a function's name is
+not a call of it.
 """
 
 import ast
@@ -13,7 +14,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "biconsurf"
-SCANNED = ("src", "tests", "perfbench")
+
+# name -> why the package keeps it although only tests and the benchmark reach it
+ALLOWED = {"h0_inverse": "wrapped by name in perfbench/tracing.py"}
 
 
 def _references(tree):
@@ -32,16 +35,21 @@ def _references(tree):
             yield node.attr
 
 
+def _used(*tops):
+    return {name for top in tops for path in sorted((ROOT / top).rglob("*.py"))
+            for name in _references(ast.parse(path.read_text()))}
+
+
 def test_every_definition_is_referenced():
-    used, defined = set(), []
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            used.update(_references(tree))
-            if PACKAGE in path.parents:
-                defined += [(path.name, node.name) for node in ast.walk(tree)
-                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                                 ast.ClassDef))
-                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    defined = [(path.name, node.name) for path in sorted(PACKAGE.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert defined
-    assert [f"{mod}: {name}" for mod, name in defined if name not in used] == []
+    used = _used("src")
+    assert [f"{mod}: {name}" for mod, name in defined
+            if name not in used and name not in ALLOWED] == []
+    # an allowed name is still defined, still unused here, and still used outside
+    outside = _used("tests", "perfbench")
+    assert [name for name in ALLOWED if name in used or name not in outside
+            or name not in {n for _, n in defined}] == []

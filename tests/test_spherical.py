@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, spherical
 from biconsurf.numerics import DegenerateDomain, OutOfDomain
-from conftest import (REFERENCE_LOGGER, reference_build, reference_solve_ode,
-                      refined_singular_integral)
+from conftest import (REFERENCE_LOGGER, phi_coordinate_bridge, reference_build,
+                      reference_solve_ode, refined_singular_integral, validate_patch)
 
 
 class TestRoots:
@@ -176,12 +176,15 @@ class TestGaussCurvature:
                 assert k == pytest.approx(spherical.gauss_curvature_DC(xi), abs=1e-6)
 
     def test_grad_K_vanishes_at_ends(self):
-        # |grad K| ~ const * sqrt(distance to the root): tends to 0 at both ends
+        # |grad K| = sqrt(1/E) |K'| with K' = -(8/27) xi^{5/3}, which goes like
+        # sqrt(distance to the root): it tends to 0 at both ends
+        def grad_k_norm(xi):
+            return math.sqrt(xi * xi * float(spherical.T(1.0, xi)) / 3.0) * (8.0 / 27.0) \
+                * xi ** (5.0 / 3.0)
         r = spherical.domain_roots(1.0)
-        assert spherical.grad_K_norm(1.0, 3.0) > 1e-2
+        assert grad_k_norm(3.0) > 1e-2
         for root, sgn in ((r.xi01, +1.0), (r.xi02, -1.0)):
-            vals = [spherical.grad_K_norm(1.0, root + sgn * d)
-                    for d in (1e-4, 1e-8, 1e-12)]
+            vals = [grad_k_norm(root + sgn * d) for d in (1e-4, 1e-8, 1e-12)]
             assert vals[0] > vals[1] > vals[2]
             assert vals[2] < 1e-4
 
@@ -277,7 +280,7 @@ class TestImmersion:
 
     def test_pullback_metric(self):
         fam = spherical.family(1.0)
-        patch = fam.patch(theta_range=(0.0, 1.0))
+        patch = fam.patch()
         xis, _ = patch.grid(12, 4)
         for xi in xis:
             E, F, G = diffgeo.fundamental_forms(patch, float(xi), 0.3)
@@ -295,14 +298,14 @@ class TestImmersion:
 
     def test_biconservative_grid(self):
         fam = spherical.family(1.0)
-        patch = fam.patch(theta_range=(0.0, 0.8))
+        patch = fam.patch()
         xis, ths = patch.grid(8, 3, margin=1e-3)
         worst = max(diffgeo.biconservativity_residual(patch, float(x), float(t))
                     for x in xis for t in ths)
         assert worst < 1e-4
 
     def test_partials_validate(self):
-        rep = diffgeo.validate_patch(spherical.family(1.0).patch())
+        rep = validate_patch(spherical.family(1.0).patch())
         assert rep["ok"]
 
     def test_out_of_domain(self):
@@ -315,7 +318,7 @@ class TestCurvatureOde:
     def test_prime_integral_drift(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
         assert out["max_drift_relative"] < 1e-8
 
     @pytest.mark.parametrize("C, accepted", [(1.001 * spherical.C_MIN, 262), (1.0, 789),
@@ -325,7 +328,7 @@ class TestCurvatureOde:
         # controller or the tableau shows here first
         par = spherical.FamilyParamsS3(C)
         r = spherical.domain_roots(C)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
         assert len(out["states"]) == accepted
 
     @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 50.0, 1e3])
@@ -335,9 +338,9 @@ class TestCurvatureOde:
         par = spherical.FamilyParamsS3(C)
         r = spherical.domain_roots(C)
         k0 = 0.5 * (r.k01 + r.k02)
-        got = spherical.curvature_ode_k(par, k0, +1)
+        got = spherical.curvature_ode_k(par, k0)
         monkeypatch.setattr(spherical, "solve_ode", reference_solve_ode)
-        want = spherical.curvature_ode_k(par, k0, +1)
+        want = spherical.curvature_ode_k(par, k0)
         for key in ("states", "turning_points"):
             assert [(s.t, s.y, s.step) for s in got[key]] == \
                 [(s.t, s.y, s.step) for s in want[key]]
@@ -348,21 +351,21 @@ class TestCurvatureOde:
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
         k0 = 0.5 * (r.k01 + r.k02)
-        loose = spherical.curvature_ode_k(par, k0, +1, tol=1e-8)
-        tight = spherical.curvature_ode_k(par, k0, +1, tol=5e-11)
+        loose = spherical.curvature_ode_k(par, k0, tol=1e-8)
+        tight = spherical.curvature_ode_k(par, k0, tol=5e-11)
         assert tight["max_drift"] < loose["max_drift"]
 
     def test_confined_to_root_interval(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
         assert out["k_min"] >= r.k01 - 1e-6
         assert out["k_max"] <= r.k02 + 1e-6
 
     def test_turning_points_sit_on_L_zeros(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
         assert len(out["turning_points"]) >= 6
         for ev in out["turning_points"]:
             k = ev.y[0]
@@ -374,40 +377,32 @@ class TestCurvatureOde:
         # RuntimeWarning of k ** 2.5 there into an error
         par = spherical.FamilyParamsS3(50.0)
         r = spherical.domain_roots(50.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02), +1)
+        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
         assert out["max_drift_relative"] < 1e-8
 
     def test_rejects_start_outside(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
         with pytest.raises(OutOfDomain):
-            spherical.curvature_ode_k(par, r.k02 * 1.5, +1)
+            spherical.curvature_ode_k(par, r.k02 * 1.5)
 
 
 class TestCoordinateBridge:
-    def test_isothermal_table_lives_on_the_family(self):
-        spherical.family.cache_clear()
-        u, C = spherical.phi_coordinate_bridge(2.0, -1.0, -0.9)
-        assert "isothermal_quadrature" in vars(spherical.family(C))
-        spherical.family.cache_clear()
-        assert "isothermal_quadrature" not in vars(spherical.family(C))
-        assert spherical.phi_coordinate_bridge(2.0, -1.0, -0.9) == (u, C)
-
     def test_induced_constant(self):
-        u, C = spherical.phi_coordinate_bridge(2.0, -1.0, -0.9)
+        u, C = phi_coordinate_bridge(2.0, -1.0, -0.9)
         assert C == pytest.approx(2.0, rel=1e-14)
 
     def test_base_point_maps_to_midpoint(self):
         r = spherical.domain_roots(2.0)
         phi0 = math.log(1.0 / r.xi00)
-        u, _ = spherical.phi_coordinate_bridge(2.0, -1.0, phi0)
+        u, _ = phi_coordinate_bridge(2.0, -1.0, phi0)
         assert u == 0.0
 
     def test_rejects_nonpositive_radicand(self):
         with pytest.raises(OutOfDomain):
-            spherical.phi_coordinate_bridge(2.0, -1.0, 5.0)
+            phi_coordinate_bridge(2.0, -1.0, 5.0)
         with pytest.raises(OutOfDomain):
-            spherical.phi_coordinate_bridge(-1.0, -1.0, 0.0)
+            phi_coordinate_bridge(-1.0, -1.0, 0.0)
 
     def test_metric_match(self):
         r = spherical.domain_roots(2.0)
@@ -451,15 +446,15 @@ class TestCoordinateBridge:
         a, b = ab
         r = spherical.domain_roots(a * (-b) ** -0.75)
         lo, hi = (math.log((-b) ** 0.375 / x) for x in (r.xi02, r.xi01))
-        u, _ = spherical.phi_coordinate_bridge(a, b, lo + frac * (hi - lo))
+        u, _ = phi_coordinate_bridge(a, b, lo + frac * (hi - lo))
         assert u == pytest.approx(expected, rel=1e-9)
 
     def test_sign_convention(self):
         # u increases as phi moves up from the base point (plus branch)
         r = spherical.domain_roots(2.0)
         phi0 = math.log(1.0 / r.xi00)
-        u_hi, _ = spherical.phi_coordinate_bridge(2.0, -1.0, phi0 + 0.1)
-        u_lo, _ = spherical.phi_coordinate_bridge(2.0, -1.0, phi0 - 0.1)
+        u_hi, _ = phi_coordinate_bridge(2.0, -1.0, phi0 + 0.1)
+        u_lo, _ = phi_coordinate_bridge(2.0, -1.0, phi0 - 0.1)
         assert u_hi > 0.0 > u_lo
 
 
