@@ -36,9 +36,14 @@ class UsageError(Exception):
     pass
 
 
-# rows per write, and grid points per evaluator call: one block's text is a
-# few hundred kB, where the whole 256 x 256 r3 mesh as one string would add
-# ~10 MB to the peak memory
+# text lines per write, values per formatting call, and grid points per
+# evaluator call.  The text writers format each distinct value of a column
+# once and keep the texts, NUL-padded, beside the column's sorted distinct
+# bit patterns; the lines of a block are assembled from those as bytes.  For
+# the 256 x 256 r3 OBJ (80,401 distinct of 196,608 coordinates) the texts
+# and bit patterns take 2.5 MB, 1.6 times the vertex array, and with one
+# block of lines the writer peaks at 2.3 times it; the whole file as one
+# string would be 6.6 MB
 BLOCK_ROWS = 4096
 
 
@@ -46,34 +51,82 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_rows(fh, fmt: str, rows: np.ndarray) -> None:
-    """Write each row of a 2-D array through `fmt`, a block of rows at a time."""
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+def _texts(spec: str, width: int, values: np.ndarray) -> np.ndarray:
+    """format(v, spec) for each v of `values` as the rows of a byte table,
+    NUL-padded to `width`, which no text may exceed, and viewed only as wide
+    as the longest text.  One formatting call takes BLOCK_ROWS values."""
+    table = np.empty((len(values), width), np.uint8)
+    for start in range(0, len(values), BLOCK_ROWS):
+        part = values[start:start + BLOCK_ROWS]
+        # each text left-aligned in `width` spaces; no text has a space of its own
+        text = f"%-{width}{spec}" * len(part) % tuple(part.tolist())
+        rows = table[start:start + len(part)]
+        rows[:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
+        rows[rows == ord(" ")] = 0
+    return table[:, :np.count_nonzero(table.any(axis=0))]
+
+
+def _write_lines(fh, head: str, sep: str, tables: list[np.ndarray], index_blocks) -> None:
+    """For each block of `index_blocks`, one index array per table, write a
+    line for each position r: `head`, the texts tables[j][block[j][r]]
+    joined by `sep`, and a newline; a block of lines is one write."""
+    template = np.frombuffer(
+        (head + sep.join("\0" * t.shape[1] for t in tables) + "\n").encode(), np.uint8)
+    for block in index_blocks:
+        lines = np.empty((len(block[0]), len(template)), np.uint8)
+        lines[:] = template
+        pos = len(head)
+        for table, idx in zip(tables, block):
+            lines[:, pos:pos + table.shape[1]] = table[idx]
+            pos += table.shape[1] + len(sep)
+        # the padding NULs drop out; no text has a NUL of its own
+        fh.write(lines[lines != 0])
+
+
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique gives
+    them; numpy 2.4's np.unique hashes integers and takes 9 times as long
+    as this sort on a 65,536-entry column."""
+    bits = np.sort(bits)
+    return bits[np.append(True, bits[1:] != bits[:-1])]
+
+
+def _write_rows(fh, head: str, sep: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-D float array as one line of "%.17g" texts: the
+    distinct values of each column, compared by bit pattern so that -0.0
+    keeps its sign, are formatted once."""
+    keys = [_distinct(col.view(np.int64)) for col in rows.T]
+    # no "%.17g" text of a double is longer than -1.2345678901234567e-308
+    tables = [_texts(".17g", 24, k.view(np.float64)) for k in keys]
+    _write_lines(fh, head, sep, tables, (
+        [np.searchsorted(k, col.view(np.int64))
+         for k, col in zip(keys, rows[start:start + BLOCK_ROWS].T)]
+        for start in range(0, len(rows), BLOCK_ROWS)))
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * len(header)) + "\n", rows)
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        _write_rows(fh, "", ",", rows)
 
 
 def _write_obj(path: Path, vertices: np.ndarray, nu: int, nv: int, wrap_v: bool) -> None:
     """Vertices of a row-major nu x nv grid and two triangles per cell; the
-    faces are made a band of grid rows at a time, like the text."""
+    faces are made a band of grid rows at a time, like the text, and each
+    vertex number is formatted once."""
     cols = nv if wrap_v else nv - 1
-    j = np.arange(cols) + 1
-    jn = j % nv + 1
-    # 1-based corners of the two triangles of each cell in the first grid row
+    j = np.arange(cols)
+    jn = (j + 1) % nv
+    # 0-based corners of the two triangles of each cell in the first grid row
     row0 = np.stack([j, jn, jn + nv, j, jn + nv, j + nv], axis=-1).reshape(-1, 3)
     band = max(1, BLOCK_ROWS // len(row0))
-    with path.open("w") as fh:
-        fh.write(f"# biconsurf mesh: {nu} x {nv} row-major grid\n")
-        _write_rows(fh, "v %.17g %.17g %.17g\n", vertices)
-        for i in range(0, nu - 1, band):
-            shift = nv * np.arange(i, min(i + band, nu - 1))[:, None, None]
-            _write_rows(fh, "f %d %d %d\n", (row0 + shift).reshape(-1, 3))
+    with path.open("wb") as fh:
+        fh.write(f"# biconsurf mesh: {nu} x {nv} row-major grid\n".encode())
+        _write_rows(fh, "v ", " ", vertices)
+        numbers = _texts("d", len(str(nu * nv)), np.arange(1, nu * nv + 1))
+        _write_lines(fh, "f ", " ", [numbers] * 3, (
+            (row0 + nv * np.arange(i, min(i + band, nu - 1))[:, None, None]).reshape(-1, 3).T
+            for i in range(0, nu - 1, band)))
 
 
 def _require_admissible(family: str, C: float, cstar: float | None) -> None:
@@ -202,7 +255,7 @@ def _grid_positions(args):
         evaluate = fam.immersion
         u_default = fam.patch().u_range
         v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
-        if args.u_range and not all(r.contains(u) for u in args.u_range):
+        if args.u_range and not r.contains(np.array(args.u_range)).all():
             raise UsageError(f"u-range must lie inside the open strip "
                              f"({_fmt(r.xi01)}, {_fmt(r.xi02)}) for the s3-local family")
     else:
@@ -219,15 +272,18 @@ def _grid_positions(args):
     us = np.linspace(u0, u1, nu)[:, None]
     vs = np.linspace(v0, v1, nv, endpoint=not wrap_v)
     band = max(1, BLOCK_ROWS // nv)
+    is_spherical = family in ("s3-local", "s3-complete")
+    pts = np.empty((nu, nv, 4 if is_spherical else 3))
     try:
-        pts = np.concatenate([evaluate(us[i:i + band], vs)
-                              for i in range(0, nu, band)]).reshape(nu * nv, -1)
+        for i in range(0, nu, band):
+            pts[i:i + band] = evaluate(us[i:i + band], vs)
     except (OverflowError, OutOfDomain) as exc:
         raise UsageError(f"the {family} grid leaves the surface's domain: {exc}") from exc
+    pts = pts.reshape(nu * nv, -1)
     if not np.isfinite(pts).all():
         raise UsageError(f"the {family} grid has non-finite positions; "
                          f"narrow --u-range or change --C")
-    return pts, nu, nv, wrap_v, family in ("s3-local", "s3-complete")
+    return pts, nu, nv, wrap_v, is_spherical
 
 
 def cmd_mesh(args) -> int:

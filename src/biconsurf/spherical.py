@@ -102,8 +102,10 @@ class DomainRoots:
     def k02(self) -> float:
         return 3.0 ** -1.5 * self.xi02 ** (4.0 / 3.0)
 
-    def contains(self, xi: float) -> bool:
-        return self.xi01 < xi < self.xi02
+    def contains(self, xi):
+        """Whether xi, a float or each entry of an array, lies on the open
+        strip (xi01, xi02); a NaN does not."""
+        return (self.xi01 < xi) & (xi < self.xi02)
 
     def check_closed(self, xi) -> None:
         """Raise OutOfDomain unless every xi, a float or an array, lies on
@@ -318,7 +320,7 @@ class SphereFamily:
         """Points of Phi_C at the broadcast (xi, theta), shape (..., 4), with
         zeta0 once on the distinct xi."""
         def at(xs):
-            outside = ~((self.roots.xi01 < xs) & (xs < self.roots.xi02))
+            outside = ~self.roots.contains(xs)
             if outside.any():
                 raise OutOfDomain(f"xi = {float(xs[outside][0])} outside the open strip")
             return (self.zeta0(xs),)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -229,6 +230,17 @@ class TestMesh:
         out = tmp_path / "m.obj"
         assert run(["mesh", *argv, "--grid", "4", "4", "--out", str(out)]) == 2
         assert _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_u_range_on_a_strip_end_rejected(self, tmp_path, capsys):
+        # DomainRoots.contains decides, for both ends of the range at once
+        r = spherical.family(1.0).roots
+        for u_range in ([r.xi01, r.xi00], [r.xi00, r.xi02]):
+            assert run(["mesh", "--family", "s3-local", "--C", "1", "--grid", "4", "4",
+                        "--u-range", *map(repr, u_range), "--out", str(tmp_path / "m.obj")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: u-range must lie inside the open strip ({cli._fmt(r.xi01)}, "
+                f"{cli._fmt(r.xi02)}) for the s3-local family\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -824,6 +836,65 @@ class TestByteParity:
         assert evaluate(hs, ts).tobytes() == ref.tobytes()
 
 
+# values whose "%.17g" texts are awkward: a signed zero, NaN with and
+# without its sign bit, infinities, the extreme doubles and a 24-character text
+AWKWARD = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+           1e308, -1.7976931348623157e308, -1.2345678901234567e-300, 0.1, -1.0, 2.0 ** 60]
+
+
+class TestWriters:
+    """The writers against the one-value-at-a-time reference above."""
+
+    def _awkward_rows(self, n, ncols):
+        # few distinct values, so that equal values recur in blocks far
+        # apart, beside columns of distinct ones
+        rng = np.random.default_rng(5)
+        cols = [rng.choice(np.array(AWKWARD), n) if j % 2 == 0 else rng.standard_normal(n)
+                for j in range(ncols)]
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("n", [1, len(AWKWARD), 3 * cli.BLOCK_ROWS + 17])
+    def test_csv_awkward_columns(self, tmp_path, n):
+        rows = self._awkward_rows(n, 4)
+        # every awkward value, the 24-character text among them
+        rows[:len(AWKWARD), 0] = AWKWARD[:n]
+        # one value in rows more than BLOCK_ROWS apart
+        rows[::cli.BLOCK_ROWS + 1, 1] = -0.0
+        cli._write_csv(tmp_path / "got.csv", ["a", "b", "c", "d"], rows)
+        _ref_write_csv(tmp_path / "want.csv", ["a", "b", "c", "d"], rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("nu, nv", [(50, 97), (3, 2500)])
+    @pytest.mark.parametrize("wrap_v", [False, True])
+    def test_obj_across_blocks(self, tmp_path, nu, nv, wrap_v):
+        # nu nv > BLOCK_ROWS, nv does not divide BLOCK_ROWS, and vertex
+        # numbers of one to four digits; at nv = 2500 a grid row alone has
+        # more than BLOCK_ROWS faces
+        assert nu * nv > cli.BLOCK_ROWS and cli.BLOCK_ROWS % nv
+        verts = self._awkward_rows(nu * nv, 3)
+        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
+        want = "\n".join(_ref_obj_lines(verts, nu, nv, wrap_v)) + "\n"
+        assert (tmp_path / "m.obj").read_bytes() == want.encode()
+
+    def test_obj_writer_memory(self, tmp_path):
+        # the writer holds the distinct values' keys and texts and one block
+        # of lines: about 2.3 times the vertex array of the 256 x 256 r3
+        # mesh (80,401 distinct coordinates), where one string of the whole
+        # file would be 4.4 times it
+        args = cli.build_parser().parse_args(
+            ["mesh", "--family", "r3", "--C", "1", "--grid", "256", "256", "--wrap-v",
+             "--out", str(tmp_path / "m.obj")])
+        cli._resolve_args(args)
+        verts, nu, nv, wrap_v, _ = cli._grid_positions(args)
+        tracemalloc.start()
+        try:
+            cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * verts.nbytes
+
+
 def test_import_leaves_scipy_interpolate_unloaded():
     # the package needs only numpy: no scipy module may load with the CLI
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -844,3 +915,15 @@ def test_python_m_biconsurf_runs_the_cli_quietly():
     assert res.returncode == 0
     lines = res.stderr.splitlines()
     assert lines and all(ln.startswith(("PASS ", "FAIL ")) for ln in lines)
+
+
+@pytest.mark.parametrize("module", ["biconsurf.cli", "biconsurf"])
+def test_python_m_leaves_stderr_empty(module):
+    # the package does not import the CLI, so runpy has nothing to warn about
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", module, "params", "--C", "1"],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0
+    assert "xi01" in res.stdout
+    assert res.stderr == ""

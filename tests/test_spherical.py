@@ -3,6 +3,7 @@ immersion, the curvature ODE, and the coordinate bridge."""
 
 import logging
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -269,6 +270,24 @@ class TestZeta:
 
 
 class TestImmersion:
+    def test_open_strip_guard(self):
+        # one open-strip check, DomainRoots.contains, for floats and arrays;
+        # the immersion and zeta0' keep their errors
+        fam = spherical.family(1.0)
+        r = fam.roots
+        xs = np.array([r.xi01, np.nextafter(r.xi01, np.inf), r.xi00,
+                       np.nextafter(r.xi02, 0.0), r.xi02, np.nan])
+        inside = [False, True, True, True, False, False]
+        assert r.contains(xs).tolist() == inside
+        assert [bool(r.contains(x)) for x in xs.tolist()] == inside
+        message = f"xi = {r.xi02!r} outside the open strip"
+        with pytest.raises(OutOfDomain, match=f"^{re.escape(message)}$"):
+            fam.immersion(xs[1:], 0.0)
+        for x in (r.xi01, r.xi02, math.nan):
+            message = f"xi = {x!r} at or outside the strip ends"
+            with pytest.raises(OutOfDomain, match=f"^{re.escape(message)}$"):
+                fam.zeta0_deriv(x)
+
     def test_unit_norm_random(self):
         fam = spherical.family(1.0)
         r = fam.roots
