@@ -36,14 +36,11 @@ class UsageError(Exception):
     pass
 
 
-# text lines per write, values per formatting call, and grid points per
-# evaluator call.  The text writers format each distinct value of a column
-# once and keep the texts, NUL-padded, beside the column's sorted distinct
-# bit patterns; the lines of a block are assembled from those as bytes.  For
-# the 256 x 256 r3 OBJ (80,401 distinct of 196,608 coordinates) the texts
-# and bit patterns take 2.5 MB, 1.6 times the vertex array, and with one
-# block of lines the writer peaks at 2.3 times it; the whole file as one
-# string would be 6.6 MB
+# text lines per write, rows per formatting call (all their columns in one
+# call), and grid points per evaluator call.  A block's lines are one
+# (rows x line length) byte matrix with a NUL-padded cell per text; for the
+# 256 x 256 r3 OBJ a block of 4096 vertex lines is 0.3 MB, where the whole
+# file as one string would be 6.6 MB
 BLOCK_ROWS = 4096
 
 
@@ -51,57 +48,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _texts(spec: str, width: int, values: np.ndarray) -> np.ndarray:
-    """format(v, spec) for each v of `values` as the rows of a byte table,
-    NUL-padded to `width`, which no text may exceed, and viewed only as wide
-    as the longest text.  One formatting call takes BLOCK_ROWS values."""
-    table = np.empty((len(values), width), np.uint8)
-    for start in range(0, len(values), BLOCK_ROWS):
-        part = values[start:start + BLOCK_ROWS]
-        # each text left-aligned in `width` spaces; no text has a space of its own
-        text = f"%-{width}{spec}" * len(part) % tuple(part.tolist())
-        rows = table[start:start + len(part)]
-        rows[:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
-        rows[rows == ord(" ")] = 0
-    return table[:, :np.count_nonzero(table.any(axis=0))]
+def _line_cells(n: int, head: str, sep: str, ncols: int,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """n lines, each `head`, then `ncols` cells of `width` NULs joined by
+    `sep`, and a newline, as an (n, line length) byte matrix; returns it
+    and the (n, ncols, width) view of its cells."""
+    step = width + len(sep)
+    lines = np.empty((n, len(head) + ncols * step - len(sep) + 1), np.uint8)
+    lines[:] = np.frombuffer((head + sep.join(["\0" * width] * ncols) + "\n").encode(), np.uint8)
+    # `sep` has one character at most: the newline takes the last cell's sep
+    cells = lines[:, len(head):len(head) + ncols * step].reshape(n, ncols, step)
+    return lines, cells[:, :, :width]
 
 
-def _write_lines(fh, head: str, sep: str, tables: list[np.ndarray], index_blocks) -> None:
-    """For each block of `index_blocks`, one index array per table, write a
-    line for each position r: `head`, the texts tables[j][block[j][r]]
-    joined by `sep`, and a newline; a block of lines is one write."""
-    template = np.frombuffer(
-        (head + sep.join("\0" * t.shape[1] for t in tables) + "\n").encode(), np.uint8)
-    for block in index_blocks:
-        lines = np.empty((len(block[0]), len(template)), np.uint8)
-        lines[:] = template
-        pos = len(head)
-        for table, idx in zip(tables, block):
-            lines[:, pos:pos + table.shape[1]] = table[idx]
-            pos += table.shape[1] + len(sep)
-        # the padding NULs drop out; no text has a NUL of its own
-        fh.write(lines[lines != 0])
-
-
-def _distinct(bits: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, as np.unique gives
-    them; numpy 2.4's np.unique hashes integers and takes 9 times as long
-    as this sort on a 65,536-entry column."""
-    bits = np.sort(bits)
-    return bits[np.append(True, bits[1:] != bits[:-1])]
+def _write_lines(fh, lines: np.ndarray) -> None:
+    # the padding NULs drop out; no text has a NUL of its own
+    fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def _write_rows(fh, head: str, sep: str, rows: np.ndarray) -> None:
-    """Write each row of a 2-D float array as one line of "%.17g" texts: the
-    distinct values of each column, compared by bit pattern so that -0.0
-    keeps its sign, are formatted once."""
-    keys = [_distinct(col.view(np.int64)) for col in rows.T]
-    # no "%.17g" text of a double is longer than -1.2345678901234567e-308
-    tables = [_texts(".17g", 24, k.view(np.float64)) for k in keys]
-    _write_lines(fh, head, sep, tables, (
-        [np.searchsorted(k, col.view(np.int64))
-         for k, col in zip(keys, rows[start:start + BLOCK_ROWS].T)]
-        for start in range(0, len(rows), BLOCK_ROWS)))
+    """Write each row of a 2-D float array as one line of "%.17g" texts,
+    formatting the values of a block of rows in one call."""
+    # loaded on the first write: verify and params never compile it
+    from . import numtext
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        lines, cells = _line_cells(len(block), head, sep, block.shape[1], numtext.TEXT_WIDTH)
+        numtext.float_texts(block, cells)
+        _write_lines(fh, lines)
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
@@ -112,21 +86,28 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
 
 def _write_obj(path: Path, vertices: np.ndarray, nu: int, nv: int, wrap_v: bool) -> None:
     """Vertices of a row-major nu x nv grid and two triangles per cell; the
-    faces are made a band of grid rows at a time, like the text, and each
-    vertex number is formatted once."""
+    faces are made and written a band of grid rows at a time, and the
+    numbers of the band + 1 grid rows its faces use formatted once."""
     cols = nv if wrap_v else nv - 1
     j = np.arange(cols)
     jn = (j + 1) % nv
     # 0-based corners of the two triangles of each cell in the first grid row
     row0 = np.stack([j, jn, jn + nv, j, jn + nv, j + nv], axis=-1).reshape(-1, 3)
     band = max(1, BLOCK_ROWS // len(row0))
+    width = len(str(nu * nv))
+    from . import numtext   # loaded on the first write, as in _write_rows
     with path.open("wb") as fh:
         fh.write(f"# biconsurf mesh: {nu} x {nv} row-major grid\n".encode())
         _write_rows(fh, "v ", " ", vertices)
-        numbers = _texts("d", len(str(nu * nv)), np.arange(1, nu * nv + 1))
-        _write_lines(fh, "f ", " ", [numbers] * 3, (
-            (row0 + nv * np.arange(i, min(i + band, nu - 1))[:, None, None]).reshape(-1, 3).T
-            for i in range(0, nu - 1, band)))
+        for i in range(0, nu - 1, band):
+            rows = min(band, nu - 1 - i)
+            numbers = numtext.int_texts(np.arange(i * nv + 1, (i + rows + 1) * nv + 1), width)
+            faces = (row0 + nv * np.arange(rows)[:, None, None]).reshape(-1, 3)
+            lines, cells = _line_cells(len(faces), "f ", " ", 3, width)
+            # a text as one void item: a gather copies it whole
+            text = f"V{width}"
+            cells.view(text)[..., 0] = numbers.view(text)[:, 0].take(faces)
+            _write_lines(fh, lines)
 
 
 def _require_admissible(family: str, C: float, cstar: float | None) -> None:

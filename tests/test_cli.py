@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biconsurf import checks, cli, diffgeo, gluing, spherical
+from biconsurf import checks, cli, diffgeo, gluing, numtext, spherical
 from biconsurf.euclidean import FamilyParamsR3, immersion_XC
 from biconsurf.numerics import OutOfDomain
 
@@ -842,6 +843,16 @@ AWKWARD = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
            1e308, -1.7976931348623157e308, -1.2345678901234567e-300, 0.1, -1.0, 2.0 ** 60]
 
 
+def _assert_texts(x):
+    """The writers' texts of the float array `x` are format(v, ".17g")."""
+    cells = np.zeros(x.shape + (numtext.TEXT_WIDTH + 1,), np.uint8)
+    cells[..., -1] = ord("\n")
+    numtext.float_texts(x, cells[..., :-1])
+    got = cells.tobytes().translate(None, b"\0").decode().splitlines()
+    want = [_ref_fmt(v) for v in x.ravel().tolist()]
+    assert got == want, [(v, g, w) for v, g, w in zip(x.ravel(), got, want) if g != w][:5]
+
+
 class TestWriters:
     """The writers against the one-value-at-a-time reference above."""
 
@@ -877,22 +888,64 @@ class TestWriters:
         assert (tmp_path / "m.obj").read_bytes() == want.encode()
 
     def test_obj_writer_memory(self, tmp_path):
-        # the writer holds the distinct values' keys and texts and one block
-        # of lines: about 2.3 times the vertex array of the 256 x 256 r3
-        # mesh (80,401 distinct coordinates), where one string of the whole
-        # file would be 4.4 times it
+        # the writer holds one block at a time: its lines, their bytes with
+        # and without the NULs, and the formatting temporaries of its 12,288
+        # values, 0.81 times the vertex array of the 256 x 256 r3 mesh (the
+        # bound leaves a fifth more), where one string of the whole file
+        # would be 4.2 times it.  The first write also loads the formatting
+        # module and builds its tables, 0.1 times it
         args = cli.build_parser().parse_args(
             ["mesh", "--family", "r3", "--C", "1", "--grid", "256", "256", "--wrap-v",
              "--out", str(tmp_path / "m.obj")])
         cli._resolve_args(args)
         verts, nu, nv, wrap_v, _ = cli._grid_positions(args)
+        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
         tracemalloc.start()
         try:
             cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * verts.nbytes
+        assert peak < 1.0 * verts.nbytes
+
+    def test_float_texts_corpus(self):
+        # a seeded corpus of 10^6 doubles: random bit patterns (subnormals
+        # and NaN payloads among them), and with both signs the special
+        # values, powers of ten and their neighbours, integers of 16 to 18
+        # digits, and exact ties of the 17-digit rounding, q / 2^j with q
+        # odd and 18 digits
+        rng = np.random.default_rng(23)
+        powers = 10.0 ** np.arange(-300, 301)
+        ties = []
+        for j in range(1, 60):
+            lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+            if lo < hi:
+                q = rng.integers(lo, hi, 8000) | 1
+                ties.append(np.ldexp(q[q < hi].astype(np.float64), -j))
+        chosen = np.concatenate([
+            [0.0, math.inf, 5e-324, sys.float_info.max],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+            rng.integers(10 ** 15, 10 ** 18, 150_000).astype(np.float64), *ties])
+        x = np.concatenate([
+            rng.integers(0, 2 ** 64, 500_000, dtype=np.uint64).view(np.float64), chosen, -chosen])
+        assert len(x) >= 10 ** 6 and sum(map(len, ties)) > 150_000
+        for start in range(0, len(x), 1 << 16):
+            _assert_texts(x[start:start + (1 << 16)])
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_float_texts_property(self, values):
+        _assert_texts(np.array(values).reshape(-1, 1))
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_vertex_number_texts(self, width):
+        rng = np.random.default_rng(width)
+        numbers = np.unique(np.concatenate([
+            np.arange(1, min(10 ** width, 20_001)), rng.integers(1, 10 ** width, 5000),
+            [10 ** (width - 1), 10 ** width - 1]]))
+        table = numtext.int_texts(numbers, width)
+        assert table.shape == (len(numbers), width)
+        assert [row[row != 0].tobytes().decode() for row in table] == list(map(str, numbers.tolist()))
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
