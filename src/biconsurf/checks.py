@@ -231,7 +231,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         lambda x: spherical.metric_gC(c_metric, x)[0], lambda x: 1.0 / (x * x),
         xi_metric, scale=scale, dG=lambda x: -2.0 / x ** 3)
 
-    ode = spherical.curvature_ode_k(fam.params, 0.5 * (roots.k01 + roots.k02))
+    ode = spherical.curvature_ode_k(fam.params, roots, 0.5 * (roots.k01 + roots.k02))
     confinement = _largest(roots.k01 - ode["k_min"], ode["k_max"] - roots.k02, 0.0)
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T

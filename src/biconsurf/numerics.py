@@ -5,18 +5,19 @@ inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
 build time, one bisection level at a time with one integrand call per
 level, kept as per-panel Chebyshev antiderivatives that later
 evaluations sum by Clenshaw, and whose end cells give Taylor series in
-the end variable), an embedded adaptive Runge-Kutta integrator of a state
-held as two float locals, with event detection bisected down to float
-resolution, and truncated power series for one-sided jets.  Everything is
-pure with respect to its inputs; the cumulative quadrature tables built
-here are immutable after construction and safe to share between threads.
+the end variable), an embedded adaptive Runge-Kutta integrator of a
+second-order equation k'' = f(k) in two float locals, with turning
+points bisected down to float resolution, and truncated power series for
+one-sided jets.  Everything is pure with respect to its inputs; the
+cumulative quadrature tables built here are immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "OutOfDomain",
     "DegenerateDomain",
     "Bracket",
-    "OdeState",
     "OdeSolution",
     "find_root",
     "expand_bracket",
@@ -529,41 +529,25 @@ class CumulativeQuadrature:
 
 
 # ----------------------------------------------------------------------
-# ODE integration (Dormand-Prince 5(4), adaptive, with event detection)
+# ODE integration (Dormand-Prince 5(4), adaptive, with turning points)
 # ----------------------------------------------------------------------
 
 @dataclass
-class OdeState:
-    """One accepted point of a trajectory: time, state as a tuple of floats, step used."""
-
-    t: float
-    y: tuple[float, ...]
-    step: float
-
-    def __post_init__(self):
-        self.y = tuple(map(float, self.y))
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if not all(map(math.isfinite, self.y)):
-            raise ValueError("state vector must be finite")
-
-
-@dataclass
 class OdeSolution:
-    states: list[OdeState] = field(default_factory=list)
-    events: list[OdeState] = field(default_factory=list)
+    """A trajectory of k'' = f(k): `states` holds t, k, k' and the step that
+    reached it for each accepted state in turn, `turns` the same four floats
+    for each turning point; `len()` counts the accepted states."""
 
-    def __iter__(self):
-        return iter(self.states)
+    states: list[float]
+    turns: list[float]
 
     def __len__(self):
-        return len(self.states)
+        return len(self.states) // 4
 
 
-# Dormand-Prince 5(4) tableau: nodes, stage weights, and the weights of
-# the embedded 4th-order solution; the 5th-order one is the last stage's
-# point (first same as last)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# Dormand-Prince 5(4) tableau: stage weights and the weights of the
+# embedded 4th-order solution; the 5th-order one is the last stage's point
+# (first same as last).  The equation is autonomous, so the nodes go unused
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -574,121 +558,107 @@ _B1, _B3, _B4, _B5, _B6, _B7 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 
                                 187 / 2100, 1 / 40)
 
 
-class _NonFiniteStage(Exception):
-    """A trial stage point left the floats; the step is halved."""
-
-
 def _hermite(t, t0, y0, f0, t1, y1, f1):
-    """Cubic Hermite interpolant of a step, for event refinement."""
+    """Cubic Hermite interpolant at t of one component of a step from
+    (t0, y0) to (t1, y1) with slopes f0 and f1, for turning-point refinement."""
     h = t1 - t0
     s = (t - t0) / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return (h00 * y0[0] + h10 * h * f0[0] + h01 * y1[0] + h11 * h * f1[0],
-            h00 * y0[1] + h10 * h * f0[1] + h01 * y1[1] + h11 * h * f1[1])
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
 def solve_ode(
-    rhs: Callable[[float, tuple], tuple],
-    y0: OdeState,
+    f: Callable[[float], float],
+    k: float,
+    kp: float,
     t_end: float,
+    step: float,
     tol: float = ODE_TOL,
-    event: Callable[[float, tuple], float] | None = None,
-    max_events: int | None = None,
+    max_turns: int | None = None,
 ) -> OdeSolution:
-    """Adaptive Dormand-Prince 5(4) trajectory from y0.t to t_end.
+    """Adaptive Dormand-Prince 5(4) trajectory of k'' = f(k) from (k, k')
+    at t = 0 to t_end, with `step` the first trial step.
 
-    The state is a pair of floats, held as two locals; `rhs` may return
-    any pair of floats.  Local error is controlled to `tol` (absolute and
-    relative weight).  Sign changes of event(t, y) across accepted steps
-    are refined by bisection on the step's Hermite interpolant, until the
-    midpoint is an end of the bracket; integration stops at `max_events`
-    events.
+    The state is the pair (k, k') of floats; the k-part of a stage's
+    derivative is that stage's k', so `f` is the only call per stage.
+    Local error is controlled to `tol` (absolute and relative weight).  A
+    turning point, a sign change of k' across an accepted step, is refined
+    by bisection on the k' component of the step's Hermite interpolant,
+    until the midpoint is an end of the bracket; integration stops at
+    `max_turns` turning points.  A stage point that leaves the floats halves
+    the step; `f` must give a non-finite value at a non-finite k, so that
+    such a point always carries through to the step's end point, where it is
+    caught.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if len(y0.y) != 2:
-        raise ValueError("the state must be a pair of floats")
-    t = float(y0.t)
-    y = y0.y
-    ya, yb = y
-    direction = 1.0 if t_end >= t else -1.0
-    h = min(abs(y0.step), abs(t_end - t)) * direction
-    if h == 0.0:
-        return OdeSolution([OdeState(t, y, max(abs(y0.step), _EPS))])
-
-    def stage(c, pa, pb):
-        """rhs at (t + c h, (pa, pb)), the point of a stage of the current step."""
-        if not (math.isfinite(pa) and math.isfinite(pb)):
-            raise _NonFiniteStage
-        fa, fb = rhs(t + c * h, (pa, pb))
-        return float(fa), float(fb)
-
-    sol = OdeSolution()
-    sol.states.append(OdeState(t, y, abs(h)))
-    k1a, k1b = map(float, rhs(t, y))
-    e_prev = event(t, y) if event is not None else None
+    if not (step > 0.0 and t_end > 0.0 and math.isfinite(k) and math.isfinite(kp)):
+        raise ValueError("the start needs a finite (k, k'), a positive step and t_end > 0")
+    t, k, kp, h = 0.0, float(k), float(kp), min(step, t_end)
+    sol = OdeSolution([t, k, kp, h], [])
+    states = sol.states
+    fk = f(k)
 
     for _ in range(ODE_MAX_STEPS):
-        if direction * (t - t_end) >= 0.0:
+        if t >= t_end:
             break
-        if direction * (t + h - t_end) > 0.0:
+        if t + h > t_end:
             h = t_end - t
-        if abs(h) < 32.0 * _EPS * max(1.0, abs(t)):
+        if h < 32.0 * _EPS * max(1.0, t):
             raise StepUnderflow(f"step collapsed at t={t}")
 
-        try:
-            k2a, k2b = stage(_C2, ya + h * (_A21 * k1a), yb + h * (_A21 * k1b))
-            k3a, k3b = stage(_C3, ya + h * (_A31 * k1a + _A32 * k2a),
-                             yb + h * (_A31 * k1b + _A32 * k2b))
-            k4a, k4b = stage(_C4, ya + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
-                             yb + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b))
-            k5a, k5b = stage(_C5, ya + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-                             yb + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b))
-            k6a, k6b = stage(
-                1.0, ya + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-                yb + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b))
-            # the last stage's point is the 5th-order solution
-            y5a = ya + h * (_A71 * k1a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a)
-            y5b = yb + h * (_A71 * k1b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b)
-            k7a, k7b = stage(1.0, y5a, y5b)
-        except _NonFiniteStage:
+        # stage j sits at (k_j, p_j) and has derivative (p_j, f_j)
+        k2, p2 = k + h * (_A21 * kp), kp + h * (_A21 * fk)
+        f2 = f(k2)
+        k3 = k + h * (_A31 * kp + _A32 * p2)
+        p3 = kp + h * (_A31 * fk + _A32 * f2)
+        f3 = f(k3)
+        k4 = k + h * (_A41 * kp + _A42 * p2 + _A43 * p3)
+        p4 = kp + h * (_A41 * fk + _A42 * f2 + _A43 * f3)
+        f4 = f(k4)
+        k5 = k + h * (_A51 * kp + _A52 * p2 + _A53 * p3 + _A54 * p4)
+        p5 = kp + h * (_A51 * fk + _A52 * f2 + _A53 * f3 + _A54 * f4)
+        f5 = f(k5)
+        k6 = k + h * (_A61 * kp + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+        p6 = kp + h * (_A61 * fk + _A62 * f2 + _A63 * f3 + _A64 * f4 + _A65 * f5)
+        f6 = f(k6)
+        # the last stage's point is the 5th-order solution
+        y5a = k + h * (_A71 * kp + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6)
+        y5b = kp + h * (_A71 * fk + _A73 * f3 + _A74 * f4 + _A75 * f5 + _A76 * f6)
+        if not (math.isfinite(y5a) and math.isfinite(y5b)):  # a stage left the floats
             h *= 0.5
             continue
-        y4a = ya + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a + _B7 * k7a)
-        y4b = yb + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b + _B7 * k7b)
+        f7 = f(y5a)
+        y4a = k + h * (_B1 * kp + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6 + _B7 * y5b)
+        y4b = kp + h * (_B1 * fk + _B3 * f3 + _B4 * f4 + _B5 * f5 + _B6 * f6 + _B7 * f7)
         # squares by ** 2 summed in component order: an RMS norm's rounding
-        da = (y5a - y4a) / (tol + tol * max(abs(ya), abs(y5a)))
-        db = (y5b - y4b) / (tol + tol * max(abs(yb), abs(y5b)))
+        da = (y5a - y4a) / (tol + tol * max(abs(k), abs(y5a)))
+        db = (y5b - y4b) / (tol + tol * max(abs(kp), abs(y5b)))
         err = math.sqrt((da ** 2 + db ** 2) / 2)
         if err <= 1.0:
             t_new = t + h  # the last stage was evaluated at (t_new, y5)
-            y5 = (y5a, y5b)
-            if event is not None:
-                e_new = event(t_new, y5)
-                if e_prev is not None and _opposite_signs(e_prev, e_new):
-                    k1, k7 = (k1a, k1b), (k7a, k7b)
-                    ta, tb, ea = t, t_new, e_prev
-                    for _ in range(80):
-                        tm = 0.5 * (ta + tb)
-                        if tm == ta or tm == tb:
-                            break  # float resolution: the bracket no longer moves
-                        em = event(tm, _hermite(tm, t, y, k1, t_new, y5, k7))
-                        if _opposite_signs(ea, em) or em == 0.0:
-                            tb = tm
-                        else:
-                            ta, ea = tm, em
+            if _opposite_signs(kp, y5b):
+                ta, tb, ea = t, t_new, kp
+                for _ in range(80):
                     tm = 0.5 * (ta + tb)
-                    ym = _hermite(tm, t, y, k1, t_new, y5, k7)
-                    sol.events.append(OdeState(tm, ym, abs(h)))
-                    if max_events is not None and len(sol.events) >= max_events:
-                        sol.states.append(OdeState(t_new, y5, abs(h)))
-                        return sol
-                e_prev = e_new
-            t, y, ya, yb, k1a, k1b = t_new, y5, y5a, y5b, k7a, k7b
-            sol.states.append(OdeState(t, y, abs(h)))
+                    if tm == ta or tm == tb:
+                        break  # float resolution: the bracket no longer moves
+                    em = _hermite(tm, t, kp, fk, t_new, y5b, f7)
+                    if _opposite_signs(ea, em) or em == 0.0:
+                        tb = tm
+                    else:
+                        ta, ea = tm, em
+                tm = 0.5 * (ta + tb)
+                sol.turns += (tm, _hermite(tm, t, k, kp, t_new, y5a, y5b),
+                              _hermite(tm, t, kp, fk, t_new, y5b, f7), h)
+                if max_turns is not None and len(sol.turns) >= 4 * max_turns:
+                    states += (t_new, y5a, y5b, h)
+                    return sol
+            t, k, kp, fk = t_new, y5a, y5b, f7
+            states += (t, k, kp, h)
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)

@@ -33,7 +33,6 @@ from .numerics import (
     Bracket,
     CumulativeQuadrature,
     DegenerateDomain,
-    OdeState,
     OutOfDomain,
     expand_bracket,
     find_root,
@@ -381,20 +380,21 @@ def family(C: float) -> SphereFamily:
 
 # -- curvature ODE route ------------------------------------------------------
 
-def curvature_ode_k(params: FamilyParamsS3, k_start: float, tol: float = 1e-10) -> dict:
+def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots, k_start: float,
+                    tol: float = 1e-10) -> dict:
     """Integrate the profile-curvature oscillation and report invariants.
 
     Starts on the zero level set of the conserved quantity
     P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2}, with k' >= 0 taken from P = 0,
     and integrates k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2}.  Turning
-    points (k' = 0) are located by event detection; the equation itself is
+    points (k' = 0) are located on the way; the equation itself is
     regular there, so the trajectory passes through them and oscillates
-    between the two roots of L.  Returns the trajectory with the maximum
-    conserved-quantity drift (absolute and relative to the term scale) and
-    the k-range covered.
+    between the two roots of L, the k-images of `roots`, the roots of T
+    for params.C.  Returns the accepted states and the turning points as
+    rows (t, k, k', step), the maximum conserved-quantity drift (absolute
+    and relative to the term scale) and the k-range covered.
     """
     C1 = params.C1
-    roots = domain_roots(params.C)
     if not (roots.k01 < k_start < roots.k02):
         raise OutOfDomain(f"k_start = {k_start} outside ({roots.k01}, {roots.k02})")
     lk = float(L(C1, k_start))
@@ -402,30 +402,21 @@ def curvature_ode_k(params: FamilyParamsS3, k_start: float, tol: float = 1e-10) 
         raise OutOfDomain(f"L(k_start) = {lk} <= 0")
     kp0 = k_start * math.sqrt(lk)
 
-    def rhs(t, y):
-        k = y[0]
+    def f(k):
         if k < 0.0:  # a trial stage past k = 0, where k^{5/2} is undefined
-            return y[1], math.nan
-        return y[1], -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
+            return math.nan
+        return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
 
     def prime(k, kp):
         return kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 - C1 * k ** 3.5
 
-    sol = solve_ode(
-        rhs,
-        OdeState(0.0, (k_start, kp0), 1e-3),
-        ODE_T_END,
-        tol=tol,
-        event=lambda t, y: y[1],
-        max_events=ODE_TURNING_POINTS,
-    )
-    ks = np.array([s.y[0] for s in sol.states])
-    kps = np.array([s.y[1] for s in sol.states])
+    sol = solve_ode(f, k_start, kp0, ODE_T_END, 1e-3, tol=tol, max_turns=ODE_TURNING_POINTS)
+    ks, kps = np.array(sol.states[1::4]), np.array(sol.states[2::4])
     drift = np.abs(prime(ks, kps))
     scale = np.max(kps ** 2 + 16.0 / 9.0 * ks ** 2 + 16.0 * ks ** 4 + C1 * ks ** 3.5)
     return {
-        "states": sol.states,
-        "turning_points": sol.events,
+        "states": np.reshape(sol.states, (-1, 4)),
+        "turning_points": np.reshape(sol.turns, (-1, 4)),
         "max_drift": float(np.max(drift)),
         "max_drift_relative": float(np.max(drift) / scale),
         "k_min": float(np.min(ks)),

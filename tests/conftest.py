@@ -11,16 +11,19 @@ one; `scalar_value` and `scalar_inverse` are the height-table lookups
 one float at a time, the references for the array ones; `reference_build`
 is the cumulative quadrature build one panel at a time, by depth-first
 recursion, the reference for the level-by-level one; `reference_solve_ode`
-is the ODE stepper on a state of any length, the reference for the
-pair-of-floats one.  `curvatures` reads the oracle's curvature gradients
-at one point; `validate_patch` checks a patch's analytic partials against
-differences of its positions; `phi_coordinate_bridge` is the isothermal
-coordinate of the conformal-exponent route, from `isothermal_quadrature`,
-which is the package's own strip quadrature.
+is a generic ODE stepper on a state of any length, and
+`reference_second_order` poses k'' = f(k) to it, the reference for the
+package's second-order stepper.  `curvatures` reads the oracle's
+curvature gradients at one point; `validate_patch` checks a patch's
+analytic partials against differences of its positions;
+`phi_coordinate_bridge` is the isothermal coordinate of the
+conformal-exponent route, from `isothermal_quadrature`, which is the
+package's own strip quadrature.
 """
 
 import logging
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,6 +295,23 @@ def reference_build(cq):
     return SimpleNamespace(table=cum, first_leaf=first_leaf, leaves=rows)
 
 
+@dataclass
+class OdeState:
+    """One accepted point of a reference trajectory: time, state as a tuple
+    of floats, step used."""
+
+    t: float
+    y: tuple[float, ...]
+    step: float
+
+    def __post_init__(self):
+        self.y = tuple(map(float, self.y))
+        if self.step <= 0.0:
+            raise ValueError("step must be positive")
+        if not all(map(math.isfinite, self.y)):
+            raise ValueError("state vector must be finite")
+
+
 def _reference_hermite(t, t0, y0, f0, t1, y1, f1):
     h = t1 - t0
     s = (t - t0) / h
@@ -304,21 +324,25 @@ def _reference_hermite(t, t0, y0, f0, t1, y1, f1):
 
 
 def reference_solve_ode(rhs, y0, t_end, tol=1e-10, event=None, max_events=None):
-    """The Dormand-Prince 5(4) stepper of `biconsurf.numerics.solve_ode`
-    on a state of any length, component by component, with the tableau
-    and step controller of the package; an event is refined by 80
-    bisections on the step's Hermite interpolant, whatever the float
-    resolution."""
+    """A generic Dormand-Prince 5(4) stepper of y' = rhs(t, y) on a state of
+    any length, component by component, with the tableau and step
+    controller of `biconsurf.numerics.solve_ode` and a check of every stage
+    point for non-finite values; an event is refined by 80 bisections on
+    the step's Hermite interpolant, whatever the float resolution.  Returns
+    the accepted states and the events as lists of `OdeState`."""
     from biconsurf import numerics as nm
     from biconsurf.numerics import (
         _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
-        _A65, _A71, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7, _C2, _C3, _C4, _C5)
+        _A65, _A71, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7)
+    _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
     t = float(y0.t)
     y = y0.y
     direction = 1.0 if t_end >= t else -1.0
     h = min(abs(y0.step), abs(t_end - t)) * direction
+    sol = SimpleNamespace(states=[], events=[])
     if h == 0.0:
-        return nm.OdeSolution([nm.OdeState(t, y, max(abs(y0.step), nm._EPS))])
+        sol.states.append(OdeState(t, y, max(abs(y0.step), nm._EPS)))
+        return sol
 
     class NonFinite(Exception):
         pass
@@ -328,8 +352,7 @@ def reference_solve_ode(rhs, y0, t_end, tol=1e-10, event=None, max_events=None):
             raise NonFinite
         return tuple(map(float, rhs(t + c * h, yc)))
 
-    sol = nm.OdeSolution()
-    sol.states.append(nm.OdeState(t, y, abs(h)))
+    sol.states.append(OdeState(t, y, abs(h)))
     k1 = tuple(map(float, rhs(t, y)))
     e_prev = event(t, y) if event is not None else None
     for _ in range(nm.ODE_MAX_STEPS):
@@ -373,19 +396,30 @@ def reference_solve_ode(rhs, y0, t_end, tol=1e-10, event=None, max_events=None):
                             ta, ea = tm, em
                     tm = 0.5 * (ta + tb)
                     ym = _reference_hermite(tm, t, y, k1, t_new, y5, k7)
-                    sol.events.append(nm.OdeState(tm, ym, abs(h)))
+                    sol.events.append(OdeState(tm, ym, abs(h)))
                     if max_events is not None and len(sol.events) >= max_events:
-                        sol.states.append(nm.OdeState(t_new, y5, abs(h)))
+                        sol.states.append(OdeState(t_new, y5, abs(h)))
                         return sol
                 e_prev = e_new
             t, y, k1 = t_new, y5, k7
-            sol.states.append(nm.OdeState(t, y, abs(h)))
+            sol.states.append(OdeState(t, y, abs(h)))
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
     else:
         raise nm.MaxIterations("step budget exhausted before t_end")
     return sol
+
+
+def reference_second_order(f, k, kp, t_end, step, tol=1e-10, max_turns=None):
+    """`reference_solve_ode` on (k, k')' = (k', f(k)) from t = 0 with k' as
+    the event, returned as the `biconsurf.numerics.OdeSolution` that
+    `solve_ode(f, k, kp, t_end, step, tol, max_turns)` should give."""
+    from biconsurf import numerics as nm
+    ref = reference_solve_ode(lambda t, y: (y[1], f(y[0])), OdeState(0.0, (k, kp), step), t_end,
+                              tol, event=lambda t, y: y[1], max_events=max_turns)
+    return nm.OdeSolution([x for s in ref.states for x in (s.t, *s.y, s.step)],
+                          [x for s in ref.events for x in (s.t, *s.y, s.step)])
 
 
 @pytest.fixture(scope="session")

@@ -183,7 +183,7 @@ def test_criterion_4_biconservativity(atlas11):
 def test_criterion_5_prime_integral():
     par = spherical.FamilyParamsS3(1.0)
     r = spherical.domain_roots(1.0)
-    out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
+    out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
     ok = _report("criterion 5 (conserved quantity drift)",
                  out["max_drift_relative"], 1e-8)
     confinement = max(r.k01 - out["k_min"], out["k_max"] - r.k02)

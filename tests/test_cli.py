@@ -542,6 +542,15 @@ class TestHugeC:
         assert "Traceback" not in err
         assert not (tmp_path / "out.txt").exists()
 
+    def test_s3_local_step_underflow(self, tmp_path, capsys):
+        # well below HUGE_C, from C = 1e6, the profile-curvature ODE's step collapses
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--family", "s3-local", "--C", "1e6", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert " StepUnderflow: " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("C", ["1e19", "1e30"])
     def test_strip_roots(self, capsys, C):
         # the lower root is bracketed in units of C^(-1/2), where it sits

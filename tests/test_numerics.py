@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import numerics as nm
-from conftest import one_sided_derivative, reference_solve_ode
+from conftest import one_sided_derivative, reference_second_order
+
+
+def _rows(xs):
+    """(t, k, k', step) rows of a flat list of an `OdeSolution`."""
+    return [tuple(xs[i:i + 4]) for i in range(0, len(xs), 4)]
 
 
 def T1(x):
@@ -152,120 +157,97 @@ class TestChebyshevTable:
 # ----------------------------------------------------------------------
 
 class TestSolveOde:
+    """k'' = f(k) from (k, k') at t = 0; states and turning points come as
+    flat lists of (t, k, k', step)."""
+
     def test_exponential(self):
-        # two equal components: the error norm (e^2 + e^2) / 2 is e^2 exactly
-        sol = nm.solve_ode(lambda t, y: y, nm.OdeState(0.0, [1.0, 1.0], 0.1), 1.0)
-        assert sol.states[-1].y[0] == sol.states[-1].y[1] == pytest.approx(math.e, abs=1e-10)
+        # k'' = k from k = k' = 1: both components stay equal, so the error
+        # norm (e^2 + e^2) / 2 is e^2 exactly
+        sol = nm.solve_ode(lambda k: k, 1.0, 1.0, 1.0, 0.1)
+        assert sol.states[-3] == sol.states[-2] == pytest.approx(math.e, abs=1e-10)
 
     def test_harmonic_period_return(self):
-        rhs = lambda t, y: np.array([y[1], -y[0]])
-        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05),
-                           2.0 * math.pi, tol=1e-11)
-        assert sol.states[-1].y[0] == pytest.approx(1.0, abs=1e-8)
-        assert sol.states[-1].y[1] == pytest.approx(0.0, abs=1e-8)
+        sol = nm.solve_ode(lambda k: -k, 1.0, 0.0, 2.0 * math.pi, 0.05, tol=1e-11)
+        assert sol.states[-3] == pytest.approx(1.0, abs=1e-8)
+        assert sol.states[-2] == pytest.approx(0.0, abs=1e-8)
 
     def test_event_detection_zero_crossings(self):
-        rhs = lambda t, y: np.array([y[1], -y[0]])
-        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05),
-                           10.0, tol=1e-10, event=lambda t, y: y[0])
-        # cos(t) crosses zero at odd multiples of pi/2
-        assert len(sol.events) == 3
-        for i, ev in enumerate(sol.events):
-            assert ev.t == pytest.approx((2 * i + 1) * math.pi / 2, abs=1e-6)
+        # k = sin t turns at odd multiples of pi/2, at k = +-1
+        sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 10.0, 0.05)
+        assert len(sol.turns) == 3 * 4
+        for i, (t, k, kp, _) in enumerate(_rows(sol.turns)):
+            assert t == pytest.approx((2 * i + 1) * math.pi / 2, abs=1e-6)
+            assert k == pytest.approx((-1) ** i, abs=1e-6) and abs(kp) < 1e-9
 
     def test_max_events_stops_early(self):
-        rhs = lambda t, y: np.array([y[1], -y[0]])
-        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05),
-                           100.0, tol=1e-10, event=lambda t, y: y[0],
-                           max_events=2)
-        assert len(sol.events) == 2
-        assert sol.states[-1].t < 10.0
+        sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 100.0, 0.05, max_turns=2)
+        assert len(sol.turns) == 2 * 4
+        assert sol.states[-4] < 10.0
 
     def test_drift_decreases_with_tolerance(self):
-        # energy of the cubic oscillator y'' = -y^3
-        rhs = lambda t, y: np.array([y[1], -y[0] ** 3])
+        # energy of the cubic oscillator k'' = -k^3
         def drift(tol):
-            sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05), 20.0, tol=tol)
-            e = [0.5 * s.y[1] ** 2 + 0.25 * s.y[0] ** 4 for s in sol.states]
+            sol = nm.solve_ode(lambda k: -k ** 3, 1.0, 0.0, 20.0, 0.05, tol=tol)
+            e = [0.5 * kp ** 2 + 0.25 * k ** 4 for _, k, kp, _ in _rows(sol.states)]
             return max(abs(x - e[0]) for x in e)
         assert drift(1e-11) < drift(1e-7)
 
     def test_six_rhs_calls_per_accepted_step(self):
-        # FSAL: the last stage of a step is the first stage of the next
+        # FSAL: the last stage of a step is the first stage of the next, and
+        # the k-part of a stage's derivative is its k', so f is the only call
         calls = []
-        def rhs(t, y):
-            calls.append(t)
-            return y[1], -y[0]
-        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.01), 10.0, tol=1e-10)
-        assert sol.states[-1].t == 10.0
+        def f(k):
+            calls.append(k)
+            return -k
+        sol = nm.solve_ode(f, 1.0, 0.0, 10.0, 0.01)
+        assert sol.states[-4] == 10.0
         assert len(calls) == 1 + 6 * (len(sol) - 1)
-
-    def test_array_rhs_gives_the_tuple_trajectory(self):
-        as_tuple = lambda t, y: (y[1], -y[0] ** 3)
-        as_array = lambda t, y: np.array([y[1], -y[0] ** 3])
-        runs = [nm.solve_ode(f, nm.OdeState(0.0, [1.0, 0.0], 0.05), 10.0, tol=1e-10,
-                             event=lambda t, y: y[0])
-                for f in (as_tuple, as_array)]
-        assert len(runs[0]) == len(runs[1]) and len(runs[0].events) == len(runs[1].events) == 3
-        for a, b in zip(runs[0].states + runs[0].events, runs[1].states + runs[1].events):
-            assert (a.t, a.y, a.step) == (b.t, b.y, b.step)
-            assert all(type(v) is float for v in b.y)
 
     def test_nan_trial_stage_halves_the_step(self):
         calls = []
-        def rhs(t, y):
-            calls.append(t)
-            return (math.nan, math.nan) if len(calls) == 2 else (y[0], y[1])
-        sol = nm.solve_ode(rhs, nm.OdeState(0.0, [1.0, 1.0], 0.02), 1.0, tol=1e-10)
-        assert sol.states[1].step == 0.01
-        assert sol.states[-1].t == 1.0
-        assert sol.states[-1].y[0] == sol.states[-1].y[1] == pytest.approx(math.e, abs=1e-10)
-
-    @pytest.mark.parametrize("y", [[1.0], [1.0, 0.0, 0.0]])
-    def test_state_must_be_a_pair(self, y):
-        with pytest.raises(ValueError):
-            nm.solve_ode(lambda t, y: y, nm.OdeState(0.0, y, 0.1), 1.0)
-
-    @pytest.mark.parametrize("rhs, t_end, max_events", [
-        (lambda t, y: (y[1], -y[0]), 10.0, None),
-        (lambda t, y: np.array([y[1], -y[0] ** 3]), 20.0, None),
-        (lambda t, y: (y[1], -y[0] ** 3), 100.0, 5),
-    ], ids=["harmonic", "cubic-array", "cubic-max-events"])
-    def test_matches_the_reference_stepper(self, rhs, t_end, max_events):
-        runs = [solve(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05), t_end, tol=1e-10,
-                      event=lambda t, y: y[0], max_events=max_events)
-                for solve in (nm.solve_ode, reference_solve_ode)]
-        assert len(runs[0].events) >= 3
-        for got, want in ((runs[0].states, runs[1].states), (runs[0].events, runs[1].events)):
-            assert [(s.t, s.y, s.step) for s in got] == [(s.t, s.y, s.step) for s in want]
-
-    def test_event_refinement_stops_at_float_resolution(self):
-        # the bisection ends once its midpoint is an end of the bracket,
-        # well short of the reference's 80 halvings, at the same events
-        rhs = lambda t, y: (y[1], -y[0])
-        def refinements(solve):
-            calls = []
-            def event(t, y):
-                calls.append(t)
-                return y[0]
-            sol = solve(rhs, nm.OdeState(0.0, [1.0, 0.0], 0.05), 10.0, tol=1e-10, event=event)
-            state_times, counts = {s.t for s in sol.states}, [0]
-            for t in calls:  # one call per accepted step, the rest refine
-                if t not in state_times:
-                    counts[-1] += 1
-                elif counts[-1]:
-                    counts.append(0)
-            return sol, [n for n in counts if n]
-        (sol, got), (ref, want) = refinements(nm.solve_ode), refinements(reference_solve_ode)
-        assert [(s.t, s.y, s.step) for s in sol.events] == [(s.t, s.y, s.step) for s in ref.events]
-        assert want == [80, 80, 80]
-        assert len(got) == 3 and all(40 <= n < 60 for n in got)
+        def f(k):
+            calls.append(k)
+            return math.nan if len(calls) == 2 else k
+        sol = nm.solve_ode(f, 1.0, 1.0, 1.0, 0.02)
+        assert sol.states[4 + 3] == 0.01
+        assert sol.states[-4] == 1.0
+        assert sol.states[-3] == sol.states[-2] == pytest.approx(math.e, abs=1e-10)
 
     def test_invariants_of_state(self):
-        with pytest.raises(ValueError):
-            nm.OdeState(0.0, [1.0], 0.0)
-        with pytest.raises(ValueError):
-            nm.OdeState(0.0, [float("nan")], 0.1)
+        # a finite start, a positive first step, t_end and tol
+        for k, kp, t_end, step, tol in [
+                (math.nan, 0.0, 1.0, 0.1, 1e-10), (1.0, math.inf, 1.0, 0.1, 1e-10),
+                (1.0, 0.0, 1.0, 0.0, 1e-10), (1.0, 0.0, 1.0, -0.1, 1e-10),
+                (1.0, 0.0, 0.0, 0.1, 1e-10), (1.0, 0.0, 1.0, 0.1, 0.0)]:
+            with pytest.raises(ValueError):
+                nm.solve_ode(lambda k: -k, k, kp, t_end, step, tol=tol)
+
+    @pytest.mark.parametrize("f, t_end, max_turns", [
+        (lambda k: -k, 10.0, None),
+        (lambda k: -k ** 3, 20.0, None),
+        (lambda k: -k ** 3, 100.0, 5),
+    ], ids=["harmonic", "cubic", "cubic-max-events"])
+    def test_matches_the_reference_stepper(self, f, t_end, max_turns):
+        got, want = (solve(f, 1.0, 0.0, t_end, 0.05, tol=1e-10, max_turns=max_turns)
+                     for solve in (nm.solve_ode, reference_second_order))
+        assert len(got.turns) >= 3 * 4
+        assert (got.states, got.turns) == (want.states, want.turns)
+
+    def test_event_refinement_stops_at_float_resolution(self, monkeypatch):
+        # the bisection ends once its midpoint is an end of the bracket,
+        # well short of the reference's 80 halvings, at the same turning
+        # points: each halving reads k' on the step's interpolant once, and
+        # the turning point reads k and k' on it
+        steps, nm_hermite = [], nm._hermite
+        def hermite(t, t0, *args):
+            steps.append(t0)
+            return nm_hermite(t, t0, *args)
+        monkeypatch.setattr(nm, "_hermite", hermite)
+        sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 10.0, 0.05)
+        ref = reference_second_order(lambda k: -k, 0.0, 1.0, 10.0, 0.05)
+        assert sol.turns == ref.turns
+        halvings = [steps.count(t0) - 2 for t0 in dict.fromkeys(steps)]
+        assert len(halvings) == 3 and all(40 <= n < 60 for n in halvings)
 
 
 # ----------------------------------------------------------------------

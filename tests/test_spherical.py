@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, spherical
-from biconsurf.numerics import DegenerateDomain, OutOfDomain
+from biconsurf.numerics import DegenerateDomain, OutOfDomain, StepUnderflow
 from conftest import (REFERENCE_LOGGER, phi_coordinate_bridge, reference_build,
-                      reference_solve_ode, refined_singular_integral, validate_patch)
+                      reference_second_order, refined_singular_integral, validate_patch)
 
 
 class TestRoots:
@@ -337,7 +337,7 @@ class TestCurvatureOde:
     def test_prime_integral_drift(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
+        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
         assert out["max_drift_relative"] < 1e-8
 
     @pytest.mark.parametrize("C, accepted", [(1.001 * spherical.C_MIN, 262), (1.0, 789),
@@ -347,48 +347,59 @@ class TestCurvatureOde:
         # controller or the tableau shows here first
         par = spherical.FamilyParamsS3(C)
         r = spherical.domain_roots(C)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
+        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
         assert len(out["states"]) == accepted
 
-    @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 50.0, 1e3])
+    @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 50.0, 1e3, 1e5])
     def test_matches_the_reference_stepper(self, C, monkeypatch):
-        # every state and turning point equals the n-component stepper's;
-        # at C = 50 a trial stage reaches k < 0, where rhs returns NaN
+        # every state and turning point equals the generic stepper's; at
+        # C = 50 a trial stage reaches k < 0, where f returns NaN; 1e5 is the
+        # largest C of the failure map whose trajectory completes
         par = spherical.FamilyParamsS3(C)
         r = spherical.domain_roots(C)
         k0 = 0.5 * (r.k01 + r.k02)
-        got = spherical.curvature_ode_k(par, k0)
-        monkeypatch.setattr(spherical, "solve_ode", reference_solve_ode)
-        want = spherical.curvature_ode_k(par, k0)
+        got = spherical.curvature_ode_k(par, r, k0)
+        monkeypatch.setattr(spherical, "solve_ode", reference_second_order)
+        want = spherical.curvature_ode_k(par, r, k0)
         for key in ("states", "turning_points"):
-            assert [(s.t, s.y, s.step) for s in got[key]] == \
-                [(s.t, s.y, s.step) for s in want[key]]
+            assert got[key].tolist() == want[key].tolist()
         assert {k: v for k, v in got.items() if k not in ("states", "turning_points")} == \
             {k: v for k, v in want.items() if k not in ("states", "turning_points")}
+
+    def test_step_underflow_matches_the_reference(self, monkeypatch):
+        # from C = 1e6 the step collapses near the start, at the reference's t
+        par = spherical.FamilyParamsS3(1e6)
+        r = spherical.domain_roots(1e6)
+        messages = []
+        for solve in (spherical.solve_ode, reference_second_order):
+            monkeypatch.setattr(spherical, "solve_ode", solve)
+            with pytest.raises(StepUnderflow) as caught:
+                spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
+            messages.append(str(caught.value))
+        assert messages == ["step collapsed at t=2.0111098470989768e-13"] * 2
 
     def test_drift_shrinks_with_tolerance(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
         k0 = 0.5 * (r.k01 + r.k02)
-        loose = spherical.curvature_ode_k(par, k0, tol=1e-8)
-        tight = spherical.curvature_ode_k(par, k0, tol=5e-11)
+        loose = spherical.curvature_ode_k(par, r, k0, tol=1e-8)
+        tight = spherical.curvature_ode_k(par, r, k0, tol=5e-11)
         assert tight["max_drift"] < loose["max_drift"]
 
     def test_confined_to_root_interval(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
+        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
         assert out["k_min"] >= r.k01 - 1e-6
         assert out["k_max"] <= r.k02 + 1e-6
 
     def test_turning_points_sit_on_L_zeros(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
+        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
         assert len(out["turning_points"]) >= 6
-        for ev in out["turning_points"]:
-            k = ev.y[0]
-            assert abs(ev.y[1]) < 1e-6
+        for _, k, kp, _ in out["turning_points"]:
+            assert abs(kp) < 1e-6
             assert min(abs(k - r.k01), abs(k - r.k02)) < 1e-6
 
     def test_large_C_trial_stage_past_zero_is_quiet(self):
@@ -396,14 +407,14 @@ class TestCurvatureOde:
         # RuntimeWarning of k ** 2.5 there into an error
         par = spherical.FamilyParamsS3(50.0)
         r = spherical.domain_roots(50.0)
-        out = spherical.curvature_ode_k(par, 0.5 * (r.k01 + r.k02))
+        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
         assert out["max_drift_relative"] < 1e-8
 
     def test_rejects_start_outside(self):
         par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
         with pytest.raises(OutOfDomain):
-            spherical.curvature_ode_k(par, r.k02 * 1.5)
+            spherical.curvature_ode_k(par, r, r.k02 * 1.5)
 
 
 class TestCoordinateBridge:
