@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -207,6 +208,13 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 # Sphere family, fundamental strip
 # ----------------------------------------------------------------------
 
+@cache
+def _fixed_roots(C: float) -> spherical.DomainRoots:
+    """The strip roots at one of the fixed C of s3-local's metric route,
+    solved once per process; `spherical.family` would also build tables."""
+    return spherical.domain_roots(C)
+
+
 def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     tols = Tolerances()
     fam = spherical.family(C)
@@ -223,7 +231,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 
     # intrinsic curvature straight from the metric coefficients, for a few C:
     # (C, xi, strip width) at a quarter, half and three quarters of each strip
-    strips = [(0.8, spherical.domain_roots(0.8)), (C, roots), (2.0, spherical.domain_roots(2.0))]
+    strips = [(0.8, _fixed_roots(0.8)), (C, roots), (2.0, _fixed_roots(2.0))]
     metric_route = np.array([(Cx, rx.xi01 + f * (rx.xi02 - rx.xi01), rx.xi02 - rx.xi01)
                              for Cx, rx in strips for f in (0.25, 0.5, 0.75)]).T
     c_metric, xi_metric, scale = metric_route
@@ -384,10 +392,12 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
     delta = p1 - m1
     roots = at.roots
     patch = at.psi_patch((m1 - delta, at.grid[2]))
-    # both curvature checks read one oracle call over the heights
+    # the curvature checks read one oracle call over the heights and the
+    # heights of the mean-curvature samples, which are spaced in xi
     heights = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
-    shape = diffgeo.shape_operator(patch, heights, 0.4)
     xi_mean = roots.xi01 + np.linspace(0.08, 0.92, 16) * (roots.xi02 - roots.xi01)
+    shape = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi_mean)]), 0.4)
+    shape, shape_mean = shape[:len(heights)], shape[len(heights):]
     h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
     r = at.radius(h_radius)
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
@@ -405,8 +415,7 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
         prefix + "one_minus_K_positive": _worst(shape.K - 1.0, [heights], 0.0),
         # oracle orientation keeps f >= 0 while the closed form is signed
         prefix + "mean_curvature_closed_form": _worst(
-            _rel_gap(diffgeo.shape_operator(patch, at.h0(xi_mean), 0.4).f,
-                     np.abs(at.mean_curvature_psi(xi_mean))),
+            _rel_gap(shape_mean.f, np.abs(at.mean_curvature_psi(xi_mean))),
             [xi_mean], tols.psi_mean_curvature),
         prefix + "radius_range": _worst(np.where((lo <= r) & (r <= hi), 0.0, 1.0),
                                         [h_radius], 0.0),

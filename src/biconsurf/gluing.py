@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import diffgeo
-from .numerics import (OutOfDomain, check_range, power_derivatives, series_compose,
-                       series_mul, series_revert)
+from .numerics import (NumericsError, OutOfDomain, check_range, power_derivatives,
+                       series_compose, series_mul, series_powers, series_revert)
 from .spherical import C_MIN, SphereFamily, T, family, strip_quadrature
 
 __all__ = [
@@ -316,7 +316,9 @@ class GluingAtlas:
         arguments of the family's `point` there: F(h), zeta0(F), the phase
         c_k, and Phi2's sign on strip k."""
         k, xi = self._strip_points(h)
-        return k, (xi, self.family.zeta0(xi), [self.phase(kk) for kk in k.tolist()],
+        strips, where = np.unique(k, return_inverse=True)  # one phase per strip
+        return k, (xi, self.family.zeta0(xi),
+                   np.array([self.phase(kk) for kk in strips.tolist()])[where],
                    np.where(k % 2 == 1, -1.0, 1.0))
 
     def immersion_phi(self, h, theta) -> np.ndarray:
@@ -367,7 +369,7 @@ class GluingAtlas:
         if k not in self.grid:
             raise ValueError(f"junction label {k} outside the atlas grid")
         j = k if k > 0 else k + 1  # the slot of h_{0,k} on the ladder of _strip_points
-        zlim, xi, dz, R = self._end_jets[j % 2]
+        zlim, xi, dz_powers, R = self._end_jets[j % 2]
         delta = self.h_limits[1] - self.h_limits[0]
 
         def jets(k, phase):
@@ -375,8 +377,8 @@ class GluingAtlas:
             ang = zlim + phase
             c, sn = math.cos(ang), math.sin(ang)
             sgn = -1.0 if k % 2 else 1.0
-            phi1 = series_mul(R, series_compose([c, -sn, -c, sn], [ang, *dz]))
-            phi2 = series_mul(R, series_compose([sn, c, -sn, -c], [ang, *dz]))
+            phi1 = series_mul(R, series_compose([c, -sn, -c, sn], dz_powers))
+            phi2 = series_mul(R, series_compose([sn, c, -sn, -c], dz_powers))
             return {"F": xi, "phi1": phi1, "phi2": [sgn * v for v in phi2]}
 
         amps = {"F": self.roots.xi02 - self.roots.xi01, "phi1": 2.0, "phi2": 2.0}
@@ -402,9 +404,11 @@ class GluingAtlas:
     @cached_property
     def _end_jets(self) -> tuple:
         """Per strip end, lower then upper: the turning angle's limit there,
-        and the series to d^3 in d = |h - h_j| of F, of zeta - limit and of
-        R = sqrt(1 - 1/(C xi^2)) on a strip next to a junction h_j at that
-        end.  The tables are immutable, so each end is expanded once.
+        and the series to d^3 in d = |h - h_j| of F, the powers of zeta -
+        limit (`series_powers`: a strip's phase only shifts the turning
+        angle by a constant) and of R = sqrt(1 - 1/(C xi^2)) on a strip
+        next to a junction h_j at that end.  The tables are immutable, so
+        each end is expanded once.
 
         Near the root xi = root +- s^2 exactly, and the height and the
         turning angle differ from their end values by series in s whose
@@ -412,22 +416,35 @@ class GluingAtlas:
         each table; the end integrands are functions of s^2, so both
         series are odd and their even coefficients are set to exactly 0.
         Reverting |h - h_j| = H(s) gives s as a series in d, and composing
-        xi(s) and R(xi) gives the rest.
+        xi(s) and R(xi) gives the rest.  An end whose series cannot be
+        reverted or composed in floats (at huge C, H's leading coefficient
+        to the fifth underflows, or 1 - 1/(C xi^2) rounds to 0 at the
+        root) raises NumericsError naming it.
         """
         odd = lambda a: [0.0, a[1], 0.0, a[3]]
         out = []
         for upper, root, zlim in ((False, self.roots.xi01, self.zeta_limits[0]),
                                   (True, self.roots.xi02, self.zeta_limits[1])):
+            end = "upper" if upper else "lower"
             inward = -1.0 if upper else 1.0  # sign of xi - root, and of zeta - zlim
-            s = series_revert(odd(self._h_cum.end_series(upper)))
+            height = odd(self._h_cum.end_series(upper))
+            if height[1] ** 5 == 0.0:  # series_revert divides by it
+                raise NumericsError(f"the height series at the {end} strip end is degenerate: "
+                                    f"leading coefficient {height[1]!r}")
+            s = series_revert(height)
             z1, z3 = odd(self.family._zeta_cum.end_series(upper))[1::2]
             s2 = series_mul(s, s)
             s3 = series_mul(s2, s)
             xi = [root, *(inward * c for c in s2[1:])]
             dz = [inward * (z1 * a + z3 * b) for a, b in zip(s[1:], s3[1:])]
-            w = [-c / self.C for c in series_compose(power_derivatives(root, -2.0), xi)]
+            w = [-c / self.C for c in series_compose(power_derivatives(root, -2.0),
+                                                     series_powers(xi))]
             w[0] += 1.0
-            out.append((zlim, xi, dz, series_compose(power_derivatives(w[0], 0.5), w)))
+            if not w[0] > 0.0:
+                raise NumericsError(f"the series of R at the {end} strip end is degenerate: "
+                                    f"1 - 1/(C xi^2) = {w[0]!r} at xi = {root!r}")
+            out.append((zlim, xi, series_powers([0.0, *dz]),
+                        series_compose(power_derivatives(w[0], 0.5), series_powers(w))))
         return tuple(out)
 
     # -- periodicity probe -------------------------------------------------------
@@ -445,7 +462,8 @@ class GluingAtlas:
         tol = 1e-8  # defect below which the immersion counts as periodic
         m1, p1 = self.h_limits
         hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
-        gap = np.abs(self.immersion_phi(hs, 0.3) - self.immersion_phi(hs + self.period, 0.3))
+        here, there = np.split(self.immersion_phi(np.concatenate([hs, hs + self.period]), 0.3), 2)
+        gap = np.abs(here - there)
         worst, worst34 = float(np.max(gap)), float(np.max(gap[:, 2:]))
         return {
             "phase_defect": defect,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "check_range",
     "solve_ode",
     "series_mul",
+    "series_powers",
     "series_compose",
     "series_revert",
     "power_derivatives",
@@ -48,11 +50,14 @@ ROOT_TOL = 1e-12
 ODE_TOL = 1e-10
 
 # iteration budgets: bracket doublings, root-finder steps, ODE steps,
-# Newton steps of a table inversion (which takes three to five)
+# Newton steps of a table inversion (which takes two to six)
 BRACKET_EXPANSIONS = 200
 ROOT_MAX_ITER = 200
 ODE_MAX_STEPS = 1_000_000
 NEWTON_CAP = 8
+# a table inversion's entry is done once a Newton step moves its t by at
+# most this: the steps converge quadratically, so the next would be ~1e-16
+NEWTON_STEP_TOL = 1e-8
 
 # cells of a cumulative quadrature table; its GK panels accept at 1e-13
 # relative, and a cell halves its panels at most 8 times
@@ -407,6 +412,18 @@ class CumulativeQuadrature:
     def total(self) -> float:
         return float(self.table[-1])
 
+    @cached_property
+    def _newton_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per leaf, its integral (its coefficients' sum, in order) and, per
+        order k, the coefficients c_k and k c_k, shape (16, 2, leaves): one
+        Clenshaw pass over them gives the antiderivative and its derivative.
+        Built on the first `inverse`; tables that are never inverted skip it."""
+        coef = self._leaves[:, _COEF:].T
+        integral = coef[0]
+        for c in coef[1:]:
+            integral = integral + c
+        return integral, np.stack([coef, coef * np.arange(len(coef))[:, None]], axis=1)
+
     def _leaf(self, i: np.ndarray, v: np.ndarray, key: int) -> np.ndarray:
         """Per entry, the last leaf of cell i whose column `key` (left end or
         base, in the cell's own variable) is at most v, or the cell's first
@@ -468,18 +485,23 @@ class CumulativeQuadrature:
         the leaf that holds it; there, bracketed Newton steps from a linear
         seed solve for the leaf's own variable t, all entries at once, with
         the antiderivative and its derivative from one Clenshaw pass over
-        the rows.  The end cells' leaves are in s already, so an end needs
-        no substitution of its own.  An entry stops when a step moves its t
-        by at most 1e-14, or its residual is within two ulps of `total`,
-        below which it is rounding.  An entry still moving after NEWTON_CAP
-        steps is logged, with its y and last step, at DEBUG level on the
-        "biconsurf.numerics" logger.
+        the leaves' `_newton_layout`.  The end cells' leaves are in s
+        already, so an end needs no substitution of its own.  An entry
+        stops when a step moves its t by at most NEWTON_STEP_TOL, or its
+        residual is within two ulps of `total`, below which it is rounding.
+        Newton's steps shrink quadratically, so the pass a 1e-14 stop would
+        add moves t by about 1e-16: on 2,000 heights spread over the strip
+        it changes 1 returned x at C = C* = 1, by one ulp, and 6% of them
+        at C = 1e3, by at most 6.4e-15 relative.  An entry still moving
+        after NEWTON_CAP steps is logged, with its y and last step, at DEBUG
+        level on the "biconsurf.numerics" logger.
 
         Measured max |value(inverse(y)) - y| / total on the strip height
-        table at C = C* = 1, by the distance of y to the nearer end: 3e-15
-        beyond 1e-2 of the total, 3e-13 within 1e-2, 4e-11 within 1e-4 and
-        8e-9 within 1e-6 (up to 1e-14, 9e-13, 7e-11 and 1.4e-8 at C = 1e3
-        with C* at 99% of its range).  The three end bands are the
+        table at C = C* = 1, by the distance of y to the nearer end: 3.5e-15
+        beyond 1e-2 of the total, 3.4e-13 within 1e-2, 3.4e-11 within 1e-4
+        and 8.5e-9 within 1e-6 (up to 1e-14, 9.4e-13, 9.5e-11 and 1.4e-8 at
+        C = 1e3 with C* at 99% of its range), the same to two digits with
+        the 1e-14 stop.  The three end bands are the
         representation floor of the returned x: at an end, a one-ulp move
         of x moves s = sqrt|x - end| by up to sqrt(ulp(x)), and the integral
         by that times the end integrand.
@@ -494,36 +516,34 @@ class CumulativeQuadrature:
         last = i == QUAD_CELLS - 1
         # the last cell's leaves count the integral from `upper`
         v = np.where(last, total - yin, yin)
-        rows = self._leaves[self._leaf(i, v, _BASE)]
-        base, coef = rows[:, _BASE], rows[:, _COEF:].T
-        integral = coef[0]  # of the leaf: its coefficients' sum, in order
-        for c in coef[1:]:
-            integral = integral + c
-        t = np.minimum(2.0 * (v - base) / integral - 1.0, 1.0)
-        # per order k, the coefficients c_k and k c_k: one Clenshaw pass
-        # gives the antiderivative and its derivative
-        both = np.stack([coef, coef * np.arange(len(coef))[:, None]], axis=1)
+        leaf = self._leaf(i, v, _BASE)
+        integral, both = self._newton_layout
+        lo_end, half, base = self._leaves[leaf, :_COEF].T  # columns _LO, _HALF, _BASE
+        both = np.take(both, leaf, axis=-1)
+        t = np.minimum(2.0 * (v - base) / integral[leaf] - 1.0, 1.0)
         lo, hi, step = np.full_like(t, -1.0), np.full_like(t, 1.0), np.zeros_like(t)
         r_tol = 2.0 * math.ulp(total)
-        active = np.arange(len(t))
+        active = slice(None)  # every entry, with no gather, until one is done
         for _ in range(NEWTON_CAP):
-            ta = t[active]
-            (b1, slope), (b2, _) = _clenshaw(both[..., active], ta)
-            r = base[active] + (coef[0, active] + ta * b1 - b2) - v[active]
+            ta, ba = t[active], both[..., active]
+            (b1, slope), (b2, _) = _clenshaw(ba, ta)
+            r = base[active] + (ba[0, 0] + ta * b1 - b2) - v[active]
             up = r > 0.0
             la, ha = np.where(up, lo[active], ta), np.where(up, ta, hi[active])
             nxt = ta - r / slope
             nxt = np.where((la <= nxt) & (nxt <= ha), nxt, 0.5 * (la + ha))
             st = nxt - ta
             lo[active], hi[active], t[active], step[active] = la, ha, nxt, st
-            active = active[~((np.abs(st) <= 1e-14) | (np.abs(r) <= r_tol))]
-            if not active.size:
+            going = ~((np.abs(st) <= NEWTON_STEP_TOL) | (np.abs(r) <= r_tol))
+            if not going.any():
                 break
+            if not going.all():
+                active = np.arange(len(t))[active][going]
         else:
-            for n in active.tolist():
+            for n in np.arange(len(t))[active].tolist():
                 _log.debug("inverse: no convergence in %d Newton steps at y=%r, last step %r",
                            NEWTON_CAP, float(yin[n]), float(step[n]))
-        x = rows[:, _LO] + rows[:, _HALF] * (t + 1.0)
+        x = lo_end + half * (t + 1.0)
         out[inner] = np.where(i == 0, self.lower + x * x, np.where(last, self.upper - x * x, x))
         return out if ys.ndim else float(out)
 
@@ -676,16 +696,23 @@ def series_mul(a: list, b: list) -> list:
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
-def series_compose(derivs, g: list) -> list:
-    """Series of f(g(x)) from the series g and `derivs`, the derivatives
-    f^(k)(g[0]) for k < len(g): the sum of f^(k)(g[0]) / k! (g - g[0])^k,
-    truncated to the length of g."""
+def series_powers(g: list) -> list:
+    """The series (g - g[0])^k for k < len(g), truncated to the length of g."""
     step = [0.0, *g[1:]]
-    power = [1.0] + [0.0] * (len(g) - 1)
-    out = [0.0] * len(g)
-    for k, d in enumerate(derivs):
+    powers = [[1.0] + [0.0] * (len(g) - 1)]
+    while len(powers) < len(g):
+        powers.append(series_mul(powers[-1], step))
+    return powers
+
+
+def series_compose(derivs, powers: list) -> list:
+    """Series of f(g(x)) from `powers` = series_powers(g) and `derivs`, the
+    derivatives f^(k)(g[0]) for k < len(g): the sum of
+    f^(k)(g[0]) / k! (g - g[0])^k.  The powers do not depend on g[0], so
+    compositions with one g shifted by constants can share them."""
+    out = [0.0] * len(powers)
+    for k, (d, power) in enumerate(zip(derivs, powers)):
         out = [o + d / math.factorial(k) * p for o, p in zip(out, power)]
-        power = series_mul(power, step)
     return out
 
 

@@ -191,7 +191,7 @@ def scalar_inverse(cq, y):
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         step, t = nxt - t, nxt
-        if abs(step) <= 1e-14 or abs(r) <= r_tol:
+        if abs(step) <= nm.NEWTON_STEP_TOL or abs(r) <= r_tol:
             break
     x = row[nm._LO] + row[nm._HALF] * (t + 1.0)
     if i == 0:

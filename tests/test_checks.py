@@ -172,22 +172,85 @@ class TestPositionCalls:
         assert min(sizes) > 1, sizes
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Record the calls of owner.name from now on: the list of their
+    positional arguments, without a bound method's self."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args[1:] if isinstance(owner, type) else args)
+        return fn(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestTableCalls:
     """A report looks its heights up a sample set at a time: each call of
     the height table's inverse covers all the heights of one evaluator
-    call or one check (15 calls for the 719 heights of a warm s3-complete
-    report at C = C* = 1, 6 for revolution's 212)."""
+    call or one check (13 calls for the 719 heights of a warm s3-complete
+    report at C = C* = 1, 5 for revolution's 212)."""
 
-    @pytest.mark.parametrize("family, most", [("s3-complete", 20), ("revolution", 8)])
-    def test_inversion_calls_per_warm_report(self, monkeypatch, family, most):
+    @pytest.mark.parametrize("family, n_calls", [("s3-complete", 13), ("revolution", 5)])
+    def test_inversion_calls_per_warm_report(self, monkeypatch, family, n_calls):
         checks.build_report(family, 1.0, 1.0)
-        sizes = []
-        inverse = numerics.CumulativeQuadrature.inverse
-        monkeypatch.setattr(numerics.CumulativeQuadrature, "inverse",
-                            lambda self, y: sizes.append(np.size(y)) or inverse(self, y))
+        calls = _count_calls(monkeypatch, numerics.CumulativeQuadrature, "inverse")
         checks.build_report(family, 1.0, 1.0)
-        assert 0 < len(sizes) <= most, sizes
+        sizes = [np.size(y) for (y,) in calls]
+        assert len(sizes) == n_calls, sizes
         assert sum(sizes) > 10 * len(sizes), sizes
+
+    def test_clenshaw_passes_per_warm_report(self, monkeypatch):
+        # one call per Newton pass of an inversion and per `value` lookup
+        checks.build_report("s3-complete", 1.0, 1.0)
+        calls = _count_calls(monkeypatch, numerics, "_clenshaw")
+        checks.build_report("s3-complete", 1.0, 1.0)
+        assert len(calls) <= 44
+
+    def test_revolution_makes_one_oracle_call(self, monkeypatch):
+        checks.build_report("revolution", 1.0, 1.0)
+        calls = _count_calls(monkeypatch, diffgeo, "shape_operator")
+        checks.build_report("revolution", 1.0, 1.0)
+        assert len(calls) == 1
+
+    def test_warm_s3_local_report_solves_no_root(self, monkeypatch):
+        # the family's roots are cached with it, and the metric route's
+        # roots at C = 0.8 and 2.0 once per process
+        checks.build_report("s3-local", 1.0)
+        calls = _count_calls(monkeypatch, spherical, "find_root")
+        checks.build_report("s3-local", 1.0)
+        assert calls == []
+
+
+class TestMergedCalls:
+    """The evaluator and oracle calls that a report merges give each point
+    the bits that separate calls give it."""
+
+    @pytest.fixture(scope="class")
+    def at(self):
+        return gluing.atlas(1.0, 1.0)
+
+    @staticmethod
+    def assert_same_bits(merged, *parts):
+        apart = np.concatenate(parts)
+        assert merged.shape == apart.shape and merged.tobytes() == apart.tobytes()
+
+    def test_psi_shape_operator(self, at):
+        m1, p1 = at.h_limits
+        patch = at.psi_patch((m1 - (p1 - m1), at.grid[2]))
+        heights = checks._strip_interior_samples(at, (0, 1), 5, margin=0.06)
+        xi = at.roots.xi01 + np.linspace(0.08, 0.92, 16) * (at.roots.xi02 - at.roots.xi01)
+        merged = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi)]), 0.4)
+        apart = diffgeo.shape_operator(patch, heights, 0.4), diffgeo.shape_operator(
+            patch, at.h0(xi), 0.4)
+        for name in ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K"):
+            self.assert_same_bits(getattr(merged, name), *(getattr(a, name) for a in apart))
+
+    def test_periodicity_probe_positions(self, at):
+        m1, p1 = at.h_limits
+        hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
+        merged = at.immersion_phi(np.concatenate([hs, hs + at.period]), 0.3)
+        self.assert_same_bits(merged, at.immersion_phi(hs, 0.3),
+                              at.immersion_phi(hs + at.period, 0.3))
 
 
 @pytest.mark.parametrize("C", [10.0, 50.0])

@@ -551,6 +551,21 @@ class TestHugeC:
         assert " StepUnderflow: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("C, degenerate", [
+        ("1e20", "the series of R at the lower strip end"),
+        ("1e24", "the height series at the upper strip end")])
+    def test_glued_end_series(self, tmp_path, capsys, C, degenerate):
+        # the junction jets at C* = 50%: 1 - 1/(C xi01^2) rounds to 0 at
+        # 1e20, and the height series cannot be reverted in floats at 1e24
+        out = tmp_path / "rep.json"
+        cstar = repr(0.5 * gluing.cstar_range(float(C)).upper)
+        assert run(["verify", "--family", "s3-complete", "--C", C, "--cstar", cstar,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert " NumericsError: " + degenerate in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("C", ["1e19", "1e30"])
     def test_strip_roots(self, capsys, C):
         # the lower root is bracketed in units of C^(-1/2), where it sits
