@@ -322,6 +322,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     m1, p1 = at.h_limits
     delta = p1 - m1
     roots, F, P = at.roots, at.F, at.period
+    zm1, zp1 = at.zeta_limits
     # the continuity-only branch c_k = c0: the base strip's constant on both sides
     neg = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
                                  phases=(at.phase(0), at.phase(0)))
@@ -345,7 +346,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     junctions = np.array([p1, m1, 0.0]), np.array([roots.xi02, roots.xi01, roots.xi00])
     h_res = _strip_interior_samples(at, (0, 1), 5, margin=0.08)
 
-    out = {
+    return {
         "grid_formula": per_label(
             lambda k: _largest(abs(at.grid[k] - reflected[k]), abs(at.grid[-k] - reflected[-k])),
             range(1, gluing.K_MAX + 1), tols.phase),
@@ -372,21 +373,18 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
             [-3, -2, -1, 1, 2, 3], 1e-10),
         "biconservativity_residual": _worst(
             diffgeo.biconservativity_residual(hpatch, h_res, 0.3), [h_res], tols.residual),
+        # Phi repeats with the profile iff twice the total turning angle
+        # is a whole turn
         "periodicity_phase_defect": CheckResult(
-            at.periodicity_probe()["phase_defect"], math.inf, info=True),
+            gluing.phase_distance(2.0 * (zp1 - zm1), 0.0), math.inf, info=True),
     }
-    # Psi does not depend on c0: the same atlas serves it
-    out.update(_psi_checks(at, grid, seed, tols, prefix="psi_"))
-    return out
 
 
 def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str, CheckResult]:
-    return _psi_checks(gluing.atlas(C, Cstar), grid, seed, Tolerances())
-
-
-def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
-                prefix: str = "") -> dict[str, CheckResult]:
-    C, Cstar = at.C, at.Cstar
+    """Psi's checks; Psi does not depend on c0, so they are not repeated
+    in the s3-complete report."""
+    tols = Tolerances()
+    at = gluing.atlas(C, Cstar)
     rng = np.random.default_rng(seed + 1)
     m1, p1 = at.h_limits
     delta = p1 - m1
@@ -403,22 +401,20 @@ def _psi_checks(at: gluing.GluingAtlas, grid: int, seed: int, tols: Tolerances,
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
 
     return {
-        prefix + "cstar_admissible": CheckResult(
+        "cstar_admissible": CheckResult(
             0.0 if gluing.cstar_range(C).contains(Cstar) else 1.0, 0.0),
-        prefix + "metric_pullback": _profile_metric_pullback(
-            at, patch, grid, tols.metric_glued_rel),
+        "metric_pullback": _profile_metric_pullback(at, patch, grid, tols.metric_glued_rel),
         # curvature magnitudes grow like the strip width^(8/3): compare
         # relative to the closed-form size
-        prefix + "gauss_curvature_identity": _worst(
+        "gauss_curvature_identity": _worst(
             _rel_gap(shape.K, spherical.gauss_curvature_DC(at.F(heights))),
             [heights], tols.curvature),
-        prefix + "one_minus_K_positive": _worst(shape.K - 1.0, [heights], 0.0),
+        "one_minus_K_positive": _worst(shape.K - 1.0, [heights], 0.0),
         # oracle orientation keeps f >= 0 while the closed form is signed
-        prefix + "mean_curvature_closed_form": _worst(
+        "mean_curvature_closed_form": _worst(
             _rel_gap(shape_mean.f, np.abs(at.mean_curvature_psi(xi_mean))),
             [xi_mean], tols.psi_mean_curvature),
-        prefix + "radius_range": _worst(np.where((lo <= r) & (r <= hi), 0.0, 1.0),
-                                        [h_radius], 0.0),
+        "radius_range": _worst(np.where((lo <= r) & (r <= hi), 0.0, 1.0), [h_radius], 0.0),
     }
 
 

@@ -189,8 +189,8 @@ class GluingAtlas:
         else:
             # downward: invert c_{k+1} = -2 z - c_k  =>  c_k = -2 z - c_{k+1}
             for kk in range(0, k, -1):
-                above = kk  # we are computing c_{kk-1} from c_{kk}
-                z = zp1 if above % 2 == 1 else zm1
+                # c_{kk-1} from c_{kk}
+                z = zp1 if kk % 2 == 1 else zm1
                 c = -2.0 * z - c
         return _mod2pi(c)
 
@@ -446,32 +446,6 @@ class GluingAtlas:
             out.append((zlim, xi, series_powers([0.0, *dz]),
                         series_compose(power_derivatives(w[0], 0.5), series_powers(w))))
         return tuple(out)
-
-    # -- periodicity probe -------------------------------------------------------
-
-    def periodicity_probe(self) -> dict:
-        """Evidence on whether the glued immersion repeats with the profile.
-
-        The profile and the last two components are periodic by
-        construction; the first two repeat iff twice the total turning
-        angle is a multiple of 2*pi.  Reports the measured phase defect
-        and the worst sampled component mismatch; asserts nothing.
-        """
-        zm1, zp1 = self.zeta_limits
-        defect = phase_distance(2.0 * (zp1 - zm1), 0.0)
-        tol = 1e-8  # defect below which the immersion counts as periodic
-        m1, p1 = self.h_limits
-        hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
-        here, there = np.split(self.immersion_phi(np.concatenate([hs, hs + self.period]), 0.3), 2)
-        gap = np.abs(here - there)
-        worst, worst34 = float(np.max(gap)), float(np.max(gap[:, 2:]))
-        return {
-            "phase_defect": defect,
-            "max_component_mismatch": worst,
-            "max_mismatch_rotational_components": worst34,
-            "periodic_within_tol": bool(defect <= tol and worst <= tol),
-            "tol": tol,
-        }
 
 
 @lru_cache(maxsize=16)

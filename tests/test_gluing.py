@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import diffgeo, gluing, numerics, spherical
+from biconsurf import checks, diffgeo, gluing, numerics, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
 from conftest import (one_sided_derivative, refined_singular_integral, scalar_inverse,
                       scalar_value, validate_patch)
@@ -603,15 +603,25 @@ class TestOracleWork:
 
 
 class TestPeriodicityProbe:
+    """Phi repeats with the profile iff twice the total turning angle is a
+    whole turn; at C = C* = 1 it is not."""
+
+    @staticmethod
+    def period_gap(at):
+        """|Phi(h + P, 0.3) - Phi(h, 0.3)| per component over 17 heights
+        inside the base strip."""
+        m1, p1 = at.h_limits
+        hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
+        return np.abs(at.immersion_phi(hs + at.period, 0.3) - at.immersion_phi(hs, 0.3))
+
     def test_reports_phase_defect(self, at):
-        rep = at.periodicity_probe()
+        report, _ = checks.build_report("s3-complete", 1.0, 1.0)
+        defect = report["checks"]["periodicity_phase_defect"]["value"]
         # 2(zeta_{0,1} - zeta_{0,-1}) = 4.2375241939... at C = C* = 1;
         # its circle distance to a full turn is 2pi - that
-        assert rep["phase_defect"] == pytest.approx(2.0 * math.pi - 4.2375241939, abs=1e-6)
-        assert not rep["periodic_within_tol"]
-        assert rep["max_mismatch_rotational_components"] < 1e-10
+        assert defect == pytest.approx(2.0 * math.pi - 4.2375241939, abs=1e-6)
+        assert np.max(self.period_gap(at)[:, 2:]) < 1e-10
 
     def test_component_mismatch_consistent_with_defect(self, at):
-        rep = at.periodicity_probe()
         # a nonzero angle defect forces visible first-component mismatch
-        assert rep["max_component_mismatch"] > 0.1
+        assert np.max(self.period_gap(at)[:, 0]) > 0.1
