@@ -239,8 +239,10 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         lambda x: spherical.metric_gC(c_metric, x)[0], lambda x: 1.0 / (x * x),
         xi_metric, scale=scale, dG=lambda x: -2.0 / x ** 3)
 
-    ode = spherical.curvature_ode_k(fam.params, roots, 0.5 * (roots.k01 + roots.k02))
-    confinement = _largest(roots.k01 - ode["k_min"], ode["k_max"] - roots.k02, 0.0)
+    # one half period of the curvature ODE, from k01 at rest up to its turn
+    ode = spherical.curvature_ode_k(fam.params, roots)
+    t_turn, k_turn = ode["turning_point"][:2]
+    length = fam.meridian_length
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
     residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
@@ -269,8 +271,10 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         "sphere_norm": _worst(_unit_defect(fam.immersion(*sphere)), sphere, tols.sphere_norm),
         "biconservativity_residual": _worst(
             diffgeo.biconservativity_residual(patch, *residual), residual, tols.residual),
-        "prime_integral_drift": CheckResult(ode["max_drift_relative"], tols.prime_integral),
-        "k_confinement": CheckResult(confinement, 1e-6),
+        "prime_integral_drift": _worst(ode["drift"], [ode["states"][:, 0]], tols.prime_integral),
+        # the turn must arrive at k02, after the meridian's length
+        "k_confinement": CheckResult(abs(k_turn - roots.k02) / roots.k02, 1e-6),
+        "half_period_length": CheckResult(abs(t_turn - length) / length, 1e-7),
         "zeta_monotone": CheckResult(-float(np.min(np.diff(z_vals))), 0.0),
         "zeta_limits_finite": CheckResult(
             0.0 if all(math.isfinite(z) for z in fam.zeta_limits) else 1.0, 0.0),

@@ -29,6 +29,7 @@ __all__ = [
     "MaxIterations",
     "InvalidSpec",
     "StepUnderflow",
+    "NoTurningPoint",
     "OutOfDomain",
     "DegenerateDomain",
     "Bracket",
@@ -88,6 +89,10 @@ class InvalidSpec(NumericsError):
 
 class StepUnderflow(NumericsError):
     """The ODE step size collapsed below machine resolution."""
+
+
+class NoTurningPoint(NumericsError):
+    """An ODE run reached its end time before the turning point it needs."""
 
 
 class OutOfDomain(NumericsError):

@@ -17,7 +17,10 @@ with zeta the quadrature of sqrt(C) tau^{4/3} / ((C tau^2 - 1) sqrt(T(tau)))
 based at xi00.  The same immersion arises from an arclength-parametrized
 curve whose curvature k solves k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2}
 with C1 = 16 * 3^{1/4} C; that route is kept here as an ODE cross-check,
-connected to the strip coordinates by k = 3^{-3/2} xi^{4/3}.
+connected to the strip coordinates by k = 3^{-3/2} xi^{4/3}.  k is half the
+mean curvature and the curve's arclength is the meridian's, so one half
+period of k, from k01 at rest up to its turn at k02, takes the strip's
+meridian length, the integral of sqrt(3/T)/xi over the strip.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .numerics import (
     Bracket,
     CumulativeQuadrature,
     DegenerateDomain,
+    NoTurningPoint,
     OutOfDomain,
     expand_bracket,
     find_root,
@@ -45,7 +49,6 @@ __all__ = [
     "DomainRoots",
     "T",
     "T_deriv",
-    "L",
     "strip_quadrature",
     "domain_roots",
     "metric_gC",
@@ -61,8 +64,7 @@ C_MIN = 4.0 / 3.0 ** 1.5  # threshold where the two roots of T coalesce
 
 ROOT_TOL = 1e-13
 
-# the curvature ODE cross-check stops at this many turning points or time
-ODE_TURNING_POINTS = 7
+# the curvature ODE cross-check runs one half period, which must turn by this time
 ODE_T_END = 100.0
 
 
@@ -154,10 +156,6 @@ def T_deriv(C: float, xi):
 
 def T_deriv2(C: float, xi):
     return -(40.0 / 9.0) * np.power(xi, 2.0 / 3.0) + 6.0 * C
-
-
-def L(C1: float, k):
-    return -16.0 / 9.0 - 16.0 * np.square(k) + C1 * np.power(k, 1.5)
 
 
 def strip_quadrature(roots: "DomainRoots", g) -> CumulativeQuadrature:
@@ -283,6 +281,12 @@ class SphereFamily:
         """(limit at xi01, limit at xi02); both finite."""
         return (-self._zeta_base, self._zeta_cum.total - self._zeta_base)
 
+    @cached_property
+    def meridian_length(self) -> float:
+        """The meridian's length across the strip, the integral of
+        sqrt(3/T)/xi from xi01 to xi02; its table is built on first use."""
+        return strip_quadrature(self.roots, lambda tau, t: math.sqrt(3.0) / tau).total
+
     # -- immersion ----------------------------------------------------------
 
     def point(self, xi, theta, zeta, c=0.0, s=1.0) -> np.ndarray:
@@ -380,49 +384,37 @@ def family(C: float) -> SphereFamily:
 
 # -- curvature ODE route ------------------------------------------------------
 
-def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots, k_start: float,
-                    tol: float = 1e-10) -> dict:
-    """Integrate the profile-curvature oscillation and report invariants.
+def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots, tol: float = 1e-10) -> dict:
+    """Integrate one half period of the profile curvature and report its invariants.
 
-    Starts on the zero level set of the conserved quantity
-    P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2}, with k' >= 0 taken from P = 0,
-    and integrates k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2}.  Turning
-    points (k' = 0) are located on the way; the equation itself is
-    regular there, so the trajectory passes through them and oscillates
-    between the two roots of L, the k-images of `roots`, the roots of T
-    for params.C.  Returns the accepted states and the turning points as
-    rows (t, k, k', step), the maximum conserved-quantity drift (absolute
-    and relative to the term scale) and the k-range covered.
+    Starts at rest at the lower root of L, (k, k') = (k01, 0), on the zero
+    level set of the conserved quantity P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2},
+    and integrates k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2} up to its first
+    turning point (k' = 0), which should sit at the upper root k02; k01 and k02
+    are the k-images of `roots`, the roots of T for params.C.  Returns the
+    accepted states as rows (t, k, k', step), the turning point as one such
+    row, and per state the drift |P| relative to the size of P's terms there.
+    Raises NoTurningPoint if the run reaches ODE_T_END without its turn.
     """
     C1 = params.C1
-    if not (roots.k01 < k_start < roots.k02):
-        raise OutOfDomain(f"k_start = {k_start} outside ({roots.k01}, {roots.k02})")
-    lk = float(L(C1, k_start))
-    if lk <= 0.0:
-        raise OutOfDomain(f"L(k_start) = {lk} <= 0")
-    kp0 = k_start * math.sqrt(lk)
 
     def f(k):
         if k < 0.0:  # a trial stage past k = 0, where k^{5/2} is undefined
             return math.nan
         return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
 
-    def prime(k, kp):
-        return kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 - C1 * k ** 3.5
-
-    sol = solve_ode(f, k_start, kp0, ODE_T_END, 1e-3, tol=tol, max_turns=ODE_TURNING_POINTS)
-    ks, kps = np.array(sol.states[1::4]), np.array(sol.states[2::4])
-    drift = np.abs(prime(ks, kps))
-    scale = np.max(kps ** 2 + 16.0 / 9.0 * ks ** 2 + 16.0 * ks ** 4 + C1 * ks ** 3.5)
+    sol = solve_ode(f, roots.k01, 0.0, ODE_T_END, 1e-3, tol=tol, max_turns=1)
+    if not sol.turns:
+        raise NoTurningPoint(f"the curvature ODE from k01 = {roots.k01} has no turning "
+                             f"point by t = {ODE_T_END}")
+    states = np.reshape(sol.states, (-1, 4))
+    k, kp = states[:, 1], states[:, 2]
+    kinetic, quadratic, quartic, c1_term = kp * kp, 16.0 / 9.0 * k * k, 16.0 * k ** 4, C1 * k ** 3.5
     return {
-        "states": np.reshape(sol.states, (-1, 4)),
-        "turning_points": np.reshape(sol.turns, (-1, 4)),
-        "max_drift": float(np.max(drift)),
-        "max_drift_relative": float(np.max(drift) / scale),
-        "k_min": float(np.min(ks)),
-        "k_max": float(np.max(ks)),
-        "k01": roots.k01,
-        "k02": roots.k02,
+        "states": states,
+        "turning_point": np.array(sol.turns),
+        "drift": (np.abs(kinetic + quadratic + quartic - c1_term)
+                  / (kinetic + quadratic + quartic + c1_term)),
     }
 
 

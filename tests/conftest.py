@@ -422,6 +422,12 @@ def reference_second_order(f, k, kp, t_end, step, tol=1e-10, max_turns=None):
                           [x for s in ref.events for x in (s.t, *s.y, s.step)])
 
 
+def curvature_L(C1, k):
+    """L(k) = -16/9 - 16 k^2 + C1 k^{3/2}: the profile-curvature ODE conserves
+    P = (k')^2 - k^2 L(k), and the roots of L are k01 and k02."""
+    return -16.0 / 9.0 - 16.0 * k * k + C1 * k ** 1.5
+
+
 @pytest.fixture(scope="session")
 def oracle_roots_C1():
     """Bisection roots of -xi^{8/3} + 3 xi^2 - 3 (the C = 1 strip)."""

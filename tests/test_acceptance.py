@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from biconsurf import cli, diffgeo, euclidean, gluing, spherical
-from conftest import bisect_root
+from conftest import bisect_root, refined_singular_integral
 
 
 @pytest.fixture(scope="module")
@@ -181,14 +181,20 @@ def test_criterion_4_biconservativity(atlas11):
 # 5 ---------------------------------------------------------------------
 
 def test_criterion_5_prime_integral():
+    # one half period of the curvature ODE from k01 at rest: P stays on its
+    # zero level set, the turn arrives at k02, and it comes after the
+    # meridian's length, here from an independent quadrature
     par = spherical.FamilyParamsS3(1.0)
     r = spherical.domain_roots(1.0)
-    out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
-    ok = _report("criterion 5 (conserved quantity drift)",
-                 out["max_drift_relative"], 1e-8)
-    confinement = max(r.k01 - out["k_min"], out["k_max"] - r.k02)
-    ok &= _report("criterion 5 (oscillation confinement)", confinement, 1e-6)
-    assert len(out["turning_points"]) >= 6
+    out = spherical.curvature_ode_k(par, r)
+    t_turn, k_turn = out["turning_point"][:2]
+    T1 = lambda x: -x ** (8.0 / 3.0) + 3.0 * x * x - 3.0
+    length, _ = refined_singular_integral(lambda x: math.sqrt(3.0 / T1(x)) / x,
+                                          r.xi01, r.xi02, True, True)
+    ok = _report("criterion 5 (conserved quantity drift)", float(np.max(out["drift"])), 1e-8)
+    ok &= _report("criterion 5 (arrival at k02)", abs(k_turn - r.k02) / r.k02, 1e-6)
+    ok &= _report("criterion 5 (half period vs meridian length)",
+                  abs(t_turn - length) / length, 1e-7)
     assert ok
 
 

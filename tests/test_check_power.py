@@ -1,0 +1,138 @@
+"""Check power: each mutant is one defect, monkeypatched in, and the test
+names the report rows that must fail on it.  A check that cannot fail
+proves nothing.
+
+The mutants so far are those of the s3-local curvature-ODE rows.  The
+report integrates one half period of k'' = f(k), from k01 at rest up to
+its turn, and reads three rows from it: `prime_integral_drift`,
+`k_confinement` and `half_period_length`.  It used to integrate seven
+turns from the middle of [k01, k02] and read two one-sided rows; that
+run and its rows are rebuilt here, and only here, so that the new rows
+can be shown to fail wherever the old ones did.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from biconsurf import checks, numerics, spherical
+from biconsurf.numerics import NumericsError
+from conftest import curvature_L, reference_second_order
+
+ODE_ROWS = ("prime_integral_drift", "k_confinement", "half_period_length")
+
+
+def curvature_f(C1):
+    """The right side f of k'' = f(k), NaN below k = 0."""
+    def f(k):
+        if k < 0.0:
+            return math.nan
+        return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
+    return f
+
+
+def seven_turns(C, solve):
+    """The run the report made before its half period, by `solve`: seven
+    turning points from the midpoint of [k01, k02], with k' >= 0 from
+    P = 0 there."""
+    r = spherical.domain_roots(C)
+    C1 = spherical.FamilyParamsS3(C).C1
+    k0 = 0.5 * (r.k01 + r.k02)
+    return solve(curvature_f(C1), k0, k0 * math.sqrt(curvature_L(C1, k0)),
+                 spherical.ODE_T_END, 1e-3, tol=1e-10, max_turns=7)
+
+
+def seven_turn_rows(C, sol):
+    """The names of the old rows that fail on a seven-turn run: its drift
+    was the largest |P| over the largest sum of P's terms along the run
+    (bound 1e-8), its confinement the larger of k01 - min k and
+    max k - k02 (bound 1e-6)."""
+    r = spherical.domain_roots(C)
+    C1 = spherical.FamilyParamsS3(C).C1
+    k, kp = np.array(sol.states[1::4]), np.array(sol.states[2::4])
+    drift = (np.max(np.abs(kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 - C1 * k ** 3.5))
+             / np.max(kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 + C1 * k ** 3.5))
+    confinement = max(r.k01 - np.min(k), np.max(k) - r.k02, 0.0)
+    return ({"prime_integral_drift"} if drift > 1e-8 else set()) | (
+        {"k_confinement"} if confinement > 1e-6 else set())
+
+
+def half_period_rows(C):
+    """The names of the report's curvature-ODE rows that fail."""
+    res = checks.s3_local_checks(C, grid=10, seed=12345)
+    return {name for name in ODE_ROWS if not res[name].passed}
+
+
+# each mutant rewrites a call solve(f, k, k', ...) of the curvature ODE:
+# f's C1 term or its k^3 coefficient times 1 + 1e-6, or the start's k
+# times 1 + 1e-6, which moves it off the level set P = 0
+MUTANTS = {
+    "none": lambda C1, f, k: (f, k),
+    "c1-term": lambda C1, f, k: (lambda x: f(x) + 1.75e-6 * C1 * max(x, 0.0) ** 2.5, k),
+    "k3-coefficient": lambda C1, f, k: (lambda x: f(x) - 32e-6 * x ** 3, k),
+    "start-off-level-set": lambda C1, f, k: (f, k * (1.0 + 1e-6)),
+}
+
+# (mutant, C): the failing old rows, then the failing new rows.  A run
+# that raises fails the report, which then exits 2: at C = 20 the k^3
+# mutant sends the seven-turn run over the potential's barrier below k01
+# and on to k = 0, where its step collapses
+OLD_ROWS = {"prime_integral_drift", "k_confinement"}
+POWER = {
+    ("none", 1.0): (set(), set()),
+    ("c1-term", 1.0): (OLD_ROWS, set(ODE_ROWS)),
+    ("k3-coefficient", 1.0): (OLD_ROWS, set(ODE_ROWS)),
+    ("start-off-level-set", 1.0): ({"prime_integral_drift"},
+                                   {"prime_integral_drift", "half_period_length"}),
+    ("none", 20.0): (set(), set()),
+    ("c1-term", 20.0): (OLD_ROWS, set(ODE_ROWS)),
+    ("k3-coefficient", 20.0): ({"StepUnderflow"}, {"prime_integral_drift", "k_confinement"}),
+    ("start-off-level-set", 20.0): ({"prime_integral_drift"},
+                                    {"prime_integral_drift", "half_period_length"}),
+}
+
+
+@pytest.mark.parametrize("mutant, C", list(POWER))
+def test_curvature_ode_mutants(mutant, C, monkeypatch):
+    C1 = spherical.FamilyParamsS3(C).C1
+
+    def mutated(f, k, kp, *rest, **kw):
+        g, k = MUTANTS[mutant](C1, f, k)
+        return numerics.solve_ode(g, k, kp, *rest, **kw)
+
+    try:
+        old = seven_turn_rows(C, seven_turns(C, mutated))
+    except NumericsError as exc:
+        old = {type(exc).__name__}
+    monkeypatch.setattr(spherical, "solve_ode", mutated)
+    new = half_period_rows(C)
+    assert (old, new) == POWER[mutant, C]
+    # the half period may replace the seven turns: it misses no mutant they catch
+    assert new or not old
+
+
+def test_curvature_f_is_the_reports():
+    # the old run above uses the report's own equation: the half period
+    # with this f is the report's, state for state
+    par = spherical.FamilyParamsS3(1.0)
+    r = spherical.domain_roots(1.0)
+    want = spherical.curvature_ode_k(par, r)["states"]
+    got = numerics.solve_ode(curvature_f(par.C1), r.k01, 0.0, spherical.ODE_T_END, 1e-3,
+                             tol=1e-10, max_turns=1)
+    assert np.reshape(got.states, (-1, 4)).tolist() == want.tolist()
+
+
+def test_seven_turn_run_at_C20_misses_k01():
+    # the seven-turn run at C = 20, rebuilt with the reference stepper: both
+    # of its rows passed, yet its lower turns stop at k = 0.41-0.55, where
+    # k01 = 0.026; the two-sided arrival measure of the half period, the
+    # distance of a turn to its root relative to the root, fails each of them
+    r = spherical.domain_roots(20.0)
+    sol = seven_turns(20.0, reference_second_order)
+    assert seven_turn_rows(20.0, sol) == set()
+    turns = np.reshape(sol.turns, (-1, 4))[:, 1]
+    lower, upper = turns[turns < r.k01 + 1.0], turns[turns > r.k02 - 1.0]
+    assert len(lower) == 3 and len(upper) == 4
+    assert np.all(np.abs(lower - r.k01) / r.k01 > 10.0)  # the bound is 1e-6
+    assert np.all(np.abs(upper - r.k02) / r.k02 <= 1e-6)

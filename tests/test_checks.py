@@ -57,9 +57,10 @@ class TestSampleCounts:
                "profile_roundtrip": 12},
         "s3-local": {"biconservativity_residual": 16, "bridge_metric_match": 7,
                      "curvature_c_independent": 9, "flat_profile_equation": 1,
-                     "gauss_curvature_identity": 10, "k01_above_radius_bound": 1,
-                     "k_confinement": 1, "level_curve_circles": 16, "metric_pullback": 10,
-                     "prime_integral_drift": 1, "root_identities": 2, "root_ordering": 1,
+                     "gauss_curvature_identity": 10, "half_period_length": 1,
+                     "k01_above_radius_bound": 1, "k_confinement": 1,
+                     "level_curve_circles": 16, "metric_pullback": 10,
+                     "prime_integral_drift": 123, "root_identities": 2, "root_ordering": 1,
                      "sphere_norm": 256, "zeta_limits_finite": 1, "zeta_monotone": 1},
         "s3-complete": {"biconservativity_residual": 10, "grid_formula": 11,
                         "grid_spacing": 10, "junction_continuity": 6,
@@ -220,8 +221,10 @@ class TestTableCalls:
 
 
 class TestMergedCalls:
-    """The evaluator and oracle calls that a report merges give each point
-    the bits that separate calls give it."""
+    """The oracle call that a report merges, the revolution report's one
+    `shape_operator` call over its curvature heights and the heights of its
+    mean-curvature samples, gives each point the bits that separate calls
+    give it."""
 
     @pytest.fixture(scope="class")
     def at(self):
@@ -242,13 +245,6 @@ class TestMergedCalls:
             patch, at.h0(xi), 0.4)
         for name in ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K"):
             self.assert_same_bits(getattr(merged, name), *(getattr(a, name) for a in apart))
-
-    def test_periodicity_probe_positions(self, at):
-        m1, p1 = at.h_limits
-        hs = np.linspace(m1 + 0.05 * (p1 - m1), p1 - 0.05 * (p1 - m1), 17)
-        merged = at.immersion_phi(np.concatenate([hs, hs + at.period]), 0.3)
-        self.assert_same_bits(merged, at.immersion_phi(hs, 0.3),
-                              at.immersion_phi(hs + at.period, 0.3))
 
 
 @pytest.mark.parametrize("C", [10.0, 50.0])

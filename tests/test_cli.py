@@ -580,6 +580,18 @@ class TestHugeC:
         assert "error:" not in capsys.readouterr().err
 
 
+def test_s3_local_half_period_without_its_turn(tmp_path, capsys, monkeypatch):
+    # a curvature ODE run that ends before its turn gives no report on a
+    # partial half period; at C = 1 the turn comes at t = 1.855
+    monkeypatch.setattr(spherical, "ODE_T_END", 1.0)
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--family", "s3-local", "--C", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert " NoTurningPoint: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestNearCMin:
     """s3-local verify where the strip is at most 1.8e-3 wide: its samples
     keep inside the strip, so the report is complete and any failure is a
@@ -592,7 +604,7 @@ class TestNearCMin:
         err = capsys.readouterr().err
         assert code in (0, 1), err
         assert "Traceback" not in err and "error:" not in err, err
-        assert len(json.loads((tmp_path / "rep.json").read_text())["checks"]) == 15
+        assert len(json.loads((tmp_path / "rep.json").read_text())["checks"]) == 16
 
 
 class TestEmptyRunsAndOutputs:

@@ -8,7 +8,9 @@ range.  They were computed with the oracle's one step rule (see the
 fixture's "about").  A change to the quadrature or the oracle moves
 values near the oracle's floor in their last digits, so the reports are
 compared against a floor tied to each check's tolerance rather than
-bytewise; a change that moves values on purpose refreezes the fixture.
+bytewise, or to the frozen value itself where the tolerance is 0 or, for
+an informational row, infinite; a change that moves values on purpose
+refreezes the fixture.
 """
 
 import json
@@ -38,9 +40,8 @@ def test_report_matches_frozen(frozen):
         assert new["pass"] == old["pass"], name
         tol = old["tolerance"]
         assert new["tolerance"] == tol, name
-        if math.isinf(tol):
-            continue
-        # a sign check (tolerance 0) has no tolerance to scale by; its
-        # frozen value is the margin by which the sign holds
-        bound = MOVE * (tol if tol > 0.0 else abs(old["value"]))
+        # a sign check (tolerance 0) and an informational row (tolerance
+        # inf) have no tolerance to scale by: they may move by MOVE of
+        # their frozen value, for a sign check the margin by which it holds
+        bound = MOVE * (tol if 0.0 < tol < math.inf else abs(old["value"]))
         assert abs(new["value"] - old["value"]) <= bound, (name, old["value"], new["value"])

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, spherical
-from biconsurf.numerics import DegenerateDomain, OutOfDomain, StepUnderflow
-from conftest import (REFERENCE_LOGGER, phi_coordinate_bridge, reference_build,
+from biconsurf.numerics import DegenerateDomain, NoTurningPoint, OutOfDomain, StepUnderflow
+from conftest import (REFERENCE_LOGGER, curvature_L, phi_coordinate_bridge, reference_build,
                       reference_second_order, refined_singular_integral, validate_patch)
 
 
@@ -73,8 +73,8 @@ class TestRoots:
     def test_k_root_correspondence(self):
         r = spherical.domain_roots(1.0)
         C1 = spherical.FamilyParamsS3(1.0).C1
-        assert abs(float(spherical.L(C1, r.k01))) < 1e-10
-        assert abs(float(spherical.L(C1, r.k02))) < 1e-10
+        assert abs(curvature_L(C1, r.k01)) < 1e-10
+        assert abs(curvature_L(C1, r.k02)) < 1e-10
 
 
 def exact_T(mpmath, C, tau):
@@ -334,87 +334,89 @@ class TestImmersion:
 
 
 class TestCurvatureOde:
-    def test_prime_integral_drift(self):
-        par = spherical.FamilyParamsS3(1.0)
-        r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
-        assert out["max_drift_relative"] < 1e-8
+    """One half period of k'' = f(k), from (k01, 0) up to its turn."""
 
-    @pytest.mark.parametrize("C, accepted", [(1.001 * spherical.C_MIN, 262), (1.0, 789),
-                                             (20.0, 2355)])
+    @staticmethod
+    def half_period(C, **kw):
+        return spherical.curvature_ode_k(spherical.FamilyParamsS3(C), spherical.domain_roots(C),
+                                         **kw)
+
+    def test_prime_integral_drift(self):
+        assert np.max(self.half_period(1.0)["drift"]) < 1e-8
+
+    @pytest.mark.parametrize("C, accepted", [(1.001 * spherical.C_MIN, 43), (1.0, 123),
+                                             (20.0, 456)])
     def test_step_controller_is_pinned(self, C, accepted):
-        # accepted steps of the report's trajectory: a change to the step
-        # controller or the tableau shows here first
-        par = spherical.FamilyParamsS3(C)
-        r = spherical.domain_roots(C)
-        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
-        assert len(out["states"]) == accepted
+        # accepted states of the report's half period, the start included: a
+        # change to the step controller or the tableau shows here first
+        assert len(self.half_period(C)["states"]) == accepted
 
     @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 50.0, 1e3, 1e5])
     def test_matches_the_reference_stepper(self, C, monkeypatch):
-        # every state and turning point equals the generic stepper's; at
-        # C = 50 a trial stage reaches k < 0, where f returns NaN; 1e5 is the
-        # largest C of the failure map whose trajectory completes
-        par = spherical.FamilyParamsS3(C)
-        r = spherical.domain_roots(C)
-        k0 = 0.5 * (r.k01 + r.k02)
-        got = spherical.curvature_ode_k(par, r, k0)
+        # every state, the turning point and the drift equal the generic
+        # stepper's; 1e5 is the largest C of the failure map whose half
+        # period completes
+        got = self.half_period(C)
         monkeypatch.setattr(spherical, "solve_ode", reference_second_order)
-        want = spherical.curvature_ode_k(par, r, k0)
-        for key in ("states", "turning_points"):
-            assert got[key].tolist() == want[key].tolist()
-        assert {k: v for k, v in got.items() if k not in ("states", "turning_points")} == \
-            {k: v for k, v in want.items() if k not in ("states", "turning_points")}
+        want = self.half_period(C)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key].tolist() == want[key].tolist(), key
+
+    def test_half_period_takes_the_meridian_length(self):
+        # k is half the mean curvature, so t is the meridian's arclength
+        fam = spherical.SphereFamily(1.0)
+        assert "meridian_length" not in vars(fam)  # not built with the family
+        assert fam.meridian_length == pytest.approx(1.85540023, abs=1e-8)
+        t_turn = self.half_period(1.0)["turning_point"][0]
+        assert t_turn == pytest.approx(fam.meridian_length, rel=1e-9)
+
+    def test_a_run_without_its_turn_raises(self, monkeypatch):
+        # at C = 1 the turn comes at t = 1.855; a run that ends before it
+        # must not report on a partial half period
+        monkeypatch.setattr(spherical, "ODE_T_END", 1.0)
+        with pytest.raises(NoTurningPoint, match="no turning point by t = 1.0"):
+            self.half_period(1.0)
 
     def test_step_underflow_matches_the_reference(self, monkeypatch):
-        # from C = 1e6 the step collapses near the start, at the reference's t
-        par = spherical.FamilyParamsS3(1e6)
-        r = spherical.domain_roots(1e6)
+        # at C = 1e6 the step collapses just short of the turn, at the reference's t
         messages = []
         for solve in (spherical.solve_ode, reference_second_order):
             monkeypatch.setattr(spherical, "solve_ode", solve)
             with pytest.raises(StepUnderflow) as caught:
-                spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
+                self.half_period(1e6)
             messages.append(str(caught.value))
-        assert messages == ["step collapsed at t=2.0111098470989768e-13"] * 2
+        assert messages == ["step collapsed at t=1.570796244804733"] * 2
 
     def test_drift_shrinks_with_tolerance(self):
-        par = spherical.FamilyParamsS3(1.0)
-        r = spherical.domain_roots(1.0)
-        k0 = 0.5 * (r.k01 + r.k02)
-        loose = spherical.curvature_ode_k(par, r, k0, tol=1e-8)
-        tight = spherical.curvature_ode_k(par, r, k0, tol=5e-11)
-        assert tight["max_drift"] < loose["max_drift"]
+        loose = self.half_period(1.0, tol=1e-8)
+        tight = self.half_period(1.0, tol=5e-11)
+        assert np.max(tight["drift"]) < np.max(loose["drift"])
 
     def test_confined_to_root_interval(self):
-        par = spherical.FamilyParamsS3(1.0)
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
-        assert out["k_min"] >= r.k01 - 1e-6
-        assert out["k_max"] <= r.k02 + 1e-6
+        ks = self.half_period(1.0)["states"][:, 1]
+        assert ks[0] == r.k01
+        assert np.all((r.k01 - 1e-6 <= ks) & (ks <= r.k02 + 1e-6))
 
     def test_turning_points_sit_on_L_zeros(self):
-        par = spherical.FamilyParamsS3(1.0)
+        # the run starts at rest on one zero of L and turns on the other
+        C1 = spherical.FamilyParamsS3(1.0).C1
         r = spherical.domain_roots(1.0)
-        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
-        assert len(out["turning_points"]) >= 6
-        for _, k, kp, _ in out["turning_points"]:
-            assert abs(kp) < 1e-6
-            assert min(abs(k - r.k01), abs(k - r.k02)) < 1e-6
+        _, k, kp, _ = self.half_period(1.0)["turning_point"]
+        assert abs(kp) < 1e-6
+        assert abs(k - r.k02) < 1e-6
+        assert abs(curvature_L(C1, k)) < 1e-6
 
-    def test_large_C_trial_stage_past_zero_is_quiet(self):
-        # at C = 50 a trial stage reaches k < 0; the suite turns the
-        # RuntimeWarning of k ** 2.5 there into an error
-        par = spherical.FamilyParamsS3(50.0)
-        r = spherical.domain_roots(50.0)
-        out = spherical.curvature_ode_k(par, r, 0.5 * (r.k01 + r.k02))
-        assert out["max_drift_relative"] < 1e-8
-
-    def test_rejects_start_outside(self):
-        par = spherical.FamilyParamsS3(1.0)
-        r = spherical.domain_roots(1.0)
-        with pytest.raises(OutOfDomain):
-            spherical.curvature_ode_k(par, r, r.k02 * 1.5)
+    def test_large_C_trial_stage_past_zero_is_quiet(self, monkeypatch):
+        # started downward from k01 at C = 50, trial stages cross k = 0;
+        # f gives NaN there, and the suite turns the RuntimeWarning of
+        # k ** 2.5 into an error, so the step halves quietly until it collapses
+        solve = spherical.solve_ode
+        monkeypatch.setattr(spherical, "solve_ode",
+                            lambda f, k, kp, *rest, **kw: solve(f, k, -1.0, *rest, **kw))
+        with pytest.raises(StepUnderflow):
+            self.half_period(50.0)
 
 
 class TestCoordinateBridge:
