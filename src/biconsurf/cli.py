@@ -3,8 +3,8 @@ OBJ mesh export (with stereographic projection for sphere-ambient
 surfaces), and machine-readable verification reports.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or inadmissible parameters.  Every failure path prints a single
-machine-parsable line `error: <constraint>` to stderr.  Output is
+or inadmissible parameters.  Every failure path, a usage error too, prints
+one machine-parsable line `error: <constraint>` to stderr.  Output is
 deterministic for a fixed configuration: fixed seeds, sorted JSON keys,
 17-significant-digit text floats, no timestamps.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -308,6 +309,17 @@ def cmd_verify(args) -> int:
 # Argument plumbing
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors on one `error:` line, and -1e-3 read as a number, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _add_common(p):
     p.add_argument("--C", type=float, help="family constant")
     p.add_argument("--cstar", dest="Cstar", type=float,
@@ -320,7 +332,7 @@ def _add_common(p):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; options a config file may set default to None
     here and take their defaults from _ARGUMENTS."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="biconsurf",
         description="Construct, verify and export the complete biconservative "
                     "surfaces of revolution in R^3 and the unit 3-sphere.")
@@ -458,11 +470,11 @@ def _resolve_args(args) -> None:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         _resolve_args(args)
         if args.C is None:
-            raise UsageError("--C is required (flag or config file)")
+            ap.error("--C is required (flag or config file)")
         handler = {
             "params": cmd_params,
             "curves": cmd_curves,
@@ -473,7 +485,7 @@ def main(argv=None) -> int:
         # or in one error line (r3 verify at C = 1e-300, s3-local at C = 1e100)
         with np.errstate(all="ignore"):
             return handler(args)
-    except UsageError as exc:
+    except (UsageError, gluing.InvalidC) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDomain as exc:
@@ -483,9 +495,6 @@ def main(argv=None) -> int:
         # parameters the CLI accepts but double precision cannot evaluate
         print(f"error: {args.command} cannot be evaluated at C={_fmt(args.C)}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except gluing.InvalidC as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -337,17 +337,15 @@ def level_curve_circle_check(derivs: Callable, c: float, point):
     return kappa_geo, kappa_formula
 
 
-def gauss_curvature_from_metric(E: Callable, G: Callable, x, scale=1.0,
-                                dG: Callable | None = None):
+def gauss_curvature_from_metric(E: Callable, G: Callable, x, scale=1.0, *, dG: Callable):
     """Gauss curvature of an orthogonal metric E(x) dx^2 + G(x) dy^2, at a
     point x or an array of them.
 
     Uses K = -(1/(2 sqrt(EG))) d/dx( G'(x) / sqrt(EG) ); the coefficients
     depend on the first coordinate only, whose width is `scale` (one per
-    point, or one for all).  An analytic dG sharpens the inner
-    derivative, the outer one is a fourth-order difference.
+    point, or one for all).  The inner derivative G' is the analytic dG,
+    the outer one is a fourth-order difference.
     """
     h = _step("values", (0.0, scale), x, ())
-    gprime = dG if dG is not None else (lambda xx: _fd4(G, xx, h))
-    inner = lambda xx: gprime(xx) / np.sqrt(E(xx) * G(xx))
+    inner = lambda xx: dG(xx) / np.sqrt(E(xx) * G(xx))
     return -_fd4(inner, x, h) / (2.0 * np.sqrt(E(x) * G(x)))

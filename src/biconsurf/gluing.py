@@ -1,9 +1,10 @@
 """Global construction: reflected profile, phase bookkeeping, and the
 complete immersions built from the sphere-family strip.
 
-The strip height function h0(xi) (an endpoint-singular quadrature based at
-xi00) is strictly increasing with finite limits h_{0,-1} < 0 < h_{0,1}, so
-its inverse parametrizes the profile of a revolution surface in R^3.
+The strip height function h0(xi) (an endpoint-singular quadrature of
+g_h / sqrt(T) based at xi00) is strictly increasing with finite limits
+h_{0,-1} < 0 < h_{0,1}, so its inverse parametrizes the profile of a
+revolution surface in R^3; the profile's h-rates read the same g_h.
 Reflecting across the lines h = h_{0,k} extends the inverse to a periodic
 profile F defined on the whole axis; alternating strips carry alternating
 signs of the height derivative.  Matching phase constants c_k make the
@@ -102,11 +103,10 @@ class GluingAtlas:
         self.c0 = _mod2pi(float(c0))
         self.family: SphereFamily = family(self.C)
         self.roots = self.family.roots
-        cs2 = self.Cstar * self.Cstar
+        cs2 = self.Cstar * self.Cstar  # g_h reads this, not self
 
-        self._h_cum = strip_quadrature(
-            self.roots,
-            lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau))
+        self._h_g = lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau)
+        self._h_cum = strip_quadrature(self.roots, self._h_g)
         self._h_base = self._h_cum.value(self.roots.xi00)
         self.h_limits = (-self._h_base, self._h_cum.total - self._h_base)
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
@@ -227,21 +227,20 @@ class GluingAtlas:
         xi = self._strip_points(np.asarray(h, dtype=float))[1]
         return xi if xi.ndim else float(xi)
 
-    def _rates(self, k: int, xi: float) -> tuple[float, float]:
-        """(dF/dh, d zeta0(F)/dh) on strip k at F = xi.
-
-        With S = sqrt(3 xi^2 - C*^2 T), 1/h0' = xi^2 sqrt(T) / S, and the
-        sqrt(T) of zeta0' cancels against it; both are finite on the closed
-        strip, and at a junction, where T = 0 exactly, they are the limits 0
-        and sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1)), up to the strip's sign.
-        """
-        s = -1.0 if k % 2 else 1.0
-        if self.C * xi * xi <= 1.0:
-            raise OutOfDomain(f"C xi^2 <= 1 at xi = {xi}")
+    def _rates(self, k, xi):
+        """(dF/dh, d zeta0(F)/dh) = s (sqrt(T) / g_h, g_zeta / g_h) on strips k
+        at F = xi, from the tables' integrands g / sqrt(T); s = -1 on odd strips.
+        Both are finite on the closed strip, and at a junction, where T = 0
+        exactly, they are the limits 0 and sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1)),
+        up to the strip's sign."""
+        xi = np.asarray(xi, dtype=float)
         t = self.roots.T(xi)
-        S = math.sqrt(3.0 * xi * xi - self.Cstar ** 2 * t)
-        return (s * xi * xi * math.sqrt(t) / S,
-                s * math.sqrt(self.C) * xi ** (10.0 / 3.0) / ((self.C * xi * xi - 1.0) * S))
+        gh = self._h_g(xi, t)  # 0 where it clamps a negative radicand 3 xi^2 - C*^2 T
+        bad = (self.C * xi * xi <= 1.0) | ~(gh > 0.0)
+        if bad.any():
+            raise OutOfDomain(f"C xi^2 <= 1 or 3 xi^2 <= C*^2 T at xi = {float(xi[bad][0])}")
+        s = np.where(np.asarray(k) % 2 == 1, -1.0, 1.0)
+        return s * np.sqrt(t) / gh, s * self.family._zeta_g(xi, t) / gh
 
     # -- revolution surface -----------------------------------------------------
 
@@ -260,8 +259,7 @@ class GluingAtlas:
         the radius rate once per distinct h."""
         def at(y):
             k, xi = self._strip_points(y)
-            dxi, _ = zip(*map(self._rates, k.tolist(), xi.tolist()))
-            return xi, [-self.Cstar * d / (x * x) for d, x in zip(dxi, xi.tolist())]
+            return xi, -self.Cstar * self._rates(k, xi)[0] / (xi * xi)
         xi, dr = diffgeo.per_distinct(at, h)
         ang = np.asarray(theta) / self.Cstar
         ca, sa = np.cos(ang), np.sin(ang)
@@ -332,7 +330,7 @@ class GluingAtlas:
         distinct h and its h-rates once per distinct h."""
         def at(y):
             k, prof = self._profile_at(y)
-            return (*prof, *zip(*map(self._rates, k.tolist(), prof[0].tolist())))
+            return (*prof, *self._rates(k, prof[0]))
         xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
         return self.family.tangents(xi, theta, zeta, c, s, dxi, dzeta)
 

@@ -13,14 +13,15 @@ is realized inside the unit 3-sphere by
                         cos(sqrt(C) theta) / (sqrt(C) xi),
                         sin(sqrt(C) theta) / (sqrt(C) xi)),
 
-with zeta the quadrature of sqrt(C) tau^{4/3} / ((C tau^2 - 1) sqrt(T(tau)))
-based at xi00.  The same immersion arises from an arclength-parametrized
-curve whose curvature k solves k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2}
-with C1 = 16 * 3^{1/4} C; that route is kept here as an ODE cross-check,
-connected to the strip coordinates by k = 3^{-3/2} xi^{4/3}.  k is half the
-mean curvature and the curve's arclength is the meridian's, so one half
-period of k, from k01 at rest up to its turn at k02, takes the strip's
-meridian length, the integral of sqrt(3/T)/xi over the strip.
+with zeta the quadrature of g_zeta / sqrt(T(tau)) based at xi00, where
+g_zeta = sqrt(C) tau^{4/3} / (C tau^2 - 1).  The same immersion arises from an
+arclength-parametrized curve whose curvature k solves
+k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2} with C1 = 16 * 3^{1/4} C; that
+route is kept here as an ODE cross-check, connected to the strip coordinates
+by k = 3^{-3/2} xi^{4/3}.  k is half the mean curvature and the curve's
+arclength is the meridian's, so one half period of k, from k01 at rest up to
+its turn at k02, takes the strip's meridian length, the integral of
+sqrt(3/T)/xi over the strip.
 """
 
 from __future__ import annotations
@@ -257,9 +258,9 @@ class SphereFamily:
         self.roots = domain_roots(C)
         sc = math.sqrt(self.C)
 
-        C = self.C  # not self in the integrand: that cycle would outlive cache eviction
-        self._zeta_cum = strip_quadrature(
-            self.roots, lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0))
+        C = self.C  # not self in g_zeta: that cycle would outlive cache eviction
+        self._zeta_g = lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0)
+        self._zeta_cum = strip_quadrature(self.roots, self._zeta_g)
         self._zeta_base = self._zeta_cum.value(self.roots.xi00)
 
     # -- scalar quantities -------------------------------------------------
@@ -270,11 +271,14 @@ class SphereFamily:
         self.roots.check_closed(xi)
         return self._zeta_cum.value(xi) - self._zeta_base
 
-    def zeta0_deriv(self, xi: float) -> float:
-        if not self.roots.contains(xi):
-            raise OutOfDomain(f"xi = {xi} at or outside the strip ends")
-        t = self.roots.T(xi)
-        return math.sqrt(self.C) * xi ** (4.0 / 3.0) / ((self.C * xi * xi - 1.0) * math.sqrt(t))
+    def zeta0_deriv(self, xi):
+        """g_zeta / sqrt(T) on the open strip, floats and arrays alike."""
+        xs = np.asarray(xi, dtype=float)
+        outside = ~self.roots.contains(xs)
+        if outside.any():
+            raise OutOfDomain(f"xi = {float(xs[outside][0])} at or outside the strip ends")
+        t = self.roots.T(xs)
+        return self._zeta_g(xs, t) / np.sqrt(t)  # a float gives a numpy float
 
     @property
     def zeta_limits(self) -> tuple[float, float]:
@@ -330,10 +334,9 @@ class SphereFamily:
         return self.point(xi, theta, *diffgeo.per_distinct(at, xi))
 
     def immersion_partials(self, xi, theta):
-        """(X_xi, X_theta) at the points, with zeta0 once on the distinct xi
-        and zeta0' once per distinct xi."""
-        zeta, dzeta = diffgeo.per_distinct(
-            lambda xs: (self.zeta0(xs), [self.zeta0_deriv(x) for x in xs.tolist()]), xi)
+        """(X_xi, X_theta) at the points, with zeta0 and zeta0' once on the
+        distinct xi."""
+        zeta, dzeta = diffgeo.per_distinct(lambda xs: (self.zeta0(xs), self.zeta0_deriv(xs)), xi)
         return self.tangents(xi, theta, zeta, dzeta=dzeta)
 
     def patch(self) -> diffgeo.ImmersionPatch:

@@ -2,13 +2,16 @@
 names the report rows that must fail on it.  A check that cannot fail
 proves nothing.
 
-The mutants so far are those of the s3-local curvature-ODE rows.  The
+The first mutants are those of the s3-local curvature-ODE rows.  The
 report integrates one half period of k'' = f(k), from k01 at rest up to
 its turn, and reads three rows from it: `prime_integral_drift`,
 `k_confinement` and `half_period_length`.  It used to integrate seven
 turns from the middle of [k01, k02] and read two one-sided rows; that
 run and its rows are rebuilt here, and only here, so that the new rows
 can be shown to fail wherever the old ones did.
+
+The next mutant is a turning-angle drift: the numerator g_zeta of the
+zeta table's integrand, which the glued immersion's rates read too.
 """
 
 import math
@@ -16,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from biconsurf import checks, numerics, spherical
+from biconsurf import checks, gluing, numerics, spherical
 from biconsurf.numerics import NumericsError
 from conftest import curvature_L, reference_second_order
 
@@ -136,3 +139,76 @@ def test_seven_turn_run_at_C20_misses_k01():
     assert len(lower) == 3 and len(upper) == 4
     assert np.all(np.abs(lower - r.k01) / r.k01 > 10.0)  # the bound is 1e-6
     assert np.all(np.abs(upper - r.k02) / r.k02 <= 1e-6)
+
+
+# g_zeta = sqrt(C) tau^{4/3} / (C tau^2 - 1) times 1 + 1e-6: zeta0 and zeta0'
+# and the glued immersion's d zeta/dh drift together, with C* at 50% of its
+# range.  (family, C): the failing rows without the mutant, then with it.
+# The revolution surface is a blind spot: Psi = (C*/F cos, C*/F sin, h)
+# does not read zeta, so no row of its report can see the mutant
+ZETA_POWER = {
+    ("s3-local", 1.0): (set(), {"gauss_curvature_identity", "metric_pullback"}),
+    ("s3-complete", 1.0): (set(), {"metric_pullback"}),
+    ("s3-local", 20.0): (set(), {"gauss_curvature_identity", "metric_pullback"}),
+    ("s3-complete", 20.0): ({"profile_junction_values", "junction_negative_control"},
+                            {"profile_junction_values", "junction_negative_control",
+                             "metric_pullback", "biconservativity_residual"}),
+}
+ZETA_BLIND_SPOTS = ("revolution",)
+
+
+def mutate_zeta_numerator(monkeypatch):
+    """Every family built from here on, the caches emptied, has g_zeta
+    times 1 + 1e-6, in its zeta table, which reads g_zeta through
+    `strip_quadrature`, and in `_zeta_g`, which `zeta0_deriv` and the
+    atlas's rates read."""
+    init, quadrature = spherical.SphereFamily.__init__, spherical.strip_quadrature
+    scaled = lambda g: lambda tau, t: g(tau, t) * (1.0 + 1e-6)
+
+    def mutated_init(self, C):
+        with monkeypatch.context() as m:
+            m.setattr(spherical, "strip_quadrature", lambda roots, g: quadrature(roots, scaled(g)))
+            init(self, C)
+        self._zeta_g = scaled(self._zeta_g)
+
+    monkeypatch.setattr(spherical.SphereFamily, "__init__", mutated_init)
+    spherical.family.cache_clear()
+    gluing.atlas.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """No family or atlas built before the test is reused in it, nor one
+    built in it afterwards."""
+    spherical.family.cache_clear()
+    gluing.atlas.cache_clear()
+    yield
+    spherical.family.cache_clear()
+    gluing.atlas.cache_clear()
+
+
+def report_at_half(family, C):
+    """The report's values by row, with C* at 50% of its range."""
+    cstar = None if family == "s3-local" else 0.5 * gluing.cstar_range(C).upper
+    rep, _ = checks.build_report(family, C, cstar)
+    return rep["checks"]
+
+
+def failing(report):
+    return {name for name, row in report.items() if not row["pass"]}
+
+
+@pytest.mark.parametrize("family, C", list(ZETA_POWER))
+def test_zeta_numerator_mutant(family, C, monkeypatch, fresh_caches):
+    before = failing(report_at_half(family, C))
+    mutate_zeta_numerator(monkeypatch)
+    assert (before, failing(report_at_half(family, C))) == ZETA_POWER[family, C]
+
+
+@pytest.mark.parametrize("family", ZETA_BLIND_SPOTS)
+@pytest.mark.parametrize("C", [1.0, 20.0])
+def test_zeta_numerator_blind_spot(family, C, monkeypatch, fresh_caches):
+    # not one value of the report moves, so no tolerance could catch it
+    before = report_at_half(family, C)
+    mutate_zeta_numerator(monkeypatch)
+    assert report_at_half(family, C) == before

@@ -296,10 +296,50 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "error:" in err and "cstar" in err
 
-    def test_unknown_family_usage_error(self):
+    def test_unknown_family_usage_error(self, capsys):
+        assert run(["verify", "--family", "nope", "--C", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --family: invalid choice: 'nope'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, names", [
+        (["verify", "--C", "1"], "required: --family"),
+        (["params", "--C"], "argument --C: expected one argument"),
+        (["params", "--C", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ])
+    def test_usage_error_is_one_line(self, argv, names, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert names in captured.err
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["verify", "--family", "nope", "--C", "1"])
-        assert exc.value.code == 2
+            run(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--family" in capsys.readouterr().out
+
+    def test_negative_numbers_in_exponent_notation(self, tmp_path, capsys):
+        # argparse's own pattern for a negative number has no exponent: it
+        # took -1e-3 for an unknown option and stopped on a usage error
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--family", "s3-complete", "--C", "1", "--cstar", "1",
+                    "--c0", "-1e-3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["c0"] == -1e-3
+        capsys.readouterr()
+        for argv, text in ((["--C", "-1E+2"], "C=-100 inadmissible"),
+                           (["--C", "1", "--cstar", "-.5e1"], "C*=-5 inadmissible")):
+            assert run(["params", *argv]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {text}")
+        meshes = []
+        for ranges in (["-1e-1", "1e-1", "-2e-1", "0"], ["-0.1", "0.1", "-0.2", "0"]):
+            meshes.append(tmp_path / f"m{len(meshes)}.csv")
+            assert run(["mesh", "--family", "r3", "--C", "1", "--grid", "2", "2",
+                        "--format", "csv", "--u-range", *ranges[:2], "--v-range", *ranges[2:],
+                        "--out", str(meshes[-1])]) == 0
+        assert meshes[0].read_bytes() == meshes[1].read_bytes()
 
 
 class TestMeshDeterminism:

@@ -210,11 +210,6 @@ class TestMetricCurvature:
             dG=lambda x: 2.0 * math.sin(x) * math.cos(x))
         assert K == pytest.approx(1.0, rel=1e-9)
 
-    def test_fd_route_agrees(self):
-        K = diffgeo.gauss_curvature_from_metric(
-            lambda x: 1.0, lambda x: math.sin(x) ** 2, 0.9)
-        assert K == pytest.approx(1.0, rel=1e-6)
-
 
 class TestPartialsCalls:
     """The batched oracle calls the patch's partials once per entry point,

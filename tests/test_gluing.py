@@ -581,6 +581,31 @@ class TestJunctionPartials:
         assert jat.F(patch.grid(5, 5, margin=5e-2)[0][2]) == jat.roots.xi02
         assert validate_patch(patch)["ok"]
 
+    def test_one_call_is_the_calls_one_height_at_a_time(self, jat):
+        # strips -3 to 3 with every junction between and around them: the
+        # rates' odd-strip sign and their junction limits, entry by entry.
+        # One height is a one-entry array: a float call runs numpy's scalar
+        # power, which differs from its array power in the last bits
+        hs = np.concatenate([np.linspace(jat.grid[-4], jat.grid[4], 57),
+                             [jat.grid[k] for k in range(-4, 5) if k]])
+        assert set(range(-3, 4)) <= set(jat.strip_of(hs).tolist())
+        theta = np.linspace(0.0, 1.0, len(hs))
+        for partials in (jat.immersion_phi_partials, jat.immersion_psi_partials):
+            at_once = partials(hs, theta)
+            one_by_one = [partials(hs[i:i + 1], theta[i:i + 1]) for i in range(len(hs))]
+            for i, tangents in enumerate(at_once):
+                assert tangents.tobytes() == np.concatenate([p[i] for p in one_by_one]).tobytes()
+
+    def test_negative_height_radicand_is_out_of_domain(self):
+        # with C* a hair below its upper end, 3 xi^2 - C*^2 T dips to -5.6e-11
+        # of 3 xi^2 near xi00, where the height table's integrand is clamped to 0
+        C = 0.7698012
+        nat = gluing.GluingAtlas(C, (1.0 - 1e-15) * gluing.cstar_range(C).upper)
+        h = nat.h0(2.2795070569365254)
+        for partials in (nat.immersion_phi_partials, nat.immersion_psi_partials):
+            with pytest.raises(OutOfDomain, match=r"^C xi\^2 <= 1 or 3 xi\^2 <= C\*\^2 T at xi = 2\.27"):
+                partials(np.array([0.1, h]), 0.0)
+
 
 class TestOracleWork:
     """Deterministic work of the batched oracle on the glued immersion: a
