@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -329,9 +330,12 @@ def _add_common(p):
                    help="JSON file with defaults; explicit flags win")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; options a config file may set default to None
-    here and take their defaults from _ARGUMENTS."""
+    """The argument parser, built once per process; options a config file
+    may set default to None here and take their defaults from _ARGUMENTS.
+    Each `parse_args` call returns a fresh Namespace and nothing writes to
+    the parser, so every `main` call shares it."""
     ap = _Parser(
         prog="biconsurf",
         description="Construct, verify and export the complete biconservative "
@@ -394,6 +398,14 @@ def _pair(check_one):
     return check
 
 
+def _span(name, value):
+    # an empty range would mesh zero-area triangles; a reversed one is allowed
+    ends = _pair(_real)(name, value)
+    if ends[0] == ends[1]:
+        raise UsageError(f"{name} is empty: both ends are {_fmt(ends[0])}")
+    return ends
+
+
 def _of_type(kind):
     def check(name, value):
         if not isinstance(value, kind):
@@ -419,8 +431,8 @@ _ARGUMENTS = {
     "c0": (0.0, _real),
     "samples": (400, _integer(1)),
     "grid": ([64, 64], _pair(_integer(2))),
-    "u_range": (None, _pair(_real)),
-    "v_range": (None, _pair(_real)),
+    "u_range": (None, _span),
+    "v_range": (None, _span),
     "wrap_v": (False, _of_type(bool)),
     "pole": ("0,0,0,-1", _of_type(str)),
     "format": ("obj", _one_of(MESH_FORMATS)),

@@ -227,12 +227,12 @@ class GluingAtlas:
         xi = self._strip_points(np.asarray(h, dtype=float))[1]
         return xi if xi.ndim else float(xi)
 
-    def _rates(self, k, xi):
+    def _rates(self, k, xi, zeta=True):
         """(dF/dh, d zeta0(F)/dh) = s (sqrt(T) / g_h, g_zeta / g_h) on strips k
         at F = xi, from the tables' integrands g / sqrt(T); s = -1 on odd strips.
         Both are finite on the closed strip, and at a junction, where T = 0
         exactly, they are the limits 0 and sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1)),
-        up to the strip's sign."""
+        up to the strip's sign.  With zeta=False only (dF/dh,), which Psi needs."""
         xi = np.asarray(xi, dtype=float)
         t = self.roots.T(xi)
         gh = self._h_g(xi, t)  # 0 where it clamps a negative radicand 3 xi^2 - C*^2 T
@@ -240,7 +240,8 @@ class GluingAtlas:
         if bad.any():
             raise OutOfDomain(f"C xi^2 <= 1 or 3 xi^2 <= C*^2 T at xi = {float(xi[bad][0])}")
         s = np.where(np.asarray(k) % 2 == 1, -1.0, 1.0)
-        return s * np.sqrt(t) / gh, s * self.family._zeta_g(xi, t) / gh
+        dF = s * np.sqrt(t) / gh
+        return (dF, s * self.family._zeta_g(xi, t) / gh) if zeta else (dF,)
 
     # -- revolution surface -----------------------------------------------------
 
@@ -259,7 +260,7 @@ class GluingAtlas:
         the radius rate once per distinct h."""
         def at(y):
             k, xi = self._strip_points(y)
-            return xi, -self.Cstar * self._rates(k, xi)[0] / (xi * xi)
+            return xi, -self.Cstar * self._rates(k, xi, zeta=False)[0] / (xi * xi)
         xi, dr = diffgeo.per_distinct(at, h)
         ang = np.asarray(theta) / self.Cstar
         ca, sa = np.cos(ang), np.sin(ang)

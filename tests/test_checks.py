@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import checks, diffgeo, gluing, numerics, spherical
+from biconsurf import checks, diffgeo, euclidean, gluing, numerics, spherical
 from conftest import assert_matches_reference
 
 
@@ -218,6 +218,18 @@ class TestTableCalls:
         calls = _count_calls(monkeypatch, spherical, "find_root")
         checks.build_report("s3-local", 1.0)
         assert calls == []
+
+
+@pytest.mark.parametrize("C", [1e-3, 1.0, 20.0, 1e3])
+def test_profile_evaluations_per_warm_r3_report(monkeypatch, C):
+    # the report inverts the profile t(rho) at 12 heights, each by a
+    # doubling bracket and a root solve to 1e-14 r0: 180-183 evaluations by
+    # Illinois false position, where alternating secant and bisection
+    # steps took 559-615
+    checks.build_report("r3", C)
+    calls = _count_calls(monkeypatch, euclidean, "profile_t")
+    checks.build_report("r3", C)
+    assert len(calls) <= 200
 
 
 class TestMergedCalls:

@@ -244,6 +244,87 @@ class TestMesh:
                 f"{cli._fmt(r.xi02)}) for the s3-local family\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "s3-local", "--C", "1", "--u-range", "2", "2"], "--u-range"),
+        (["--family", "r3", "--C", "1", "--v-range", "1", "1"], "--v-range"),
+        (["--family", "revolution", "--C", "1", "--cstar", "1",
+          "--u-range", "-0", "0"], "--u-range"),
+    ])
+    def test_empty_range_rejected(self, tmp_path, capsys, argv, flag):
+        # a range with equal ends meshes zero-area triangles
+        out = tmp_path / "m.obj"
+        assert run(["mesh", *argv, "--grid", "4", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} is empty")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_range_from_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"v_range": [0.5, 0.5]}))
+        out = tmp_path / "m.obj"
+        assert run(["mesh", "--family", "r3", "--C", "1", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_reversed_range_allowed(self, tmp_path):
+        meshes = [tmp_path / "up.csv", tmp_path / "down.csv"]
+        for out, ends in zip(meshes, (["0", "1"], ["1", "0"])):
+            assert run(["mesh", "--family", "r3", "--C", "1", "--grid", "2", "3",
+                        "--format", "csv", "--v-range", *ends, "--out", str(out)]) == 0
+        up, down = read_csv(meshes[0])[1], read_csv(meshes[1])[1]
+        assert np.array_equal(up.reshape(2, 3, 3)[:, ::-1], down.reshape(2, 3, 3))
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process; each call still
+    parses its argv into a fresh Namespace."""
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run(["params", "--C", "1"]) == 0
+            assert run(["verify", "--family", "nope", "--C", "1"]) == 2
+            assert run(["curves", "--figure", "fig1", "--C", "1", "--samples", "3",
+                        "--out", str(tmp_path / "f.csv")]) == 0
+        # the root parser and one per subcommand
+        assert len(built) == 5
+        capsys.readouterr()
+
+    def test_usage_error_leaves_next_parse_intact(self, capsys):
+        assert run(["verify", "--family", "nope", "--C", "1", "--seed", "7"]) == 2
+        assert _one_error_line(capsys)
+        args = cli.build_parser().parse_args(["verify", "--family", "r3", "--C", "2"])
+        assert (args.command, args.family, args.C, args.seed) == ("verify", "r3", 2.0, None)
+        args = cli.build_parser().parse_args(["params", "--C", "3"])
+        assert vars(args) == {"command": "params", "C": 3.0, "Cstar": None, "c0": None,
+                              "config": None}
+        assert run(["params", "--C", "1"]) == 0
+
+    def test_parses_share_no_state(self, tmp_path):
+        ap = cli.build_parser()
+        first = ap.parse_args(["mesh", "--family", "r3", "--C", "1", "--grid", "3", "3",
+                               "--out", "m.obj"])
+        cli._resolve_args(first)
+        second = ap.parse_args(["mesh", "--family", "r3", "--C", "1", "--out", "m.obj"])
+        assert second is not first and second.grid is None and second.format is None
+        assert first.grid == [3, 3] and first.format == "obj"
+
+    def test_help_leaves_the_parser_usable(self, capsys):
+        for argv in (["--help"], ["mesh", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 0
+        capsys.readouterr()
+        assert run(["params", "--C", "1"]) == 0
+        assert "1.2844545283264" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_r3_passes(self, tmp_path):

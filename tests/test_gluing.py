@@ -571,6 +571,15 @@ class TestJunctionPartials:
         d_h, _ = jat.immersion_psi_partials(jat.grid[k], 0.3)
         assert d_h[0] == 0.0 and d_h[1] == 0.0 and d_h[2] == 1.0
 
+    def test_psi_partials_read_no_turning_angle(self, jat, monkeypatch):
+        # Psi = (C*/F cos, C*/F sin, h) needs dF/dh alone, not g_zeta
+        def unread(*args):
+            raise AssertionError("g_zeta evaluated for Psi")
+        monkeypatch.setattr(jat.family, "_zeta_g", unread)
+        hs = np.array([jat.grid[-2], 0.0, 0.5 * jat.grid[1], jat.grid[1], jat.grid[3]])
+        d_h, _ = jat.immersion_psi_partials(hs, 0.3)
+        assert np.all(np.isfinite(d_h))
+
     @pytest.mark.parametrize("C, Cstar", JUNCTION_ATLASES[:2], ids=["C1", "Cmin"])
     def test_partials_validate_across_a_junction(self, C, Cstar):
         jat = gluing.atlas(C, Cstar)

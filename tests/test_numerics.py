@@ -63,6 +63,79 @@ class TestFindRoot:
         assert b.lo < 100.0 < b.hi
 
 
+def _counted(f):
+    """f, and the list that each of its calls appends its argument to."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+def _bisections(lo, hi, tol):
+    """The evaluations bisection takes to close [lo, hi] to width tol."""
+    return max(1, math.ceil(math.log2((hi - lo) / tol)))
+
+
+# monotone shapes of steepness k through a root r, each keeping the sign
+# of x - r in floats so that the bracket holds r exactly, and the factor of
+# the bisection count its evaluations may reach: about twice at a simple
+# root, up to four times at a near-triple one (slope 1e-3 at r), where the
+# interpolation crawls and every fourth step bisects
+SHAPES = {
+    "cubic": (lambda x, r, k: (x - r) * (1.0 + k * (x - r) ** 2), 2),
+    "exp": (lambda x, r, k: math.expm1(min(k, 50.0) * (x - r)), 2),
+    "tanh": (lambda x, r, k: math.tanh(k * (x - r)), 2),
+    "near-triple": (lambda x, r, k: k * (x - r) ** 3 + 1e-3 * (x - r), 4),
+}
+
+
+class TestFindRootWork:
+    """Illinois false position stays inside its bracket's tolerance and
+    takes at most about twice the evaluations of bisection, far fewer on
+    most smooth f, and no runaway where plain false position stalls;
+    beside a near-multiple root, where every fourth step bisects, at most
+    four times."""
+
+    @given(shape=st.sampled_from(sorted(SHAPES)), sign=st.sampled_from([-1.0, 1.0]),
+           root=st.floats(-50.0, 50.0), below=st.floats(1e-3, 10.0),
+           above=st.floats(1e-3, 10.0), log_k=st.floats(-2.0, 3.0),
+           log_tol=st.floats(-14.0, -6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_brackets(self, shape, sign, root, below, above, log_k, log_tol):
+        k, tol = 10.0 ** log_k, 10.0 ** log_tol
+        fn, factor = SHAPES[shape]
+        f, calls = _counted(lambda x: sign * fn(x, root, k))
+        lo, hi = root - below, root + above
+        x = nm.find_root(f, nm.Bracket.from_function(f, lo, hi), tol=tol)
+        assert abs(x - root) <= tol + 4.0 * nm._EPS * max(abs(lo), abs(hi))
+        assert len(calls) - 2 <= factor * _bisections(lo, hi, tol) + 2
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_step_where_false_position_stalls(self, tol):
+        # flat at -1 left of 0.3 and rising 1e3 per unit right of it: plain
+        # false position keeps the right end for 266 steps at tol = 1e-12,
+        # each moving the left end by a sliver; a step onto the flat part
+        # now bisects next
+        step = lambda x: -1.0 if x < 0.3 else 1e3 * (x - 0.3)
+        f, calls = _counted(step)
+        x = nm.find_root(f, nm.Bracket.from_function(f, 0.0, 1.0), tol=tol)
+        assert 0.3 <= x <= 0.3 + tol + 4.0 * nm._EPS
+        assert len(calls) - 2 <= 2 * _bisections(0.0, 1.0, tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_near_double_root_bisects(self, tol):
+        # (x - 1)^2 - 1e-12 on [0, 1], roots 1 -+ 1e-6: beside a near-double
+        # root the interpolation crawls, as for the strip roots of T near
+        # C_MIN, and the step after three slow ones bisects; 82 and 79
+        # evaluations against bisection's 40 and 27
+        f, calls = _counted(lambda x: (x - 1.0) ** 2 - 1e-12)
+        x = nm.find_root(f, nm.Bracket.from_function(f, 0.0, 1.0), tol=tol)
+        assert abs(x - (1.0 - 1e-6)) <= tol + 4.0 * nm._EPS
+        assert len(calls) - 2 <= 4 * _bisections(0.0, 1.0, tol)
+
+
 # ----------------------------------------------------------------------
 # CumulativeQuadrature
 # ----------------------------------------------------------------------
