@@ -280,8 +280,9 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
             0.0 if all(math.isfinite(z) for z in fam.zeta_limits) else 1.0, 0.0),
         "bridge_metric_match": _worst(spherical.bridge_metric_match(C, -1.0, phi_bridge),
                                       [phi_bridge], tols.metric_glued_rel),
-        "flat_profile_equation": CheckResult(
-            abs(spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, 1.0)), 1e-10),
+        "flat_profile_equation": CheckResult(abs(spherical.master_ode_residual(
+            0.0, euclidean.metric_profile_derivs(euclidean.FamilyParamsR3.from_C(1.0)), 1.0)),
+            1e-10),
         "level_curve_circles": _worst(
             _level_curve_gap(fam.metric_profile_derivs(), 1.0, xi_level), [xi_level],
             tols.level_curve),

@@ -224,10 +224,9 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
 def _grid_positions(args):
     """Evaluate the requested family on its row-major grid, a block of grid
     rows of at most BLOCK_ROWS points per evaluator call; returns (points,
-    nu, nv, wrap_v, is_spherical)."""
+    nu, nv, is_spherical)."""
     nu, nv = args.grid
     family = args.family
-    wrap_v = args.wrap_v and family in ("r3", "revolution")
     _require_admissible(family, args.C, args.Cstar)
     if family == "r3":
         patch = euclidean.xc_patch(euclidean.FamilyParamsR3.from_C(args.C))
@@ -253,7 +252,7 @@ def _grid_positions(args):
     u0, u1 = args.u_range or u_default
     v0, v1 = args.v_range or v_default
     us = np.linspace(u0, u1, nu)[:, None]
-    vs = np.linspace(v0, v1, nv, endpoint=not wrap_v)
+    vs = np.linspace(v0, v1, nv, endpoint=not args.wrap_v)
     band = max(1, BLOCK_ROWS // nv)
     is_spherical = family in ("s3-local", "s3-complete")
     pts = np.empty((nu, nv, 4 if is_spherical else 3))
@@ -266,7 +265,7 @@ def _grid_positions(args):
     if not np.isfinite(pts).all():
         raise UsageError(f"the {family} grid has non-finite positions; "
                          f"narrow --u-range or change --C")
-    return pts, nu, nv, wrap_v, is_spherical
+    return pts, nu, nv, is_spherical
 
 
 def cmd_mesh(args) -> int:
@@ -276,7 +275,7 @@ def cmd_mesh(args) -> int:
         pole = np.zeros(0)
     if pole.shape != (4,) or not np.isfinite(pole).all() or not pole.any():
         raise UsageError("pole must be four finite comma-separated components, not all zero")
-    pts, nu, nv, wrap_v, is_spherical = _grid_positions(args)
+    pts, nu, nv, is_spherical = _grid_positions(args)
     out = Path(args.out)
     verts = pts
     if is_spherical:
@@ -286,7 +285,7 @@ def cmd_mesh(args) -> int:
     if args.format == "csv":
         _write_csv(out, ["x", "y", "z"], verts)
     else:
-        _write_obj(out, verts, nu, nv, wrap_v)
+        _write_obj(out, verts, nu, nv, args.wrap_v)
     return 0
 
 

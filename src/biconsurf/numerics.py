@@ -6,11 +6,12 @@ build time, one bisection level at a time with one integrand call per
 level, kept as per-panel Chebyshev antiderivatives that later
 evaluations sum by Clenshaw, and whose end cells give Taylor series in
 the end variable), an embedded adaptive Runge-Kutta integrator of a
-second-order equation k'' = f(k) in two float locals, with turning
-points bisected down to float resolution, and truncated power series for
-one-sided jets.  Everything is pure with respect to its inputs; the
-cumulative quadrature tables built here are immutable after construction
-and safe to share between threads.
+second-order equation k'' = f(k) in two float locals, which stops at its
+first turning point, bisected down to float resolution, and raises
+`NoTurningPoint` if none comes by its end time, and truncated power
+series for one-sided jets.  Everything is pure with respect to its
+inputs; the cumulative quadrature tables built here are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -568,17 +569,18 @@ class CumulativeQuadrature:
 
 
 # ----------------------------------------------------------------------
-# ODE integration (Dormand-Prince 5(4), adaptive, with turning points)
+# ODE integration (Dormand-Prince 5(4), adaptive, up to a turning point)
 # ----------------------------------------------------------------------
 
 @dataclass
 class OdeSolution:
-    """A trajectory of k'' = f(k): `states` holds t, k, k' and the step that
-    reached it for each accepted state in turn, `turns` the same four floats
-    for each turning point; `len()` counts the accepted states."""
+    """A trajectory of k'' = f(k) up to its first turning point: `states`
+    holds t, k, k' and the step that reached it for each accepted state in
+    turn, `turn` the same four floats for the turning point; `len()` counts
+    the accepted states."""
 
     states: list[float]
-    turns: list[float]
+    turn: tuple[float, float, float, float]
 
     def __len__(self):
         return len(self.states) // 4
@@ -616,18 +618,18 @@ def solve_ode(
     t_end: float,
     step: float,
     tol: float = ODE_TOL,
-    max_turns: int | None = None,
 ) -> OdeSolution:
     """Adaptive Dormand-Prince 5(4) trajectory of k'' = f(k) from (k, k')
-    at t = 0 to t_end, with `step` the first trial step.
+    at t = 0 up to its first turning point, with `step` the first trial step.
 
     The state is the pair (k, k') of floats; the k-part of a stage's
     derivative is that stage's k', so `f` is the only call per stage.
-    Local error is controlled to `tol` (absolute and relative weight).  A
+    Local error is controlled to `tol` (absolute and relative weight).  The
     turning point, a sign change of k' across an accepted step, is refined
     by bisection on the k' component of the step's Hermite interpolant,
-    until the midpoint is an end of the bracket; integration stops at
-    `max_turns` turning points.  A stage point that leaves the floats halves
+    until the midpoint is an end of the bracket, and ends the run.  A run
+    that reaches t_end, where its last step is clipped to land, without a
+    turn raises NoTurningPoint.  A stage point that leaves the floats halves
     the step; `f` must give a non-finite value at a non-finite k, so that
     such a point always carries through to the step's end point, where it is
     caught.
@@ -637,13 +639,12 @@ def solve_ode(
     if not (step > 0.0 and t_end > 0.0 and math.isfinite(k) and math.isfinite(kp)):
         raise ValueError("the start needs a finite (k, k'), a positive step and t_end > 0")
     t, k, kp, h = 0.0, float(k), float(kp), min(step, t_end)
-    sol = OdeSolution([t, k, kp, h], [])
-    states = sol.states
+    states = [t, k, kp, h]
     fk = f(k)
 
     for _ in range(ODE_MAX_STEPS):
         if t >= t_end:
-            break
+            raise NoTurningPoint(f"no turning point by t = {t_end}")
         if t + h > t_end:
             h = t_end - t
         if h < 32.0 * _EPS * max(1.0, t):
@@ -679,6 +680,7 @@ def solve_ode(
         err = math.sqrt((da ** 2 + db ** 2) / 2)
         if err <= 1.0:
             t_new = t + h  # the last stage was evaluated at (t_new, y5)
+            states += (t_new, y5a, y5b, h)
             if _opposite_signs(kp, y5b):
                 ta, tb, ea = t, t_new, kp
                 for _ in range(80):
@@ -691,19 +693,13 @@ def solve_ode(
                     else:
                         ta, ea = tm, em
                 tm = 0.5 * (ta + tb)
-                sol.turns += (tm, _hermite(tm, t, k, kp, t_new, y5a, y5b),
-                              _hermite(tm, t, kp, fk, t_new, y5b, f7), h)
-                if max_turns is not None and len(sol.turns) >= 4 * max_turns:
-                    states += (t_new, y5a, y5b, h)
-                    return sol
+                return OdeSolution(states, (tm, _hermite(tm, t, k, kp, t_new, y5a, y5b),
+                                            _hermite(tm, t, kp, fk, t_new, y5b, f7), h))
             t, k, kp, fk = t_new, y5a, y5b, f7
-            states += (t, k, kp, h)
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    else:
-        raise MaxIterations("step budget exhausted before t_end")
-    return sol
+    raise MaxIterations("step budget exhausted before t_end")
 
 
 # ----------------------------------------------------------------------

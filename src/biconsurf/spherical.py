@@ -37,7 +37,6 @@ from .numerics import (
     Bracket,
     CumulativeQuadrature,
     DegenerateDomain,
-    NoTurningPoint,
     OutOfDomain,
     expand_bracket,
     find_root,
@@ -58,7 +57,6 @@ __all__ = [
     "family",
     "curvature_ode_k",
     "master_ode_residual",
-    "flat_profile_derivs",
 ]
 
 C_MIN = 4.0 / 3.0 ** 1.5  # threshold where the two roots of T coalesce
@@ -387,7 +385,7 @@ def family(C: float) -> SphereFamily:
 
 # -- curvature ODE route ------------------------------------------------------
 
-def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots, tol: float = 1e-10) -> dict:
+def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots) -> dict:
     """Integrate one half period of the profile curvature and report its invariants.
 
     Starts at rest at the lower root of L, (k, k') = (k01, 0), on the zero
@@ -406,16 +404,13 @@ def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots, tol: float = 1e-
             return math.nan
         return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
 
-    sol = solve_ode(f, roots.k01, 0.0, ODE_T_END, 1e-3, tol=tol, max_turns=1)
-    if not sol.turns:
-        raise NoTurningPoint(f"the curvature ODE from k01 = {roots.k01} has no turning "
-                             f"point by t = {ODE_T_END}")
+    sol = solve_ode(f, roots.k01, 0.0, ODE_T_END, 1e-3)
     states = np.reshape(sol.states, (-1, 4))
     k, kp = states[:, 1], states[:, 2]
     kinetic, quadratic, quartic, c1_term = kp * kp, 16.0 / 9.0 * k * k, 16.0 * k ** 4, C1 * k ** 3.5
     return {
         "states": states,
-        "turning_point": np.array(sol.turns),
+        "turning_point": np.array(sol.turn),
         "drift": (np.abs(kinetic + quadratic + quartic - c1_term)
                   / (kinetic + quadratic + quartic + c1_term)),
     }
@@ -453,12 +448,3 @@ def master_ode_residual(c: float, derivs, u: float) -> float:
     """Residual of 8 c e^{2 phi} phi' + 2 phi' phi'' + 3 phi''' at u."""
     phi, d1, d2, d3 = derivs(u)
     return 8.0 * c * math.exp(2.0 * phi) * d1 + 2.0 * d1 * d2 + 3.0 * d3
-
-
-def flat_profile_derivs(u: float):
-    """phi = 3 log cosh(u/3), which solves the flat case c = 0 of the
-    conformal-exponent equation, and its first three derivatives."""
-    th = math.tanh(u / 3.0)
-    sech2 = 1.0 / math.cosh(u / 3.0) ** 2
-    phi = 3.0 * math.log(math.cosh(u / 3.0))
-    return phi, th, sech2 / 3.0, -2.0 / 9.0 * sech2 * th

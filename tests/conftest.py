@@ -13,7 +13,8 @@ is the cumulative quadrature build one panel at a time, by depth-first
 recursion, the reference for the level-by-level one; `reference_solve_ode`
 is a generic ODE stepper on a state of any length, and
 `reference_second_order` poses k'' = f(k) to it, the reference for the
-package's second-order stepper.  `curvatures` reads the oracle's
+package's second-order stepper, which stops at its first turn, and the
+one stepper here that runs several turns.  `curvatures` reads the oracle's
 curvature gradients at one point; `validate_patch` checks a patch's
 analytic partials against differences of its positions;
 `phi_coordinate_bridge` is the isothermal coordinate of the
@@ -411,15 +412,23 @@ def reference_solve_ode(rhs, y0, t_end, tol=1e-10, event=None, max_events=None):
     return sol
 
 
-def reference_second_order(f, k, kp, t_end, step, tol=1e-10, max_turns=None):
+def reference_second_order(f, k, kp, t_end, step, tol=1e-10, max_turns=1):
     """`reference_solve_ode` on (k, k')' = (k', f(k)) from t = 0 with k' as
-    the event, returned as the `biconsurf.numerics.OdeSolution` that
-    `solve_ode(f, k, kp, t_end, step, tol, max_turns)` should give."""
+    the event, up to `max_turns` turning points or t_end.  With one turn,
+    the default, this is the run of `solve_ode(f, k, kp, t_end, step, tol)`:
+    it returns the `biconsurf.numerics.OdeSolution` that call should give,
+    or raises its `NoTurningPoint`.  Otherwise it returns the states and the
+    turns as flat lists of (t, k, k', step)."""
     from biconsurf import numerics as nm
     ref = reference_solve_ode(lambda t, y: (y[1], f(y[0])), OdeState(0.0, (k, kp), step), t_end,
                               tol, event=lambda t, y: y[1], max_events=max_turns)
-    return nm.OdeSolution([x for s in ref.states for x in (s.t, *s.y, s.step)],
-                          [x for s in ref.events for x in (s.t, *s.y, s.step)])
+    states = [x for s in ref.states for x in (s.t, *s.y, s.step)]
+    turns = [x for s in ref.events for x in (s.t, *s.y, s.step)]
+    if max_turns != 1:
+        return SimpleNamespace(states=states, turns=turns)
+    if not turns:
+        raise nm.NoTurningPoint(f"no turning point by t = {t_end}")
+    return nm.OdeSolution(states, tuple(turns))
 
 
 def curvature_L(C1, k):

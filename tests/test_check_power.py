@@ -7,8 +7,9 @@ report integrates one half period of k'' = f(k), from k01 at rest up to
 its turn, and reads three rows from it: `prime_integral_drift`,
 `k_confinement` and `half_period_length`.  It used to integrate seven
 turns from the middle of [k01, k02] and read two one-sided rows; that
-run and its rows are rebuilt here, and only here, so that the new rows
-can be shown to fail wherever the old ones did.
+run and its rows are rebuilt here, and only here, on the reference
+stepper of conftest (the package's stepper stops at its first turn), so
+that the new rows can be shown to fail wherever the old ones did.
 
 The next mutant is a turning-angle drift: the numerator g_zeta of the
 zeta table's integrand, which the glued immersion's rates read too.
@@ -38,10 +39,10 @@ def curvature_f(C1):
     return f
 
 
-def seven_turns(C, solve):
-    """The run the report made before its half period, by `solve`: seven
-    turning points from the midpoint of [k01, k02], with k' >= 0 from
-    P = 0 there."""
+def seven_turns(C, solve=reference_second_order):
+    """The run the report made before its half period, by `solve`, the
+    reference stepper or a mutant of it: seven turning points from the
+    midpoint of [k01, k02], with k' >= 0 from P = 0 there."""
     r = spherical.domain_roots(C)
     C1 = spherical.FamilyParamsS3(C).C1
     k0 = 0.5 * (r.k01 + r.k02)
@@ -72,7 +73,8 @@ def half_period_rows(C):
 
 # each mutant rewrites a call solve(f, k, k', ...) of the curvature ODE:
 # f's C1 term or its k^3 coefficient times 1 + 1e-6, or the start's k
-# times 1 + 1e-6, which moves it off the level set P = 0
+# times 1 + 1e-6, which moves it off the level set P = 0.  The seven-turn
+# run takes it on the reference stepper, the report on its own stepper
 MUTANTS = {
     "none": lambda C1, f, k: (f, k),
     "c1-term": lambda C1, f, k: (lambda x: f(x) + 1.75e-6 * C1 * max(x, 0.0) ** 2.5, k),
@@ -103,15 +105,17 @@ POWER = {
 def test_curvature_ode_mutants(mutant, C, monkeypatch):
     C1 = spherical.FamilyParamsS3(C).C1
 
-    def mutated(f, k, kp, *rest, **kw):
-        g, k = MUTANTS[mutant](C1, f, k)
-        return numerics.solve_ode(g, k, kp, *rest, **kw)
+    def mutated(solve):
+        def run(f, k, kp, *rest, **kw):
+            g, k = MUTANTS[mutant](C1, f, k)
+            return solve(g, k, kp, *rest, **kw)
+        return run
 
     try:
-        old = seven_turn_rows(C, seven_turns(C, mutated))
+        old = seven_turn_rows(C, seven_turns(C, mutated(reference_second_order)))
     except NumericsError as exc:
         old = {type(exc).__name__}
-    monkeypatch.setattr(spherical, "solve_ode", mutated)
+    monkeypatch.setattr(spherical, "solve_ode", mutated(numerics.solve_ode))
     new = half_period_rows(C)
     assert (old, new) == POWER[mutant, C]
     # the half period may replace the seven turns: it misses no mutant they catch
@@ -124,18 +128,17 @@ def test_curvature_f_is_the_reports():
     par = spherical.FamilyParamsS3(1.0)
     r = spherical.domain_roots(1.0)
     want = spherical.curvature_ode_k(par, r)["states"]
-    got = numerics.solve_ode(curvature_f(par.C1), r.k01, 0.0, spherical.ODE_T_END, 1e-3,
-                             tol=1e-10, max_turns=1)
+    got = numerics.solve_ode(curvature_f(par.C1), r.k01, 0.0, spherical.ODE_T_END, 1e-3)
     assert np.reshape(got.states, (-1, 4)).tolist() == want.tolist()
 
 
 def test_seven_turn_run_at_C20_misses_k01():
-    # the seven-turn run at C = 20, rebuilt with the reference stepper: both
-    # of its rows passed, yet its lower turns stop at k = 0.41-0.55, where
-    # k01 = 0.026; the two-sided arrival measure of the half period, the
-    # distance of a turn to its root relative to the root, fails each of them
+    # the seven-turn run at C = 20: both of its rows passed, yet its lower
+    # turns stop at k = 0.41-0.55, where k01 = 0.026; the two-sided arrival
+    # measure of the half period, the distance of a turn to its root
+    # relative to the root, fails each of them
     r = spherical.domain_roots(20.0)
-    sol = seven_turns(20.0, reference_second_order)
+    sol = seven_turns(20.0)
     assert seven_turn_rows(20.0, sol) == set()
     turns = np.reshape(sol.turns, (-1, 4))[:, 1]
     lower, upper = turns[turns < r.k01 + 1.0], turns[turns > r.k02 - 1.0]

@@ -1,11 +1,14 @@
 """Command-line surface: parameter validation, CSV/OBJ emission,
 verification reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -167,6 +170,16 @@ class TestMesh:
         header, data = read_csv(out)
         assert header == ["x", "y", "z"]
         assert data.shape == (36, 3)
+
+    @pytest.mark.parametrize("family", ["s3-local", "s3-complete"])
+    def test_sphere_families_wrap(self, tmp_path, family):
+        # their default v-range is one full theta turn, as for r3 and
+        # revolution, so --wrap-v closes the mesh: 12 faces on a 3 x 3 grid
+        out = tmp_path / "m.obj"
+        assert run(["mesh", "--family", family, "--C", "1", "--cstar", "1", "--grid", "3", "3",
+                    "--wrap-v", "--out", str(out)]) == 0
+        fs = [l for l in out.read_text().splitlines() if l.startswith("f ")]
+        assert len(fs) == 2 * 2 * 3
 
     def test_revolution_mesh(self, tmp_path):
         out = tmp_path / "psi.obj"
@@ -713,6 +726,43 @@ def test_s3_local_half_period_without_its_turn(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+# the exit contract over each family's whole admissible range: log10 C
+# from 1.00000001 C_MIN to 1e300 for the sphere families, and for r3 from
+# the smallest C whose C1 = (9/C)^(1/3) is finite to 1e308; C* a fraction
+# of its admissible range
+SPHERE_LOG_C = (math.log10(1.00000001 * spherical.C_MIN), 300.0)
+R3_LOG_C = (-307.0, 308.0)
+
+
+@given(family=st.sampled_from(checks.FAMILIES), position=st.floats(0.0, 1.0),
+       cstar_fraction=st.floats(1e-3, 0.999), figure=st.sampled_from(cli.FIGURES))
+@settings(max_examples=200, deadline=None)
+def test_exit_contract_over_the_admissible_range(family, position, cstar_fraction, figure):
+    # verify, mesh and curves each exit 0, 1 or 2 with no traceback and no
+    # warning; 0 prints no FAIL line, 1 at least one, and 2 exactly one
+    # `error:` line and nothing else
+    lo, hi = R3_LOG_C if family == "r3" else SPHERE_LOG_C
+    C = 10.0 ** (lo + position * (hi - lo))
+    cstar = cstar_fraction * (gluing.cstar_range(C).upper if C > spherical.C_MIN else 1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in (["verify", "--family", family, "--grid-n", "2"],
+                        ["mesh", "--family", family, "--grid", "3", "3"],
+                        ["curves", "--figure", figure, "--samples", "5"]):
+            argv = [*command, "--C", repr(C), "--cstar", repr(cstar), "--out", f"{tmp}/out"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(argv)
+            err = err.getvalue()
+            assert not caught, (argv, [str(w.message) for w in caught])
+            assert "Traceback" not in err, argv
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+            else:
+                assert code in (0, 1) and "error:" not in err, (argv, code, err)
+                assert ("\nFAIL " in "\n" + err) == (code == 1), (argv, code, err)
+
+
 class TestNearCMin:
     """s3-local verify where the strip is at most 1.8e-3 wide: its samples
     keep inside the strip, so the report is complete and any failure is a
@@ -841,12 +891,12 @@ def _ref_psi(at, h, theta):
 
 def _ref_grid(family, nu, nv, wrap_v):
     """Default-range grid at C = C* = 1, one point at a time: (points,
-    wrap_v, is_spherical)."""
+    is_spherical)."""
     if family == "r3":
         par = FamilyParamsR3.from_C(1.0)
         us = np.linspace(-1.5, 1.5, nu)
         vs = np.linspace(0.0, 2.0 * math.pi / 3.0, nv, endpoint=not wrap_v)
-        return np.array([_ref_xc(par, float(u), float(v)) for u in us for v in vs]), wrap_v, False
+        return np.array([_ref_xc(par, float(u), float(v)) for u in us for v in vs]), False
     if family == "s3-local":
         fam = spherical.family(1.0)
         r = fam.roots
@@ -854,19 +904,19 @@ def _ref_grid(family, nu, nv, wrap_v):
         xs = np.linspace(r.xi01 + margin, r.xi02 - margin, nu).tolist()
         zs = [fam.zeta0(x) for x in xs]  # once per grid row
         pts = np.array([_ref_phic(fam, x, float(t), z) for x, z in zip(xs, zs)
-                        for t in np.linspace(0.0, 2.0 * math.pi, nv)])
-        return pts, False, True
+                        for t in np.linspace(0.0, 2.0 * math.pi, nv, endpoint=not wrap_v)])
+        return pts, True
     at = gluing.atlas(1.0, 1.0)
     hs = np.linspace(at.grid[-2], at.grid[2], nu)
     if family == "revolution":
         ts = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=not wrap_v)
-        return np.array([at.immersion_psi(float(h), float(t)) for h in hs for t in ts]), wrap_v, False
-    ts = np.linspace(0.0, 2.0 * math.pi, nv)
-    return np.array([at.immersion_phi(float(h), float(t)) for h in hs for t in ts]), False, True
+        return np.array([at.immersion_psi(float(h), float(t)) for h in hs for t in ts]), False
+    ts = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=not wrap_v)
+    return np.array([at.immersion_phi(float(h), float(t)) for h in hs for t in ts]), True
 
 
 def _ref_mesh(family, nu, nv, wrap_v, fmt, out):
-    pts, wrap_v, is_spherical = _ref_grid(family, nu, nv, wrap_v)
+    pts, is_spherical = _ref_grid(family, nu, nv, wrap_v)
     verts = pts
     if is_spherical:
         _ref_write_csv(out.with_suffix(".raw.csv"), ["x1", "x2", "x3", "x4"], pts)
@@ -1055,11 +1105,11 @@ class TestWriters:
             ["mesh", "--family", "r3", "--C", "1", "--grid", "256", "256", "--wrap-v",
              "--out", str(tmp_path / "m.obj")])
         cli._resolve_args(args)
-        verts, nu, nv, wrap_v, _ = cli._grid_positions(args)
-        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
+        verts, nu, nv, _ = cli._grid_positions(args)
+        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, args.wrap_v)
         tracemalloc.start()
         try:
-            cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
+            cli._write_obj(tmp_path / "m.obj", verts, nu, nv, args.wrap_v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

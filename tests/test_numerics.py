@@ -12,7 +12,7 @@ from conftest import one_sided_derivative, reference_second_order
 
 
 def _rows(xs):
-    """(t, k, k', step) rows of a flat list of an `OdeSolution`."""
+    """(t, k, k', step) rows of an `OdeSolution`'s flat list of states."""
     return [tuple(xs[i:i + 4]) for i in range(0, len(xs), 4)]
 
 
@@ -230,35 +230,42 @@ class TestChebyshevTable:
 # ----------------------------------------------------------------------
 
 class TestSolveOde:
-    """k'' = f(k) from (k, k') at t = 0; states and turning points come as
-    flat lists of (t, k, k', step)."""
+    """k'' = f(k) from (k, k') at t = 0 up to its first turning point; the
+    states come as a flat list of (t, k, k', step), the turn as one such row."""
 
     def test_exponential(self):
-        # k'' = k from k = k' = 1: both components stay equal, so the error
-        # norm (e^2 + e^2) / 2 is e^2 exactly
-        sol = nm.solve_ode(lambda k: k, 1.0, 1.0, 1.0, 0.1)
-        assert sol.states[-3] == sol.states[-2] == pytest.approx(math.e, abs=1e-10)
+        # k'' = k from (1, -1/2) is k = cosh(t - ln(3)/2) / cosh(ln(3)/2):
+        # it turns once, at its minimum sqrt(3)/2
+        sol = nm.solve_ode(lambda k: k, 1.0, -0.5, 10.0, 0.05)
+        t, k, kp, _ = sol.turn
+        assert t == pytest.approx(0.5 * math.log(3.0), abs=1e-9)
+        assert k == pytest.approx(0.5 * math.sqrt(3.0), abs=1e-9) and abs(kp) < 1e-9
 
     def test_harmonic_period_return(self):
-        sol = nm.solve_ode(lambda k: -k, 1.0, 0.0, 2.0 * math.pi, 0.05, tol=1e-11)
-        assert sol.states[-3] == pytest.approx(1.0, abs=1e-8)
-        assert sol.states[-2] == pytest.approx(0.0, abs=1e-8)
+        # k = cos t: k' = 0 at the start is no turn; k comes to rest again
+        # after half a period, at t = pi and k = -1
+        sol = nm.solve_ode(lambda k: -k, 1.0, 0.0, 10.0, 0.05, tol=1e-11)
+        t, k, kp, _ = sol.turn
+        assert t == pytest.approx(math.pi, abs=1e-8)
+        assert k == pytest.approx(-1.0, abs=1e-8) and abs(kp) < 1e-8
 
     def test_event_detection_zero_crossings(self):
-        # k = sin t turns at odd multiples of pi/2, at k = +-1
+        # k = sin t turns first at pi/2, at k = 1
         sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 10.0, 0.05)
-        assert len(sol.turns) == 3 * 4
-        for i, (t, k, kp, _) in enumerate(_rows(sol.turns)):
-            assert t == pytest.approx((2 * i + 1) * math.pi / 2, abs=1e-6)
-            assert k == pytest.approx((-1) ** i, abs=1e-6) and abs(kp) < 1e-9
+        t, k, kp, _ = sol.turn
+        assert t == pytest.approx(math.pi / 2, abs=1e-6)
+        assert k == pytest.approx(1.0, abs=1e-6) and abs(kp) < 1e-9
 
-    def test_max_events_stops_early(self):
-        sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 100.0, 0.05, max_turns=2)
-        assert len(sol.turns) == 2 * 4
-        assert sol.states[-4] < 10.0
+    def test_stops_at_its_first_turn(self):
+        # however far t_end lies, the last state is the end of the step
+        # across the first turn
+        sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 100.0, 0.05)
+        t, step = sol.turn[0], sol.turn[3]
+        assert sol.states[-8] < t <= sol.states[-4] == sol.states[-8] + step
+        assert sol.states[-4] < 2.0
 
     def test_drift_decreases_with_tolerance(self):
-        # energy of the cubic oscillator k'' = -k^3
+        # energy of the cubic oscillator k'' = -k^3 over its half period
         def drift(tol):
             sol = nm.solve_ode(lambda k: -k ** 3, 1.0, 0.0, 20.0, 0.05, tol=tol)
             e = [0.5 * kp ** 2 + 0.25 * k ** 4 for _, k, kp, _ in _rows(sol.states)]
@@ -273,18 +280,17 @@ class TestSolveOde:
             calls.append(k)
             return -k
         sol = nm.solve_ode(f, 1.0, 0.0, 10.0, 0.01)
-        assert sol.states[-4] == 10.0
+        assert sol.turn[0] == pytest.approx(math.pi, abs=1e-8)
         assert len(calls) == 1 + 6 * (len(sol) - 1)
 
     def test_nan_trial_stage_halves_the_step(self):
         calls = []
         def f(k):
             calls.append(k)
-            return math.nan if len(calls) == 2 else k
-        sol = nm.solve_ode(f, 1.0, 1.0, 1.0, 0.02)
+            return math.nan if len(calls) == 2 else -k
+        sol = nm.solve_ode(f, 0.0, 1.0, 10.0, 0.02)
         assert sol.states[4 + 3] == 0.01
-        assert sol.states[-4] == 1.0
-        assert sol.states[-3] == sol.states[-2] == pytest.approx(math.e, abs=1e-10)
+        assert sol.turn[:2] == pytest.approx((math.pi / 2, 1.0), abs=1e-6)
 
     def test_invariants_of_state(self):
         # a finite start, a positive first step, t_end and tol
@@ -295,21 +301,32 @@ class TestSolveOde:
             with pytest.raises(ValueError):
                 nm.solve_ode(lambda k: -k, k, kp, t_end, step, tol=tol)
 
-    @pytest.mark.parametrize("f, t_end, max_turns", [
-        (lambda k: -k, 10.0, None),
-        (lambda k: -k ** 3, 20.0, None),
-        (lambda k: -k ** 3, 100.0, 5),
-    ], ids=["harmonic", "cubic", "cubic-max-events"])
-    def test_matches_the_reference_stepper(self, f, t_end, max_turns):
-        got, want = (solve(f, 1.0, 0.0, t_end, 0.05, tol=1e-10, max_turns=max_turns)
+    @pytest.mark.parametrize("f, k, kp", [
+        (lambda k: -k, 1.0, 0.0),
+        (lambda k: -k, 0.0, 1.0),
+        (lambda k: -k ** 3, 1.0, 0.0),
+    ], ids=["harmonic", "harmonic-rising", "cubic"])
+    def test_matches_the_reference_stepper(self, f, k, kp):
+        got, want = (solve(f, k, kp, 20.0, 0.05, tol=1e-10)
                      for solve in (nm.solve_ode, reference_second_order))
-        assert len(got.turns) >= 3 * 4
-        assert (got.states, got.turns) == (want.states, want.turns)
+        assert len(got) > 10
+        assert (got.states, got.turn) == (want.states, want.turn)
+
+    @pytest.mark.parametrize("f, k, kp, t_end", [
+        (lambda k: k, 1.0, 1.0, 1.0),
+        # the turn is at pi/2: the last step is clipped to end on t_end,
+        # short of it, rather than stepping across it
+        (lambda k: -k, 0.0, 1.0, math.pi / 2 - 1e-6),
+    ], ids=["exponential", "harmonic-short"])
+    def test_no_turn_by_t_end_raises(self, f, k, kp, t_end):
+        for solve in (nm.solve_ode, reference_second_order):
+            with pytest.raises(nm.NoTurningPoint, match=f"no turning point by t = {t_end}$"):
+                solve(f, k, kp, t_end, 0.05)
 
     def test_event_refinement_stops_at_float_resolution(self, monkeypatch):
         # the bisection ends once its midpoint is an end of the bracket,
         # well short of the reference's 80 halvings, at the same turning
-        # points: each halving reads k' on the step's interpolant once, and
+        # point: each halving reads k' on the step's interpolant once, and
         # the turning point reads k and k' on it
         steps, nm_hermite = [], nm._hermite
         def hermite(t, t0, *args):
@@ -318,9 +335,9 @@ class TestSolveOde:
         monkeypatch.setattr(nm, "_hermite", hermite)
         sol = nm.solve_ode(lambda k: -k, 0.0, 1.0, 10.0, 0.05)
         ref = reference_second_order(lambda k: -k, 0.0, 1.0, 10.0, 0.05)
-        assert sol.turns == ref.turns
+        assert sol.turn == ref.turn
         halvings = [steps.count(t0) - 2 for t0 in dict.fromkeys(steps)]
-        assert len(halvings) == 3 and all(40 <= n < 60 for n in halvings)
+        assert len(halvings) == 1 and 40 <= halvings[0] < 60
 
 
 # ----------------------------------------------------------------------

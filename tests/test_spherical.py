@@ -1,6 +1,7 @@
 """Sphere-ambient family: strip roots, metric, turning-angle quadrature,
 immersion, the curvature ODE, and the coordinate bridge."""
 
+import functools
 import logging
 import math
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import diffgeo, spherical
+from biconsurf import diffgeo, euclidean, numerics, spherical
 from biconsurf.numerics import DegenerateDomain, NoTurningPoint, OutOfDomain, StepUnderflow
 from conftest import (REFERENCE_LOGGER, curvature_L, phi_coordinate_bridge, reference_build,
                       reference_second_order, refined_singular_integral, validate_patch)
@@ -337,9 +338,8 @@ class TestCurvatureOde:
     """One half period of k'' = f(k), from (k01, 0) up to its turn."""
 
     @staticmethod
-    def half_period(C, **kw):
-        return spherical.curvature_ode_k(spherical.FamilyParamsS3(C), spherical.domain_roots(C),
-                                         **kw)
+    def half_period(C):
+        return spherical.curvature_ode_k(spherical.FamilyParamsS3(C), spherical.domain_roots(C))
 
     def test_prime_integral_drift(self):
         assert np.max(self.half_period(1.0)["drift"]) < 1e-8
@@ -388,10 +388,12 @@ class TestCurvatureOde:
             messages.append(str(caught.value))
         assert messages == ["step collapsed at t=1.570796244804733"] * 2
 
-    def test_drift_shrinks_with_tolerance(self):
-        loose = self.half_period(1.0, tol=1e-8)
-        tight = self.half_period(1.0, tol=5e-11)
-        assert np.max(tight["drift"]) < np.max(loose["drift"])
+    def test_drift_shrinks_with_tolerance(self, monkeypatch):
+        drift = {}
+        for tol in (1e-8, 5e-11):
+            monkeypatch.setattr(spherical, "solve_ode", functools.partial(numerics.solve_ode, tol=tol))
+            drift[tol] = np.max(self.half_period(1.0)["drift"])
+        assert drift[5e-11] < drift[1e-8]
 
     def test_confined_to_root_interval(self):
         r = spherical.domain_roots(1.0)
@@ -491,18 +493,22 @@ class TestCoordinateBridge:
 
 
 class TestProfileEquation:
+    # the flat case c = 0 is solved by the R^3 family's exponent,
+    # 1/2 log C + 3 log cosh u
+    flat = staticmethod(euclidean.metric_profile_derivs(euclidean.FamilyParamsR3.from_C(1.0)))
+
     def test_residual_at_origin(self):
-        assert spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, 0.0) == 0.0
+        assert spherical.master_ode_residual(0.0, self.flat, 0.0) == 0.0
 
     def test_residual_small_everywhere(self):
         for u in (-2.0, 0.5, 1.0, 3.0):
-            assert abs(spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, u)) < 1e-10
+            assert abs(spherical.master_ode_residual(0.0, self.flat, u)) < 1e-10
 
     def test_master_equation_reduces_at_c_zero(self):
         # at c = 0 the equation is the flat one, 3 phi''' + 2 phi' phi'' = 0
         for u in (0.3, 1.0, 2.7, -1.1):
-            _, d1, d2, d3 = spherical.flat_profile_derivs(u)
-            full = spherical.master_ode_residual(0.0, spherical.flat_profile_derivs, u)
+            _, d1, d2, d3 = self.flat(u)
+            full = spherical.master_ode_residual(0.0, self.flat, u)
             assert full == 3.0 * d3 + 2.0 * d1 * d2
 
     def test_strip_profile_solves_master_equation(self):
