@@ -239,10 +239,13 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         lambda x: spherical.metric_gC(c_metric, x)[0], lambda x: 1.0 / (x * x),
         xi_metric, scale=scale, dG=lambda x: -2.0 / x ** 3)
 
-    # one half period of the curvature ODE, from k01 at rest up to its turn
-    ode = spherical.curvature_ode_k(fam.params, roots)
-    t_turn, k_turn = ode["turning_point"][:2]
-    length = fam.meridian_length
+    # the curvature equation in closed form, at distances to each root
+    # log-spaced from 1e-12 to half the strip width, and at rest at the roots
+    C1 = fam.params.C1
+    d = width * np.logspace(-12.0, math.log10(0.5), 16)
+    xi_curv = np.concatenate([roots.xi01 + d, roots.xi02 - d])
+    k, kp2, kpp = spherical.meridian_curvature(C, roots, xi_curv)
+    k_roots = np.array([roots.k01, roots.k02])
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
     residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
@@ -271,10 +274,13 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         "sphere_norm": _worst(_unit_defect(fam.immersion(*sphere)), sphere, tols.sphere_norm),
         "biconservativity_residual": _worst(
             diffgeo.biconservativity_residual(patch, *residual), residual, tols.residual),
-        "prime_integral_drift": _worst(ode["drift"], [ode["states"][:, 0]], tols.prime_integral),
-        # the turn must arrive at k02, after the meridian's length
-        "k_confinement": CheckResult(abs(k_turn - roots.k02) / roots.k02, 1e-6),
-        "half_period_length": CheckResult(abs(t_turn - length) / length, 1e-7),
+        "prime_integral": _worst(spherical.prime_integral_residual(C1, k, kp2), [xi_curv],
+                                 tols.prime_integral),
+        "curvature_equation": _worst(spherical.curvature_equation_residual(C1, k, kpp),
+                                     [xi_curv], tols.prime_integral),
+        # the equation's turning points, (k, 0) on P = 0, are the strip's roots
+        "prime_integral_at_roots": _worst(spherical.prime_integral_residual(C1, k_roots, 0.0),
+                                          [k_roots], tols.prime_integral),
         "zeta_monotone": CheckResult(-float(np.min(np.diff(z_vals))), 0.0),
         "zeta_limits_finite": CheckResult(
             0.0 if all(math.isfinite(z) for z in fam.zeta_limits) else 1.0, 0.0),

@@ -251,6 +251,11 @@ def _grid_positions(args):
             v_default = (0.0, 2.0 * math.pi / math.sqrt(args.C))
     u0, u1 = args.u_range or u_default
     v0, v1 = args.v_range or v_default
+    # the wrap faces join the last column to the first: one period apart
+    period = v_default[1] - v_default[0]
+    if args.wrap_v and not math.isclose(abs(v1 - v0), period, rel_tol=1e-12):
+        raise UsageError(f"--wrap-v needs a --v-range that spans one period, "
+                         f"{_fmt(period)}, of the {family} family")
     us = np.linspace(u0, u1, nu)[:, None]
     vs = np.linspace(v0, v1, nv, endpoint=not args.wrap_v)
     band = max(1, BLOCK_ROWS // nv)

@@ -5,11 +5,10 @@ inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
 build time, one bisection level at a time with one integrand call per
 level, kept as per-panel Chebyshev antiderivatives that later
 evaluations sum by Clenshaw, and whose end cells give Taylor series in
-the end variable), an embedded adaptive Runge-Kutta integrator of a
-second-order equation k'' = f(k) in two float locals, which stops at its
-first turning point, bisected down to float resolution, and raises
-`NoTurningPoint` if none comes by its end time, and truncated power
-series for one-sided jets.  Everything is pure with respect to its
+the end variable), truncated power series for one-sided jets, and an
+embedded adaptive Runge-Kutta integrator of k'' = f(k) up to its first
+turning point, which the package does not call: the benchmark's tracer
+wraps it by name.  Everything is pure with respect to its
 inputs; the cumulative quadrature tables built here are immutable after
 construction and safe to share between threads.
 """

@@ -14,14 +14,11 @@ is realized inside the unit 3-sphere by
                         sin(sqrt(C) theta) / (sqrt(C) xi)),
 
 with zeta the quadrature of g_zeta / sqrt(T(tau)) based at xi00, where
-g_zeta = sqrt(C) tau^{4/3} / (C tau^2 - 1).  The same immersion arises from an
-arclength-parametrized curve whose curvature k solves
-k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2} with C1 = 16 * 3^{1/4} C; that
-route is kept here as an ODE cross-check, connected to the strip coordinates
-by k = 3^{-3/2} xi^{4/3}.  k is half the mean curvature and the curve's
-arclength is the meridian's, so one half period of k, from k01 at rest up to
-its turn at k02, takes the strip's meridian length, the integral of
-sqrt(3/T)/xi over the strip.
+g_zeta = sqrt(C) tau^{4/3} / (C tau^2 - 1).  Along the meridian's arclength
+the profile curvature k = 3^{-3/2} xi^{4/3}, half the mean curvature,
+solves k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2} with C1 = 16 * 3^{1/4} C,
+on the level set P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2} = 0; with
+ds = sqrt(3/T)/xi dxi both forms are closed forms in xi, T and T'.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .numerics import (
     OutOfDomain,
     expand_bracket,
     find_root,
-    solve_ode,
 )
 
 __all__ = [
@@ -55,16 +51,15 @@ __all__ = [
     "gauss_curvature_DC",
     "SphereFamily",
     "family",
-    "curvature_ode_k",
     "master_ode_residual",
+    "meridian_curvature",
+    "prime_integral_residual",
+    "curvature_equation_residual",
 ]
 
 C_MIN = 4.0 / 3.0 ** 1.5  # threshold where the two roots of T coalesce
 
 ROOT_TOL = 1e-13
-
-# the curvature ODE cross-check runs one half period, which must turn by this time
-ODE_T_END = 100.0
 
 
 @dataclass(frozen=True)
@@ -283,12 +278,6 @@ class SphereFamily:
         """(limit at xi01, limit at xi02); both finite."""
         return (-self._zeta_base, self._zeta_cum.total - self._zeta_base)
 
-    @cached_property
-    def meridian_length(self) -> float:
-        """The meridian's length across the strip, the integral of
-        sqrt(3/T)/xi from xi01 to xi02; its table is built on first use."""
-        return strip_quadrature(self.roots, lambda tau, t: math.sqrt(3.0) / tau).total
-
     # -- immersion ----------------------------------------------------------
 
     def point(self, xi, theta, zeta, c=0.0, s=1.0) -> np.ndarray:
@@ -383,39 +372,6 @@ def family(C: float) -> SphereFamily:
     return SphereFamily(C)
 
 
-# -- curvature ODE route ------------------------------------------------------
-
-def curvature_ode_k(params: FamilyParamsS3, roots: DomainRoots) -> dict:
-    """Integrate one half period of the profile curvature and report its invariants.
-
-    Starts at rest at the lower root of L, (k, k') = (k01, 0), on the zero
-    level set of the conserved quantity P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2},
-    and integrates k'' = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2} up to its first
-    turning point (k' = 0), which should sit at the upper root k02; k01 and k02
-    are the k-images of `roots`, the roots of T for params.C.  Returns the
-    accepted states as rows (t, k, k', step), the turning point as one such
-    row, and per state the drift |P| relative to the size of P's terms there.
-    Raises NoTurningPoint if the run reaches ODE_T_END without its turn.
-    """
-    C1 = params.C1
-
-    def f(k):
-        if k < 0.0:  # a trial stage past k = 0, where k^{5/2} is undefined
-            return math.nan
-        return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
-
-    sol = solve_ode(f, roots.k01, 0.0, ODE_T_END, 1e-3)
-    states = np.reshape(sol.states, (-1, 4))
-    k, kp = states[:, 1], states[:, 2]
-    kinetic, quadratic, quartic, c1_term = kp * kp, 16.0 / 9.0 * k * k, 16.0 * k ** 4, C1 * k ** 3.5
-    return {
-        "states": states,
-        "turning_point": np.array(sol.turn),
-        "drift": (np.abs(kinetic + quadratic + quartic - c1_term)
-                  / (kinetic + quadratic + quartic + c1_term)),
-    }
-
-
 # -- bridge from the conformal-exponent route ----------------------------------
 
 def _bridge_radicand(a: float, b: float, phi):
@@ -448,3 +404,33 @@ def master_ode_residual(c: float, derivs, u: float) -> float:
     """Residual of 8 c e^{2 phi} phi' + 2 phi' phi'' + 3 phi''' at u."""
     phi, d1, d2, d3 = derivs(u)
     return 8.0 * c * math.exp(2.0 * phi) * d1 + 2.0 * d1 * d2 + 3.0 * d3
+
+
+# -- profile-curvature equation -----------------------------------------------
+
+def meridian_curvature(C: float, roots: DomainRoots, xi):
+    """The profile curvature k = 3^{-3/2} xi^{4/3} at strip points xi, with
+    k'^2 and the two terms of k'' along the meridian's arclength s:
+    ds = sqrt(3/T)/xi dxi gives k'^2 = (16/27) k^2 T and
+    k'' = (16/27) k T + (2/9) k xi T', with T from the roots' product form."""
+    k = 3.0 ** -1.5 * xi ** (4.0 / 3.0)
+    t = roots.T(xi)
+    return k, 16.0 / 27.0 * k * k * t, (16.0 / 27.0 * k * t, 2.0 / 9.0 * k * xi * T_deriv(C, xi))
+
+
+def _relative(terms):
+    """|sum of the terms| over the sum of their magnitudes."""
+    return np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
+
+
+def prime_integral_residual(C1: float, k, kp2):
+    """|P|, P = (k')^2 + (16/9) k^2 + 16 k^4 - C1 k^{7/2}, at states
+    (k, k'^2), relative to the sum of its terms' magnitudes."""
+    return _relative([kp2, 16.0 / 9.0 * k * k, 16.0 * k ** 4, -C1 * k ** 3.5])
+
+
+def curvature_equation_residual(C1: float, k, kpp):
+    """|k'' - f(k)|, f(k) = -(16/9) k - 32 k^3 + (7/4) C1 k^{5/2}, at
+    states (k, k'') with k'' given as a sequence of terms, relative to the
+    sum of all the terms' magnitudes."""
+    return _relative([*kpp, 16.0 / 9.0 * k, 32.0 * k ** 3, -1.75 * C1 * k ** 2.5])

@@ -12,9 +12,10 @@ one float at a time, the references for the array ones; `reference_build`
 is the cumulative quadrature build one panel at a time, by depth-first
 recursion, the reference for the level-by-level one; `reference_solve_ode`
 is a generic ODE stepper on a state of any length, and
-`reference_second_order` poses k'' = f(k) to it, the reference for the
-package's second-order stepper, which stops at its first turn, and the
-one stepper here that runs several turns.  `curvatures` reads the oracle's
+`reference_second_order` poses k'' = f(k) to it up to its first turn,
+the reference for the package's second-order stepper and, with
+`curvature_f`, the trajectory of the profile curvature that the report
+checks in closed form.  `curvatures` reads the oracle's
 curvature gradients at one point; `validate_patch` checks a patch's
 analytic partials against differences of its positions;
 `phi_coordinate_bridge` is the isothermal coordinate of the
@@ -412,29 +413,36 @@ def reference_solve_ode(rhs, y0, t_end, tol=1e-10, event=None, max_events=None):
     return sol
 
 
-def reference_second_order(f, k, kp, t_end, step, tol=1e-10, max_turns=1):
+def reference_second_order(f, k, kp, t_end, step, tol=1e-10):
     """`reference_solve_ode` on (k, k')' = (k', f(k)) from t = 0 with k' as
-    the event, up to `max_turns` turning points or t_end.  With one turn,
-    the default, this is the run of `solve_ode(f, k, kp, t_end, step, tol)`:
-    it returns the `biconsurf.numerics.OdeSolution` that call should give,
-    or raises its `NoTurningPoint`.  Otherwise it returns the states and the
-    turns as flat lists of (t, k, k', step)."""
+    the event, up to its first turning point: the run of
+    `solve_ode(f, k, kp, t_end, step, tol)`.  Returns the
+    `biconsurf.numerics.OdeSolution` that call should give, or raises its
+    `NoTurningPoint`."""
     from biconsurf import numerics as nm
     ref = reference_solve_ode(lambda t, y: (y[1], f(y[0])), OdeState(0.0, (k, kp), step), t_end,
-                              tol, event=lambda t, y: y[1], max_events=max_turns)
-    states = [x for s in ref.states for x in (s.t, *s.y, s.step)]
-    turns = [x for s in ref.events for x in (s.t, *s.y, s.step)]
-    if max_turns != 1:
-        return SimpleNamespace(states=states, turns=turns)
-    if not turns:
+                              tol, event=lambda t, y: y[1], max_events=1)
+    if not ref.events:
         raise nm.NoTurningPoint(f"no turning point by t = {t_end}")
-    return nm.OdeSolution(states, tuple(turns))
+    turn = ref.events[0]
+    return nm.OdeSolution([x for s in ref.states for x in (s.t, *s.y, s.step)],
+                          (turn.t, *turn.y, turn.step))
 
 
 def curvature_L(C1, k):
     """L(k) = -16/9 - 16 k^2 + C1 k^{3/2}: the profile-curvature ODE conserves
     P = (k')^2 - k^2 L(k), and the roots of L are k01 and k02."""
     return -16.0 / 9.0 - 16.0 * k * k + C1 * k ** 1.5
+
+
+def curvature_f(C1):
+    """The right side f of the profile-curvature equation k'' = f(k), NaN
+    below k = 0, where k^{5/2} is undefined."""
+    def f(k):
+        if k < 0.0:
+            return math.nan
+        return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
+    return f
 
 
 @pytest.fixture(scope="session")

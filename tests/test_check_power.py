@@ -2,14 +2,11 @@
 names the report rows that must fail on it.  A check that cannot fail
 proves nothing.
 
-The first mutants are those of the s3-local curvature-ODE rows.  The
-report integrates one half period of k'' = f(k), from k01 at rest up to
-its turn, and reads three rows from it: `prime_integral_drift`,
-`k_confinement` and `half_period_length`.  It used to integrate seven
-turns from the middle of [k01, k02] and read two one-sided rows; that
-run and its rows are rebuilt here, and only here, on the reference
-stepper of conftest (the package's stepper stops at its first turn), so
-that the new rows can be shown to fail wherever the old ones did.
+The first mutants are those of the s3-local curvature-equation rows.  The
+report reads the profile curvature's equation in closed form, in its two
+forms: `prime_integral`, P = 0 at strip points, `curvature_equation`,
+k'' = f(k) at the same points, and `prime_integral_at_roots`, P = 0 at
+rest at k01 and k02.
 
 The next mutant is a turning-angle drift: the numerator g_zeta of the
 zeta table's integrand, which the glued immersion's rates read too.
@@ -18,133 +15,73 @@ The last is a root solver that answers its root plus 1e-9 of its
 bracket's width.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from biconsurf import checks, euclidean, gluing, numerics, spherical
-from biconsurf.numerics import NumericsError
-from conftest import curvature_L, reference_second_order
+from conftest import curvature_f
 
-ODE_ROWS = ("prime_integral_drift", "k_confinement", "half_period_length")
-
-
-def curvature_f(C1):
-    """The right side f of k'' = f(k), NaN below k = 0."""
-    def f(k):
-        if k < 0.0:
-            return math.nan
-        return -16.0 / 9.0 * k - 32.0 * k ** 3 + 1.75 * C1 * k ** 2.5
-    return f
+CURVATURE_ROWS = {"prime_integral", "curvature_equation", "prime_integral_at_roots"}
 
 
-def seven_turns(C, solve=reference_second_order):
-    """The run the report made before its half period, by `solve`, the
-    reference stepper or a mutant of it: seven turning points from the
-    midpoint of [k01, k02], with k' >= 0 from P = 0 there."""
-    r = spherical.domain_roots(C)
-    C1 = spherical.FamilyParamsS3(C).C1
-    k0 = 0.5 * (r.k01 + r.k02)
-    return solve(curvature_f(C1), k0, k0 * math.sqrt(curvature_L(C1, k0)),
-                 spherical.ODE_T_END, 1e-3, tol=1e-10, max_turns=7)
+def mutate_curvature_equation(monkeypatch, mutant):
+    """The C1 term of both forms of the equation, the k^3 coefficient of f,
+    or k01, the start at rest on P = 0, times 1 + 1e-6."""
+    if mutant == "c1-term":
+        for name in ("prime_integral_residual", "curvature_equation_residual"):
+            residual = getattr(spherical, name)
+            monkeypatch.setattr(spherical, name, lambda C1, *args, residual=residual:
+                                residual(C1 * (1.0 + 1e-6), *args))
+    elif mutant == "k3-coefficient":
+        # f(k) - 32e-6 k^3 moves k'' - f(k) by +32e-6 k^3
+        residual = spherical.curvature_equation_residual
+        monkeypatch.setattr(spherical, "curvature_equation_residual",
+                            lambda C1, k, kpp: residual(C1, k, [*kpp, 32e-6 * k ** 3]))
+    elif mutant == "start-off-level-set":
+        k01 = spherical.DomainRoots.k01
+        monkeypatch.setattr(spherical.DomainRoots, "k01",
+                            property(lambda self: k01.fget(self) * (1.0 + 1e-6)))
 
 
-def seven_turn_rows(C, sol):
-    """The names of the old rows that fail on a seven-turn run: its drift
-    was the largest |P| over the largest sum of P's terms along the run
-    (bound 1e-8), its confinement the larger of k01 - min k and
-    max k - k02 (bound 1e-6)."""
-    r = spherical.domain_roots(C)
-    C1 = spherical.FamilyParamsS3(C).C1
-    k, kp = np.array(sol.states[1::4]), np.array(sol.states[2::4])
-    drift = (np.max(np.abs(kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 - C1 * k ** 3.5))
-             / np.max(kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4 + C1 * k ** 3.5))
-    confinement = max(r.k01 - np.min(k), np.max(k) - r.k02, 0.0)
-    return ({"prime_integral_drift"} if drift > 1e-8 else set()) | (
-        {"k_confinement"} if confinement > 1e-6 else set())
-
-
-def half_period_rows(C):
-    """The names of the report's curvature-ODE rows that fail."""
-    res = checks.s3_local_checks(C, grid=10, seed=12345)
-    return {name for name in ODE_ROWS if not res[name].passed}
-
-
-# each mutant rewrites a call solve(f, k, k', ...) of the curvature ODE:
-# f's C1 term or its k^3 coefficient times 1 + 1e-6, or the start's k
-# times 1 + 1e-6, which moves it off the level set P = 0.  The seven-turn
-# run takes it on the reference stepper, the report on its own stepper
-MUTANTS = {
-    "none": lambda C1, f, k: (f, k),
-    "c1-term": lambda C1, f, k: (lambda x: f(x) + 1.75e-6 * C1 * max(x, 0.0) ** 2.5, k),
-    "k3-coefficient": lambda C1, f, k: (lambda x: f(x) - 32e-6 * x ** 3, k),
-    "start-off-level-set": lambda C1, f, k: (f, k * (1.0 + 1e-6)),
-}
-
-# (mutant, C): the failing old rows, then the failing new rows.  A run
-# that raises fails the report, which then exits 2: at C = 20 the k^3
-# mutant sends the seven-turn run over the potential's barrier below k01
-# and on to k = 0, where its step collapses
-OLD_ROWS = {"prime_integral_drift", "k_confinement"}
+# (mutant, C): the failing rows of the s3-local report
 POWER = {
-    ("none", 1.0): (set(), set()),
-    ("c1-term", 1.0): (OLD_ROWS, set(ODE_ROWS)),
-    ("k3-coefficient", 1.0): (OLD_ROWS, set(ODE_ROWS)),
-    ("start-off-level-set", 1.0): ({"prime_integral_drift"},
-                                   {"prime_integral_drift", "half_period_length"}),
-    ("none", 20.0): (set(), set()),
-    ("c1-term", 20.0): (OLD_ROWS, set(ODE_ROWS)),
-    ("k3-coefficient", 20.0): ({"StepUnderflow"}, {"prime_integral_drift", "k_confinement"}),
-    ("start-off-level-set", 20.0): ({"prime_integral_drift"},
-                                    {"prime_integral_drift", "half_period_length"}),
+    ("none", 1.0): set(),
+    ("c1-term", 1.0): CURVATURE_ROWS,
+    ("k3-coefficient", 1.0): {"curvature_equation"},
+    ("start-off-level-set", 1.0): {"prime_integral_at_roots"},
+    ("none", 20.0): set(),
+    ("c1-term", 20.0): CURVATURE_ROWS,
+    ("k3-coefficient", 20.0): {"curvature_equation"},
+    ("start-off-level-set", 20.0): {"prime_integral_at_roots"},
 }
 
 
 @pytest.mark.parametrize("mutant, C", list(POWER))
 def test_curvature_ode_mutants(mutant, C, monkeypatch):
-    C1 = spherical.FamilyParamsS3(C).C1
+    mutate_curvature_equation(monkeypatch, mutant)
+    assert failing(report_at_half("s3-local", C)) == POWER[mutant, C]
 
-    def mutated(solve):
-        def run(f, k, kp, *rest, **kw):
-            g, k = MUTANTS[mutant](C1, f, k)
-            return solve(g, k, kp, *rest, **kw)
-        return run
 
-    try:
-        old = seven_turn_rows(C, seven_turns(C, mutated(reference_second_order)))
-    except NumericsError as exc:
-        old = {type(exc).__name__}
-    monkeypatch.setattr(spherical, "solve_ode", mutated(numerics.solve_ode))
-    new = half_period_rows(C)
-    assert (old, new) == POWER[mutant, C]
-    # the half period may replace the seven turns: it misses no mutant they catch
-    assert new or not old
+def test_start_off_level_set_blind_spot_near_C_MIN(monkeypatch):
+    # P'(k01) -> 0 at the double root, so k01 off by 1e-6 moves P at k01
+    # by ever less: 2e-8 at 1.001 C_MIN, 6e-9 at 1.0001 C_MIN, under the
+    # 1e-8 bound, where no row of the report fails
+    C = 1.0001 * spherical.C_MIN
+    mutate_curvature_equation(monkeypatch, "start-off-level-set")
+    report = report_at_half("s3-local", C)
+    assert 1e-9 < report["prime_integral_at_roots"]["value"] < 1e-8
+    assert failing(report) == set()
 
 
 def test_curvature_f_is_the_reports():
-    # the old run above uses the report's own equation: the half period
-    # with this f is the report's, state for state
-    par = spherical.FamilyParamsS3(1.0)
+    # the reference stepper's equation, which the trajectory tests
+    # integrate, is the report's: k'' = f(k) reads roundoff on the strip
+    C1 = spherical.FamilyParamsS3(1.0).C1
     r = spherical.domain_roots(1.0)
-    want = spherical.curvature_ode_k(par, r)["states"]
-    got = numerics.solve_ode(curvature_f(par.C1), r.k01, 0.0, spherical.ODE_T_END, 1e-3)
-    assert np.reshape(got.states, (-1, 4)).tolist() == want.tolist()
-
-
-def test_seven_turn_run_at_C20_misses_k01():
-    # the seven-turn run at C = 20: both of its rows passed, yet its lower
-    # turns stop at k = 0.41-0.55, where k01 = 0.026; the two-sided arrival
-    # measure of the half period, the distance of a turn to its root
-    # relative to the root, fails each of them
-    r = spherical.domain_roots(20.0)
-    sol = seven_turns(20.0)
-    assert seven_turn_rows(20.0, sol) == set()
-    turns = np.reshape(sol.turns, (-1, 4))[:, 1]
-    lower, upper = turns[turns < r.k01 + 1.0], turns[turns > r.k02 - 1.0]
-    assert len(lower) == 3 and len(upper) == 4
-    assert np.all(np.abs(lower - r.k01) / r.k01 > 10.0)  # the bound is 1e-6
-    assert np.all(np.abs(upper - r.k02) / r.k02 <= 1e-6)
+    f = curvature_f(C1)
+    k = np.linspace(r.k01, r.k02, 101)
+    residual = spherical.curvature_equation_residual(C1, k, [np.array([f(x) for x in k])])
+    assert np.max(residual) < 1e-15
 
 
 # g_zeta = sqrt(C) tau^{4/3} / (C tau^2 - 1) times 1 + 1e-6: zeta0 and zeta0'

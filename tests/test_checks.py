@@ -56,11 +56,11 @@ class TestSampleCounts:
                "level_curve_circles": 16, "metric_pullback": 50, "mirror_gluing": 1,
                "profile_roundtrip": 12},
         "s3-local": {"biconservativity_residual": 16, "bridge_metric_match": 7,
-                     "curvature_c_independent": 9, "flat_profile_equation": 1,
-                     "gauss_curvature_identity": 10, "half_period_length": 1,
-                     "k01_above_radius_bound": 1, "k_confinement": 1,
-                     "level_curve_circles": 16, "metric_pullback": 10,
-                     "prime_integral_drift": 123, "root_identities": 2, "root_ordering": 1,
+                     "curvature_c_independent": 9, "curvature_equation": 32,
+                     "flat_profile_equation": 1, "gauss_curvature_identity": 10,
+                     "k01_above_radius_bound": 1, "level_curve_circles": 16,
+                     "metric_pullback": 10, "prime_integral": 32, "prime_integral_at_roots": 2,
+                     "root_identities": 2, "root_ordering": 1,
                      "sphere_norm": 256, "zeta_limits_finite": 1, "zeta_monotone": 1},
         "s3-complete": {"biconservativity_residual": 10, "grid_formula": 11,
                         "grid_spacing": 10, "junction_continuity": 6,

@@ -1,7 +1,6 @@
 """Sphere-ambient family: strip roots, metric, turning-angle quadrature,
-immersion, the curvature ODE, and the coordinate bridge."""
+immersion, the curvature equation, and the coordinate bridge."""
 
-import functools
 import logging
 import math
 import re
@@ -12,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import diffgeo, euclidean, numerics, spherical
-from biconsurf.numerics import DegenerateDomain, NoTurningPoint, OutOfDomain, StepUnderflow
-from conftest import (REFERENCE_LOGGER, curvature_L, phi_coordinate_bridge, reference_build,
-                      reference_second_order, refined_singular_integral, validate_patch)
+from biconsurf.numerics import DegenerateDomain, OutOfDomain, StepUnderflow
+from conftest import (REFERENCE_LOGGER, curvature_f, curvature_L, phi_coordinate_bridge,
+                      reference_build, reference_second_order, refined_singular_integral,
+                      validate_patch)
 
 
 class TestRoots:
@@ -335,90 +335,107 @@ class TestImmersion:
 
 
 class TestCurvatureOde:
-    """One half period of k'' = f(k), from (k01, 0) up to its turn."""
+    """The profile-curvature equation k'' = f(k) along the meridian: in
+    closed form on the strip, as the report checks it, and as one half
+    period from k01 at rest up to its turn, integrated by the reference
+    stepper or by `numerics.solve_ode`, which the report no longer runs."""
 
     @staticmethod
-    def half_period(C):
-        return spherical.curvature_ode_k(spherical.FamilyParamsS3(C), spherical.domain_roots(C))
+    def half_period(C, solve=reference_second_order, **kw):
+        r = spherical.domain_roots(C)
+        return solve(curvature_f(spherical.FamilyParamsS3(C).C1), r.k01, 0.0, 100.0, 1e-3, **kw)
+
+    @staticmethod
+    def closed_form_gap(C, sol):
+        """Per state of a run, |k'^2 - (16/27) k^2 T| at the xi of its k,
+        relative to the sum of P's terms: the run's drift off P = 0."""
+        r = spherical.domain_roots(C)
+        C1 = spherical.FamilyParamsS3(C).C1
+        _, k, kp, _ = np.reshape(sol.states, (-1, 4)).T
+        _, kp2, _ = spherical.meridian_curvature(
+            C, r, np.clip((3.0 ** 1.5 * k) ** 0.75, r.xi01, r.xi02))
+        return np.abs(kp * kp - kp2) / (kp * kp + 16.0 / 9.0 * k * k + 16.0 * k ** 4
+                                        + C1 * k ** 3.5)
 
     def test_prime_integral_drift(self):
-        assert np.max(self.half_period(1.0)["drift"]) < 1e-8
+        # both forms read roundoff at 1,999 points across the strip
+        r = spherical.domain_roots(1.0)
+        C1 = spherical.FamilyParamsS3(1.0).C1
+        k, kp2, kpp = spherical.meridian_curvature(1.0, r, np.linspace(r.xi01, r.xi02, 2001)[1:-1])
+        assert np.max(spherical.prime_integral_residual(C1, k, kp2)) < 1e-15
+        assert np.max(spherical.curvature_equation_residual(C1, k, kpp)) < 1e-15
 
     @pytest.mark.parametrize("C, accepted", [(1.001 * spherical.C_MIN, 43), (1.0, 123),
                                              (20.0, 456)])
     def test_step_controller_is_pinned(self, C, accepted):
-        # accepted states of the report's half period, the start included: a
+        # accepted states of solve_ode's half period, the start included: a
         # change to the step controller or the tableau shows here first
-        assert len(self.half_period(C)["states"]) == accepted
+        assert len(self.half_period(C, numerics.solve_ode)) == accepted
 
     @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 50.0, 1e3, 1e5])
-    def test_matches_the_reference_stepper(self, C, monkeypatch):
-        # every state, the turning point and the drift equal the generic
-        # stepper's; 1e5 is the largest C of the failure map whose half
-        # period completes
-        got = self.half_period(C)
-        monkeypatch.setattr(spherical, "solve_ode", reference_second_order)
-        want = self.half_period(C)
-        assert got.keys() == want.keys()
-        for key in got:
-            assert got[key].tolist() == want[key].tolist(), key
+    def test_matches_the_reference_stepper(self, C):
+        # solve_ode's run is the reference's, and both keep to the closed
+        # form: at each state k'^2 is (16/27) k^2 T at the xi of its k, to
+        # 2.8e-7 of P's terms at 1e5 (stepper error), and the turn lands on
+        # k02; 1e5 is the largest C of the failure map whose half period
+        # completes
+        got, want = self.half_period(C, numerics.solve_ode), self.half_period(C)
+        assert (got.states, got.turn) == (want.states, want.turn)
+        assert np.max(self.closed_form_gap(C, want)) < 1e-6
+        k02 = spherical.domain_roots(C).k02
+        assert abs(want.turn[1] - k02) / k02 < 1e-6
 
     def test_half_period_takes_the_meridian_length(self):
-        # k is half the mean curvature, so t is the meridian's arclength
-        fam = spherical.SphereFamily(1.0)
-        assert "meridian_length" not in vars(fam)  # not built with the family
-        assert fam.meridian_length == pytest.approx(1.85540023, abs=1e-8)
-        t_turn = self.half_period(1.0)["turning_point"][0]
-        assert t_turn == pytest.approx(fam.meridian_length, rel=1e-9)
+        # k is half the mean curvature, so t is the meridian's arclength,
+        # the integral of sqrt(3/T)/xi over the strip
+        assert self.half_period(1.0).turn[0] == pytest.approx(1.85540023, abs=1e-8)
 
-    def test_a_run_without_its_turn_raises(self, monkeypatch):
-        # at C = 1 the turn comes at t = 1.855; a run that ends before it
-        # must not report on a partial half period
-        monkeypatch.setattr(spherical, "ODE_T_END", 1.0)
-        with pytest.raises(NoTurningPoint, match="no turning point by t = 1.0"):
-            self.half_period(1.0)
-
-    def test_step_underflow_matches_the_reference(self, monkeypatch):
-        # at C = 1e6 the step collapses just short of the turn, at the reference's t
+    def test_step_underflow_matches_the_reference(self):
+        # at C = 1e6 the step collapses just short of the turn, at the
+        # reference's t, while the closed form reads roundoff there
         messages = []
-        for solve in (spherical.solve_ode, reference_second_order):
-            monkeypatch.setattr(spherical, "solve_ode", solve)
+        for solve in (numerics.solve_ode, reference_second_order):
             with pytest.raises(StepUnderflow) as caught:
-                self.half_period(1e6)
+                self.half_period(1e6, solve)
             messages.append(str(caught.value))
         assert messages == ["step collapsed at t=1.570796244804733"] * 2
+        r = spherical.domain_roots(1e6)
+        C1 = spherical.FamilyParamsS3(1e6).C1
+        k, kp2, kpp = spherical.meridian_curvature(1e6, r, np.linspace(r.xi01, r.xi02, 101))
+        assert np.max(spherical.prime_integral_residual(C1, k, kp2)) < 1e-14
+        assert np.max(spherical.curvature_equation_residual(C1, k, kpp)) < 1e-14
 
-    def test_drift_shrinks_with_tolerance(self, monkeypatch):
-        drift = {}
-        for tol in (1e-8, 5e-11):
-            monkeypatch.setattr(spherical, "solve_ode", functools.partial(numerics.solve_ode, tol=tol))
-            drift[tol] = np.max(self.half_period(1.0)["drift"])
+    def test_drift_shrinks_with_tolerance(self):
+        # the run's gap to the closed form is the stepper's error
+        drift = {tol: np.max(self.closed_form_gap(1.0, self.half_period(1.0, tol=tol)))
+                 for tol in (1e-8, 5e-11)}
         assert drift[5e-11] < drift[1e-8]
 
     def test_confined_to_root_interval(self):
         r = spherical.domain_roots(1.0)
-        ks = self.half_period(1.0)["states"][:, 1]
+        ks = np.reshape(self.half_period(1.0).states, (-1, 4))[:, 1]
         assert ks[0] == r.k01
         assert np.all((r.k01 - 1e-6 <= ks) & (ks <= r.k02 + 1e-6))
 
     def test_turning_points_sit_on_L_zeros(self):
-        # the run starts at rest on one zero of L and turns on the other
+        # the closed form is at rest on P = 0 at both roots, and the run
+        # that starts at rest on one turns on the other
         C1 = spherical.FamilyParamsS3(1.0).C1
         r = spherical.domain_roots(1.0)
-        _, k, kp, _ = self.half_period(1.0)["turning_point"]
+        assert np.max(spherical.prime_integral_residual(C1, np.array([r.k01, r.k02]), 0.0)) < 1e-15
+        _, k, kp, _ = self.half_period(1.0).turn
         assert abs(kp) < 1e-6
         assert abs(k - r.k02) < 1e-6
         assert abs(curvature_L(C1, k)) < 1e-6
 
-    def test_large_C_trial_stage_past_zero_is_quiet(self, monkeypatch):
+    def test_large_C_trial_stage_past_zero_is_quiet(self):
         # started downward from k01 at C = 50, trial stages cross k = 0;
         # f gives NaN there, and the suite turns the RuntimeWarning of
         # k ** 2.5 into an error, so the step halves quietly until it collapses
-        solve = spherical.solve_ode
-        monkeypatch.setattr(spherical, "solve_ode",
-                            lambda f, k, kp, *rest, **kw: solve(f, k, -1.0, *rest, **kw))
+        r = spherical.domain_roots(50.0)
         with pytest.raises(StepUnderflow):
-            self.half_period(50.0)
+            numerics.solve_ode(curvature_f(spherical.FamilyParamsS3(50.0).C1), r.k01, -1.0,
+                               100.0, 1e-3)
 
 
 class TestCoordinateBridge:
