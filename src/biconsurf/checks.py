@@ -118,19 +118,18 @@ def _rel_gap(measured, closed):
 
 def _metric_mismatch(patch, u, v, closed):
     """Per point, the worst relative mismatch of the patch's first form
-    against the positive closed-form coefficients (Ec, 0, Gc) = closed(u),
-    which takes the array of all the points' u."""
+    against the positive closed-form coefficients (Ec, 0, Gc) = closed,
+    one pair of arrays over all the points."""
     E, F, G = diffgeo.fundamental_forms(patch, u, v)
-    Ec, Gc = np.asarray(closed(u), dtype=float)
+    Ec, Gc = np.asarray(closed, dtype=float)
     # np.max propagates a NaN
     return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
 
 
-def _periodicity_gap(F, h, period):
-    """Per height, the larger of |F(h + P) - F(h)| and |F(h - P) - F(h)|,
-    from one call of F."""
-    up, down, base = np.split(F(np.concatenate([h + period, h - period, h])), 3)
-    return np.maximum(np.abs(up - base), np.abs(down - base))
+def _profile_values(at, *heights):
+    """F at each array of heights from one call of `at.F`: an inversion is
+    elementwise, so each value is the one a call of its own would give."""
+    return np.split(at.F(np.concatenate(heights)), np.cumsum([len(h) for h in heights[:-1]]))
 
 
 def _unit_defect(points):
@@ -163,7 +162,6 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
                             mirror["mean_curvature"], mirror["grad_mean_curvature"])
     neg = euclidean.gluing_conditions_check(
         par.C1, 2.0 * par.C1, euclidean.RigidMotion.identity(), n_samples=8)
-    factor = lambda u: [euclidean.conformal_factor(par, u)] * 2
 
     pullback = _product(us, vs[:: max(1, grid // 4)])
     u_res, sign, v_res = _product(np.linspace(0.08, 1.45, 8), np.array([-1.0, 1.0]),
@@ -175,7 +173,8 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     t_round = length * rng.uniform(0.01, 5.0, 12)  # drawn after the homothety samples
 
     return {
-        "metric_pullback": _worst(_metric_mismatch(patch, *pullback, factor),
+        "metric_pullback": _worst(_metric_mismatch(
+            patch, *pullback, [euclidean.conformal_factor(par, pullback[0])] * 2),
                                   pullback, tols.metric_rel),
         "gauss_curvature_identity": _worst(
             np.abs(diffgeo.shape_operator(patch, us, 0.4).K
@@ -261,7 +260,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         "root_ordering": CheckResult(0.0 if ordering_ok else 1.0, 0.0),
         "k01_above_radius_bound": CheckResult(k_bound_gap, 0.0, comparison="ge"),
         "metric_pullback": _worst(
-            _metric_mismatch(patch, xis, 0.4, lambda x: spherical.metric_gC(C, x)),
+            _metric_mismatch(patch, xis, 0.4, spherical.metric_gC(C, xis)),
             [xis], tols.metric_rel),
         # |K| grows like xi^(8/3) with C: compare relative to the closed-form size
         "gauss_curvature_identity": _worst(
@@ -318,13 +317,6 @@ def _strip_interior_samples(at: gluing.GluingAtlas, strips, n, margin=0.02):
     return np.concatenate(out)
 
 
-def _profile_metric_pullback(at: gluing.GluingAtlas, patch, grid: int, tol: float) -> CheckResult:
-    """The patch's first form against the periodic-profile metric, on
-    strips -1, 0 and 1 with junction bands excluded."""
-    h = _strip_interior_samples(at, (-1, 0, 1), grid)
-    return _worst(_metric_mismatch(patch, h, 0.4, at.psi_metric), [h], tol)
-
-
 def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
                        seed: int) -> dict[str, CheckResult]:
     tols = Tolerances()
@@ -332,7 +324,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     rng = np.random.default_rng(seed)
     m1, p1 = at.h_limits
     delta = p1 - m1
-    roots, F, P = at.roots, at.F, at.period
+    roots, P = at.roots, at.period
     zm1, zp1 = at.zeta_limits
     # the continuity-only branch c_k = c0: the base strip's constant on both sides
     neg = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
@@ -356,6 +348,9 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     sphere = rng.uniform([m1 - P, 0.0], [p1 + P, 2.0 * math.pi], (256, 2)).T
     junctions = np.array([p1, m1, 0.0]), np.array([roots.xi02, roots.xi01, roots.xi00])
     h_res = _strip_interior_samples(at, (0, 1), 5, margin=0.08)
+    h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)  # junction bands excluded
+    up, down, base, xi_junctions, xi_metric = _profile_values(
+        at, h_period + P, h_period - P, h_period, junctions[0], h_metric)
 
     return {
         "grid_formula": per_label(
@@ -366,8 +361,9 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
         "phase_recursion_vs_closed_form": per_label(
             lambda k: gluing.phase_distance(at.phase(k), at.phase_by_recursion(k)),
             range(-25, 26), tols.phase),
-        "profile_periodicity": _worst(_periodicity_gap(F, h_period, P), [h_period], tols.phase),
-        "profile_junction_values": _worst(np.abs(F(junctions[0]) - junctions[1]), junctions,
+        "profile_periodicity": _worst(np.maximum(np.abs(up - base), np.abs(down - base)),
+                                      [h_period], tols.phase),
+        "profile_junction_values": _worst(np.abs(xi_junctions - junctions[1]), junctions,
                                           tols.phase),
         "junction_smoothness": per_label(
             lambda k: _largest(*(order["relative_mismatch"] for fn in
@@ -376,7 +372,8 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
         "junction_negative_control": CheckResult(
             neg["phi1"][1]["relative_mismatch"], 10.0 * tols.junction_rel, comparison="ge"),
         "sphere_norm": _worst(_unit_defect(at.immersion_phi(*sphere)), sphere, tols.sphere_norm),
-        "metric_pullback": _profile_metric_pullback(at, hpatch, grid, tols.metric_glued_rel),
+        "metric_pullback": _worst(_metric_mismatch(
+            hpatch, h_metric, 0.4, at.psi_metric(xi_metric)), [h_metric], tols.metric_glued_rel),
         # the one-sided values of the same jets
         "junction_continuity": per_label(
             lambda k: _largest(*(fn[0]["mismatch"] for fn in at.junction_smoothness(
@@ -408,17 +405,20 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
     shape = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi_mean)]), 0.4)
     shape, shape_mean = shape[:len(heights)], shape[len(heights):]
     h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
-    r = at.radius(h_radius)
+    h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)
+    xi_metric, xi_heights, xi_radius = _profile_values(at, h_metric, heights, h_radius)
+    r = at.Cstar / xi_radius
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
 
     return {
         "cstar_admissible": CheckResult(
             0.0 if gluing.cstar_range(C).contains(Cstar) else 1.0, 0.0),
-        "metric_pullback": _profile_metric_pullback(at, patch, grid, tols.metric_glued_rel),
+        "metric_pullback": _worst(_metric_mismatch(
+            patch, h_metric, 0.4, at.psi_metric(xi_metric)), [h_metric], tols.metric_glued_rel),
         # curvature magnitudes grow like the strip width^(8/3): compare
         # relative to the closed-form size
         "gauss_curvature_identity": _worst(
-            _rel_gap(shape.K, spherical.gauss_curvature_DC(at.F(heights))),
+            _rel_gap(shape.K, spherical.gauss_curvature_DC(xi_heights)),
             [heights], tols.curvature),
         "one_minus_K_positive": _worst(shape.K - 1.0, [heights], 0.0),
         # oracle orientation keeps f >= 0 while the closed form is signed

@@ -88,8 +88,9 @@ class GluingAtlas:
     """Everything needed to evaluate the periodic profile and the glued
     immersions for one parameter pair (C, C*) and base phase c0.
 
-    Construction is single-threaded; a built atlas is immutable and safe
-    for concurrent evaluation.
+    The family's zeta table is built on first use; Psi never uses it.  A
+    built atlas is immutable and safe for concurrent evaluation, though from
+    Python 3.12 two threads may each build that table, with identical results.
     """
 
     def __init__(self, C: float, Cstar: float, c0: float = 0.0):
@@ -110,9 +111,13 @@ class GluingAtlas:
         self._h_base = self._h_cum.value(self.roots.xi00)
         self.h_limits = (-self._h_base, self._h_cum.total - self._h_base)
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
-        self.zeta_limits = self.family.zeta_limits
 
         self.grid = {k: self.h_grid_point(k) for k in range(-K_MAX, K_MAX + 1) if k != 0}
+
+    @property
+    def zeta_limits(self) -> tuple[float, float]:
+        """The family's turning-angle limits; reading them builds its zeta table."""
+        return self.family.zeta_limits
 
     # -- height function and its inverse ------------------------------------
 
@@ -267,13 +272,12 @@ class GluingAtlas:
         return (diffgeo.stack_coordinates(dr * ca, dr * sa, 1.0),
                 diffgeo.stack_coordinates(-sa / xi, ca / xi, 0.0))
 
-    def psi_metric(self, h):
-        """Closed-form induced metric (E, G) of the revolution surface, at a
-        height or an array of them."""
-        Fh = self.F(h)
-        t = T(self.C, Fh)
-        E = 3.0 * Fh * Fh / (3.0 * Fh * Fh - self.Cstar ** 2 * t)
-        return E, 1.0 / (Fh * Fh)
+    def psi_metric(self, xi):
+        """Closed-form induced metric (E, G) of the revolution surface at
+        profile value xi = F(h), a point or an array of them."""
+        t = T(self.C, xi)
+        E = 3.0 * xi * xi / (3.0 * xi * xi - self.Cstar ** 2 * t)
+        return E, 1.0 / (xi * xi)
 
     def mean_curvature_psi(self, xi):
         """Closed-form mean curvature (trace convention) of the revolution

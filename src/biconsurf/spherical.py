@@ -239,10 +239,10 @@ def gauss_curvature_DC(xi: float) -> float:
 
 
 class SphereFamily:
-    """Per-C bundle: roots, zeta quadrature, metric, and the immersion.
-
-    Construction is single-threaded; the finished object is immutable in
-    practice and safe for concurrent evaluation.
+    """Per-C bundle: roots, zeta quadrature (built on first use), metric, and
+    the immersion.  The finished object is safe for concurrent evaluation;
+    from Python 3.12 `cached_property` takes no lock, so two threads may
+    each build the zeta table, with identical results.
     """
 
     def __init__(self, C: float):
@@ -253,8 +253,14 @@ class SphereFamily:
 
         C = self.C  # not self in g_zeta: that cycle would outlive cache eviction
         self._zeta_g = lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0)
-        self._zeta_cum = strip_quadrature(self.roots, self._zeta_g)
-        self._zeta_base = self._zeta_cum.value(self.roots.xi00)
+
+    @cached_property
+    def _zeta_cum(self) -> CumulativeQuadrature:
+        return strip_quadrature(self.roots, self._zeta_g)
+
+    @cached_property
+    def _zeta_base(self) -> float:
+        return self._zeta_cum.value(self.roots.xi00)
 
     # -- scalar quantities -------------------------------------------------
 

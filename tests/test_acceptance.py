@@ -82,7 +82,7 @@ def test_criterion_2_metric_pullbacks(atlas11):
     worst_psi = 0.0
     worst_glued = 0.0
     for h in hs:  # one row of theta per call
-        Ec, Gc = at.psi_metric(float(h))
+        Ec, Gc = at.psi_metric(at.F(float(h)))
         E, F, G = diffgeo.fundamental_forms(ppsi, np.full(len(ths), h), ths)
         worst_psi = max(worst_psi, *np.abs(E - Ec) / Ec, *np.abs(F) / Ec, *np.abs(G - Gc) / Gc)
         E, F, G = diffgeo.fundamental_forms(pphi, np.full(len(ths), h), ths)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biconsurf import checks, cli, diffgeo, gluing, numtext, spherical
+from biconsurf import checks, cli, diffgeo, gluing, numerics, numtext, spherical
 from biconsurf.euclidean import FamilyParamsR3, immersion_XC
 from biconsurf.numerics import OutOfDomain
 
@@ -357,6 +357,39 @@ class TestParserReuse:
         capsys.readouterr()
         assert run(["params", "--C", "1"]) == 0
         assert "1.2844545283264" in capsys.readouterr().out
+
+
+class TestTableBuilds:
+    """A cold command builds only the quadrature tables it reads: the zeta
+    table on first use, so the revolution surface, which is built from the
+    height profile alone, builds the height table only."""
+
+    GLUED = ["--C", "1", "--cstar", "1"]
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["verify", "--family", "revolution", *GLUED], 1),
+        (["verify", "--family", "s3-complete", *GLUED], 2),
+        (["verify", "--family", "s3-local", "--C", "1"], 1),
+        (["verify", "--family", "r3", "--C", "1"], 0),
+        (["mesh", "--family", "revolution", *GLUED, "--grid", "8", "8"], 1),
+        (["curves", "--figure", "fig2", *GLUED, "--samples", "41"], 1),
+        (["params", "--C", "1"], 1),  # it prints the zeta limits
+    ], ids=["verify-revolution", "verify-s3-complete", "verify-s3-local", "verify-r3",
+            "mesh-revolution", "curves-fig2", "params"])
+    def test_tables_per_cold_command(self, tmp_path, monkeypatch, capsys, argv, builds):
+        built = []
+        init = numerics.CumulativeQuadrature.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(numerics.CumulativeQuadrature, "__init__", counted)
+        spherical.family.cache_clear()
+        gluing.atlas.cache_clear()
+        out = [] if argv[0] == "params" else ["--out", str(tmp_path / "out")]
+        assert run(argv + out) == 0
+        assert len(built) == builds
+        capsys.readouterr()
 
 
 class TestVerify:

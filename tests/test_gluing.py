@@ -428,7 +428,7 @@ class TestRevolutionSurface:
         patch = at.psi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         for h in (-1.2, -0.3, 0.1, 0.5, 1.0):
             E, F, G = diffgeo.fundamental_forms(patch, h, 0.7)
-            Ec, Gc = at.psi_metric(h)
+            Ec, Gc = at.psi_metric(at.F(h))
             assert E == pytest.approx(Ec, rel=1e-6)
             assert G == pytest.approx(Gc, rel=1e-6)
             assert abs(F) < 1e-10
@@ -524,7 +524,7 @@ class TestGluedImmersion:
         patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         for h in (-1.3, -0.4, 0.2, 0.55, 1.2, 1.9):
             E, F, G = diffgeo.fundamental_forms(patch, h, 0.4)
-            Ec, Gc = at.psi_metric(h)
+            Ec, Gc = at.psi_metric(at.F(h))
             assert E == pytest.approx(Ec, rel=1e-6)
             assert G == pytest.approx(Gc, rel=1e-6)
 

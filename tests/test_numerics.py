@@ -225,6 +225,33 @@ class TestChebyshevTable:
                 arcsine.inverse(y)
 
 
+class TestGaussKronrodPanel:
+    """Each panel's sums are one dot product of its own row: a matrix-vector
+    product over the batch rounds about two rows in three differently."""
+
+    def test_sums_are_one_dot_per_row(self):
+        rng = np.random.default_rng(20240)
+        rows = rng.standard_normal((2000, 15)) * 10.0 ** rng.uniform(-8.0, 8.0, (2000, 1))
+        ends = np.ones(len(rows))
+        # panels on [-1, 1] have half-width 1, so the sums come back unscaled
+        k15, err, y = nm.gauss_kronrod_panel(lambda x: rows.ravel(), -ends, ends)
+        assert np.array_equal(y, rows)
+        k15_dot = np.array([nm._GK_WEIGHTS.dot(row) for row in rows])
+        g7_dot = np.array([nm._G7_WEIGHTS.dot(row[1::2]) for row in rows])
+        assert np.array_equal(k15, k15_dot)
+        assert np.array_equal(err, np.abs(k15_dot - g7_dot))
+
+    def test_panel_alone_and_in_a_batch(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-3.0, 3.0, 500)
+        b = a + 10.0 ** rng.uniform(-6.0, 0.5, 500)
+        f = lambda x: np.exp(np.sin(3.0 * x)) / (1.0 + x * x)
+        batch = nm.gauss_kronrod_panel(f, a, b)
+        for i in range(len(a)):
+            alone = nm.gauss_kronrod_panel(f, a[i:i + 1], b[i:i + 1])
+            assert all(np.array_equal(one, many[i:i + 1]) for one, many in zip(alone, batch))
+
+
 # ----------------------------------------------------------------------
 # solve_ode
 # ----------------------------------------------------------------------

@@ -254,9 +254,10 @@ class TestZeta:
         # C = 1e3, and bisection stops at the depth limit there (2 records
         # measured, 1 at C = 300; none at any C <= 100).  The build goes
         # level by level, so only the order may differ from the
-        # panel-by-panel reference's records
+        # panel-by-panel reference's records.  The table is built on first use
         with caplog.at_level(logging.DEBUG, logger="biconsurf.numerics"):
             fam = spherical.SphereFamily(C)
+            fam._zeta_cum
         records = [r for r in caplog.records if r.name == "biconsurf.numerics"]
         assert bool(records) == logged
         assert all("unconverged" in r.getMessage() for r in records)
