@@ -88,28 +88,32 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
 
 def _write_obj(path: Path, vertices: np.ndarray, nu: int, nv: int, wrap_v: bool) -> None:
     """Vertices of a row-major nu x nv grid and two triangles per cell; the
-    faces are made and written a band of grid rows at a time, and the
-    numbers of the band + 1 grid rows its faces use formatted once."""
+    faces are made and written a band of grid rows at a time.  The numbers
+    of the band + 1 grid rows its faces use are formatted once, and each
+    triangle corner is a slice copy of that table or of its next column,
+    the column roll.  A band whose first number has full width holds no
+    NUL, so it is written as it is."""
     cols = nv if wrap_v else nv - 1
-    j = np.arange(cols)
-    jn = (j + 1) % nv
-    # 0-based corners of the two triangles of each cell in the first grid row
-    row0 = np.stack([j, jn, jn + nv, j, jn + nv, j + nv], axis=-1).reshape(-1, 3)
-    band = max(1, BLOCK_ROWS // len(row0))
+    band = max(1, BLOCK_ROWS // (2 * cols))
     width = len(str(nu * nv))
+    text = f"V{width}"   # a text as one void item: a copy moves it whole
     from . import numtext   # loaded on the first write, as in _write_rows
     with path.open("wb") as fh:
         fh.write(f"# biconsurf mesh: {nu} x {nv} row-major grid\n".encode())
         _write_rows(fh, "v ", " ", vertices)
         for i in range(0, nu - 1, band):
-            rows = min(band, nu - 1 - i)
-            numbers = numtext.int_texts(np.arange(i * nv + 1, (i + rows + 1) * nv + 1), width)
-            faces = (row0 + nv * np.arange(rows)[:, None, None]).reshape(-1, 3)
-            lines, cells = _line_cells(len(faces), "f ", " ", 3, width)
-            # a text as one void item: a gather copies it whole
-            text = f"V{width}"
-            cells.view(text)[..., 0] = numbers.view(text)[:, 0].take(faces)
-            _write_lines(fh, lines)
+            rows, first = min(band, nu - 1 - i), i * nv + 1
+            cur = numtext.int_texts(np.arange(first, first + (rows + 1) * nv), width)
+            cur = cur.view(text).reshape(rows + 1, nv)
+            nxt, cur = np.roll(cur, -1, axis=1)[:, :cols], cur[:, :cols]
+            lines, cells = _line_cells(2 * rows * cols, "f ", " ", 3, width)
+            tri = cells.view(text)[..., 0].reshape(rows, cols, 2, 3)
+            tri[:, :, 0, 0], tri[:, :, 0, 1], tri[:, :, 0, 2] = cur[:-1], nxt[:-1], nxt[1:]
+            tri[:, :, 1, 0], tri[:, :, 1, 1], tri[:, :, 1, 2] = cur[:-1], nxt[1:], cur[1:]
+            if first < 10 ** (width - 1):
+                _write_lines(fh, lines)
+            else:
+                fh.write(lines)
 
 
 def _require_admissible(family: str, C: float, cstar: float | None) -> None:

@@ -11,8 +11,11 @@ rest at k01 and k02.
 The next mutant is a turning-angle drift: the numerator g_zeta of the
 zeta table's integrand, which the glued immersion's rates read too.
 
-The last is a root solver that answers its root plus 1e-9 of its
+Then comes a root solver that answers its root plus 1e-9 of its
 bracket's width.
+
+The last are two defects of the glued profile: an off-by-one phase c_k,
+and Phi2's sign on odd strips dropped.
 """
 
 import numpy as np
@@ -195,3 +198,61 @@ def test_root_offset_blind_spot(family, module, C, monkeypatch, fresh_caches):
     assert failing(before) == failing(after) == set()
     moved = {name for name, row in before.items() if after[name]["value"] != row["value"]}
     assert moved <= {"curvature_c_independent"}
+
+
+def mutate_glued_profile(monkeypatch, mutant):
+    """An off-by-one phase, `GluingAtlas.phase(k)` answering c_{k+1}, or
+    Phi2's sign on odd strips dropped from `_profile_at`."""
+    if mutant == "phase-off-by-one":
+        phase = gluing.GluingAtlas.phase
+        monkeypatch.setattr(gluing.GluingAtlas, "phase", lambda self, k: phase(self, k + 1))
+    elif mutant == "odd-strip-sign":
+        profile_at = gluing.GluingAtlas._profile_at
+
+        def unsigned(self, h):
+            k, (xi, zeta, c, s) = profile_at(self, h)
+            return k, (xi, zeta, c, np.ones_like(s))
+        monkeypatch.setattr(gluing.GluingAtlas, "_profile_at", unsigned)
+
+
+# (mutant, C): the failing rows of the s3-complete report without the
+# mutant, then with it, C* at 50% of its range.  The phase rows compare
+# `phase` with its recursion, and the junction rows compose each side's
+# jets with that side's phase, so a shifted c_k breaks both
+PHASE_POWER = {
+    ("phase-off-by-one", 1.0): (set(), {"phase_recursion_vs_closed_form", "junction_continuity",
+                                        "junction_smoothness"}),
+    ("phase-off-by-one", 20.0): ({"profile_junction_values", "junction_negative_control"},
+                                 {"profile_junction_values", "junction_negative_control",
+                                  "phase_recursion_vs_closed_form", "junction_continuity",
+                                  "junction_smoothness"}),
+}
+# (mutant, family): blind spots, where not one value of the report moves.
+# Phi2 -> -Phi2 on odd strips is a reflection of S^3, an isometry: the
+# metric, the sphere norm and the biconservativity residual read the same
+# bits at every sample, and the junction rows take their sign from
+# `junction_smoothness`'s own `sgn`, not from `_profile_at`.  Psi =
+# (C*/F cos, C*/F sin, h) reads neither the phase nor Phi2
+GLUED_BLIND_SPOTS = (("odd-strip-sign", "s3-complete"), ("odd-strip-sign", "revolution"),
+                     ("phase-off-by-one", "revolution"))
+
+
+@pytest.mark.parametrize("mutant, C", list(PHASE_POWER))
+def test_glued_profile_mutant(mutant, C, monkeypatch, fresh_caches):
+    before = failing(report_at_half("s3-complete", C))
+    mutate_glued_profile(monkeypatch, mutant)
+    assert (before, failing(report_at_half("s3-complete", C))) == PHASE_POWER[mutant, C]
+
+
+@pytest.mark.parametrize("mutant, family", GLUED_BLIND_SPOTS)
+@pytest.mark.parametrize("C", [1.0, 20.0])
+def test_glued_profile_blind_spot(mutant, family, C, monkeypatch, fresh_caches):
+    before = report_at_half(family, C)
+    at = gluing.atlas(C, 0.5 * gluing.cstar_range(C).upper)
+    h = 0.5 * (at.grid[1] + at.grid[2])   # inside strip 1, an odd strip
+    phi = at.immersion_phi(h, 0.3)
+    mutate_glued_profile(monkeypatch, mutant)
+    # the mutant is live: Phi moves on the odd strip
+    assert not np.array_equal(at.immersion_phi(h, 0.3), phi)
+    gluing.atlas.cache_clear()
+    assert report_at_half(family, C) == before

@@ -1138,22 +1138,62 @@ class TestWriters:
         want = "\n".join(_ref_obj_lines(verts, nu, nv, wrap_v)) + "\n"
         assert (tmp_path / "m.obj").read_bytes() == want.encode()
 
-    def test_obj_writer_memory(self, tmp_path):
-        # the writer holds one block at a time: its lines, their bytes with
-        # and without the NULs, and the formatting temporaries of its 12,288
-        # values, 0.81 times the vertex array of the 256 x 256 r3 mesh (the
-        # bound leaves a fifth more), where one string of the whole file
-        # would be 4.2 times it.  The first write also loads the formatting
-        # module and builds its tables, 0.1 times it
+    @pytest.mark.parametrize("nu, nv", [(40, 256), (100, 100), (10, 10), (2, 2)])
+    @pytest.mark.parametrize("wrap_v", [False, True])
+    def test_obj_band_edges(self, tmp_path, nu, nv, wrap_v):
+        # face bands at the edges of the vertex numbers' width: at (40, 256)
+        # vertex 10,000 falls inside the band that starts at grid row 32;
+        # at (100, 100) only the last number has full width, so no band is
+        # written without its NUL pass; (2, 2) is one band, and wrapped, the
+        # two triangles of column 1 close onto column 0
+        verts = self._awkward_rows(nu * nv, 3)
+        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
+        want = "\n".join(_ref_obj_lines(verts, nu, nv, wrap_v)) + "\n"
+        assert (tmp_path / "m.obj").read_bytes() == want.encode()
+
+    def _r3_mesh(self, tmp_path):
+        """The vertices of the 256 x 256 wrapped r3 mesh at C = 1: (vertices,
+        nu, nv, wrap_v)."""
         args = cli.build_parser().parse_args(
             ["mesh", "--family", "r3", "--C", "1", "--grid", "256", "256", "--wrap-v",
              "--out", str(tmp_path / "m.obj")])
         cli._resolve_args(args)
         verts, nu, nv, _ = cli._grid_positions(args)
-        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, args.wrap_v)
+        return verts, nu, nv, args.wrap_v
+
+    def test_obj_nul_passes(self, tmp_path, monkeypatch):
+        # every write that drops NULs goes through _write_lines: one per
+        # block of vertex lines, and one per face band whose first vertex
+        # number is shorter than the last.  A band of full-width numbers
+        # holds no NUL and is written as it is
+        verts, nu, nv, wrap_v = self._r3_mesh(tmp_path)
+        calls = []
+        write_lines = cli._write_lines
+        monkeypatch.setattr(cli, "_write_lines",
+                            lambda fh, lines: (calls.append(fh), write_lines(fh, lines)))
+        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
+        band = cli.BLOCK_ROWS // (2 * nv)
+        short = [i for i in range(0, nu - 1, band) if i * nv + 1 < 10 ** 4]
+        assert (band, len(short), len(range(0, nu - 1, band))) == (8, 5, 32)
+        assert len(calls) == -(-nu * nv // cli.BLOCK_ROWS) + len(short) == 21
+        text = (tmp_path / "m.obj").read_bytes()
+        assert b"\0" not in text and text.count(b"\nf ") == 2 * (nu - 1) * nv == 130560
+
+    def test_obj_writer_memory(self, tmp_path):
+        # the writer holds one block at a time.  A vertex block is its
+        # lines, their bytes with and without the NULs, and the formatting
+        # temporaries of its 12,288 values, 0.81 times the vertex array of
+        # the 256 x 256 r3 mesh (the bound leaves a fifth more), where one
+        # string of the whole file would be 4.2 times it.  A face band is
+        # its 4,096 lines, their bytes with and without the NULs, and the
+        # texts of its nine grid rows of vertex numbers with their column
+        # roll, 0.17 times it.  The first write also loads the formatting module and
+        # builds its tables, 0.1 times it
+        verts, nu, nv, wrap_v = self._r3_mesh(tmp_path)
+        cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
         tracemalloc.start()
         try:
-            cli._write_obj(tmp_path / "m.obj", verts, nu, nv, args.wrap_v)
+            cli._write_obj(tmp_path / "m.obj", verts, nu, nv, wrap_v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
