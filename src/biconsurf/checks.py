@@ -116,11 +116,10 @@ def _rel_gap(measured, closed):
     return np.abs(measured - closed) / (1.0 + np.abs(closed))
 
 
-def _metric_mismatch(patch, u, v, closed):
-    """Per point, the worst relative mismatch of the patch's first form
-    against the positive closed-form coefficients (Ec, 0, Gc) = closed,
-    one pair of arrays over all the points."""
-    E, F, G = diffgeo.fundamental_forms(patch, u, v)
+def _metric_mismatch(E, F, G, closed):
+    """Per point, the worst relative mismatch of the first form (E, F, G)
+    from the oracle against the positive closed-form coefficients
+    (Ec, 0, Gc) = closed, one array each over all the points."""
     Ec, Gc = np.asarray(closed, dtype=float)
     # np.max propagates a NaN
     return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
@@ -174,8 +173,8 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 
     return {
         "metric_pullback": _worst(_metric_mismatch(
-            patch, *pullback, [euclidean.conformal_factor(par, pullback[0])] * 2),
-                                  pullback, tols.metric_rel),
+            *diffgeo.fundamental_forms(patch, *pullback),
+            [euclidean.conformal_factor(par, pullback[0])] * 2), pullback, tols.metric_rel),
         "gauss_curvature_identity": _worst(
             np.abs(diffgeo.shape_operator(patch, us, 0.4).K
                    - euclidean.gauss_curvature(par, us)) * length ** 2,
@@ -226,6 +225,8 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 
     patch = fam.patch()
     xis, _ = patch.grid(grid, 4)
+    # the metric and the K identity read one oracle call over the same points
+    shape = diffgeo.shape_operator(patch, xis, 0.4)
     xi_roots = np.array([roots.xi01, roots.xi02])
 
     # intrinsic curvature straight from the metric coefficients, for a few C:
@@ -260,13 +261,11 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
         "root_ordering": CheckResult(0.0 if ordering_ok else 1.0, 0.0),
         "k01_above_radius_bound": CheckResult(k_bound_gap, 0.0, comparison="ge"),
         "metric_pullback": _worst(
-            _metric_mismatch(patch, xis, 0.4, spherical.metric_gC(C, xis)),
+            _metric_mismatch(shape.E, shape.F, shape.G, spherical.metric_gC(C, xis)),
             [xis], tols.metric_rel),
         # |K| grows like xi^(8/3) with C: compare relative to the closed-form size
         "gauss_curvature_identity": _worst(
-            _rel_gap(diffgeo.shape_operator(patch, xis, 0.4).K,
-                     spherical.gauss_curvature_DC(xis)),
-            [xis], tols.curvature),
+            _rel_gap(shape.K, spherical.gauss_curvature_DC(xis)), [xis], tols.curvature),
         "curvature_c_independent": _worst(
             _rel_gap(k_metric, spherical.gauss_curvature_DC(xi_metric)), metric_route,
             tols.curvature),
@@ -373,7 +372,8 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
             neg["phi1"][1]["relative_mismatch"], 10.0 * tols.junction_rel, comparison="ge"),
         "sphere_norm": _worst(_unit_defect(at.immersion_phi(*sphere)), sphere, tols.sphere_norm),
         "metric_pullback": _worst(_metric_mismatch(
-            hpatch, h_metric, 0.4, at.psi_metric(xi_metric)), [h_metric], tols.metric_glued_rel),
+            *diffgeo.fundamental_forms(hpatch, h_metric, 0.4), at.psi_metric(xi_metric)),
+            [h_metric], tols.metric_glued_rel),
         # the one-sided values of the same jets
         "junction_continuity": per_label(
             lambda k: _largest(*(fn[0]["mismatch"] for fn in at.junction_smoothness(
@@ -398,14 +398,17 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
     delta = p1 - m1
     roots = at.roots
     patch = at.psi_patch((m1 - delta, at.grid[2]))
-    # the curvature checks read one oracle call over the heights and the
-    # heights of the mean-curvature samples, which are spaced in xi
+    # every oracle row reads one call over the curvature heights, the
+    # heights of the mean-curvature samples, which are spaced in xi, and
+    # the metric heights
     heights = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
     xi_mean = roots.xi01 + np.linspace(0.08, 0.92, 16) * (roots.xi02 - roots.xi01)
-    shape = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi_mean)]), 0.4)
-    shape, shape_mean = shape[:len(heights)], shape[len(heights):]
-    h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
     h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)
+    shape = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi_mean), h_metric]),
+                                   0.4)
+    n, n_mean = len(heights), len(heights) + len(xi_mean)
+    shape, shape_mean, shape_metric = shape[:n], shape[n:n_mean], shape[n_mean:]
+    h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
     xi_metric, xi_heights, xi_radius = _profile_values(at, h_metric, heights, h_radius)
     r = at.Cstar / xi_radius
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
@@ -414,7 +417,8 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
         "cstar_admissible": CheckResult(
             0.0 if gluing.cstar_range(C).contains(Cstar) else 1.0, 0.0),
         "metric_pullback": _worst(_metric_mismatch(
-            patch, h_metric, 0.4, at.psi_metric(xi_metric)), [h_metric], tols.metric_glued_rel),
+            shape_metric.E, shape_metric.F, shape_metric.G, at.psi_metric(xi_metric)),
+            [h_metric], tols.metric_glued_rel),
         # curvature magnitudes grow like the strip width^(8/3): compare
         # relative to the closed-form size
         "gauss_curvature_identity": _worst(

@@ -15,8 +15,10 @@ position and both tangents).
 
 The oracle is batched: an entry point takes a sample set of points, calls
 `first_partials` once on all their stencil points (5 per shape operator,
-25 per residual) and does the rest on arrays, point by point.  A scalar
-call is the one-point case and returns scalars.
+25 per residual) and does the rest on arrays, point by point.  On the
+sphere that one call also returns the positions, so the normal needs no
+second evaluation of the patch.  A scalar call is the one-point case and
+returns scalars.
 """
 
 from __future__ import annotations
@@ -80,10 +82,11 @@ class ImmersionPatch:
     position(us, vs) takes equal-length 1-D arrays of points and returns
     their (n, 3) positions for the Euclidean ambient, (n, 4) unit vectors
     for the spherical one.  first_partials(us, vs) returns the pair of
-    (n, d) tangent arrays (X_u, X_v); the oracle differences these for
-    second derivatives, and reads positions only for the spherical
-    normal.  Each coordinate's steps scale with that coordinate's own
-    width.
+    (n, d) tangent arrays (X_u, X_v) in R^3, and on the sphere the triple
+    (X, X_u, X_v) with the positions first, from the same evaluation.
+    The oracle differences the tangents for second derivatives, reads the
+    positions only for the spherical normal, and never calls `position`.
+    Each coordinate's steps scale with that coordinate's own width.
     """
 
     u_range: tuple[float, float]
@@ -224,16 +227,24 @@ def _inverse_metric(E, F, G):
     return G / det, -F / det, E / det
 
 
-def _normal(patch: ImmersionPatch, us, vs, xu, xv):
-    """Unit normals (n, d): the cross product of the tangents in R^3; in R^4
-    the Hodge dual of p ^ xu ^ xv, orthogonal to the position p and both
-    tangents, by cofactor expansion along p."""
+def _evaluate(patch: ImmersionPatch, us, vs):
+    """(positions, X_u, X_v) at the points from one `first_partials` call;
+    the positions are None in R^3, where the oracle does not read them."""
+    out = patch.first_partials(us, vs)
+    return out if patch.ambient == SPHERE3 else (None, *out)
+
+
+def _normal(us, vs, p, xu, xv):
+    """Unit normals (n, d): the cross product of the tangents in R^3, where
+    the positions p are None; in R^4 the Hodge dual of p ^ xu ^ xv,
+    orthogonal to the position p and both tangents, by cofactor expansion
+    along p."""
     a, b = xu.T, xv.T
-    if patch.ambient == EUCLIDEAN3:
+    if p is None:
         n = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                       a[0] * b[1] - a[1] * b[0]], -1)
     else:
-        p = patch.position(us, vs).T
+        p = p.T
         m = {(j, k): a[j] * b[k] - a[k] * b[j] for j in range(4) for k in range(j + 1, 4)}
         n = np.stack([p[1] * m[2, 3] - p[2] * m[1, 3] + p[3] * m[1, 2],
                       p[2] * m[0, 3] - p[0] * m[2, 3] - p[3] * m[0, 2],
@@ -249,7 +260,7 @@ def _normal(patch: ImmersionPatch, us, vs, xu, xv):
 def fundamental_forms(patch: ImmersionPatch, u, v):
     """First fundamental form coefficients (E, F, G) at interior points."""
     us, vs = _points(u, v)
-    return _unbatch(u, v, _first_form(us, vs, *patch.first_partials(us, vs)))
+    return _unbatch(u, v, _first_form(us, vs, *_evaluate(patch, us, vs)[1:]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -265,9 +276,9 @@ def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
     n = len(us)
     hu = _step("partials", patch.u_range, us, patch.u_singularities)
     hv = _step("partials", patch.v_range, vs, ())
-    xu, xv = patch.first_partials(*_stencil(us, vs, hu, hv))
+    p, xu, xv = _evaluate(patch, *_stencil(us, vs, hu, hv))
     E, F, G = _first_form(us, vs, xu[:n], xv[:n])
-    nrm = _normal(patch, us, vs, xu[:n], xv[:n])
+    nrm = _normal(us, vs, None if p is None else p[:n], xu[:n], xv[:n])
     xuu, xuv = _central(xu, hu, hv)
     xvv = _central(xv, hu, hv)[1]
     h11, h12, h22 = (_dot(x, nrm) for x in (xuu, xuv, xvv))

@@ -63,10 +63,15 @@ class CstarRange:
         return self.lower < cstar < self.upper
 
 
+# C_MIN + C_MIN_LO is 4/3^{3/2} to about 1e-33: near C_MIN, where C - C_MIN is
+# exact and tiny, C_MIN's rounding alone put C*'s upper end up to 2e-9 too high
+C_MIN_LO = -2.941449398920198e-17
+
+
 def cstar_range(C: float) -> CstarRange:
     if C <= C_MIN:
         raise InvalidC(f"C = {C} <= {C_MIN}")
-    return CstarRange(lower=0.0, upper=(C - C_MIN) ** -0.5)
+    return CstarRange(lower=0.0, upper=((C - C_MIN) - C_MIN_LO) ** -0.5)
 
 
 def _mod2pi(x: float) -> float:
@@ -331,13 +336,15 @@ class GluingAtlas:
         return self.family.point(xi, theta, zeta, c, s)
 
     def immersion_phi_partials(self, h, theta):
-        """(Phi_h, Phi_theta) at the points, with the profile once on the
+        """(Phi, Phi_h, Phi_theta) at the points: the positions of
+        `immersion_phi` and both partials, with the profile once on the
         distinct h and its h-rates once per distinct h."""
         def at(y):
             k, prof = self._profile_at(y)
             return (*prof, *self._rates(k, prof[0]))
         xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
-        return self.family.tangents(xi, theta, zeta, c, s, dxi, dzeta)
+        fam = self.family
+        return fam.point(xi, theta, zeta, c, s), *fam.tangents(xi, theta, zeta, c, s, dxi, dzeta)
 
     def phi_patch(self, h_range) -> diffgeo.ImmersionPatch:
         """Phi over the heights h_range and theta in [0, 1]."""

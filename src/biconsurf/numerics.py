@@ -540,26 +540,23 @@ class CumulativeQuadrature:
         lo_end, half, base = self._leaves[leaf, :_COEF].T  # columns _LO, _HALF, _BASE
         both = np.take(both, leaf, axis=-1)
         t = np.minimum(2.0 * (v - base) / integral[leaf] - 1.0, 1.0)
-        lo, hi, step = np.full_like(t, -1.0), np.full_like(t, 1.0), np.zeros_like(t)
+        lo, hi = np.full_like(t, -1.0), np.full_like(t, 1.0)
         r_tol = 2.0 * math.ulp(total)
-        active = slice(None)  # every entry, with no gather, until one is done
+        going = np.ones(t.shape, dtype=bool)  # a converged entry keeps its t
         for _ in range(NEWTON_CAP):
-            ta, ba = t[active], both[..., active]
-            (b1, slope), (b2, _) = _clenshaw(ba, ta)
-            r = base[active] + (ba[0, 0] + ta * b1 - b2) - v[active]
+            (b1, slope), (b2, _) = _clenshaw(both, t)
+            r = base + (both[0, 0] + t * b1 - b2) - v
             up = r > 0.0
-            la, ha = np.where(up, lo[active], ta), np.where(up, ta, hi[active])
-            nxt = ta - r / slope
-            nxt = np.where((la <= nxt) & (nxt <= ha), nxt, 0.5 * (la + ha))
-            st = nxt - ta
-            lo[active], hi[active], t[active], step[active] = la, ha, nxt, st
-            going = ~((np.abs(st) <= NEWTON_STEP_TOL) | (np.abs(r) <= r_tol))
+            lo, hi = np.where(up, lo, t), np.where(up, t, hi)
+            nxt = t - r / slope
+            nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            step = nxt - t
+            t = np.where(going, nxt, t)
+            going &= ~((np.abs(step) <= NEWTON_STEP_TOL) | (np.abs(r) <= r_tol))
             if not going.any():
                 break
-            if not going.all():
-                active = np.arange(len(t))[active][going]
         else:
-            for n in np.arange(len(t))[active].tolist():
+            for n in np.flatnonzero(going).tolist():
                 _log.debug("inverse: no convergence in %d Newton steps at y=%r, last step %r",
                            NEWTON_CAP, float(yin[n]), float(step[n]))
         x = lo_end + half * (t + 1.0)

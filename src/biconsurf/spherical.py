@@ -327,10 +327,10 @@ class SphereFamily:
         return self.point(xi, theta, *diffgeo.per_distinct(at, xi))
 
     def immersion_partials(self, xi, theta):
-        """(X_xi, X_theta) at the points, with zeta0 and zeta0' once on the
-        distinct xi."""
+        """(X, X_xi, X_theta) at the points: the positions of `immersion` and
+        both partials, with zeta0 and zeta0' once on the distinct xi."""
         zeta, dzeta = diffgeo.per_distinct(lambda xs: (self.zeta0(xs), self.zeta0_deriv(xs)), xi)
-        return self.tangents(xi, theta, zeta, dzeta=dzeta)
+        return self.point(xi, theta, zeta), *self.tangents(xi, theta, zeta, dzeta=dzeta)
 
     def patch(self) -> diffgeo.ImmersionPatch:
         """Strip patch over theta in [0, 1], trimmed by 1e-3 of the strip

@@ -460,8 +460,9 @@ class ScalarOracle:
 
     Each point is its own one-point call of the patch's evaluators, with
     one partials call per stencil point (5 per shape operator, 25 per
-    residual); the steps, stencils and per-point rules are diffgeo's, and
-    the determinants are numpy's LU ones.
+    residual) and, on the sphere, a `position` call for the normal; the
+    steps, stencils and per-point rules are diffgeo's, and the determinants
+    are numpy's LU ones.
     """
 
     def __init__(self, patch):
@@ -471,6 +472,10 @@ class ScalarOracle:
 
     def _call(self, fun, u, v):
         return [np.asarray(x, dtype=float)[0] for x in fun(np.array([u]), np.array([v]))]
+
+    def _tangents(self, u, v):
+        """(X_u, X_v) at one point; a spherical evaluator's positions are dropped."""
+        return self._call(self.patch.first_partials, u, v)[-2:]
 
     def _step(self, kind, coord_range, at, singularities):
         scale = coord_range[1] - coord_range[0]
@@ -493,15 +498,15 @@ class ScalarOracle:
     def shape_operator(self, u, v):
         """(E, F, G, h11, h12, h22, normal, shape, f, K) at one point."""
         patch, dg = self.patch, self.dg
-        xu, xv = self._call(patch.first_partials, u, v)
+        xu, xv = self._tangents(u, v)
         E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
         det_g = E * G - F * F
         assert det_g > 0.0
         n = self._normal(u, v, xu, xv)
         hu = self._step("partials", patch.u_range, u, patch.u_singularities)
         hv = self._step("partials", patch.v_range, v, ())
-        up, um = self._call(patch.first_partials, u + hu, v), self._call(patch.first_partials, u - hu, v)
-        vp, vm = self._call(patch.first_partials, u, v + hv), self._call(patch.first_partials, u, v - hv)
+        up, um = self._tangents(u + hu, v), self._tangents(u - hu, v)
+        vp, vm = self._tangents(u, v + hv), self._tangents(u, v - hv)
         h = np.array([(up[0] - um[0]) / (2 * hu) @ n, (vp[0] - vm[0]) / (2 * hv) @ n,
                       (vp[1] - vm[1]) / (2 * hv) @ n])
         H = np.array([[h[0], h[1]], [h[1], h[2]]])
@@ -566,16 +571,17 @@ def curvatures(patch, u, v):
 def validate_patch(patch, n=5, rel_tol=1e-6):
     """Spot-check patch invariants on an n x n interior sample.
 
-    For spherical patches the position must be a unit vector; the
-    partials must match fourth-order differences of the position, with
-    the oracle's "values" steps; the normal must be orthogonal to the
-    tangents (and the position).  Returns the worst deviations found; a
-    NaN deviation is the worst, so it fails.
+    For spherical patches the position must be a unit vector, and the
+    positions that the partials evaluator returns must be the position
+    evaluator's, bit for bit; the partials must match fourth-order
+    differences of the position, with the oracle's "values" steps; the
+    normal must be orthogonal to the tangents (and the position).  Returns
+    the worst deviations found; a NaN deviation is the worst, so it fails.
     """
     from biconsurf import diffgeo as dg
     us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
     pos = patch.position(us, vs)
-    xu, xv = patch.first_partials(us, vs)
+    p, xu, xv = dg._evaluate(patch, us, vs)
     hu = dg._step("values", patch.u_range, us, patch.u_singularities)
     hv = dg._step("values", patch.v_range, vs, ())
     fu = dg._fd4(lambda uu: patch.position(uu, vs).T, us, hu).T
@@ -583,7 +589,7 @@ def validate_patch(patch, n=5, rel_tol=1e-6):
     length = lambda x: np.linalg.norm(x, axis=1)
     partial = np.concatenate([length(fu - xu) / np.maximum(1.0, length(xu)),
                               length(fv - xv) / np.maximum(1.0, length(xv))])
-    nrm = dg._normal(patch, us, vs, xu, xv)
+    nrm = dg._normal(us, vs, p, xu, xv)
     orth = [dg._dot(nrm, xu), dg._dot(nrm, xv)]
     norm = np.zeros(1)
     if patch.ambient == dg.SPHERE3:
@@ -592,11 +598,14 @@ def validate_patch(patch, n=5, rel_tol=1e-6):
     # np.max propagates a NaN
     worst_norm, worst_partial, worst_orth = (
         float(np.max(np.abs(xs))) for xs in (norm, partial, np.concatenate(orth)))
+    same_positions = p is None or pos.tobytes() == p.tobytes()
     return {
         "position_norm_defect": worst_norm,
         "partials_vs_fd": worst_partial,
         "normal_orthogonality": worst_orth,
-        "ok": worst_partial <= rel_tol and worst_norm <= 1e-10 and worst_orth <= 1e-8,
+        "same_positions": same_positions,
+        "ok": (worst_partial <= rel_tol and worst_norm <= 1e-10 and worst_orth <= 1e-8
+               and same_positions),
     }
 
 

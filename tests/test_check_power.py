@@ -14,9 +14,15 @@ zeta table's integrand, which the glued immersion's rates read too.
 Then comes a root solver that answers its root plus 1e-9 of its
 bracket's width.
 
-The last are two defects of the glued profile: an off-by-one phase c_k,
+Then come two defects of the glued profile: an off-by-one phase c_k,
 and Phi2's sign on odd strips dropped.
+
+The last guard the rows that read their first forms from a merged oracle
+call: a tangent scaled by 1 + 1e-6 in an evaluator, and a wrong C* in the
+closed-form mean curvature of Psi.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -256,3 +262,69 @@ def test_glued_profile_blind_spot(mutant, family, C, monkeypatch, fresh_caches):
     assert not np.array_equal(at.immersion_phi(h, 0.3), phi)
     gluing.atlas.cache_clear()
     assert report_at_half(family, C) == before
+
+
+def mutate_tangent(monkeypatch, mutant):
+    """Psi_h in `immersion_psi_partials`, or X_xi in `SphereFamily.tangents`
+    (which the glued evaluator reads too), times 1 + 1e-6."""
+    owner, name = {"psi-h": (gluing.GluingAtlas, "immersion_psi_partials"),
+                   "x-xi": (spherical.SphereFamily, "tangents")}[mutant]
+    evaluate = getattr(owner, name)
+
+    def scaled(*args, **kwargs):
+        d_u, d_v = evaluate(*args, **kwargs)
+        return d_u * (1.0 + 1e-6), d_v
+    monkeypatch.setattr(owner, name, scaled)
+
+
+# C* of the first-form mutants: C = C* = 1, and C = 20 with C* at 1% of its range
+FORM_CSTAR = {1.0: 1.0, 20.0: 0.01 * gluing.cstar_range(20.0).upper}
+
+
+def report_at(family, C):
+    rep, _ = checks.build_report(family, C, None if family == "s3-local" else FORM_CSTAR[C])
+    return rep["checks"]
+
+
+# (mutant, family, C): the failing rows without the mutant, then with it.
+# A tangent scaled by 1 + 1e-6 scales E by 1 + 2e-6, and `metric_pullback`
+# reads 2.0e-6 against 1e-6 in each report, whether its E comes from a
+# shape-operator call (revolution, s3-local) or a `fundamental_forms`
+# call (s3-complete).  The K identity moves too, by 8.6e-7 and 5.0e-7 in
+# revolution, under its 1e-6
+JUNCTION_ROWS = {"profile_junction_values", "junction_negative_control"}
+FORM_POWER = {
+    ("psi-h", "revolution", 1.0): (set(), {"metric_pullback"}),
+    ("psi-h", "revolution", 20.0): (set(), {"metric_pullback"}),
+    ("x-xi", "s3-local", 1.0): (set(), {"metric_pullback"}),
+    ("x-xi", "s3-local", 20.0): (set(), {"metric_pullback"}),
+    ("x-xi", "s3-complete", 1.0): (set(), {"metric_pullback"}),
+    ("x-xi", "s3-complete", 20.0): (JUNCTION_ROWS, JUNCTION_ROWS | {"metric_pullback"}),
+}
+
+
+@pytest.mark.parametrize("mutant, family, C", list(FORM_POWER))
+def test_tangent_mutant(mutant, family, C, monkeypatch):
+    before = failing(report_at(family, C))
+    mutate_tangent(monkeypatch, mutant)
+    assert (before, failing(report_at(family, C))) == FORM_POWER[mutant, family, C]
+
+
+@pytest.mark.parametrize("C", [1.0, 20.0])
+def test_mean_curvature_cstar_blind_spot(C, monkeypatch):
+    # C* times 1 + 1e-6 in the closed form moves its mean curvature by
+    # about 1e-6 relative: `mean_curvature_closed_form` reads 1.4e-6 at
+    # C = 1 and 1.0e-6 at C = 20, under its 1e-5, which sits above the
+    # oracle's truncation floor there (5e-5 near C_MIN)
+    before = report_at("revolution", C)
+    mean = gluing.GluingAtlas.mean_curvature_psi
+
+    def wrong_cstar(self, xi):
+        other = copy.copy(self)
+        other.Cstar = self.Cstar * (1.0 + 1e-6)
+        return mean(other, xi)
+    monkeypatch.setattr(gluing.GluingAtlas, "mean_curvature_psi", wrong_cstar)
+    after = report_at("revolution", C)
+    assert failing(before) == failing(after) == set()
+    assert before["mean_curvature_closed_form"]["value"] < 1e-7
+    assert 5e-7 < after["mean_curvature_closed_form"]["value"] < 1e-5

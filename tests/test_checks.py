@@ -187,10 +187,14 @@ class TestTableCalls:
     """A report looks its heights up a sample set at a time: each call of
     the height table's inverse covers all the heights of one evaluator
     call or one check, and the closed-form references of a glued report
-    share one call (5 calls for the 473 heights of a warm s3-complete
-    report at C = C* = 1, 3 for revolution's 212)."""
+    share one call (4 calls for the 443 heights of a warm s3-complete
+    report at C = C* = 1, 2 for revolution's 272).  A spherical evaluator
+    call returns the positions of the oracle's normals with the tangents,
+    and a report's first forms come from a shape-operator call it already
+    makes where it has one, so a warm s3-local report makes 4 zeta-table
+    lookups and s3-complete 3."""
 
-    @pytest.mark.parametrize("family, n_calls", [("s3-complete", 5), ("revolution", 3)])
+    @pytest.mark.parametrize("family, n_calls", [("s3-complete", 4), ("revolution", 2)])
     def test_inversion_calls_per_warm_report(self, monkeypatch, family, n_calls):
         checks.build_report(family, 1.0, 1.0)
         calls = _count_calls(monkeypatch, numerics.CumulativeQuadrature, "inverse")
@@ -206,11 +210,20 @@ class TestTableCalls:
         checks.build_report("s3-complete", 1.0, 1.0)
         assert len(calls) <= 24
 
+    @pytest.mark.parametrize("family, n_calls", [("s3-local", 4), ("s3-complete", 3)])
+    def test_zeta_lookups_per_warm_report(self, monkeypatch, family, n_calls):
+        cstar = None if family == "s3-local" else 1.0
+        checks.build_report(family, 1.0, cstar)
+        calls = _count_calls(monkeypatch, spherical.family(1.0)._zeta_cum, "value")
+        checks.build_report(family, 1.0, cstar)
+        assert len(calls) == n_calls, [np.size(x) for (x,) in calls]
+
     def test_revolution_makes_one_oracle_call(self, monkeypatch):
         checks.build_report("revolution", 1.0, 1.0)
         calls = _count_calls(monkeypatch, diffgeo, "shape_operator")
+        forms = _count_calls(monkeypatch, diffgeo, "fundamental_forms")
         checks.build_report("revolution", 1.0, 1.0)
-        assert len(calls) == 1
+        assert len(calls) == 1 and forms == []
 
     def test_warm_s3_local_report_solves_no_root(self, monkeypatch):
         # the family's roots are cached with it, and the metric route's
@@ -234,10 +247,14 @@ def test_profile_evaluations_per_warm_r3_report(monkeypatch, C):
 
 
 class TestMergedCalls:
-    """The oracle call that a report merges, the revolution report's one
-    `shape_operator` call over its curvature heights and the heights of its
-    mean-curvature samples, gives each point the bits that separate calls
-    give it."""
+    """The oracle calls that a report merges give each point the bits that
+    separate calls give it: the revolution report's one `shape_operator`
+    call over its curvature heights, the heights of its mean-curvature
+    samples and its metric heights, and the first forms that the
+    revolution and s3-local reports read from a shape-operator call in
+    place of a `fundamental_forms` call."""
+
+    FIELDS = ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K")
 
     @pytest.fixture(scope="class")
     def at(self):
@@ -248,16 +265,36 @@ class TestMergedCalls:
         apart = np.concatenate(parts)
         assert merged.shape == apart.shape and merged.tobytes() == apart.tobytes()
 
-    def test_psi_shape_operator(self, at):
+    @staticmethod
+    def psi_samples(at):
+        """The revolution report's patch and its three height sets."""
         m1, p1 = at.h_limits
         patch = at.psi_patch((m1 - (p1 - m1), at.grid[2]))
         heights = checks._strip_interior_samples(at, (0, 1), 5, margin=0.06)
         xi = at.roots.xi01 + np.linspace(0.08, 0.92, 16) * (at.roots.xi02 - at.roots.xi01)
-        merged = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi)]), 0.4)
-        apart = diffgeo.shape_operator(patch, heights, 0.4), diffgeo.shape_operator(
-            patch, at.h0(xi), 0.4)
-        for name in ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K"):
+        h_metric = checks._strip_interior_samples(at, (-1, 0, 1), 10)
+        return patch, (heights, at.h0(xi), h_metric)
+
+    def test_psi_shape_operator(self, at):
+        patch, parts = self.psi_samples(at)
+        merged = diffgeo.shape_operator(patch, np.concatenate(parts), 0.4)
+        apart = [diffgeo.shape_operator(patch, hs, 0.4) for hs in parts]
+        for name in self.FIELDS:
             self.assert_same_bits(getattr(merged, name), *(getattr(a, name) for a in apart))
+
+    @pytest.mark.parametrize("family", ["revolution", "s3-local"])
+    def test_first_forms_from_the_shape_operator(self, at, family):
+        if family == "revolution":
+            patch, parts = self.psi_samples(at)
+            shape = diffgeo.shape_operator(patch, np.concatenate(parts), 0.4)[-len(parts[2]):]
+            us = parts[2]
+        else:
+            patch = spherical.family(1.0).patch()
+            us = patch.grid(10, 4)[0]
+            shape = diffgeo.shape_operator(patch, us, 0.4)
+        for got, want in zip((shape.E, shape.F, shape.G),
+                             diffgeo.fundamental_forms(patch, us, 0.4)):
+            self.assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("C", [10.0, 50.0])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from biconsurf import diffgeo, spherical
+from biconsurf import diffgeo, gluing, spherical
 from biconsurf.numerics import OutOfDomain
 from conftest import assert_matches_reference, curvatures, validate_patch
 
@@ -41,14 +41,16 @@ def round_sphere_patch():
 def flat_torus_patch():
     s = 1.0 / math.sqrt(2.0)
 
+    def pos(u, v):
+        return s * vec(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
+
     def partials(u, v):
-        return (s * vec(-np.sin(u), np.cos(u), 0.0 * u, 0.0 * u),
+        return (pos(u, v), s * vec(-np.sin(u), np.cos(u), 0.0 * u, 0.0 * u),
                 s * vec(0.0 * v, 0.0 * v, -np.sin(v), np.cos(v)))
 
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 2 * math.pi), v_range=(0.0, 2 * math.pi), ambient=diffgeo.SPHERE3,
-        position=lambda u, v: s * vec(np.cos(u), np.sin(u), np.cos(v), np.sin(v)),
-        first_partials=partials)
+        position=pos, first_partials=partials)
 
 
 def latitude_sphere_patch(r):
@@ -61,7 +63,7 @@ def latitude_sphere_patch(r):
     def partials(u, v):
         xu = sr * vec(-np.sin(u) * np.cos(v), np.cos(u) * np.cos(v), 0.0 * u, 0.0 * u)
         xv = sr * vec(-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v), 0.0 * u)
-        return xu, xv
+        return pos(u, v), xu, xv
 
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 2 * math.pi), v_range=(-1.2, 1.2), ambient=diffgeo.SPHERE3,
@@ -246,6 +248,43 @@ class TestPartialsCalls:
         assert data.K == batch.K[0] and data.shape.shape == (2, 2)
         assert diffgeo.biconservativity_residual(patch, 1.1, 0.5) == \
             diffgeo.biconservativity_residual(patch, np.array([1.1]), np.array([0.5]))[0]
+
+
+def sphere_patches():
+    """Spherical patches with the evaluator's point sets: the flat torus,
+    the s3-local strip and the glued immersion across the junction h_{0,1}."""
+    at = gluing.atlas(1.0, 1.0)
+    strip = spherical.family(1.0).patch()
+    glued = at.phi_patch((at.h_limits[0], at.grid[2]))
+    return [(flat_torus_patch(), np.linspace(0.5, 5.5, 7), np.full(7, 1.9)),
+            (strip, np.linspace(*strip.u_range, 9)[1:-1], np.full(7, 0.4)),
+            (glued, np.linspace(at.h_limits[0], at.grid[2], 9)[1:-1], np.full(7, 0.3))]
+
+
+class TestSphereNormals:
+    """On the sphere the evaluator's one call returns the positions that
+    the normals read: no `position` call, and the same normals, bit for
+    bit, as positions from a `position` call of their own give."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["torus", "strip", "glued"])
+    def test_one_evaluator_call_and_no_position_call(self, case):
+        patch, us, vs = sphere_patches()[case]
+        counted, calls = TestPartialsCalls.counted(dataclasses.replace(
+            patch, position=lambda u, v: pytest.fail("the oracle called position")))
+        diffgeo.shape_operator(counted, us, vs)
+        assert calls == [5 * len(us)]
+        diffgeo.biconservativity_residual(counted, us, vs)
+        assert calls == [5 * len(us), 25 * len(us)]
+
+    @pytest.mark.parametrize("case", range(3), ids=["torus", "strip", "glued"])
+    def test_normals_match_a_position_call(self, case):
+        patch, us, vs = sphere_patches()[case]
+        data = diffgeo.shape_operator(patch, us, vs)
+        positions, xu, xv = patch.first_partials(us, vs)
+        assert positions.tobytes() == patch.position(us, vs).tobytes()
+        n = diffgeo._normal(us, vs, patch.position(us, vs), xu, xv)
+        # the orientation flips whole rows
+        assert np.all((data.normal == n).all(1) | (data.normal == -n).all(1))
 
 
 REFERENCE_PATCHES = {

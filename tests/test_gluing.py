@@ -39,6 +39,24 @@ class TestCstarRange:
         with pytest.raises(gluing.InvalidC):
             gluing.cstar_range(0.5)
 
+    def test_c_min_low_part_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(4) / mpmath.mpf(3) ** mpmath.mpf(1.5)
+            assert float(exact - spherical.C_MIN) == gluing.C_MIN_LO
+
+    @pytest.mark.parametrize("C", [0.7698012, 1.00000001 * spherical.C_MIN,
+                                   1.001 * spherical.C_MIN, 1.0, 20.0, 1e6])
+    def test_upper_end_within_4_ulps_of_mpmath(self, C):
+        # with C - C_MIN formed from the rounded C_MIN alone, the upper end
+        # sat 1.75e-11 relative too high at 0.7698012 and 1.9e-9 at
+        # 1.00000001 C_MIN
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = (mpmath.mpf(C) - mpmath.mpf(4) / mpmath.mpf(3) ** mpmath.mpf(1.5)) ** -0.5
+            upper = gluing.cstar_range(C).upper
+            assert abs(float((upper - exact) / math.ulp(float(exact)))) <= 4.0
+
     def test_atlas_rejects_inadmissible(self):
         with pytest.raises(gluing.InvalidC):
             gluing.GluingAtlas(1.0, 3.0)
@@ -560,7 +578,7 @@ class TestJunctionPartials:
         xi = jat.F(h)
         p1, p2, _ = jat.immersion_phi(h, 0.0)[:3]
         d = math.sqrt(jat.C) * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (jat.C * xi * xi - 1.0))
-        d_h, d_theta = jat.immersion_phi_partials(h, 0.3)
+        _, d_h, d_theta = jat.immersion_phi_partials(h, 0.3)
         assert np.all(np.isfinite(d_h)) and np.all(np.isfinite(d_theta))
         # (R cos, s R sin)' = s D (-R sin, s R cos) = D (-Phi2, Phi1) on either strip
         limit = d * np.array([-p2, p1, 0.0, 0.0])
@@ -606,8 +624,9 @@ class TestJunctionPartials:
                 assert tangents.tobytes() == np.concatenate([p[i] for p in one_by_one]).tobytes()
 
     def test_negative_height_radicand_is_out_of_domain(self):
-        # with C* a hair below its upper end, 3 xi^2 - C*^2 T dips to -5.6e-11
-        # of 3 xi^2 near xi00, where the height table's integrand is clamped to 0
+        # with C* a hair below its upper end, 3 xi^2 - C*^2 T dips to -3.4e-11
+        # of 3 xi^2 near xi00, where the height table's integrand is clamped to
+        # 0: T from the roots' product is that far off near the double root
         C = 0.7698012
         nat = gluing.GluingAtlas(C, (1.0 - 1e-15) * gluing.cstar_range(C).upper)
         h = nat.h0(2.2795070569365254)
@@ -618,9 +637,10 @@ class TestJunctionPartials:
 
 class TestOracleWork:
     """Deterministic work of the batched oracle on the glued immersion: a
-    residual sample's 25 partials points have 9 distinct heights and its
-    5 normals' positions 3, and each distinct height inverts h0 once, in
-    one table call for the partials and one for the positions."""
+    residual sample's 25 partials points have 9 distinct heights, and each
+    distinct height inverts h0 once, in one table call.  The 5 normals read
+    their positions from that call, where they took a second table call
+    for 3 heights before the evaluator returned its positions."""
 
     @pytest.mark.parametrize("h", [-0.6, 0.2, 0.9, 1.4])
     def test_residual_sample_inverts_at_most_12_heights(self, at, monkeypatch, h):
@@ -630,10 +650,10 @@ class TestOracleWork:
                             lambda self, y: calls.append(len(y)) or inverse(self, y))
         patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         diffgeo.biconservativity_residual(patch, h, 0.3)
-        assert len(calls) == 2 and 0 < sum(calls) <= 12
+        assert len(calls) == 1 and 0 < sum(calls) <= 9
         calls.clear()
         diffgeo.biconservativity_residual(patch, np.full(3, h) + [0.0, 1e-3, 2e-3], np.full(3, 0.3))
-        assert len(calls) == 2 and sum(calls) <= 36
+        assert len(calls) == 1 and sum(calls) <= 27
 
 
 class TestPeriodicityProbe:
