@@ -121,9 +121,6 @@ class SurfaceData:
     E: float
     F: float
     G: float
-    h11: float
-    h12: float
-    h22: float
     normal: np.ndarray
     shape: np.ndarray        # 2x2 shape-operator matrix in coordinate basis
     f: float                 # mean curvature, trace of the shape operator
@@ -288,8 +285,7 @@ def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
     sign = np.where(A[0, 0] + A[1, 1] < -ORIENT_TOL, -1.0, 1.0)
     A = A * sign
     K = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] + (1.0 if patch.ambient == SPHERE3 else 0.0)
-    return _unbatch(u, v, SurfaceData(E, F, G, sign * h11, sign * h12, sign * h22,
-                                      sign[:, None] * nrm, np.moveaxis(A, -1, 0),
+    return _unbatch(u, v, SurfaceData(E, F, G, sign[:, None] * nrm, np.moveaxis(A, -1, 0),
                                       A[0, 0] + A[1, 1], K))
 
 

@@ -17,7 +17,7 @@ gluing two local pieces, and the homothety law relating different C1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .numerics import OutOfDomain, expand_bracket, find_root
 
 __all__ = [
     "FamilyParamsR3",
-    "RigidMotion",
     "profile_t",
     "complete_profile_x",
     "immersion_XC",
@@ -173,72 +172,28 @@ def boundary_mean_curvature(C1: float) -> float:
     return 2.0 / 3.0 * C1 ** 1.5
 
 
-@dataclass(frozen=True)
-class RigidMotion:
-    """Orthogonal matrix plus translation; reflections allowed."""
-
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-12):
-            raise ValueError("rotation must be a 3x3 orthogonal matrix")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-
-    @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls()
-
-    @classmethod
-    def mirror_z(cls) -> "RigidMotion":
-        return cls(rotation=np.diag([1.0, 1.0, -1.0]))
-
-
-def _closest_on_circle(p, center, axis, radius):
-    """Closest points of a 3D circle to the rows of p, and their distances."""
-    d = p - center
-    radial = d - np.outer(d @ axis, axis)
-    rn = np.linalg.norm(radial, axis=1)
-    # a point on the axis is equidistant from the whole circle: pick a representative
-    on_axis = rn < 1e-300
-    e = np.array([1.0, 0.0, 0.0]) - axis[0] * axis
-    radial[on_axis], rn[on_axis] = e, np.linalg.norm(e)
-    q = center + radius * radial / rn[:, None]
-    return q, np.linalg.norm(p - q, axis=1)
-
-
-def gluing_conditions_check(
-    C1: float,
-    C1p: float,
-    pose: RigidMotion,
-    n_samples: int = 16,
-) -> dict:
+def gluing_conditions_check(C1: float, C1p: float, n_samples: int = 16) -> dict:
     """Boundary-matching mismatches between two local pieces.
 
     Samples the boundary circle of the C1 piece and measures, against the
-    posed C1p piece: distance to its boundary circle, normal parallelism
-    |eta x eta'|, mean-curvature difference, and curvature-gradient
-    difference.  Mismatches are reported, never raised; both gradients
-    vanish in the boundary limit, so their mismatch is structurally zero.
+    C1p piece: distance to its boundary circle, normal parallelism
+    |eta x eta'| and mean-curvature difference.  Mismatches are reported,
+    never raised.  The mirror z -> -z that glues two pieces fixes the
+    boundary plane z = 0 pointwise, and both boundary circles and their
+    normals lie in it, so the check compares the two circles directly.
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
-    R, a = pose.rotation, pose.translation
-    axis = R @ np.array([0.0, 0.0, 1.0])
     v = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    q, dist = _closest_on_circle(boundary_circle_point(C1, v), a, axis, C1p ** -1.5)
-    # parameters of the q on the posed circle, then the posed normals there
-    local = (q - a) @ R
-    eta_p = boundary_normal(C1p, np.arctan2(local[:, 1], local[:, 0])) @ R.T
+    p = boundary_circle_point(C1, v)
+    # the closest points q of the C1p circle (p lies off the axis, in its plane) and the normals there
+    q = C1p ** -1.5 * p / np.linalg.norm(p, axis=1)[:, None]
+    eta_p = boundary_normal(C1p, np.arctan2(q[:, 1], q[:, 0]))
     parallelism = np.linalg.norm(np.cross(boundary_normal(C1, v), eta_p), axis=1)
     return {
-        "position": float(np.max(dist)),
+        "position": float(np.max(np.linalg.norm(p - q, axis=1))),
         "normal_parallelism": float(np.max(parallelism)),
         "mean_curvature": abs(boundary_mean_curvature(C1) - boundary_mean_curvature(C1p)),
-        "grad_mean_curvature": 0.0,
-        "n_samples": n_samples,
     }
 
 

@@ -358,63 +358,45 @@ class GluingAtlas:
 
     # -- junction verification -------------------------------------------------
 
-    def junction_smoothness(self, k: int, orders=(1, 2, 3), functions=("F", "phi1", "phi2"),
-                            phases=None) -> dict:
-        """One-sided h-derivatives of F, Phi1 and Phi2 across the junction
-        h_{0,k}, from exact jets in the end variable s = sqrt|xi - root|;
-        order 0 gives the one-sided values.
+    def junction_jets(self, k: int, phases=None) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right): the one-sided h-derivatives of Phi1 and Phi2 at
+        the junction h_{0,k}, one row per component and one column per
+        order 0 to 3 (order 0 holds the one-sided values), from exact jets
+        in the end variable s = sqrt|xi - root|.
 
-        Both sides have the same series in d = |h - h_j| of F, of the
-        turning angle and of R (`_end_jets`); composing cos, sin(zeta + c)
-        with them gives each component as a series in d.  The sides
-        differ only in their strip's phase constant, the sign of Phi2
-        on odd strips, and the factor (-1)^n that turns the n-th
-        d-derivative into an h-derivative on the left.  `phases` replaces
-        the (left, right) phase constants; the same constant on both sides
-        is the continuity-only branch c_k = c0 of a negative control.  No
-        inversion runs and no integrand is evaluated.  Each mismatch is
-        also given relative to the larger one-sided derivative or to
-        amplitude / (strip height)^order, whichever is larger.
+        Both sides have the same series in d = |h - h_j| of the turning
+        angle and of R (`_end_jets`); composing cos, sin(zeta + c) with
+        them gives each component as a series in d.  The sides differ
+        only in their strip's phase constant, the sign of Phi2 on odd
+        strips, and the factor (-1)^n that turns the n-th d-derivative
+        into an h-derivative on the left.  `phases` replaces the (left,
+        right) phase constants; the same constant on both sides is the
+        continuity-only branch c_k = c0 of a negative control.  No
+        inversion runs and no integrand is evaluated.
         """
         if k not in self.grid:
             raise ValueError(f"junction label {k} outside the atlas grid")
         j = k if k > 0 else k + 1  # the slot of h_{0,k} on the ladder of _strip_points
-        zlim, xi, dz_powers, R = self._end_jets[j % 2]
-        delta = self.h_limits[1] - self.h_limits[0]
+        zlim, dz_powers, R = self._end_jets[j % 2]
 
-        def jets(k, phase):
-            """F, Phi1 and Phi2 on strip k, with phase constant `phase`, as series in d."""
+        def jets(strip, phase, side):
+            """Phi1 and Phi2 on `strip` with phase constant `phase`, as
+            h-derivatives on the side where d = `side` (h - h_j)."""
             ang = zlim + phase
             c, sn = math.cos(ang), math.sin(ang)
-            sgn = -1.0 if k % 2 else 1.0
+            sgn = -1.0 if strip % 2 else 1.0
             phi1 = series_mul(R, series_compose([c, -sn, -c, sn], dz_powers))
             phi2 = series_mul(R, series_compose([sn, c, -sn, -c], dz_powers))
-            return {"F": xi, "phi1": phi1, "phi2": [sgn * v for v in phi2]}
+            return np.array([phi1, [sgn * v for v in phi2]]) * [
+                math.factorial(n) * side ** n for n in range(4)]
 
-        amps = {"F": self.roots.xi02 - self.roots.xi01, "phi1": 2.0, "phi2": 2.0}
         c_left, c_right = phases if phases is not None else (self.phase(j - 1), self.phase(j))
-        left, right = jets(j - 1, c_left), jets(j, c_right)
-        out = {}
-        for name in functions:
-            per_order = {}
-            for order in orders:
-                d_r = math.factorial(order) * right[name][order]
-                d_l = (-1) ** order * math.factorial(order) * left[name][order]
-                mism = abs(d_r - d_l)
-                scale = max(abs(d_l), abs(d_r), amps[name] / delta ** order)
-                per_order[order] = {
-                    "left": d_l,
-                    "right": d_r,
-                    "mismatch": mism,
-                    "relative_mismatch": mism / scale,
-                }
-            out[name] = per_order
-        return out
+        return jets(j - 1, c_left, -1.0), jets(j, c_right, 1.0)
 
     @cached_property
     def _end_jets(self) -> tuple:
         """Per strip end, lower then upper: the turning angle's limit there,
-        and the series to d^3 in d = |h - h_j| of F, the powers of zeta -
+        and the series to d^3 in d = |h - h_j| of the powers of zeta -
         limit (`series_powers`: a strip's phase only shifts the turning
         angle by a constant) and of R = sqrt(1 - 1/(C xi^2)) on a strip
         next to a junction h_j at that end.  The tables are immutable, so
@@ -426,7 +408,7 @@ class GluingAtlas:
         each table; the end integrands are functions of s^2, so both
         series are odd and their even coefficients are set to exactly 0.
         Reverting |h - h_j| = H(s) gives s as a series in d, and composing
-        xi(s) and R(xi) gives the rest.  An end whose series cannot be
+        xi(s) and R(xi) gives R's.  An end whose series cannot be
         reverted or composed in floats (at huge C, H's leading coefficient
         to the fifth underflows, or 1 - 1/(C xi^2) rounds to 0 at the
         root) raises NumericsError naming it.
@@ -453,7 +435,7 @@ class GluingAtlas:
             if not w[0] > 0.0:
                 raise NumericsError(f"the series of R at the {end} strip end is degenerate: "
                                     f"1 - 1/(C xi^2) = {w[0]!r} at xi = {root!r}")
-            out.append((zlim, xi, series_powers([0.0, *dz]),
+            out.append((zlim, series_powers([0.0, *dz]),
                         series_compose(power_derivatives(w[0], 0.5), series_powers(w))))
         return tuple(out)
 

@@ -496,7 +496,7 @@ class ScalarOracle:
         return n / np.linalg.norm(n)
 
     def shape_operator(self, u, v):
-        """(E, F, G, h11, h12, h22, normal, shape, f, K) at one point."""
+        """(E, F, G, normal, shape, f, K) at one point."""
         patch, dg = self.patch, self.dg
         xu, xv = self._tangents(u, v)
         E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
@@ -512,10 +512,9 @@ class ScalarOracle:
         H = np.array([[h[0], h[1]], [h[1], h[2]]])
         A = np.array([[G, -F], [-F, E]]) / det_g @ H
         if np.trace(A) < -dg.ORIENT_TOL:
-            n, h, A = -n, -h, -A
+            n, A = -n, -A
         K = float(np.linalg.det(A)) + (1.0 if patch.ambient == dg.SPHERE3 else 0.0)
-        return {"E": E, "F": F, "G": G, "h11": h[0], "h12": h[1], "h22": h[2], "normal": n,
-                "shape": A, "f": float(np.trace(A)), "K": K}
+        return {"E": E, "F": F, "G": G, "normal": n, "shape": A, "f": float(np.trace(A)), "K": K}
 
     def biconservativity_residual(self, u, v):
         patch, dg = self.patch, self.dg
@@ -535,7 +534,7 @@ class ScalarOracle:
         return res_norm / max(grad_norm * abs(d["f"]) / 2.0, dg.RESIDUAL_FLOOR)
 
 
-FIELDS = ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K")
+FIELDS = ("E", "F", "G", "normal", "shape", "f", "K")
 
 
 def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9):

@@ -222,17 +222,13 @@ def test_criterion_6_gluing(atlas11):
                     for h in rng.uniform(m1, p1, 16))
     ok &= _report("criterion 6b (profile periodicity)", worst_per, 1e-12)
 
-    worst_j = 0.0
-    for k in (1, -1, 2):
-        rep = at.junction_smoothness(k)
-        for fn in rep.values():
-            for order in fn.values():
-                worst_j = max(worst_j, order["relative_mismatch"])
+    # relative mismatches of Phi1 and Phi2 at orders 1..3
+    worst_j = max(np.max(checks._junction_mismatch(at, at.junction_jets(k))[1][:, 1:])
+                  for k in (1, -1, 2))
     ok &= _report("criterion 6c (junction C1..C3 matching)", worst_j, 1e-3)
 
-    neg = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
-                                 phases=(at.phase(0), at.phase(0)))
-    mismatch = neg["phi1"][1]["relative_mismatch"]
+    neg = at.junction_jets(1, phases=(at.phase(0), at.phase(0)))
+    mismatch = checks._junction_mismatch(at, neg)[1][0, 1]  # Phi1, first order
     ok &= _report("criterion 6d (negative control breaks C1)", mismatch, 1e-2,
                   ok=mismatch > 1e-2)
     assert ok
@@ -285,15 +281,12 @@ def test_criterion_9_homothety_and_boundary():
     worst_h = max(np.max(euclidean.homothety_check(c1, *pts)) for c1 in (4.0, 2.3))
     ok = _report("criterion 9a (homothety law)", worst_h, 1e-12)
 
-    rep = euclidean.gluing_conditions_check(
-        1.2, 1.2, euclidean.RigidMotion.mirror_z(), n_samples=16)
-    worst_m = max(rep["position"], rep["normal_parallelism"],
-                  rep["mean_curvature"], rep["grad_mean_curvature"])
+    rep = euclidean.gluing_conditions_check(1.2, 1.2, n_samples=16)
+    worst_m = max(rep["position"], rep["normal_parallelism"], rep["mean_curvature"])
     ok &= _report("criterion 9b (mirror boundary matching)", worst_m, 1e-10)
 
     c1, c1p = 1.2, 1.9
-    neg = euclidean.gluing_conditions_check(
-        c1, c1p, euclidean.RigidMotion.identity(), n_samples=16)
+    neg = euclidean.gluing_conditions_check(c1, c1p, n_samples=16)
     expected = 2.0 / 3.0 * abs(c1 ** 1.5 - c1p ** 1.5)
     gap = abs(neg["mean_curvature"] - expected)
     ok &= _report("criterion 9c (negative control curvature gap)", gap, 1e-12)

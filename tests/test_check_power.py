@@ -237,7 +237,7 @@ PHASE_POWER = {
 # Phi2 -> -Phi2 on odd strips is a reflection of S^3, an isometry: the
 # metric, the sphere norm and the biconservativity residual read the same
 # bits at every sample, and the junction rows take their sign from
-# `junction_smoothness`'s own `sgn`, not from `_profile_at`.  Psi =
+# `junction_jets`'s own `sgn`, not from `_profile_at`.  Psi =
 # (C*/F cos, C*/F sin, h) reads neither the phase nor Phi2
 GLUED_BLIND_SPOTS = (("odd-strip-sign", "s3-complete"), ("odd-strip-sign", "revolution"),
                      ("phase-off-by-one", "revolution"))

@@ -218,6 +218,14 @@ class TestTableCalls:
         checks.build_report(family, 1.0, cstar)
         assert len(calls) == n_calls, [np.size(x) for (x,) in calls]
 
+    def test_junction_compositions_per_warm_report(self, monkeypatch):
+        # one jet set per junction label -3..3 and one for the negative
+        # control, each composing Phi1 and Phi2 on both sides
+        checks.build_report("s3-complete", 1.0, 1.0)
+        calls = _count_calls(monkeypatch, gluing, "series_compose")
+        checks.build_report("s3-complete", 1.0, 1.0)
+        assert len(calls) == 7 * 4
+
     def test_revolution_makes_one_oracle_call(self, monkeypatch):
         checks.build_report("revolution", 1.0, 1.0)
         calls = _count_calls(monkeypatch, diffgeo, "shape_operator")
@@ -254,7 +262,7 @@ class TestMergedCalls:
     revolution and s3-local reports read from a shape-operator call in
     place of a `fundamental_forms` call."""
 
-    FIELDS = ("E", "F", "G", "h11", "h12", "h22", "normal", "shape", "f", "K")
+    FIELDS = ("E", "F", "G", "normal", "shape", "f", "K")
 
     @pytest.fixture(scope="class")
     def at(self):

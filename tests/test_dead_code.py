@@ -6,7 +6,8 @@ an `__all__` list: a definition that only `tests/` or `perfbench/` reach
 belongs with them.  Names are matched without their owner, so a method
 is kept alive by any attribute of the same name.  String constants do
 not count: a dictionary key that happens to share a function's name is
-not a call of it.
+not a call of it.  Likewise every field of a dataclass defined in the
+package is read as an attribute somewhere in `src/`.
 """
 
 import ast
@@ -18,6 +19,10 @@ PACKAGE = ROOT / "src" / "biconsurf"
 # name -> why the package keeps it although only tests and the benchmark reach it
 ALLOWED = {"h0_inverse": "wrapped by name in perfbench/tracing.py",
            "solve_ode": "wrapped by name in perfbench/tracing.py"}
+
+# dataclass field -> why the package keeps it although only tests and the benchmark read it
+ALLOWED_FIELDS = {"normal": "TestSphereNormals pins the oracle's normal",
+                  "turn": "OdeSolution stays with the stepper for the tracer, item 16"}
 
 
 def _references(tree):
@@ -39,6 +44,40 @@ def _references(tree):
 def _used(*tops):
     return {name for top in tops for path in sorted((ROOT / top).rglob("*.py"))
             for name in _references(ast.parse(path.read_text()))}
+
+
+def _attributes_read(top):
+    """Attribute names loaded anywhere under `top`."""
+    return {node.attr for path in sorted((ROOT / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def _dataclass_fields():
+    """(module, class, field) of every annotated field of a dataclass in the package."""
+    return [(path.name, node.name, stmt.target.id) for path in sorted(PACKAGE.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def test_every_dataclass_field_is_read():
+    fields = _dataclass_fields()
+    assert fields
+    read = _attributes_read("src")
+    assert [f"{mod}: {cls}.{name}" for mod, cls, name in fields
+            if name not in read and name not in ALLOWED_FIELDS] == []
+    # an allowed field is still a field, still unread here, and still read outside
+    outside = _attributes_read("tests") | _attributes_read("perfbench")
+    names = {name for _, _, name in fields}
+    assert [name for name in ALLOWED_FIELDS if name not in names
+            or name in read or name not in outside] == []
 
 
 def test_every_definition_is_referenced():

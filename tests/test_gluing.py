@@ -362,25 +362,22 @@ class TestReflectedProfile:
 
 
 class TestJunctionSmoothness:
+    @staticmethod
+    def relative(at, k, phases=None):
+        """The relative mismatches of Phi1 and Phi2 at orders 0..3 that the
+        report reads at the junction h_{0,k}."""
+        return checks._junction_mismatch(at, at.junction_jets(k, phases))[1]
+
     def test_orders_match(self, at):
         for k in (1, -1):
-            rep = at.junction_smoothness(k)
-            for fn, orders in rep.items():
-                for o, d in orders.items():
-                    assert d["relative_mismatch"] < 1e-3, (fn, o, d)
-
-    def test_profile_first_derivative_vanishes(self, at):
-        rep = at.junction_smoothness(1, orders=(1,), functions=("F",))
-        d = rep["F"][1]
-        assert abs(d["left"]) < 1e-8
-        assert abs(d["right"]) < 1e-8
+            left, right = at.junction_jets(k)
+            assert left.shape == right.shape == (2, 4)
+            rel = self.relative(at, k)
+            assert np.all(rel[:, 1:] < 1e-3), (k, rel)
 
     def test_rejected_phase_branch_breaks_c1(self, at):
-        rep = at.junction_smoothness(1, orders=(1,), functions=("phi1",),
-                                     phases=(at.phase(0), at.phase(0)))
-        assert rep["phi1"][1]["relative_mismatch"] > 1e-2
-        rep2 = at.junction_smoothness(1, orders=(1,), functions=("phi1",))
-        assert rep2["phi1"][1]["relative_mismatch"] < 1e-3
+        assert self.relative(at, 1, (at.phase(0), at.phase(0)))[0, 1] > 1e-2
+        assert self.relative(at, 1)[0, 1] < 1e-3
 
     @pytest.mark.parametrize("C", [1.000001 * spherical.C_MIN, 1.001 * spherical.C_MIN,
                                    1.0, 20.0, 1e3])
@@ -389,8 +386,7 @@ class TestJunctionSmoothness:
         # phase constants can tell them apart
         for frac in (1e-3, 0.5, 0.999):
             at = gluing.GluingAtlas(C, _cstar_at(C, frac))
-            worst = max(d["relative_mismatch"] for k in (1, -1, 2)
-                        for fn in at.junction_smoothness(k).values() for d in fn.values())
+            worst = max(np.max(self.relative(at, k)[:, 1:]) for k in (1, -1, 2))
             assert worst <= 1e-10, (C, frac, worst)
 
     def test_jets_match_stencils_on_the_evaluator(self):
@@ -400,15 +396,15 @@ class TestJunctionSmoothness:
         delta = at.h_limits[1] - at.h_limits[0]
         point = functools.lru_cache(maxsize=None)(lambda h: at.immersion_phi(h, 0.0))
         for k in (1, -1, 2):
-            rep = at.junction_smoothness(k)
-            for name, i in (("phi1", 0), ("phi2", 1)):
+            jets = at.junction_jets(k)
+            for i in (0, 1):  # Phi1, Phi2
                 f = lambda h: point(h)[i]
                 for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
-                    for side, forward in (("right", True), ("left", False)):
+                    for side, forward in ((1, True), (0, False)):  # right, left
                         fd = one_sided_derivative(f, at.grid[k], order, step * delta, forward)
-                        jet = rep[name][order][side]
+                        jet = jets[side][i, order]
                         scale = max(abs(jet), 2.0 / delta ** order)
-                        assert abs(fd - jet) <= 1e-5 * scale, (k, name, order, side, jet, fd)
+                        assert abs(fd - jet) <= 1e-5 * scale, (k, i, order, side, jet, fd)
 
     def test_no_inversion_and_no_integrand(self, monkeypatch):
         at = gluing.GluingAtlas(1.0, 1.0)
@@ -420,18 +416,17 @@ class TestJunctionSmoothness:
                 fn = getattr(table, name)
                 monkeypatch.setattr(table, name, lambda x, fn=fn: calls.append(x) or fn(x))
         for k in (1, -1, 2):
-            at.junction_smoothness(k)
-        at.junction_smoothness(1, orders=(1,), functions=("phi1",),
-                               phases=(at.phase(0), at.phase(0)))
+            at.junction_jets(k)
+        at.junction_jets(1, phases=(at.phase(0), at.phase(0)))
         assert calls == []
         at.F(0.3)  # the counter sees an inversion
         assert len(calls) == 1
 
     def test_out_of_atlas(self, at):
         with pytest.raises(ValueError):
-            at.junction_smoothness(0)
+            at.junction_jets(0)
         with pytest.raises(ValueError):
-            at.junction_smoothness(99)
+            at.junction_jets(99)
 
 
 class TestRevolutionSurface:
