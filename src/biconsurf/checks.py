@@ -79,6 +79,8 @@ class Tolerances:
     boundary_match: float = 1e-10
     level_curve: float = 1e-8
     psi_mean_curvature: float = 1e-5
+    partials_vs_positions: float = 2e-7
+    second_vs_first: float = 2e-7
 
 
 def _worst(values, samples, tolerance: float) -> CheckResult:
@@ -125,12 +127,6 @@ def _metric_mismatch(E, F, G, closed):
     return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
 
 
-def _profile_values(at, *heights):
-    """F at each array of heights from one call of `at.F`: an inversion is
-    elementwise, so each value is the one a call of its own would give."""
-    return np.split(at.F(np.concatenate(heights)), np.cumsum([len(h) for h in heights[:-1]]))
-
-
 def _unit_defect(points):
     """| |p| - 1 | for each row p of `points`."""
     return np.abs(np.sqrt(np.einsum("ij,ij->i", points, points)) - 1.0)
@@ -139,6 +135,12 @@ def _unit_defect(points):
 def _level_curve_gap(derivs, c: float, x):
     kg, kf = diffgeo.level_curve_circle_check(derivs, c, x)
     return np.abs(kg - kf)
+
+
+def _consistency_rows(values, samples, tols: Tolerances) -> dict[str, CheckResult]:
+    """The rows of the two `diffgeo.consistency` measures at the samples."""
+    return {"partials_vs_positions": _worst(values[0], samples, tols.partials_vs_positions),
+            "second_vs_first": _worst(values[1], samples, tols.second_vs_first)}
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +166,10 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     u_res, sign, v_res = _product(np.linspace(0.08, 1.45, 8), np.array([-1.0, 1.0]),
                                   np.linspace(0.1, 2.0, 3))
     u_res = sign * u_res
+    # the consistency rows at the K identity's samples, stencils on the residual's call
+    shape = diffgeo.shape_operator(patch, us, 0.4)
+    stencil, defects = diffgeo.consistency(patch, us, 0.4, shape.jet)
+    residual, stencil_jet = diffgeo.biconservativity_residual(patch, u_res, v_res, ride=stencil)
     u_bound = np.linspace(-3.0, 3.0, 101)
     homothety = rng.uniform(0.05, 4.0, 16), rng.uniform(0.0, 2 * math.pi, 16)
     u_level = np.linspace(0.05, 2.5, 16)
@@ -174,12 +180,10 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
             *diffgeo.fundamental_forms(patch, *pullback),
             [euclidean.conformal_factor(par, pullback[0])] * 2), pullback, tols.metric_rel),
         "gauss_curvature_identity": _worst(
-            np.abs(diffgeo.shape_operator(patch, us, 0.4).K
-                   - euclidean.gauss_curvature(par, us)) * length ** 2,
+            np.abs(shape.K - euclidean.gauss_curvature(par, us)) * length ** 2,
             [us], tols.curvature),
-        "biconservativity_residual": _worst(
-            diffgeo.biconservativity_residual(patch, u_res, v_res), [u_res, v_res],
-            tols.residual),
+        "biconservativity_residual": _worst(residual, [u_res, v_res], tols.residual),
+        **_consistency_rows(defects(stencil_jet), [us], tols),
         # a conformal factor >= C makes the metric complete
         "completeness_bound": _worst(1.0 - euclidean.conformal_factor(par, u_bound) / par.C,
                                      [u_bound], 0.0),
@@ -225,8 +229,9 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 
     patch = fam.patch()
     xis, _ = patch.grid(grid, 4)
-    # the metric and the K identity read one oracle call over the same points
+    # metric, K and consistency rows at one call's points; stencils on the residual's
     shape = diffgeo.shape_operator(patch, xis, 0.4)
+    stencil, defects = diffgeo.consistency(patch, xis, 0.4, shape.jet)
     xi_roots = np.array([roots.xi01, roots.xi02])
 
     # intrinsic curvature straight from the metric coefficients, for a few C:
@@ -249,6 +254,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
     residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
+    res, stencil_jet = diffgeo.biconservativity_residual(patch, *residual, ride=stencil)
     # with b = -1 the bridge has xi = e^{-phi}; sample the middle of the strip
     phi_bridge = np.log(1.0 / (roots.xi01 + np.linspace(0.3, 0.7, 7) * width))
     xi_level = roots.xi01 + np.linspace(0.1, 0.9, 16) * width
@@ -270,8 +276,8 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
             _rel_gap(k_metric, spherical.gauss_curvature_DC(xi_metric)), metric_route,
             tols.curvature),
         "sphere_norm": _worst(_unit_defect(fam.immersion(*sphere)), sphere, tols.sphere_norm),
-        "biconservativity_residual": _worst(
-            diffgeo.biconservativity_residual(patch, *residual), residual, tols.residual),
+        "biconservativity_residual": _worst(res, residual, tols.residual),
+        **_consistency_rows(defects(stencil_jet), [xis], tols),
         "prime_integral": _worst(spherical.prime_integral_residual(C1, k, kp2), [xi_curv],
                                  tols.prime_integral),
         "curvature_equation": _worst(spherical.curvature_equation_residual(C1, k, kpp),
@@ -358,8 +364,16 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     junctions = np.array([p1, m1, 0.0]), np.array([roots.xi02, roots.xi01, roots.xi00])
     h_res = _strip_interior_samples(at, (0, 1), 5, margin=0.08)
     h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)  # junction bands excluded
-    up, down, base, xi_junctions, xi_metric = _profile_values(
-        at, h_period + P, h_period - P, h_period, junctions[0], h_metric)
+    # F of every closed-form reference from one inversion: it is elementwise
+    heights = [h_period + P, h_period - P, h_period, junctions[0], h_metric]
+    up, down, base, xi_junctions, xi_metric = np.split(
+        at.F(np.concatenate(heights)), np.cumsum([len(h) for h in heights[:-1]]))
+    # metric and consistency rows at one call, junction stencils straddling
+    h_jet = np.concatenate([h_metric, [at.grid[k] for k in (-2, -1, 1, 2)]])
+    shape = diffgeo.shape_operator(hpatch, h_jet, 0.4)
+    metric = shape[:len(h_metric)]
+    stencil, defects = diffgeo.consistency(hpatch, h_jet, 0.4, shape.jet)
+    res, stencil_jet = diffgeo.biconservativity_residual(hpatch, h_res, 0.3, ride=stencil)
     # (mismatch, relative mismatch) of Phi1 and Phi2 at orders 0..3, one jet set per label
     mismatch = {k: _junction_mismatch(at, at.junction_jets(k)) for k in (-3, -2, -1, 1, 2, 3)}
 
@@ -382,14 +396,14 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
         "junction_negative_control": CheckResult(neg[0, 1], 10.0 * tols.junction_rel,
                                                  comparison="ge"),
         "sphere_norm": _worst(_unit_defect(at.immersion_phi(*sphere)), sphere, tols.sphere_norm),
-        "metric_pullback": _worst(_metric_mismatch(
-            *diffgeo.fundamental_forms(hpatch, h_metric, 0.4), at.psi_metric(xi_metric)),
-            [h_metric], tols.metric_glued_rel),
+        "metric_pullback": _worst(_metric_mismatch(metric.E, metric.F, metric.G,
+                                                   at.psi_metric(xi_metric)),
+                                  [h_metric], tols.metric_glued_rel),
         # the one-sided values of the same jets
         "junction_continuity": per_label(lambda k: np.max(mismatch[k][0][:, 0]),
                                          [-3, -2, -1, 1, 2, 3], 1e-10),
-        "biconservativity_residual": _worst(
-            diffgeo.biconservativity_residual(hpatch, h_res, 0.3), [h_res], tols.residual),
+        "biconservativity_residual": _worst(res, [h_res], tols.residual),
+        **_consistency_rows(defects(stencil_jet), [h_jet], tols),
         # Phi repeats with the profile iff twice the total turning angle
         # is a whole turn
         "periodicity_phase_defect": CheckResult(
@@ -407,19 +421,22 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
     delta = p1 - m1
     roots = at.roots
     patch = at.psi_patch((m1 - delta, at.grid[2]))
-    # every oracle row reads one call over the curvature heights, the
-    # heights of the mean-curvature samples, which are spaced in xi, and
-    # the metric heights
+    # every curvature row reads one call over the curvature heights, the
+    # mean-curvature heights (spaced in xi) and the metric heights; one more
+    # evaluator call for the first two's consistency stencils, the radius heights and xi = C*/r
     heights = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
     xi_mean = roots.xi01 + np.linspace(0.08, 0.92, 16) * (roots.xi02 - roots.xi01)
     h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)
-    shape = diffgeo.shape_operator(patch, np.concatenate([heights, at.h0(xi_mean), h_metric]),
-                                   0.4)
-    n, n_mean = len(heights), len(heights) + len(xi_mean)
-    shape, shape_mean, shape_metric = shape[:n], shape[n:n_mean], shape[n_mean:]
+    h_jet = np.concatenate([heights, at.h0(xi_mean)])
+    shape = diffgeo.shape_operator(patch, np.concatenate([h_jet, h_metric]), 0.4)
+    n, n_mean = len(heights), len(h_jet)
+    jet, shape, shape_mean, shape_metric = shape.jet, shape[:n], shape[n:n_mean], shape[n_mean:]
+    stencil, defects = diffgeo.consistency(patch, h_jet, 0.4, jet[:n_mean])
     h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
-    xi_metric, xi_heights, xi_radius = _profile_values(at, h_metric, heights, h_radius)
-    r = at.Cstar / xi_radius
+    ride = patch.jet(np.concatenate([stencil[0], h_radius]),
+                     np.concatenate([stencil[1], np.zeros(64)])).swapaxes(0, 1)
+    xi_heights, _, xi_metric = np.split(at.Cstar / np.hypot(*jet[:, 0, :2].T), [n, n_mean])
+    r = np.hypot(*ride[-64:, 0, :2].T)
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
 
     return {
@@ -439,6 +456,7 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
             _rel_gap(shape_mean.f, np.abs(at.mean_curvature_psi(xi_mean))),
             [xi_mean], tols.psi_mean_curvature),
         "radius_range": _worst(np.where((lo <= r) & (r <= hi), 0.0, 1.0), [h_radius], 0.0),
+        **_consistency_rows(defects(ride[:-64]), [h_jet], tols),
     }
 
 

@@ -1,24 +1,23 @@
 """Independent differential-geometry oracle for immersed surface patches.
 
-Given nothing but a position evaluator and analytic first partials,
-computes first and second fundamental forms, the shape operator, mean and
-Gauss curvature, curvature gradients, and the residual of the eigenvector
-condition A(grad f) = -(f/2) grad f that characterizes biconservative
-surfaces in a 3-space-form.  Second derivatives are central differences
-of the partials, curvature gradients central differences of the
-curvatures.  Every step comes from `_step`: a fixed fraction, per
-stencil, of the differenced coordinate's own width, shrunk near a
-singular value of u in proportion to the distance from it.  Two ambients
-are supported: Euclidean 3-space, and the unit 3-sphere sitting in
-4-space (where the surface normal is the unit vector orthogonal to the
-position and both tangents).
+Given a patch's jet, positions with first and second partials in closed
+form, computes first and second fundamental forms, the shape operator,
+mean and Gauss curvature, curvature gradients (central differences of the
+curvatures, steps from `_step`: a fixed fraction of the coordinate's
+width, shrunk near a singular value of u), and the residual of the
+eigenvector condition A(grad f) = -(f/2) grad f that characterizes
+biconservative surfaces in a 3-space-form.  Two consistency measures keep
+the oracle independent of the closed forms it reads: the first partials
+against fourth-order differences of the positions, and the second against
+those of the first.  Two ambients are supported: Euclidean 3-space, and
+the unit 3-sphere in 4-space (where the surface normal is the unit
+vector orthogonal to the position and both tangents).
 
 The oracle is batched: an entry point takes a sample set of points, calls
-`first_partials` once on all their stencil points (5 per shape operator,
-25 per residual) and does the rest on arrays, point by point.  On the
-sphere that one call also returns the positions, so the normal needs no
-second evaluation of the patch.  A scalar call is the one-point case and
-returns scalars.
+the patch's `jet` once on all their points (one per shape operator, 5 per
+residual; the residual may carry extra `ride` points in that call) and
+does the rest on arrays, point by point.  A scalar call is the one-point
+case and returns scalars.
 """
 
 from __future__ import annotations
@@ -50,11 +49,10 @@ EUCLIDEAN3 = "euclidean3"
 SPHERE3 = "sphere3"
 
 # Step of each stencil as a fraction of the differenced coordinate's
-# length scale (see _step): central differences of analytic partials,
-# fourth-order differences of exact values (positions, metric
-# coefficients), and central differences of curvatures, which carry the
-# partials' differencing noise and so take the longer step.
-FD_FRACTION = {"partials": 1e-5, "values": 1e-4, "curvature": 1e-3}
+# length scale (see _step): fourth-order differences of metric
+# coefficients, central differences of curvatures, and fourth-order
+# differences of jets, on the jets' own scale (see consistency).
+FD_FRACTION = {"values": 1e-4, "curvature": 1e-3, "jet": 1e-3}
 # Near a singular value the length scale is this multiple of the distance
 # to it: the partials blow up like its inverse square root, and relative
 # truncation goes like (step / distance)^2.
@@ -81,19 +79,18 @@ class ImmersionPatch:
 
     position(us, vs) takes equal-length 1-D arrays of points and returns
     their (n, 3) positions for the Euclidean ambient, (n, 4) unit vectors
-    for the spherical one.  first_partials(us, vs) returns the pair of
-    (n, d) tangent arrays (X_u, X_v) in R^3, and on the sphere the triple
-    (X, X_u, X_v) with the positions first, from the same evaluation.
-    The oracle differences the tangents for second derivatives, reads the
-    positions only for the spherical normal, and never calls `position`.
-    Each coordinate's steps scale with that coordinate's own width.
+    for the spherical one.  jet(us, vs) returns (X, X_u, X_v, X_uu, X_uv,
+    X_vv), six (n, d) arrays in closed form from one evaluation, stacked as
+    one (6, n, d) array or not; the oracle never calls `position`, and only
+    the consistency measures, which difference the jets, can tell a wrong
+    closed form from a right one.  Steps scale with each coordinate's width.
     """
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     ambient: str
     position: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    first_partials: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    jet: Callable[[np.ndarray, np.ndarray], np.ndarray]
     # u-values where the chart degenerates (metric blows up); derivative
     # steps shrink in proportion to the distance from these.
     u_singularities: tuple[float, ...] = ()
@@ -116,7 +113,7 @@ class ImmersionPatch:
 @dataclass
 class SurfaceData:
     """Geometric data of an immersed patch: per-point arrays over a batch
-    (normal (n, d), shape (n, 2, 2)), or one point's values."""
+    (normal (n, d), shape (n, 2, 2), jet (n, 6, d)), or one point's values."""
 
     E: float
     F: float
@@ -125,6 +122,7 @@ class SurfaceData:
     shape: np.ndarray        # 2x2 shape-operator matrix in coordinate basis
     f: float                 # mean curvature, trace of the shape operator
     K: float                 # Gauss curvature of the induced metric
+    jet: np.ndarray          # the patch's (X, X_u, X_v, X_uu, X_uv, X_vv) it was read from
 
     def __getitem__(self, i) -> "SurfaceData":
         """The data of point i, or of a slice of points, of a batch."""
@@ -142,10 +140,16 @@ def per_distinct(fun, u):
 
 def stack_coordinates(*coords):
     """Points of shape (..., len(coords)) from the broadcast coordinate arrays."""
-    out = np.empty(np.broadcast_shapes(*map(np.shape, coords)) + (len(coords),))
+    out = np.empty(np.broadcast(*coords).shape + (len(coords),))
     for i, x in enumerate(coords):
         out[..., i] = x
     return out
+
+
+def stack_jet(*rows):
+    """(X, X_u, X_v, X_uu, X_uv, X_vv) as one (6, n, d) array from six rows."""
+    out = stack_coordinates(*(x for row in rows for x in row))
+    return out.reshape(out.shape[:-1] + (6, -1)).swapaxes(0, -2)
 
 
 def _fd4(fun, x, h):
@@ -224,13 +228,6 @@ def _inverse_metric(E, F, G):
     return G / det, -F / det, E / det
 
 
-def _evaluate(patch: ImmersionPatch, us, vs):
-    """(positions, X_u, X_v) at the points from one `first_partials` call;
-    the positions are None in R^3, where the oracle does not read them."""
-    out = patch.first_partials(us, vs)
-    return out if patch.ambient == SPHERE3 else (None, *out)
-
-
 def _normal(us, vs, p, xu, xv):
     """Unit normals (n, d): the cross product of the tangents in R^3, where
     the positions p are None; in R^4 the Hodge dual of p ^ xu ^ xv,
@@ -257,27 +254,24 @@ def _normal(us, vs, p, xu, xv):
 def fundamental_forms(patch: ImmersionPatch, u, v):
     """First fundamental form coefficients (E, F, G) at interior points."""
     us, vs = _points(u, v)
-    return _unbatch(u, v, _first_form(us, vs, *_evaluate(patch, us, vs)[1:]))
+    return _unbatch(u, v, _first_form(us, vs, *patch.jet(us, vs)[1:3]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
-    """Shape operator and supporting data, normal oriented so f >= 0.
+def shape_operator(patch: ImmersionPatch, u, v, ride=None) -> SurfaceData:
+    """Shape operator and data, normal oriented so f >= 0 (and the `ride` points' jets).
 
-    The second-form coefficients are ambient inner products of the second
-    coordinate derivatives with the unit normal; on the sphere the normal
-    is orthogonal to the position, so the same formula computes the form
-    with respect to the spherical connection.
+    The second-form coefficients are ambient inner products of the
+    closed-form second partials with the unit normal; on the sphere the
+    normal is orthogonal to the position, so the same formula computes the
+    form with respect to the spherical connection.
     """
     us, vs = _points(u, v)
-    n = len(us)
-    hu = _step("partials", patch.u_range, us, patch.u_singularities)
-    hv = _step("partials", patch.v_range, vs, ())
-    p, xu, xv = _evaluate(patch, *_stencil(us, vs, hu, hv))
-    E, F, G = _first_form(us, vs, xu[:n], xv[:n])
-    nrm = _normal(us, vs, None if p is None else p[:n], xu[:n], xv[:n])
-    xuu, xuv = _central(xu, hu, hv)
-    xvv = _central(xv, hu, hv)[1]
+    jet = np.asarray(patch.jet(*(np.concatenate([x, r]) for x, r in
+                                 zip((us, vs), ride or ((), ())))))
+    p, xu, xv, xuu, xuv, xvv = jet[:, :len(us)]
+    E, F, G = _first_form(us, vs, xu, xv)
+    nrm = _normal(us, vs, p if patch.ambient == SPHERE3 else None, xu, xv)
     h11, h12, h22 = (_dot(x, nrm) for x in (xuu, xuv, xvv))
     g11, g12, g22 = _inverse_metric(E, F, G)
     A = np.array([[g11 * h11 + g12 * h12, g11 * h12 + g12 * h22],
@@ -285,26 +279,30 @@ def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
     sign = np.where(A[0, 0] + A[1, 1] < -ORIENT_TOL, -1.0, 1.0)
     A = A * sign
     K = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] + (1.0 if patch.ambient == SPHERE3 else 0.0)
-    return _unbatch(u, v, SurfaceData(E, F, G, sign[:, None] * nrm, np.moveaxis(A, -1, 0),
-                                      A[0, 0] + A[1, 1], K))
+    out = _unbatch(u, v, SurfaceData(E, F, G, sign[:, None] * nrm, A.transpose(2, 0, 1),
+                                     A[0, 0] + A[1, 1], K, jet[:, :len(us)].swapaxes(0, 1)))
+    return out if ride is None else (out, jet[:, len(us):].swapaxes(0, 1))
 
 
-def _curvature_gradients(patch: ImmersionPatch, us, vs):
-    """Shape operators at the points, and there the metric gradients
-    g^{-1} d(f) and g^{-1} d(K) as (n, 2) arrays: one shape_operator call
-    over the points and their central-difference stencils."""
+def _curvature_gradients(patch: ImmersionPatch, us, vs, ride=None):
+    """Shape operators at the points, there the metric gradients g^{-1} d(f)
+    and g^{-1} d(K) as (n, 2) arrays, and the jets at the `ride` points: one
+    shape_operator call over the points and their stencils."""
     hu = _step("curvature", patch.u_range, us, patch.u_singularities)
     hv = _step("curvature", patch.v_range, vs, ())
-    stencil = shape_operator(patch, *_stencil(us, vs, hu, hv))
+    stencil = shape_operator(patch, *_stencil(us, vs, hu, hv), ride=ride)
+    stencil, rode = (stencil, None) if ride is None else stencil
     data = stencil[:len(us)]
     g11, g12, g22 = _inverse_metric(data.E, data.F, data.G)
     grads = (_central(x, hu, hv) for x in (stencil.f, stencil.K))
-    return data, *(np.stack([g11 * du + g12 * dv, g12 * du + g22 * dv], -1) for du, dv in grads)
+    return (data, *(np.stack([g11 * du + g12 * dv, g12 * du + g22 * dv], -1)
+                    for du, dv in grads), rode)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def biconservativity_residual(patch: ImmersionPatch, u, v):
-    """Scale-free defect of A(grad f) = -(f/2) grad f at each point.
+def biconservativity_residual(patch: ImmersionPatch, u, v, ride=None):
+    """Scale-free defect of A(grad f) = -(f/2) grad f at each point, and
+    with `ride` points, which its evaluator call covers, their jets too.
 
     Returns |A(grad f) + (f/2) grad f|_g normalized by |grad f|_g |f| / 2
     (with an absolute floor).  Where the gradient is below the CMC
@@ -313,14 +311,43 @@ def biconservativity_residual(patch: ImmersionPatch, u, v):
     A NaN anywhere in a point's data gives that point a NaN.
     """
     us, vs = _points(u, v)
-    d, grad_f, _ = _curvature_gradients(patch, us, vs)
+    d, grad_f, _, rode = _curvature_gradients(patch, us, vs, ride)
     # lengths in the induced metric of tangent components (n, 2)
     length = lambda x: np.sqrt(np.maximum(
         0.0, (x[:, 0] * d.E + x[:, 1] * d.F) * x[:, 0] + (x[:, 0] * d.F + x[:, 1] * d.G) * x[:, 1]))
     res_norm = length(np.einsum("nij,nj->ni", d.shape, grad_f) + 0.5 * d.f[:, None] * grad_f)
     grad_norm = length(grad_f)
     denom = np.maximum(grad_norm * np.abs(d.f) / 2.0, RESIDUAL_FLOOR)
-    return _unbatch(u, v, np.where(grad_norm <= GRADIENT_THRESHOLD, res_norm, res_norm / denom))
+    out = _unbatch(u, v, np.where(grad_norm <= GRADIENT_THRESHOLD, res_norm, res_norm / denom))
+    return out if ride is None else (out, rode)
+
+
+def consistency(patch: ImmersionPatch, us, vs, jet):
+    """The stencil u -+ 2h, u -+ h, then v -+ 2k, v -+ k about the broadcast
+    (us, vs) with jets `jet` (m, 6, d), and a function of its jets that gives
+    per point, D the fourth-order differences, the larger of |D_u X - X_u|/|X_u|
+    and |D_v X - X_v|/|X_v|, and the largest |D_a X_b - X_ab| over |X_b| / (the
+    length step a came from), ab = uu, uv (a = v), vv.  A step is FD_FRACTION of
+    the shortest of the width and |X_u|/|X_uu|, |X_v|/|X_uv| in u (Psi_h =
+    (r' cos, r' sin, 1) sees r vary only through the second), |X_v|/|X_vv|,
+    |X_u|/|X_uv| in v."""
+    nu, nv, nuu, nuv, nvv = np.sqrt(np.einsum("mkd,mkd->km", jet[:, 1:], jet[:, 1:]))
+    (u0, u1), (v0, v1) = patch.u_range, patch.v_range
+    with np.errstate(divide="ignore"):
+        h = FD_FRACTION["jet"] * np.minimum(np.minimum(nu / nuu, nv / nuv), u1 - u0)
+        k = FD_FRACTION["jet"] * np.minimum(np.minimum(nv / nvv, nu / nuv), v1 - v0)
+
+    def measure(stencil_jet):
+        a = [0, 1, 0, 1, 1]  # the direction of each difference, then its entry b
+        s = stencil_jet.reshape(2, 4, *jet.shape)[a, :, :, [0, 0, 1, 1, 2]]
+        d = (s[:, 0] - 8.0 * (s[:, 1] - s[:, 2]) - s[:, 3]) / (12.0 * np.stack([h, k])[a, :, None])
+        d -= jet[:, 1:].swapaxes(0, 1)
+        g = np.sqrt(np.einsum("kmd,kmd->km", d, d))
+        return (np.maximum(g[0] / nu, g[1] / nv), np.maximum.reduce(
+            [g[2] * h / nu, g[3] * k / nu, g[4] * k / nv]) / FD_FRACTION["jet"])
+    off = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    return ((np.concatenate([us + off * h, us + 0.0 * off * k]).ravel(),
+             np.concatenate([vs + 0.0 * off * h, vs + off * k]).ravel()), measure)
 
 
 def level_curve_circle_check(derivs: Callable, c: float, point):

@@ -108,16 +108,17 @@ def immersion_XC(params: FamilyParamsR3, u, v) -> np.ndarray:
 
 
 def immersion_XC_partials(params: FamilyParamsR3, u, v):
-    """(X_u, X_v) at the points (u, v), with cosh and sinh once per distinct u."""
+    """The jet (X, X_u, X_v, X_uu, X_uv, X_vv) of X_C at the points (u, v),
+    from whole-array cosh and sinh."""
     s = math.sqrt(params.C)
-
-    def at(x):
-        ch, sh = math.cosh(x), math.sinh(x)
-        return s * ch * ch * sh, s * ch * ch, s * ch ** 3
-    a, b, c = diffgeo.per_distinct(lambda us: zip(*map(at, us.tolist())), u)
+    u = np.asarray(u, dtype=float)
+    ch, sh = np.cosh(u), np.sinh(u)
+    r, dr, d2r = s / 3.0 * ch ** 3, s * ch * ch * sh, s * ch * (ch * ch + 2.0 * sh * sh)
     c3, s3 = np.cos(3.0 * np.asarray(v)), np.sin(3.0 * np.asarray(v))
-    return (diffgeo.stack_coordinates(a * c3, a * s3, b),
-            diffgeo.stack_coordinates(-c * s3, c * c3, 0.0))
+    return diffgeo.stack_jet(
+        (r * c3, r * s3, s / 2.0 * (sh * ch + u)), (dr * c3, dr * s3, s * ch * ch),
+        (-3.0 * r * s3, 3.0 * r * c3, 0.0), (d2r * c3, d2r * s3, 2.0 * s * ch * sh),
+        (-3.0 * dr * s3, 3.0 * dr * c3, 0.0), (-9.0 * r * c3, -9.0 * r * s3, 0.0))
 
 
 def xc_patch(params: FamilyParamsR3) -> diffgeo.ImmersionPatch:
@@ -127,7 +128,7 @@ def xc_patch(params: FamilyParamsR3) -> diffgeo.ImmersionPatch:
         v_range=(0.0, 2.0 * math.pi / 3.0),
         ambient=diffgeo.EUCLIDEAN3,
         position=lambda u, v: immersion_XC(params, u, v),
-        first_partials=lambda u, v: immersion_XC_partials(params, u, v),
+        jet=lambda u, v: immersion_XC_partials(params, u, v),
     )
 
 

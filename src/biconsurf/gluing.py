@@ -28,7 +28,7 @@ import numpy as np
 from . import diffgeo
 from .numerics import (NumericsError, OutOfDomain, check_range, power_derivatives,
                        series_compose, series_mul, series_powers, series_revert)
-from .spherical import C_MIN, SphereFamily, T, family, strip_quadrature
+from .spherical import C_MIN, SphereFamily, T, T_deriv, family, strip_quadrature
 
 __all__ = [
     "InvalidC",
@@ -238,11 +238,11 @@ class GluingAtlas:
         return xi if xi.ndim else float(xi)
 
     def _rates(self, k, xi, zeta=True):
-        """(dF/dh, d zeta0(F)/dh) = s (sqrt(T) / g_h, g_zeta / g_h) on strips k
-        at F = xi, from the tables' integrands g / sqrt(T); s = -1 on odd strips.
-        Both are finite on the closed strip, and at a junction, where T = 0
-        exactly, they are the limits 0 and sqrt(C) xi^{7/3} / (sqrt(3) (C xi^2 - 1)),
-        up to the strip's sign.  With zeta=False only (dF/dh,), which Psi needs."""
+        """(F', F'', zeta', zeta'') in h on strips k at F = xi, from the tables'
+        integrands g / sqrt(T): F' = s sqrt(T)/g_h, F'' = T'/(2 g_h^2) - T g_h'/g_h^3,
+        zeta' = s g_zeta/g_h, zeta'' = zeta' F' (g_zeta'/g_zeta - g_h'/g_h), s = -1 on
+        odd strips; finite on the closed strip, F' = zeta'' = 0 at a junction (T = 0).
+        With zeta=False only (F', F''), which Psi needs."""
         xi = np.asarray(xi, dtype=float)
         t = self.roots.T(xi)
         gh = self._h_g(xi, t)  # 0 where it clamps a negative radicand 3 xi^2 - C*^2 T
@@ -250,8 +250,14 @@ class GluingAtlas:
         if bad.any():
             raise OutOfDomain(f"C xi^2 <= 1 or 3 xi^2 <= C*^2 T at xi = {float(xi[bad][0])}")
         s = np.where(np.asarray(k) % 2 == 1, -1.0, 1.0)
+        cs2, tp = self.Cstar * self.Cstar, T_deriv(self.C, xi)
+        log_rate = (6.0 * xi - cs2 * tp) / (2.0 * (3.0 * xi * xi - cs2 * t)) - 2.0 / xi
         dF = s * np.sqrt(t) / gh
-        return (dF, s * self.family._zeta_g(xi, t) / gh) if zeta else (dF,)
+        d2F = (0.5 * tp - t * log_rate) / (gh * gh)
+        if not zeta:
+            return dF, d2F
+        dz = s * self.family._zeta_g(xi, t) / gh
+        return dF, d2F, dz, dz * dF * (self.family._zeta_log_rate(xi) - log_rate)
 
     # -- revolution surface -----------------------------------------------------
 
@@ -266,16 +272,20 @@ class GluingAtlas:
         return diffgeo.stack_coordinates(r * np.cos(ang), r * np.sin(ang), h)
 
     def immersion_psi_partials(self, h, theta):
-        """(Psi_h, Psi_theta) at the points, with F once on the distinct h and
-        the radius rate once per distinct h."""
+        """The jet (Psi, Psi_h, Psi_theta, Psi_hh, Psi_htheta, Psi_thetatheta)
+        at the points, with F and its h-rates once per distinct h."""
         def at(y):
             k, xi = self._strip_points(y)
-            return xi, -self.Cstar * self._rates(k, xi, zeta=False)[0] / (xi * xi)
-        xi, dr = diffgeo.per_distinct(at, h)
-        ang = np.asarray(theta) / self.Cstar
+            return (xi, *self._rates(k, xi, zeta=False))
+        xi, dF, d2F = diffgeo.per_distinct(at, h)
+        cs = self.Cstar
+        r, dr, d2r = cs / xi, -cs * dF / (xi * xi), cs * (2.0 * dF * dF / xi - d2F) / (xi * xi)
+        ang = np.asarray(theta, dtype=float) / cs
         ca, sa = np.cos(ang), np.sin(ang)
-        return (diffgeo.stack_coordinates(dr * ca, dr * sa, 1.0),
-                diffgeo.stack_coordinates(-sa / xi, ca / xi, 0.0))
+        return diffgeo.stack_jet((r * ca, r * sa, h), (dr * ca, dr * sa, 1.0),
+                                 (-sa / xi, ca / xi, 0.0), (d2r * ca, d2r * sa, 0.0),
+                                 (-dr * sa / cs, dr * ca / cs, 0.0),
+                                 (-ca / (cs * xi), -sa / (cs * xi), 0.0))
 
     def psi_metric(self, xi):
         """Closed-form induced metric (E, G) of the revolution surface at
@@ -314,7 +324,7 @@ class GluingAtlas:
             v_range=(0.0, TWO_PI * self.Cstar),
             ambient=diffgeo.EUCLIDEAN3,
             position=self.immersion_psi,
-            first_partials=self.immersion_psi_partials,
+            jet=self.immersion_psi_partials,
         )
 
     # -- glued sphere immersion ----------------------------------------------
@@ -336,15 +346,14 @@ class GluingAtlas:
         return self.family.point(xi, theta, zeta, c, s)
 
     def immersion_phi_partials(self, h, theta):
-        """(Phi, Phi_h, Phi_theta) at the points: the positions of
-        `immersion_phi` and both partials, with the profile once on the
-        distinct h and its h-rates once per distinct h."""
+        """The jet (Phi, Phi_h, Phi_theta, Phi_hh, Phi_htheta, Phi_thetatheta)
+        at the points, with the profile once on the distinct h and its
+        h-rates once per distinct h."""
         def at(y):
             k, prof = self._profile_at(y)
             return (*prof, *self._rates(k, prof[0]))
-        xi, zeta, c, s, dxi, dzeta = diffgeo.per_distinct(at, h)
-        fam = self.family
-        return fam.point(xi, theta, zeta, c, s), *fam.tangents(xi, theta, zeta, c, s, dxi, dzeta)
+        xi, zeta, c, s, *rates = diffgeo.per_distinct(at, h)
+        return self.family.point(xi, theta, zeta, c, s, rates)
 
     def phi_patch(self, h_range) -> diffgeo.ImmersionPatch:
         """Phi over the heights h_range and theta in [0, 1]."""
@@ -353,7 +362,7 @@ class GluingAtlas:
             v_range=(0.0, 1.0),
             ambient=diffgeo.SPHERE3,
             position=self.immersion_phi,
-            first_partials=self.immersion_phi_partials,
+            jet=self.immersion_phi_partials,
         )
 
     # -- junction verification -------------------------------------------------

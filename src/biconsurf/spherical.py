@@ -253,6 +253,8 @@ class SphereFamily:
 
         C = self.C  # not self in g_zeta: that cycle would outlive cache eviction
         self._zeta_g = lambda tau, t: sc * np.power(tau, 4.0 / 3.0) / (C * tau * tau - 1.0)
+        # g_zeta' / g_zeta, which zeta0'' and the glued rates read
+        self._zeta_log_rate = lambda tau: 4.0 / (3.0 * tau) - 2.0 * C * tau / (C * tau * tau - 1.0)
 
     @cached_property
     def _zeta_cum(self) -> CumulativeQuadrature:
@@ -286,10 +288,11 @@ class SphereFamily:
 
     # -- immersion ----------------------------------------------------------
 
-    def point(self, xi, theta, zeta, c=0.0, s=1.0) -> np.ndarray:
+    def point(self, xi, theta, zeta, c=0.0, s=1.0, rates=None):
         """Points (R cos(zeta + c), s R sin(zeta + c), cos(sqrt(C) theta) / (sqrt(C) xi),
         sin(sqrt(C) theta) / (sqrt(C) xi)), R = sqrt(1 - 1/(C xi^2)), of shape (..., 4)
-        at the broadcast arguments; the strip has c = 0 and s = 1."""
+        at the broadcast arguments; the strip has c = 0 and s = 1.  With the
+        rates (xi_u, xi_uu, zeta_u, zeta_uu) along a parameter u, the jet in (u, theta)."""
         w = 1.0 - 1.0 / (self.C * xi * xi)
         if np.any(w <= 0.0):
             raise OutOfDomain(f"C xi^2 <= 1 at xi = {np.min(xi)}")
@@ -297,24 +300,22 @@ class SphereFamily:
         sc = math.sqrt(self.C)
         d = sc * xi
         theta = sc * np.asarray(theta, dtype=float)
-        return diffgeo.stack_coordinates(R * np.cos(zeta + c), s * R * np.sin(zeta + c),
-                                         np.cos(theta) / d, np.sin(theta) / d)
-
-    def tangents(self, xi, theta, zeta, c=0.0, s=1.0, dxi=1.0, dzeta=0.0):
-        """Partials of `point`, one row per point, along a parameter in which
-        xi and zeta change at the rates dxi and dzeta, and along theta."""
-        R = np.sqrt(1.0 - 1.0 / (self.C * xi * xi))
-        sc = math.sqrt(self.C)
-        dR = 1.0 / (self.C * xi ** 3 * R)
-        ct, st = np.cos(sc * theta), np.sin(sc * theta)
-        cz, sz = np.cos(zeta + c), np.sin(zeta + c)
-        d_u = diffgeo.stack_coordinates(
-            dxi * dR * cz - R * sz * dzeta,
-            s * (dxi * dR * sz + R * cz * dzeta),
-            -dxi * ct / (sc * xi * xi),
-            -dxi * st / (sc * xi * xi),
-        )
-        return d_u, diffgeo.stack_coordinates(0.0, 0.0, -st / xi, ct / xi)
+        cz, sz, ct, st = np.cos(zeta + c), np.sin(zeta + c), np.cos(theta), np.sin(theta)
+        X = (R * cz, s * R * sz, ct / d, st / d)
+        if rates is None:
+            return diffgeo.stack_coordinates(*X)
+        dxi, d2xi, dz, d2z = rates  # and below the xi-derivatives of R and of 1/d
+        R1 = 1.0 / (self.C * xi ** 3 * R)
+        R2 = -(3.0 * R + xi * R1) / (self.C * xi ** 4 * R * R)
+        A1, A2 = -1.0 / (d * xi), 2.0 / (d * xi * xi)
+        # (X1 + i X2 / s) = (a + i b) e^{i (zeta + c)}
+        rot = lambda a, b: (a * cz - b * sz, s * (a * sz + b * cz))
+        a1, a2 = A1 * dxi, A2 * dxi * dxi + A1 * d2xi
+        return diffgeo.stack_jet(
+            X, (*rot(R1 * dxi, R * dz), a1 * ct, a1 * st), (0.0, 0.0, -st / xi, ct / xi),
+            (*rot(R2 * dxi * dxi + R1 * d2xi - R * dz * dz, 2.0 * R1 * dxi * dz + R * d2z),
+             a2 * ct, a2 * st), (0.0, 0.0, dxi * st / (xi * xi), -dxi * ct / (xi * xi)),
+            (0.0, 0.0, -sc * ct / xi, -sc * st / xi))
 
     def immersion(self, xi, theta) -> np.ndarray:
         """Points of Phi_C at the broadcast (xi, theta), shape (..., 4), with
@@ -327,10 +328,14 @@ class SphereFamily:
         return self.point(xi, theta, *diffgeo.per_distinct(at, xi))
 
     def immersion_partials(self, xi, theta):
-        """(X, X_xi, X_theta) at the points: the positions of `immersion` and
-        both partials, with zeta0 and zeta0' once on the distinct xi."""
-        zeta, dzeta = diffgeo.per_distinct(lambda xs: (self.zeta0(xs), self.zeta0_deriv(xs)), xi)
-        return self.point(xi, theta, zeta), *self.tangents(xi, theta, zeta, dzeta=dzeta)
+        """The jet in (xi, theta) at the points, with zeta0, zeta0' and
+        zeta0'' = zeta0' (g_zeta'/g_zeta - T'/(2T)) once on the distinct xi."""
+        def at(xs):
+            dz = self.zeta0_deriv(xs)
+            rate = self._zeta_log_rate(xs) - 0.5 * T_deriv(self.C, xs) / self.roots.T(xs)
+            return self.zeta0(xs), dz, dz * rate
+        zeta, dz, d2z = diffgeo.per_distinct(at, xi)
+        return self.point(xi, theta, zeta, rates=(1.0, 0.0, dz, d2z))
 
     def patch(self) -> diffgeo.ImmersionPatch:
         """Strip patch over theta in [0, 1], trimmed by 1e-3 of the strip
@@ -343,7 +348,7 @@ class SphereFamily:
             v_range=(0.0, 1.0),
             ambient=diffgeo.SPHERE3,
             position=self.immersion,
-            first_partials=lambda xi, th: self.immersion_partials(xi, th),
+            jet=lambda xi, th: self.immersion_partials(xi, th),
             u_singularities=(self.roots.xi01, self.roots.xi02),
         )
 

@@ -17,7 +17,8 @@ the reference for the package's second-order stepper and, with
 `curvature_f`, the trajectory of the profile curvature that the report
 checks in closed form.  `curvatures` reads the oracle's
 curvature gradients at one point; `validate_patch` checks a patch's
-analytic partials against differences of its positions;
+closed-form first partials against differences of its positions, and
+its second partials against differences of its first partials;
 `phi_coordinate_bridge` is the isothermal coordinate of the
 conformal-exponent route, from `isothermal_quadrature`, which is the
 package's own strip quadrature.
@@ -455,15 +456,21 @@ def oracle_roots_C1():
 
 
 class ScalarOracle:
-    """The oracle point by point: the shape operator and the residual of
-    `biconsurf.diffgeo` before it was batched, kept as a reference.
+    """The oracle point by point, with second partials by central
+    differences of the first: the independent finite-difference route that
+    the batched oracle, which reads the patch's closed-form second
+    partials, is checked against.
 
     Each point is its own one-point call of the patch's evaluators, with
-    one partials call per stencil point (5 per shape operator, 25 per
-    residual) and, on the sphere, a `position` call for the normal; the
-    steps, stencils and per-point rules are diffgeo's, and the determinants
-    are numpy's LU ones.
+    one jet call per stencil point, of which it reads the first partials
+    only (5 per shape operator, 25 per residual) and, on the sphere, a
+    `position` call for the normal.  The partials step is PARTIALS_FRACTION
+    of each coordinate's width, shrunk near a singular value like the
+    curvature step; the curvature steps and the per-point rules are
+    diffgeo's, and the determinants are numpy's LU ones.
     """
+
+    PARTIALS_FRACTION = 1e-5
 
     def __init__(self, patch):
         from biconsurf import diffgeo
@@ -475,15 +482,15 @@ class ScalarOracle:
 
     def _tangents(self, u, v):
         """(X_u, X_v) at one point; a spherical evaluator's positions are dropped."""
-        return self._call(self.patch.first_partials, u, v)[-2:]
+        return self._call(self.patch.jet, u, v)[1:3]
 
-    def _step(self, kind, coord_range, at, singularities):
+    def _step(self, fraction, coord_range, at, singularities):
         scale = coord_range[1] - coord_range[0]
         if singularities:
             dist = min(abs(at - s) for s in singularities)
             if dist > 0.0:
                 scale = min(scale, self.dg.SINGULAR_SCALE * dist)
-        return self.dg.FD_FRACTION[kind] * scale
+        return fraction * scale
 
     def _normal(self, u, v, xu, xv):
         if self.patch.ambient == self.dg.EUCLIDEAN3:
@@ -503,8 +510,8 @@ class ScalarOracle:
         det_g = E * G - F * F
         assert det_g > 0.0
         n = self._normal(u, v, xu, xv)
-        hu = self._step("partials", patch.u_range, u, patch.u_singularities)
-        hv = self._step("partials", patch.v_range, v, ())
+        hu = self._step(self.PARTIALS_FRACTION, patch.u_range, u, patch.u_singularities)
+        hv = self._step(self.PARTIALS_FRACTION, patch.v_range, v, ())
         up, um = self._tangents(u + hu, v), self._tangents(u - hu, v)
         vp, vm = self._tangents(u, v + hv), self._tangents(u, v - hv)
         h = np.array([(up[0] - um[0]) / (2 * hu) @ n, (vp[0] - vm[0]) / (2 * hv) @ n,
@@ -519,8 +526,9 @@ class ScalarOracle:
     def biconservativity_residual(self, u, v):
         patch, dg = self.patch, self.dg
         d = self.shape_operator(u, v)
-        hu = self._step("curvature", patch.u_range, u, patch.u_singularities)
-        hv = self._step("curvature", patch.v_range, v, ())
+        curvature = dg.FD_FRACTION["curvature"]
+        hu = self._step(curvature, patch.u_range, u, patch.u_singularities)
+        hv = self._step(curvature, patch.v_range, v, ())
         up, um = self.shape_operator(u + hu, v), self.shape_operator(u - hu, v)
         vp, vm = self.shape_operator(u, v + hv), self.shape_operator(u, v - hv)
         g = np.array([[d["E"], d["F"]], [d["F"], d["G"]]])
@@ -537,10 +545,11 @@ class ScalarOracle:
 FIELDS = ("E", "F", "G", "normal", "shape", "f", "K")
 
 
-def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9):
+def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9, residual_tol=None):
     """The batched data at the points (us, vs) against the point-by-point
     oracle: every shape-operator field to `rel` of 1 + its size, and the
-    residual, which is scale-free, to `rel`."""
+    residual, which is scale-free, to `residual_tol` (by default `rel`)."""
+    residual_tol = rel if residual_tol is None else residual_tol
     ref = ScalarOracle(patch)
     for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
         want = ref.shape_operator(u, v)
@@ -549,7 +558,7 @@ def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9):
             assert np.all(np.abs(got - exp) <= rel * (1.0 + np.abs(exp))), (name, u, v, got, exp)
         if residual is not None:
             exp = ref.biconservativity_residual(u, v)
-            assert abs(residual[i] - exp) <= rel, (u, v, residual[i], exp)
+            assert abs(residual[i] - exp) <= residual_tol, (u, v, residual[i], exp)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -561,50 +570,55 @@ def curvatures(patch, u, v):
     lengths in the induced metric are sqrt(d . g^{-1} . d).
     """
     from biconsurf import diffgeo
-    data, grad_f, grad_k = diffgeo._curvature_gradients(
+    data, grad_f, grad_k, _ = diffgeo._curvature_gradients(
         patch, np.array([u], dtype=float), np.array([v], dtype=float))
     return data.f[0], data.K[0], grad_f[0], grad_k[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def validate_patch(patch, n=5, rel_tol=1e-6):
     """Spot-check patch invariants on an n x n interior sample.
 
     For spherical patches the position must be a unit vector, and the
-    positions that the partials evaluator returns must be the position
-    evaluator's, bit for bit; the partials must match fourth-order
-    differences of the position, with the oracle's "values" steps; the
-    normal must be orthogonal to the tangents (and the position).  Returns
-    the worst deviations found; a NaN deviation is the worst, so it fails.
+    positions that the jet evaluator returns must be the position
+    evaluator's, bit for bit; the first partials must match fourth-order
+    differences of the position, and the second partials fourth-order
+    differences of the first partials, each step 1e-3 of the jet's own
+    length scale |X_u| / |X_uu| (|X_v| / |X_vv|) or of the coordinate's
+    width, whichever is shorter; the normal must be orthogonal to the
+    tangents (and the position).  Returns the worst deviations found; a
+    NaN deviation is the worst, so it fails.
     """
     from biconsurf import diffgeo as dg
     us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
     pos = patch.position(us, vs)
-    p, xu, xv = dg._evaluate(patch, us, vs)
-    hu = dg._step("values", patch.u_range, us, patch.u_singularities)
-    hv = dg._step("values", patch.v_range, vs, ())
-    fu = dg._fd4(lambda uu: patch.position(uu, vs).T, us, hu).T
-    fv = dg._fd4(lambda vv: patch.position(us, vv).T, vs, hv).T
+    p, xu, xv, xuu, xuv, xvv = patch.jet(us, vs)
     length = lambda x: np.linalg.norm(x, axis=1)
-    partial = np.concatenate([length(fu - xu) / np.maximum(1.0, length(xu)),
-                              length(fv - xv) / np.maximum(1.0, length(xv))])
-    nrm = dg._normal(us, vs, p, xu, xv)
+    hu = 1e-3 * np.minimum(length(xu) / length(xuu), patch.u_range[1] - patch.u_range[0])
+    hv = 1e-3 * np.minimum(length(xv) / length(xvv), patch.v_range[1] - patch.v_range[0])
+    d_u = lambda i: dg._fd4(lambda uu: np.transpose(patch.jet(uu, vs)[i]), us, hu).T
+    d_v = lambda i: dg._fd4(lambda vv: np.transpose(patch.jet(us, vv)[i]), vs, hv).T
+    gap = lambda fd, x: length(fd - x) / np.maximum(1.0, length(x))
+    partial = np.concatenate([gap(d_u(0), xu), gap(d_v(0), xv)])
+    second = np.concatenate([gap(d_u(1), xuu), gap(d_v(1), xuv), gap(d_v(2), xvv)])
+    nrm = dg._normal(us, vs, p if patch.ambient == dg.SPHERE3 else None, xu, xv)
     orth = [dg._dot(nrm, xu), dg._dot(nrm, xv)]
     norm = np.zeros(1)
     if patch.ambient == dg.SPHERE3:
         norm = np.abs(length(pos) - 1.0)
         orth.append(dg._dot(nrm, pos))
     # np.max propagates a NaN
-    worst_norm, worst_partial, worst_orth = (
-        float(np.max(np.abs(xs))) for xs in (norm, partial, np.concatenate(orth)))
-    same_positions = p is None or pos.tobytes() == p.tobytes()
+    worst_norm, worst_partial, worst_second, worst_orth = (
+        float(np.max(np.abs(xs))) for xs in (norm, partial, second, np.concatenate(orth)))
+    same_positions = patch.ambient != dg.SPHERE3 or pos.tobytes() == p.tobytes()
     return {
         "position_norm_defect": worst_norm,
         "partials_vs_fd": worst_partial,
+        "second_vs_fd": worst_second,
         "normal_orthogonality": worst_orth,
         "same_positions": same_positions,
-        "ok": (worst_partial <= rel_tol and worst_norm <= 1e-10 and worst_orth <= 1e-8
-               and same_positions),
+        "ok": (worst_partial <= rel_tol and worst_second <= rel_tol and worst_norm <= 1e-10
+               and worst_orth <= 1e-8 and same_positions),
     }
 
 

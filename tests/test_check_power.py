@@ -17,9 +17,15 @@ bracket's width.
 Then come two defects of the glued profile: an off-by-one phase c_k,
 and Phi2's sign on odd strips dropped.
 
-The last guard the rows that read their first forms from a merged oracle
+Then come the rows that read their first forms from a merged oracle
 call: a tangent scaled by 1 + 1e-6 in an evaluator, and a wrong C* in the
 closed-form mean curvature of Psi.
+
+The last guard the closed-form jets, which the oracle reads where it
+once differenced the partials: a second partial X_uu scaled by 1 + 1e-6
+in each family's evaluator, and a turning angle zeta0 + 1e-6 sin(xi)
+whose derivatives do not follow.  Only the consistency rows, which
+difference the jets, can see either.
 """
 
 import copy
@@ -221,26 +227,33 @@ def mutate_glued_profile(monkeypatch, mutant):
         monkeypatch.setattr(gluing.GluingAtlas, "_profile_at", unsigned)
 
 
+CONSISTENCY_ROWS = {"partials_vs_positions", "second_vs_first"}
+
+
 # (mutant, C): the failing rows of the s3-complete report without the
 # mutant, then with it, C* at 50% of its range.  The phase rows compare
 # `phase` with its recursion, and the junction rows compose each side's
 # jets with that side's phase, so a shifted c_k breaks both
 PHASE_POWER = {
     ("phase-off-by-one", 1.0): (set(), {"phase_recursion_vs_closed_form", "junction_continuity",
-                                        "junction_smoothness"}),
+                                        "junction_smoothness"} | CONSISTENCY_ROWS),
     ("phase-off-by-one", 20.0): ({"profile_junction_values", "junction_negative_control"},
                                  {"profile_junction_values", "junction_negative_control",
                                   "phase_recursion_vs_closed_form", "junction_continuity",
-                                  "junction_smoothness"}),
+                                  "junction_smoothness"} | CONSISTENCY_ROWS),
+    ("odd-strip-sign", 1.0): (set(), CONSISTENCY_ROWS),
+    ("odd-strip-sign", 20.0): ({"profile_junction_values", "junction_negative_control"},
+                               {"profile_junction_values", "junction_negative_control"}
+                               | CONSISTENCY_ROWS),
 }
-# (mutant, family): blind spots, where not one value of the report moves.
 # Phi2 -> -Phi2 on odd strips is a reflection of S^3, an isometry: the
 # metric, the sphere norm and the biconservativity residual read the same
 # bits at every sample, and the junction rows take their sign from
-# `junction_jets`'s own `sgn`, not from `_profile_at`.  Psi =
-# (C*/F cos, C*/F sin, h) reads neither the phase nor Phi2
-GLUED_BLIND_SPOTS = (("odd-strip-sign", "s3-complete"), ("odd-strip-sign", "revolution"),
-                     ("phase-off-by-one", "revolution"))
+# `junction_jets`'s own `sgn`, not from `_profile_at`.  The consistency
+# rows difference Phi across the junctions -2 to 2, where it now jumps.
+# (mutant, family): blind spots, where not one value of the report moves.
+# Psi = (C*/F cos, C*/F sin, h) reads neither the phase nor Phi2
+GLUED_BLIND_SPOTS = (("odd-strip-sign", "revolution"), ("phase-off-by-one", "revolution"))
 
 
 @pytest.mark.parametrize("mutant, C", list(PHASE_POWER))
@@ -264,17 +277,28 @@ def test_glued_profile_blind_spot(mutant, family, C, monkeypatch, fresh_caches):
     assert report_at_half(family, C) == before
 
 
-def mutate_tangent(monkeypatch, mutant):
-    """Psi_h in `immersion_psi_partials`, or X_xi in `SphereFamily.tangents`
-    (which the glued evaluator reads too), times 1 + 1e-6."""
-    owner, name = {"psi-h": (gluing.GluingAtlas, "immersion_psi_partials"),
-                   "x-xi": (spherical.SphereFamily, "tangents")}[mutant]
+def scale_jet(monkeypatch, owner, name, order):
+    """Entry `order` of the (6, n, d) jets that owner.name returns times
+    1 + 1e-6; a call that returns (n, d) positions alone is left alone."""
     evaluate = getattr(owner, name)
 
     def scaled(*args, **kwargs):
-        d_u, d_v = evaluate(*args, **kwargs)
-        return d_u * (1.0 + 1e-6), d_v
+        out = evaluate(*args, **kwargs)
+        if np.ndim(out) != 3:
+            return out
+        out = out.copy()
+        out[order] *= 1.0 + 1e-6
+        return out
     monkeypatch.setattr(owner, name, scaled)
+
+
+def mutate_tangent(monkeypatch, mutant):
+    """Psi_h in `immersion_psi_partials`, or X_u in the jet of
+    `SphereFamily.point` (which the strip and the glued evaluator both
+    read), times 1 + 1e-6."""
+    owner, name = {"psi-h": (gluing.GluingAtlas, "immersion_psi_partials"),
+                   "x-xi": (spherical.SphereFamily, "point")}[mutant]
+    scale_jet(monkeypatch, owner, name, 1)
 
 
 # C* of the first-form mutants: C = C* = 1, and C = 20 with C* at 1% of its range
@@ -290,16 +314,24 @@ def report_at(family, C):
 # A tangent scaled by 1 + 1e-6 scales E by 1 + 2e-6, and `metric_pullback`
 # reads 2.0e-6 against 1e-6 in each report, whether its E comes from a
 # shape-operator call (revolution, s3-local) or a `fundamental_forms`
-# call (s3-complete).  The K identity moves too, by 8.6e-7 and 5.0e-7 in
-# revolution, under its 1e-6
+# call (s3-complete).  The first partials drift 1e-6 off the differences
+# of the positions, so `partials_vs_positions` fails too, and
+# `second_vs_first` wherever X_uu sets the step's length scale (not for
+# Psi at C = 20, C* at 1%, where the scale |X_v| / |X_uv| is shorter).
+# The K identity, which reads the closed-form X_uu against the scaled
+# tangent, fails in s3-local and in revolution at C = 1
 JUNCTION_ROWS = {"profile_junction_values", "junction_negative_control"}
 FORM_POWER = {
-    ("psi-h", "revolution", 1.0): (set(), {"metric_pullback"}),
-    ("psi-h", "revolution", 20.0): (set(), {"metric_pullback"}),
-    ("x-xi", "s3-local", 1.0): (set(), {"metric_pullback"}),
-    ("x-xi", "s3-local", 20.0): (set(), {"metric_pullback"}),
-    ("x-xi", "s3-complete", 1.0): (set(), {"metric_pullback"}),
-    ("x-xi", "s3-complete", 20.0): (JUNCTION_ROWS, JUNCTION_ROWS | {"metric_pullback"}),
+    ("psi-h", "revolution", 1.0): (set(), {"metric_pullback", "gauss_curvature_identity"}
+                                   | CONSISTENCY_ROWS),
+    ("psi-h", "revolution", 20.0): (set(), {"metric_pullback", "partials_vs_positions"}),
+    ("x-xi", "s3-local", 1.0): (set(), {"metric_pullback", "gauss_curvature_identity"}
+                                | CONSISTENCY_ROWS),
+    ("x-xi", "s3-local", 20.0): (set(), {"metric_pullback", "gauss_curvature_identity"}
+                                 | CONSISTENCY_ROWS),
+    ("x-xi", "s3-complete", 1.0): (set(), {"metric_pullback"} | CONSISTENCY_ROWS),
+    ("x-xi", "s3-complete", 20.0): (JUNCTION_ROWS,
+                                    JUNCTION_ROWS | {"metric_pullback"} | CONSISTENCY_ROWS),
 }
 
 
@@ -328,3 +360,48 @@ def test_mean_curvature_cstar_blind_spot(C, monkeypatch):
     assert failing(before) == failing(after) == set()
     assert before["mean_curvature_closed_form"]["value"] < 1e-7
     assert 5e-7 < after["mean_curvature_closed_form"]["value"] < 1e-5
+
+
+# X_uu times 1 + 1e-6 in each family's evaluator (the spherical families
+# through the jet of `SphereFamily.point`), with C* at 50% of its range:
+# second_vs_first reads 1.0e-6 against its 2e-7 wherever X_uu sets the
+# step's length scale.  (family, C): the failing rows with the mutant
+JET_EVALUATORS = {"r3": (euclidean, "immersion_XC_partials"),
+                  "s3-local": (spherical.SphereFamily, "point"),
+                  "s3-complete": (spherical.SphereFamily, "point"),
+                  "revolution": (gluing.GluingAtlas, "immersion_psi_partials")}
+SECOND_POWER = {
+    ("r3", 1.0): {"second_vs_first"}, ("r3", 20.0): {"second_vs_first"},
+    ("s3-local", 1.0): {"second_vs_first", "gauss_curvature_identity"},
+    ("s3-local", 20.0): {"second_vs_first", "gauss_curvature_identity"},
+    ("s3-complete", 1.0): {"second_vs_first"}, ("s3-complete", 20.0): {"second_vs_first"},
+    ("revolution", 1.0): {"second_vs_first"}, ("revolution", 20.0): {"second_vs_first"},
+}
+
+
+@pytest.mark.parametrize("family, C", list(SECOND_POWER))
+def test_second_partial_mutant(family, C, monkeypatch):
+    before = failing(report_at_half(family, C))
+    scale_jet(monkeypatch, *JET_EVALUATORS[family], 3)
+    assert failing(report_at_half(family, C)) - before == SECOND_POWER[family, C]
+
+
+# zeta0 + 1e-6 sin(xi): the positions of the strip and of the glued
+# immersion drift off their partials, which read zeta0' and the h-rates
+# from g_zeta.  (family, C): the failing rows with the mutant, C* at 50%
+# of its range.  Psi does not read zeta: revolution is a blind spot, as for
+# the numerator mutant
+DRIFT_POWER = {
+    ("s3-local", 1.0): CONSISTENCY_ROWS, ("s3-local", 20.0): CONSISTENCY_ROWS,
+    ("s3-complete", 1.0): CONSISTENCY_ROWS, ("s3-complete", 20.0): CONSISTENCY_ROWS,
+}
+
+
+@pytest.mark.parametrize("family, C", list(DRIFT_POWER))
+def test_zeta_drift_mutant(family, C, monkeypatch, fresh_caches):
+    before = failing(report_at_half(family, C))
+    zeta0 = spherical.SphereFamily.zeta0
+    monkeypatch.setattr(spherical.SphereFamily, "zeta0",
+                        lambda self, xi: zeta0(self, xi) + 1e-6 * np.sin(xi))
+    gluing.atlas.cache_clear()
+    assert failing(report_at_half(family, C)) - before == DRIFT_POWER[family, C]

@@ -681,9 +681,10 @@ class TestR3ExtremeC:
 
     def test_failing_check_still_exits_1(self, tmp_path, capsys, monkeypatch):
         # at C = 1e-4 the checks run; a default curvature bound below the
-        # oracle's floor makes gauss_curvature_identity fail
+        # oracle's floor makes gauss_curvature_identity fail: with the
+        # closed-form second partials it reads 1.2e-16
         defaults = checks.Tolerances
-        monkeypatch.setattr(checks, "Tolerances", lambda: defaults(curvature=1e-12))
+        monkeypatch.setattr(checks, "Tolerances", lambda: defaults(curvature=1e-17))
         out = tmp_path / "rep.json"
         assert run(["verify", "--family", "r3", "--C", "1e-4", "--out", str(out)]) == 1
         assert not json.loads(out.read_text())["checks"]["gauss_curvature_identity"]["pass"]
@@ -819,7 +820,7 @@ class TestNearCMin:
         err = capsys.readouterr().err
         assert code in (0, 1), err
         assert "Traceback" not in err and "error:" not in err, err
-        assert len(json.loads((tmp_path / "rep.json").read_text())["checks"]) == 16
+        assert len(json.loads((tmp_path / "rep.json").read_text())["checks"]) == 18
 
 
 class TestEmptyRunsAndOutputs:

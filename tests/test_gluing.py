@@ -573,7 +573,7 @@ class TestJunctionPartials:
         xi = jat.F(h)
         p1, p2, _ = jat.immersion_phi(h, 0.0)[:3]
         d = math.sqrt(jat.C) * xi ** (7.0 / 3.0) / (math.sqrt(3.0) * (jat.C * xi * xi - 1.0))
-        _, d_h, d_theta = jat.immersion_phi_partials(h, 0.3)
+        _, d_h, d_theta = jat.immersion_phi_partials(h, 0.3)[:3]
         assert np.all(np.isfinite(d_h)) and np.all(np.isfinite(d_theta))
         # (R cos, s R sin)' = s D (-R sin, s R cos) = D (-Phi2, Phi1) on either strip
         limit = d * np.array([-p2, p1, 0.0, 0.0])
@@ -581,7 +581,7 @@ class TestJunctionPartials:
 
     @pytest.mark.parametrize("k", [-3, -2, -1, 1, 2, 3])
     def test_psi_radius_rate_vanishes(self, jat, k):
-        d_h, _ = jat.immersion_psi_partials(jat.grid[k], 0.3)
+        d_h = jat.immersion_psi_partials(jat.grid[k], 0.3)[1]
         assert d_h[0] == 0.0 and d_h[1] == 0.0 and d_h[2] == 1.0
 
     def test_psi_partials_read_no_turning_angle(self, jat, monkeypatch):
@@ -590,10 +590,13 @@ class TestJunctionPartials:
             raise AssertionError("g_zeta evaluated for Psi")
         monkeypatch.setattr(jat.family, "_zeta_g", unread)
         hs = np.array([jat.grid[-2], 0.0, 0.5 * jat.grid[1], jat.grid[1], jat.grid[3]])
-        d_h, _ = jat.immersion_psi_partials(hs, 0.3)
+        d_h = jat.immersion_psi_partials(hs, 0.3)[1]
         assert np.all(np.isfinite(d_h))
 
-    @pytest.mark.parametrize("C, Cstar", JUNCTION_ATLASES[:2], ids=["C1", "Cmin"])
+    # at C = 20 the steps of the jets' own length scale matter: 1e-4 of
+    # the patch width put the first partials 2.05e-6 off fourth-order
+    # differences of the positions on this correct patch
+    @pytest.mark.parametrize("C, Cstar", JUNCTION_ATLASES, ids=["C1", "Cmin", "C20"])
     def test_partials_validate_across_a_junction(self, C, Cstar):
         jat = gluing.atlas(C, Cstar)
         m1, p1 = jat.h_limits
