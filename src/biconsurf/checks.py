@@ -127,6 +127,12 @@ def _metric_mismatch(E, F, G, closed):
     return np.max([np.abs(E - Ec) / Ec, np.abs(F) / np.sqrt(Ec * Gc), np.abs(G - Gc) / Gc], axis=0)
 
 
+def _profile_values(at, *heights):
+    """F at each array of heights from one call of `at.F`: an inversion is
+    elementwise, so each value is the one a call of its own would give."""
+    return np.split(at.F(np.concatenate(heights)), np.cumsum([len(h) for h in heights[:-1]]))
+
+
 def _unit_defect(points):
     """| |p| - 1 | for each row p of `points`."""
     return np.abs(np.sqrt(np.einsum("ij,ij->i", points, points)) - 1.0)
@@ -168,8 +174,9 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     u_res = sign * u_res
     # the consistency rows at the K identity's samples, stencils on the residual's call
     shape = diffgeo.shape_operator(patch, us, 0.4)
-    stencil, defects = diffgeo.consistency(patch, us, 0.4, shape.jet)
-    residual, stencil_jet = diffgeo.biconservativity_residual(patch, u_res, v_res, ride=stencil)
+    stencil, defects = diffgeo.consistency(
+        patch, us, 0.4, diffgeo.jet_lengths(shape.jet.swapaxes(0, 1)))
+    residual, ride = diffgeo.biconservativity_residual(patch, u_res, v_res, ride=stencil)
     u_bound = np.linspace(-3.0, 3.0, 101)
     homothety = rng.uniform(0.05, 4.0, 16), rng.uniform(0.0, 2 * math.pi, 16)
     u_level = np.linspace(0.05, 2.5, 16)
@@ -183,7 +190,7 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
             np.abs(shape.K - euclidean.gauss_curvature(par, us)) * length ** 2,
             [us], tols.curvature),
         "biconservativity_residual": _worst(residual, [u_res, v_res], tols.residual),
-        **_consistency_rows(defects(stencil_jet), [us], tols),
+        **_consistency_rows(defects(ride.jet), [us], tols),
         # a conformal factor >= C makes the metric complete
         "completeness_bound": _worst(1.0 - euclidean.conformal_factor(par, u_bound) / par.C,
                                      [u_bound], 0.0),
@@ -229,9 +236,10 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 
     patch = fam.patch()
     xis, _ = patch.grid(grid, 4)
-    # metric, K and consistency rows at one call's points; stencils on the residual's
-    shape = diffgeo.shape_operator(patch, xis, 0.4)
-    stencil, defects = diffgeo.consistency(patch, xis, 0.4, shape.jet)
+    # the metric, K and consistency rows at the centres of the stencils,
+    # sized from the closed-form jet there, which ride on the residual's call
+    stencil, defects = diffgeo.consistency(
+        patch, xis, 0.4, diffgeo.jet_lengths(fam.unturned_jet(xis, 0.4)))
     xi_roots = np.array([roots.xi01, roots.xi02])
 
     # intrinsic curvature straight from the metric coefficients, for a few C:
@@ -254,7 +262,8 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
     residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
-    res, stencil_jet = diffgeo.biconservativity_residual(patch, *residual, ride=stencil)
+    res, ride = diffgeo.biconservativity_residual(patch, *residual, ride=stencil)
+    shape = ride[:len(xis)]
     # with b = -1 the bridge has xi = e^{-phi}; sample the middle of the strip
     phi_bridge = np.log(1.0 / (roots.xi01 + np.linspace(0.3, 0.7, 7) * width))
     xi_level = roots.xi01 + np.linspace(0.1, 0.9, 16) * width
@@ -277,7 +286,7 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
             tols.curvature),
         "sphere_norm": _worst(_unit_defect(fam.immersion(*sphere)), sphere, tols.sphere_norm),
         "biconservativity_residual": _worst(res, residual, tols.residual),
-        **_consistency_rows(defects(stencil_jet), [xis], tols),
+        **_consistency_rows(defects(ride.jet), [xis], tols),
         "prime_integral": _worst(spherical.prime_integral_residual(C1, k, kp2), [xi_curv],
                                  tols.prime_integral),
         "curvature_equation": _worst(spherical.curvature_equation_residual(C1, k, kpp),
@@ -364,16 +373,17 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     junctions = np.array([p1, m1, 0.0]), np.array([roots.xi02, roots.xi01, roots.xi00])
     h_res = _strip_interior_samples(at, (0, 1), 5, margin=0.08)
     h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)  # junction bands excluded
-    # F of every closed-form reference from one inversion: it is elementwise
-    heights = [h_period + P, h_period - P, h_period, junctions[0], h_metric]
-    up, down, base, xi_junctions, xi_metric = np.split(
-        at.F(np.concatenate(heights)), np.cumsum([len(h) for h in heights[:-1]]))
-    # metric and consistency rows at one call, junction stencils straddling
-    h_jet = np.concatenate([h_metric, [at.grid[k] for k in (-2, -1, 1, 2)]])
-    shape = diffgeo.shape_operator(hpatch, h_jet, 0.4)
-    metric = shape[:len(h_metric)]
-    stencil, defects = diffgeo.consistency(hpatch, h_jet, 0.4, shape.jet)
-    res, stencil_jet = diffgeo.biconservativity_residual(hpatch, h_res, 0.3, ride=stencil)
+    # the consistency rows at two metric heights a strip and the junctions
+    # -2..2, which their stencils straddle, sized from Phi's closed form at
+    # the known xi; the stencils and the metric heights ride on the residual
+    h_jet = np.concatenate([h_metric[::max(1, grid // 2)], [at.grid[k] for k in (-2, -1, 1, 2)]])
+    up, down, base, xi_junctions, xi_metric, xi_jet = _profile_values(
+        at, h_period + P, h_period - P, h_period, junctions[0], h_metric, h_jet)
+    stencil, defects = diffgeo.consistency(
+        hpatch, h_jet, 0.4, diffgeo.jet_lengths(at.unturned_phi_jet(xi_jet, 0.4)))
+    res, ride = diffgeo.biconservativity_residual(hpatch, h_res, 0.3, ride=(
+        np.append(h_metric, stencil[0]), np.append(np.full_like(h_metric, 0.4), stencil[1])))
+    metric = ride[:len(h_metric)]
     # (mismatch, relative mismatch) of Phi1 and Phi2 at orders 0..3, one jet set per label
     mismatch = {k: _junction_mismatch(at, at.junction_jets(k)) for k in (-3, -2, -1, 1, 2, 3)}
 
@@ -403,7 +413,7 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
         "junction_continuity": per_label(lambda k: np.max(mismatch[k][0][:, 0]),
                                          [-3, -2, -1, 1, 2, 3], 1e-10),
         "biconservativity_residual": _worst(res, [h_res], tols.residual),
-        **_consistency_rows(defects(stencil_jet), [h_jet], tols),
+        **_consistency_rows(defects(ride.jet[len(h_metric):]), [h_jet], tols),
         # Phi repeats with the profile iff twice the total turning angle
         # is a whole turn
         "periodicity_phase_defect": CheckResult(
@@ -421,22 +431,25 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
     delta = p1 - m1
     roots = at.roots
     patch = at.psi_patch((m1 - delta, at.grid[2]))
-    # every curvature row reads one call over the curvature heights, the
-    # mean-curvature heights (spaced in xi) and the metric heights; one more
-    # evaluator call for the first two's consistency stencils, the radius heights and xi = C*/r
+    # every oracle row reads one call over the curvature heights, the
+    # mean-curvature heights (spaced in xi), the metric heights and the
+    # consistency rows' stencils about the first two, sized from Psi's
+    # closed form at their known xi
     heights = _strip_interior_samples(at, (0, 1), 5, margin=0.06)
     xi_mean = roots.xi01 + np.linspace(0.08, 0.92, 16) * (roots.xi02 - roots.xi01)
     h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)
-    h_jet = np.concatenate([heights, at.h0(xi_mean)])
-    shape = diffgeo.shape_operator(patch, np.concatenate([h_jet, h_metric]), 0.4)
-    n, n_mean = len(heights), len(h_jet)
-    jet, shape, shape_mean, shape_metric = shape.jet, shape[:n], shape[n:n_mean], shape[n_mean:]
-    stencil, defects = diffgeo.consistency(patch, h_jet, 0.4, jet[:n_mean])
     h_radius = rng.uniform(m1 - at.period, p1 + at.period, 64)
-    ride = patch.jet(np.concatenate([stencil[0], h_radius]),
-                     np.concatenate([stencil[1], np.zeros(64)])).swapaxes(0, 1)
-    xi_heights, _, xi_metric = np.split(at.Cstar / np.hypot(*jet[:, 0, :2].T), [n, n_mean])
-    r = np.hypot(*ride[-64:, 0, :2].T)
+    xi_metric, xi_heights, xi_radius = _profile_values(at, h_metric, heights, h_radius)
+    h_jet = np.concatenate([heights, at.h0(xi_mean)])
+    stencil, defects = diffgeo.consistency(
+        patch, h_jet, 0.4, at.psi_jet_lengths(np.concatenate([xi_heights, xi_mean])))
+    h_all = np.concatenate([h_jet, h_metric])
+    shape = diffgeo.shape_operator(patch, np.append(h_all, stencil[0]),
+                                   np.append(np.full_like(h_all, 0.4), stencil[1]))
+    n, n_mean = len(heights), len(h_jet)
+    shape, shape_mean, shape_metric, jet = (shape[:n], shape[n:n_mean],
+                                            shape[n_mean:len(h_all)], shape.jet[len(h_all):])
+    r = at.Cstar / xi_radius
     lo, hi = Cstar / roots.xi02 - 1e-12, Cstar / roots.xi01 + 1e-12
 
     return {
@@ -456,7 +469,7 @@ def revolution_checks(C: float, Cstar: float, grid: int, seed: int) -> dict[str,
             _rel_gap(shape_mean.f, np.abs(at.mean_curvature_psi(xi_mean))),
             [xi_mean], tols.psi_mean_curvature),
         "radius_range": _worst(np.where((lo <= r) & (r <= hi), 0.0, 1.0), [h_radius], 0.0),
-        **_consistency_rows(defects(ride[:-64]), [h_jet], tols),
+        **_consistency_rows(defects(jet), [h_jet], tols),
     }
 
 

@@ -15,9 +15,9 @@ vector orthogonal to the position and both tangents).
 
 The oracle is batched: an entry point takes a sample set of points, calls
 the patch's `jet` once on all their points (one per shape operator, 5 per
-residual; the residual may carry extra `ride` points in that call) and
-does the rest on arrays, point by point.  A scalar call is the one-point
-case and returns scalars.
+residual, which may carry `ride` points in that call and return their
+shape operators) and does the rest on arrays, point by point.  A scalar
+call is the one-point case and returns scalars.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ def fundamental_forms(patch: ImmersionPatch, u, v):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def shape_operator(patch: ImmersionPatch, u, v, ride=None) -> SurfaceData:
-    """Shape operator and data, normal oriented so f >= 0 (and the `ride` points' jets).
+def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
+    """Shape operator and supporting data, normal oriented so f >= 0.
 
     The second-form coefficients are ambient inner products of the
     closed-form second partials with the unit normal; on the sphere the
@@ -267,42 +267,43 @@ def shape_operator(patch: ImmersionPatch, u, v, ride=None) -> SurfaceData:
     form with respect to the spherical connection.
     """
     us, vs = _points(u, v)
-    jet = np.asarray(patch.jet(*(np.concatenate([x, r]) for x, r in
-                                 zip((us, vs), ride or ((), ())))))
-    p, xu, xv, xuu, xuv, xvv = jet[:, :len(us)]
+    jet = np.asarray(patch.jet(us, vs))
+    p, xu, xv = jet[:3]
     E, F, G = _first_form(us, vs, xu, xv)
     nrm = _normal(us, vs, p if patch.ambient == SPHERE3 else None, xu, xv)
-    h11, h12, h22 = (_dot(x, nrm) for x in (xuu, xuv, xvv))
+    h11, h12, h22 = np.einsum("kij,ij->ki", jet[3:], nrm)
     g11, g12, g22 = _inverse_metric(E, F, G)
     A = np.array([[g11 * h11 + g12 * h12, g11 * h12 + g12 * h22],
                   [g12 * h11 + g22 * h12, g12 * h12 + g22 * h22]])
     sign = np.where(A[0, 0] + A[1, 1] < -ORIENT_TOL, -1.0, 1.0)
     A = A * sign
     K = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] + (1.0 if patch.ambient == SPHERE3 else 0.0)
-    out = _unbatch(u, v, SurfaceData(E, F, G, sign[:, None] * nrm, A.transpose(2, 0, 1),
-                                     A[0, 0] + A[1, 1], K, jet[:, :len(us)].swapaxes(0, 1)))
-    return out if ride is None else (out, jet[:, len(us):].swapaxes(0, 1))
+    return _unbatch(u, v, SurfaceData(E, F, G, sign[:, None] * nrm, A.transpose(2, 0, 1),
+                                      A[0, 0] + A[1, 1], K, jet.swapaxes(0, 1)))
 
 
-def _curvature_gradients(patch: ImmersionPatch, us, vs, ride=None):
+def _curvature_gradients(patch: ImmersionPatch, us, vs, ride=((), ())):
     """Shape operators at the points, there the metric gradients g^{-1} d(f)
-    and g^{-1} d(K) as (n, 2) arrays, and the jets at the `ride` points: one
-    shape_operator call over the points and their stencils."""
+    and g^{-1} d(K) as (n, 2) arrays, and the shape operators at the `ride`
+    points: one shape_operator call over the points, their stencils and
+    the ride points."""
     hu = _step("curvature", patch.u_range, us, patch.u_singularities)
     hv = _step("curvature", patch.v_range, vs, ())
-    stencil = shape_operator(patch, *_stencil(us, vs, hu, hv), ride=ride)
-    stencil, rode = (stencil, None) if ride is None else stencil
+    n = 5 * len(us)
+    stencil = shape_operator(patch, *(np.concatenate([x, r]) for x, r in
+                                      zip(_stencil(us, vs, hu, hv), ride)))
     data = stencil[:len(us)]
     g11, g12, g22 = _inverse_metric(data.E, data.F, data.G)
-    grads = (_central(x, hu, hv) for x in (stencil.f, stencil.K))
+    grads = (_central(x[:n], hu, hv) for x in (stencil.f, stencil.K))
     return (data, *(np.stack([g11 * du + g12 * dv, g12 * du + g22 * dv], -1)
-                    for du, dv in grads), rode)
+                    for du, dv in grads), stencil[n:])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def biconservativity_residual(patch: ImmersionPatch, u, v, ride=None):
     """Scale-free defect of A(grad f) = -(f/2) grad f at each point, and
-    with `ride` points, which its evaluator call covers, their jets too.
+    with `ride` points, which its evaluator call covers, their shape
+    operators (SurfaceData) too.
 
     Returns |A(grad f) + (f/2) grad f|_g normalized by |grad f|_g |f| / 2
     (with an absolute floor).  Where the gradient is below the CMC
@@ -311,7 +312,7 @@ def biconservativity_residual(patch: ImmersionPatch, u, v, ride=None):
     A NaN anywhere in a point's data gives that point a NaN.
     """
     us, vs = _points(u, v)
-    d, grad_f, _, rode = _curvature_gradients(patch, us, vs, ride)
+    d, grad_f, _, rode = _curvature_gradients(patch, us, vs, ride or ((), ()))
     # lengths in the induced metric of tangent components (n, 2)
     length = lambda x: np.sqrt(np.maximum(
         0.0, (x[:, 0] * d.E + x[:, 1] * d.F) * x[:, 0] + (x[:, 0] * d.F + x[:, 1] * d.G) * x[:, 1]))
@@ -322,32 +323,37 @@ def biconservativity_residual(patch: ImmersionPatch, u, v, ride=None):
     return out if ride is None else (out, rode)
 
 
-def consistency(patch: ImmersionPatch, us, vs, jet):
-    """The stencil u -+ 2h, u -+ h, then v -+ 2k, v -+ k about the broadcast
-    (us, vs) with jets `jet` (m, 6, d), and a function of its jets that gives
-    per point, D the fourth-order differences, the larger of |D_u X - X_u|/|X_u|
-    and |D_v X - X_v|/|X_v|, and the largest |D_a X_b - X_ab| over |X_b| / (the
-    length step a came from), ab = uu, uv (a = v), vv.  A step is FD_FRACTION of
-    the shortest of the width and |X_u|/|X_uu|, |X_v|/|X_uv| in u (Psi_h =
-    (r' cos, r' sin, 1) sees r vary only through the second), |X_v|/|X_vv|,
-    |X_u|/|X_uv| in v."""
-    nu, nv, nuu, nuv, nvv = np.sqrt(np.einsum("mkd,mkd->km", jet[:, 1:], jet[:, 1:]))
-    (u0, u1), (v0, v1) = patch.u_range, patch.v_range
-    with np.errstate(divide="ignore"):
-        h = FD_FRACTION["jet"] * np.minimum(np.minimum(nu / nuu, nv / nuv), u1 - u0)
-        k = FD_FRACTION["jet"] * np.minimum(np.minimum(nv / nvv, nu / nuv), v1 - v0)
+def jet_lengths(jet):
+    """|X_u|, |X_v|, |X_uu|, |X_uv|, |X_vv| (5, n) of jets (6, n, d)."""
+    return np.sqrt(np.einsum("knd,knd->kn", jet[1:], jet[1:]))
 
-    def measure(stencil_jet):
-        a = [0, 1, 0, 1, 1]  # the direction of each difference, then its entry b
-        s = stencil_jet.reshape(2, 4, *jet.shape)[a, :, :, [0, 0, 1, 1, 2]]
-        d = (s[:, 0] - 8.0 * (s[:, 1] - s[:, 2]) - s[:, 3]) / (12.0 * np.stack([h, k])[a, :, None])
-        d -= jet[:, 1:].swapaxes(0, 1)
-        g = np.sqrt(np.einsum("kmd,kmd->km", d, d))
-        return (np.maximum(g[0] / nu, g[1] / nv), np.maximum.reduce(
-            [g[2] * h / nu, g[3] * k / nu, g[4] * k / nv]) / FD_FRACTION["jet"])
-    off = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-    return ((np.concatenate([us + off * h, us + 0.0 * off * k]).ravel(),
-             np.concatenate([vs + 0.0 * off * h, vs + off * k]).ravel()), measure)
+
+def consistency(patch: ImmersionPatch, us, vs, lengths):
+    """The stencil about the broadcast (us, vs), each point then u -+ 2h,
+    u -+ h, then v -+ 2k, v -+ k, with steps from `lengths`, the points'
+    `jet_lengths` from any source: FD_FRACTION of the shortest of the width
+    and |X_u|/|X_uu|, |X_v|/|X_uv| in u (Psi_h = (r' cos, r' sin, 1) sees r
+    vary only through the second), |X_v|/|X_vv|, |X_u|/|X_uv| in v.  And a
+    function of the stencil's jets alone that gives per point, D the
+    fourth-order differences, the larger of |D_u X - X_u|/|X_u| and
+    |D_v X - X_v|/|X_v|, and the largest |D_a X_b - X_ab| over |X_b| / (the
+    length step a came from), ab = uu, uv (a = v), vv."""
+    rate = (lengths[[2, 3, 4, 3]] / lengths[[0, 1, 1, 0]]).reshape(2, 2, -1)
+    width = np.diff([patch.u_range, patch.v_range])
+    steps = FD_FRACTION["jet"] / np.maximum(rate.max(1), 1.0 / width)  # (h, k)
+    a, b, m = [0, 1, 0, 1, 1], [0, 0, 1, 1, 2], steps.shape[1]  # direction a of D_a X_b
+    scale = steps[a] / FD_FRACTION["jet"]
+    scale[:2] = 1.0
+
+    def measure(jet):
+        s = jet[m:, :3].reshape(2, 4, m, 3, -1)
+        d = (s[:, 0] - s[:, 3] + 8.0 * (s[:, 2] - s[:, 1]))[a, :, b] / (12.0 * steps[a, :, None])
+        d -= jet[:m, 1:].swapaxes(0, 1)
+        g = np.sqrt(np.einsum("kmd,kmd->km", d, d)) * scale
+        g /= jet_lengths(jet[:m].swapaxes(0, 1))[[0, 1, 0, 0, 1]]
+        return np.maximum(g[0], g[1]), g[2:].max(0)
+    off = np.array([[0, -2, -1, 1, 2, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2, -1, 1, 2]])[..., None]
+    return tuple((x + o * h).ravel() for x, o, h in zip((us, vs), off, steps)), measure
 
 
 def level_curve_circle_check(derivs: Callable, c: float, point):

@@ -287,6 +287,17 @@ class GluingAtlas:
                                  (-dr * sa / cs, dr * ca / cs, 0.0),
                                  (-ca / (cs * xi), -sa / (cs * xi), 0.0))
 
+    def psi_jet_lengths(self, xi):
+        """`diffgeo.jet_lengths` of Psi where F = xi, from closed forms alone."""
+        (dF, d2F), cs = self._rates(0, xi, zeta=False), self.Cstar
+        dr, d2r = -cs * dF / (xi * xi), cs * (2.0 * dF * dF / xi - d2F) / (xi * xi)
+        return np.array([np.hypot(dr, 1.0), 1.0 / xi, np.abs(d2r), np.abs(dr) / cs,
+                         1.0 / (cs * xi)])
+
+    def unturned_phi_jet(self, xi, theta):
+        """`SphereFamily.unturned_jet` of Phi where F = xi."""
+        return self.family.unturned_jet(xi, theta, self._rates(0, xi))
+
     def psi_metric(self, xi):
         """Closed-form induced metric (E, G) of the revolution surface at
         profile value xi = F(h), a point or an array of them."""

@@ -328,14 +328,20 @@ class SphereFamily:
         return self.point(xi, theta, *diffgeo.per_distinct(at, xi))
 
     def immersion_partials(self, xi, theta):
-        """The jet in (xi, theta) at the points, with zeta0, zeta0' and
-        zeta0'' = zeta0' (g_zeta'/g_zeta - T'/(2T)) once on the distinct xi."""
-        def at(xs):
-            dz = self.zeta0_deriv(xs)
-            rate = self._zeta_log_rate(xs) - 0.5 * T_deriv(self.C, xs) / self.roots.T(xs)
-            return self.zeta0(xs), dz, dz * rate
-        zeta, dz, d2z = diffgeo.per_distinct(at, xi)
-        return self.point(xi, theta, zeta, rates=(1.0, 0.0, dz, d2z))
+        """The jet in (xi, theta) at the points, with zeta0 and its rates
+        once on the distinct xi."""
+        zeta, *rates = diffgeo.per_distinct(lambda x: (self.zeta0(x), *self._zeta_rates(x)), xi)
+        return self.point(xi, theta, zeta, rates=(1.0, 0.0, *rates))
+
+    def _zeta_rates(self, xi):
+        """zeta0' and zeta0'' = zeta0' (g_zeta'/g_zeta - T'/(2T)) in closed form."""
+        dz = self.zeta0_deriv(xi)
+        return dz, dz * (self._zeta_log_rate(xi) - 0.5 * T_deriv(self.C, xi) / self.roots.T(xi))
+
+    def unturned_jet(self, xi, theta, rates=None):
+        """The jet of `immersion_partials` (with a glued strip's h-rates, of
+        Phi) turned back by its turning angle: no table read, same lengths."""
+        return self.point(xi, theta, 0.0, rates=rates or (1.0, 0.0, *self._zeta_rates(xi)))
 
     def patch(self) -> diffgeo.ImmersionPatch:
         """Strip patch over theta in [0, 1], trimmed by 1e-3 of the strip

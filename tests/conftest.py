@@ -579,38 +579,47 @@ def curvatures(patch, u, v):
 def validate_patch(patch, n=5, rel_tol=1e-6):
     """Spot-check patch invariants on an n x n interior sample.
 
-    For spherical patches the position must be a unit vector, and the
-    positions that the jet evaluator returns must be the position
-    evaluator's, bit for bit; the first partials must match fourth-order
-    differences of the position, and the second partials fourth-order
-    differences of the first partials, each step 1e-3 of the jet's own
-    length scale |X_u| / |X_uu| (|X_v| / |X_vv|) or of the coordinate's
-    width, whichever is shorter; the normal must be orthogonal to the
-    tangents (and the position).  Returns the worst deviations found; a
-    NaN deviation is the worst, so it fails.
+    The positions that the jet evaluator returns must be the position
+    evaluator's: bit for bit on the sphere, where both read one formula,
+    and to 1e-13 relative in R^3, where the two may be written apart; on
+    the sphere they must be unit vectors.  The first partials must match
+    fourth-order differences of the position evaluator, and the second
+    partials fourth-order differences of the first partials, with the
+    steps of `diffgeo.consistency`: 1e-3 of the shortest of the
+    coordinate's width and the lengths on which a tangent changes by its
+    own size, |X_u|/|X_uu| and |X_v|/|X_uv| in u, |X_v|/|X_vv| and
+    |X_u|/|X_uv| in v.  The normal must be orthogonal to the tangents (and
+    the position).  Returns the worst deviations found; a NaN deviation is
+    the worst, so it fails.
     """
     from biconsurf import diffgeo as dg
     us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
     pos = patch.position(us, vs)
     p, xu, xv, xuu, xuv, xvv = patch.jet(us, vs)
     length = lambda x: np.linalg.norm(x, axis=1)
-    hu = 1e-3 * np.minimum(length(xu) / length(xuu), patch.u_range[1] - patch.u_range[0])
-    hv = 1e-3 * np.minimum(length(xv) / length(xvv), patch.v_range[1] - patch.v_range[0])
-    d_u = lambda i: dg._fd4(lambda uu: np.transpose(patch.jet(uu, vs)[i]), us, hu).T
-    d_v = lambda i: dg._fd4(lambda vv: np.transpose(patch.jet(us, vv)[i]), vs, hv).T
+    nu, nv, nuu, nuv, nvv = map(length, (xu, xv, xuu, xuv, xvv))
+    width = lambda r: np.full_like(nu, r[1] - r[0])
+    hu = 1e-3 * np.minimum.reduce([nu / nuu, nv / nuv, width(patch.u_range)])
+    hv = 1e-3 * np.minimum.reduce([nv / nvv, nu / nuv, width(patch.v_range)])
+    d_u = lambda f: dg._fd4(lambda uu: np.transpose(f(uu, vs)), us, hu).T
+    d_v = lambda f: dg._fd4(lambda vv: np.transpose(f(us, vv)), vs, hv).T
+    entry = lambda i: lambda u, v: patch.jet(u, v)[i]
     gap = lambda fd, x: length(fd - x) / np.maximum(1.0, length(x))
-    partial = np.concatenate([gap(d_u(0), xu), gap(d_v(0), xv)])
-    second = np.concatenate([gap(d_u(1), xuu), gap(d_v(1), xuv), gap(d_v(2), xvv)])
+    partial = np.concatenate([gap(d_u(patch.position), xu), gap(d_v(patch.position), xv)])
+    second = np.concatenate([gap(d_u(entry(1)), xuu), gap(d_v(entry(1)), xuv),
+                             gap(d_v(entry(2)), xvv)])
     nrm = dg._normal(us, vs, p if patch.ambient == dg.SPHERE3 else None, xu, xv)
     orth = [dg._dot(nrm, xu), dg._dot(nrm, xv)]
     norm = np.zeros(1)
     if patch.ambient == dg.SPHERE3:
         norm = np.abs(length(pos) - 1.0)
         orth.append(dg._dot(nrm, pos))
+        same_positions = pos.tobytes() == p.tobytes()
+    else:
+        same_positions = bool(np.max(gap(p, pos)) <= 1e-13)
     # np.max propagates a NaN
     worst_norm, worst_partial, worst_second, worst_orth = (
         float(np.max(np.abs(xs))) for xs in (norm, partial, second, np.concatenate(orth)))
-    same_positions = patch.ambient != dg.SPHERE3 or pos.tobytes() == p.tobytes()
     return {
         "position_norm_defect": worst_norm,
         "partials_vs_fd": worst_partial,

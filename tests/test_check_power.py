@@ -312,12 +312,12 @@ def report_at(family, C):
 
 # (mutant, family, C): the failing rows without the mutant, then with it.
 # A tangent scaled by 1 + 1e-6 scales E by 1 + 2e-6, and `metric_pullback`
-# reads 2.0e-6 against 1e-6 in each report, whether its E comes from a
-# shape-operator call (revolution, s3-local) or a `fundamental_forms`
-# call (s3-complete).  The first partials drift 1e-6 off the differences
-# of the positions, so `partials_vs_positions` fails too, and
-# `second_vs_first` wherever X_uu sets the step's length scale (not for
-# Psi at C = 20, C* at 1%, where the scale |X_v| / |X_uv| is shorter).
+# reads 2.0e-6 against 1e-6 in each report, whether its E comes from the
+# revolution report's shape-operator call or from the ride points of the
+# residual's call (s3-local, s3-complete).  The first partials drift 1e-6
+# off the differences of the positions, so `partials_vs_positions` fails
+# too, and `second_vs_first` wherever X_uu sets the step's length scale
+# (not for Psi at C = 20, C* at 1%, where |X_v| / |X_uv| is shorter).
 # The K identity, which reads the closed-form X_uu against the scaled
 # tangent, fails in s3-local and in revolution at C = 1
 JUNCTION_ROWS = {"profile_junction_values", "junction_negative_control"}

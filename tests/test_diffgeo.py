@@ -255,16 +255,18 @@ class TestPartialsCalls:
         assert calls == [5 * 7]
 
     def test_ride_points_share_the_call(self):
-        # the jets of the ride points come from the entry point's own call,
-        # and are the jets that a call of their own gives
+        # the shape operators of the ride points come from the entry
+        # point's own call, and are the ones that a call of their own gives
         patch, calls = self.counted(round_sphere_patch())
         ride = (np.array([0.7, 1.9]), np.array([0.1, 0.3]))
-        res, jet = diffgeo.biconservativity_residual(
+        res, data = diffgeo.biconservativity_residual(
             patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2), ride=ride)
         assert calls == [5 * 7 + 2]
         assert np.array_equal(res, diffgeo.biconservativity_residual(
             patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2)))
-        assert np.array_equal(jet, np.stack(patch.jet(*ride), 1))
+        alone = diffgeo.shape_operator(patch, *ride)
+        for field in dataclasses.fields(data):
+            assert np.array_equal(getattr(data, field.name), getattr(alone, field.name))
 
     def test_scalar_call_is_one_point(self):
         patch, calls = self.counted(round_sphere_patch())

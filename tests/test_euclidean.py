@@ -107,6 +107,20 @@ class TestImmersion:
         rep = validate_patch(euclidean.xc_patch(PARAMS_1))
         assert rep["ok"]
 
+    def test_validation_reads_the_position_evaluator(self, monkeypatch):
+        # mesh and export read immersion_XC, not the jet's own copy of X:
+        # a drift of it alone fails both the differences of the positions
+        # and the comparison with the jet's positions
+        xc = euclidean.immersion_XC
+
+        def drifted(par, u, v):
+            out = xc(par, u, v)
+            out[..., 2] += 1e-5 * np.sin(u)
+            return out
+        monkeypatch.setattr(euclidean, "immersion_XC", drifted)
+        rep = validate_patch(euclidean.xc_patch(PARAMS_1))
+        assert rep["partials_vs_fd"] > 1e-6 and not rep["same_positions"] and not rep["ok"]
+
     def test_gauss_curvature_identity(self):
         patch = euclidean.xc_patch(PARAMS_1)
         for u in (-1.2, -0.5, 0.01, 0.8, 1.4):
