@@ -172,11 +172,13 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     u_res, sign, v_res = _product(np.linspace(0.08, 1.45, 8), np.array([-1.0, 1.0]),
                                   np.linspace(0.1, 2.0, 3))
     u_res = sign * u_res
-    # the consistency rows at the K identity's samples, stencils on the residual's call
-    shape = diffgeo.shape_operator(patch, us, 0.4)
-    stencil, defects = diffgeo.consistency(
-        patch, us, 0.4, diffgeo.jet_lengths(shape.jet.swapaxes(0, 1)))
-    residual, ride = diffgeo.biconservativity_residual(patch, u_res, v_res, ride=stencil)
+    # one call at the K identity's and residual's samples sizes the residual's
+    # stencils and the consistency rows', which ride on the residual's call
+    n = len(us)
+    shape = diffgeo.shape_operator(patch, np.append(us, u_res), np.append(np.full(n, 0.4), v_res))
+    lengths = diffgeo.jet_lengths(shape.jet.swapaxes(0, 1))
+    stencil, defects = diffgeo.consistency(patch, us, 0.4, lengths[:, :n])
+    residual, ride = diffgeo.biconservativity_residual(patch, u_res, v_res, lengths[:, n:], stencil)
     u_bound = np.linspace(-3.0, 3.0, 101)
     homothety = rng.uniform(0.05, 4.0, 16), rng.uniform(0.0, 2 * math.pi, 16)
     u_level = np.linspace(0.05, 2.5, 16)
@@ -187,7 +189,7 @@ def r3_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
             *diffgeo.fundamental_forms(patch, *pullback),
             [euclidean.conformal_factor(par, pullback[0])] * 2), pullback, tols.metric_rel),
         "gauss_curvature_identity": _worst(
-            np.abs(shape.K - euclidean.gauss_curvature(par, us)) * length ** 2,
+            np.abs(shape.K[:n] - euclidean.gauss_curvature(par, us)) * length ** 2,
             [us], tols.curvature),
         "biconservativity_residual": _worst(residual, [u_res, v_res], tols.residual),
         **_consistency_rows(defects(ride.jet), [us], tols),
@@ -236,10 +238,13 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 
     patch = fam.patch()
     xis, _ = patch.grid(grid, 4)
+    residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
     # the metric, K and consistency rows at the centres of the stencils,
-    # sized from the closed-form jet there, which ride on the residual's call
-    stencil, defects = diffgeo.consistency(
-        patch, xis, 0.4, diffgeo.jet_lengths(fam.unturned_jet(xis, 0.4)))
+    # which ride on the residual's call; every stencil is sized from the
+    # closed-form jet at its centre, whose lengths do not depend on theta
+    n = len(xis)
+    lengths = diffgeo.jet_lengths(fam.unturned_jet(np.append(xis, residual[0]), 0.4))
+    stencil, defects = diffgeo.consistency(patch, xis, 0.4, lengths[:, :n])
     xi_roots = np.array([roots.xi01, roots.xi02])
 
     # intrinsic curvature straight from the metric coefficients, for a few C:
@@ -261,9 +266,8 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
     k_roots = np.array([roots.k01, roots.k02])
     z_vals = fam.zeta0(np.linspace(*patch.u_range, 24))
     sphere = rng.uniform([patch.u_range[0], 0.0], [patch.u_range[1], 2.0 * math.pi], (256, 2)).T
-    residual = _product(np.linspace(xis[0], xis[-1], 8), np.array([0.2, 0.5]))
-    res, ride = diffgeo.biconservativity_residual(patch, *residual, ride=stencil)
-    shape = ride[:len(xis)]
+    res, ride = diffgeo.biconservativity_residual(patch, *residual, lengths[:, n:], stencil)
+    shape = ride[:n]
     # with b = -1 the bridge has xi = e^{-phi}; sample the middle of the strip
     phi_bridge = np.log(1.0 / (roots.xi01 + np.linspace(0.3, 0.7, 7) * width))
     xi_level = roots.xi01 + np.linspace(0.1, 0.9, 16) * width
@@ -374,14 +378,17 @@ def s3_complete_checks(C: float, Cstar: float, c0: float, grid: int,
     h_res = _strip_interior_samples(at, (0, 1), 5, margin=0.08)
     h_metric = _strip_interior_samples(at, (-1, 0, 1), grid)  # junction bands excluded
     # the consistency rows at two metric heights a strip and the junctions
-    # -2..2, which their stencils straddle, sized from Phi's closed form at
-    # the known xi; the stencils and the metric heights ride on the residual
+    # -2..2, which their stencils straddle; every stencil is sized from
+    # Phi's closed form at the known xi (its lengths do not depend on
+    # theta), and the consistency stencils and the metric heights ride on
+    # the residual
     h_jet = np.concatenate([h_metric[::max(1, grid // 2)], [at.grid[k] for k in (-2, -1, 1, 2)]])
-    up, down, base, xi_junctions, xi_metric, xi_jet = _profile_values(
-        at, h_period + P, h_period - P, h_period, junctions[0], h_metric, h_jet)
-    stencil, defects = diffgeo.consistency(
-        hpatch, h_jet, 0.4, diffgeo.jet_lengths(at.unturned_phi_jet(xi_jet, 0.4)))
-    res, ride = diffgeo.biconservativity_residual(hpatch, h_res, 0.3, ride=(
+    up, down, base, xi_junctions, xi_metric, xi_jet, xi_res = _profile_values(
+        at, h_period + P, h_period - P, h_period, junctions[0], h_metric, h_jet, h_res)
+    n = len(h_jet)
+    lengths = diffgeo.jet_lengths(at.unturned_phi_jet(np.append(xi_jet, xi_res), 0.4))
+    stencil, defects = diffgeo.consistency(hpatch, h_jet, 0.4, lengths[:, :n])
+    res, ride = diffgeo.biconservativity_residual(hpatch, h_res, 0.3, lengths[:, n:], (
         np.append(h_metric, stencil[0]), np.append(np.full_like(h_metric, 0.4), stencil[1])))
     metric = ride[:len(h_metric)]
     # (mismatch, relative mismatch) of Phi1 and Phi2 at orders 0..3, one jet set per label

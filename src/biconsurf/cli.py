@@ -233,8 +233,9 @@ def _grid_positions(args):
     family = args.family
     _require_admissible(family, args.C, args.Cstar)
     if family == "r3":
-        patch = euclidean.xc_patch(euclidean.FamilyParamsR3.from_C(args.C))
-        evaluate, u_default, v_default = patch.position, patch.u_range, patch.v_range
+        par = euclidean.FamilyParamsR3.from_C(args.C)
+        patch, evaluate = euclidean.xc_patch(par), lambda u, v: euclidean.immersion_XC(par, u, v)
+        u_default, v_default = patch.u_range, patch.v_range
     elif family == "s3-local":
         fam = spherical.family(args.C)
         r = fam.roots

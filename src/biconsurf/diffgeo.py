@@ -3,19 +3,19 @@
 Given a patch's jet, positions with first and second partials in closed
 form, computes first and second fundamental forms, the shape operator,
 mean and Gauss curvature, curvature gradients (central differences of the
-curvatures, steps from `_step`: a fixed fraction of the coordinate's
-width, shrunk near a singular value of u), and the residual of the
-eigenvector condition A(grad f) = -(f/2) grad f that characterizes
-biconservative surfaces in a 3-space-form.  Two consistency measures keep
-the oracle independent of the closed forms it reads: the first partials
-against fourth-order differences of the positions, and the second against
-those of the first.  Two ambients are supported: Euclidean 3-space, and
-the unit 3-sphere in 4-space (where the surface normal is the unit
-vector orthogonal to the position and both tangents).
+curvatures), and the residual of the eigenvector condition
+A(grad f) = -(f/2) grad f that characterizes biconservative surfaces in a
+3-space-form.  Two consistency measures keep the oracle independent of
+the closed forms it reads: the first partials against fourth-order
+differences of the positions, and the second against those of the first.
+Every stencil on a patch is sized by `jet_steps` from the jets' lengths.
+Two ambients are supported: Euclidean 3-space, and the unit 3-sphere in
+4-space (where the surface normal is the unit vector orthogonal to the
+position and both tangents).
 
 The oracle is batched: an entry point takes a sample set of points, calls
 the patch's `jet` once on all their points (one per shape operator, 5 per
-residual, which may carry `ride` points in that call and return their
+residual, which carries `ride` points in that call and returns their
 shape operators) and does the rest on arrays, point by point.  A scalar
 call is the one-point case and returns scalars.
 """
@@ -49,14 +49,10 @@ EUCLIDEAN3 = "euclidean3"
 SPHERE3 = "sphere3"
 
 # Step of each stencil as a fraction of the differenced coordinate's
-# length scale (see _step): fourth-order differences of metric
-# coefficients, central differences of curvatures, and fourth-order
-# differences of jets, on the jets' own scale (see consistency).
+# length scale: its width for fourth-order differences of metric
+# coefficients, the jets' own (see jet_steps) for central differences of
+# curvatures and fourth-order differences of jets.
 FD_FRACTION = {"values": 1e-4, "curvature": 1e-3, "jet": 1e-3}
-# Near a singular value the length scale is this multiple of the distance
-# to it: the partials blow up like its inverse square root, and relative
-# truncation goes like (step / distance)^2.
-SINGULAR_SCALE = 10.0
 
 RESIDUAL_FLOOR = 1e-12
 # below this gradient magnitude the point counts as CMC and the residual
@@ -75,25 +71,21 @@ class CMCPoint(Exception):
 
 @dataclass(frozen=True)
 class ImmersionPatch:
-    """A coordinate rectangle with a position evaluator into the ambient.
+    """A coordinate rectangle with a jet evaluator into the ambient.
 
-    position(us, vs) takes equal-length 1-D arrays of points and returns
-    their (n, 3) positions for the Euclidean ambient, (n, 4) unit vectors
-    for the spherical one.  jet(us, vs) returns (X, X_u, X_v, X_uu, X_uv,
-    X_vv), six (n, d) arrays in closed form from one evaluation, stacked as
-    one (6, n, d) array or not; the oracle never calls `position`, and only
-    the consistency measures, which difference the jets, can tell a wrong
-    closed form from a right one.  Steps scale with each coordinate's width.
+    jet(us, vs) takes equal-length 1-D arrays of points and returns
+    (X, X_u, X_v, X_uu, X_uv, X_vv), six (n, d) arrays in closed form from
+    one evaluation, stacked as one (6, n, d) array or not: d = 3 for the
+    Euclidean ambient, 4 for the spherical one, whose positions X are unit
+    vectors.  Only the consistency measures, which difference the jets, can
+    tell a wrong closed form from a right one.  Steps scale with the jets'
+    lengths, bounded by each coordinate's width (see `jet_steps`).
     """
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     ambient: str
-    position: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # u-values where the chart degenerates (metric blows up); derivative
-    # steps shrink in proportion to the distance from these.
-    u_singularities: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.ambient not in (EUCLIDEAN3, SPHERE3):
@@ -154,21 +146,6 @@ def stack_jet(*rows):
 
 def _fd4(fun, x, h):
     return (fun(x - 2 * h) - 8 * fun(x - h) + 8 * fun(x + h) - fun(x + 2 * h)) / (12 * h)
-
-
-def _step(kind: str, coord_range: tuple[float, float], at, singularities: tuple[float, ...]):
-    """The oracle's one finite-difference step rule, one step per point of `at`.
-
-    The step in a coordinate spanning `coord_range` is FD_FRACTION[kind]
-    of that coordinate's length scale: its width, or SINGULAR_SCALE times
-    the distance from `at` to the nearest of its singular values,
-    whichever is shorter.
-    """
-    scale = np.full(np.shape(at), coord_range[1] - coord_range[0])
-    if singularities:
-        dist = np.min(np.abs(np.subtract.outer(at, singularities)), axis=-1)
-        scale = np.where(dist > 0.0, np.minimum(scale, SINGULAR_SCALE * dist), scale)
-    return FD_FRACTION[kind] * scale
 
 
 def _points(u, v):
@@ -282,13 +259,29 @@ def shape_operator(patch: ImmersionPatch, u, v) -> SurfaceData:
                                       A[0, 0] + A[1, 1], K, jet.swapaxes(0, 1)))
 
 
-def _curvature_gradients(patch: ImmersionPatch, us, vs, ride=((), ())):
+def jet_lengths(jet):
+    """|X_u|, |X_v|, |X_uu|, |X_uv|, |X_vv| (5, n) of jets (6, n, d)."""
+    return np.sqrt(np.einsum("knd,knd->kn", jet[1:], jet[1:]))
+
+
+def jet_steps(kind: str, patch: ImmersionPatch, lengths):
+    """The oracle's one step rule on a patch: per point, the steps (h, k)
+    (2, n) in u and v, FD_FRACTION[kind] of the shortest of the
+    coordinate's width and the lengths on which a tangent changes by its
+    own size, from the points' `jet_lengths` (5, n) from any source:
+    |X_u|/|X_uu|, |X_v|/|X_uv| in u (Psi_h = (r' cos, r' sin, 1) sees r
+    vary only through the second), |X_v|/|X_vv|, |X_u|/|X_uv| in v."""
+    rate = (lengths[[2, 3, 4, 3]] / lengths[[0, 1, 1, 0]]).reshape(2, 2, -1)
+    width = np.diff([patch.u_range, patch.v_range])
+    return FD_FRACTION[kind] / np.maximum(rate.max(1), 1.0 / width)
+
+
+def _curvature_gradients(patch: ImmersionPatch, us, vs, lengths, ride=((), ())):
     """Shape operators at the points, there the metric gradients g^{-1} d(f)
     and g^{-1} d(K) as (n, 2) arrays, and the shape operators at the `ride`
-    points: one shape_operator call over the points, their stencils and
-    the ride points."""
-    hu = _step("curvature", patch.u_range, us, patch.u_singularities)
-    hv = _step("curvature", patch.v_range, vs, ())
+    points: one shape_operator call over the points, their stencils, with
+    steps from the points' `jet_lengths`, and the ride points."""
+    hu, hv = jet_steps("curvature", patch, lengths)
     n = 5 * len(us)
     stencil = shape_operator(patch, *(np.concatenate([x, r]) for x, r in
                                       zip(_stencil(us, vs, hu, hv), ride)))
@@ -300,47 +293,38 @@ def _curvature_gradients(patch: ImmersionPatch, us, vs, ride=((), ())):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def biconservativity_residual(patch: ImmersionPatch, u, v, ride=None):
-    """Scale-free defect of A(grad f) = -(f/2) grad f at each point, and
-    with `ride` points, which its evaluator call covers, their shape
-    operators (SurfaceData) too.
+def biconservativity_residual(patch: ImmersionPatch, u, v, lengths, ride=((), ())):
+    """Scale-free defect of A(grad f) = -(f/2) grad f at each point, its
+    curvature stencil sized from the points' `jet_lengths` (5, n) from any
+    source, and the shape operators (SurfaceData) of the `ride` points,
+    which its evaluator call covers.
 
-    Returns |A(grad f) + (f/2) grad f|_g normalized by |grad f|_g |f| / 2
-    (with an absolute floor).  Where the gradient is below the CMC
-    threshold the defect is returned unnormalized: both sides of the
-    identity vanish there and the quotient would compare noise to noise.
-    A NaN anywhere in a point's data gives that point a NaN.
+    The defect is |A(grad f) + (f/2) grad f|_g normalized by
+    |grad f|_g |f| / 2 (with an absolute floor).  Where the gradient is
+    below the CMC threshold the defect is returned unnormalized: both sides
+    of the identity vanish there and the quotient would compare noise to
+    noise.  A NaN anywhere in a point's data gives that point a NaN.
     """
     us, vs = _points(u, v)
-    d, grad_f, _, rode = _curvature_gradients(patch, us, vs, ride or ((), ()))
+    d, grad_f, _, rode = _curvature_gradients(patch, us, vs, lengths, ride)
     # lengths in the induced metric of tangent components (n, 2)
     length = lambda x: np.sqrt(np.maximum(
         0.0, (x[:, 0] * d.E + x[:, 1] * d.F) * x[:, 0] + (x[:, 0] * d.F + x[:, 1] * d.G) * x[:, 1]))
     res_norm = length(np.einsum("nij,nj->ni", d.shape, grad_f) + 0.5 * d.f[:, None] * grad_f)
     grad_norm = length(grad_f)
     denom = np.maximum(grad_norm * np.abs(d.f) / 2.0, RESIDUAL_FLOOR)
-    out = _unbatch(u, v, np.where(grad_norm <= GRADIENT_THRESHOLD, res_norm, res_norm / denom))
-    return out if ride is None else (out, rode)
-
-
-def jet_lengths(jet):
-    """|X_u|, |X_v|, |X_uu|, |X_uv|, |X_vv| (5, n) of jets (6, n, d)."""
-    return np.sqrt(np.einsum("knd,knd->kn", jet[1:], jet[1:]))
+    return _unbatch(u, v, np.where(grad_norm <= GRADIENT_THRESHOLD, res_norm, res_norm / denom)), rode
 
 
 def consistency(patch: ImmersionPatch, us, vs, lengths):
     """The stencil about the broadcast (us, vs), each point then u -+ 2h,
-    u -+ h, then v -+ 2k, v -+ k, with steps from `lengths`, the points'
-    `jet_lengths` from any source: FD_FRACTION of the shortest of the width
-    and |X_u|/|X_uu|, |X_v|/|X_uv| in u (Psi_h = (r' cos, r' sin, 1) sees r
-    vary only through the second), |X_v|/|X_vv|, |X_u|/|X_uv| in v.  And a
-    function of the stencil's jets alone that gives per point, D the
-    fourth-order differences, the larger of |D_u X - X_u|/|X_u| and
-    |D_v X - X_v|/|X_v|, and the largest |D_a X_b - X_ab| over |X_b| / (the
-    length step a came from), ab = uu, uv (a = v), vv."""
-    rate = (lengths[[2, 3, 4, 3]] / lengths[[0, 1, 1, 0]]).reshape(2, 2, -1)
-    width = np.diff([patch.u_range, patch.v_range])
-    steps = FD_FRACTION["jet"] / np.maximum(rate.max(1), 1.0 / width)  # (h, k)
+    u -+ h, then v -+ 2k, v -+ k, with the `jet_steps` of the points'
+    `jet_lengths`.  And a function of the stencil's jets alone that gives
+    per point, D the fourth-order differences, the larger of
+    |D_u X - X_u|/|X_u| and |D_v X - X_v|/|X_v|, and the largest
+    |D_a X_b - X_ab| over |X_b| / (the length step a came from),
+    ab = uu, uv (a = v), vv."""
+    steps = jet_steps("jet", patch, lengths)  # (h, k)
     a, b, m = [0, 1, 0, 1, 1], [0, 0, 1, 1, 2], steps.shape[1]  # direction a of D_a X_b
     scale = steps[a] / FD_FRACTION["jet"]
     scale[:2] = 1.0
@@ -386,6 +370,6 @@ def gauss_curvature_from_metric(E: Callable, G: Callable, x, scale=1.0, *, dG: C
     point, or one for all).  The inner derivative G' is the analytic dG,
     the outer one is a fourth-order difference.
     """
-    h = _step("values", (0.0, scale), x, ())
+    h = FD_FRACTION["values"] * scale
     inner = lambda xx: dG(xx) / np.sqrt(E(xx) * G(xx))
     return -_fd4(inner, x, h) / (2.0 * np.sqrt(E(x) * G(x)))

@@ -127,7 +127,6 @@ def xc_patch(params: FamilyParamsR3) -> diffgeo.ImmersionPatch:
         u_range=(-1.5, 1.5),
         v_range=(0.0, 2.0 * math.pi / 3.0),
         ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: immersion_XC(params, u, v),
         jet=lambda u, v: immersion_XC_partials(params, u, v),
     )
 

@@ -334,7 +334,6 @@ class GluingAtlas:
             u_range=tuple(h_range),
             v_range=(0.0, TWO_PI * self.Cstar),
             ambient=diffgeo.EUCLIDEAN3,
-            position=self.immersion_psi,
             jet=self.immersion_psi_partials,
         )
 
@@ -372,7 +371,6 @@ class GluingAtlas:
             u_range=tuple(h_range),
             v_range=(0.0, 1.0),
             ambient=diffgeo.SPHERE3,
-            position=self.immersion_phi,
             jet=self.immersion_phi_partials,
         )
 

@@ -353,9 +353,7 @@ class SphereFamily:
             u_range=(lo, hi),
             v_range=(0.0, 1.0),
             ambient=diffgeo.SPHERE3,
-            position=self.immersion,
             jet=lambda xi, th: self.immersion_partials(xi, th),
-            u_singularities=(self.roots.xi01, self.roots.xi02),
         )
 
     def metric_profile_derivs(self):

@@ -15,10 +15,13 @@ is a generic ODE stepper on a state of any length, and
 `reference_second_order` poses k'' = f(k) to it up to its first turn,
 the reference for the package's second-order stepper and, with
 `curvature_f`, the trajectory of the profile curvature that the report
-checks in closed form.  `curvatures` reads the oracle's
-curvature gradients at one point; `validate_patch` checks a patch's
-closed-form first partials against differences of its positions, and
-its second partials against differences of its first partials;
+checks in closed form.  `jet_lengths_at` reads the `diffgeo.jet_lengths`
+that size the oracle's stencils off a patch's jet at a set of points,
+`residual` is the batched residual with those lengths, and `curvatures`
+reads the oracle's curvature gradients at one point; `validate_patch`
+checks a patch's closed-form first partials against differences of a
+position evaluator, and its second partials against differences of its
+first partials;
 `phi_coordinate_bridge` is the isothermal coordinate of the
 conformal-exponent route, from `isothermal_quadrature`, which is the
 package's own strip quadrature.
@@ -461,42 +464,45 @@ class ScalarOracle:
     the batched oracle, which reads the patch's closed-form second
     partials, is checked against.
 
-    Each point is its own one-point call of the patch's evaluators, with
-    one jet call per stencil point, of which it reads the first partials
-    only (5 per shape operator, 25 per residual) and, on the sphere, a
-    `position` call for the normal.  The partials step is PARTIALS_FRACTION
-    of each coordinate's width, shrunk near a singular value like the
-    curvature step; the curvature steps and the per-point rules are
-    diffgeo's, and the determinants are numpy's LU ones.
+    Each point is its own one-point call of the patch's jet, with one jet
+    call per stencil point, of which it reads the first partials only (5
+    per shape operator, 25 per residual), and the positions at the point
+    for the normal on the sphere.  The partials step is PARTIALS_FRACTION
+    of each coordinate's width, or of SINGULAR_SCALE times the distance
+    from u to the nearest of the `singularities` that the caller gives,
+    where the partials blow up, whichever is shorter.  The curvature steps
+    are `diffgeo.jet_steps` of the lengths of the jet at the point, read
+    from one more call; the per-point rules are diffgeo's, and the
+    determinants are numpy's LU ones.
     """
 
     PARTIALS_FRACTION = 1e-5
+    SINGULAR_SCALE = 10.0
 
-    def __init__(self, patch):
+    def __init__(self, patch, singularities=()):
         from biconsurf import diffgeo
         self.dg = diffgeo
         self.patch = patch
+        self.singularities = singularities
 
     def _call(self, fun, u, v):
         return [np.asarray(x, dtype=float)[0] for x in fun(np.array([u]), np.array([v]))]
 
     def _tangents(self, u, v):
-        """(X_u, X_v) at one point; a spherical evaluator's positions are dropped."""
+        """(X_u, X_v) at one point."""
         return self._call(self.patch.jet, u, v)[1:3]
 
-    def _step(self, fraction, coord_range, at, singularities):
-        scale = coord_range[1] - coord_range[0]
-        if singularities:
-            dist = min(abs(at - s) for s in singularities)
-            if dist > 0.0:
-                scale = min(scale, self.dg.SINGULAR_SCALE * dist)
-        return fraction * scale
+    def _partials_steps(self, u):
+        """(hu, hv) of the differenced second partials at u."""
+        (u0, u1), (v0, v1) = self.patch.u_range, self.patch.v_range
+        scale = min([u1 - u0] + [self.SINGULAR_SCALE * abs(u - s)
+                                 for s in self.singularities if u != s])
+        return self.PARTIALS_FRACTION * scale, self.PARTIALS_FRACTION * (v1 - v0)
 
-    def _normal(self, u, v, xu, xv):
+    def _normal(self, p, xu, xv):
         if self.patch.ambient == self.dg.EUCLIDEAN3:
             n = np.cross(xu, xv)
         else:
-            p = np.asarray(self.patch.position(np.array([u]), np.array([v])), dtype=float)[0]
             m = np.vstack([p, xu, xv])
             cols = np.arange(4)
             n = np.array([(-1.0) ** i * np.linalg.det(m[:, cols != i]) for i in range(4)])
@@ -505,13 +511,12 @@ class ScalarOracle:
     def shape_operator(self, u, v):
         """(E, F, G, normal, shape, f, K) at one point."""
         patch, dg = self.patch, self.dg
-        xu, xv = self._tangents(u, v)
+        p, xu, xv = self._call(patch.jet, u, v)[:3]
         E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
         det_g = E * G - F * F
         assert det_g > 0.0
-        n = self._normal(u, v, xu, xv)
-        hu = self._step(self.PARTIALS_FRACTION, patch.u_range, u, patch.u_singularities)
-        hv = self._step(self.PARTIALS_FRACTION, patch.v_range, v, ())
+        n = self._normal(p, xu, xv)
+        hu, hv = self._partials_steps(u)
         up, um = self._tangents(u + hu, v), self._tangents(u - hu, v)
         vp, vm = self._tangents(u, v + hv), self._tangents(u, v - hv)
         h = np.array([(up[0] - um[0]) / (2 * hu) @ n, (vp[0] - vm[0]) / (2 * hv) @ n,
@@ -526,9 +531,8 @@ class ScalarOracle:
     def biconservativity_residual(self, u, v):
         patch, dg = self.patch, self.dg
         d = self.shape_operator(u, v)
-        curvature = dg.FD_FRACTION["curvature"]
-        hu = self._step(curvature, patch.u_range, u, patch.u_singularities)
-        hv = self._step(curvature, patch.v_range, v, ())
+        steps = dg.jet_steps("curvature", patch, jet_lengths_at(patch, u, v))
+        hu, hv = (float(h[0]) for h in steps)
         up, um = self.shape_operator(u + hu, v), self.shape_operator(u - hu, v)
         vp, vm = self.shape_operator(u, v + hv), self.shape_operator(u, v - hv)
         g = np.array([[d["E"], d["F"]], [d["F"], d["G"]]])
@@ -545,12 +549,14 @@ class ScalarOracle:
 FIELDS = ("E", "F", "G", "normal", "shape", "f", "K")
 
 
-def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9, residual_tol=None):
+def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9, residual_tol=None,
+                             singularities=()):
     """The batched data at the points (us, vs) against the point-by-point
-    oracle: every shape-operator field to `rel` of 1 + its size, and the
-    residual, which is scale-free, to `residual_tol` (by default `rel`)."""
+    oracle, whose partials steps shrink near the `singularities` of u:
+    every shape-operator field to `rel` of 1 + its size, and the residual,
+    which is scale-free, to `residual_tol` (by default `rel`)."""
     residual_tol = rel if residual_tol is None else residual_tol
-    ref = ScalarOracle(patch)
+    ref = ScalarOracle(patch, singularities)
     for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
         want = ref.shape_operator(u, v)
         for name in FIELDS:
@@ -559,6 +565,21 @@ def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9, resid
         if residual is not None:
             exp = ref.biconservativity_residual(u, v)
             assert abs(residual[i] - exp) <= residual_tol, (u, v, residual[i], exp)
+
+
+def jet_lengths_at(patch, u, v):
+    """`diffgeo.jet_lengths` (5, n) of the patch's jet at the broadcast
+    points (u, v), from one call of its own."""
+    from biconsurf import diffgeo
+    us, vs = np.broadcast_arrays(np.atleast_1d(u).astype(float), np.atleast_1d(v).astype(float))
+    return diffgeo.jet_lengths(np.asarray(patch.jet(us, vs)))
+
+
+def residual(patch, u, v):
+    """The oracle's biconservativity residual at the points (u, v), its
+    stencils sized from the patch's own jet there."""
+    from biconsurf import diffgeo
+    return diffgeo.biconservativity_residual(patch, u, v, jet_lengths_at(patch, u, v))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -571,41 +592,38 @@ def curvatures(patch, u, v):
     """
     from biconsurf import diffgeo
     data, grad_f, grad_k, _ = diffgeo._curvature_gradients(
-        patch, np.array([u], dtype=float), np.array([v], dtype=float))
+        patch, np.array([u], dtype=float), np.array([v], dtype=float),
+        jet_lengths_at(patch, u, v))
     return data.f[0], data.K[0], grad_f[0], grad_k[0]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def validate_patch(patch, n=5, rel_tol=1e-6):
+def validate_patch(patch, position, n=5, rel_tol=1e-6):
     """Spot-check patch invariants on an n x n interior sample.
 
-    The positions that the jet evaluator returns must be the position
-    evaluator's: bit for bit on the sphere, where both read one formula,
-    and to 1e-13 relative in R^3, where the two may be written apart; on
-    the sphere they must be unit vectors.  The first partials must match
-    fourth-order differences of the position evaluator, and the second
-    partials fourth-order differences of the first partials, with the
-    steps of `diffgeo.consistency`: 1e-3 of the shortest of the
-    coordinate's width and the lengths on which a tangent changes by its
-    own size, |X_u|/|X_uu| and |X_v|/|X_uv| in u, |X_v|/|X_vv| and
-    |X_u|/|X_uv| in v.  The normal must be orthogonal to the tangents (and
-    the position).  Returns the worst deviations found; a NaN deviation is
-    the worst, so it fails.
+    The positions that the patch's jet evaluator returns must be those of
+    `position`, the family's position evaluator that mesh and export
+    read: bit for bit on the sphere, where both read one formula, and to
+    1e-13 relative in R^3, where the two may be written apart; on the
+    sphere they must be unit vectors.  The first partials must match
+    fourth-order differences of `position`, and the second partials
+    fourth-order differences of the first partials, with the oracle's
+    steps, `diffgeo.jet_steps` of the jets' lengths.  The normal must be
+    orthogonal to the tangents (and the position).  Returns the worst
+    deviations found; a NaN deviation is the worst, so it fails.
     """
     from biconsurf import diffgeo as dg
     us, vs = (a.ravel() for a in np.meshgrid(*patch.grid(n, n, margin=5e-2), indexing="ij"))
-    pos = patch.position(us, vs)
-    p, xu, xv, xuu, xuv, xvv = patch.jet(us, vs)
+    pos = position(us, vs)
+    jet = np.asarray(patch.jet(us, vs))
+    p, xu, xv, xuu, xuv, xvv = jet
     length = lambda x: np.linalg.norm(x, axis=1)
-    nu, nv, nuu, nuv, nvv = map(length, (xu, xv, xuu, xuv, xvv))
-    width = lambda r: np.full_like(nu, r[1] - r[0])
-    hu = 1e-3 * np.minimum.reduce([nu / nuu, nv / nuv, width(patch.u_range)])
-    hv = 1e-3 * np.minimum.reduce([nv / nvv, nu / nuv, width(patch.v_range)])
+    hu, hv = dg.jet_steps("jet", patch, dg.jet_lengths(jet))
     d_u = lambda f: dg._fd4(lambda uu: np.transpose(f(uu, vs)), us, hu).T
     d_v = lambda f: dg._fd4(lambda vv: np.transpose(f(us, vv)), vs, hv).T
     entry = lambda i: lambda u, v: patch.jet(u, v)[i]
     gap = lambda fd, x: length(fd - x) / np.maximum(1.0, length(x))
-    partial = np.concatenate([gap(d_u(patch.position), xu), gap(d_v(patch.position), xv)])
+    partial = np.concatenate([gap(d_u(position), xu), gap(d_v(position), xv)])
     second = np.concatenate([gap(d_u(entry(1)), xuu), gap(d_v(entry(1)), xuv),
                              gap(d_v(entry(2)), xvv)])
     nrm = dg._normal(us, vs, p if patch.ambient == dg.SPHERE3 else None, xu, xv)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from biconsurf import checks, cli, diffgeo, euclidean, gluing, spherical
-from conftest import bisect_root, curvature_f, reference_second_order, refined_singular_integral
+from conftest import (bisect_root, curvature_f, reference_second_order, refined_singular_integral,
+                      residual)
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +151,14 @@ def test_criterion_4_biconservativity(atlas11):
             if abs(u) <= 1e-3 * 3.0:
                 continue
             for v in vs:
-                worst = max(worst, diffgeo.biconservativity_residual(patch, float(u), float(v)))
+                worst = max(worst, residual(patch, float(u), float(v)))
     ok = _report("criterion 4a (X residual)", worst, 1e-4)
 
     sp = spherical.family(1.0).patch()
     xis, ths = sp.grid(16, 16, margin=1e-3)
     worst_p = 0.0
     for xi in xis:  # one row of theta per call
-        worst_p = max(worst_p, *diffgeo.biconservativity_residual(sp, np.full(len(ths), xi), ths))
+        worst_p = max(worst_p, *residual(sp, np.full(len(ths), xi), ths))
     ok &= _report("criterion 4b (strip residual)", worst_p, 1e-4)
 
     at = atlas11
@@ -173,7 +174,7 @@ def test_criterion_4_biconservativity(atlas11):
     worst_g = 0.0
     ths = np.linspace(0.05, 0.95, 16)
     for h in hs:  # one row of theta per call
-        worst_g = max(worst_g, *diffgeo.biconservativity_residual(pphi, np.full(len(ths), h), ths))
+        worst_g = max(worst_g, *residual(pphi, np.full(len(ths), h), ths))
     ok &= _report("criterion 4c (glued residual)", worst_g, 1e-4)
     assert ok
 

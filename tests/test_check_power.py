@@ -23,9 +23,9 @@ closed-form mean curvature of Psi.
 
 The last guard the closed-form jets, which the oracle reads where it
 once differenced the partials: a second partial X_uu scaled by 1 + 1e-6
-in each family's evaluator, and a turning angle zeta0 + 1e-6 sin(xi)
-whose derivatives do not follow.  Only the consistency rows, which
-difference the jets, can see either.
+in each family's evaluator (a blind spot for Psi at small C*), and a
+turning angle zeta0 + 1e-6 sin(xi) whose derivatives do not follow.  Only
+the consistency rows, which difference the jets, can see either.
 """
 
 import copy
@@ -384,6 +384,23 @@ def test_second_partial_mutant(family, C, monkeypatch):
     before = failing(report_at_half(family, C))
     scale_jet(monkeypatch, *JET_EVALUATORS[family], 3)
     assert failing(report_at_half(family, C)) - before == SECOND_POWER[family, C]
+
+
+# The same mutant of Psi with C* at 1% of its range is a blind spot: no
+# row of the revolution report fails.  The u-step's length scale there is
+# |X_v|/|X_uv| = r/|r'|, far below |X_u|/|X_uu|, and `second_vs_first`
+# measures X_uu's error in units of |X_u| over that scale, where
+# Psi_hh = r'' (cos, sin, 0) is small: it reads 7.0e-8 at C = 1 and 4.8e-8
+# at C = 20 (1.5e-12 and 7.1e-12 without the mutant), under its 2e-7,
+# where C* at 50% reads 1.0e-6 and fails (SECOND_POWER)
+@pytest.mark.parametrize("C, value", [(1.0, 7.0e-8), (20.0, 4.8e-8)])
+def test_second_partial_blind_spot_at_small_cstar(C, value, monkeypatch):
+    scale_jet(monkeypatch, *JET_EVALUATORS["revolution"], 3)
+    rep, _ = checks.build_report("revolution", C, 0.01 * gluing.cstar_range(C).upper)
+    assert failing(rep["checks"]) == set()
+    assert rep["checks"]["second_vs_first"]["value"] == pytest.approx(value, rel=0.02)
+    assert report_at_half("revolution", C)["second_vs_first"]["value"] == \
+        pytest.approx(1.0e-6, rel=0.02)
 
 
 # zeta0 + 1e-6 sin(xi): the positions of the strip and of the glued

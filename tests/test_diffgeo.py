@@ -9,7 +9,7 @@ import pytest
 
 from biconsurf import diffgeo, gluing, spherical
 from biconsurf.numerics import OutOfDomain
-from conftest import assert_matches_reference, curvatures, validate_patch
+from conftest import assert_matches_reference, curvatures, jet_lengths_at, residual, validate_patch
 
 
 def vec(*components):
@@ -21,43 +21,44 @@ def plane_patch():
     zero = lambda u: vec(0.0 * u, 0.0, 0.0)
     return diffgeo.ImmersionPatch(
         u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: vec(u, v, 0.0 * u),
         jet=lambda u, v: (vec(u, v, 0.0 * u), vec(1.0, 0.0, 0.0 * u), vec(0.0, 1.0, 0.0 * u),
                           zero(u), zero(u), zero(u)))
 
 
-def round_sphere_patch():
-    def pos(u, v):
-        return vec(np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u))
+def sphere_position(u, v):
+    """The unit sphere in polar angle u and longitude v."""
+    return vec(np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u))
 
+
+def round_sphere_patch():
     def jet(u, v):
         xu = vec(np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u))
         xv = vec(-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), 0.0 * u)
         xuv = vec(-np.cos(u) * np.sin(v), np.cos(u) * np.cos(v), 0.0 * u)
         xvv = vec(-np.sin(u) * np.cos(v), -np.sin(u) * np.sin(v), 0.0 * u)
-        return pos(u, v), xu, xv, -pos(u, v), xuv, xvv
+        return sphere_position(u, v), xu, xv, -sphere_position(u, v), xuv, xvv
 
     return diffgeo.ImmersionPatch(
-        u_range=(0.3, 2.8), v_range=(0.0, 2.0 * math.pi), ambient=diffgeo.EUCLIDEAN3,
-        position=pos, jet=jet)
+        u_range=(0.3, 2.8), v_range=(0.0, 2.0 * math.pi), ambient=diffgeo.EUCLIDEAN3, jet=jet)
+
+
+def torus_position(u, v):
+    """The Clifford torus in S^3."""
+    return 1.0 / math.sqrt(2.0) * vec(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
 
 
 def flat_torus_patch():
     s = 1.0 / math.sqrt(2.0)
 
-    def pos(u, v):
-        return s * vec(np.cos(u), np.sin(u), np.cos(v), np.sin(v))
-
     def jet(u, v):
         zero = 0.0 * u
-        return (pos(u, v), s * vec(-np.sin(u), np.cos(u), zero, zero),
+        return (torus_position(u, v), s * vec(-np.sin(u), np.cos(u), zero, zero),
                 s * vec(0.0 * v, 0.0 * v, -np.sin(v), np.cos(v)),
                 s * vec(-np.cos(u), -np.sin(u), zero, zero), vec(zero, zero, zero, zero),
                 s * vec(0.0 * v, 0.0 * v, -np.cos(v), -np.sin(v)))
 
     return diffgeo.ImmersionPatch(
-        u_range=(0.0, 2 * math.pi), v_range=(0.0, 2 * math.pi), ambient=diffgeo.SPHERE3,
-        position=pos, jet=jet)
+        u_range=(0.0, 2 * math.pi), v_range=(0.0, 2 * math.pi), ambient=diffgeo.SPHERE3, jet=jet)
 
 
 def latitude_sphere_patch(r):
@@ -75,8 +76,7 @@ def latitude_sphere_patch(r):
                 sr * vec(su * sv, -cu * sv, zero, zero), sr * vec(-cu * cv, -su * cv, -sv, zero))
 
     return diffgeo.ImmersionPatch(
-        u_range=(0.0, 2 * math.pi), v_range=(-1.2, 1.2), ambient=diffgeo.SPHERE3,
-        position=pos, jet=jet)
+        u_range=(0.0, 2 * math.pi), v_range=(-1.2, 1.2), ambient=diffgeo.SPHERE3, jet=jet)
 
 
 def long_cylinder_patch():
@@ -84,7 +84,6 @@ def long_cylinder_patch():
     zero = lambda u: vec(0.0 * u, 0.0, 0.0)
     return diffgeo.ImmersionPatch(
         u_range=(0.0, 1000.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-        position=lambda u, v: vec(np.cos(v), np.sin(v), u),
         jet=lambda u, v: (vec(np.cos(v), np.sin(v), u), vec(0.0 * u, 0.0, 1.0),
                           vec(-np.sin(v), np.cos(v), 0.0 * u), zero(u), zero(u),
                           vec(-np.cos(v), -np.sin(v), 0.0 * u)))
@@ -104,7 +103,6 @@ class TestFundamentalForms:
     def test_degenerate_rejected(self):
         bad = diffgeo.ImmersionPatch(
             u_range=(-1, 1), v_range=(-1, 1), ambient=diffgeo.EUCLIDEAN3,
-            position=lambda u, v: vec(u, u, 0.0 * u),
             jet=lambda u, v: (vec(u, u, 0.0 * u), vec(1.0, 1.0, 0.0 * u),
                               *[vec(0.0, 0.0, 0.0 * u)] * 4))
         with pytest.raises(diffgeo.DegenerateMetric):
@@ -127,8 +125,7 @@ class TestShapeOperator:
             return x, xu, -xv, xuu, -xuv, xvv
 
         flipped = diffgeo.ImmersionPatch(
-            u_range=p.u_range, v_range=p.v_range, ambient=p.ambient,
-            position=lambda u, v: p.position(u, -v), jet=jet)
+            u_range=p.u_range, v_range=p.v_range, ambient=p.ambient, jet=jet)
         data = diffgeo.shape_operator(flipped, 1.1, -0.5)
         assert data.f >= 0.0
 
@@ -153,7 +150,7 @@ class TestShapeOperator:
     def test_normal_orthogonality_sphere3(self):
         p = flat_torus_patch()
         data = diffgeo.shape_operator(p, 0.7, 1.9)
-        pos = p.position(np.array([0.7]), np.array([1.9]))[0]
+        pos = torus_position(0.7, 1.9)
         assert abs(data.normal @ pos) < 1e-10
         assert np.linalg.norm(data.normal) == pytest.approx(1.0, abs=1e-12)
 
@@ -167,7 +164,7 @@ class TestCurvatures:
 
     def test_residual_zero_at_cmc(self):
         # gradient below the CMC threshold: unnormalized defect, FD noise only
-        res = diffgeo.biconservativity_residual(round_sphere_patch(), 1.1, 0.5)
+        res = residual(round_sphere_patch(), 1.1, 0.5)
         assert res < 1e-8
 
 
@@ -248,70 +245,82 @@ class TestPartialsCalls:
         diffgeo.shape_operator(patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2))
         assert calls == [7]
 
+    # the lengths that size a residual's stencils are read before the count
+    POINTS = np.linspace(0.5, 2.5, 7), np.full(7, 0.2)
+
     def test_residual_calls(self):
         # five shape operators per point: the point and its curvature stencil
+        lengths = jet_lengths_at(round_sphere_patch(), *self.POINTS)
         patch, calls = self.counted(round_sphere_patch())
-        diffgeo.biconservativity_residual(patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2))
+        diffgeo.biconservativity_residual(patch, *self.POINTS, lengths)
         assert calls == [5 * 7]
 
     def test_ride_points_share_the_call(self):
         # the shape operators of the ride points come from the entry
         # point's own call, and are the ones that a call of their own gives
+        lengths = jet_lengths_at(round_sphere_patch(), *self.POINTS)
         patch, calls = self.counted(round_sphere_patch())
         ride = (np.array([0.7, 1.9]), np.array([0.1, 0.3]))
-        res, data = diffgeo.biconservativity_residual(
-            patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2), ride=ride)
+        res, data = diffgeo.biconservativity_residual(patch, *self.POINTS, lengths, ride)
         assert calls == [5 * 7 + 2]
         assert np.array_equal(res, diffgeo.biconservativity_residual(
-            patch, np.linspace(0.5, 2.5, 7), np.full(7, 0.2)))
+            patch, *self.POINTS, lengths)[0])
         alone = diffgeo.shape_operator(patch, *ride)
         for field in dataclasses.fields(data):
             assert np.array_equal(getattr(data, field.name), getattr(alone, field.name))
 
     def test_scalar_call_is_one_point(self):
+        lengths = jet_lengths_at(round_sphere_patch(), 1.1, 0.5)
         patch, calls = self.counted(round_sphere_patch())
         data = diffgeo.shape_operator(patch, 1.1, 0.5)
-        diffgeo.biconservativity_residual(patch, 1.1, 0.5)
+        res, _ = diffgeo.biconservativity_residual(patch, 1.1, 0.5, lengths)
         assert calls == [1, 5]
         batch = diffgeo.shape_operator(patch, np.array([1.1]), np.array([0.5]))
         assert data.K == batch.K[0] and data.shape.shape == (2, 2)
-        assert diffgeo.biconservativity_residual(patch, 1.1, 0.5) == \
-            diffgeo.biconservativity_residual(patch, np.array([1.1]), np.array([0.5]))[0]
+        assert np.ndim(res) == 0 and res == diffgeo.biconservativity_residual(
+            patch, np.array([1.1]), np.array([0.5]), lengths)[0][0]
 
 
 def sphere_patches():
-    """Spherical patches with the evaluator's point sets: the flat torus,
-    the s3-local strip and the glued immersion across the junction h_{0,1}."""
+    """Spherical patches with their position evaluators and the
+    evaluator's point sets: the flat torus, the s3-local strip and the
+    glued immersion across the junction h_{0,1}."""
     at = gluing.atlas(1.0, 1.0)
-    strip = spherical.family(1.0).patch()
+    fam = spherical.family(1.0)
+    strip = fam.patch()
     glued = at.phi_patch((at.h_limits[0], at.grid[2]))
-    return [(flat_torus_patch(), np.linspace(0.5, 5.5, 7), np.full(7, 1.9)),
-            (strip, np.linspace(*strip.u_range, 9)[1:-1], np.full(7, 0.4)),
-            (glued, np.linspace(at.h_limits[0], at.grid[2], 9)[1:-1], np.full(7, 0.3))]
+    return [(flat_torus_patch(), torus_position, np.linspace(0.5, 5.5, 7), np.full(7, 1.9)),
+            (strip, fam.immersion, np.linspace(*strip.u_range, 9)[1:-1], np.full(7, 0.4)),
+            (glued, at.immersion_phi, np.linspace(at.h_limits[0], at.grid[2], 9)[1:-1],
+             np.full(7, 0.3))]
 
 
 class TestSphereNormals:
     """On the sphere the evaluator's one call returns the positions that
-    the normals read: no `position` call, and the same normals, bit for
-    bit, as positions from a `position` call of their own give."""
+    the normals read: no position evaluator is called, and the normals
+    are, bit for bit, those that positions from a call of the family's
+    position evaluator give."""
 
     @pytest.mark.parametrize("case", range(3), ids=["torus", "strip", "glued"])
-    def test_one_evaluator_call_and_no_position_call(self, case):
-        patch, us, vs = sphere_patches()[case]
-        counted, calls = TestPartialsCalls.counted(dataclasses.replace(
-            patch, position=lambda u, v: pytest.fail("the oracle called position")))
+    def test_one_evaluator_call_and_no_position_call(self, case, monkeypatch):
+        patch, _, us, vs = sphere_patches()[case]
+        lengths = jet_lengths_at(patch, us, vs)  # before the count
+        refused = lambda *args: pytest.fail("the oracle called a position evaluator")
+        monkeypatch.setattr(spherical.SphereFamily, "immersion", refused)
+        monkeypatch.setattr(gluing.GluingAtlas, "immersion_phi", refused)
+        counted, calls = TestPartialsCalls.counted(patch)
         diffgeo.shape_operator(counted, us, vs)
         assert calls == [len(us)]
-        diffgeo.biconservativity_residual(counted, us, vs)
+        diffgeo.biconservativity_residual(counted, us, vs, lengths)
         assert calls == [len(us), 5 * len(us)]
 
     @pytest.mark.parametrize("case", range(3), ids=["torus", "strip", "glued"])
     def test_normals_match_a_position_call(self, case):
-        patch, us, vs = sphere_patches()[case]
+        patch, position, us, vs = sphere_patches()[case]
         data = diffgeo.shape_operator(patch, us, vs)
         positions, xu, xv = patch.jet(us, vs)[:3]
-        assert positions.tobytes() == patch.position(us, vs).tobytes()
-        n = diffgeo._normal(us, vs, patch.position(us, vs), xu, xv)
+        assert positions.tobytes() == position(us, vs).tobytes()
+        n = diffgeo._normal(us, vs, position(us, vs), xu, xv)
         # the orientation flips whole rows
         assert np.all((data.normal == n).all(1) | (data.normal == -n).all(1))
 
@@ -336,7 +345,7 @@ class TestAgainstScalarOracle:
         # the width: its fields are up to 1.3e-9 off the closed-form ones
         # here, and its residuals up to 6.5e-9
         assert_matches_reference(patch, us, vs, diffgeo.shape_operator(patch, us, vs),
-                                 diffgeo.biconservativity_residual(patch, us, vs), rel=2e-8)
+                                 residual(patch, us, vs), rel=2e-8)
 
 
 class TestValidatePatch:
@@ -347,19 +356,18 @@ class TestValidatePatch:
             return (vec(u, v, 0.0 * u), vec(row, 0.0 * u, 0.0 * u), vec(0.0 * u, 1.0, 0.0 * u),
                     *[vec(0.0 * u, 0.0, 0.0)] * 3)
         patch = diffgeo.ImmersionPatch(
-            u_range=(0.0, 1.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3,
-            position=lambda u, v: vec(u, v, 0.0 * u), jet=jet)
+            u_range=(0.0, 1.0), v_range=(0.0, 1.0), ambient=diffgeo.EUCLIDEAN3, jet=jet)
         assert sum(0.4 < u < 0.6 for u in patch.grid(5, 5, margin=5e-2)[0]) == 1
-        rep = validate_patch(patch)
+        rep = validate_patch(patch, lambda u, v: vec(u, v, 0.0 * u))
         assert not rep["ok"]
         assert math.isnan(rep["partials_vs_fd"])
 
     def test_round_sphere_partials(self):
-        rep = validate_patch(round_sphere_patch())
+        rep = validate_patch(round_sphere_patch(), sphere_position)
         assert rep["ok"]
         assert rep["partials_vs_fd"] < 1e-6 and rep["second_vs_fd"] < 1e-6
 
     def test_sphere3_unit_norm(self):
-        rep = validate_patch(flat_torus_patch())
+        rep = validate_patch(flat_torus_patch(), torus_position)
         assert rep["position_norm_defect"] < 1e-12
         assert rep["normal_orthogonality"] < 1e-8

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import checks, diffgeo, euclidean
 from biconsurf.numerics import OutOfDomain
-from conftest import curvatures, validate_patch
+from conftest import curvatures, residual, validate_patch
 
 
 PARAMS_1 = euclidean.FamilyParamsR3.from_C(1.0)
@@ -104,7 +104,8 @@ class TestImmersion:
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_partials_match_fd(self):
-        rep = validate_patch(euclidean.xc_patch(PARAMS_1))
+        rep = validate_patch(euclidean.xc_patch(PARAMS_1),
+                             lambda u, v: euclidean.immersion_XC(PARAMS_1, u, v))
         assert rep["ok"]
 
     def test_validation_reads_the_position_evaluator(self, monkeypatch):
@@ -118,7 +119,8 @@ class TestImmersion:
             out[..., 2] += 1e-5 * np.sin(u)
             return out
         monkeypatch.setattr(euclidean, "immersion_XC", drifted)
-        rep = validate_patch(euclidean.xc_patch(PARAMS_1))
+        rep = validate_patch(euclidean.xc_patch(PARAMS_1),
+                             lambda u, v: euclidean.immersion_XC(PARAMS_1, u, v))
         assert rep["partials_vs_fd"] > 1e-6 and not rep["same_positions"] and not rep["ok"]
 
     def test_gauss_curvature_identity(self):
@@ -146,7 +148,7 @@ class TestImmersion:
 
     def test_biconservative(self):
         patch = euclidean.xc_patch(PARAMS_1)
-        assert diffgeo.biconservativity_residual(patch, 0.7, 0.3) < 1e-5
+        assert residual(patch, 0.7, 0.3) < 1e-5
 
     def test_gradient_is_eigenvector(self):
         # A(grad f) = -(f/2) grad f componentwise, not just in norm

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import checks, diffgeo, gluing, numerics, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
-from conftest import (one_sided_derivative, refined_singular_integral, scalar_inverse,
-                      scalar_value, validate_patch)
+from conftest import (jet_lengths_at, one_sided_derivative, refined_singular_integral, residual,
+                      scalar_inverse, scalar_value, validate_patch)
 
 
 @pytest.fixture(scope="module")
@@ -491,7 +491,7 @@ class TestRevolutionSurface:
         # not the eigenvector identity: its residual stays O(1)
         patch = at.psi_patch((at.h_limits[0], at.h_limits[1]))
         for h in (-0.5, 0.1, 0.3):
-            assert diffgeo.biconservativity_residual(patch, h, 0.4) > 1e-2
+            assert residual(patch, h, 0.4) > 1e-2
 
 
 class TestGluedImmersion:
@@ -544,11 +544,11 @@ class TestGluedImmersion:
     def test_biconservative_across_strips(self, at):
         patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
         for h in (-0.6, 0.2, 0.9, 1.4):
-            assert diffgeo.biconservativity_residual(patch, h, 0.3) < 1e-4
+            assert residual(patch, h, 0.3) < 1e-4
 
     def test_partials_validate(self, at):
         patch = at.phi_patch((0.05, 0.3))
-        rep = validate_patch(patch)
+        rep = validate_patch(patch, at.immersion_phi)
         assert rep["ok"]
 
 
@@ -604,7 +604,7 @@ class TestJunctionPartials:
         patch = jat.phi_patch((p1 - pad, p1 + pad))
         # the middle row of the 5 x 5 sample sits on h_{0,1}
         assert jat.F(patch.grid(5, 5, margin=5e-2)[0][2]) == jat.roots.xi02
-        assert validate_patch(patch)["ok"]
+        assert validate_patch(patch, jat.immersion_phi)["ok"]
 
     def test_one_call_is_the_calls_one_height_at_a_time(self, jat):
         # strips -3 to 3 with every junction between and around them: the
@@ -642,15 +642,18 @@ class TestOracleWork:
 
     @pytest.mark.parametrize("h", [-0.6, 0.2, 0.9, 1.4])
     def test_residual_sample_inverts_at_most_12_heights(self, at, monkeypatch, h):
+        # the lengths that size the stencils are read before the count
+        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
+        hs = np.full(3, h) + [0.0, 1e-3, 2e-3]
+        one, three = jet_lengths_at(patch, h, 0.3), jet_lengths_at(patch, hs, 0.3)
         calls = []
         inverse = numerics.CumulativeQuadrature.inverse
         monkeypatch.setattr(numerics.CumulativeQuadrature, "inverse",
                             lambda self, y: calls.append(len(y)) or inverse(self, y))
-        patch = at.phi_patch((at.h_limits[0] - 1.0, at.grid[2]))
-        diffgeo.biconservativity_residual(patch, h, 0.3)
+        diffgeo.biconservativity_residual(patch, h, 0.3, one)
         assert len(calls) == 1 and 0 < sum(calls) <= 9
         calls.clear()
-        diffgeo.biconservativity_residual(patch, np.full(3, h) + [0.0, 1e-3, 2e-3], np.full(3, 0.3))
+        diffgeo.biconservativity_residual(patch, hs, np.full(3, 0.3), three)
         assert len(calls) == 1 and sum(calls) <= 27
 
 

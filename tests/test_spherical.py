@@ -1,6 +1,7 @@
 """Sphere-ambient family: strip roots, metric, turning-angle quadrature,
 immersion, the curvature equation, and the coordinate bridge."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -14,7 +15,7 @@ from biconsurf import diffgeo, euclidean, numerics, spherical
 from biconsurf.numerics import DegenerateDomain, OutOfDomain, StepUnderflow
 from conftest import (REFERENCE_LOGGER, curvature_f, curvature_L, phi_coordinate_bridge,
                       reference_build, reference_second_order, refined_singular_integral,
-                      validate_patch)
+                      residual, validate_patch)
 
 
 class TestRoots:
@@ -321,12 +322,32 @@ class TestImmersion:
         fam = spherical.family(1.0)
         patch = fam.patch()
         xis, ths = patch.grid(8, 3, margin=1e-3)
-        worst = max(diffgeo.biconservativity_residual(patch, float(x), float(t))
+        worst = max(residual(patch, float(x), float(t))
                     for x in xis for t in ths)
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("C", [1.00000001 * spherical.C_MIN, 1.0, 1e3, 1e6])
+    def test_residual_stencil_at_the_strip_ends(self, C):
+        # residual samples at the patch's ends, 1e-3 of the strip width from
+        # each root, sized as the report sizes them: every point of the
+        # curvature stencil inside the open strip, each xi-step at most 1%
+        # of the distance to the nearer root, where the partials blow up
+        fam = spherical.family(C)
+        patch, roots = fam.patch(), fam.roots
+        xi, theta = np.array(patch.u_range), np.array([0.2, 0.5])
+        lengths = diffgeo.jet_lengths(fam.unturned_jet(xi, theta))
+        step = diffgeo.jet_steps("curvature", patch, lengths)[0]
+        assert np.all(step <= 0.01 * np.minimum(xi - roots.xi01, roots.xi02 - xi))
+        seen = []
+        evaluate = patch.jet
+        recorded = dataclasses.replace(patch, jet=lambda u, v: seen.append(u) or evaluate(u, v))
+        res, _ = diffgeo.biconservativity_residual(recorded, xi, theta, lengths)
+        assert len(seen) == 1 and np.all(roots.contains(seen[0]))
+        assert np.all(np.isfinite(res))
+
     def test_partials_validate(self):
-        rep = validate_patch(spherical.family(1.0).patch())
+        fam = spherical.family(1.0)
+        rep = validate_patch(fam.patch(), fam.immersion)
         assert rep["ok"]
 
     def test_out_of_domain(self):
