@@ -319,10 +319,14 @@ def s3_local_checks(C: float, grid: int, seed: int) -> dict[str, CheckResult]:
 def _junction_mismatch(at: gluing.GluingAtlas, jets):
     """|right - left| of the one-sided jets (left, right) of a junction,
     and that mismatch relative to the larger one-sided derivative or to
-    the amplitude 2 / (strip height)^order, whichever is larger."""
+    the amplitude 2 / (strip height)^order, whichever is larger.  An
+    amplitude past the float range raises OverflowError."""
     left, right = jets
     mismatch = np.abs(right - left)
     delta = at.h_limits[1] - at.h_limits[0]
+    if not (delta ** 3 > 0.0 and math.isfinite(2.0 / delta ** 3)):
+        raise OverflowError(f"the junction amplitude 2 / (strip height)^3 leaves the floats "
+                            f"at strip height {delta!r}")
     floor = [2.0 / delta ** n for n in range(4)]
     return mismatch, mismatch / np.maximum(np.maximum(np.abs(left), np.abs(right)), floor)
 

@@ -15,6 +15,8 @@ junctions, giving a complete immersion
                      Phi3(h) cos(sqrt(C) theta), Phi3(h) sin(sqrt(C) theta))
 
 of the plane with the periodic-profile metric into the unit 3-sphere.
+Its one-sided h-derivatives at a junction, to order 3, are closed forms
+in the strip rates at the root, where T = 0.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import diffgeo
-from .numerics import (NumericsError, OutOfDomain, check_range, power_derivatives,
-                       series_compose, series_mul, series_powers, series_revert)
+from .numerics import OutOfDomain, check_range
 from .spherical import C_MIN, SphereFamily, T, T_deriv, family, strip_quadrature
 
 __all__ = [
@@ -238,26 +239,30 @@ class GluingAtlas:
         return xi if xi.ndim else float(xi)
 
     def _rates(self, k, xi, zeta=True):
-        """(F', F'', zeta', zeta'') in h on strips k at F = xi, from the tables'
-        integrands g / sqrt(T): F' = s sqrt(T)/g_h, F'' = T'/(2 g_h^2) - T g_h'/g_h^3,
-        zeta' = s g_zeta/g_h, zeta'' = zeta' F' (g_zeta'/g_zeta - g_h'/g_h), s = -1 on
-        odd strips; finite on the closed strip, F' = zeta'' = 0 at a junction (T = 0).
+        """(F', F'', zeta', zeta'') in h on strips k at F = xi: F' = s sqrt(T)/g_h,
+        zeta' = s g_zeta/g_h and zeta'' = zeta' F' (g_zeta'/g_zeta - g_h'/g_h), s = -1
+        on odd strips, from `_rate_terms`; F' = zeta'' = 0 at a junction (T = 0).
         With zeta=False only (F', F''), which Psi needs."""
+        s = np.where(np.asarray(k) % 2 == 1, -1.0, 1.0)
+        dF, d2F, *z = self._rate_terms(xi, zeta)
+        return (s * dF, d2F, s * z[0], z[0] * dF * z[1]) if zeta else (s * dF, d2F)
+
+    def _rate_terms(self, xi, zeta):
+        """sqrt(T)/g_h and F'' = T'/(2 g_h^2) - T g_h'/g_h^3 at F = xi, from the
+        tables' integrands g / sqrt(T), and with `zeta` also g_zeta/g_h and the
+        log-rate difference g_zeta'/g_zeta - g_h'/g_h; finite on the closed strip."""
         xi = np.asarray(xi, dtype=float)
         t = self.roots.T(xi)
         gh = self._h_g(xi, t)  # 0 where it clamps a negative radicand 3 xi^2 - C*^2 T
         bad = (self.C * xi * xi <= 1.0) | ~(gh > 0.0)
         if bad.any():
             raise OutOfDomain(f"C xi^2 <= 1 or 3 xi^2 <= C*^2 T at xi = {float(xi[bad][0])}")
-        s = np.where(np.asarray(k) % 2 == 1, -1.0, 1.0)
         cs2, tp = self.Cstar * self.Cstar, T_deriv(self.C, xi)
         log_rate = (6.0 * xi - cs2 * tp) / (2.0 * (3.0 * xi * xi - cs2 * t)) - 2.0 / xi
-        dF = s * np.sqrt(t) / gh
-        d2F = (0.5 * tp - t * log_rate) / (gh * gh)
+        terms = np.sqrt(t) / gh, (0.5 * tp - t * log_rate) / (gh * gh)
         if not zeta:
-            return dF, d2F
-        dz = s * self.family._zeta_g(xi, t) / gh
-        return dF, d2F, dz, dz * dF * (self.family._zeta_log_rate(xi) - log_rate)
+            return terms
+        return (*terms, self.family._zeta_g(xi, t) / gh, self.family._zeta_log_rate(xi) - log_rate)
 
     # -- revolution surface -----------------------------------------------------
 
@@ -379,15 +384,12 @@ class GluingAtlas:
     def junction_jets(self, k: int, phases=None) -> tuple[np.ndarray, np.ndarray]:
         """(left, right): the one-sided h-derivatives of Phi1 and Phi2 at
         the junction h_{0,k}, one row per component and one column per
-        order 0 to 3 (order 0 holds the one-sided values), from exact jets
-        in the end variable s = sqrt|xi - root|.
+        order 0 to 3 (order 0 holds the one-sided values).
 
-        Both sides have the same series in d = |h - h_j| of the turning
-        angle and of R (`_end_jets`); composing cos, sin(zeta + c) with
-        them gives each component as a series in d.  The sides differ
-        only in their strip's phase constant, the sign of Phi2 on odd
-        strips, and the factor (-1)^n that turns the n-th d-derivative
-        into an h-derivative on the left.  `phases` replaces the (left,
+        On strip j of sign s, Phi1 + i Phi2 = R e^{i psi} with
+        psi = s (zeta + c_j).  Both sides share the derivatives of
+        `_junction_coefficients` over e^{i psi}, so they differ only in
+        psi's value s (zeta limit + c_j).  `phases` replaces the (left,
         right) phase constants; the same constant on both sides is the
         continuity-only branch c_k = c0 of a negative control.  No
         inversion runs and no integrand is evaluated.
@@ -395,67 +397,32 @@ class GluingAtlas:
         if k not in self.grid:
             raise ValueError(f"junction label {k} outside the atlas grid")
         j = k if k > 0 else k + 1  # the slot of h_{0,k} on the ladder of _strip_points
-        zlim, dz_powers, R = self._end_jets[j % 2]
-
-        def jets(strip, phase, side):
-            """Phi1 and Phi2 on `strip` with phase constant `phase`, as
-            h-derivatives on the side where d = `side` (h - h_j)."""
-            ang = zlim + phase
-            c, sn = math.cos(ang), math.sin(ang)
-            sgn = -1.0 if strip % 2 else 1.0
-            phi1 = series_mul(R, series_compose([c, -sn, -c, sn], dz_powers))
-            phi2 = series_mul(R, series_compose([sn, c, -sn, -c], dz_powers))
-            return np.array([phi1, [sgn * v for v in phi2]]) * [
-                math.factorial(n) * side ** n for n in range(4)]
-
+        zlim, coef = self.zeta_limits[j % 2], self._junction_coefficients[j % 2]
         c_left, c_right = phases if phases is not None else (self.phase(j - 1), self.phase(j))
-        return jets(j - 1, c_left, -1.0), jets(j, c_right, 1.0)
+
+        def jets(strip, phase):
+            z = np.exp(1j * (-1.0 if strip % 2 else 1.0) * (zlim + phase)) * coef
+            return np.array([z.real, z.imag])
+
+        return jets(j - 1, c_left), jets(j, c_right)
 
     @cached_property
-    def _end_jets(self) -> tuple:
-        """Per strip end, lower then upper: the turning angle's limit there,
-        and the series to d^3 in d = |h - h_j| of the powers of zeta -
-        limit (`series_powers`: a strip's phase only shifts the turning
-        angle by a constant) and of R = sqrt(1 - 1/(C xi^2)) on a strip
-        next to a junction h_j at that end.  The tables are immutable, so
-        each end is expanded once.
+    def _junction_coefficients(self) -> np.ndarray:
+        """Per strip end, lower then upper: the h-derivatives of order 0 to 3
+        of R e^{i psi} over e^{i psi}, on either strip next to a junction there.
 
-        Near the root xi = root +- s^2 exactly, and the height and the
-        turning angle differ from their end values by series in s whose
-        coefficients up to s^3 come from the end-cell Chebyshev leaf of
-        each table; the end integrands are functions of s^2, so both
-        series are odd and their even coefficients are set to exactly 0.
-        Reverting |h - h_j| = H(s) gives s as a series in d, and composing
-        xi(s) and R(xi) gives R's.  An end whose series cannot be
-        reverted or composed in floats (at huge C, H's leading coefficient
-        to the fifth underflows, or 1 - 1/(C xi^2) rounds to 0 at the
-        root) raises NumericsError naming it.
+        At the root T = 0, so F' = F''' = 0, and on both sides
+        psi' = g_zeta/g_h, psi'' = 0 and psi''' = psi' F'' times the
+        log-rate difference, all from `_rate_terms`.  With
+        R = sqrt(1 - 1/(C xi^2)) and R_xi at the root the derivatives are R,
+        i psi' R, R_xi F'' - psi'^2 R and i (3 psi' R_xi F'' + R (psi''' - psi'^3)).
         """
-        odd = lambda a: [0.0, a[1], 0.0, a[3]]
-        out = []
-        for upper, root, zlim in ((False, self.roots.xi01, self.zeta_limits[0]),
-                                  (True, self.roots.xi02, self.zeta_limits[1])):
-            end = "upper" if upper else "lower"
-            inward = -1.0 if upper else 1.0  # sign of xi - root, and of zeta - zlim
-            height = odd(self._h_cum.end_series(upper))
-            if height[1] ** 5 == 0.0:  # series_revert divides by it
-                raise NumericsError(f"the height series at the {end} strip end is degenerate: "
-                                    f"leading coefficient {height[1]!r}")
-            s = series_revert(height)
-            z1, z3 = odd(self.family._zeta_cum.end_series(upper))[1::2]
-            s2 = series_mul(s, s)
-            s3 = series_mul(s2, s)
-            xi = [root, *(inward * c for c in s2[1:])]
-            dz = [inward * (z1 * a + z3 * b) for a, b in zip(s[1:], s3[1:])]
-            w = [-c / self.C for c in series_compose(power_derivatives(root, -2.0),
-                                                     series_powers(xi))]
-            w[0] += 1.0
-            if not w[0] > 0.0:
-                raise NumericsError(f"the series of R at the {end} strip end is degenerate: "
-                                    f"1 - 1/(C xi^2) = {w[0]!r} at xi = {root!r}")
-            out.append((zlim, series_powers([0.0, *dz]),
-                        series_compose(power_derivatives(w[0], 0.5), series_powers(w))))
-        return tuple(out)
+        xi = np.array([self.roots.xi01, self.roots.xi02])
+        _, d2F, dpsi, log_rates = self._rate_terms(xi, True)
+        R = np.sqrt(1.0 - 1.0 / (self.C * xi * xi))
+        d2R = 1.0 / (self.C * xi ** 3 * R) * d2F
+        return np.stack([R, 1j * dpsi * R, d2R - R * dpsi * dpsi,
+                         1j * (3.0 * dpsi * d2R + R * (dpsi * d2F * log_rates - dpsi ** 3))], 1)
 
 
 @lru_cache(maxsize=16)

@@ -4,13 +4,12 @@ Bracketed root finding, cumulative quadrature that tolerates
 inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
 build time, one bisection level at a time with one integrand call per
 level, kept as per-panel Chebyshev antiderivatives that later
-evaluations sum by Clenshaw, and whose end cells give Taylor series in
-the end variable), truncated power series for one-sided jets, and an
-embedded adaptive Runge-Kutta integrator of k'' = f(k) up to its first
-turning point, which the package does not call: the benchmark's tracer
-wraps it by name.  Everything is pure with respect to its
-inputs; the cumulative quadrature tables built here are immutable after
-construction and safe to share between threads.
+evaluations sum by Clenshaw), and an embedded adaptive Runge-Kutta
+integrator of k'' = f(k) up to its first turning point, which the
+package does not call: the benchmark's tracer wraps it by name.
+Everything is pure with respect to its inputs; the cumulative
+quadrature tables built here are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ __all__ = [
     "expand_bracket",
     "check_range",
     "solve_ode",
-    "series_mul",
-    "series_powers",
-    "series_compose",
-    "series_revert",
-    "power_derivatives",
     "gauss_kronrod_panel",
     "CumulativeQuadrature",
 ]
@@ -455,19 +449,6 @@ class CumulativeQuadrature:
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
         return lo
 
-    def end_series(self, upper: bool = False) -> list[float]:
-        """Taylor coefficients at w = 0, up to w**3, of the integral
-        between the lower (or upper) end and x = lower + w**2 (or
-        upper - w**2): the derivatives at t = -1 of the Chebyshev
-        antiderivative on the end cell's first leaf, over half**k k!, from
-        T_n^(k)(-1) = (-1)^(n+k) prod_{j<k} (n^2 - j^2) / (2j + 1)."""
-        row = self._leaves[self._first_leaf[QUAD_CELLS - 1 if upper else 0]].tolist()
-        coef, half = row[_COEF:], row[_HALF]
-        return [sum((-1) ** (n + k) * math.prod(n * n - j * j for j in range(k)) * c
-                    for n, c in enumerate(coef))
-                / (math.prod(range(1, 2 * k, 2)) * half ** k * math.factorial(k))
-                for k in range(4)]
-
     def value(self, x):
         """Cumulative integral from `lower` to x, for x in the closed
         interval: a float gives a float, an array an array.
@@ -696,48 +677,3 @@ def solve_ode(
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
     raise MaxIterations("step budget exhausted before t_end")
-
-
-# ----------------------------------------------------------------------
-# Truncated power series
-# ----------------------------------------------------------------------
-
-def series_mul(a: list, b: list) -> list:
-    """Product of two power series truncated to the length of `a`."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
-def series_powers(g: list) -> list:
-    """The series (g - g[0])^k for k < len(g), truncated to the length of g."""
-    step = [0.0, *g[1:]]
-    powers = [[1.0] + [0.0] * (len(g) - 1)]
-    while len(powers) < len(g):
-        powers.append(series_mul(powers[-1], step))
-    return powers
-
-
-def series_compose(derivs, powers: list) -> list:
-    """Series of f(g(x)) from `powers` = series_powers(g) and `derivs`, the
-    derivatives f^(k)(g[0]) for k < len(g): the sum of
-    f^(k)(g[0]) / k! (g - g[0])^k.  The powers do not depend on g[0], so
-    compositions with one g shifted by constants can share them."""
-    out = [0.0] * len(powers)
-    for k, (d, power) in enumerate(zip(derivs, powers)):
-        out = [o + d / math.factorial(k) * p for o, p in zip(out, power)]
-    return out
-
-
-def series_revert(a: list) -> list:
-    """Series of x(y), to order 3, from y = a1 x + a2 x^2 + a3 x^3 (a1 != 0;
-    a[0] is ignored, the expansion point maps to 0)."""
-    _, a1, a2, a3 = a
-    return [0.0, 1.0 / a1, -a2 / a1 ** 3, (2.0 * a2 * a2 - a1 * a3) / a1 ** 5]
-
-
-def power_derivatives(x: float, p: float) -> list:
-    """The derivatives of order 0 to 3 of t^p at t = x."""
-    out, c = [], 1.0
-    for k in range(4):
-        out.append(c * x ** (p - k))
-        c *= p - k
-    return out

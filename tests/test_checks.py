@@ -226,13 +226,18 @@ class TestTableCalls:
         checks.build_report(family, 1.0, cstar)
         assert len(calls) == self.ZETA_LOOKUPS[family] <= n_calls, [np.size(x) for (x,) in calls]
 
-    def test_junction_compositions_per_warm_report(self, monkeypatch):
-        # one jet set per junction label -3..3 and one for the negative
-        # control, each composing Phi1 and Phi2 on both sides
+    def test_junction_coefficients_once_per_atlas(self, monkeypatch):
+        # the junction rows read one coefficient set per atlas, from one call
+        # of the strip rates' terms on the two roots; a warm report computes none
+        gluing.atlas.cache_clear()
+        calls = _count_calls(monkeypatch, gluing.GluingAtlas, "_rate_terms")
         checks.build_report("s3-complete", 1.0, 1.0)
-        calls = _count_calls(monkeypatch, gluing, "series_compose")
+        roots = gluing.atlas(1.0, 1.0).roots
+        at_roots = lambda: sum(np.array_equal(xi, [roots.xi01, roots.xi02]) for xi, _ in calls)
+        assert at_roots() == 1
+        calls.clear()
         checks.build_report("s3-complete", 1.0, 1.0)
-        assert len(calls) == 7 * 4
+        assert calls and at_roots() == 0
 
     def test_revolution_makes_one_oracle_call(self, monkeypatch):
         checks.build_report("revolution", 1.0, 1.0)

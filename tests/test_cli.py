@@ -742,20 +742,28 @@ class TestHugeC:
         assert all(rows[name]["pass"] for name in
                    ("prime_integral", "curvature_equation", "prime_integral_at_roots"))
 
-    @pytest.mark.parametrize("C, degenerate", [
-        ("1e20", "the series of R at the lower strip end"),
-        ("1e24", "the height series at the upper strip end")])
-    def test_glued_end_series(self, tmp_path, capsys, C, degenerate):
-        # the junction jets at C* = 50%: 1 - 1/(C xi01^2) rounds to 0 at
-        # 1e20, and the height series cannot be reverted in floats at 1e24
+    @pytest.mark.parametrize("C, code, error", [
+        ("1e20", 2, " OutOfDomain: C xi^2 <= 1"), ("1e24", 1, None),
+        ("1e57", 2, " OverflowError: the junction amplitude 2 / (strip height)^3")],
+        ids=("1e20", "1e24", "1e57"))
+    def test_glued_junction_rates(self, tmp_path, capsys, C, code, error):
+        # the junction jets at C* = 50% read the strip rates at the roots: at
+        # 1e20 1 - 1/(C xi01^2) rounds to 0 there, and the rates refuse the
+        # root; at 1e24 it does not, and the report is written, as revolution's
+        # is (ROADMAP item 7 owns that precision limit); at 1e57 the cube of
+        # the strip height underflows, and the rows' amplitude leaves the floats
         out = tmp_path / "rep.json"
         cstar = repr(0.5 * gluing.cstar_range(float(C)).upper)
         assert run(["verify", "--family", "s3-complete", "--C", C, "--cstar", cstar,
-                    "--out", str(out)]) == 2
+                    "--out", str(out)]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, err
-        assert " NumericsError: " + degenerate in err and "Traceback" not in err
-        assert not out.exists()
+        assert "Traceback" not in err
+        if error:
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert error in err and not out.exists()
+        else:
+            assert "error:" not in err
+            assert "junction_smoothness" in json.loads(out.read_text())["checks"]
 
     @pytest.mark.parametrize("C", ["1e19", "1e30"])
     def test_strip_roots(self, capsys, C):

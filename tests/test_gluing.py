@@ -382,29 +382,58 @@ class TestJunctionSmoothness:
     @pytest.mark.parametrize("C", [1.000001 * spherical.C_MIN, 1.001 * spherical.C_MIN,
                                    1.0, 20.0, 1e3])
     def test_matches_over_the_admissible_range(self, C):
-        # measured at most 7e-14: both sides share one jet, so only the
-        # phase constants can tell them apart
+        # measured at most 1.2e-15: both sides share one set of coefficients,
+        # so only the phase constants can tell them apart
         for frac in (1e-3, 0.5, 0.999):
             at = gluing.GluingAtlas(C, _cstar_at(C, frac))
             worst = max(np.max(self.relative(at, k)[:, 1:]) for k in (1, -1, 2))
             assert worst <= 1e-10, (C, frac, worst)
 
     def test_jets_match_stencils_on_the_evaluator(self):
-        # Richardson-extrapolated one-sided stencils on immersion_phi at theta = 0;
-        # measured at most 3.4e-6 (order 3), 1.5e-7 (order 2), 5e-11 (order 1)
-        at = gluing.GluingAtlas(1.0, 1.0)
-        delta = at.h_limits[1] - at.h_limits[0]
-        point = functools.lru_cache(maxsize=None)(lambda h: at.immersion_phi(h, 0.0))
+        # Richardson-extrapolated one-sided stencils on immersion_phi at theta = 0,
+        # relative to the scale of the report's rows; (C, C*, junctions, steps in
+        # strip heights, bounds on orders 1..3), measured at most 4.5e-11, 1.5e-7,
+        # 2.6e-6 at C = 1 and 5.7e-9, 2.0e-6, 9.8e-5 near C_MIN.  At C = 20 the
+        # upper half-strip holds 6e-4 of the strip's height, and its heights are
+        # resolved to about 1e-13 of the span (ROADMAP item 5): junction 1 takes
+        # steps 100 times shorter, and reads 1.1e-10, 3.5e-4, 2.9e-3, where
+        # rounding limits orders 2 and 3; junctions -1 and 2 read 7.7e-12,
+        # 1.7e-7, 4.1e-7
+        c_near = 1.001 * spherical.C_MIN
+        for C, cstar, junctions, scale, bounds in [
+                (1.0, 1.0, (1, -1, 2), 1.0, (1e-10, 5e-7, 1e-5)),
+                (c_near, _cstar_at(c_near, 0.5), (1, -1, 2), 1.0, (2e-8, 1e-5, 3e-4)),
+                (20.0, _cstar_at(20.0, 0.5), (-1, 2), 1.0, (3e-11, 1e-6, 2e-6)),
+                (20.0, _cstar_at(20.0, 0.5), (1,), 1e-2, (1e-9, 1e-3, 1e-2))]:
+            at = gluing.GluingAtlas(C, cstar)
+            delta = at.h_limits[1] - at.h_limits[0]
+            point = functools.lru_cache(maxsize=None)(lambda h: at.immersion_phi(h, 0.0))
+            for k in junctions:
+                jets = at.junction_jets(k)
+                for i in (0, 1):  # Phi1, Phi2
+                    f = lambda h: point(h)[i]
+                    for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
+                        for side, forward in ((1, True), (0, False)):  # right, left
+                            fd = one_sided_derivative(f, at.grid[k], order, step * scale * delta,
+                                                      forward)
+                            jet = jets[side][i, order]
+                            rel = abs(fd - jet) / max(abs(jet), 2.0 / delta ** order)
+                            assert rel <= bounds[order - 1], (C, k, i, order, side, jet, fd)
+
+    @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 1e3])
+    def test_jets_are_the_evaluators_at_the_root(self, C):
+        # orders 0..2 on each side are `SphereFamily.point`'s jet with that
+        # strip's phase, sign and rates at the root, to 4 ulps (measured 0)
+        at = gluing.GluingAtlas(C, _cstar_at(C, 0.5))
         for k in (1, -1, 2):
-            jets = at.junction_jets(k)
-            for i in (0, 1):  # Phi1, Phi2
-                f = lambda h: point(h)[i]
-                for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
-                    for side, forward in ((1, True), (0, False)):  # right, left
-                        fd = one_sided_derivative(f, at.grid[k], order, step * delta, forward)
-                        jet = jets[side][i, order]
-                        scale = max(abs(jet), 2.0 / delta ** order)
-                        assert abs(fd - jet) <= 1e-5 * scale, (k, i, order, side, jet, fd)
+            j = k if k > 0 else k + 1
+            root = np.array([(at.roots.xi01, at.roots.xi02)[j % 2]])
+            for side, strip in enumerate((j - 1, j)):
+                jet = at.family.point(root, 0.0, at.zeta_limits[j % 2], at.phase(strip),
+                                      -1.0 if strip % 2 else 1.0, at._rates(strip, root))
+                want = np.array([jet[n][0, :2] for n in (0, 1, 3)]).T  # X, X_h, X_hh
+                got = at.junction_jets(k)[side][:, :3]
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), (k, side)
 
     def test_no_inversion_and_no_integrand(self, monkeypatch):
         at = gluing.GluingAtlas(1.0, 1.0)

@@ -1,4 +1,4 @@
-"""Numerical kernel: roots, quadrature, ODE, truncated series; and the
+"""Numerical kernel: roots, quadrature and ODE; and the
 one-sided stencil oracle of conftest that the jet tests compare against."""
 
 import math
@@ -365,42 +365,6 @@ class TestSolveOde:
         assert sol.turn == ref.turn
         halvings = [steps.count(t0) - 2 for t0 in dict.fromkeys(steps)]
         assert len(halvings) == 1 and 40 <= halvings[0] < 60
-
-
-# ----------------------------------------------------------------------
-# truncated power series
-# ----------------------------------------------------------------------
-
-class TestSeries:
-    def test_product(self):
-        # (1 + x)^2 (1 - x) = 1 + x - x^2 - x^3
-        assert nm.series_mul([1.0, 2.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0]) == [1.0, 1.0, -1.0, -1.0]
-
-    def test_compose_exp_of_sin(self):
-        # exp(sin x) = 1 + x + x^2/2 + 0 x^3 + O(x^4)
-        out = nm.series_compose([1.0] * 4, nm.series_powers([0.0, 1.0, 0.0, -1.0 / 6.0]))
-        assert out == pytest.approx([1.0, 1.0, 0.5, 0.0], abs=1e-16)
-
-    def test_compose_about_the_inner_value(self):
-        # sqrt(4 + x) = 2 + x/4 - x^2/64 + x^3/512
-        out = nm.series_compose(nm.power_derivatives(4.0, 0.5),
-                                nm.series_powers([4.0, 1.0, 0.0, 0.0]))
-        assert out == pytest.approx([2.0, 0.25, -1.0 / 64.0, 1.0 / 512.0], rel=1e-15)
-
-    def test_power_derivatives(self):
-        assert nm.power_derivatives(2.0, -2.0) == [0.25, -0.25, 0.375, -0.75]
-
-    def test_revert_sin_gives_asin(self):
-        # asin y = y + y^3/6 + O(y^5)
-        assert nm.series_revert([0.0, 1.0, 0.0, -1.0 / 6.0]) == pytest.approx(
-            [0.0, 1.0, 0.0, 1.0 / 6.0], rel=1e-15)
-
-    def test_revert_is_a_right_inverse(self):
-        a = [0.0, 2.0, -0.5, 0.3]
-        b = nm.series_revert(a)
-        # a(b(y)) = y, with a's derivatives at 0 as the outer function
-        out = nm.series_compose([0.0, a[1], 2.0 * a[2], 6.0 * a[3]], nm.series_powers(b))
-        assert out == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-15)
 
 
 # ----------------------------------------------------------------------
