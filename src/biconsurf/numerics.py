@@ -3,8 +3,8 @@
 Bracketed root finding, cumulative quadrature that tolerates
 inverse-square-root endpoint singularities (adaptive Gauss-Kronrod at
 build time, one bisection level at a time with one integrand call per
-level, kept as per-panel Chebyshev antiderivatives that later
-evaluations sum by Clenshaw), and an embedded adaptive Runge-Kutta
+level, kept as per-panel antiderivatives in the power basis that a
+lookup finds by one search), and an embedded adaptive Runge-Kutta
 integrator of k'' = f(k) up to its first turning point, which the
 package does not call: the benchmark's tracer wraps it by name.
 Everything is pure with respect to its inputs; the cumulative
@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -284,23 +283,33 @@ def _antiderivative_matrix() -> np.ndarray:
 
 _ANTIDERIVATIVE = _antiderivative_matrix()
 
+
+def _power_matrix() -> np.ndarray:
+    """16 x 32 map from Chebyshev to power-basis coefficients, each beside
+    its derivative's: row k holds those of T_k and T_k', interleaved, from
+    T_{k+1} = 2 t T_k - T_{k-1} in Python integers, so every entry is exact."""
+    rows = [[1] + [0] * len(_GK_NODES), [0, 1] + [0] * (len(_GK_NODES) - 1)]
+    while len(rows) <= len(_GK_NODES):
+        rows.append([2 * a - b for a, b in zip([0] + rows[-1][:-1], rows[-2])])
+    return np.array([[x for j, c in enumerate(row) for x in (c, (j + 1) * (row + [0])[j + 1])]
+                     for row in rows], dtype=float)
+
+
+_TO_POWER = _power_matrix()
+
 # columns of a leaf row: panel's left end, half-width, integral up to the
-# left end, then the 16 Chebyshev coefficients (the 15 samples while the
-# table is built)
-_LO, _HALF, _BASE, _COEF = 0, 1, 2, 3
+# left end, and its own integral
+_LO, _HALF, _BASE, _SPAN = 0, 1, 2, 3
 
 
-def _clenshaw(coef: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The last two terms (b_1, b_2) of Clenshaw's recurrence
-    b_k = c_k + 2 t b_{k+1} - b_{k+2} over the leading axis of `coef`, from
-    its end down to k = 1, one coefficient slice at a time.  For c_k the
-    Chebyshev coefficients, sum c_k T_k(t) = c_0 + t b_1 - b_2; for c_k
-    replaced by k c_k, b_1 is the derivative sum k c_k U_{k-1}(t)."""
-    t2 = t + t
-    b1 = b2 = 0.0
-    for c in coef[:0:-1]:
-        b1, b2 = c + t2 * b1 - b2, b1
-    return b1, b2
+def _polynomial(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per entry n, the powers t[n]^0 .. t[n]^15 times the 16 x k matrix
+    coef[n] of power-basis coefficients.  The powers are running products
+    and each entry's sum is one BLAS product of its own row (a stacked
+    `matmul`), so an entry's bits do not depend on the others in the call."""
+    powers = np.repeat(t[:, None], len(_TO_POWER), axis=1)
+    powers[:, 0] = 1.0
+    return (np.cumprod(powers, axis=1)[:, None, :] @ coef)[:, 0]
 
 
 def check_range(xs: np.ndarray, lo: float, hi: float, slack: float, name: str = "") -> None:
@@ -331,11 +340,14 @@ class CumulativeQuadrature:
     `f_vec`, `left_sub` and `right_sub`.  A cell's value sums each split
     panel's halves from the deepest level up, as a depth-first recursion
     would, and `table` holds the running sums of the cell values.  Each
-    accepted panel also keeps the Chebyshev coefficients of the
-    antiderivative of its 15-point interpolant, so `value(x)` is a cell
-    lookup plus one Clenshaw sum, and `inverse(y)` a few Newton steps on
-    one leaf, for all the entries of an array at once: after the build the
-    integrand is never evaluated.
+    accepted panel, a leaf, also keeps its start in x and in the integral,
+    and the antiderivative of its 15-point interpolant and that
+    polynomial's derivative, as power-basis coefficients in its variable t
+    on [-1, 1] (Chebyshev ones from the samples, then an exact change of
+    basis).  So `value(x)` is one search plus one polynomial, and
+    `inverse(y)` one search plus a few Newton steps on the leaf, for all
+    the entries of an array at once: after the build no integrand is
+    evaluated and no lookup builds anything.
     """
 
     def __init__(
@@ -399,13 +411,12 @@ class CumulativeQuadrature:
         cum = np.cumsum(np.concatenate(([0.0], levels[0][0])))
         key, lo, hi, value, y = (np.concatenate(col) for col in zip(*found))
         order = np.argsort(key)
-        first_leaf = np.searchsorted(key[order] >> _GK_MAX_DEPTH, np.arange(QUAD_CELLS + 1))
+        cell = key[order] >> _GK_MAX_DEPTH
+        first_leaf = np.searchsorted(cell, np.arange(QUAD_CELLS + 1))
         self.table = cum
-        self._first_leaf = first_leaf
-        rows = np.empty((len(order), _COEF + len(_ANTIDERIVATIVE)))
+        rows = np.empty((len(order), _SPAN + 1))
         rows[:, _LO] = lo[order]
         rows[:, _HALF] = 0.5 * (hi - lo)[order]
-        rows[:, _COEF:_COEF + len(_GK_NODES)] = y[order]
         value = value[order]
         # a leaf's base: the integral up to its left end, counted from the
         # cell's own end in the two end cells and from lower elsewhere;
@@ -417,61 +428,49 @@ class CumulativeQuadrature:
             j = first_leaf[cells] + k
             rows[j, _BASE] = base[cells]
             base[cells] += value[j]
-        coef = np.einsum("kj,lj->lk", _ANTIDERIVATIVE, rows[:, _COEF:_COEF + len(_GK_NODES)])
-        rows[:, _COEF:] = coef * rows[:, _HALF:_HALF + 1]
-        self._leaves = rows
+        # each leaf's start in x and in the integral: they increase leaf by
+        # leaf once the last cell, counted from `upper`, is reversed, and a
+        # cell's first leaf starts at its node and its table entry exactly
+        head, end, lo_s, base_s = first_leaf[1], first_leaf[-2], rows[:, _LO], rows[:, _BASE]
+        x_key, y_key = lo_s.copy(), base_s.copy()
+        x_key[:head] = self.lower + lo_s[:head] * lo_s[:head]
+        x_key[end:] = np.append(self.upper - lo_s[end + 1:] * lo_s[end + 1:], self.nodes[-2])
+        y_key[end:] = np.append(cum[-1] - base_s[end + 1:], cum[-2])
+        flip = np.concatenate([np.arange(end), np.arange(len(rows) - 1, end - 1, -1)])
+        rows, self._cell = rows[flip], cell[flip]
+        self._x_keys, self._y_keys = x_key[flip], y_key[flip]
+        # the antiderivative's Chebyshev coefficients, whose sum in order is
+        # the leaf's integral, then its power-basis ones in the leaf's
+        # variable t, beside those of its derivative
+        cheb = y[order[flip]] @ _ANTIDERIVATIVE.T * rows[:, _HALF:_HALF + 1]
+        rows[:, _SPAN] = np.add.reduce(np.ascontiguousarray(cheb.T), axis=0)
+        self._leaves, self._poly = rows, (cheb @ _TO_POWER).reshape(len(rows), -1, 2)
 
     @property
     def total(self) -> float:
         return float(self.table[-1])
 
-    @cached_property
-    def _newton_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per leaf, its integral (its coefficients' sum, in order) and, per
-        order k, the coefficients c_k and k c_k, shape (16, 2, leaves): one
-        Clenshaw pass over them gives the antiderivative and its derivative.
-        Built on the first `inverse`; tables that are never inverted skip it."""
-        coef = self._leaves[:, _COEF:].T
-        integral = coef[0]
-        for c in coef[1:]:
-            integral = integral + c
-        return integral, np.stack([coef, coef * np.arange(len(coef))[:, None]], axis=1)
-
-    def _leaf(self, i: np.ndarray, v: np.ndarray, key: int) -> np.ndarray:
-        """Per entry, the last leaf of cell i whose column `key` (left end or
-        base, in the cell's own variable) is at most v, or the cell's first
-        leaf: bisection over each cell's leaves, whose keys increase."""
-        lo, hi = self._first_leaf[i], self._first_leaf[i + 1] - 1
-        col = self._leaves[:, key]
-        while (lo < hi).any():
-            mid = (lo + hi + 1) // 2
-            ok = col[mid] <= v
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
-        return lo
-
     def value(self, x):
         """Cumulative integral from `lower` to x, for x in the closed
         interval: a float gives a float, an array an array.
 
-        The cell comes from the nodes, the leaf from its left ends, and the
-        value is the leaf's base plus Clenshaw's sum of its antiderivative.
+        One search of the leaves' starts in x finds the leaf, and the value
+        is the leaf's base plus its antiderivative's polynomial.
         """
         xs = np.asarray(x, dtype=float)
         check_range(xs, self.lower, self.upper, 1e-12 * (self.upper - self.lower))
         out = np.where(xs <= self.lower, 0.0, self.total)
         inner = ~((xs <= self.lower) | (xs >= self.upper))
         xin = xs[inner]
-        i = np.minimum(np.searchsorted(self.nodes, xin, "right") - 1, QUAD_CELLS - 1)
+        leaf = np.searchsorted(self._x_keys, xin, "right") - 1
+        i = self._cell[leaf]
         first, last = i == 0, i == QUAD_CELLS - 1
         # the end cells' leaves are in s = sqrt|x - end|
         v = xin.copy()
         v[first] = np.sqrt(xin[first] - self.lower)
         v[last] = np.sqrt(self.upper - xin[last])
-        rows = self._leaves[self._leaf(i, v, _LO)]
-        t = (v - rows[:, _LO]) / rows[:, _HALF] - 1.0
-        coef = rows[:, _COEF:].T
-        b1, b2 = _clenshaw(coef, t)
-        val = rows[:, _BASE] + (coef[0] + t * b1 - b2)
+        lo, half, base, _ = self._leaves[leaf].T
+        val = base + _polynomial(self._poly[leaf, :, :1], (v - lo) / half - 1.0)[:, 0]
         val[last] = self.total - val[last]
         out[inner] = np.where(xin == self.nodes[i], self.table[i], val)
         return out if xs.ndim else float(out)
@@ -481,30 +480,30 @@ class CumulativeQuadrature:
         integrand and y in [0, total]: a float gives a float, an array an
         array.
 
-        Bisection on `table` finds each entry's cell and the stored bases
-        the leaf that holds it; there, bracketed Newton steps from a linear
-        seed solve for the leaf's own variable t, all entries at once, with
-        the antiderivative and its derivative from one Clenshaw pass over
-        the leaves' `_newton_layout`.  The end cells' leaves are in s
-        already, so an end needs no substitution of its own.  An entry
-        stops when a step moves its t by at most NEWTON_STEP_TOL, or its
-        residual is within two ulps of `total`, below which it is rounding.
-        Newton's steps shrink quadratically, so the pass a 1e-14 stop would
-        add moves t by about 1e-16: on 2,000 heights spread over the strip
-        it changes 1 returned x at C = C* = 1, by one ulp, and 6% of them
-        at C = 1e3, by at most 6.4e-15 relative.  An entry still moving
-        after NEWTON_CAP steps is logged, with its y and last step, at DEBUG
-        level on the "biconsurf.numerics" logger.
+        One search of the leaves' starts in the integral finds each
+        entry's leaf; there, bracketed Newton steps from a linear seed solve
+        for the leaf's own variable t, all entries at once, with the
+        antiderivative and its derivative from one product of the powers
+        of t per pass.  The end cells' leaves are in s already, so an end
+        needs no substitution of its own.  An entry stops when a step moves
+        its t by at most NEWTON_STEP_TOL, or its residual is within two
+        ulps of `total`, below which it is rounding.  Newton's steps shrink
+        quadratically, so the pass a 1e-14 stop would add moves t by about
+        1e-16: on 2,000 heights spread over the strip it changes 2 returned
+        x at C = C* = 1, by one ulp, and 6% of them at C = 1e3 with C* at
+        99% of its range, by at most 2.4e-15 relative (14 ulps).  An entry
+        still moving after NEWTON_CAP steps is logged, with its y and last
+        step, at DEBUG level on the "biconsurf.numerics" logger.
 
         Measured max |value(inverse(y)) - y| / total on the strip height
-        table at C = C* = 1, by the distance of y to the nearer end: 3.5e-15
-        beyond 1e-2 of the total, 3.4e-13 within 1e-2, 3.4e-11 within 1e-4
-        and 8.5e-9 within 1e-6 (up to 1e-14, 9.4e-13, 9.5e-11 and 1.4e-8 at
-        C = 1e3 with C* at 99% of its range), the same to two digits with
-        the 1e-14 stop.  The three end bands are the
-        representation floor of the returned x: at an end, a one-ulp move
-        of x moves s = sqrt|x - end| by up to sqrt(ulp(x)), and the integral
-        by that times the end integrand.
+        table at C = C* = 1, by the distance of y to the nearer end (2,000
+        log-spaced y a band at each end): 3.5e-15 beyond 1e-2 of the total,
+        3.4e-13 within 1e-2, 3.4e-11 within 1e-4 and 8.5e-9 within 1e-6 (up
+        to 1e-14, 9.4e-13, 9.5e-11 and 1.4e-8 at C = 1e3 with C* at 99% of
+        its range), the same to two digits with the 1e-14 stop.  The three
+        end bands are the representation floor of the returned x: at an
+        end, a one-ulp move of x moves s = sqrt|x - end| by up to
+        sqrt(ulp(x)), and the integral by that times the end integrand.
         """
         ys = np.asarray(y, dtype=float)
         total = self.total
@@ -512,21 +511,20 @@ class CumulativeQuadrature:
         out = np.where(ys <= 0.0, self.lower, self.upper)
         inner = ~((ys <= 0.0) | (ys >= total))
         yin = ys[inner]
-        i = np.minimum(np.searchsorted(self.table, yin, "right") - 1, QUAD_CELLS - 1)
+        leaf = np.searchsorted(self._y_keys, yin, "right") - 1
+        i = self._cell[leaf]
         last = i == QUAD_CELLS - 1
         # the last cell's leaves count the integral from `upper`
         v = np.where(last, total - yin, yin)
-        leaf = self._leaf(i, v, _BASE)
-        integral, both = self._newton_layout
-        lo_end, half, base = self._leaves[leaf, :_COEF].T  # columns _LO, _HALF, _BASE
-        both = np.take(both, leaf, axis=-1)
-        t = np.minimum(2.0 * (v - base) / integral[leaf] - 1.0, 1.0)
+        lo_end, half, base, span = self._leaves[leaf].T
+        poly = self._poly[leaf]
+        t = np.minimum(2.0 * (v - base) / span - 1.0, 1.0)
         lo, hi = np.full_like(t, -1.0), np.full_like(t, 1.0)
         r_tol = 2.0 * math.ulp(total)
         going = np.ones(t.shape, dtype=bool)  # a converged entry keeps its t
         for _ in range(NEWTON_CAP):
-            (b1, slope), (b2, _) = _clenshaw(both, t)
-            r = base + (both[0, 0] + t * b1 - b2) - v
+            p, slope = _polynomial(poly, t).T
+            r = base + p - v
             up = r > 0.0
             lo, hi = np.where(up, lo, t), np.where(up, t, hi)
             nxt = t - r / slope

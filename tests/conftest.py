@@ -8,9 +8,12 @@ one-sided stencils for derivatives.  Expected values frozen in
 the tests were produced by these.  `ScalarOracle` is the differential-
 geometry oracle evaluated point by point, the reference for the batched
 one; `scalar_value` and `scalar_inverse` are the height-table lookups
-one float at a time, the references for the array ones; `reference_build`
-is the cumulative quadrature build one panel at a time, by depth-first
-recursion, the reference for the level-by-level one; `reference_solve_ode`
+one float at a time, the references for the array ones, and
+`scalar_clenshaw` sums a leaf's Chebyshev antiderivative, the reference
+for its power-basis one; `reference_build` is the cumulative quadrature
+build one panel at a time, by depth-first recursion, the reference for
+the level-by-level one; `junction_stencil_gaps` compares the glued
+immersion's junction jets with one-sided stencils; `reference_solve_ode`
 is a generic ODE stepper on a state of any length, and
 `reference_second_order` poses k'' = f(k) to it up to its first turn,
 the reference for the package's second-order stepper and, with
@@ -27,6 +30,8 @@ conformal-exponent route, from `isothermal_quadrature`, which is the
 package's own strip quadrature.
 """
 
+import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -110,16 +115,46 @@ def one_sided_derivative(f, x, order, step, forward):
     return (8.0 * r2 - r1) / 7.0
 
 
-def _scalar_row(cq, i, v, key):
-    """Row, as Python floats, of the last leaf of cell i whose column `key`
-    (left end or base, in the cell's own variable) is at most v."""
-    j, last = int(cq._first_leaf[i]), int(cq._first_leaf[i + 1]) - 1
-    while j < last and v >= cq._leaves[j + 1, key]:
-        j += 1
-    return cq._leaves[j].tolist()
+def junction_stencil_cases():
+    """(C, C*, junctions, step scale, bounds on orders 1..3) of the one-sided
+    stencil comparison of the glued immersion's junction jets: C = 1 and,
+    with C* at 50% of its range, 1.001 C_MIN and 20, where junction 1, whose
+    upper half-strip holds 6e-4 of the strip's height, takes steps 100
+    times shorter."""
+    from biconsurf import gluing, spherical
+    half = lambda C: 0.5 * gluing.cstar_range(C).upper
+    c_near = 1.001 * spherical.C_MIN
+    return [(1.0, 1.0, (1, -1, 2), 1.0, (1e-10, 5e-7, 1e-5)),
+            (c_near, half(c_near), (1, -1, 2), 1.0, (2e-8, 1e-5, 3e-4)),
+            (20.0, half(20.0), (-1, 2), 1.0, (3e-11, 1e-6, 2e-6)),
+            (20.0, half(20.0), (1,), 1e-2, (1e-9, 1e-3, 1e-2))]
 
 
-def _scalar_clenshaw(coef, t):
+def junction_stencil_gaps(at, junctions, scale):
+    """(k, component, order, side, gap) for each junction k, component
+    Phi1 (0) or Phi2 (1), order 1..3 and side (0 left, 1 right): the gap
+    between `at.junction_jets(k)` and a Richardson-extrapolated one-sided
+    stencil on `immersion_phi` at theta = 0, with steps `scale` times
+    1e-3, 4e-3 and 1e-2 of the strip height by order, relative to the
+    scale of the report's rows."""
+    delta = at.h_limits[1] - at.h_limits[0]
+    point = functools.lru_cache(maxsize=None)(lambda h: at.immersion_phi(h, 0.0))
+    gaps = []
+    for k in junctions:
+        jets = at.junction_jets(k)
+        for i in (0, 1):
+            f = lambda h: point(h)[i]
+            for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
+                for side in (0, 1):
+                    fd = one_sided_derivative(f, at.grid[k], order, step * scale * delta,
+                                              forward=side == 1)
+                    jet = jets[side][i, order]
+                    gaps.append((k, i, order, side,
+                                 abs(fd - jet) / max(abs(jet), 2.0 / delta ** order)))
+    return gaps
+
+
+def scalar_clenshaw(coef, t):
     """sum c_k T_k(t) and sum k c_k U_{k-1}(t), in Python floats."""
     t2 = t + t
     b1 = b2 = d1 = d2 = 0.0
@@ -131,11 +166,28 @@ def _scalar_clenshaw(coef, t):
     return coef[0] + t * b1 - b2, d1
 
 
+def scalar_polynomial(coef, t):
+    """The leaf polynomial(s) with power-basis coefficients `coef` (16 x k)
+    at one float t: the powers as running products in Python floats, then
+    their sum as one BLAS product of the row of powers, the one that each
+    entry of the package's stacked product makes."""
+    powers = [1.0]
+    for _ in range(len(coef) - 1):
+        powers.append(powers[-1] * t)
+    return (np.array([powers]) @ np.ascontiguousarray(coef))[0].tolist()
+
+
+def _scalar_leaf(keys, z):
+    """The last leaf whose start in `keys` is at most z, by bisection in
+    Python floats."""
+    return bisect.bisect_right(keys.tolist(), z) - 1
+
+
 def scalar_value(cq, x):
     """`CumulativeQuadrature.value` at one float x, one Python float
     operation at a time: the cell from the inverse cosine spacing and a
-    walk over the nodes, the leaf from a walk over its left ends, then
-    Clenshaw's sum."""
+    walk over the nodes, the leaf by bisection on the leaves' starts in x,
+    then the leaf's polynomial."""
     from biconsurf import numerics as nm
     if x <= cq.lower:
         if x < cq.lower - 1e-12 * (cq.upper - cq.lower):
@@ -155,20 +207,17 @@ def scalar_value(cq, x):
         return float(cq.table[i])
     end = i in (0, nm.QUAD_CELLS - 1)
     v = math.sqrt(x - cq.lower if i == 0 else cq.upper - x) if end else x
-    row = _scalar_row(cq, i, v, nm._LO)
-    t = (v - row[nm._LO]) / row[nm._HALF] - 1.0
-    t2 = t + t
-    b1 = b2 = 0.0
-    for c in row[:nm._COEF:-1]:
-        b1, b2 = c + t2 * b1 - b2, b1
-    val = row[nm._BASE] + (row[nm._COEF] + t * b1 - b2)
+    j = _scalar_leaf(cq._x_keys, x)
+    lo, half, base, _ = cq._leaves[j].tolist()
+    val = base + scalar_polynomial(cq._poly[j, :, :1], (v - lo) / half - 1.0)[0]
     return cq.total - val if i == nm.QUAD_CELLS - 1 else val
 
 
 def scalar_inverse(cq, y):
     """`CumulativeQuadrature.inverse` at one float y, one Python float
-    operation at a time: the leaf by bisection on the table and a walk over
-    its bases, then bracketed Newton steps from the linear seed."""
+    operation at a time: the cell by bisection on the table, the leaf by
+    bisection on the leaves' starts in y, then bracketed Newton steps from
+    the linear seed."""
     from biconsurf import numerics as nm
     total = cq.total
     if y <= 0.0:
@@ -181,13 +230,13 @@ def scalar_inverse(cq, y):
         return cq.upper
     i = int(np.searchsorted(cq.table, y, "right")) - 1
     v = total - y if i == nm.QUAD_CELLS - 1 else y
-    row = _scalar_row(cq, i, v, nm._BASE)
-    base, coef = row[nm._BASE], row[nm._COEF:]
+    j = _scalar_leaf(cq._y_keys, y)
+    lo_end, half, base, span = cq._leaves[j].tolist()
     lo, hi = -1.0, 1.0
-    t = min(2.0 * (v - base) / sum(coef) - 1.0, hi)
+    t = min(2.0 * (v - base) / span - 1.0, hi)
     r_tol = 2.0 * math.ulp(total)
     for _ in range(nm.NEWTON_CAP):
-        p, slope = _scalar_clenshaw(coef, t)
+        p, slope = scalar_polynomial(cq._poly[j], t)
         r = base + p - v
         if r > 0.0:
             hi = t
@@ -199,7 +248,7 @@ def scalar_inverse(cq, y):
         step, t = nxt - t, nxt
         if abs(step) <= nm.NEWTON_STEP_TOL or abs(r) <= r_tol:
             break
-    x = row[nm._LO] + row[nm._HALF] * (t + 1.0)
+    x = lo_end + half * (t + 1.0)
     if i == 0:
         return cq.lower + x * x
     if i == nm.QUAD_CELLS - 1:
@@ -224,24 +273,14 @@ def gk_panel(f_vec, a, b):
 
 
 class Leaves:
-    """Accepted panels in the order they are added, one row each: left end,
-    right end and K15 value in the left-end, half-width and base columns
-    of a leaf row, then the 15 samples in the coefficient columns."""
+    """Accepted panels in the order they are added: the left end, right
+    end, K15 value and 15 samples of each."""
 
-    def __init__(self, capacity):
-        from biconsurf import numerics as nm
-        self.n = 0
-        self.rows = np.empty((capacity, nm._COEF + len(nm._ANTIDERIVATIVE)))
+    def __init__(self):
+        self.rows = []
 
     def add(self, a, b, value, samples):
-        from biconsurf import numerics as nm
-        if self.n == len(self.rows):
-            extra = np.empty((len(self.rows) // 2, self.rows.shape[1]))
-            self.rows = np.concatenate([self.rows, extra])
-        row = self.rows[self.n]
-        row[nm._LO], row[nm._HALF], row[nm._BASE] = a, b, value
-        row[nm._COEF:nm._COEF + len(samples)] = samples
-        self.n += 1
+        self.rows.append((a, b, value, samples))
 
 
 def gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
@@ -265,18 +304,18 @@ def gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
 
 
 def reference_build(cq):
-    """`table`, `first_leaf` and `leaves` of a cumulative quadrature with
-    the nodes, cell tolerance and integrands of `cq`, each cell integrated
-    by `gk_adaptive` in turn and the cell sums and leaf bases accumulated
-    one Python float at a time."""
+    """`table`, `cell`, `leaves`, `poly`, `x_keys` and `y_keys` of a
+    cumulative quadrature with the nodes, cell tolerance and integrands of
+    `cq`, and `cheb`, the leaves' Chebyshev antiderivatives, in the order
+    of `leaves`.  Each cell is integrated by `gk_adaptive` in turn, and the
+    cell sums, leaf bases, leaf integrals and leaf starts accumulate one
+    Python float at a time; the coefficient maps are the package's
+    products on the whole table."""
     from biconsurf import numerics as nm
     n = nm.QUAD_CELLS
-    cum = np.empty(n + 1)
-    cum[0] = 0.0
-    leaves = Leaves(n + n // 4)
-    first_leaf = np.empty(n + 1, dtype=np.intp)
+    cum, leaves, cell = [0.0], Leaves(), []
     for i in range(n):
-        first_leaf[i] = leaves.n
+        start = len(leaves.rows)
         a, b = cq.nodes[i], cq.nodes[i + 1]
         if i == 0:
             v, _ = gk_adaptive(cq.left_sub, 0.0, math.sqrt(b - a), cq._cell_tol, leaves)
@@ -284,21 +323,37 @@ def reference_build(cq):
             v, _ = gk_adaptive(cq.right_sub, 0.0, math.sqrt(b - a), cq._cell_tol, leaves)
         else:
             v, _ = gk_adaptive(cq.f, a, b, cq._cell_tol, leaves)
-        cum[i + 1] = cum[i] + v
-    first_leaf[-1] = leaves.n
-    rows = leaves.rows[:leaves.n]
-    hi, lo = rows[:, nm._HALF], rows[:, nm._LO]
-    rows[:, nm._HALF] = 0.5 * (hi - lo)
-    for i in range(n):
-        base = float(cum[i]) if 0 < i < n - 1 else 0.0
-        for j in range(first_leaf[i], first_leaf[i + 1]):
-            value = float(rows[j, nm._BASE])
-            rows[j, nm._BASE] = base
-            base += value
-    samples = rows[:, nm._COEF:nm._COEF + len(nm._GK_NODES)]
-    coef = np.einsum("kj,lj->lk", nm._ANTIDERIVATIVE, samples)
-    rows[:, nm._COEF:] = coef * rows[:, nm._HALF:nm._HALF + 1]
-    return SimpleNamespace(table=cum, first_leaf=first_leaf, leaves=rows)
+        cum.append(cum[-1] + v)
+        cell += [i] * (len(leaves.rows) - start)
+    rows = []
+    for (a, b, value, _), i, prev in zip(leaves.rows, cell, [None] + cell[:-1]):
+        if i != prev:
+            base = cum[i] if 0 < i < n - 1 else 0.0
+        rows.append([a, 0.5 * (b - a), base, 0.0])
+        base += value
+    rows = np.array(rows)
+    # starts in x and in the integral; the last cell's leaves, counted from
+    # `upper`, go in reverse, each starting where the next one in s ends
+    end = cell.index(n - 1)
+    x_keys = [cq.lower + lo * lo if c == 0 else lo for (lo, *_), c in zip(rows.tolist(), cell)]
+    y_keys = rows[:, nm._BASE].tolist()
+    for j in range(end, len(rows)):
+        nxt = rows[j + 1].tolist() if j + 1 < len(rows) else None
+        x_keys[j] = cq.upper - nxt[nm._LO] * nxt[nm._LO] if nxt else float(cq.nodes[-2])
+        y_keys[j] = cum[-1] - nxt[nm._BASE] if nxt else cum[-2]
+    flip = list(range(end)) + list(range(len(rows) - 1, end - 1, -1))
+    rows = rows[flip]
+    samples = np.array([leaves.rows[j][3] for j in flip])
+    cheb = samples @ nm._ANTIDERIVATIVE.T * rows[:, nm._HALF:nm._HALF + 1]
+    for row, coef in zip(rows, cheb.tolist()):
+        span = coef[0]
+        for c in coef[1:]:
+            span += c
+        row[nm._SPAN] = span
+    return SimpleNamespace(table=np.array(cum), cell=np.array(cell)[flip], leaves=rows,
+                           poly=(cheb @ nm._TO_POWER).reshape(len(rows), -1, 2),
+                           x_keys=np.array(x_keys)[flip], y_keys=np.array(y_keys)[flip],
+                           cheb=cheb)
 
 
 @dataclass
@@ -467,23 +522,21 @@ class ScalarOracle:
     Each point is its own one-point call of the patch's jet, with one jet
     call per stencil point, of which it reads the first partials only (5
     per shape operator, 25 per residual), and the positions at the point
-    for the normal on the sphere.  The partials step is PARTIALS_FRACTION
-    of each coordinate's width, or of SINGULAR_SCALE times the distance
-    from u to the nearest of the `singularities` that the caller gives,
-    where the partials blow up, whichever is shorter.  The curvature steps
-    are `diffgeo.jet_steps` of the lengths of the jet at the point, read
-    from one more call; the per-point rules are diffgeo's, and the
-    determinants are numpy's LU ones.
+    for the normal on the sphere.  Both its steps are diffgeo's step rule,
+    `diffgeo.jet_steps` of the lengths of the jet at the point, read from
+    one more call: the partials steps at PARTIALS_FRACTION of the shortest
+    length, which shrinks with the distance to a root where a strip's
+    partials blow up, and the curvature steps at diffgeo's own fraction.
+    The per-point rules are diffgeo's, and the determinants are numpy's LU
+    ones.
     """
 
-    PARTIALS_FRACTION = 1e-5
-    SINGULAR_SCALE = 10.0
+    PARTIALS_FRACTION = 2e-5
 
-    def __init__(self, patch, singularities=()):
+    def __init__(self, patch):
         from biconsurf import diffgeo
         self.dg = diffgeo
         self.patch = patch
-        self.singularities = singularities
 
     def _call(self, fun, u, v):
         return [np.asarray(x, dtype=float)[0] for x in fun(np.array([u]), np.array([v]))]
@@ -492,12 +545,12 @@ class ScalarOracle:
         """(X_u, X_v) at one point."""
         return self._call(self.patch.jet, u, v)[1:3]
 
-    def _partials_steps(self, u):
-        """(hu, hv) of the differenced second partials at u."""
-        (u0, u1), (v0, v1) = self.patch.u_range, self.patch.v_range
-        scale = min([u1 - u0] + [self.SINGULAR_SCALE * abs(u - s)
-                                 for s in self.singularities if u != s])
-        return self.PARTIALS_FRACTION * scale, self.PARTIALS_FRACTION * (v1 - v0)
+    def _partials_steps(self, u, v):
+        """(hu, hv) of the differenced second partials at (u, v)."""
+        dg = self.dg
+        steps = dg.jet_steps("jet", self.patch, jet_lengths_at(self.patch, u, v))
+        hu, hv = (float(h[0]) * self.PARTIALS_FRACTION / dg.FD_FRACTION["jet"] for h in steps)
+        return hu, hv
 
     def _normal(self, p, xu, xv):
         if self.patch.ambient == self.dg.EUCLIDEAN3:
@@ -516,7 +569,7 @@ class ScalarOracle:
         det_g = E * G - F * F
         assert det_g > 0.0
         n = self._normal(p, xu, xv)
-        hu, hv = self._partials_steps(u)
+        hu, hv = self._partials_steps(u, v)
         up, um = self._tangents(u + hu, v), self._tangents(u - hu, v)
         vp, vm = self._tangents(u, v + hv), self._tangents(u, v - hv)
         h = np.array([(up[0] - um[0]) / (2 * hu) @ n, (vp[0] - vm[0]) / (2 * hv) @ n,
@@ -549,14 +602,12 @@ class ScalarOracle:
 FIELDS = ("E", "F", "G", "normal", "shape", "f", "K")
 
 
-def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9, residual_tol=None,
-                             singularities=()):
+def assert_matches_reference(patch, us, vs, data, residual=None, rel=1e-9, residual_tol=None):
     """The batched data at the points (us, vs) against the point-by-point
-    oracle, whose partials steps shrink near the `singularities` of u:
-    every shape-operator field to `rel` of 1 + its size, and the residual,
-    which is scale-free, to `residual_tol` (by default `rel`)."""
+    oracle: every shape-operator field to `rel` of 1 + its size, and the
+    residual, which is scale-free, to `residual_tol` (by default `rel`)."""
     residual_tol = rel if residual_tol is None else residual_tol
-    ref = ScalarOracle(patch, singularities)
+    ref = ScalarOracle(patch)
     for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
         want = ref.shape_operator(u, v)
         for name in FIELDS:

@@ -21,11 +21,14 @@ Then come the rows that read their first forms from a merged oracle
 call: a tangent scaled by 1 + 1e-6 in an evaluator, and a wrong C* in the
 closed-form mean curvature of Psi.
 
-The last guard the closed-form jets, which the oracle reads where it
-once differenced the partials: a second partial X_uu scaled by 1 + 1e-6
-in each family's evaluator (a blind spot for Psi at small C*), and a
-turning angle zeta0 + 1e-6 sin(xi) whose derivatives do not follow.  Only
-the consistency rows, which difference the jets, can see either.
+Then come the closed-form jets, which the oracle reads where it once
+differenced the partials: a second partial X_uu scaled by 1 + 1e-6 in
+each family's evaluator (a blind spot for Psi at small C*), and a turning
+angle zeta0 + 1e-6 sin(xi) whose derivatives do not follow.  Only the
+consistency rows, which difference the jets, can see either.
+
+The last are the junction jets' shared coefficients, a blind spot of the
+report that only the one-sided stencils of the tests see.
 """
 
 import copy
@@ -34,7 +37,7 @@ import numpy as np
 import pytest
 
 from biconsurf import checks, euclidean, gluing, numerics, spherical
-from conftest import curvature_f
+from conftest import curvature_f, junction_stencil_cases, junction_stencil_gaps
 
 CURVATURE_ROWS = {"prime_integral", "curvature_equation", "prime_integral_at_roots"}
 
@@ -422,3 +425,49 @@ def test_zeta_drift_mutant(family, C, monkeypatch, fresh_caches):
                         lambda self, xi: zeta0(self, xi) + 1e-6 * np.sin(xi))
     gluing.atlas.cache_clear()
     assert failing(report_at_half(family, C)) - before == DRIFT_POWER[family, C]
+
+
+def junction_coefficients(mutant):
+    """`GluingAtlas._junction_coefficients`, the h-derivatives of order 0
+    to 3 over e^{i psi} that both sides of a junction share, with the
+    psi''' term times 1.1, psi' times 1.1 wherever it is read, or the sign of
+    psi'^2 R in order 2 flipped; "none" is the package's, bit for bit."""
+    def coefficients(self):
+        xi = np.array([self.roots.xi01, self.roots.xi02])
+        _, d2F, dpsi, log_rates = self._rate_terms(xi, True)
+        dpsi = dpsi * (1.1 if mutant == "psi1" else 1.0)
+        d3psi = dpsi * d2F * log_rates * (1.1 if mutant == "psi3-term" else 1.0)
+        sign = -1.0 if mutant == "psi1-squared-R-sign" else 1.0
+        R = np.sqrt(1.0 - 1.0 / (self.C * xi * xi))
+        d2R = 1.0 / (self.C * xi ** 3 * R) * d2F
+        return np.stack([R, 1j * dpsi * R, d2R - sign * R * dpsi * dpsi,
+                         1j * (3.0 * dpsi * d2R + R * (d3psi - dpsi ** 3))], 1)
+    return coefficients
+
+
+def flags(report):
+    return {name: row["pass"] for name, row in report.items()}
+
+
+# Blind spots: `junction_smoothness` and `junction_continuity` compare two
+# sides built from one coefficient vector, and the negative control only
+# moves (0.661 -> 0.727 at C = 1 with psi' times 1.1), so no flag of the
+# s3-complete report moves at C = 1 or 20.  The one-sided stencils on the
+# evaluator (`TestJunctionSmoothness::test_jets_match_stencils_on_the_evaluator`)
+# fail on each, at 9 to 2e9 times their bounds
+JUNCTION_COEFFICIENT_BLIND_SPOTS = ("psi3-term", "psi1", "psi1-squared-R-sign")
+
+
+@pytest.mark.parametrize("mutant", JUNCTION_COEFFICIENT_BLIND_SPOTS)
+def test_junction_coefficient_blind_spot(mutant, monkeypatch, fresh_caches):
+    at = gluing.GluingAtlas(1.0, 1.0)
+    assert np.array_equal(junction_coefficients("none")(at), at._junction_coefficients)
+    before = {C: flags(report_at_half("s3-complete", C)) for C in (1.0, 20.0)}
+    monkeypatch.setattr(gluing.GluingAtlas, "_junction_coefficients",
+                        property(junction_coefficients(mutant)))
+    gluing.atlas.cache_clear()
+    assert {C: flags(report_at_half("s3-complete", C)) for C in (1.0, 20.0)} == before
+    for C, cstar, junctions, scale, bounds in junction_stencil_cases():
+        if C in (1.0, 20.0):
+            gaps = junction_stencil_gaps(gluing.GluingAtlas(C, cstar), junctions, scale)
+            assert any(gap > bounds[order - 1] for _, _, order, _, gap in gaps), (C, junctions)

@@ -341,9 +341,9 @@ class TestAgainstScalarOracle:
         (u0, u1), (v0, v1) = patch.u_range, patch.v_range
         us = np.array([u, u0 + 0.3 * (u1 - u0), u0 + 0.7 * (u1 - u0)])
         vs = np.array([v, v0 + 0.6 * (v1 - v0), v0 + 0.2 * (v1 - v0)])
-        # the reference's second partials are central differences at 1e-5 of
-        # the width: its fields are up to 1.3e-9 off the closed-form ones
-        # here, and its residuals up to 6.5e-9
+        # the reference's second partials are central differences at 2e-5 of
+        # the jets' length scale: its fields are up to 1.3e-10 off the
+        # closed-form ones here, and its residuals up to 1.4e-8
         assert_matches_reference(patch, us, vs, diffgeo.shape_operator(patch, us, vs),
                                  residual(patch, us, vs), rel=2e-8)
 

@@ -1,7 +1,6 @@
 """Global construction: admissible range, height quadrature, reflected
 profile, phases, junction smoothness, and the glued immersions."""
 
-import functools
 import logging
 import math
 
@@ -11,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from biconsurf import checks, diffgeo, gluing, numerics, spherical
 from biconsurf.numerics import Bracket, OutOfDomain, find_root
-from conftest import (jet_lengths_at, one_sided_derivative, refined_singular_integral, residual,
+from conftest import (jet_lengths_at, junction_stencil_cases, junction_stencil_gaps,
+                      refined_singular_integral, residual,
                       scalar_inverse, scalar_value, validate_patch)
 
 
@@ -390,35 +390,16 @@ class TestJunctionSmoothness:
             assert worst <= 1e-10, (C, frac, worst)
 
     def test_jets_match_stencils_on_the_evaluator(self):
-        # Richardson-extrapolated one-sided stencils on immersion_phi at theta = 0,
-        # relative to the scale of the report's rows; (C, C*, junctions, steps in
-        # strip heights, bounds on orders 1..3), measured at most 4.5e-11, 1.5e-7,
-        # 2.6e-6 at C = 1 and 5.7e-9, 2.0e-6, 9.8e-5 near C_MIN.  At C = 20 the
-        # upper half-strip holds 6e-4 of the strip's height, and its heights are
-        # resolved to about 1e-13 of the span (ROADMAP item 5): junction 1 takes
-        # steps 100 times shorter, and reads 1.1e-10, 3.5e-4, 2.9e-3, where
-        # rounding limits orders 2 and 3; junctions -1 and 2 read 7.7e-12,
-        # 1.7e-7, 4.1e-7
-        c_near = 1.001 * spherical.C_MIN
-        for C, cstar, junctions, scale, bounds in [
-                (1.0, 1.0, (1, -1, 2), 1.0, (1e-10, 5e-7, 1e-5)),
-                (c_near, _cstar_at(c_near, 0.5), (1, -1, 2), 1.0, (2e-8, 1e-5, 3e-4)),
-                (20.0, _cstar_at(20.0, 0.5), (-1, 2), 1.0, (3e-11, 1e-6, 2e-6)),
-                (20.0, _cstar_at(20.0, 0.5), (1,), 1e-2, (1e-9, 1e-3, 1e-2))]:
+        # conftest's junction_stencil_cases, measured at most 4.5e-11, 1.5e-7,
+        # 2.6e-6 on orders 1..3 at C = 1 and 5.7e-9, 2.0e-6, 9.8e-5 near C_MIN.
+        # At C = 20 the heights of junction 1's upper half-strip are resolved
+        # to about 1e-13 of the span (ROADMAP item 5): with its steps 100
+        # times shorter it reads 1.1e-10, 3.5e-4, 2.9e-3, where rounding
+        # limits orders 2 and 3; junctions -1 and 2 read 7.7e-12, 1.7e-7, 4.1e-7
+        for C, cstar, junctions, scale, bounds in junction_stencil_cases():
             at = gluing.GluingAtlas(C, cstar)
-            delta = at.h_limits[1] - at.h_limits[0]
-            point = functools.lru_cache(maxsize=None)(lambda h: at.immersion_phi(h, 0.0))
-            for k in junctions:
-                jets = at.junction_jets(k)
-                for i in (0, 1):  # Phi1, Phi2
-                    f = lambda h: point(h)[i]
-                    for order, step in ((1, 1e-3), (2, 4e-3), (3, 1e-2)):
-                        for side, forward in ((1, True), (0, False)):  # right, left
-                            fd = one_sided_derivative(f, at.grid[k], order, step * scale * delta,
-                                                      forward)
-                            jet = jets[side][i, order]
-                            rel = abs(fd - jet) / max(abs(jet), 2.0 / delta ** order)
-                            assert rel <= bounds[order - 1], (C, k, i, order, side, jet, fd)
+            for k, i, order, side, gap in junction_stencil_gaps(at, junctions, scale):
+                assert gap <= bounds[order - 1], (C, k, i, order, side, gap)
 
     @pytest.mark.parametrize("C", [1.001 * spherical.C_MIN, 1.0, 20.0, 1e3])
     def test_jets_are_the_evaluators_at_the_root(self, C):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biconsurf import numerics as nm
-from conftest import one_sided_derivative, reference_second_order
+from conftest import one_sided_derivative, reference_second_order, scalar_polynomial
 
 
 def _rows(xs):
@@ -193,6 +193,31 @@ class TestChebyshevTable:
         # the weights are tabulated to 15 digits, the matrix is exact
         full = np.sum(nm._ANTIDERIVATIVE, axis=0)     # T_k(1) = 1
         assert np.max(np.abs(full - nm._GK_WEIGHTS)) <= 2e-15
+
+    def test_power_matrix_is_exact(self):
+        # row k: the power-basis coefficients of T_k and of T_k', interleaved
+        cheb = pytest.importorskip("numpy.polynomial.chebyshev")
+        poly = pytest.importorskip("numpy.polynomial.polynomial")
+        n = len(nm._TO_POWER)
+        for k, row in enumerate(nm._TO_POWER):
+            power = cheb.cheb2poly(np.eye(n)[k])
+            for got, want in ((row[0::2], power), (row[1::2], poly.polyder(power))):
+                assert np.array_equal(got, np.pad(want, (0, n - len(want)))), k
+
+    def test_a_leaf_alone_and_in_a_batch(self, arcsine):
+        # each entry's sum is one BLAS product of its own row, so the bits of
+        # a leaf's polynomial, and of its derivative beside it, do not depend
+        # on the other entries, and match the one-float reference
+        rng = np.random.default_rng(3)
+        leaf = rng.integers(0, len(arcsine._poly), 256)
+        t = rng.uniform(-1.0, 1.0, 256)
+        for cols in (slice(0, 1), slice(0, 2)):
+            batch = nm._polynomial(arcsine._poly[leaf, :, cols], t)
+            for n in range(len(t)):
+                alone = nm._polynomial(arcsine._poly[leaf[n:n + 1], :, cols], t[n:n + 1])
+                assert alone.tobytes() == batch[n:n + 1].tobytes()
+                assert scalar_polynomial(arcsine._poly[leaf[n], :, cols], float(t[n])) \
+                    == batch[n].tolist()
 
     def test_value_dense_against_closed_form(self, arcsine):
         d = np.geomspace(1e-12, 0.5, 400)
