@@ -1,13 +1,15 @@
 """Global construction: reflected profile, phase bookkeeping, and the
 complete immersions built from the sphere-family strip.
 
-The strip height function h0(xi) (an endpoint-singular quadrature of
-g_h / sqrt(T) based at xi00) is strictly increasing with finite limits
+The strip height function h0(xi), an endpoint-singular quadrature of
+g_h / sqrt(T) counted from xi00, is strictly increasing with finite limits
 h_{0,-1} < 0 < h_{0,1}, so its inverse parametrizes the profile of a
 revolution surface in R^3; the profile's h-rates read the same g_h.
 Reflecting across the lines h = h_{0,k} extends the inverse to a periodic
 profile F defined on the whole axis; alternating strips carry alternating
-signs of the height derivative.  Matching phase constants c_k make the
+signs of the height derivative.  F(0) = xi00 exactly, a height near 0
+keeps its own precision, and a height equal to a grid point h_{0,k} maps
+exactly onto its root.  Matching phase constants c_k make the
 first two components of the sphere immersion glue to C^3 order across the
 junctions, giving a complete immersion
 
@@ -41,9 +43,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# slack used when reducing phases mod 2*pi and when snapping junction hits
-PHASE_SLACK = 1e-12
 
 # junction labels run over +-1 .. +-K_MAX: the h_{0,+-11} range of fig6
 K_MAX = 11
@@ -114,8 +113,7 @@ class GluingAtlas:
 
         self._h_g = lambda tau, t: np.sqrt(np.maximum(3.0 * tau * tau - cs2 * t, 0.0)) / (tau * tau)
         self._h_cum = strip_quadrature(self.roots, self._h_g)
-        self._h_base = self._h_cum.value(self.roots.xi00)
-        self.h_limits = (-self._h_base, self._h_cum.total - self._h_base)
+        self.h_limits = tuple(self._h_cum.table[[0, -1]].tolist())
         self.period = 2.0 * (self.h_limits[1] - self.h_limits[0])
 
         self.grid = {k: self.h_grid_point(k) for k in range(-K_MAX, K_MAX + 1) if k != 0}
@@ -131,26 +129,19 @@ class GluingAtlas:
         """Height of the base profile, floats and arrays alike; h0(xi00) = 0,
         finite at both roots."""
         self.roots.check_closed(xi)
-        return self._h_cum.value(xi) - self._h_base
+        return self._h_cum.value(xi)
 
     def h0_inverse(self, y):
         """Inverse of h0 on [h_{0,-1}, h_{0,1}]: a float gives a float, an
         array an array.  The profile evaluators call `_invert` directly."""
-        xi = self._invert(np.asarray(y, dtype=float))
-        return xi if xi.ndim else float(xi)
+        return self._invert(np.asarray(y, dtype=float))
 
     def _invert(self, ys: np.ndarray) -> np.ndarray:
-        """h0_inverse of an array of heights: one call of the height table's
-        own inverse, with heights within PHASE_SLACK of the span of an end
-        height snapped onto its root."""
+        """h0_inverse of an array of heights by one call of the height table's
+        inverse; a height past an end by at most 1e-9 of the span maps onto its root."""
         lo, hi = self.h_limits
-        span = hi - lo
-        check_range(ys, lo, hi, 1e-9 * span, "height ")
-        low, high = ys <= lo + PHASE_SLACK * span, ys >= hi - PHASE_SLACK * span
-        xi = np.where(low, self.roots.xi01, self.roots.xi02)
-        inner = ~(low | high)
-        xi[inner] = self._h_cum.inverse(ys[inner] + self._h_base)
-        return xi
+        check_range(ys, lo, hi, 1e-9 * (hi - lo), "height ")
+        return self._h_cum.inverse(np.clip(ys, lo, hi))
 
     # -- grid, strips and phases ---------------------------------------------
 
@@ -159,10 +150,12 @@ class GluingAtlas:
         spans the two labels -1 and 1)."""
         if k == 0:
             raise ValueError("grid labels are nonzero integers")
+        return self._slot_height(k if k > 0 else k + 1)
+
+    def _slot_height(self, j):
+        """Slot j of the ladder h_{0,-1} + j delta: h_{0,j} for j >= 1, else h_{0,j-1}."""
         m1, p1 = self.h_limits
-        if k >= 1:
-            return k * p1 - (k - 1) * m1
-        return -k * m1 + (k + 1) * p1
+        return j * p1 - (j - 1) * m1
 
     def strip_of(self, h):
         """Strip index: 0 for the base strip [h_{0,-1}, h_{0,1}], k >= 1 for
@@ -170,11 +163,11 @@ class GluingAtlas:
         an int array for an array of heights."""
         m1, p1 = self.h_limits
         hs = np.asarray(h, dtype=float)
-        # past this, one ulp of h exceeds the height slack of h0_inverse
-        huge = ~(np.spacing(np.abs(hs)) <= 1e-9 * (p1 - m1))
-        if huge.any():
-            raise OutOfDomain(f"height {float(hs[huge][0])} too large to reduce onto the "
-                              f"base strip")
+        # a NaN has no strip, nor a height whose ulp exceeds 1e-9 of the strip
+        # height, the most by which `_invert` takes a height past an end
+        bad = ~(np.spacing(np.abs(hs)) <= 1e-9 * (p1 - m1))
+        if bad.any():
+            raise OutOfDomain(f"height {float(hs[bad][0])} cannot be reduced onto the base strip")
         k = np.floor((hs - m1) / (p1 - m1)).astype(int)
         return k if k.ndim else int(k)
 
@@ -211,16 +204,17 @@ class GluingAtlas:
         """Strips k owning the heights h (an array) and the profile values
         F(h), from one inversion of the heights off the junctions.
 
-        A junction belongs to the strip on its right and maps exactly onto
-        its root: the slots j of the uniform ladder h_{0,-1} + j delta
-        carry xi01 when even and xi02 when odd.  Elsewhere F(h) inverts the
-        base-strip height of h under strip k's reflection.
+        A junction, a height equal to its grid point, belongs to the strip
+        on its right and maps exactly onto its root: the slots j of the
+        uniform ladder h_{0,-1} + j delta carry xi01 when even and xi02 when
+        odd.  Elsewhere F(h) inverts the base-strip height of h under strip
+        k's reflection.
         """
         m1, p1 = self.h_limits
         delta = p1 - m1
         k = self.strip_of(h)
         j = np.round((h - m1) / delta)
-        junction = np.abs(h - (m1 + j * delta)) <= 1e-12 * max(1.0, delta)
+        junction = h == self._slot_height(j)
         k = np.where(junction, j.astype(int), k)
         odd = k % 2 == 1
         y = np.where(odd, (k + 1) * p1 - (k - 1) * m1 - h, h - k * delta)

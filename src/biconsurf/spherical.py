@@ -153,7 +153,8 @@ def T_deriv2(C: float, xi):
 
 
 def strip_quadrature(roots: "DomainRoots", g) -> CumulativeQuadrature:
-    """Cumulative quadrature of g(tau, T(tau)) / sqrt(T(tau)) over the strip.
+    """Cumulative quadrature of g(tau, T(tau)) / sqrt(T(tau)) over the strip,
+    counted from xi00, so that its value at xi00 is 0 exactly.
 
     `g` takes arrays of tau and of T(tau) and must stay finite at the
     roots.  T comes from `DomainRoots.T`, the product of both distances to
@@ -181,7 +182,7 @@ def strip_quadrature(roots: "DomainRoots", g) -> CumulativeQuadrature:
             return 2.0 * g(tau, d * t_over_d) / np.sqrt(t_over_d)
         return sub
 
-    return CumulativeQuadrature(f, roots.xi01, roots.xi02,
+    return CumulativeQuadrature(f, roots.xi01, roots.xi00, roots.xi02,
                                 end(roots.xi01, roots.xi02), end(roots.xi02, roots.xi01))
 
 
@@ -260,17 +261,13 @@ class SphereFamily:
     def _zeta_cum(self) -> CumulativeQuadrature:
         return strip_quadrature(self.roots, self._zeta_g)
 
-    @cached_property
-    def _zeta_base(self) -> float:
-        return self._zeta_cum.value(self.roots.xi00)
-
     # -- scalar quantities -------------------------------------------------
 
     def zeta0(self, xi):
         """Turning-angle quadrature based at xi00 (zeta0(xi00) = 0), floats
         and arrays alike."""
         self.roots.check_closed(xi)
-        return self._zeta_cum.value(xi) - self._zeta_base
+        return self._zeta_cum.value(xi)
 
     def zeta0_deriv(self, xi):
         """g_zeta / sqrt(T) on the open strip, floats and arrays alike."""
@@ -281,10 +278,10 @@ class SphereFamily:
         t = self.roots.T(xs)
         return self._zeta_g(xs, t) / np.sqrt(t)  # a float gives a numpy float
 
-    @property
+    @cached_property
     def zeta_limits(self) -> tuple[float, float]:
         """(limit at xi01, limit at xi02); both finite."""
-        return (-self._zeta_base, self._zeta_cum.total - self._zeta_base)
+        return tuple(self._zeta_cum.table[[0, -1]].tolist())
 
     # -- immersion ----------------------------------------------------------
 

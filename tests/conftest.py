@@ -189,14 +189,15 @@ def scalar_value(cq, x):
     walk over the nodes, the leaf by bisection on the leaves' starts in x,
     then the leaf's polynomial."""
     from biconsurf import numerics as nm
+    slack = 1e-12 * (cq.upper - cq.lower)
     if x <= cq.lower:
-        if x < cq.lower - 1e-12 * (cq.upper - cq.lower):
+        if x < cq.lower - slack:
             raise nm.OutOfDomain(f"{x} below {cq.lower}")
-        return 0.0
+        return float(cq.table[0])
     if x >= cq.upper:
-        if x > cq.upper + 1e-12 * (cq.upper - cq.lower):
+        if x > cq.upper + slack:
             raise nm.OutOfDomain(f"{x} above {cq.upper}")
-        return cq.total
+        return float(cq.table[-1])
     c = 1.0 - 2.0 * (x - cq.lower) / (cq.upper - cq.lower)
     i = min(int(nm.QUAD_CELLS / math.pi * math.acos(min(1.0, max(-1.0, c)))), nm.QUAD_CELLS - 1)
     while x < cq.nodes[i]:
@@ -205,12 +206,14 @@ def scalar_value(cq, x):
         i += 1
     if x == cq.nodes[i]:
         return float(cq.table[i])
-    end = i in (0, nm.QUAD_CELLS - 1)
-    v = math.sqrt(x - cq.lower if i == 0 else cq.upper - x) if end else x
+    v = x
+    if i == 0:
+        v = math.sqrt(x - cq.lower)
+    elif i == nm.QUAD_CELLS - 1:
+        v = math.sqrt(cq.upper - x)
     j = _scalar_leaf(cq._x_keys, x)
     lo, half, base, _ = cq._leaves[j].tolist()
-    val = base + scalar_polynomial(cq._poly[j, :, :1], (v - lo) / half - 1.0)[0]
-    return cq.total - val if i == nm.QUAD_CELLS - 1 else val
+    return base + scalar_polynomial(cq._poly[j, :, :1], (v - lo) / half - 1.0)[0]
 
 
 def scalar_inverse(cq, y):
@@ -219,26 +222,29 @@ def scalar_inverse(cq, y):
     bisection on the leaves' starts in y, then bracketed Newton steps from
     the linear seed."""
     from biconsurf import numerics as nm
-    total = cq.total
-    if y <= 0.0:
-        if y < -1e-12 * total:
-            raise nm.OutOfDomain(f"{y} below 0")
+    bottom, top = cq.table[[0, -1]].tolist()
+    slack = 1e-12 * cq.total
+    if y <= bottom:
+        if y < bottom - slack:
+            raise nm.OutOfDomain(f"{y} below {bottom}")
         return cq.lower
-    if y >= total:
-        if y > total + 1e-12 * total:
-            raise nm.OutOfDomain(f"{y} above {total}")
+    if y >= top:
+        if y > top + slack:
+            raise nm.OutOfDomain(f"{y} above {top}")
         return cq.upper
     i = int(np.searchsorted(cq.table, y, "right")) - 1
-    v = total - y if i == nm.QUAD_CELLS - 1 else y
+    if y == cq.table[i]:
+        return float(cq.nodes[i])
     j = _scalar_leaf(cq._y_keys, y)
     lo_end, half, base, span = cq._leaves[j].tolist()
     lo, hi = -1.0, 1.0
-    t = min(2.0 * (v - base) / span - 1.0, hi)
-    r_tol = 2.0 * math.ulp(total)
+    t = min(2.0 * (y - base) / span - 1.0, hi)
+    r_tol = 2.0 * math.ulp(y)
     for _ in range(nm.NEWTON_CAP):
         p, slope = scalar_polynomial(cq._poly[j], t)
-        r = base + p - v
-        if r > 0.0:
+        r = base + p - y
+        # below the origin the leaf's integral falls as t grows
+        if (r > 0.0) == (span > 0.0):
             hi = t
         else:
             lo = t
@@ -304,56 +310,64 @@ def gk_adaptive(f_vec, a, b, tol_abs, leaves, rel=1e-13, depth=0, max_depth=8):
 
 
 def reference_build(cq):
-    """`table`, `cell`, `leaves`, `poly`, `x_keys` and `y_keys` of a
-    cumulative quadrature with the nodes, cell tolerance and integrands of
+    """`table`, `cell`, `leaves`, `poly`, `x_keys`, `y_keys` and `cell_tol`
+    of a cumulative quadrature with the nodes, origin and integrands of
     `cq`, and `cheb`, the leaves' Chebyshev antiderivatives, in the order
-    of `leaves`.  Each cell is integrated by `gk_adaptive` in turn, and the
-    cell sums, leaf bases, leaf integrals and leaf starts accumulate one
-    Python float at a time; the coefficient maps are the package's
-    products on the whole table."""
+    of `leaves`.  The tolerances come from one panel per cell, and each
+    cell is integrated by `gk_adaptive` in turn; the table and the leaf
+    bases, counted outward from the origin, the leaf integrals and the
+    leaf starts accumulate one Python float at a time; the coefficient
+    maps are the package's products on the whole table."""
     from biconsurf import numerics as nm
-    n = nm.QUAD_CELLS
-    cum, leaves, cell = [0.0], Leaves(), []
+    n, nodes = nm.QUAD_CELLS, cq.nodes.tolist()
+    m = nodes.index(cq.origin)
+    subs = [cq.left_sub] + [cq.f] * (n - 2) + [cq.right_sub]
+    ends = [(nodes[i], nodes[i + 1]) for i in range(n)]
+    ends[0] = (0.0, math.sqrt(nodes[1] - nodes[0]))
+    ends[-1] = (0.0, math.sqrt(nodes[n] - nodes[n - 1]))
+    first = np.abs([gk_panel(sub, a, b)[0] for sub, (a, b) in zip(subs, ends)])
+    side = [1e-14 * first[:m].sum(), 1e-14 * first[m:].sum()]
+    cell_tol = [side[i >= m] for i in range(n)]
+    per_cell, values = [], []
     for i in range(n):
-        start = len(leaves.rows)
-        a, b = cq.nodes[i], cq.nodes[i + 1]
-        if i == 0:
-            v, _ = gk_adaptive(cq.left_sub, 0.0, math.sqrt(b - a), cq._cell_tol, leaves)
-        elif i == n - 1:
-            v, _ = gk_adaptive(cq.right_sub, 0.0, math.sqrt(b - a), cq._cell_tol, leaves)
-        else:
-            v, _ = gk_adaptive(cq.f, a, b, cq._cell_tol, leaves)
-        cum.append(cum[-1] + v)
-        cell += [i] * (len(leaves.rows) - start)
-    rows = []
-    for (a, b, value, _), i, prev in zip(leaves.rows, cell, [None] + cell[:-1]):
-        if i != prev:
-            base = cum[i] if 0 < i < n - 1 else 0.0
-        rows.append([a, 0.5 * (b - a), base, 0.0])
-        base += value
+        leaves = Leaves()
+        values.append(gk_adaptive(subs[i], *ends[i], cell_tol[i], leaves)[0])
+        per_cell.append(leaves.rows[::-1] if i == n - 1 else leaves.rows)
+    table = [0.0] * (n + 1)
+    for i in range(m, n):
+        table[i + 1] = table[i] + values[i]
+    for i in range(m - 1, -1, -1):
+        table[i] = table[i + 1] - values[i]
+    rows, cell, x_keys, y_keys, samples, scale = [], [], [], [], [], []
+    for i, leaves in enumerate(per_cell):
+        up, away = i >= m, m <= i < n - 1
+        base, cell_rows = table[i] if up else table[i + 1], []
+        for a, b, value, y in (leaves if up else leaves[::-1]):
+            half = 0.5 * (b - a)
+            row = [a if away else b, half if away else -half, base, 0.0]
+            key = cq.lower + a * a if i == 0 else cq.upper - b * b if i == n - 1 else a
+            start = base if up else base - value
+            base = base + value if up else base - value
+            cell_rows.append((row, key, start, y if away else y[::-1], half if up else -half))
+        cell_rows = cell_rows if up else cell_rows[::-1]
+        for k, (row, key, start, y, s) in enumerate(cell_rows):
+            rows.append(row)
+            x_keys.append(nodes[i] if k == 0 else key)
+            y_keys.append(table[i] if k == 0 else start)
+            samples.append(y)
+            scale.append(s)
+        cell += [i] * len(cell_rows)
     rows = np.array(rows)
-    # starts in x and in the integral; the last cell's leaves, counted from
-    # `upper`, go in reverse, each starting where the next one in s ends
-    end = cell.index(n - 1)
-    x_keys = [cq.lower + lo * lo if c == 0 else lo for (lo, *_), c in zip(rows.tolist(), cell)]
-    y_keys = rows[:, nm._BASE].tolist()
-    for j in range(end, len(rows)):
-        nxt = rows[j + 1].tolist() if j + 1 < len(rows) else None
-        x_keys[j] = cq.upper - nxt[nm._LO] * nxt[nm._LO] if nxt else float(cq.nodes[-2])
-        y_keys[j] = cum[-1] - nxt[nm._BASE] if nxt else cum[-2]
-    flip = list(range(end)) + list(range(len(rows) - 1, end - 1, -1))
-    rows = rows[flip]
-    samples = np.array([leaves.rows[j][3] for j in flip])
-    cheb = samples @ nm._ANTIDERIVATIVE.T * rows[:, nm._HALF:nm._HALF + 1]
+    cheb = np.array(samples) @ nm._ANTIDERIVATIVE.T * np.array(scale)[:, None]
     for row, coef in zip(rows, cheb.tolist()):
         span = coef[0]
         for c in coef[1:]:
             span += c
         row[nm._SPAN] = span
-    return SimpleNamespace(table=np.array(cum), cell=np.array(cell)[flip], leaves=rows,
+    return SimpleNamespace(table=np.array(table), cell=np.array(cell), leaves=rows,
                            poly=(cheb @ nm._TO_POWER).reshape(len(rows), -1, 2),
-                           x_keys=np.array(x_keys)[flip], y_keys=np.array(y_keys)[flip],
-                           cheb=cheb)
+                           x_keys=np.array(x_keys), y_keys=np.array(y_keys),
+                           cell_tol=np.array(cell_tol), cheb=cheb)
 
 
 @dataclass

@@ -111,9 +111,9 @@ ZETA_POWER = {
     ("s3-local", 1.0): (set(), {"gauss_curvature_identity", "metric_pullback"}),
     ("s3-complete", 1.0): (set(), {"metric_pullback"}),
     ("s3-local", 20.0): (set(), {"gauss_curvature_identity", "metric_pullback"}),
-    ("s3-complete", 20.0): ({"profile_junction_values", "junction_negative_control"},
-                            {"profile_junction_values", "junction_negative_control",
-                             "metric_pullback", "biconservativity_residual"}),
+    ("s3-complete", 20.0): ({"junction_negative_control"},
+                            {"junction_negative_control", "metric_pullback",
+                             "biconservativity_residual"}),
 }
 ZETA_BLIND_SPOTS = ("revolution",)
 
@@ -240,14 +240,13 @@ CONSISTENCY_ROWS = {"partials_vs_positions", "second_vs_first"}
 PHASE_POWER = {
     ("phase-off-by-one", 1.0): (set(), {"phase_recursion_vs_closed_form", "junction_continuity",
                                         "junction_smoothness"} | CONSISTENCY_ROWS),
-    ("phase-off-by-one", 20.0): ({"profile_junction_values", "junction_negative_control"},
-                                 {"profile_junction_values", "junction_negative_control",
-                                  "phase_recursion_vs_closed_form", "junction_continuity",
-                                  "junction_smoothness"} | CONSISTENCY_ROWS),
+    ("phase-off-by-one", 20.0): ({"junction_negative_control"},
+                                 {"junction_negative_control", "phase_recursion_vs_closed_form",
+                                  "junction_continuity", "junction_smoothness"}
+                                 | CONSISTENCY_ROWS),
     ("odd-strip-sign", 1.0): (set(), CONSISTENCY_ROWS),
-    ("odd-strip-sign", 20.0): ({"profile_junction_values", "junction_negative_control"},
-                               {"profile_junction_values", "junction_negative_control"}
-                               | CONSISTENCY_ROWS),
+    ("odd-strip-sign", 20.0): ({"junction_negative_control"},
+                               {"junction_negative_control"} | CONSISTENCY_ROWS),
 }
 # Phi2 -> -Phi2 on odd strips is a reflection of S^3, an isometry: the
 # metric, the sphere norm and the biconservativity residual read the same
@@ -323,7 +322,7 @@ def report_at(family, C):
 # (not for Psi at C = 20, C* at 1%, where |X_v| / |X_uv| is shorter).
 # The K identity, which reads the closed-form X_uu against the scaled
 # tangent, fails in s3-local and in revolution at C = 1
-JUNCTION_ROWS = {"profile_junction_values", "junction_negative_control"}
+JUNCTION_ROWS = {"junction_negative_control"}
 FORM_POWER = {
     ("psi-h", "revolution", 1.0): (set(), {"metric_pullback", "gauss_curvature_identity"}
                                    | CONSISTENCY_ROWS),

@@ -744,14 +744,16 @@ class TestHugeC:
 
     @pytest.mark.parametrize("C, code, error", [
         ("1e20", 2, " OutOfDomain: C xi^2 <= 1"), ("1e24", 1, None),
-        ("1e57", 2, " OverflowError: the junction amplitude 2 / (strip height)^3")],
+        ("1e57", 2, " OutOfDomain: height nan cannot be reduced onto the base strip")],
         ids=("1e20", "1e24", "1e57"))
     def test_glued_junction_rates(self, tmp_path, capsys, C, code, error):
         # the junction jets at C* = 50% read the strip rates at the roots: at
         # 1e20 1 - 1/(C xi01^2) rounds to 0 there, and the rates refuse the
         # root; at 1e24 it does not, and the report is written, as revolution's
-        # is (ROADMAP item 7 owns that precision limit); at 1e57 the cube of
-        # the strip height underflows, and the rows' amplitude leaves the floats
+        # is (ROADMAP item 7 owns that precision limit); at 1e57 the height
+        # table's unresolved lower end (ROADMAP item 2) leaves a strip height
+        # of 3.5e-100, the oracle's stencil heights come out NaN from jets
+        # past the float range, and the strip reduction refuses them
         out = tmp_path / "rep.json"
         cstar = repr(0.5 * gluing.cstar_range(float(C)).upper)
         assert run(["verify", "--family", "s3-complete", "--C", C, "--cstar", cstar,

@@ -15,6 +15,9 @@ here; it must regenerate the fixture and list the old and new flag in
 CHANGES.md.  Regenerate it with
 
     PYTHONPATH=src python tests/test_failure_map.py
+
+which also prints every report flag, error class and CLI exit code that
+moved against the fixture it replaces, one line each (old -> new).
 """
 
 import contextlib
@@ -133,11 +136,26 @@ def test_cli_exit_codes(entry, tmp_path):
     assert code == entry["exit"]
 
 
+def moves(old, new):
+    """One line per report flag, error class or CLI exit code of `new` that
+    differs from `old` (old -> new), in the order of the map; a row missing
+    on one side, as in a report that raises, reads None there."""
+    lines = []
+    for before, after in zip(old["reports"], new["reports"]):
+        a, b = ({"error": e["error"]} if "error" in e else e["pass"] for e in (before, after))
+        lines += [f"{_report_id(after)} {name}: {a.get(name)} -> {b.get(name)}"
+                  for name in {**a, **b} if a.get(name) != b.get(name)]
+    lines += [f"{e['command']}-{e['family']}-C{e['C']:g} exit: {d['exit']} -> {e['exit']}"
+              for d, e in zip(old["cli"], new["cli"]) if d["exit"] != e["exit"]]
+    return lines
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         content = generate(tmp)
+    print("\n".join(moves(FROZEN, content)) or "no flag, error class or exit code moved")
     FIXTURE.write_text(json.dumps(content, indent=1) + "\n")
     print(f"wrote {FIXTURE}: {len(content['reports'])} reports, {len(content['cli'])} CLI runs",
           file=sys.stderr)

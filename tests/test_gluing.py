@@ -205,12 +205,13 @@ class TestTabulatedInverse:
             assert worst <= bound
 
     def test_base_point(self, inverse_case):
-        # within one ulp of xi00 plus one height ulp at h = 0 carried into
-        # xi: 5e-11 at C = 20, 5e-5 at C = 1e3
+        # heights count from xi00, so h = 0 and the smallest heights next to
+        # it invert to xi00 exactly; counted from xi01 with a base subtracted,
+        # the bound was one ulp of xi00 plus one ulp of the base carried into
+        # xi, 4.5e-11 to 5.2e-11 at C = 20 and 4.6e-5 at C = 1e3
         at, _ = inverse_case
-        xi00 = at.roots.xi00
-        floor = math.ulp(xi00) + math.ulp(at._h_base) * at._rates(0, xi00)[0]
-        assert abs(at.F(0.0) - xi00) <= floor
+        tiny = math.ulp(0.0)
+        assert at.F(0.0) == at.F(tiny) == at.F(-tiny) == at.roots.xi00
 
     def test_h0_calls_per_inversion(self, inverse_case, monkeypatch):
         # the inversion runs on the table's leaves, not through value lookups
@@ -229,8 +230,7 @@ class TestTabulatedInverse:
         # one-float lookups of conftest, so the bits agree
         at, _ = inverse_case
         lo, hi = at.h_limits
-        ys = np.concatenate([np.linspace(lo, hi, 1000), *band_heights(at)]) + at._h_base
-        ys = np.clip(ys, 0.0, at._h_cum.total)
+        ys = np.clip(np.concatenate([np.linspace(lo, hi, 1000), *band_heights(at)]), lo, hi)
         xis = at._h_cum.inverse(ys)
         want = [scalar_inverse(at._h_cum, y) for y in ys.tolist()]
         assert xis.tobytes() == np.array(want).tobytes()
@@ -241,7 +241,7 @@ class TestTabulatedInverse:
     def test_a_float_gives_a_float(self, inverse_case):
         at, _ = inverse_case
         cq = at._h_cum
-        for got in (cq.inverse(0.3 * cq.total), cq.value(0.5 * (cq.lower + cq.upper)),
+        for got in (cq.inverse(0.3 * cq.table[0]), cq.value(0.5 * (cq.lower + cq.upper)),
                     cq.inverse(0.0), cq.value(cq.upper), at.h0_inverse(0.0), at.F(0.1),
                     at.h0(at.roots.xi00), at.family.zeta0(at.roots.xi00)):
             assert type(got) is float
@@ -249,10 +249,14 @@ class TestTabulatedInverse:
     def test_an_out_of_range_entry_raises(self, inverse_case):
         at, _ = inverse_case
         cq = at._h_cum
-        for call, good, bad in ((cq.inverse, 0.5 * cq.total, 1.01 * cq.total),
-                                (cq.inverse, 0.5 * cq.total, -0.01 * cq.total),
+        bottom, top = at.h_limits
+        for call, good, bad in ((cq.inverse, 0.0, top + 0.01 * cq.total),
+                                (cq.inverse, 0.0, bottom - 0.01 * cq.total),
+                                (cq.inverse, 0.0, math.nan),
                                 (cq.value, at.roots.xi00, cq.upper + 0.01 * (cq.upper - cq.lower)),
-                                (at.h0_inverse, 0.0, 1.01 * at.h_limits[1] + 0.1)):
+                                (cq.value, at.roots.xi00, math.nan),
+                                (at.h0_inverse, 0.0, 1.01 * top + 0.1),
+                                (at.h0_inverse, 0.0, math.nan)):
             with pytest.raises(OutOfDomain):
                 call(np.array([good, bad, good]))
 
@@ -271,7 +275,7 @@ class TestTabulatedInverse:
             xi = a2.h0_inverse(0.1)
         # the record names the height the table inverts
         assert len(caplog.records) == 1
-        assert f"y={0.1 + a2._h_base!r}" in caplog.records[0].getMessage()
+        assert f"y={0.1!r}" in caplog.records[0].getMessage()
         assert a2.roots.xi00 < xi < a2.roots.xi02
 
     def test_one_inversion_per_partials_call(self, monkeypatch):
@@ -288,6 +292,43 @@ class TestTabulatedInverse:
             calls.clear()
             partials(np.array([-0.7, 0.2, 1.3, 0.2, a2.grid[1]]), 0.4)
             assert [len(y) for y in calls] == [3]
+
+
+@pytest.fixture(scope="module", params=[1.0, 20.0, 1e3, 1e6], ids=lambda C: f"C{C:g}")
+def half_cstar(request):
+    """The atlas at C with C* at 50% of its range."""
+    return gluing.GluingAtlas(request.param, _cstar_at(request.param, 0.5))
+
+
+class TestCountedFromXi00:
+    """Both strip integrals count from xi00, where h and zeta are 0."""
+
+    def test_the_origin_is_exact(self, half_cstar):
+        at = half_cstar
+        xi00 = at.roots.xi00
+        assert at.F(0.0) == xi00
+        assert at.h0(xi00) == 0.0
+        assert at.family.zeta0(xi00) == 0.0
+
+    def test_junctions_are_exact(self, half_cstar):
+        # slot j of the ladder holds xi01 when even and xi02 when odd
+        at, r = half_cstar, half_cstar.roots
+        labels = sorted(at.grid)
+        roots = [r.xi02 if (k if k > 0 else k + 1) % 2 else r.xi01 for k in labels]
+        assert [at.F(at.grid[k]) for k in labels] == roots
+        assert at.F(np.array([at.grid[k] for k in labels])).tolist() == roots
+
+    def test_linear_next_to_the_origin(self, half_cstar):
+        # h = +-q times the upper half-strip's height: past the second-order
+        # term, F(h) - xi00 - h F'(xi00) is measured within 0.501 ulps of
+        # xi00, the rounding of the returned xi itself
+        at = half_cstar
+        xi00 = at.roots.xi00
+        dF, d2F = (float(v[0]) for v in at._rates(0, np.array([xi00]), zeta=False))
+        q = np.geomspace(1e-300, 1e-6, 301)
+        for h in (q * at.h_limits[1], -q * at.h_limits[1]):
+            gap = np.abs(at.F(h) - xi00 - h * dF)
+            assert np.all(gap <= 0.5 * h * h * abs(d2F) + math.ulp(xi00))
 
 
 class TestGridAndPhases:

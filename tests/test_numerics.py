@@ -142,40 +142,47 @@ class TestFindRootWork:
 
 class TestCumulativeQuadrature:
     def test_single_singular_end(self):
-        # 1/sqrt(x): 2 s f(s^2) = 2 at the singular end, smooth at the other
+        # 1/sqrt(x): 2 s f(s^2) = 2 at the singular end, smooth at the other;
+        # counted from 1/4, value(x) = 2 sqrt(x) - 1
         cq = nm.CumulativeQuadrature(
-            lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 1.0,
+            lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)), 0.0, 0.25, 1.0,
             left_sub=lambda s: np.full_like(s, 2.0),
             right_sub=lambda s: 2.0 * s / np.sqrt(1.0 - s * s))
         assert cq.total == pytest.approx(2.0, abs=1e-12)
-        assert cq.value(0.25) == pytest.approx(1.0, abs=1e-12)
+        assert cq.value(0.25) == 0.0
+        assert cq.value(0.0) == pytest.approx(-1.0, abs=1e-12)
+        assert cq.value(0.64) == pytest.approx(0.6, abs=1e-12)
 
     def test_double_singular_with_stable_subs(self):
         f = lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300))
         cq = nm.CumulativeQuadrature(
-            f, 0.0, 1.0,
+            f, 0.0, 0.5, 1.0,
             left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
             right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
         assert cq.total == pytest.approx(math.pi, abs=1e-12)
         for x in (0.1, 0.5, 0.9, 1.0 - 1e-9):
-            assert cq.value(x) == pytest.approx(2.0 * math.asin(math.sqrt(x)), abs=1e-11)
+            assert cq.value(x) == pytest.approx(2.0 * math.asin(math.sqrt(x)) - 0.5 * math.pi,
+                                                abs=1e-11)
 
     def test_out_of_domain(self):
-        cq = nm.CumulativeQuadrature(lambda x: x, 0.0, 1.0,
+        cq = nm.CumulativeQuadrature(lambda x: x, 0.0, 0.5, 1.0,
                                      left_sub=lambda s: 2.0 * s ** 3,
                                      right_sub=lambda s: 2.0 * s * (1.0 - s * s))
         assert cq.total == pytest.approx(0.5, abs=1e-13)
         with pytest.raises(nm.OutOfDomain):
             cq.value(1.5)
-        with pytest.raises(nm.InvalidSpec):
-            nm.CumulativeQuadrature(lambda x: x, 1.0, 0.0, cq.left_sub, cq.right_sub)
+        # the origin must lie strictly inside the interval
+        for ends in ((1.0, 0.5, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 1.5, 1.0)):
+            with pytest.raises(nm.InvalidSpec):
+                nm.CumulativeQuadrature(lambda x: x, *ends, cq.left_sub, cq.right_sub)
 
 
 @pytest.fixture(scope="module")
 def arcsine():
-    """The table of 1/sqrt(x (1 - x)) on (0, 1): value(x) = 2 asin(sqrt(x))."""
+    """The table of 1/sqrt(x (1 - x)) on (0, 1) counted from 1/2:
+    value(x) = 2 asin(sqrt(x)) - pi/2."""
     return nm.CumulativeQuadrature(
-        lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 1.0,
+        lambda x: 1.0 / np.sqrt(np.maximum(x * (1.0 - x), 1e-300)), 0.0, 0.5, 1.0,
         left_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s),
         right_sub=lambda s: 2.0 / np.sqrt(1.0 - s * s))
 
@@ -222,30 +229,33 @@ class TestChebyshevTable:
     def test_value_dense_against_closed_form(self, arcsine):
         d = np.geomspace(1e-12, 0.5, 400)
         xs = np.concatenate([d, 1.0 - d])
-        exact = [2.0 * math.asin(math.sqrt(x)) if x <= 0.5 else
-                 math.pi - 2.0 * math.asin(math.sqrt(1.0 - x)) for x in xs.tolist()]
+        exact = [2.0 * math.asin(math.sqrt(x)) - 0.5 * math.pi if x <= 0.5 else
+                 0.5 * math.pi - 2.0 * math.asin(math.sqrt(1.0 - x)) for x in xs.tolist()]
         assert np.max(np.abs(arcsine.value(xs) - exact)) <= 1e-13
 
     def test_inverse_dense_against_closed_form(self, arcsine):
-        # inverse(y) = sin^2(y / 2); measured within 2.3e-15
+        # inverse(y) = sin^2(y / 2 + pi / 4); measured within 1.0e-15
         d = math.pi * np.geomspace(1e-12, 0.5, 400)
-        ys = np.concatenate([d, math.pi - d])
-        exact = [math.sin(0.5 * y) ** 2 for y in ys.tolist()]
+        ys = np.concatenate([d - 0.5 * math.pi, 0.5 * math.pi - d])
+        exact = [math.sin(0.5 * y + 0.25 * math.pi) ** 2 for y in ys.tolist()]
         assert np.max(np.abs(arcsine.inverse(ys) - exact)) <= 1e-14
 
     def test_inverse_ends_are_exact(self, arcsine):
-        assert arcsine.inverse(0.0) == arcsine.lower
-        assert arcsine.inverse(arcsine.total) == arcsine.upper
+        bottom, top = arcsine.table[[0, -1]].tolist()
+        assert arcsine.inverse(bottom) == arcsine.lower
+        assert arcsine.inverse(top) == arcsine.upper
+        assert arcsine.inverse(0.0) == arcsine.origin
 
     def test_inverse_is_monotone(self, arcsine):
-        xs = arcsine.inverse(np.linspace(0.0, arcsine.total, 5001))
+        xs = arcsine.inverse(np.linspace(*arcsine.table[[0, -1]], 5001))
         assert np.all(np.diff(xs) >= 0.0)
 
     def test_inverse_out_of_domain(self, arcsine):
         slack = 1e-12 * arcsine.total
-        assert arcsine.inverse(-0.5 * slack) == arcsine.lower
-        assert arcsine.inverse(arcsine.total + 0.5 * slack) == arcsine.upper
-        for y in (-2.0 * slack, arcsine.total + 2.0 * slack):
+        bottom, top = arcsine.table[[0, -1]].tolist()
+        assert arcsine.inverse(bottom - 0.5 * slack) == arcsine.lower
+        assert arcsine.inverse(top + 0.5 * slack) == arcsine.upper
+        for y in (bottom - 2.0 * slack, top + 2.0 * slack, math.nan):
             with pytest.raises(nm.OutOfDomain):
                 arcsine.inverse(y)
 

@@ -20,22 +20,24 @@ from conftest import (Leaves, gk_adaptive, isothermal_quadrature, reference_buil
 
 def per_call_gk(cq, x):
     """The evaluation the table replaced: the table entry at the cell's
-    left node plus one adaptive GK integral from there to x (in s in the
-    end cells)."""
+    node nearer the origin plus the signed adaptive GK integral from there
+    to x (in s in the end cells)."""
     if x <= cq.lower:
-        return 0.0
+        return float(cq.table[0])
     if x >= cq.upper:
-        return cq.total
+        return float(cq.table[-1])
     i = min(max(int(np.searchsorted(cq.nodes, x)) - 1, 0), nm.QUAD_CELLS - 1)
-    a = float(cq.nodes[i])
+    a, b = cq.nodes[i:i + 2].tolist()
     if x == a:
         return float(cq.table[i])
-    if i == 0:
-        return gk_adaptive(cq.left_sub, 0.0, math.sqrt(x - cq.lower), cq._cell_tol, Leaves())[0]
+    gk = lambda f, lo, hi: gk_adaptive(f, lo, hi, cq._cell_tol[i], Leaves())[0]
+    if cq.nodes[i] < cq.origin:
+        if i == 0:
+            return float(cq.table[1]) - gk(cq.left_sub, math.sqrt(x - a), math.sqrt(b - a))
+        return float(cq.table[i + 1]) - gk(cq.f, x, b)
     if i == nm.QUAD_CELLS - 1:
-        return cq.total - gk_adaptive(cq.right_sub, 0.0, math.sqrt(cq.upper - x),
-                                      cq._cell_tol, Leaves())[0]
-    return float(cq.table[i]) + gk_adaptive(cq.f, a, x, cq._cell_tol, Leaves())[0]
+        return float(cq.table[i]) + gk(cq.right_sub, math.sqrt(b - x), math.sqrt(b - a))
+    return float(cq.table[i]) + gk(cq.f, a, x)
 
 
 def _cstar_at(C, frac):
@@ -90,6 +92,7 @@ def test_build_matches_the_panel_by_panel_reference(C, Cstar):
     for name, cq in tables.items():
         ref = reference_build(cq)
         assert np.array_equal(cq.table, ref.table), name
+        assert np.array_equal(cq._cell_tol, ref.cell_tol), name
         assert np.array_equal(cq._cell, ref.cell), name
         assert cq._leaves.shape == ref.leaves.shape, name
         for col in range(ref.leaves.shape[1]):
@@ -132,7 +135,7 @@ def test_build_calls_each_integrand_once_per_level():
             return fn(x)
         return wrapper
 
-    nm.CumulativeQuadrature(counted("f"), cq.lower, cq.upper,
+    nm.CumulativeQuadrature(counted("f"), cq.lower, cq.origin, cq.upper,
                             counted("left_sub"), counted("right_sub"))
     assert all(1 <= n <= 9 for n in calls.values()), calls
 
@@ -175,7 +178,7 @@ UNRESOLVED_END = pytest.mark.xfail(strict=True, reason="lower zeta end leaf at t
 def test_zeta0_at_the_lower_end_against_mpmath(C):
     # xi = xi01 + f (xi02 - xi01), f from 1e-9 to 1e-2; measured at most 1.8e-12
     # of the table's span at C = 1, 20 and 300, 2.9e-11 at 1.001 C_MIN (f = 1e-9,
-    # where xi01's rounding shows), and 3.0e-7 at C = 1e3, f = 1e-5
+    # where xi01's rounding shows), and 3.0e-7 at C = 1e3 at every f
     mpmath = pytest.importorskip("mpmath")
     fam = spherical.SphereFamily(C)
     r, span = fam.roots, fam._zeta_cum.total
@@ -227,7 +230,7 @@ def test_lookups_build_nothing_lazily():
     cq = fam._zeta_cum
     before = dict(vars(cq))
     cq.value(np.linspace(cq.lower, cq.upper, 7))
-    cq.inverse(np.linspace(0.0, cq.total, 7))
+    cq.inverse(np.linspace(*cq.table[[0, -1]], 7))
     after = vars(cq)
     assert after.keys() == before.keys()
     assert all(after[name] is attr for name, attr in before.items())
